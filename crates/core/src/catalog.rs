@@ -13,8 +13,9 @@
 //! re-render of table A cannot delay a reader of table B.
 //!
 //! Mutable per-table side state that is *not* part of the snapshot — the
-//! live [`WorkloadProfile`], the adaptation in-flight flag, and the durable
-//! commit queue — lives on the slot, sharded per table.
+//! live [`WorkloadProfile`], the adaptation in-flight flag, the durable
+//! commit queue, and the `CanonicalStore` a durable table's rows are
+//! checkpointed into — lives on the slot, sharded per table.
 
 use crate::monitor::WorkloadProfile;
 use crate::reorg::ReorgStrategy;
@@ -24,7 +25,11 @@ use rodentstore_algebra::expr::LayoutExpr;
 use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::value::Record;
 use rodentstore_exec::AccessMethods;
+use rodentstore_layout::rowcodec::{decode_record_prefix, encode_record_into};
+use rodentstore_storage::slotted::max_record_len;
+use rodentstore_storage::{crc32, crc32_extend, HeapFile, PageId, Pager, StorageError};
 use rodentstore_sync::{AtomicArc, EpochGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
@@ -163,7 +168,17 @@ impl Rows {
 
     /// Iterates the rows in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.chunks.iter().flat_map(|c| c.iter())
+        self.iter_from(0)
+    }
+
+    /// Iterates the rows from position `start` on, skipping whole chunks
+    /// before it (so reading a short suffix of a large store is cheap).
+    pub fn iter_from(&self, mut start: usize) -> impl Iterator<Item = &Record> {
+        self.chunks.iter().flat_map(move |c| {
+            let skip = start.min(c.len());
+            start -= skip;
+            c[skip..].iter()
+        })
     }
 
     /// The `i`-th row in insertion order.
@@ -236,6 +251,255 @@ impl std::fmt::Debug for Rows {
 impl FromIterator<Record> for Rows {
     fn from_iter<T: IntoIterator<Item = Record>>(iter: T) -> Rows {
         Rows::from_vec(iter.into_iter().collect())
+    }
+}
+
+/// Where a durable table's canonical rows live in `data.rodent`: what the
+/// manifest records of a [`CanonicalStore`] and what `open` reattaches it
+/// from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct CanonicalExtent {
+    /// Page ids in file order (the open tail, if any, last).
+    pub pages: Vec<PageId>,
+    /// Rows stored.
+    pub row_count: u64,
+    /// Heap records the rows' bytes are cut into.
+    pub heap_records: u64,
+    /// Valid slot count of the open tail page (`None`: every page sealed).
+    pub tail_valid_slots: Option<u32>,
+    /// Running CRC-32 of the rows' encoded bytes, in row order.
+    pub crc: u32,
+}
+
+/// A durable table's canonical rows on pages: an append-only extent of
+/// slotted pages in the shared page file — one [`HeapFile`], the format an
+/// `ObjectEncoding::Rows` object uses — holding the rows' `rowcodec`
+/// encodings back to back. The encoding is self-delimiting, so the bytes are
+/// one stream, cut into heap records wherever a page fills: pages are packed
+/// to the byte and a row of any size fits. A checkpoint appends only the
+/// rows added since the previous one, and the manifest describes the table
+/// by reference (a [`CanonicalExtent`]) instead of re-serialising its rows.
+///
+/// Only `checkpoint`, `open` and `drop_table` touch the store; no reader
+/// does. Its pages follow the crash rules of rendered tails: a page the
+/// on-disk manifest references is never rewritten in place — the tail is
+/// protected after every checkpoint and the next append relocates it.
+pub(crate) struct CanonicalStore {
+    heap: HeapFile,
+    /// Running CRC-32 of every byte appended (see [`CanonicalExtent`]).
+    crc: u32,
+    /// Rows whose every byte is in `heap`.
+    rows: u64,
+    /// Leading bytes of the next row already in `heap`: nonzero only after
+    /// an append failed with part of a row on pages, so that the next
+    /// attempt continues mid-row instead of appending those bytes twice.
+    partial: usize,
+}
+
+fn corrupt(what: String) -> RodentError {
+    RodentError::Storage(StorageError::Corrupted(what))
+}
+
+impl CanonicalStore {
+    /// An empty store for `table` (allocates nothing until the first row).
+    pub(crate) fn create(table: &str, pager: Arc<Pager>) -> CanonicalStore {
+        CanonicalStore {
+            heap: HeapFile::create(format!("{table}.canonical"), pager),
+            crc: 0,
+            rows: 0,
+            partial: 0,
+        }
+    }
+
+    /// Reattaches a checkpointed store and decodes its rows. The checksum
+    /// the manifest recorded is verified before a byte is decoded, the row
+    /// count after. The reattached tail is protected, so nothing is written.
+    pub(crate) fn reattach(
+        table: &str,
+        pager: Arc<Pager>,
+        extent: CanonicalExtent,
+    ) -> Result<(CanonicalStore, Vec<Record>)> {
+        let corrupt = |what: String| corrupt(format!("canonical rows of `{table}`: {what}"));
+        let mut stream = Vec::with_capacity(extent.pages.len() * pager.page_size());
+        let heap = HeapFile::from_pages_with_tail(
+            format!("{table}.canonical"),
+            pager,
+            extent.pages,
+            extent.heap_records,
+            extent.tail_valid_slots,
+        )
+        .map_err(RodentError::Storage)?;
+        heap.scan(|_, bytes| {
+            stream.extend_from_slice(bytes);
+            Ok(())
+        })
+        .map_err(RodentError::Storage)?;
+        if crc32(&stream) != extent.crc {
+            return Err(corrupt("checksum mismatch".into()));
+        }
+        let mut rows = Vec::with_capacity((extent.row_count as usize).min(1 << 20));
+        let mut at = 0;
+        while at < stream.len() {
+            let (row, used) =
+                decode_record_prefix(&stream[at..]).map_err(|e| corrupt(e.to_string()))?;
+            rows.push(row);
+            at += used;
+        }
+        if rows.len() as u64 != extent.row_count {
+            return Err(corrupt(format!(
+                "{} rows on pages, the manifest recorded {}",
+                rows.len(),
+                extent.row_count
+            )));
+        }
+        let store = CanonicalStore {
+            heap,
+            crc: extent.crc,
+            rows: extent.row_count,
+            partial: 0,
+        };
+        Ok((store, rows))
+    }
+
+    /// Appends the rows of `rows` the store does not hold yet — those past
+    /// its own row count, so an attempt that failed part-way resumes where
+    /// it stopped and never appends a byte twice — then flushes and protects
+    /// the tail. Returns the number of rows that became complete.
+    pub(crate) fn persist(&mut self, rows: &Rows) -> Result<u64> {
+        let before = self.rows;
+        if self.rows_on_pages() > rows.len() {
+            return Err(corrupt(format!(
+                "`{}` holds {} rows, its table only {}",
+                self.heap.name(),
+                self.rows_on_pages(),
+                rows.len()
+            )));
+        }
+        let page_room = max_record_len(self.heap.pager().page_size());
+        // Encoded bytes not yet in the heap, and where each buffered row
+        // ends in them.
+        let mut buf = Vec::new();
+        let mut ends = VecDeque::new();
+        let mut skip = self.partial;
+        for row in rows.iter_from(self.rows as usize) {
+            let row_start = buf.len();
+            encode_record_into(row, &mut buf);
+            if skip > 0 {
+                // The heap already holds this row's first `skip` bytes.
+                if buf.len() - row_start < skip {
+                    return Err(corrupt(format!(
+                        "`{}` holds {skip} bytes of a {}-byte row",
+                        self.heap.name(),
+                        buf.len() - row_start
+                    )));
+                }
+                buf.drain(row_start..row_start + skip);
+                skip = 0;
+            }
+            ends.push_back(buf.len());
+            // Cut a record off the front whenever the buffer can fill the
+            // tail page (or, with the tail full, a whole fresh one).
+            loop {
+                let room = match self.heap.tail_room() {
+                    0 => page_room,
+                    room => room,
+                };
+                if buf.len() < room {
+                    break;
+                }
+                self.append(&mut buf, &mut ends, room)?;
+            }
+        }
+        if !buf.is_empty() {
+            let rest = buf.len();
+            self.append(&mut buf, &mut ends, rest)?;
+        }
+        self.heap.flush().map_err(RodentError::Storage)?;
+        self.heap.protect_tail();
+        Ok(self.rows - before)
+    }
+
+    /// Appends the first `n` buffered bytes as one heap record and accounts
+    /// for the rows they complete.
+    fn append(&mut self, buf: &mut Vec<u8>, ends: &mut VecDeque<usize>, n: usize) -> Result<()> {
+        self.heap.append(&buf[..n]).map_err(RodentError::Storage)?;
+        self.crc = crc32_extend(self.crc, &buf[..n]);
+        // Bytes past the last completed row belong to the next one.
+        self.partial += n;
+        while let Some(end) = ends.front().copied().filter(|&end| end <= n) {
+            ends.pop_front();
+            self.rows += 1;
+            self.partial = n - end;
+        }
+        buf.drain(..n);
+        ends.iter_mut().for_each(|end| *end -= n);
+        Ok(())
+    }
+
+    /// Rows with at least one byte on pages: the rows stored in full, plus
+    /// one while a failed append left a row half-written.
+    pub(crate) fn rows_on_pages(&self) -> usize {
+        self.rows as usize + usize::from(self.partial > 0)
+    }
+
+    /// Page ids in file order.
+    pub(crate) fn pages(&self) -> Vec<PageId> {
+        self.heap.extent()
+    }
+
+    /// Pages used.
+    pub(crate) fn page_count(&self) -> usize {
+        self.heap.page_count()
+    }
+
+    /// The store's description for the manifest (call after a successful
+    /// [`CanonicalStore::persist`], which leaves every row complete and the
+    /// tail flushed).
+    pub(crate) fn extent(&self) -> CanonicalExtent {
+        debug_assert_eq!(self.partial, 0, "describing a half-written row");
+        CanonicalExtent {
+            pages: self.heap.extent(),
+            row_count: self.rows,
+            heap_records: self.heap.record_count(),
+            tail_valid_slots: self.heap.tail_valid_slots(),
+            crc: self.crc,
+        }
+    }
+
+    /// Drains the protected tail pages superseded by relocation (the
+    /// caller quarantines them).
+    pub(crate) fn take_relocated(&self) -> Vec<PageId> {
+        self.heap.take_relocated()
+    }
+
+    /// Adopts copies the checkpoint's vacuum made of some of the store's
+    /// pages: `moved` pairs a position in [`CanonicalStore::pages`] with the
+    /// id of the page now holding those bytes. Returns the vacated ids (the
+    /// caller quarantines them). Call on a flushed store.
+    pub(crate) fn rehome(&mut self, moved: &[(usize, PageId)]) -> Result<Vec<PageId>> {
+        let mut pages = self.heap.extent();
+        let mut vacated = self.heap.take_relocated();
+        vacated.extend(
+            moved
+                .iter()
+                .map(|&(at, copy)| std::mem::replace(&mut pages[at], copy)),
+        );
+        self.heap = HeapFile::from_pages_with_tail(
+            self.heap.name().to_string(),
+            Arc::clone(self.heap.pager()),
+            pages,
+            self.heap.record_count(),
+            self.heap.tail_valid_slots(),
+        )
+        .map_err(RodentError::Storage)?;
+        Ok(vacated)
+    }
+
+    /// Every page of a dropped table's store, for quarantine.
+    pub(crate) fn into_pages(self) -> Vec<PageId> {
+        let mut pages = self.heap.extent();
+        pages.extend(self.heap.take_relocated());
+        pages
     }
 }
 
@@ -328,6 +592,11 @@ pub struct TableSlot {
     pub(crate) deps_dirty: AtomicBool,
     /// Apply-order resolution of durable insert commits (see [`CommitQueue`]).
     pub(crate) commit_queue: Arc<CommitQueue>,
+    /// Durable tables: where checkpoints persist the canonical rows (`None`
+    /// until the first checkpoint, and always on in-memory databases). A
+    /// leaf mutex — checkpoints, `open` and `drop_table` exclude one another
+    /// through the commit fence already.
+    pub(crate) canonical: Mutex<Option<CanonicalStore>>,
     /// Predicted-vs-actual scan-page calibration totals (relaxed; folded
     /// into [`crate::Database::metrics`] as `calibration.<table>.*`). Sum of
     /// `estimate_scan_pages` predictions across instrumented scans.
@@ -351,6 +620,7 @@ impl TableSlot {
             adapting: AtomicBool::new(false),
             deps_dirty: AtomicBool::new(false),
             commit_queue: Arc::new(CommitQueue::default()),
+            canonical: Mutex::new(None),
             predicted_pages_total: AtomicU64::new(0),
             actual_pages_total: AtomicU64::new(0),
             calibration_samples: AtomicU64::new(0),
@@ -520,6 +790,152 @@ mod tests {
         assert_eq!(rows.get(349), Some(&row(349)));
         assert_eq!(rows.get(350), None);
         assert_eq!(rows.to_vec().len(), 350);
+    }
+
+    #[test]
+    fn rows_iter_from_skips_a_prefix_across_chunks() {
+        let mut rows = Rows::new();
+        for batch in 0..9 {
+            rows.push_rows((0..5).map(|i| row(batch * 5 + i)).collect());
+        }
+        for start in [0, 1, 5, 22, 44, 45, 60] {
+            let expected: Vec<Record> = (start as i64..45).map(row).collect();
+            assert_eq!(rows.iter_from(start).cloned().collect::<Vec<_>>(), expected);
+        }
+    }
+
+    /// A row of `width` payload bytes (wider than a test page when asked).
+    fn wide_row(x: i64, width: usize) -> Record {
+        vec![Value::Int(x), Value::Str("r".repeat(width))]
+    }
+
+    fn reattached(store: &CanonicalStore, pager: &Arc<Pager>) -> Result<Vec<Record>> {
+        CanonicalStore::reattach("T", Arc::clone(pager), store.extent()).map(|(_, rows)| rows)
+    }
+
+    #[test]
+    fn canonical_store_persists_only_new_rows_packed_to_the_byte() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(256));
+        let mut store = CanonicalStore::create("T", Arc::clone(&pager));
+        let mut rows = Rows::new();
+        assert_eq!(store.persist(&rows).unwrap(), 0);
+        assert_eq!(reattached(&store, &pager).unwrap(), Vec::<Record>::new());
+
+        rows.push_rows((0..50).map(|i| wide_row(i, 20)).collect());
+        assert_eq!(store.persist(&rows).unwrap(), 50);
+        assert_eq!(reattached(&store, &pager).unwrap(), rows.to_vec());
+
+        // A later batch — with a row wider than three pages — appends only
+        // itself; a persist with nothing new writes nothing.
+        rows.push_rows(vec![wide_row(50, 3), wide_row(51, 800), wide_row(52, 0)]);
+        let written = pager.stats().snapshot().pages_written;
+        assert_eq!(store.persist(&rows).unwrap(), 3);
+        assert!(pager.stats().snapshot().pages_written - written <= 6);
+        assert_eq!(reattached(&store, &pager).unwrap(), rows.to_vec());
+        let written = pager.stats().snapshot().pages_written;
+        assert_eq!(store.persist(&rows).unwrap(), 0);
+        assert_eq!(pager.stats().snapshot().pages_written, written);
+
+        // Rows straddle records and pages, so pages fill to the byte.
+        let mut bytes = Vec::new();
+        rows.iter().for_each(|r| encode_record_into(r, &mut bytes));
+        assert!(store.page_count() <= bytes.len() / max_record_len(256) + 2);
+    }
+
+    /// A page store whose writes start failing after a set number.
+    struct FlakyStore {
+        inner: rodentstore_storage::MemStore,
+        writes_left: AtomicU64,
+    }
+
+    impl rodentstore_storage::PageStore for FlakyStore {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn allocate(&self) -> rodentstore_storage::Result<PageId> {
+            self.inner.allocate()
+        }
+        fn read(&self, id: PageId) -> rodentstore_storage::Result<Vec<u8>> {
+            self.inner.read(id)
+        }
+        fn write(&self, id: PageId, data: &[u8]) -> rodentstore_storage::Result<()> {
+            let left = self.writes_left.load(std::sync::atomic::Ordering::SeqCst);
+            if left == 0 {
+                return Err(StorageError::Io(std::io::Error::other(
+                    "injected write failure",
+                )));
+            }
+            self.writes_left
+                .store(left - 1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.write(id, data)
+        }
+        fn truncate(&self, page_count: u64) -> rodentstore_storage::Result<()> {
+            self.inner.truncate(page_count)
+        }
+    }
+
+    #[test]
+    fn failed_persist_resumes_where_it_stopped_even_mid_row() {
+        let mut rows = Rows::new();
+        rows.push_rows((0..12).map(|i| wide_row(i, 30)).collect());
+        rows.push_rows(vec![wide_row(12, 700), wide_row(13, 5)]);
+        // Fail the k-th page write of the persist, for every k until one
+        // succeeds outright; then heal the store and persist again.
+        for fail_at in 0.. {
+            let flaky = Arc::new(FlakyStore {
+                inner: rodentstore_storage::MemStore::new(256),
+                writes_left: AtomicU64::new(fail_at),
+            });
+            let pager = Arc::new(Pager::with_store(
+                Arc::clone(&flaky) as Arc<dyn rodentstore_storage::PageStore>
+            ));
+            let mut store = CanonicalStore::create("T", Arc::clone(&pager));
+            let first = store.persist(&rows);
+            flaky
+                .writes_left
+                .store(u64::MAX, std::sync::atomic::Ordering::SeqCst);
+            store.persist(&rows).unwrap();
+            assert_eq!(
+                reattached(&store, &pager).unwrap(),
+                rows.to_vec(),
+                "every row once, in order (first write failure at {fail_at})"
+            );
+            if first.is_ok() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_canonical_byte_is_corruption_not_rows() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(256));
+        let mut store = CanonicalStore::create("T", Arc::clone(&pager));
+        let rows = Rows::from_vec((0..40).map(|i| wide_row(i, 10)).collect());
+        store.persist(&rows).unwrap();
+        let extent = store.extent();
+        let mut page = pager.read(extent.pages[1]).unwrap();
+        let last = page.data.len() - 1; // record payloads fill pages from the back
+        page.data[last] ^= 0x40;
+        pager.write(&page).unwrap();
+        let reopened = CanonicalStore::reattach("T", Arc::clone(&pager), extent.clone());
+        assert!(matches!(
+            reopened,
+            Err(RodentError::Storage(StorageError::Corrupted(_)))
+        ));
+        // So is a manifest that disagrees with the pages about the row count.
+        page.data[last] ^= 0x40;
+        pager.write(&page).unwrap();
+        let miscounted = CanonicalExtent {
+            row_count: 39,
+            ..extent
+        };
+        assert!(matches!(
+            CanonicalStore::reattach("T", Arc::clone(&pager), miscounted),
+            Err(RodentError::Storage(StorageError::Corrupted(_)))
+        ));
     }
 
     #[test]

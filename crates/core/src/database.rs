@@ -1,6 +1,8 @@
 //! The RodentStore database façade.
 
-use crate::catalog::{CatalogView, Registry, Rows, TableMap, TableSlot, TableState};
+use crate::catalog::{
+    CanonicalStore, CatalogView, Registry, Rows, TableMap, TableSlot, TableState,
+};
 use crate::durability::{self, Durability, DurabilityOptions, DurableOp, ManifestContext};
 use crate::observe::EngineObs;
 use crate::reorg::ReorgStrategy;
@@ -426,7 +428,8 @@ impl Database {
 
         let mut orphaned_index_pages: Vec<PageId> = Vec::new();
         {
-            // Pass 1: every table's schema, rows, profile, and counters.
+            // Pass 1: every table's schema, rows (decoded from the
+            // canonical extent), profile, and counters.
             let mut entries: Vec<(String, Arc<TableSlot>)> = Vec::new();
             let mut rendered = Vec::new();
             for table in manifest.tables {
@@ -434,18 +437,31 @@ impl Database {
                 if entries.iter().any(|(n, _)| n == &name) {
                     return Err(RodentError::TableExists(name));
                 }
+                // The canonical rows come back from their page extent; the
+                // pending rows are, by invariant, the last of them.
+                let (canonical, records) =
+                    CanonicalStore::reattach(&name, Arc::clone(&pager), table.canonical)?;
+                let pending_start = usize::try_from(table.pending_count)
+                    .ok()
+                    .and_then(|pending| records.len().checked_sub(pending))
+                    .ok_or_else(|| {
+                        RodentError::Storage(rodentstore_storage::StorageError::Corrupted(format!(
+                            "manifest claims {} pending rows of `{name}`'s {}",
+                            table.pending_count,
+                            records.len()
+                        )))
+                    })?;
                 let mut state = TableState::new(table.schema);
                 state.strategy = table.strategy;
-                state.records = Rows::from_vec(table.records);
-                state.pending = Rows::from_vec(table.pending);
+                state.pending = Rows::from_vec(records[pending_start..].to_vec());
+                state.records = Rows::from_vec(records);
                 state.stats = table.stats;
                 if let Some(expr_text) = table.layout_expr {
                     state.layout_expr = Some(parse(&expr_text)?);
                 }
-                entries.push((
-                    name.clone(),
-                    Arc::new(TableSlot::with_state(state, table.profile.into_profile())),
-                ));
+                let slot = TableSlot::with_state(state, table.profile.into_profile());
+                *slot.canonical.lock() = Some(canonical);
+                entries.push((name.clone(), Arc::new(slot)));
                 if let Some(r) = table.rendered {
                     rendered.push((name, r));
                 }
@@ -659,12 +675,15 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// Checkpoints a durable database: flushes every rendered object's tail
-    /// page, syncs the data file, atomically rewrites the manifest (catalog,
-    /// canonical rows, layout page extents, workload profiles, the free-page
-    /// list, and the adaptive policy / cost parameters), and truncates the
-    /// WAL. After a checkpoint, [`Database::open`] needs no replay and no
-    /// re-rendering. Errors on in-memory databases.
+    /// Checkpoints a durable database: appends the canonical rows added
+    /// since the last checkpoint to each table's canonical store, flushes
+    /// every rendered object's tail page, syncs the data file, atomically
+    /// rewrites the manifest (catalog, canonical and layout page extents,
+    /// workload profiles, the free-page list, and the adaptive policy / cost
+    /// parameters — metadata only), and truncates the WAL. The cost follows
+    /// what changed plus O(pages) of metadata, not the table sizes. After a
+    /// checkpoint, [`Database::open`] needs no replay and no re-rendering.
+    /// Errors on in-memory databases.
     ///
     /// Holds the commit fence's **write** side for the duration: every
     /// durable mutation holds the read side across its apply-and-commit
@@ -696,6 +715,22 @@ impl Database {
         mark(&mut phases, &mut phase_started, "reap_retired");
         let mut notes = Vec::new();
         let view = self.catalog();
+        // Persist the canonical rows the stores do not hold yet. The fence
+        // is held, so every row in `records` is resolved: nothing appended
+        // here can still roll back. A store's vacated tail quarantines at
+        // once — a checkpoint that fails later must not lose track of it.
+        let mut rows_persisted = 0u64;
+        let mut canonical_pages = 0u64;
+        for (name, slot, state) in view.entries().iter() {
+            let mut canonical = slot.canonical.lock();
+            let store = canonical
+                .get_or_insert_with(|| CanonicalStore::create(name, Arc::clone(&self.pager)));
+            let persisted = store.persist(&state.records);
+            self.pending_free.lock().extend(store.take_relocated());
+            rows_persisted += persisted?;
+            canonical_pages += store.page_count() as u64;
+        }
+        self.compact_canonical_tail(&view)?;
         // Write out partially filled heap tails so every page extent is
         // complete (tails stay open: later appends keep refilling them, and
         // the manifest records their valid slot counts), then *protect*
@@ -794,6 +829,7 @@ impl Database {
             },
         )?;
         durability::write_manifest_file(&dir, &manifest)?;
+        let manifest_bytes = manifest.len() as u64;
         mark(&mut phases, &mut phase_started, "write_manifest");
         // The manifest on disk no longer references the quarantined pages:
         // they are now safe to reallocate. `quarantine` only appends and
@@ -843,6 +879,9 @@ impl Database {
         if self.obs.enabled() {
             self.obs.ins.checkpoint_count.incr();
             self.obs.ins.checkpoint_pages_freed.add(pages_freed);
+            self.obs.ins.checkpoint_rows_persisted.add(rows_persisted);
+            self.obs.ins.checkpoint_manifest_bytes.set(manifest_bytes);
+            self.obs.ins.canonical_pages.set(canonical_pages);
             self.obs
                 .ins
                 .checkpoint_micros
@@ -854,6 +893,82 @@ impl Database {
             });
         }
         Ok(())
+    }
+
+    /// The copying vacuum for canonical pages (checkpoint only, after the
+    /// stores are persisted and flushed). A rendering's pages leave the file
+    /// when the rendering is retired, but canonical pages live as long as
+    /// their table, and one sitting at the end of the file pins every free
+    /// page below it. Walking back from the end of the file: free pages are
+    /// skipped (the shrink phase will cut them), a canonical page is copied
+    /// to the lowest free page below it, and the first page that is neither
+    /// ends the walk — so a page moves only when that lets the file shrink.
+    ///
+    /// Copies land on pages the on-disk manifest lists as free, and the
+    /// vacated pages quarantine: the old manifest stays valid until this
+    /// checkpoint's manifest, which references the copies, replaces it.
+    fn compact_canonical_tail(&self, view: &CatalogView) -> Result<()> {
+        let free: std::collections::HashSet<PageId> = self.pager.free_list().into_iter().collect();
+        let last_live = (0..self.pager.page_count())
+            .rev()
+            .find(|page| !free.contains(page));
+        let (Some(&lowest_free), Some(last_live)) = (free.iter().min(), last_live) else {
+            return Ok(());
+        };
+        let mut stores: Vec<_> = view
+            .entries()
+            .iter()
+            .map(|(_, slot, _)| slot.canonical.lock())
+            .collect();
+        let extents: Vec<Vec<PageId>> = stores
+            .iter()
+            .map(|store| store.as_ref().map_or_else(Vec::new, |store| store.pages()))
+            .collect();
+        // The common case: the file ends on a rendered page, nothing to do.
+        if lowest_free > last_live || !extents.iter().flatten().any(|&page| page == last_live) {
+            return Ok(());
+        }
+        // Which store holds each canonical page that could move, and where.
+        let mut holder = std::collections::HashMap::new();
+        for (s, extent) in extents.iter().enumerate() {
+            for (at, &page) in extent.iter().enumerate() {
+                if page > lowest_free {
+                    holder.insert(page, (s, at));
+                }
+            }
+        }
+        let mut moved: Vec<Vec<(usize, PageId)>> = vec![Vec::new(); stores.len()];
+        let mut failed = None;
+        for page in (0..=last_live).rev() {
+            if free.contains(&page) {
+                continue;
+            }
+            let Some(&(s, at)) = holder.get(&page) else {
+                break;
+            };
+            let Some(mut copy) = self.pager.allocate_below(page) else {
+                break;
+            };
+            let written = self.pager.read(page).and_then(|original| {
+                copy.data.copy_from_slice(&original.data);
+                self.pager.write(&copy)
+            });
+            if let Err(e) = written {
+                // Nothing references the copy yet: hand the page back, keep
+                // the moves already made.
+                self.pager.free_pages([copy.id]);
+                failed = Some(RodentError::Storage(e));
+                break;
+            }
+            moved[s].push((at, copy.id));
+        }
+        for (store, moved) in stores.iter_mut().zip(&moved) {
+            if let (Some(store), false) = (store.as_mut(), moved.is_empty()) {
+                let vacated = store.rehome(moved)?;
+                self.pending_free.lock().extend(vacated);
+            }
+        }
+        failed.map_or(Ok(()), Err)
     }
 
     /// Looks up a table's slot (lock-free).
@@ -1307,7 +1422,9 @@ impl Database {
     }
 
     /// Drops a table. Its rendered pages are returned to the pager's free
-    /// list for reuse once no in-flight reader pins them.
+    /// list for reuse once no in-flight reader pins them; its canonical
+    /// pages, which no reader touches, once the next checkpoint's manifest
+    /// stops referencing them.
     pub fn drop_table(&self, table: &str) -> Result<()> {
         let _fence = self
             .durability
@@ -1354,6 +1471,13 @@ impl Database {
         // The dropped state stays reachable through the retired map until
         // old pins drain; its rendering's pages follow the same clock.
         self.retire_accesses(retire);
+        // The on-disk manifest may still reference the canonical extent
+        // (live, and when this drop is replayed from the WAL), so it
+        // quarantines rather than frees.
+        let canonical = slot.canonical.lock().take();
+        if let Some(store) = canonical {
+            self.quarantine(store.into_pages());
+        }
         Ok(())
     }
 
@@ -1541,6 +1665,19 @@ impl Database {
                 // Unreachable while resolution order holds; never panic on
                 // the error path (the commit failure is already reported).
                 debug_assert!(false, "rollback window [{start}, +{count}) exceeds {len} rows");
+                break 'remove 0;
+            }
+            let persisted = slot
+                .canonical
+                .lock()
+                .as_ref()
+                .map_or(0, |store| store.rows_on_pages());
+            if start < persisted {
+                // Unreachable while checkpoints hold the commit fence: only
+                // resolved rows reach the canonical store. Removing one here
+                // would leave the store ahead of the table, so leave the
+                // rows — recovery would return them too.
+                debug_assert!(false, "rolling back row {start} of {persisted} persisted");
                 break 'remove 0;
             }
             let pending_start = len - state.pending.len();

@@ -8,23 +8,29 @@
 //!
 //! * **`data.rodent`** — the page file ([`rodentstore_storage::FileStore`]
 //!   with a validated superblock). Layout renderers and incremental appends
-//!   write pages here through the shared pager.
+//!   write pages here through the shared pager, and so does each table's
+//!   canonical store (`catalog::CanonicalStore`): an append-only extent of the
+//!   canonical rows, to which a checkpoint adds only the rows it has not
+//!   persisted yet.
 //! * **`wal.rodent`** — the write-ahead log. Every catalog mutation
 //!   (`create_table`, `drop_table`, `insert`, `apply_layout`, adaptation) is
 //!   encoded as a *logical* operation and committed to the log **before**
 //!   any page is touched. Replay re-executes the ops; because the ops are
 //!   declarative, replay re-derives pages instead of needing page images.
-//! * **`manifest.rodent`** — a checkpoint of the whole catalog: schemas,
-//!   declared layout expression text, canonical rows, pending buffers, the
+//! * **`manifest.rodent`** — a checkpoint of the whole catalog, metadata
+//!   only: schemas, declared layout expression text, each table's canonical
+//!   extent (page ids, row count, checksum) and pending-row count, the
 //!   per-table [`crate::monitor::WorkloadProfile`] snapshot,
 //!   layout statistics, and — for rendered layouts — each stored object's
 //!   metadata and page extent, so `open` reattaches the rendered
-//!   representation with **zero re-rendering**.
+//!   representation with **zero re-rendering**. Its size follows the page
+//!   count, not the row count.
 //!
-//! [`Database::checkpoint`](crate::Database::checkpoint) flushes dirty heap
-//! tails, syncs the page file, atomically rewrites the manifest
-//! (write-temp + rename), and truncates the WAL. `open` loads the manifest,
-//! discards any data pages past the checkpoint, and replays the WAL tail:
+//! [`Database::checkpoint`](crate::Database::checkpoint) appends the new
+//! canonical rows, flushes dirty heap tails, syncs the page file,
+//! atomically rewrites the manifest (write-temp + rename), and truncates
+//! the WAL. `open` loads the manifest, discards any data pages past the
+//! checkpoint, decodes the canonical extents, and replays the WAL tail:
 //! committed transactions win, torn or corrupt tails are detected by
 //! checksum and discarded.
 //!
@@ -32,7 +38,7 @@
 //! CRC32 over the manifest body; records and values reuse the layout
 //! crate's self-describing row codec.
 
-use crate::catalog::{CatalogView, LayoutStats, Rows};
+use crate::catalog::{CanonicalExtent, CatalogView, LayoutStats};
 use crate::database::AdaptivePolicy;
 use crate::monitor::{QueryTemplate, WorkloadProfile};
 use crate::reorg::ReorgStrategy;
@@ -67,8 +73,12 @@ const MANIFEST_MAGIC: &[u8; 8] = b"RDNTMAN1";
 /// the levelled-tier (`lsm`) description — per-run level/seq/extent/bounds
 /// plus the memtable rows — and the profile's decayed insert weight, so a
 /// write-optimized table reattaches its runs without re-rendering and the
-/// adaptation loop remembers the write pressure across restarts.
-const MANIFEST_VERSION: u32 = 4;
+/// adaptation loop remembers the write pressure across restarts. Version 5
+/// made the manifest metadata only: the canonical and pending rows left it
+/// for each table's canonical page extent, which it describes by page ids,
+/// row and record counts, tail slot count and checksum, plus a pending-row
+/// count.
+const MANIFEST_VERSION: u32 = 5;
 
 /// Sentinel in the object encoding for "no open tail page".
 const NO_TAIL: u32 = u32::MAX;
@@ -244,13 +254,6 @@ fn dec_rec(d: &mut Dec) -> Result<Record> {
 fn enc_records(e: &mut Enc, records: &[Record]) {
     e.u32(records.len() as u32);
     for r in records {
-        enc_rec(e, r);
-    }
-}
-
-fn enc_rows(e: &mut Enc, rows: &Rows) {
-    e.u32(rows.len() as u32);
-    for r in rows.iter() {
         enc_rec(e, r);
     }
 }
@@ -769,8 +772,11 @@ pub(crate) struct TableManifest {
     pub schema: Schema,
     pub strategy: ReorgStrategy,
     pub layout_expr: Option<String>,
-    pub records: Vec<Record>,
-    pub pending: Vec<Record>,
+    /// Where the canonical rows live in the page file.
+    pub canonical: CanonicalExtent,
+    /// How many of the canonical rows — by invariant the last ones — were
+    /// still pending (inserted since the layout was last rendered).
+    pub pending_count: u64,
     pub profile: ProfileManifest,
     pub stats: LayoutStats,
     pub rendered: Option<RenderedManifest>,
@@ -979,6 +985,35 @@ fn dec_cell(d: &mut Dec) -> Result<CellBounds> {
         coords.push(d.u32()?);
     }
     Ok(CellBounds { dims, coords })
+}
+
+fn enc_canonical(e: &mut Enc, canonical: &CanonicalExtent) {
+    e.u32(canonical.pages.len() as u32);
+    for page in &canonical.pages {
+        e.u64(*page);
+    }
+    e.u64(canonical.row_count);
+    e.u64(canonical.heap_records);
+    e.u32(canonical.tail_valid_slots.unwrap_or(NO_TAIL));
+    e.u32(canonical.crc);
+}
+
+fn dec_canonical(d: &mut Dec) -> Result<CanonicalExtent> {
+    let npages = d.u32()? as usize;
+    let mut pages = Vec::with_capacity(npages.min(1 << 20));
+    for _ in 0..npages {
+        pages.push(d.u64()?);
+    }
+    let row_count = d.u64()?;
+    let heap_records = d.u64()?;
+    let tail_slots = d.u32()?;
+    Ok(CanonicalExtent {
+        pages,
+        row_count,
+        heap_records,
+        tail_valid_slots: (tail_slots != NO_TAIL).then_some(tail_slots),
+        crc: d.u32()?,
+    })
 }
 
 fn enc_object(e: &mut Enc, object: &ObjectManifest) {
@@ -1192,8 +1227,9 @@ fn dec_lsm(d: &mut Dec) -> Result<LsmManifest> {
 }
 
 /// Serializes the whole catalog (plus the file geometry) into manifest
-/// bytes. Every rendered layout's heap tails must already be flushed —
-/// [`crate::Database::checkpoint`] does that before calling this.
+/// bytes. Every table's canonical store must already hold all of its rows
+/// and every rendered layout's heap tails must already be flushed —
+/// [`crate::Database::checkpoint`] does both before calling this.
 pub(crate) fn encode_manifest(catalog: &CatalogView, ctx: &ManifestContext) -> Result<Vec<u8>> {
     let mut e = Enc::default();
     e.u32(MANIFEST_VERSION);
@@ -1216,8 +1252,24 @@ pub(crate) fn encode_manifest(catalog: &CatalogView, ctx: &ManifestContext) -> R
                 e.str(&expr.to_string());
             }
         }
-        enc_rows(&mut e, &entry.records);
-        enc_rows(&mut e, &entry.pending);
+        let canonical = slot
+            .canonical
+            .lock()
+            .as_ref()
+            .map(|store| store.extent())
+            .unwrap_or_default();
+        if canonical.row_count != entry.records.len() as u64 {
+            // A manifest that described fewer rows than the table holds
+            // would lose the difference once the WAL is truncated.
+            return Err(RodentError::Invalid(format!(
+                "manifest cut of `{}`: {} canonical rows persisted, the table holds {}",
+                entry.schema.name(),
+                canonical.row_count,
+                entry.records.len()
+            )));
+        }
+        enc_canonical(&mut e, &canonical);
+        e.u64(entry.pending.len() as u64);
         // Workload profile snapshot (lives on the slot, not the published
         // state; the mutex is leaf-level and held only for the copy-out).
         let profile = slot.profile.lock();
@@ -1379,8 +1431,8 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<ManifestData> {
         let schema = dec_schema(&mut d)?;
         let strategy = dec_strategy(d.u8()?)?;
         let layout_expr = if d.bool()? { Some(d.str()?) } else { None };
-        let records = dec_records(&mut d)?;
-        let pending = dec_records(&mut d)?;
+        let canonical = dec_canonical(&mut d)?;
+        let pending_count = d.u64()?;
         let decay = d.f64()?;
         let max_templates = d.u64()?;
         let queries_observed = d.u64()?;
@@ -1443,8 +1495,8 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<ManifestData> {
             schema,
             strategy,
             layout_expr,
-            records,
-            pending,
+            canonical,
+            pending_count,
             profile: ProfileManifest {
                 decay,
                 max_templates,

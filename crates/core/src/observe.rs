@@ -13,7 +13,7 @@
 //! instrumentation site to a single relaxed load, which is how the
 //! `scan_hot_path` bench measures the overhead of the metrics themselves.
 
-use rodentstore_obs::{Counter, EventRing, Histogram, Registry as MetricsRegistry};
+use rodentstore_obs::{Counter, EventRing, Gauge, Histogram, Registry as MetricsRegistry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -88,6 +88,14 @@ pub struct Instruments {
     pub checkpoint_pages_freed: Arc<Counter>,
     /// `checkpoint.micros` — checkpoint wall-clock.
     pub checkpoint_micros: Arc<Histogram>,
+    /// `checkpoint.rows_persisted` — canonical rows appended to the tables'
+    /// canonical stores (the rows added since the previous checkpoint).
+    pub checkpoint_rows_persisted: Arc<Counter>,
+    /// `checkpoint.manifest_bytes` — size of the last manifest written.
+    pub checkpoint_manifest_bytes: Arc<Gauge>,
+    /// `canonical.pages` — pages held by all canonical stores at the last
+    /// checkpoint.
+    pub canonical_pages: Arc<Gauge>,
     /// `wal.truncations` — WAL truncations after checkpoints.
     pub wal_truncations: Arc<Counter>,
     /// `wal.truncated_bytes` — log bytes dropped by truncations.
@@ -137,6 +145,9 @@ impl Instruments {
             checkpoint_count: registry.counter("checkpoint.count"),
             checkpoint_pages_freed: registry.counter("checkpoint.pages_freed"),
             checkpoint_micros: registry.histogram("checkpoint.micros"),
+            checkpoint_rows_persisted: registry.counter("checkpoint.rows_persisted"),
+            checkpoint_manifest_bytes: registry.gauge("checkpoint.manifest_bytes"),
+            canonical_pages: registry.gauge("canonical.pages"),
             wal_truncations: registry.counter("wal.truncations"),
             wal_truncated_bytes: registry.counter("wal.truncated_bytes"),
             wal_commit_micros: registry.histogram("wal.commit_micros"),
@@ -148,8 +159,8 @@ impl Instruments {
     }
 }
 
-/// The stable metric-name catalog: every counter and histogram the engine
-/// registers, in name order. Benches and CI validate their emitted
+/// The stable metric-name catalog: every counter, gauge and histogram the
+/// engine registers, in name order. Benches and CI validate their emitted
 /// `BENCH_*.json` metric sections against this list; changing a name is a
 /// breaking change to `docs/OBSERVABILITY.md`.
 pub fn metric_names() -> &'static [&'static str] {
@@ -157,9 +168,12 @@ pub fn metric_names() -> &'static [&'static str] {
         "adapt.adaptations",
         "adapt.advise_micros",
         "adapt.checks",
+        "canonical.pages",
         "checkpoint.count",
+        "checkpoint.manifest_bytes",
         "checkpoint.micros",
         "checkpoint.pages_freed",
+        "checkpoint.rows_persisted",
         "epoch.reaps",
         "epoch.reclaimed_pages",
         "epoch.retired_bytes",
@@ -255,6 +269,7 @@ mod tests {
         let registered: Vec<&str> = snap
             .counters()
             .map(|(name, _)| name)
+            .chain(snap.gauges().map(|(name, _)| name))
             .chain(snap.histograms().map(|(name, _)| name))
             .collect();
         let mut sorted = registered.clone();

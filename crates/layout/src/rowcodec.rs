@@ -131,7 +131,9 @@ fn decode_value(input: &[u8], pos: &mut usize) -> Result<Value> {
         }
         TAG_LIST => {
             let len = read_varint(input, pos)? as usize;
-            let mut items = Vec::with_capacity(len);
+            // Every value takes at least one byte: bound the allocation by
+            // what the input could hold, not by what a corrupt length claims.
+            let mut items = Vec::with_capacity(len.min(input.len().saturating_sub(*pos)));
             for _ in 0..len {
                 items.push(decode_value(input, pos)?);
             }
@@ -144,22 +146,35 @@ fn decode_value(input: &[u8], pos: &mut usize) -> Result<Value> {
 /// Serializes a record into a self-describing byte payload.
 pub fn encode_record(record: &Record) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * record.len());
-    write_varint(&mut out, record.len() as u64);
-    for value in record {
-        encode_value(value, &mut out);
-    }
+    encode_record_into(record, &mut out);
     out
+}
+
+/// Appends a record's [`encode_record`] bytes to `out` (for writers that
+/// pack many records into one buffer).
+pub fn encode_record_into(record: &Record, out: &mut Vec<u8>) {
+    write_varint(out, record.len() as u64);
+    for value in record {
+        encode_value(value, out);
+    }
 }
 
 /// Deserializes a record encoded with [`encode_record`].
 pub fn decode_record(bytes: &[u8]) -> Result<Record> {
+    decode_record_prefix(bytes).map(|(record, _)| record)
+}
+
+/// Deserializes the record at the front of `bytes` and reports how many
+/// bytes it occupied — the encoding is self-delimiting, so records stored
+/// back to back need no framing between them.
+pub fn decode_record_prefix(bytes: &[u8]) -> Result<(Record, usize)> {
     let mut pos = 0usize;
     let len = read_varint(bytes, &mut pos)? as usize;
-    let mut record = Vec::with_capacity(len);
+    let mut record = Vec::with_capacity(len.min(bytes.len()));
     for _ in 0..len {
         record.push(decode_value(bytes, &mut pos)?);
     }
-    Ok(record)
+    Ok((record, pos))
 }
 
 /// Advances `pos` past one encoded value without materializing it. The
@@ -616,10 +631,40 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_records_decode_without_framing() {
+        let records = vec![
+            vec![Value::Int(1), Value::Str("abc".into())],
+            vec![],
+            vec![
+                Value::List(vec![Value::Float(2.5), Value::Null]),
+                Value::Bool(true),
+            ],
+        ];
+        let mut stream = Vec::new();
+        for record in &records {
+            encode_record_into(record, &mut stream);
+        }
+        let mut at = 0;
+        for expected in &records {
+            let (record, used) = decode_record_prefix(&stream[at..]).unwrap();
+            assert_eq!(&record, expected);
+            at += used;
+        }
+        assert_eq!(at, stream.len());
+    }
+
+    #[test]
     fn corrupted_records_are_rejected() {
         let bytes = encode_record(&vec![Value::Int(1), Value::Str("abc".into())]);
         assert!(decode_record(&bytes[..bytes.len() - 2]).is_err());
         assert!(decode_record(&[7, 99]).is_err());
+        // A corrupt arity or list length near u64::MAX is an error, not an
+        // allocation of that many values.
+        let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+        assert!(decode_record(&huge).is_err());
+        let mut list = vec![1, TAG_LIST];
+        list.extend_from_slice(&huge);
+        assert!(decode_record(&list).is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Two pieces, both designed so recording on a hot path costs only relaxed
 //! atomic operations:
 //!
-//! * a [`Registry`] of named instruments — monotonic [`Counter`]s and
-//!   log-bucketed latency [`Histogram`]s — whose dotted names
+//! * a [`Registry`] of named instruments — monotonic [`Counter`]s,
+//!   last-value [`Gauge`]s and log-bucketed latency [`Histogram`]s — whose
+//!   dotted names
 //!   (`scan.pages`, `wal.fsync_micros`, …) form a stable contract between
 //!   the live engine, the benches, and external consumers (see
 //!   `docs/OBSERVABILITY.md` at the workspace root). A point-in-time
@@ -25,4 +26,4 @@ mod metrics;
 
 pub use events::{CostedAlternative, Event, EventKind, EventRing, DEFAULT_EVENT_CAPACITY};
 pub use json::JsonWriter;
-pub use metrics::{Counter, Histogram, HistogramSummary, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};

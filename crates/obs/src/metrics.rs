@@ -35,6 +35,25 @@ impl Counter {
     }
 }
 
+/// A gauge: the latest value of a level (bytes, pages) rather than a
+/// running total. Cloning the `Arc` handle shares the value.
+#[derive(Debug, Default)]
+pub struct Gauge {
+    value: AtomicU64,
+}
+
+impl Gauge {
+    /// Replaces the gauge's value (relaxed).
+    pub fn set(&self, v: u64) {
+        self.value.store(v, Ordering::Relaxed);
+    }
+
+    /// The current value.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
 /// Log-bucketed histograms: 4 sub-buckets per octave, so every bucket's
 /// width is at most 25% of its lower bound and the reported percentiles
 /// carry bounded relative error. 256 buckets cover the full `u64` range.
@@ -194,7 +213,7 @@ impl HistogramSummary {
     }
 }
 
-/// The instrument registry: dotted names → shared counter/histogram
+/// The instrument registry: dotted names → shared counter/gauge/histogram
 /// handles.
 ///
 /// Lookup-or-create takes a short mutex; the engine does it once per
@@ -203,6 +222,7 @@ impl HistogramSummary {
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -218,6 +238,15 @@ impl Registry {
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Counter::default())),
+        )
+    }
+
+    /// The gauge registered under `name`, creating it if absent.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(
+            map.entry(name.to_string())
+                .or_insert_with(|| Arc::new(Gauge::default())),
         )
     }
 
@@ -238,12 +267,17 @@ impl Registry {
             let map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
             map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
         };
+        let gauges = {
+            let map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
+            map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
+        };
         let histograms = {
             let map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
             map.iter().map(|(k, v)| (k.clone(), v.summary())).collect()
         };
         MetricsSnapshot {
             counters,
+            gauges,
             histograms,
         }
     }
@@ -261,6 +295,7 @@ impl std::fmt::Debug for Registry {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, HistogramSummary>,
 }
 
@@ -268,6 +303,11 @@ impl MetricsSnapshot {
     /// The value of a counter, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
+    }
+
+    /// The value of a gauge, if present.
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.gauges.get(name).copied()
     }
 
     /// The summary of a histogram, if present.
@@ -278,6 +318,11 @@ impl MetricsSnapshot {
     /// Every counter, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
+    /// Every gauge, in name order.
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Every histogram summary, in name order.
@@ -293,11 +338,15 @@ impl MetricsSnapshot {
     }
 
     /// Serializes the snapshot as one JSON object:
-    /// `{"counters": {...}, "histograms": {name: {count, …}}}`.
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {count, …}}}`.
     pub fn to_json(&self) -> String {
         let mut counters = JsonWriter::object();
         for (name, value) in &self.counters {
             counters.u64_field(name, *value);
+        }
+        let mut gauges = JsonWriter::object();
+        for (name, value) in &self.gauges {
+            gauges.u64_field(name, *value);
         }
         let mut histograms = JsonWriter::object();
         for (name, summary) in &self.histograms {
@@ -305,6 +354,7 @@ impl MetricsSnapshot {
         }
         let mut w = JsonWriter::object();
         w.raw_field("counters", &counters.finish())
+            .raw_field("gauges", &gauges.finish())
             .raw_field("histograms", &histograms.finish());
         w.finish()
     }
@@ -377,11 +427,19 @@ mod tests {
         let r = Registry::new();
         r.counter("scan.rows").add(7);
         r.histogram("wal.fsync_micros").record(120);
+        r.gauge("canonical.pages").set(9);
+        r.gauge("canonical.pages").set(4);
         let mut snap = r.snapshot();
+        assert_eq!(
+            snap.gauge("canonical.pages"),
+            Some(4),
+            "a gauge keeps the last value"
+        );
         snap.set_counter("io.pages_read", 55);
         let json = snap.to_json();
         assert!(json.contains("\"scan.rows\":7"));
         assert!(json.contains("\"io.pages_read\":55"));
+        assert!(json.contains("\"gauges\":{\"canonical.pages\":4}"));
         assert!(json.contains("\"wal.fsync_micros\":{\"count\":1"));
     }
 

@@ -66,7 +66,9 @@ impl HeapState {
         if !self.tail_protected {
             return Ok(());
         }
-        if let Some(old) = self.tail.take() {
+        if let Some(old) = &self.tail {
+            // Allocate before touching the state: a failed allocation must
+            // leave the protected tail (and its records) in place.
             let mut fresh = pager.allocate()?;
             fresh.data.copy_from_slice(&old.data);
             self.relocated.push(old.id);
@@ -255,8 +257,12 @@ impl HeapFile {
             !SlottedPage::open(tail).fits(record.len())
         };
         if needs_new_page {
+            // Write before sealing: a failed write must leave the tail (and
+            // the records `record_count` already counts) in place.
+            self.pager
+                .write(state.tail.as_ref().expect("tail present"))?;
             let sealed = state.tail.take().expect("tail present");
-            self.pager.write(&sealed)?;
+            state.tail_dirty = false;
             state.pages.push(sealed.id);
             let mut page = self.pager.allocate()?;
             SlottedPage::init(&mut page)?;
@@ -315,6 +321,18 @@ impl HeapFile {
             .tail
             .as_ref()
             .map(|tail| SlottedReader::new(tail).slot_count() as u32)
+    }
+
+    /// Largest record that still fits the open tail page (0 when there is
+    /// none, or it is full): a record this size or smaller lands on the
+    /// tail, a larger one seals it and opens a fresh page. Lets a writer
+    /// that can cut its payload anywhere fill pages exactly.
+    pub fn tail_room(&self) -> usize {
+        let mut state = self.state.lock();
+        state
+            .tail
+            .as_mut()
+            .map_or(0, |tail| SlottedPage::open(tail).free_space())
     }
 
     /// Global page ids of the file, in file order (flushes first; the open
@@ -489,6 +507,25 @@ mod tests {
         assert_eq!(a_records.len(), 30);
         assert!(a_records.iter().all(|r| r[0] < 100));
         assert!(b_records.iter().all(|r| r[0] >= 100));
+    }
+
+    #[test]
+    fn tail_room_sized_records_fill_pages_exactly() {
+        let pager = small_pager();
+        let heap = HeapFile::create("t", Arc::clone(&pager));
+        assert_eq!(heap.tail_room(), 0, "no tail yet");
+        heap.append(&[1u8; 30]).unwrap();
+        let room = heap.tail_room();
+        assert!(room > 0 && room < max_record_len(128));
+        heap.append(&vec![2u8; room]).unwrap();
+        assert_eq!(
+            heap.page_count(),
+            1,
+            "a tail_room-sized record stays on the tail"
+        );
+        assert_eq!(heap.tail_room(), 0, "and fills it");
+        heap.append(&[3u8; 1]).unwrap();
+        assert_eq!(heap.page_count(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod stats;
 pub mod wal;
 
 pub use bufferpool::{BufferPool, ShardedBufferPool};
-pub use checksum::crc32;
+pub use checksum::{crc32, crc32_extend};
 pub use frame::PageFrame;
 pub use heap::{HeapFile, RecordId};
 pub use mmap::mmap_supported;

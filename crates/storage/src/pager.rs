@@ -518,6 +518,16 @@ impl Pager {
         Ok(Page::zeroed(id, self.page_size()))
     }
 
+    /// Takes the lowest free page if its id is below `limit`; never grows
+    /// the backing store. For compaction: a page is only worth moving to a
+    /// lower id.
+    pub fn allocate_below(&self, limit: PageId) -> Option<Page> {
+        let mut free = self.free.lock();
+        let id = free.first().copied().filter(|&id| id < limit)?;
+        free.remove(&id);
+        Some(Page::zeroed(id, self.page_size()))
+    }
+
     /// Returns pages to the free list for reuse by later [`Pager::allocate`]
     /// calls. The caller asserts nothing references them anymore; ids beyond
     /// the current store size are ignored.
@@ -816,6 +826,16 @@ mod tests {
         assert_eq!(pager.allocate().unwrap().id, 5);
         assert_eq!(pager.page_count(), 6);
         assert_eq!(pager.free_page_count(), 0);
+        // `allocate_below` only hands out a free page under the limit and
+        // never grows the store.
+        pager.free_pages([2, 4]);
+        assert!(pager.allocate_below(2).is_none());
+        assert_eq!(pager.allocate_below(3).map(|p| p.id), Some(2));
+        assert!(
+            pager.allocate_below(4).is_none(),
+            "4 is free but not below 4"
+        );
+        assert_eq!(pager.page_count(), 6);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 
 use rodentstore::{
     AdaptOutcome, AdaptivePolicy, AdvisorOptions, CostParams, DataType, Database,
-    DurabilityOptions, Field, LayoutExpr, ReorgStrategy, ScanRequest, Schema, SyncPolicy, Value,
+    DurabilityOptions, Field, LayoutExpr, ReorgStrategy, RodentError, ScanRequest, Schema,
+    SyncPolicy, Value,
 };
 use rodentstore_optimizer::CostModel;
+use rodentstore_storage::StorageError;
 use rodentstore_workload::{generate_traces, traces_schema, CartelConfig};
 use std::path::{Path, PathBuf};
 
@@ -741,10 +743,46 @@ fn foreign_or_corrupt_files_are_typed_errors() {
     corrupt[last] ^= 0x55;
     std::fs::write(&manifest_path, &corrupt).unwrap();
     assert!(Database::open(&dir).is_err(), "corrupt manifest must not open");
+    // A manifest of the previous format version (canonical rows inline) is
+    // rejected by version, not misread.
+    let v4_body = 4u32.to_le_bytes();
+    let mut v4 = b"RDNTMAN1".to_vec();
+    v4.extend_from_slice(&(v4_body.len() as u32).to_le_bytes());
+    v4.extend_from_slice(&rodentstore_storage::crc32(&v4_body).to_le_bytes());
+    v4.extend_from_slice(&v4_body);
+    std::fs::write(&manifest_path, &v4).unwrap();
+    assert!(matches!(
+        Database::open(&dir),
+        Err(RodentError::Storage(StorageError::UnsupportedVersion {
+            found: 4,
+            supported: 5
+        }))
+    ));
     std::fs::write(&manifest_path, &pristine).unwrap();
+    // A byte flipped inside a canonical page is caught by the extent's
+    // checksum. The table has no layout, so every data page is canonical;
+    // record payloads fill a page from its back.
+    {
+        let db = Database::open(&dir).unwrap();
+        let rows = (0..2_000i64).map(|i| vec![Value::Int(i)]).collect();
+        db.insert("T", rows).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let data_path = dir.join("data.rodent");
+    let pristine_data = std::fs::read(&data_path).unwrap();
+    let page_size = DurabilityOptions::default().page_size;
+    let mut flipped = pristine_data.clone();
+    flipped[2 * page_size - 1] ^= 0x01; // last byte of page 0 (after the superblock)
+    std::fs::write(&data_path, &flipped).unwrap();
+    assert!(matches!(
+        Database::open(&dir),
+        Err(RodentError::Storage(StorageError::Corrupted(_)))
+    ));
+    std::fs::write(&data_path, &pristine_data).unwrap();
+    assert_eq!(Database::open(&dir).unwrap().row_count("T").unwrap(), 2_000);
     // A data file that is not a RodentStore file is rejected by the
     // superblock check.
-    std::fs::write(dir.join("data.rodent"), b"junk that is no page file").unwrap();
+    std::fs::write(&data_path, b"junk that is no page file").unwrap();
     assert!(Database::open(&dir).is_err(), "foreign data file must not open");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1076,4 +1114,322 @@ fn mmap_open_replays_byte_identically_to_copy_reads() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&mapped_dir);
     let _ = std::fs::remove_dir_all(&copied_dir);
+}
+
+fn ledger_schema() -> Schema {
+    Schema::new(
+        "Ledger",
+        vec![
+            Field::new("id", DataType::Int),
+            Field::new("amount", DataType::Float),
+        ],
+    )
+}
+
+fn ledger_rows(ids: std::ops::Range<i64>) -> Vec<Vec<Value>> {
+    ids.map(|i| vec![Value::Int(i), Value::Float(i as f64 / 2.0)])
+        .collect()
+}
+
+fn small_pages() -> DurabilityOptions {
+    DurabilityOptions {
+        page_size: 1024,
+        sync: SyncPolicy::EveryCommit,
+        ..DurabilityOptions::default()
+    }
+}
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by_key(|row| format!("{row:?}"));
+    rows
+}
+
+/// The one crash window the WAL-byte sweeps cannot reach: a kill between a
+/// checkpoint's `pager.sync` and its manifest rename leaves the *new* data
+/// file under the *old* manifest and the *old* WAL. `build` creates `table`,
+/// checkpoints at least once and leaves acknowledged work in the WAL; it
+/// returns every acknowledged row. The next checkpoint must not have touched
+/// a page the old manifest references — the reopened image holds exactly the
+/// acknowledged rows, and keeps working. Returns whether the crashing
+/// checkpoint shrank the data file.
+fn reopens_after_crash_between_sync_and_manifest_rename(
+    tag: &str,
+    table: &str,
+    build: impl FnOnce(&Database) -> Vec<Vec<Value>>,
+) -> bool {
+    let dir = scratch_dir(tag);
+    let crash = scratch_dir(&format!("{tag}-crash"));
+    let mut shrank = false;
+    let acknowledged = {
+        let db = Database::create_with(&dir, small_pages()).unwrap();
+        let acknowledged = build(&db);
+        copy_db(&dir, &crash);
+        db.checkpoint().unwrap();
+        // The checkpoint ran to its end, so it may have cut free pages off
+        // the file — after the rename, which the crash precedes. Up to the
+        // rename a page the old manifest references is never written, so
+        // past the new end the crashed file still holds the old bytes.
+        let mut data = std::fs::read(dir.join("data.rodent")).unwrap();
+        let old_data = std::fs::read(crash.join("data.rodent")).unwrap();
+        if old_data.len() > data.len() {
+            shrank = true;
+            data.extend_from_slice(&old_data[data.len()..]);
+        }
+        std::fs::write(crash.join("data.rodent"), data).unwrap();
+        acknowledged
+    };
+    // Canonical rows come back in insertion order; the declared layout
+    // (possibly lossy) serves as many.
+    let check = |db: &Database| {
+        assert_eq!(
+            db.catalog().get(table).unwrap().records.to_vec(),
+            acknowledged,
+            "{tag}"
+        );
+        let scanned = db.scan(table, &ScanRequest::all()).unwrap();
+        assert_eq!(scanned.len(), acknowledged.len(), "{tag}");
+    };
+    {
+        let db = Database::open(&crash).unwrap_or_else(|e| panic!("{tag}: open failed: {e}"));
+        check(&db);
+        // The recovered database checkpoints (persisting the replayed rows)
+        // and reopens to the same rows.
+        db.checkpoint().unwrap();
+    }
+    check(&Database::open(&crash).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash);
+    shrank
+}
+
+#[test]
+fn crash_between_sync_and_manifest_rename_keeps_acknowledged_rows() {
+    // A plain table: every data page is canonical.
+    reopens_after_crash_between_sync_and_manifest_rename("window-plain", "Ledger", |db| {
+        db.create_table(ledger_schema()).unwrap();
+        db.insert("Ledger", ledger_rows(0..300)).unwrap();
+        db.checkpoint().unwrap();
+        for batch in 0..5 {
+            db.insert("Ledger", ledger_rows(300 + batch * 40..340 + batch * 40))
+                .unwrap();
+        }
+        ledger_rows(0..500)
+    });
+    // A levelled tier: spills and merges between the two checkpoints.
+    reopens_after_crash_between_sync_and_manifest_rename("window-lsm", "Ledger", |db| {
+        db.set_lsm_params(4, 2);
+        db.create_table(ledger_schema()).unwrap();
+        db.insert("Ledger", ledger_rows(0..40)).unwrap();
+        db.apply_layout(
+            "Ledger",
+            LayoutExpr::table("Ledger").lsm(["id"]),
+            ReorgStrategy::Eager,
+        )
+        .unwrap();
+        db.insert("Ledger", ledger_rows(40..70)).unwrap();
+        db.checkpoint().unwrap();
+        for batch in 0..6 {
+            db.insert("Ledger", ledger_rows(70 + batch * 5..75 + batch * 5))
+                .unwrap();
+        }
+        ledger_rows(0..100)
+    });
+    // An N4-style lossy layout under `NewDataOnly`: `t` and `id` exist only
+    // in the canonical rows, and rows are pending at both checkpoints.
+    reopens_after_crash_between_sync_and_manifest_rename("window-lossy", "Traces", |db| {
+        let rows = generate_traces(&CartelConfig {
+            observations: 900,
+            vehicles: 6,
+            ..CartelConfig::default()
+        });
+        db.create_table(traces_schema()).unwrap();
+        db.insert("Traces", rows[..600].to_vec()).unwrap();
+        db.apply_layout(
+            "Traces",
+            LayoutExpr::table("Traces")
+                .order_by(["t"])
+                .group_by(["id"])
+                .project(["lat", "lon"])
+                .grid([("lat", 0.012), ("lon", 0.015)])
+                .zorder()
+                .delta(["lat", "lon"]),
+            ReorgStrategy::NewDataOnly,
+        )
+        .unwrap();
+        db.insert("Traces", rows[600..700].to_vec()).unwrap();
+        db.checkpoint().unwrap();
+        assert_eq!(db.catalog().get("Traces").unwrap().pending.len(), 100);
+        db.insert("Traces", rows[700..].to_vec()).unwrap();
+        rows
+    });
+    // The vacuum at work inside the window: re-layouts have left the
+    // canonical extent at the end of the file with free pages below it, so
+    // the crashing checkpoint copies canonical pages down into pages the old
+    // manifest lists as free (and, past the rename, cuts the vacated ones).
+    let shrank =
+        reopens_after_crash_between_sync_and_manifest_rename("window-vacuum", "Ledger", |db| {
+            db.create_table(ledger_schema()).unwrap();
+            db.insert("Ledger", ledger_rows(0..4_000)).unwrap();
+            for layout in [
+                LayoutExpr::table("Ledger"),
+                LayoutExpr::table("Ledger").project(["id"]),
+                LayoutExpr::table("Ledger").project(["amount"]),
+            ] {
+                db.apply_layout("Ledger", layout, ReorgStrategy::Eager)
+                    .unwrap();
+                db.checkpoint().unwrap();
+            }
+            assert!(
+                db.pager().free_page_count() > 20,
+                "precondition: free pages below"
+            );
+            db.insert("Ledger", ledger_rows(4_000..4_100)).unwrap();
+            ledger_rows(0..4_100)
+        });
+    assert!(
+        shrank,
+        "the crashing checkpoint was meant to move canonical pages"
+    );
+}
+
+/// Checkpoint cost follows what changed, not the table: the manifest holds
+/// page ids instead of rows, an idle checkpoint writes no page, and a small
+/// insert into a large table writes a handful.
+#[test]
+fn checkpoints_are_proportional_to_what_changed() {
+    let measure = |rows: i64| {
+        let dir = scratch_dir(&format!("proportional-{rows}"));
+        let db = Database::create_with(&dir, small_pages()).unwrap();
+        db.create_table(ledger_schema()).unwrap();
+        db.insert("Ledger", ledger_rows(0..rows)).unwrap();
+        db.checkpoint().unwrap();
+        let manifest = std::fs::metadata(dir.join("manifest.rodent"))
+            .unwrap()
+            .len();
+        (dir, db, manifest)
+    };
+    let (small_dir, small_db, small_manifest) = measure(2_000);
+    let (dir, db, manifest) = measure(20_000);
+    let pages = db.pager().page_count();
+    assert!(pages > 5 * small_db.pager().page_count());
+    assert!(
+        manifest - small_manifest <= 8 * pages,
+        "manifest grew {small_manifest} -> {manifest} B over {pages} pages: more than a page id each"
+    );
+
+    // No intervening write: nothing to persist, nothing to flush.
+    let before = db.io_snapshot();
+    db.checkpoint().unwrap();
+    assert_eq!(db.io_snapshot().since(&before).pages_written, 0);
+    assert_eq!(
+        db.metrics().counter("checkpoint.rows_persisted"),
+        Some(20_000)
+    );
+
+    // 100 rows into 20 000: the relocated tail plus the pages the new rows
+    // fill — O(1), where the table holds hundreds.
+    db.insert("Ledger", ledger_rows(20_000..20_100)).unwrap();
+    let before = db.io_snapshot();
+    db.checkpoint().unwrap();
+    let written = db.io_snapshot().since(&before).pages_written;
+    assert!(
+        (1..=4).contains(&written),
+        "wrote {written} of {pages} pages"
+    );
+    let metrics = db.metrics();
+    assert_eq!(metrics.counter("checkpoint.rows_persisted"), Some(20_100));
+    assert_eq!(
+        metrics.gauge("checkpoint.manifest_bytes"),
+        Some(
+            std::fs::metadata(dir.join("manifest.rodent"))
+                .unwrap()
+                .len()
+        )
+    );
+    // No layout: every page is canonical, or the tail the insert vacated.
+    assert_eq!(
+        metrics.gauge("canonical.pages"),
+        Some(db.pager().page_count() - db.pager().free_page_count() as u64)
+    );
+    drop(db);
+    assert_eq!(
+        Database::open(&dir).unwrap().row_count("Ledger").unwrap(),
+        20_100
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&small_dir);
+}
+
+/// Canonical pages live as long as their table; they must not pin the free
+/// pages a retired rendering leaves below them. The first (row-major)
+/// rendering sits below the canonical extent; once re-layouts have retired it
+/// and rendered into its pages, checkpoints move the canonical extent down
+/// and the data file shrinks to about what is live.
+#[test]
+fn canonical_pages_do_not_pin_the_data_file() {
+    let dir = scratch_dir("vacuum");
+    let db = Database::create_with(&dir, small_pages()).unwrap();
+    db.create_table(ledger_schema()).unwrap();
+    db.insert("Ledger", ledger_rows(0..5_000)).unwrap();
+    db.apply_layout("Ledger", LayoutExpr::table("Ledger"), ReorgStrategy::Eager)
+        .unwrap();
+    db.checkpoint().unwrap();
+    let canonical = db.metrics().gauge("canonical.pages").unwrap();
+    let with_first_rendering = db.pager().page_count();
+    assert!(with_first_rendering > 2 * canonical - canonical / 4);
+    // Each narrow rendering lands past the canonical extent or in the pages
+    // the checkpoint before it released.
+    for field in ["id", "amount"] {
+        db.apply_layout(
+            "Ledger",
+            LayoutExpr::table("Ledger").project([field]),
+            ReorgStrategy::Eager,
+        )
+        .unwrap();
+        db.checkpoint().unwrap();
+    }
+    db.checkpoint().unwrap();
+    let pages = db.pager().page_count();
+    let live = pages - db.pager().free_page_count() as u64;
+    assert!(
+        pages < with_first_rendering && pages <= live + live / 10,
+        "{pages} pages in the file, {live} live, {with_first_rendering} before the re-layout"
+    );
+    let expected = sorted(db.scan("Ledger", &ScanRequest::all()).unwrap());
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(
+        sorted(db.scan("Ledger", &ScanRequest::all()).unwrap()),
+        expected
+    );
+    assert_eq!(db.row_count("Ledger").unwrap(), 5_000);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A table without a layout may hold a row wider than a page; the canonical
+/// extent cuts its bytes across pages.
+#[test]
+fn rows_wider_than_a_page_checkpoint_and_reopen() {
+    let dir = scratch_dir("wide-rows");
+    let rows: Vec<Vec<Value>> = (0..6i64)
+        .map(|i| vec![Value::Int(i), Value::Str("w".repeat(700 * i as usize))])
+        .collect();
+    {
+        let db = Database::create_with(&dir, small_pages()).unwrap();
+        db.create_table(Schema::new(
+            "Notes",
+            vec![
+                Field::new("id", DataType::Int),
+                Field::new("body", DataType::String),
+            ],
+        ))
+        .unwrap();
+        db.insert("Notes", rows[..4].to_vec()).unwrap();
+        db.checkpoint().unwrap();
+        db.insert("Notes", rows[4..].to_vec()).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(db.scan("Notes", &ScanRequest::all()).unwrap(), rows);
+    let _ = std::fs::remove_dir_all(&dir);
 }

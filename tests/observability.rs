@@ -438,7 +438,9 @@ fn metric_catalog_is_stable_and_json_complete() {
     let metrics = db.metrics();
     for name in metric_names() {
         assert!(
-            metrics.counter(name).is_some() || metrics.histogram(name).is_some(),
+            metrics.counter(name).is_some()
+                || metrics.gauge(name).is_some()
+                || metrics.histogram(name).is_some(),
             "catalog name {name} missing from the snapshot"
         );
     }

@@ -11,7 +11,9 @@
 //!
 //! Also runs an interleaved A/B of the zero-copy frame read path against the
 //! forced-copy fallback (`Database::set_copy_reads`) on an N1-projected full
-//! scan, asserting the frame path is at least 1.3x faster, and measures the
+//! scan, asserting the frame path is at least 1.3x faster; the same A/B for
+//! the column-chunk source against the owned fallback over copied pages on a
+//! projected scan of delta-compressed column groups; and measures the
 //! cost of the observability layer itself: interleaved `Database` scans with
 //! metrics recording enabled vs disabled, asserted to stay within 5% of each
 //! other, with the reported numbers taken from the metrics registry. Writes
@@ -19,12 +21,54 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rodentstore::{Condition, Database, ScanRequest, Value};
+use rodentstore_algebra::comprehension::{CmpOp, ElemExpr};
 use rodentstore_algebra::{DataType, Field, Schema};
 use rodentstore_bench::{build_designs, Figure2Config};
+use rodentstore_workload::telemetry::{generate_telemetry, telemetry_schema, TelemetryConfig};
 use rodentstore_workload::{generate_traces, traces_schema, CartelConfig};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Results of the column-source A/B, relayed into the JSON like
+/// [`FRAME_RESULT`]: `(borrowed_us, owned_us, speedup)`.
+static COLUMN_RESULT: OnceLock<(f64, f64, f64)> = OnceLock::new();
+
+/// Interleaved A/B of one scan under two configurations: warms both sides,
+/// then times `trials` pairs (alternating which side goes first, result drop
+/// outside the timed window) and returns the two median seconds.
+fn interleaved(
+    trials: usize,
+    rows: usize,
+    mut scan: impl FnMut(bool) -> Vec<Vec<Value>>,
+) -> (f64, f64) {
+    let mut run = |side: bool| {
+        let start = Instant::now();
+        let out = scan(side);
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(out.len(), rows);
+        secs
+    };
+    for _ in 0..3 {
+        run(false);
+        run(true);
+    }
+    let (mut a, mut b) = (Vec::with_capacity(trials), Vec::with_capacity(trials));
+    for i in 0..trials {
+        if i % 2 == 0 {
+            a.push(run(false));
+            b.push(run(true));
+        } else {
+            b.push(run(true));
+            a.push(run(false));
+        }
+    }
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        samples[samples.len() / 2]
+    };
+    (median(&mut a), median(&mut b))
+}
 
 /// Results of the frame-vs-copy A/B, relayed into the JSON written by
 /// [`bench_metrics_overhead`] (criterion runs groups in declaration order):
@@ -130,38 +174,11 @@ fn bench_frame_path(_c: &mut Criterion) {
     assert_eq!(frame_rows.len(), observations);
     drop((frame_rows, copy_rows));
 
-    // Warm both sides, then interleave timed trials (alternating which side
-    // goes first) with the result drop excluded from the timed window.
-    let timed = |copy: bool| {
+    let (frame_med, copy_med) = interleaved(trials, observations, |copy| {
         db.set_copy_reads(copy);
-        let start = Instant::now();
-        let rows = db.scan("Traces", &request).expect("scan");
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(rows.len(), observations);
-        secs
-    };
-    for _ in 0..3 {
-        timed(false);
-        timed(true);
-    }
-    let mut frame_secs = Vec::with_capacity(trials);
-    let mut copy_secs = Vec::with_capacity(trials);
-    for i in 0..trials {
-        if i % 2 == 0 {
-            frame_secs.push(timed(false));
-            copy_secs.push(timed(true));
-        } else {
-            copy_secs.push(timed(true));
-            frame_secs.push(timed(false));
-        }
-    }
+        db.scan("Traces", &request).expect("scan")
+    });
     db.set_copy_reads(false);
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        samples[samples.len() / 2]
-    };
-    let frame_med = median(&mut frame_secs);
-    let copy_med = median(&mut copy_secs);
     let speedup = copy_med / frame_med.max(1e-12);
 
     // Registry-sourced frame accounting: every page read this bench did was
@@ -191,6 +208,63 @@ fn bench_frame_path(_c: &mut Criterion) {
         frame_hits,
         frame_copies,
     ));
+}
+
+/// The column-chunk source gate: a projected full scan of delta-compressed
+/// column groups through the borrowed column source (blocks decoded from
+/// shared frames into reused typed vectors, rows materialized straight into
+/// the result) against the owned fallback over copied pages — what a
+/// predicate with no borrowed form gets: every chunk row becomes an owned
+/// record, is buffered, filtered by the owned evaluator and handed up one at
+/// a time. The predicate here (`ts <= ts`) is always true, so both sides
+/// return the same rows. Both sides decode blocks through the same column
+/// reader and allocate the same `Record` per row, so the gap is the
+/// buffering, the owned evaluator and the page copies alone: the borrowed
+/// source must be at least 1.5× faster (it measures 1.9–2.3×).
+fn bench_column_source(_c: &mut Criterion) {
+    let readings = if smoke_mode() { 20_000usize } else { 100_000usize };
+    let trials = if smoke_mode() { 21usize } else { 41usize };
+
+    let db = Database::in_memory();
+    db.create_table(telemetry_schema()).expect("create table");
+    db.insert("Telemetry", generate_telemetry(&TelemetryConfig::with_readings(readings)))
+        .expect("insert");
+    db.apply_layout_text(
+        "Telemetry",
+        "delta[ts,seq](vertical[ts,value|sensor,status,seq](Telemetry))",
+    )
+    .expect("layout");
+    let borrowed = ScanRequest::all().fields(["ts", "value"]);
+    let owned = borrowed.clone().predicate(Condition::Cmp {
+        left: ElemExpr::field("ts"),
+        op: CmpOp::Le,
+        right: ElemExpr::field("ts"),
+    });
+    assert_eq!(
+        db.scan("Telemetry", &borrowed).expect("scan"),
+        db.scan("Telemetry", &owned).expect("scan"),
+        "both sides must agree"
+    );
+
+    let (borrowed_med, owned_med) = interleaved(trials, readings, |fallback| {
+        db.set_copy_reads(fallback);
+        let request = if fallback { &owned } else { &borrowed };
+        db.scan("Telemetry", request).expect("scan")
+    });
+    db.set_copy_reads(false);
+    let speedup = owned_med / borrowed_med.max(1e-12);
+    println!(
+        "scan_hot_path/column_source: borrowed {:.1}us vs owned+copy {:.1}us → {speedup:.2}× \
+         ({readings} rows, {trials} trials)",
+        borrowed_med * 1e6,
+        owned_med * 1e6,
+    );
+    assert!(
+        speedup >= 1.5,
+        "the borrowed column source must be ≥1.5× the owned fallback over copied pages on a \
+         projected scan, got {speedup:.3}× (borrowed {borrowed_med:.9}s vs owned {owned_med:.9}s)"
+    );
+    let _ = COLUMN_RESULT.set((borrowed_med * 1e6, owned_med * 1e6, speedup));
 }
 
 /// The observability layer must be invisible on the scan hot path: recording
@@ -294,6 +368,10 @@ fn bench_metrics_overhead(_c: &mut Criterion) {
         .get()
         .copied()
         .expect("bench_frame_path runs first in this group");
+    let (borrowed_us, owned_us, column_speedup) = COLUMN_RESULT
+        .get()
+        .copied()
+        .expect("bench_column_source runs before this in the group");
     let json = format!(
         "{{\n  \"mode\": \"{}\",\n  \"rows\": {rows_total},\n  \"trials\": {trials},\n  \
          \"enabled_median_us\": {:.2},\n  \"disabled_median_us\": {:.2},\n  \
@@ -302,6 +380,9 @@ fn bench_metrics_overhead(_c: &mut Criterion) {
          \"copy_median_us\": {copy_us:.2},\n    \"speedup\": {speedup:.4},\n    \
          \"asserted_minimum_speedup\": 1.3,\n    \"scan.frame_hits\": {frame_hits},\n    \
          \"scan.frame_copies\": {frame_copies}\n  }},\n  \
+         \"column_source\": {{\n    \"borrowed_median_us\": {borrowed_us:.2},\n    \
+         \"owned_copy_median_us\": {owned_us:.2},\n    \"speedup\": {column_speedup:.4},\n    \
+         \"asserted_minimum_speedup\": 1.5\n  }},\n  \
          \"metrics\": {{\n    \"scan.count\": {scan_count},\n    \"scan.rows\": {scan_rows},\n    \
          \"scan.pages\": {scan_pages},\n    \"scan.micros\": {{\"count\": {}, \"p50\": {}, \
          \"p99\": {}, \"max\": {}}}\n  }}\n}}\n",
@@ -321,6 +402,7 @@ criterion_group!(
     benches,
     bench_scan_hot_path,
     bench_frame_path,
+    bench_column_source,
     bench_metrics_overhead
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 
 use crate::plain::TAG_INTS;
 use crate::varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
-use crate::{ColumnCodec, ColumnData, CompressError, Result};
+use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 /// Fixed-width bit-packing codec for integer columns.
 #[derive(Debug, Default, Clone, Copy)]
@@ -106,6 +106,10 @@ impl ColumnCodec for BitPackCodec {
         Ok(ColumnData::Ints(
             packed.into_iter().map(zigzag_decode).collect(),
         ))
+    }
+
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        header_count(block)
     }
 }
 

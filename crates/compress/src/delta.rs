@@ -11,7 +11,7 @@
 
 use crate::plain::{TAG_FLOATS, TAG_INTS};
 use crate::varint::{read_signed_varint, read_varint, write_signed_varint, write_varint};
-use crate::{ColumnCodec, ColumnData, CompressError, Result};
+use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 /// Delta + varint codec for numeric columns.
 #[derive(Debug, Clone, Copy)]
@@ -47,16 +47,28 @@ impl DeltaCodec {
         }
     }
 
-    fn decode_ints(block: &[u8], pos: &mut usize, count: usize) -> Result<Vec<i64>> {
-        let mut values = Vec::with_capacity(count);
+    /// Decodes `count` deltas from `block`, appending each reconstructed
+    /// value to `out` through `map`. Every value takes at least one byte,
+    /// which bounds `count` (and the reservation) by the bytes that remain.
+    fn decode_ints<T>(
+        block: &[u8],
+        pos: &mut usize,
+        count: usize,
+        out: &mut Vec<T>,
+        map: impl Fn(i64) -> T,
+    ) -> Result<()> {
+        if count > block.len().saturating_sub(*pos) {
+            return Err(CompressError::Corrupted("truncated delta block".into()));
+        }
+        out.reserve(count);
         let mut prev = 0i64;
         for i in 0..count {
             let d = read_signed_varint(block, pos)?;
             let v = if i == 0 { d } else { prev.wrapping_add(d) };
-            values.push(v);
+            out.push(map(v));
             prev = v;
         }
-        Ok(values)
+        Ok(())
     }
 }
 
@@ -94,13 +106,21 @@ impl ColumnCodec for DeltaCodec {
     }
 
     fn decode(&self, block: &[u8]) -> Result<ColumnData> {
+        let mut out = ColumnData::Ints(Vec::new());
+        self.decode_into(block, &mut out)?;
+        Ok(out)
+    }
+
+    fn decode_into(&self, block: &[u8], out: &mut ColumnData) -> Result<()> {
         let tag = *block
             .first()
             .ok_or_else(|| CompressError::Corrupted("empty block".into()))?;
         let mut pos = 1usize;
         let count = read_varint(block, &mut pos)? as usize;
         match tag {
-            TAG_INTS => Ok(ColumnData::Ints(Self::decode_ints(block, &mut pos, count)?)),
+            TAG_INTS => {
+                Self::decode_ints(block, &mut pos, count, out.ints_mut(), |v| v)
+            }
             TAG_FLOATS => {
                 let scale_bytes = block
                     .get(pos..pos + 8)
@@ -109,13 +129,14 @@ impl ColumnCodec for DeltaCodec {
                 buf.copy_from_slice(scale_bytes);
                 let scale = f64::from_le_bytes(buf);
                 pos += 8;
-                let quantized = Self::decode_ints(block, &mut pos, count)?;
-                Ok(ColumnData::Floats(
-                    quantized.into_iter().map(|q| q as f64 / scale).collect(),
-                ))
+                Self::decode_ints(block, &mut pos, count, out.floats_mut(), |q| q as f64 / scale)
             }
             other => Err(CompressError::Corrupted(format!("unknown tag {other}"))),
         }
+    }
+
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        header_count(block)
     }
 }
 

@@ -126,6 +126,30 @@ impl ColumnCodec for DictionaryCodec {
             other => Err(CompressError::Corrupted(format!("unknown tag {other}"))),
         }
     }
+
+    /// The element count follows the dictionary, so counting skips over the
+    /// entries without materializing them.
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        let tag = *block
+            .first()
+            .ok_or_else(|| CompressError::Corrupted("empty block".into()))?;
+        let mut pos = 1usize;
+        let dict_len = read_varint(block, &mut pos)?;
+        for _ in 0..dict_len {
+            let entry = read_varint(block, &mut pos)?;
+            match tag {
+                TAG_INTS => {}
+                TAG_STRINGS => {
+                    pos = pos
+                        .checked_add(entry as usize)
+                        .filter(|&end| end <= block.len())
+                        .ok_or_else(|| CompressError::Corrupted("truncated dict entry".into()))?;
+                }
+                other => return Err(CompressError::Corrupted(format!("unknown tag {other}"))),
+            }
+        }
+        Ok(read_varint(block, &mut pos)? as usize)
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use crate::bitpack::{pack_bits, unpack_bits};
 use crate::plain::TAG_INTS;
 use crate::varint::{read_signed_varint, read_varint, write_signed_varint, write_varint};
-use crate::{ColumnCodec, ColumnData, CompressError, Result};
+use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 /// Frame-of-reference + bit-packing codec for integer columns.
 #[derive(Debug, Default, Clone, Copy)]
@@ -73,6 +73,10 @@ impl ColumnCodec for ForCodec {
                 .map(|o| (min as i128 + o as i128) as i64)
                 .collect(),
         ))
+    }
+
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        header_count(block)
     }
 }
 

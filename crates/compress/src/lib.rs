@@ -106,6 +106,49 @@ impl ColumnData {
         }
     }
 
+    /// Turns `self` into an empty integer column and hands out its vector,
+    /// keeping the allocation when it already was one — how
+    /// [`ColumnCodec::decode_into`] implementations reuse a caller's buffer.
+    pub fn ints_mut(&mut self) -> &mut Vec<i64> {
+        if !matches!(self, ColumnData::Ints(_)) {
+            *self = ColumnData::Ints(Vec::new());
+        }
+        match self {
+            ColumnData::Ints(v) => {
+                v.clear();
+                v
+            }
+            _ => unreachable!("set to Ints above"),
+        }
+    }
+
+    /// Float counterpart of [`ColumnData::ints_mut`].
+    pub fn floats_mut(&mut self) -> &mut Vec<f64> {
+        if !matches!(self, ColumnData::Floats(_)) {
+            *self = ColumnData::Floats(Vec::new());
+        }
+        match self {
+            ColumnData::Floats(v) => {
+                v.clear();
+                v
+            }
+            _ => unreachable!("set to Floats above"),
+        }
+    }
+
+    /// String counterpart of [`ColumnData::ints_mut`]; the strings are *not*
+    /// cleared, so a decoder can overwrite them in place and keep their
+    /// allocations too.
+    pub fn strings_mut(&mut self) -> &mut Vec<String> {
+        if !matches!(self, ColumnData::Strings(_)) {
+            *self = ColumnData::Strings(Vec::new());
+        }
+        match self {
+            ColumnData::Strings(v) => v,
+            _ => unreachable!("set to Strings above"),
+        }
+    }
+
     /// Uncompressed size of the column under a plain 8-byte / length-prefixed
     /// encoding; the baseline compression ratios are computed against.
     pub fn uncompressed_size(&self) -> usize {
@@ -125,6 +168,30 @@ pub trait ColumnCodec: Send + Sync {
     fn encode(&self, column: &ColumnData) -> Result<Vec<u8>>;
     /// Decodes a block produced by [`ColumnCodec::encode`].
     fn decode(&self, block: &[u8]) -> Result<ColumnData>;
+    /// Decodes a block into `out`, reusing its allocation where the codec
+    /// can (a scan decodes thousands of same-typed blocks into one buffer).
+    /// `out` holds exactly the block's values afterwards, whatever it held
+    /// before.
+    fn decode_into(&self, block: &[u8], out: &mut ColumnData) -> Result<()> {
+        *out = self.decode(block)?;
+        Ok(())
+    }
+    /// Number of values in a block, without decoding them where the block
+    /// header says so. Always equals `decode(block)?.len()` for a block
+    /// `decode` accepts.
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        Ok(self.decode(block)?.len())
+    }
+}
+
+/// Reads the element count of a block whose header is `tag, varint count`
+/// (plain, delta, bit-packing and frame-of-reference blocks).
+pub(crate) fn header_count(block: &[u8]) -> Result<usize> {
+    if block.is_empty() {
+        return Err(CompressError::Corrupted("empty block".into()));
+    }
+    let mut pos = 1usize;
+    Ok(varint::read_varint(block, &mut pos)? as usize)
 }
 
 /// The codecs RodentStore ships, mirroring the algebra's `CodecSpec`.
@@ -247,6 +314,40 @@ mod tests {
             let column = ColumnData::Ints(Vec::new());
             if let Ok(block) = codec.encode(&column) {
                 assert_eq!(codec.decode(&block).unwrap().len(), 0, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_and_decode_into_agree_with_decode() {
+        let mut columns = sample_columns();
+        columns.extend([
+            ColumnData::Ints(Vec::new()),
+            ColumnData::Floats(Vec::new()),
+            ColumnData::Strings(Vec::new()),
+            ColumnData::Ints(vec![7, 7, 7, -3, -3, 9]),
+            ColumnData::Strings(vec!["a".into(), "a".into(), String::new(), "long run".into()]),
+        ]);
+        // A buffer of the wrong type and the wrong length: `decode_into`
+        // must replace its contents, not append to them.
+        let mut reused = ColumnData::Strings(vec!["stale".into(); 3]);
+        for kind in CodecKind::all() {
+            let codec = kind.build();
+            for column in &columns {
+                let Ok(block) = codec.encode(column) else {
+                    continue; // not every codec supports every type
+                };
+                let decoded = codec.decode(&block).unwrap();
+                assert_eq!(codec.count(&block).unwrap(), decoded.len(), "{kind}");
+                codec.decode_into(&block, &mut reused).unwrap();
+                assert_eq!(reused, decoded, "{kind}");
+                // A header cut short is corruption, never a count.
+                for cut in 0..block.len().min(2) {
+                    assert!(
+                        matches!(codec.count(&block[..cut]), Err(CompressError::Corrupted(_))),
+                        "{kind}: {cut}-byte header"
+                    );
+                }
             }
         }
     }

@@ -5,7 +5,7 @@
 //! other codecs: a type tag, a varint element count, and the raw payload.
 
 use crate::varint::{read_varint, write_varint};
-use crate::{ColumnCodec, ColumnData, CompressError, Result};
+use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 pub(crate) const TAG_INTS: u8 = 0;
 pub(crate) const TAG_FLOATS: u8 = 1;
@@ -51,55 +51,69 @@ impl ColumnCodec for PlainCodec {
     }
 
     fn decode(&self, block: &[u8]) -> Result<ColumnData> {
+        let mut out = ColumnData::Ints(Vec::new());
+        self.decode_into(block, &mut out)?;
+        Ok(out)
+    }
+
+    fn decode_into(&self, block: &[u8], out: &mut ColumnData) -> Result<()> {
         let tag = *block
             .first()
             .ok_or_else(|| CompressError::Corrupted("empty block".into()))?;
         let mut pos = 1usize;
         let count = read_varint(block, &mut pos)? as usize;
+        // Fixed-width payloads are bounds-checked once, so the value loop is
+        // a straight copy (and a corrupt count never sizes an allocation).
+        let fixed = |what: &str| {
+            count
+                .checked_mul(8)
+                .and_then(|len| block.get(pos..pos.checked_add(len)?))
+                .ok_or_else(|| CompressError::Corrupted(format!("truncated {what}")))
+        };
+        let word = |bytes: &[u8]| -> [u8; 8] { bytes.try_into().expect("chunks_exact(8)") };
         match tag {
             TAG_INTS => {
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let bytes = block
-                        .get(pos..pos + 8)
-                        .ok_or_else(|| CompressError::Corrupted("truncated int".into()))?;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(bytes);
-                    values.push(i64::from_le_bytes(buf));
-                    pos += 8;
-                }
-                Ok(ColumnData::Ints(values))
+                let payload = fixed("int")?;
+                let values = out.ints_mut();
+                values.extend(payload.chunks_exact(8).map(|b| i64::from_le_bytes(word(b))));
             }
             TAG_FLOATS => {
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let bytes = block
-                        .get(pos..pos + 8)
-                        .ok_or_else(|| CompressError::Corrupted("truncated float".into()))?;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(bytes);
-                    values.push(f64::from_le_bytes(buf));
-                    pos += 8;
-                }
-                Ok(ColumnData::Floats(values))
+                let payload = fixed("float")?;
+                let values = out.floats_mut();
+                values.extend(payload.chunks_exact(8).map(|b| f64::from_le_bytes(word(b))));
             }
             TAG_STRINGS => {
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
+                // Every string takes at least its length byte.
+                if count > block.len() - pos {
+                    return Err(CompressError::Corrupted("truncated string".into()));
+                }
+                let values = out.strings_mut();
+                values.truncate(count);
+                for i in 0..count {
                     let len = read_varint(block, &mut pos)? as usize;
-                    let bytes = block
-                        .get(pos..pos + len)
+                    let bytes = pos
+                        .checked_add(len)
+                        .and_then(|end| block.get(pos..end))
                         .ok_or_else(|| CompressError::Corrupted("truncated string".into()))?;
-                    values.push(
-                        String::from_utf8(bytes.to_vec())
-                            .map_err(|_| CompressError::Corrupted("invalid utf8".into()))?,
-                    );
+                    let text = std::str::from_utf8(bytes)
+                        .map_err(|_| CompressError::Corrupted("invalid utf8".into()))?;
+                    match values.get_mut(i) {
+                        Some(slot) => {
+                            slot.clear();
+                            slot.push_str(text);
+                        }
+                        None => values.push(text.to_string()),
+                    }
                     pos += len;
                 }
-                Ok(ColumnData::Strings(values))
             }
-            other => Err(CompressError::Corrupted(format!("unknown tag {other}"))),
+            other => return Err(CompressError::Corrupted(format!("unknown tag {other}"))),
         }
+        Ok(())
+    }
+
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        header_count(block)
     }
 }
 

@@ -114,6 +114,34 @@ impl ColumnCodec for RleCodec {
             other => Err(CompressError::Corrupted(format!("unknown tag {other}"))),
         }
     }
+
+    /// The header holds the *run* count, so the element count is a walk over
+    /// the run lengths — values are skipped, never materialized.
+    fn count(&self, block: &[u8]) -> Result<usize> {
+        let tag = *block
+            .first()
+            .ok_or_else(|| CompressError::Corrupted("empty block".into()))?;
+        let mut pos = 1usize;
+        let run_count = read_varint(block, &mut pos)?;
+        let mut total = 0usize;
+        for _ in 0..run_count {
+            let skip = match tag {
+                TAG_INTS => read_varint(block, &mut pos).map(|_| 0)?,
+                TAG_FLOATS => 8,
+                TAG_STRINGS => read_varint(block, &mut pos)? as usize,
+                other => return Err(CompressError::Corrupted(format!("unknown tag {other}"))),
+            };
+            pos = pos
+                .checked_add(skip)
+                .filter(|&end| end <= block.len())
+                .ok_or_else(|| CompressError::Corrupted("truncated run".into()))?;
+            let run = read_varint(block, &mut pos)? as usize;
+            total = total
+                .checked_add(run)
+                .ok_or_else(|| CompressError::Corrupted("run lengths overflow".into()))?;
+        }
+        Ok(total)
+    }
 }
 
 /// Convenience: returns the number of runs RLE would produce — used by the

@@ -2170,6 +2170,8 @@ impl Database {
             ins.scan_pages.add(op.pages_read);
             ins.scan_frame_hits.add(op.frame_hits);
             ins.scan_frame_copies.add(op.frame_copies);
+            ins.scan_chunks.add(op.chunks);
+            ins.scan_blocks_skipped.add(op.blocks_skipped);
             ins.scan_micros.record(started.elapsed().as_micros() as u64);
             if let (Ok(predicted), Ok(slot)) = (snapshot.scan_pages(request), self.slot(table)) {
                 slot.predicted_pages_total.fetch_add(predicted, Ordering::Relaxed);
@@ -2220,6 +2222,8 @@ impl Database {
             ins.scan_pages.add(op.pages_read);
             ins.scan_frame_hits.add(op.frame_hits);
             ins.scan_frame_copies.add(op.frame_copies);
+            ins.scan_chunks.add(op.chunks);
+            ins.scan_blocks_skipped.add(op.blocks_skipped);
             ins.scan_agg_rows_folded.add(acc.rows_folded());
             ins.scan_micros.record(started.elapsed().as_micros() as u64);
         }
@@ -2380,17 +2384,14 @@ impl Database {
                 let fields = request.fields.as_deref();
                 let predicate = request.predicate.as_ref();
                 // Mirror the scan dispatch exactly: opening the iterator is
-                // what decides between the streaming, probing, and
-                // materializing paths.
+                // what decides between the streaming and probing paths.
                 let iter = layout
                     .scan_iter(fields, predicate)
                     .map_err(RodentError::Layout)?;
                 let access_path = if iter.uses_index() {
                     AccessPath::IndexProbe
-                } else if iter.is_lazy() {
-                    AccessPath::Streaming
                 } else {
-                    AccessPath::Materialized
+                    AccessPath::Streaming
                 };
                 drop(iter);
                 let (lsm_runs_total, lsm_runs_pruned, lsm_memtable_rows) = match &layout.lsm {
@@ -2875,9 +2876,6 @@ pub enum AccessPath {
     /// The declared index covers the predicate: tree probe plus targeted
     /// heap page reads.
     IndexProbe,
-    /// The layout shape forces up-front materialization (vertical
-    /// partitions stitch their groups positionally before yielding).
-    Materialized,
 }
 
 impl AccessPath {
@@ -2887,7 +2885,6 @@ impl AccessPath {
             AccessPath::Canonical => "canonical",
             AccessPath::Streaming => "streaming",
             AccessPath::IndexProbe => "index_probe",
-            AccessPath::Materialized => "materialized",
         }
     }
 }

@@ -31,11 +31,18 @@ pub struct Instruments {
     pub scan_pages: Arc<Counter>,
     /// `scan.micros` — end-to-end scan latency.
     pub scan_micros: Arc<Histogram>,
-    /// `scan.frame_hits` — pages served to scans as shared frames (no copy).
+    /// `scan.frame_hits` — pages served to scans as shared frames (no copy),
+    /// row pages and column-block pages alike.
     pub scan_frame_hits: Arc<Counter>,
     /// `scan.frame_copies` — pages scans had to copy out of the store
     /// (forced-copy mode, or a file store without an mmap window).
     pub scan_frame_copies: Arc<Counter>,
+    /// `scan.chunks` — column chunks scans walked (decoded or not).
+    pub scan_chunks: Arc<Counter>,
+    /// `scan.blocks_skipped` — needed column blocks scans never decoded
+    /// because no row of their chunk survived the predicate (late
+    /// materialization at work).
+    pub scan_blocks_skipped: Arc<Counter>,
     /// `scan.agg_rows_folded` — rows folded by windowed-aggregate scans
     /// (these rows are never materialized, so they do not count toward
     /// `scan.rows`).
@@ -125,6 +132,8 @@ impl Instruments {
             scan_micros: registry.histogram("scan.micros"),
             scan_frame_hits: registry.counter("scan.frame_hits"),
             scan_frame_copies: registry.counter("scan.frame_copies"),
+            scan_chunks: registry.counter("scan.chunks"),
+            scan_blocks_skipped: registry.counter("scan.blocks_skipped"),
             scan_agg_rows_folded: registry.counter("scan.agg_rows_folded"),
             get_element_count: registry.counter("get_element.count"),
             insert_batches: registry.counter("insert.batches"),
@@ -191,6 +200,8 @@ pub fn metric_names() -> &'static [&'static str] {
         "lsm.spill.rows",
         "lsm.spills",
         "scan.agg_rows_folded",
+        "scan.blocks_skipped",
+        "scan.chunks",
         "scan.count",
         "scan.frame_copies",
         "scan.frame_hits",

@@ -177,9 +177,9 @@ impl AccessMethods {
     ///
     /// When the layout can deliver the requested order natively (or no order
     /// was requested), the cursor *streams*: tuples are decoded from pages on
-    /// demand and the result set is never materialized. A non-native sort
-    /// forces materialization, and vertically partitioned layouts buffer
-    /// their stitched rows up front (the cursor then knows its length).
+    /// demand and the result set is never materialized — vertically
+    /// partitioned layouts included. Only a non-native sort forces
+    /// materialization (the cursor then knows its length).
     pub fn open_cursor(&self, request: &ScanRequest) -> Result<Cursor<'_>> {
         self.validate_fields(&request.fields)?;
         if let Some(order) = &request.order {
@@ -397,16 +397,15 @@ mod tests {
         let rows = filtered.collect_rows().unwrap();
         assert_eq!(rows, am.scan(&request).unwrap());
 
-        // Vertically partitioned layouts buffer their stitched rows up
-        // front; the cursor reports the known length instead of pretending
-        // to stream.
+        // Vertically partitioned layouts stream as well: their column
+        // groups advance in lock-step, nothing is stitched up front.
         let vertical = methods(
             LayoutExpr::table("Readings").vertical([vec!["t"], vec!["sensor", "value"]]),
         );
-        let v = vertical.open_cursor(&ScanRequest::all()).unwrap();
-        assert!(!v.is_streaming());
-        assert_eq!(v.len(), Some(300));
-        assert_eq!(v.remaining(), Some(300));
+        let mut v = vertical.open_cursor(&ScanRequest::all()).unwrap();
+        assert!(v.is_streaming());
+        assert_eq!(v.len(), None);
+        assert_eq!(v.collect_rows().unwrap(), vertical.scan(&ScanRequest::all()).unwrap());
     }
 
     #[test]

@@ -74,14 +74,9 @@ impl<'a> Cursor<'a> {
     }
 
     /// Whether this cursor streams tuples lazily from the layout (as opposed
-    /// to holding a materialized row set — either one built eagerly for a
-    /// non-native sort, or the stitched buffer a vertically partitioned
-    /// layout requires).
+    /// to holding a materialized row set built eagerly for a non-native sort).
     pub fn is_streaming(&self) -> bool {
-        match &self.source {
-            Source::Materialized { .. } => false,
-            Source::Streaming(iter) => iter.is_lazy(),
-        }
+        matches!(self.source, Source::Streaming(_))
     }
 
     /// Returns the next tuple, or `None` when exhausted. A decoding error
@@ -150,14 +145,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// Number of tuples remaining, when known without consuming the cursor
-    /// (`None` for lazily streaming cursors — counting would require the
-    /// scan; known for materialized and buffered-vertical cursors).
+    /// (`None` for streaming cursors — counting would require the scan).
     pub fn remaining(&self) -> Option<usize> {
         match &self.source {
             Source::Materialized { rows, position } => {
                 Some(rows.len().saturating_sub(*position))
             }
-            Source::Streaming(iter) => iter.buffered_remaining(),
+            Source::Streaming(_) => None,
         }
     }
 
@@ -165,7 +159,7 @@ impl<'a> Cursor<'a> {
     pub fn len(&self) -> Option<usize> {
         match &self.source {
             Source::Materialized { rows, .. } => Some(rows.len()),
-            Source::Streaming(iter) => iter.buffered_len(),
+            Source::Streaming(_) => None,
         }
     }
 

@@ -81,12 +81,27 @@ struct Acc {
     max: f64,
 }
 
-/// Streaming accumulator for a windowed aggregate. Buckets live in a
-/// `BTreeMap`, so [`WindowAccumulator::finish`] emits them already sorted.
+impl Acc {
+    fn merge(&mut self, o: Acc) {
+        self.count += o.count;
+        self.sum += o.sum;
+        self.min = self.min.min(o.min);
+        self.max = self.max.max(o.max);
+    }
+}
+
+/// Streaming accumulator for a windowed aggregate. Buckets are indexed by a
+/// `BTreeMap`, so [`WindowAccumulator::finish`] emits them already sorted;
+/// the accumulators themselves sit in a vector so the bucket of the previous
+/// row is reachable without a lookup — a run of rows in one bucket (the norm
+/// when the bucket field is the storage order) costs no map access at all.
 #[derive(Debug)]
 pub struct WindowAccumulator {
     width: f64,
-    buckets: BTreeMap<i64, Acc>,
+    index: BTreeMap<i64, usize>,
+    accs: Vec<Acc>,
+    /// Key and slot of the most recently folded bucket.
+    last: Option<(i64, usize)>,
     rows_folded: u64,
 }
 
@@ -95,34 +110,46 @@ impl WindowAccumulator {
     pub fn new(spec: &WindowedAggregate) -> WindowAccumulator {
         WindowAccumulator {
             width: spec.bucket_width,
-            buckets: BTreeMap::new(),
+            index: BTreeMap::new(),
+            accs: Vec::new(),
+            last: None,
             rows_folded: 0,
         }
     }
 
+    /// The accumulator slot of bucket `key`, created from `seed` if new.
+    fn slot(&mut self, key: i64, seed: Acc) -> (usize, bool) {
+        let next = self.accs.len();
+        let slot = *self.index.entry(key).or_insert(next);
+        if slot == next {
+            self.accs.push(seed);
+        }
+        (slot, slot == next)
+    }
+
     /// Folds one `(bucket, value)` pair of raw numerics.
+    #[inline]
     pub fn fold(&mut self, bucket: f64, value: f64) {
         let key = (bucket / self.width).floor() as i64;
         self.rows_folded += 1;
-        match self.buckets.get_mut(&key) {
-            Some(acc) => {
-                acc.count += 1;
-                acc.sum += value;
-                acc.min = acc.min.min(value);
-                acc.max = acc.max.max(value);
+        let one = Acc {
+            count: 1,
+            sum: value,
+            min: value,
+            max: value,
+        };
+        let slot = match self.last {
+            Some((k, slot)) if k == key => slot,
+            _ => {
+                let (slot, fresh) = self.slot(key, one);
+                self.last = Some((key, slot));
+                if fresh {
+                    return;
+                }
+                slot
             }
-            None => {
-                self.buckets.insert(
-                    key,
-                    Acc {
-                        count: 1,
-                        sum: value,
-                        min: value,
-                        max: value,
-                    },
-                );
-            }
-        }
+        };
+        self.accs[slot].merge(one);
     }
 
     /// Folds one row given as owned values; non-numeric pairs are ignored.
@@ -145,17 +172,11 @@ impl WindowAccumulator {
     /// Used to combine per-object partial folds from the in-cursor fast path.
     pub fn absorb(&mut self, other: WindowAccumulator) {
         self.rows_folded += other.rows_folded;
-        for (key, o) in other.buckets {
-            match self.buckets.get_mut(&key) {
-                Some(acc) => {
-                    acc.count += o.count;
-                    acc.sum += o.sum;
-                    acc.min = acc.min.min(o.min);
-                    acc.max = acc.max.max(o.max);
-                }
-                None => {
-                    self.buckets.insert(key, o);
-                }
+        for (key, slot) in other.index {
+            let o = other.accs[slot];
+            let (slot, fresh) = self.slot(key, o);
+            if !fresh {
+                self.accs[slot].merge(o);
             }
         }
     }
@@ -167,14 +188,17 @@ impl WindowAccumulator {
 
     /// Emits the buckets sorted ascending by their lower edge.
     pub fn finish(&self) -> Vec<WindowRow> {
-        self.buckets
+        self.index
             .iter()
-            .map(|(key, acc)| WindowRow {
-                bucket_start: *key as f64 * self.width,
-                count: acc.count,
-                sum: acc.sum,
-                min: acc.min,
-                max: acc.max,
+            .map(|(key, &slot)| {
+                let acc = self.accs[slot];
+                WindowRow {
+                    bucket_start: *key as f64 * self.width,
+                    count: acc.count,
+                    sum: acc.sum,
+                    min: acc.min,
+                    max: acc.max,
+                }
             })
             .collect()
     }

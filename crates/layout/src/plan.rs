@@ -9,11 +9,11 @@
 //! processor.
 
 use crate::rowcodec::{
-    column_to_values, decode_record, decode_record_subset, encode_record, values_to_column,
+    column_field, decode_record, decode_record_subset, encode_record, values_to_column,
 };
 use crate::index::StoredIndex;
 use crate::lsm::LsmState;
-use crate::scan::{CompiledPredicate, ScanIter};
+use crate::scan::ScanIter;
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{CmpOp, Condition, ElemExpr};
 use rodentstore_algebra::expr::{LayoutExpr, SortKey};
@@ -21,9 +21,12 @@ use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::types::DataType;
 use rodentstore_algebra::validate::DerivedLayout;
 use rodentstore_algebra::value::{Record, Value};
-use rodentstore_compress::CodecKind;
+use rodentstore_compress::{CodecKind, ColumnCodec, ColumnData};
+use rodentstore_storage::frame::PageFrame;
 use rodentstore_storage::heap::{HeapFile, RecordId};
+use rodentstore_storage::page::PageId;
 use rodentstore_storage::pager::Pager;
+use rodentstore_storage::slotted::SlottedReader;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -141,95 +144,10 @@ impl StoredObject {
         self.heap.page_count()
     }
 
-    /// Decodes one column block of field `f` through its codec, restoring
-    /// value variants from `templates` — the single implementation every
-    /// column-block reader (eager, streaming, positional) goes through.
-    pub(crate) fn decode_column_block(
-        &self,
-        f: usize,
-        block: &[u8],
-        templates: &[Value],
-    ) -> Result<Vec<Value>> {
-        let codec = self
-            .codecs
-            .get(&self.fields[f])
-            .copied()
-            .unwrap_or(CodecKind::Plain)
-            .build();
-        let data = codec.decode(block)?;
-        let template = templates.get(f).cloned().unwrap_or(Value::Int(0));
-        Ok(column_to_values(&data, &template))
-    }
-
-    /// Reads every tuple of the object (values in the object's field order).
-    /// `templates` supplies one template value per field so column blocks can
-    /// restore the original value variant.
-    pub fn read_rows(&self, templates: &[Value]) -> Result<Vec<Record>> {
-        match &self.encoding {
-            ObjectEncoding::Rows => {
-                let mut rows = Vec::with_capacity(self.row_count);
-                self.heap.scan(|_, payload| {
-                    rows.push(payload.to_vec());
-                    Ok(())
-                })?;
-                rows.into_iter().map(|bytes| decode_record(&bytes)).collect()
-            }
-            ObjectEncoding::Folded { key_fields } => {
-                let mut rows: Vec<Record> = Vec::with_capacity(self.row_count);
-                let key_fields = *key_fields;
-                let mut folded_records = Vec::new();
-                self.heap.scan(|_, payload| {
-                    folded_records.push(payload.to_vec());
-                    Ok(())
-                })?;
-                for bytes in folded_records {
-                    let folded = decode_record(&bytes)?;
-                    let (key, nested) = split_folded(&folded, key_fields, &self.name)?;
-                    for inner in nested {
-                        rows.push(stitch_folded_row(key, inner)?);
-                    }
-                }
-                Ok(rows)
-            }
-            ObjectEncoding::ColumnBlocks { .. } => {
-                let blocks = self.heap.read_all()?;
-                let ncols = self.fields.len();
-                if ncols == 0 {
-                    return Ok(Vec::new());
-                }
-                if blocks.len() % ncols != 0 {
-                    return Err(LayoutError::Corrupted(format!(
-                        "object `{}` has {} blocks for {} fields",
-                        self.name,
-                        blocks.len(),
-                        ncols
-                    )));
-                }
-                let mut rows: Vec<Record> = Vec::with_capacity(self.row_count);
-                for chunk in blocks.chunks(ncols) {
-                    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(ncols);
-                    for (f, block) in chunk.iter().enumerate() {
-                        columns.push(self.decode_column_block(f, block, templates)?);
-                    }
-                    let chunk_rows = columns.first().map(|c| c.len()).unwrap_or(0);
-                    for i in 0..chunk_rows {
-                        let mut row = Vec::with_capacity(ncols);
-                        for col in &columns {
-                            row.push(col.get(i).cloned().unwrap_or(Value::Null));
-                        }
-                        rows.push(row);
-                    }
-                }
-                Ok(rows)
-            }
-        }
-    }
-
     /// Reads the single tuple at `index` (in object storage order), decoding
     /// only the positions marked in `needed` (row encodings) or the blocks of
-    /// needed fields (column encodings) — the decode-on-demand counterpart of
-    /// [`StoredObject::read_rows`] for positional access. Earlier pages are
-    /// still fetched to locate the row, but their records are never decoded.
+    /// needed fields (column encodings). Earlier pages are still fetched to
+    /// locate the row, but their records are never decoded.
     pub fn read_row_at(
         &self,
         index: usize,
@@ -285,62 +203,29 @@ impl StoredObject {
         }
     }
 
-    /// Positional access within a column-block object: walks the chunks,
-    /// decoding one probe column per chunk to learn its row count, and
-    /// decodes the remaining needed blocks only for the containing chunk.
+    /// Positional access within a column-block object: walks the chunks by
+    /// their block-header row counts and decodes only the needed blocks of
+    /// the containing chunk.
     fn read_block_row_at(
         &self,
         index: usize,
         templates: &[Value],
         needed: &[bool],
     ) -> Result<Record> {
-        let ncols = self.fields.len();
-        if ncols == 0 {
-            return Err(LayoutError::Corrupted(format!(
-                "object `{}` has no fields",
-                self.name
-            )));
-        }
-        let probe = needed.iter().position(|&b| b).unwrap_or(0);
-        let mut pending: std::collections::VecDeque<Vec<u8>> = std::collections::VecDeque::new();
-        let mut remaining = index;
-        for page_id in self.heap.page_ids()? {
-            let frame = self.heap.pager().read_frame(page_id)?;
-            let reader =
-                rodentstore_storage::slotted::SlottedReader::over(frame.data(), frame.id());
-            for slot in 0..reader.slot_count() {
-                pending.push_back(reader.get(slot)?.to_vec());
-            }
-            while pending.len() >= ncols {
-                let chunk: Vec<Vec<u8>> = pending.drain(..ncols).collect();
-                let probe_col = self.decode_column_block(probe, &chunk[probe], templates)?;
-                if remaining < probe_col.len() {
-                    let mut row = Vec::with_capacity(ncols);
-                    for (f, block) in chunk.iter().enumerate() {
-                        let value = if f == probe {
-                            probe_col.get(remaining).cloned().unwrap_or(Value::Null)
-                        } else if needed.get(f).copied().unwrap_or(false) {
-                            self.decode_column_block(f, block, templates)?
-                                .get(remaining)
-                                .cloned()
-                                .unwrap_or(Value::Null)
-                        } else {
-                            Value::Null
-                        };
-                        row.push(value);
+        let mut reader = ChunkReader::new(self, needed)?;
+        while reader.next_chunk()? {
+            if index < reader.end() {
+                let at = index - reader.start;
+                let mut row = vec![Value::Null; self.fields.len()];
+                for (f, value) in row.iter_mut().enumerate() {
+                    if needed.get(f).copied().unwrap_or(false) {
+                        reader.decode(f)?;
+                        let template = templates.get(f).unwrap_or(&Value::Null);
+                        *value = column_field(reader.col(f), template, at).to_value()?;
                     }
-                    return Ok(row);
                 }
-                remaining -= probe_col.len();
+                return Ok(row);
             }
-        }
-        if !pending.is_empty() {
-            return Err(LayoutError::Corrupted(format!(
-                "object `{}` ends with {} trailing blocks for {} fields",
-                self.name,
-                pending.len(),
-                ncols
-            )));
         }
         Err(LayoutError::Corrupted(format!(
             "row {index} beyond the stored blocks of `{}`",
@@ -407,6 +292,145 @@ impl StoredObject {
             self.heap.append(&block)?;
         }
         Ok(())
+    }
+}
+
+/// Streams the chunks of one column-block object — the one decoder every
+/// column-block read path (scans, folds, positional access) goes through.
+///
+/// A chunk is one encoded block per field, in field order, and may straddle
+/// pages; the reader walks the object's pages in order (every page is read
+/// exactly once, whether or not anything on it is decoded), learns a chunk's
+/// row count from a block header, and decodes a field's block only when
+/// [`ChunkReader::decode`] asks for it — straight from the page frame into a
+/// typed buffer it reuses for the next chunk.
+pub(crate) struct ChunkReader<'a> {
+    obj: &'a StoredObject,
+    codecs: Vec<Box<dyn ColumnCodec>>,
+    needed: Vec<bool>,
+    pages: Vec<PageId>,
+    next_page: usize,
+    /// Frames holding the current chunk's blocks; `slot` is the next unread
+    /// slot of the last one.
+    frames: Vec<PageFrame>,
+    slot: usize,
+    /// `(frame, slot)` of each field's block in the current chunk; empty
+    /// before the first chunk and after the last.
+    blocks: Vec<(usize, usize)>,
+    cols: Vec<ColumnData>,
+    decoded: Vec<bool>,
+    chunk: usize,
+    /// Object row position of the current chunk's first row.
+    pub(crate) start: usize,
+    len: usize,
+}
+
+/// The block in slot `slot` of `frames[frame]`.
+fn block_at(frames: &[PageFrame], (frame, slot): (usize, usize)) -> Result<&[u8]> {
+    let frame = &frames[frame];
+    Ok(SlottedReader::over(frame.data(), frame.id()).get(slot)?)
+}
+
+impl<'a> ChunkReader<'a> {
+    /// Opens a reader that will decode (at most) the fields marked `needed`.
+    pub(crate) fn new(obj: &'a StoredObject, needed: &[bool]) -> Result<ChunkReader<'a>> {
+        let ncols = obj.fields.len();
+        let codec = |f: &String| obj.codecs.get(f).copied().unwrap_or(CodecKind::Plain).build();
+        Ok(ChunkReader {
+            obj,
+            codecs: obj.fields.iter().map(codec).collect(),
+            needed: (0..ncols).map(|f| needed.get(f).copied().unwrap_or(false)).collect(),
+            pages: obj.heap.page_ids()?,
+            next_page: 0,
+            frames: Vec::new(),
+            slot: 0,
+            blocks: Vec::with_capacity(ncols),
+            cols: (0..ncols).map(|_| ColumnData::Ints(Vec::new())).collect(),
+            decoded: vec![false; ncols],
+            chunk: 0,
+            start: 0,
+            len: 0,
+        })
+    }
+
+    /// Object row position one past the current chunk's last row.
+    pub(crate) fn end(&self) -> usize {
+        self.start + self.len
+    }
+
+    /// Moves to the next chunk; `false` once the object is exhausted. The
+    /// chunk's row count comes from the header of its first needed block, so
+    /// a chunk nobody decodes costs a header read.
+    pub(crate) fn next_chunk(&mut self) -> Result<bool> {
+        if !self.blocks.is_empty() {
+            let skipped = self.needed.iter().zip(&self.decoded).filter(|(n, d)| **n && !**d);
+            self.obj.heap.pager().record_chunk(skipped.count() as u64);
+            self.chunk += 1;
+            self.blocks.clear();
+        }
+        self.start += self.len;
+        self.len = 0;
+        // Only the last frame can still hold unread blocks.
+        self.frames.drain(..self.frames.len().saturating_sub(1));
+        let ncols = self.obj.fields.len();
+        while self.blocks.len() < ncols {
+            let unread = self.frames.last().is_some_and(|frame| {
+                self.slot < SlottedReader::over(frame.data(), frame.id()).slot_count()
+            });
+            if unread {
+                self.blocks.push((self.frames.len() - 1, self.slot));
+                self.slot += 1;
+                continue;
+            }
+            let Some(&page_id) = self.pages.get(self.next_page) else {
+                let trailing = std::mem::take(&mut self.blocks).len();
+                if trailing == 0 && self.start == self.obj.row_count {
+                    return Ok(false);
+                }
+                return Err(LayoutError::Corrupted(format!(
+                    "object `{}` ends after {} rows and {trailing} trailing blocks; it should \
+                     hold {} rows in chunks of {ncols} blocks",
+                    self.obj.name, self.start, self.obj.row_count
+                )));
+            };
+            self.next_page += 1;
+            self.frames.push(self.obj.heap.pager().read_frame(page_id)?);
+            self.slot = 0;
+        }
+        if ncols == 0 {
+            return Ok(false);
+        }
+        self.decoded.fill(false);
+        let probe = self.needed.iter().position(|&n| n).unwrap_or(0);
+        self.len = self.codecs[probe].count(block_at(&self.frames, self.blocks[probe])?)?;
+        Ok(true)
+    }
+
+    /// Decodes field `f` of the current chunk (once; later calls are free).
+    /// A block whose row count disagrees with the chunk's is corruption.
+    pub(crate) fn decode(&mut self, f: usize) -> Result<()> {
+        if !self.decoded[f] {
+            let block = block_at(&self.frames, self.blocks[f])?;
+            self.codecs[f].decode_into(block, &mut self.cols[f])?;
+            if self.cols[f].len() != self.len {
+                return Err(LayoutError::Corrupted(format!(
+                    "chunk {} of object `{}` is ragged: field `{}` holds {} rows, the chunk {}",
+                    self.chunk,
+                    self.obj.name,
+                    self.obj.fields[f],
+                    self.cols[f].len(),
+                    self.len
+                )));
+            }
+            self.decoded[f] = true;
+        }
+        Ok(())
+    }
+
+    /// Field `f` of the current chunk; meaningful only after
+    /// [`ChunkReader::decode`] succeeded for it.
+    pub(crate) fn col(&self, f: usize) -> &ColumnData {
+        &self.cols[f]
     }
 }
 
@@ -756,9 +780,9 @@ impl PhysicalLayout {
     }
 
     /// Scans the layout, optionally projecting to `fields` and filtering with
-    /// `predicate`. Results are returned in storage order. Cursor page
-    /// buffers that are already final (the borrowed-frame pushdown path)
-    /// are moved out wholesale — see [`ScanIter::collect_rows`].
+    /// `predicate`. Results are returned in storage order. Cursors whose
+    /// rows are already final (the borrowed pushdown path) write them
+    /// straight into the result — see [`ScanIter::collect_rows`].
     pub fn scan(
         &self,
         fields: Option<&[String]>,
@@ -769,8 +793,9 @@ impl PhysicalLayout {
 
     /// Folds the rows matching `predicate` into fixed-width buckets without
     /// materializing a result set: the scan projects only the bucket and
-    /// value fields, and on the borrowed-frame row path the fold runs inside
-    /// the page decode loop, so no output `Record` is ever allocated.
+    /// value fields, and on the borrowed path (row pages and column chunks
+    /// alike) the fold runs inside the cursor's loop, so no output `Record`
+    /// is ever allocated.
     pub fn scan_aggregate(
         &self,
         spec: &crate::aggregate::WindowedAggregate,
@@ -783,130 +808,6 @@ impl PhysicalLayout {
         }
         let mut iter = self.scan_iter(Some(&fields), predicate)?;
         iter.fold_windowed(spec)
-    }
-
-    /// Reads vertically partitioned objects and stitches them back into full
-    /// tuples (missing columns become NULL). Objects store tuples in the same
-    /// order, as Section 4.1 of the paper requires.
-    ///
-    /// Predicate conjuncts whose fields all live inside a single object are
-    /// pre-evaluated while that object is decoded, so the all-NULL stitch
-    /// buffer is allocated only for surviving rows instead of
-    /// `row_count × arity` up front. The caller still applies the full
-    /// predicate afterwards (the pre-filter is conservative).
-    pub(crate) fn scan_vertical(
-        &self,
-        selected: &[usize],
-        predicate: Option<&Condition>,
-    ) -> Result<Vec<Record>> {
-        // Predicate fields must also be read even if their object was not
-        // requested for output.
-        let mut selected: Vec<usize> = selected.to_vec();
-        if let Some(pred) = predicate {
-            for f in pred.referenced_fields() {
-                for (i, obj) in self.objects.iter().enumerate() {
-                    if obj.fields.contains(&f) && !selected.contains(&i) {
-                        selected.push(i);
-                    }
-                }
-            }
-        }
-        // Top-level conjuncts of the predicate; each is a candidate for
-        // per-object pre-filtering.
-        let conjuncts: Vec<&Condition> = match predicate {
-            Some(Condition::And(items)) => items.iter().collect(),
-            Some(other) => vec![other],
-            None => Vec::new(),
-        };
-        let mut survivors: Option<Vec<bool>> = None;
-        let mut cached: HashMap<usize, Vec<Record>> = HashMap::new();
-        for &i in &selected {
-            let obj = &self.objects[i];
-            let local: Vec<CompiledPredicate> = conjuncts
-                .iter()
-                .filter(|c| {
-                    let refs = c.referenced_fields();
-                    !refs.is_empty() && refs.iter().all(|f| obj.fields.contains(f))
-                })
-                .map(|c| CompiledPredicate::compile(c, &obj.fields, &obj.name))
-                .collect::<Result<_>>()?;
-            if local.is_empty() {
-                continue;
-            }
-            let col_rows = self.read_vertical_object(obj)?;
-            let bitmap = survivors.get_or_insert_with(|| vec![true; self.base_row_count()]);
-            'row: for (idx, row) in col_rows.iter().enumerate() {
-                if !bitmap[idx] {
-                    continue;
-                }
-                for pred in &local {
-                    if !pred.matches(row)? {
-                        bitmap[idx] = false;
-                        continue 'row;
-                    }
-                }
-            }
-            cached.insert(i, col_rows);
-        }
-        // Dense output slot per surviving row (usize::MAX = filtered out).
-        let (survivor_count, dense_of) = match &survivors {
-            None => (self.base_row_count(), None),
-            Some(bits) => {
-                let mut dense_of = vec![usize::MAX; self.base_row_count()];
-                let mut n = 0usize;
-                for (i, &alive) in bits.iter().enumerate() {
-                    if alive {
-                        dense_of[i] = n;
-                        n += 1;
-                    }
-                }
-                (n, Some(dense_of))
-            }
-        };
-        let mut rows: Vec<Record> = (0..survivor_count)
-            .map(|_| vec![Value::Null; self.schema.arity()])
-            .collect();
-        for &i in &selected {
-            let obj = &self.objects[i];
-            let col_rows = match cached.remove(&i) {
-                Some(rows) => rows,
-                None => self.read_vertical_object(obj)?,
-            };
-            let positions: Vec<usize> = obj
-                .fields
-                .iter()
-                .map(|f| self.schema.index_of(f).map_err(LayoutError::Algebra))
-                .collect::<Result<_>>()?;
-            for (row_idx, col_row) in col_rows.into_iter().enumerate() {
-                let dense = match &dense_of {
-                    None => row_idx,
-                    Some(map) => match map[row_idx] {
-                        usize::MAX => continue,
-                        d => d,
-                    },
-                };
-                for (j, value) in col_row.into_iter().enumerate() {
-                    rows[dense][positions[j]] = value;
-                }
-            }
-        }
-        Ok(rows)
-    }
-
-    /// Reads one object of a vertical partition, enforcing the row-count
-    /// invariant every partition must satisfy.
-    fn read_vertical_object(&self, obj: &StoredObject) -> Result<Vec<Record>> {
-        let templates = self.templates_for(&obj.fields);
-        let col_rows = obj.read_rows(&templates)?;
-        if col_rows.len() != self.base_row_count() {
-            return Err(LayoutError::Corrupted(format!(
-                "object `{}` has {} rows, layout has {}",
-                obj.name,
-                col_rows.len(),
-                self.base_row_count()
-            )));
-        }
-        Ok(col_rows)
     }
 
     /// Returns the tuple at `position` (in storage order), optionally

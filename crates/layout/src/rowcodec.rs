@@ -6,9 +6,9 @@
 //!
 //! * [`encode_record`] / [`decode_record`] — self-describing row encoding
 //!   (per-value type tags, varint lengths);
-//! * [`values_to_column`] / [`column_to_values`] — conversion between
-//!   algebra [`Value`]s and the typed [`ColumnData`] the compression codecs
-//!   operate on.
+//! * [`values_to_column`] / `column_field` — conversion between algebra
+//!   [`Value`]s and the typed [`ColumnData`] the compression codecs operate
+//!   on; reads borrow each element back as a [`FieldRef`].
 
 use crate::{LayoutError, Result};
 use rodentstore_algebra::value::{Record, Value};
@@ -318,26 +318,28 @@ impl<'a> FieldRef<'a> {
 
     /// Compares this borrowed field with an owned value under exactly the
     /// total order of [`Value::compare`] (verified by a property test
-    /// against the owned reference). Only the `List` case allocates (it
-    /// decodes the span); every scalar and string comparison is free of
-    /// allocation.
+    /// against the owned reference). Same-typed scalars and strings — what a
+    /// pushed-down range or comparison almost always pairs — are decided
+    /// inline; every other pairing defers to `Value::compare` through a
+    /// stand-in. Only the `List` case allocates (it decodes the span).
+    #[inline]
     pub fn compare_value(&self, other: &Value) -> Result<std::cmp::Ordering> {
         use std::cmp::Ordering;
-        Ok(match self {
-            FieldRef::Null => Value::Null.compare(other),
-            FieldRef::Int(v) => Value::Int(*v).compare(other),
-            FieldRef::Float(v) => Value::Float(*v).compare(other),
-            FieldRef::Bool(b) => Value::Bool(*b).compare(other),
-            FieldRef::Timestamp(v) => Value::Timestamp(*v).compare(other),
-            FieldRef::Str(s) => match other {
-                // Only Str-vs-Str inspects string contents; every other
-                // pairing in `Value::compare` is decided by null rules or
-                // type rank, so an empty stand-in is exact.
-                Value::Str(o) => s.cmp(&o.as_str()),
-                Value::Null => Ordering::Greater,
-                _ => Value::Str(String::new()).compare(other),
-            },
-            FieldRef::List(_) => self.to_value()?.compare(other),
+        Ok(match (self, other) {
+            (FieldRef::Int(a), Value::Int(b)) => a.cmp(b),
+            (FieldRef::Timestamp(a), Value::Timestamp(b)) => a.cmp(b),
+            (FieldRef::Float(a), Value::Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
+            (FieldRef::Str(a), Value::Str(b)) => (*a).cmp(b.as_str()),
+            (FieldRef::Null, _) => Value::Null.compare(other),
+            (FieldRef::Int(v), _) => Value::Int(*v).compare(other),
+            (FieldRef::Float(v), _) => Value::Float(*v).compare(other),
+            (FieldRef::Bool(b), _) => Value::Bool(*b).compare(other),
+            (FieldRef::Timestamp(v), _) => Value::Timestamp(*v).compare(other),
+            // Only Str-vs-Str inspects string contents; every other pairing
+            // in `Value::compare` is decided by null rules or type rank, so
+            // an empty stand-in is exact.
+            (FieldRef::Str(_), _) => Value::Str(String::new()).compare(other),
+            (FieldRef::List(_), _) => self.to_value()?.compare(other),
         })
     }
 }
@@ -585,22 +587,22 @@ pub fn values_to_column(values: &[Value]) -> ColumnData {
     }
 }
 
-/// Converts a decoded [`ColumnData`] back into algebra values, using a
-/// template value to restore the original value variant (timestamp vs int,
-/// etc.).
-pub fn column_to_values(column: &ColumnData, template: &Value) -> Vec<Value> {
+/// Presents element `i` of a decoded [`ColumnData`] as a borrowed
+/// [`FieldRef`], using a template value to restore the original value
+/// variant (timestamp vs int, etc.) — how a column chunk's rows enter the
+/// same borrowed loop as row pages. Panics if `i` is out of bounds; readers
+/// check a chunk's column lengths once, when they decode it.
+#[inline]
+pub(crate) fn column_field<'a>(column: &'a ColumnData, template: &Value, i: usize) -> FieldRef<'a> {
     match column {
-        ColumnData::Floats(vs) => vs.iter().map(|v| Value::Float(*v)).collect(),
-        ColumnData::Strings(vs) => vs.iter().map(|v| Value::Str(v.clone())).collect(),
-        ColumnData::Ints(vs) => vs
-            .iter()
-            .map(|v| match template {
-                Value::Timestamp(_) => Value::Timestamp(*v),
-                Value::Bool(_) => Value::Bool(*v != 0),
-                Value::Float(_) => Value::Float(*v as f64),
-                _ => Value::Int(*v),
-            })
-            .collect(),
+        ColumnData::Floats(vs) => FieldRef::Float(vs[i]),
+        ColumnData::Strings(vs) => FieldRef::Str(&vs[i]),
+        ColumnData::Ints(vs) => match template {
+            Value::Timestamp(_) => FieldRef::Timestamp(vs[i]),
+            Value::Bool(_) => FieldRef::Bool(vs[i] != 0),
+            Value::Float(_) => FieldRef::Float(vs[i] as f64),
+            _ => FieldRef::Int(vs[i]),
+        },
     }
 }
 
@@ -667,21 +669,27 @@ mod tests {
         assert!(decode_record(&list).is_err());
     }
 
+    fn column_values(column: &ColumnData, template: &Value) -> Vec<Value> {
+        (0..column.len())
+            .map(|i| column_field(column, template, i).to_value().unwrap())
+            .collect()
+    }
+
     #[test]
     fn column_conversion_round_trips() {
         let floats = vec![Value::Float(1.5), Value::Float(-2.0)];
         let col = values_to_column(&floats);
         assert_eq!(col, ColumnData::Floats(vec![1.5, -2.0]));
-        assert_eq!(column_to_values(&col, &Value::Float(0.0)), floats);
+        assert_eq!(column_values(&col, &Value::Float(0.0)), floats);
 
         let ts = vec![Value::Timestamp(10), Value::Timestamp(20)];
         let col = values_to_column(&ts);
         assert_eq!(col, ColumnData::Ints(vec![10, 20]));
-        assert_eq!(column_to_values(&col, &Value::Timestamp(0)), ts);
+        assert_eq!(column_values(&col, &Value::Timestamp(0)), ts);
 
         let strs = vec![Value::Str("a".into()), Value::Str("b".into())];
         let col = values_to_column(&strs);
-        assert_eq!(column_to_values(&col, &Value::Str(String::new())), strs);
+        assert_eq!(column_values(&col, &Value::Str(String::new())), strs);
     }
 
     #[test]

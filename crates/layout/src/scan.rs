@@ -13,6 +13,12 @@
 //!   decoding only the fields a scan actually needs — projected-out fields
 //!   are skipped over byte-wise (the self-describing row encoding carries
 //!   lengths) and unneeded column blocks are never run through their codec;
+//! * one borrowed loop serves row pages and column chunks alike: a row is a
+//!   slice of [`FieldRef`]s — decoded out of a page frame, or read off the
+//!   typed vectors of a decoded chunk — the predicate runs on the refs, and
+//!   only survivors are folded or materialized (for column chunks the
+//!   predicate's columns are decoded first and the rest only if a row
+//!   survived);
 //! * [`PhysicalLayout::scan`] is now a thin `collect()` over the iterator,
 //!   and `rodentstore_exec::Cursor` wraps the iterator directly so
 //!   native-order scans never materialize the full result set.
@@ -20,15 +26,18 @@
 use crate::aggregate::{WindowAccumulator, WindowedAggregate};
 use crate::index::unpack_pos;
 use crate::plan::{
-    extract_ranges, split_folded, stitch_folded_row, ObjectEncoding, PhysicalLayout, StoredObject,
+    extract_ranges, split_folded, stitch_folded_row, ChunkReader, ObjectEncoding, PhysicalLayout,
+    StoredObject,
 };
 use crate::rowcodec::{
-    decode_fields_borrowed, decode_record, decode_record_projected, FieldRef, FixedRowPlan,
+    column_field, decode_fields_borrowed, decode_record, decode_record_projected, FieldRef,
+    FixedRowPlan,
 };
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{interleave_bits, CmpOp, Condition, ElemExpr};
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_algebra::AlgebraError;
+use rodentstore_compress::ColumnData;
 use rodentstore_storage::page::PageId;
 use rodentstore_storage::slotted::SlottedReader;
 use std::cmp::Ordering;
@@ -310,6 +319,14 @@ impl BorrowedPred {
         }
     }
 
+    /// The top-level conjuncts: a row matches iff it matches every one.
+    fn conjuncts(&self) -> &[BorrowedPred] {
+        match self {
+            BorrowedPred::And(items) => items,
+            other => std::slice::from_ref(other),
+        }
+    }
+
     fn matches(&self, row: &[FieldRef<'_>]) -> Result<bool> {
         match self {
             BorrowedPred::True => Ok(true),
@@ -349,6 +366,31 @@ impl BorrowedPred {
     }
 }
 
+/// One compact position over a range of chunk rows: the decoded column, the
+/// field's template, and the column index of the range's first row.
+type View<'r> = (&'r ColumnData, &'r Value, usize);
+
+/// Drops from `sel` (row offsets into the view) the rows of a typed column
+/// that fall outside `[lo, hi]` — when the column (by its `template`) and both
+/// bounds are of one numeric type, so the comparison is the one
+/// [`Value::compare`] would make (a NaN is "equal" to everything there and
+/// passes here too). Any other pairing leaves `sel` as it is.
+fn narrow_to_range((col, template, at): View<'_>, lo: &Value, hi: &Value, sel: &mut Vec<u32>) {
+    use Value::{Float, Int, Timestamp};
+    match (col, template, lo, hi) {
+        (ColumnData::Ints(v), Int(_), Int(lo), Int(hi))
+        | (ColumnData::Ints(v), Timestamp(_), Timestamp(lo), Timestamp(hi)) => {
+            sel.retain(|&i| (*lo..=*hi).contains(&v[at + i as usize]));
+        }
+        (ColumnData::Floats(v), _, Float(lo), Float(hi)) => sel.retain(|&i| {
+            let x = &v[at + i as usize];
+            x.partial_cmp(lo) != Some(Ordering::Less)
+                && x.partial_cmp(hi) != Some(Ordering::Greater)
+        }),
+        _ => {}
+    }
+}
+
 /// A windowed-aggregate fold running inside a cursor's borrowed decode loop:
 /// matching rows feed the accumulator as [`FieldRef`]s and are never
 /// materialized into the row buffer.
@@ -360,8 +402,36 @@ struct CursorFold {
     acc: WindowAccumulator,
 }
 
-/// Streams the decoded rows of one stored object, page by page (row and
-/// folded encodings) or block-chunk by block-chunk (column blocks).
+/// Materializes the projection `out` (indices into `refs`; all of them when
+/// `None`) of one borrowed row — the only place the borrowed loop allocates.
+#[inline]
+fn materialize(refs: &[FieldRef<'_>], out: Option<&[usize]>) -> Result<Record> {
+    match out {
+        Some(out) => {
+            let mut row = Vec::with_capacity(out.len());
+            for &i in out {
+                row.push(refs[i].to_value()?);
+            }
+            Ok(row)
+        }
+        None => {
+            let mut row = Vec::with_capacity(refs.len());
+            for r in refs {
+                row.push(r.to_value()?);
+            }
+            Ok(row)
+        }
+    }
+}
+
+/// Streams the decoded rows of one stored object — or, for a vertical
+/// partition, of the objects a scan needs, advancing together.
+///
+/// The hot loop is the same whatever the encoding: a row is presented as
+/// borrowed [`FieldRef`]s, the pushed-down predicate runs on the refs, and a
+/// survivor is folded or materialized. What differs is where the refs come
+/// from — the records of a row page ([`ObjectCursor::step_rows`]) or the
+/// typed columns of a decoded chunk ([`ObjectCursor::step_columns`]).
 ///
 /// Rows come out *compact*: only the object positions listed in
 /// [`ObjectCursor::compact`] are present (ascending object order), with no
@@ -373,18 +443,27 @@ struct ObjectCursor<'a> {
     pages: Vec<PageId>,
     next_page: usize,
     buf: VecDeque<Record>,
-    /// Ascending object positions present in each yielded row.
+    /// Ascending object positions present in each yielded row, and the
+    /// template value of each.
     compact: Vec<usize>,
     templates: Vec<Value>,
-    /// Raw column-block payloads awaiting a complete chunk.
-    pending_blocks: VecDeque<Vec<u8>>,
-    /// Borrowed-frame decode is active: the object is row-encoded and the
-    /// pager is not in forced-copy mode, so records are decoded as
-    /// [`FieldRef`]s straight out of the shared page frame.
+    /// Column-block encodings: one chunk reader per object of the group, and
+    /// the `(reader, field)` behind each compact position.
+    readers: Vec<ChunkReader<'a>>,
+    slots: Vec<(usize, usize)>,
+    /// Row position the readers have delivered up to, and the rows of the
+    /// current range that survived the predicate.
+    row: usize,
+    sel: Vec<u32>,
+    /// The borrowed loop is active: rows are decoded as [`FieldRef`]s straight
+    /// out of page frames (always for column blocks — under forced-copy reads
+    /// the frames are copies; for row pages unless reads are forced to copy).
     borrowed: bool,
-    /// Predicate pushed down into the borrowed decode loop (evaluated on
-    /// borrowed refs before anything is materialized).
+    /// Predicate pushed down into the borrowed loop (evaluated on borrowed
+    /// refs before anything is materialized), and the compact positions it
+    /// reads — the columns a chunk decodes first.
     borrowed_pred: Option<BorrowedPred>,
+    pred_cols: Vec<usize>,
     /// Projection pushed down into the borrowed loop: indices into the
     /// compact refs. When set, rows in `buf` are final output rows.
     out: Option<Vec<usize>>,
@@ -402,10 +481,15 @@ struct ObjectCursor<'a> {
 }
 
 impl<'a> ObjectCursor<'a> {
-    fn new(obj: &'a StoredObject, needed: &[bool], templates: Vec<Value>) -> Result<Self> {
-        let borrowed =
-            matches!(obj.encoding, ObjectEncoding::Rows) && !obj.heap.pager().force_copy();
-        let mut compact: Vec<usize> = match obj.encoding {
+    /// Opens a cursor over `objs` — one object, or the column-block objects
+    /// of a vertical partition — reading the positions marked in `needed`
+    /// (which, like `templates`, runs over the objects' fields concatenated).
+    fn new(objs: &[&'a StoredObject], needed: &[bool], templates: Vec<Value>) -> Result<Self> {
+        let obj = objs[0];
+        let columnar = matches!(obj.encoding, ObjectEncoding::ColumnBlocks { .. });
+        let borrowed = columnar
+            || (matches!(obj.encoding, ObjectEncoding::Rows) && !obj.heap.pager().force_copy());
+        let compact: Vec<usize> = match obj.encoding {
             // Folded groups are decoded whole anyway; keep every field.
             ObjectEncoding::Folded { .. } => (0..obj.fields.len()).collect(),
             _ => needed
@@ -415,29 +499,43 @@ impl<'a> ObjectCursor<'a> {
                 .map(|(i, _)| i)
                 .collect(),
         };
-        if matches!(obj.encoding, ObjectEncoding::ColumnBlocks { .. })
-            && compact.is_empty()
-            && !obj.fields.is_empty()
-        {
-            // Column chunks learn their row count from a decoded block, so at
-            // least one column must be decoded even for zero-width outputs.
-            compact.push(0);
+        let mut readers = Vec::new();
+        let mut slots = Vec::new();
+        if columnar {
+            let mut base = 0usize;
+            for (r, o) in objs.iter().enumerate() {
+                if !matches!(o.encoding, ObjectEncoding::ColumnBlocks { .. }) {
+                    return Err(LayoutError::Corrupted(format!(
+                        "object `{}` of a vertical partition is not column-encoded",
+                        o.name
+                    )));
+                }
+                let end = base + o.fields.len();
+                readers.push(ChunkReader::new(o, &needed[base..end])?);
+                let here = compact.iter().filter(|&&p| (base..end).contains(&p));
+                slots.extend(here.map(|&p| (r, p - base)));
+                base = end;
+            }
         }
-        let fast = if borrowed {
+        let fast = if borrowed && !columnar {
             FixedRowPlan::compile(&templates, &compact)
         } else {
             None
         };
         Ok(ObjectCursor {
-            pages: obj.heap.page_ids()?,
+            pages: if columnar { Vec::new() } else { obj.heap.page_ids()? },
             obj,
             next_page: 0,
             buf: VecDeque::new(),
+            templates: compact.iter().map(|&p| templates[p].clone()).collect(),
             compact,
-            templates,
-            pending_blocks: VecDeque::new(),
+            readers,
+            slots,
+            row: 0,
+            sel: Vec::new(),
             borrowed,
             borrowed_pred: None,
+            pred_cols: Vec::new(),
             out: None,
             finished: false,
             fold: None,
@@ -462,18 +560,23 @@ impl<'a> ObjectCursor<'a> {
         }
     }
 
-    /// Decodes the next page (or column-block chunk) into `buf`. Returns
+    /// Decodes the next page (or column-chunk range) into `buf`. Returns
     /// `false` when the object is exhausted.
     fn refill(&mut self) -> Result<bool> {
+        if self.borrowed {
+            let mut rows = std::mem::take(&mut self.scratch);
+            rows.clear();
+            let res = self.step_into(&mut rows);
+            self.buf.extend(rows.drain(..));
+            self.scratch = rows;
+            return res;
+        }
+        let Some(&page_id) = self.pages.get(self.next_page) else {
+            return Ok(false);
+        };
+        self.next_page += 1;
         match &self.obj.encoding {
             ObjectEncoding::Rows => {
-                let Some(&page_id) = self.pages.get(self.next_page) else {
-                    return Ok(false);
-                };
-                self.next_page += 1;
-                if self.borrowed {
-                    return self.refill_rows_borrowed(page_id);
-                }
                 // Forced-copy mode: the legacy eager path — copy the page out
                 // of the store and decode every record into owned values
                 // before filtering. Kept as the A/B baseline and as the
@@ -484,13 +587,8 @@ impl<'a> ObjectCursor<'a> {
                     self.buf
                         .push_back(decode_record_projected(reader.get(slot)?, &self.compact)?);
                 }
-                Ok(true)
             }
             ObjectEncoding::Folded { key_fields } => {
-                let Some(&page_id) = self.pages.get(self.next_page) else {
-                    return Ok(false);
-                };
-                self.next_page += 1;
                 let key_fields = *key_fields;
                 let frame = self.obj.heap.pager().read_frame(page_id)?;
                 let reader = SlottedReader::over(frame.data(), frame.id());
@@ -501,209 +599,205 @@ impl<'a> ObjectCursor<'a> {
                         self.buf.push_back(stitch_folded_row(key, inner)?);
                     }
                 }
-                Ok(true)
             }
-            ObjectEncoding::ColumnBlocks { .. } => self.refill_block_chunk(),
+            ObjectEncoding::ColumnBlocks { .. } => unreachable!("column blocks are borrowed"),
         }
-    }
-
-    /// The zero-copy hot loop: decodes each record of one shared page frame
-    /// into borrowed [`FieldRef`]s, evaluates the pushed-down predicate on
-    /// the refs, and only then pays for materialization — either building the
-    /// final projected row (strings/lists allocate only for survivors) or,
-    /// in fold mode, feeding the aggregate accumulator with no allocation at
-    /// all.
-    fn refill_rows_borrowed(&mut self, page_id: PageId) -> Result<bool> {
-        let mut rows = std::mem::take(&mut self.scratch);
-        rows.clear();
-        let res = self.refill_rows_borrowed_into(page_id, &mut rows);
-        self.buf.extend(rows.drain(..));
-        self.scratch = rows;
-        res.map(|()| true)
+        Ok(true)
     }
 
     /// Bulk-drains a finished (already filtered and projected) cursor: rows
     /// buffered by earlier `next_row` calls first, then every remaining page
-    /// decoded straight into `out` — the row buffer is bypassed entirely.
+    /// or chunk decoded straight into `out` — the row buffer is bypassed.
     fn drain_finished_into(&mut self, out: &mut Vec<Record>) -> Result<()> {
         debug_assert!(self.finished && self.borrowed);
         out.extend(self.buf.drain(..));
-        while let Some(&page_id) = self.pages.get(self.next_page) {
-            self.next_page += 1;
-            self.refill_rows_borrowed_into(page_id, out)?;
-        }
+        while self.step_into(out)? {}
         Ok(())
     }
 
-    /// The borrowed page decode, parameterized over the destination so the
-    /// bulk drain writes final rows with no intermediate buffer.
-    fn refill_rows_borrowed_into(&mut self, page_id: PageId, sink: &mut Vec<Record>) -> Result<()> {
+    /// One step of the borrowed loop — a row page or a column-chunk range —
+    /// with survivors written to `sink` (or folded). `false` once exhausted.
+    fn step_into(&mut self, sink: &mut Vec<Record>) -> Result<bool> {
+        if !self.readers.is_empty() {
+            return self.step_columns(sink);
+        }
+        let Some(&page_id) = self.pages.get(self.next_page) else {
+            return Ok(false);
+        };
+        self.next_page += 1;
+        self.step_rows(page_id, sink).map(|()| true)
+    }
+
+    /// The row-page source: decodes each record of one shared page frame
+    /// into borrowed [`FieldRef`]s — through the fixed-offset plan when the
+    /// record matches the compiled shape, the generic varint walk otherwise.
+    fn step_rows(&mut self, page_id: PageId, sink: &mut Vec<Record>) -> Result<()> {
         let frame = self.obj.heap.pager().read_frame(page_id)?;
         let reader = SlottedReader::over(frame.data(), frame.id());
-        let slots = reader.slot_count();
-        let compact = &self.compact;
         let plan = self.fast.as_ref();
-        let mut refs: Vec<FieldRef<'_>> = Vec::with_capacity(compact.len());
-        // One record decode, shared by every mode below: the fixed-offset
-        // plan when the record matches the compiled shape, the generic
-        // varint walk otherwise.
-        macro_rules! decode_slot {
-            ($slot:expr) => {{
-                let bytes = reader.get($slot)?;
-                let fast = match plan {
-                    Some(p) => p.decode_borrowed(bytes, &mut refs)?,
-                    None => false,
-                };
-                if !fast {
-                    decode_fields_borrowed(bytes, compact, &mut refs)?;
-                }
-            }};
-        }
-        // The mode (filter, fold, plain materialize) is fixed for the whole
-        // object, so dispatch once per page — the slot loops stay branch-free.
-        if self.borrowed_pred.is_some() || self.fold.is_some() {
-            for slot in 0..slots {
-                decode_slot!(slot);
-                if let Some(pred) = &self.borrowed_pred {
-                    if !pred.matches(&refs)? {
-                        continue;
-                    }
-                }
-                if let Some(fold) = &mut self.fold {
-                    fold.acc.fold_refs(&refs[fold.bucket], &refs[fold.value]);
-                    continue;
-                }
-                let row: Record = match &self.out {
-                    Some(out) => {
-                        let mut row = Vec::with_capacity(out.len());
-                        for &i in out {
-                            row.push(refs[i].to_value()?);
-                        }
-                        row
-                    }
-                    None => {
-                        let mut row = Vec::with_capacity(refs.len());
-                        for r in &refs {
-                            row.push(r.to_value()?);
-                        }
-                        row
-                    }
-                };
-                sink.push(row);
-            }
-            return Ok(());
-        }
+        let out = self.out.as_deref();
         // No predicate, no fold: every record materializes — the full-scan
         // hot path the frame-vs-copy A/B measures. With a plan, wanted
         // fields decode straight to owned values at their fixed offsets in
-        // output order (no borrowed intermediate at all); shape deviants and
-        // plan-less objects take the borrowed walk plus materialization.
-        sink.reserve(slots);
-        if let Some(plan) = plan {
-            let offsets: Vec<u32> = match &self.out {
-                Some(out) => out.iter().map(|&i| plan.offsets()[i]).collect(),
-                None => plan.offsets().to_vec(),
-            };
-            for slot in 0..slots {
-                let bytes = reader.get(slot)?;
-                if let Some(row) = plan.decode_owned(bytes, &offsets)? {
+        // output order, with no borrowed intermediate at all.
+        let straight: Option<Vec<u32>> = match plan {
+            Some(plan) if self.borrowed_pred.is_none() && self.fold.is_none() => {
+                sink.reserve(reader.slot_count());
+                Some(match out {
+                    Some(out) => out.iter().map(|&i| plan.offsets()[i]).collect(),
+                    None => plan.offsets().to_vec(),
+                })
+            }
+            _ => None,
+        };
+        let mut refs: Vec<FieldRef<'_>> = Vec::with_capacity(self.compact.len());
+        for slot in 0..reader.slot_count() {
+            let bytes = reader.get(slot)?;
+            if let (Some(plan), Some(offsets)) = (plan, &straight) {
+                if let Some(row) = plan.decode_owned(bytes, offsets)? {
                     sink.push(row);
                     continue;
                 }
-                decode_fields_borrowed(bytes, compact, &mut refs)?;
-                let row: Record = match &self.out {
-                    Some(out) => {
-                        let mut row = Vec::with_capacity(out.len());
-                        for &i in out {
-                            row.push(refs[i].to_value()?);
-                        }
-                        row
-                    }
-                    None => {
-                        let mut row = Vec::with_capacity(refs.len());
-                        for r in &refs {
-                            row.push(r.to_value()?);
-                        }
-                        row
-                    }
-                };
-                sink.push(row);
             }
-            return Ok(());
-        }
-        match &self.out {
-            Some(out) => {
-                for slot in 0..slots {
-                    decode_slot!(slot);
-                    let mut row: Record = Vec::with_capacity(out.len());
-                    for &i in out {
-                        row.push(refs[i].to_value()?);
-                    }
-                    sink.push(row);
+            let fast = match plan {
+                Some(p) => p.decode_borrowed(bytes, &mut refs)?,
+                None => false,
+            };
+            if !fast {
+                decode_fields_borrowed(bytes, &self.compact, &mut refs)?;
+            }
+            if let Some(pred) = &self.borrowed_pred {
+                if !pred.matches(&refs)? {
+                    continue;
                 }
             }
-            None => {
-                for slot in 0..slots {
-                    decode_slot!(slot);
-                    let mut row: Record = Vec::with_capacity(refs.len());
-                    for r in &refs {
-                        row.push(r.to_value()?);
-                    }
-                    sink.push(row);
-                }
+            // A survivor feeds the aggregate (no allocation at all) or
+            // materializes the projection (strings and lists allocate only
+            // now).
+            match &mut self.fold {
+                Some(fold) => fold.acc.fold_refs(&refs[fold.bucket], &refs[fold.value]),
+                None => sink.push(materialize(&refs, out)?),
             }
         }
         Ok(())
     }
 
-    fn refill_block_chunk(&mut self) -> Result<bool> {
-        let ncols = self.obj.fields.len();
-        if ncols == 0 {
+    /// The column-chunk source, with late materialization: the readers move
+    /// to the next range of rows every one of them holds decoded or
+    /// decodable (chunk boundaries may differ between the objects of a
+    /// partition), the predicate's columns are decoded and evaluated first,
+    /// and the remaining columns are decoded only if a row survived — so a
+    /// selective window pays for one column, not for the projection.
+    fn step_columns(&mut self, sink: &mut Vec<Record>) -> Result<bool> {
+        let mut live = 0usize;
+        for reader in &mut self.readers {
+            while reader.end() == self.row && reader.next_chunk()? {}
+            live += usize::from(reader.end() > self.row);
+        }
+        if live == 0 {
             return Ok(false);
         }
-        while self.pending_blocks.len() < ncols {
-            let Some(&page_id) = self.pages.get(self.next_page) else {
-                if self.pending_blocks.is_empty() {
-                    return Ok(false);
+        if live < self.readers.len() {
+            return Err(LayoutError::Corrupted(format!(
+                "objects of the partition around `{}` disagree on the row count: {live} of {} \
+                 continue past row {}",
+                self.obj.name,
+                self.readers.len(),
+                self.row
+            )));
+        }
+        let end = self.readers.iter().map(ChunkReader::end).min().unwrap_or(self.row);
+        let (row, n) = (self.row, end - self.row);
+        self.row = end;
+        let ObjectCursor {
+            readers,
+            slots,
+            sel,
+            templates,
+            borrowed_pred,
+            pred_cols,
+            out,
+            fold,
+            ..
+        } = self;
+        fn view<'r>(
+            readers: &'r [ChunkReader<'_>],
+            templates: &'r [Value],
+            (r, f): (usize, usize),
+            (c, row): (usize, usize),
+        ) -> View<'r> {
+            (readers[r].col(f), &templates[c], row - readers[r].start)
+        }
+        sel.clear();
+        sel.extend(0..n as u32);
+        if let Some(pred) = borrowed_pred {
+            for &c in pred_cols.iter() {
+                readers[slots[c].0].decode(slots[c].1)?;
+            }
+            let views: Vec<(usize, View<'_>)> = pred_cols
+                .iter()
+                .map(|&c| (c, view(readers, templates, slots[c], (c, row))))
+                .collect();
+            // Conjuncts that are a range over a numeric column of their
+            // bounds' own type thin the candidates on the typed vector; the
+            // predicate proper then runs on what is left, so the pre-pass
+            // only has to be conservative, never exact.
+            for conjunct in pred.conjuncts() {
+                if let BorrowedPred::Range { index, lo, hi } = conjunct {
+                    if let Some(&(_, view)) = views.iter().find(|(c, _)| c == index) {
+                        narrow_to_range(view, lo, hi, sel);
+                    }
                 }
-                return Err(LayoutError::Corrupted(format!(
-                    "object `{}` ends with {} trailing blocks for {} fields",
-                    self.obj.name,
-                    self.pending_blocks.len(),
-                    ncols
-                )));
-            };
-            self.next_page += 1;
-            let page = self.obj.heap.pager().read(page_id)?;
-            let reader = SlottedReader::new(&page);
-            for slot in 0..reader.slot_count() {
-                self.pending_blocks.push_back(reader.get(slot)?.to_vec());
             }
+            let mut refs = vec![FieldRef::Null; templates.len()];
+            let mut kept = 0usize;
+            for k in 0..sel.len() {
+                let i = sel[k];
+                for &(c, (col, template, at)) in &views {
+                    refs[c] = column_field(col, template, at + i as usize);
+                }
+                if pred.matches(&refs)? {
+                    sel[kept] = i;
+                    kept += 1;
+                }
+            }
+            sel.truncate(kept);
         }
-        // Decode only the needed columns of this chunk; skipped columns are
-        // never run through their codec and do not appear in the compact row.
-        let mut columns: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(self.compact.len());
-        let mut chunk_rows = 0usize;
-        let mut wanted = self.compact.iter().copied().peekable();
-        for f in 0..self.obj.fields.len() {
-            let block = self
-                .pending_blocks
-                .pop_front()
-                .expect("chunk completeness checked above");
-            if wanted.peek() == Some(&f) {
-                wanted.next();
-                let values = self.obj.decode_column_block(f, &block, &self.templates)?;
-                chunk_rows = chunk_rows.max(values.len());
-                columns.push(values.into_iter());
-            }
+        if sel.is_empty() {
+            return Ok(true);
         }
-        let width = columns.len();
-        for _ in 0..chunk_rows {
-            let mut row = Vec::with_capacity(width);
-            for col in columns.iter_mut() {
-                row.push(col.next().unwrap_or(Value::Null));
+        for &(r, f) in slots.iter() {
+            readers[r].decode(f)?;
+        }
+        let views = |c: usize| view(readers, templates, slots[c], (c, row));
+        match fold {
+            // Fold on columns: the accumulator is fed straight from the typed
+            // vectors, in storage order (float sums stay bit-identical to the
+            // row path); no row is assembled.
+            Some(fold) => {
+                let ((b, b_t, b_at), (v, v_t, v_at)) = (views(fold.bucket), views(fold.value));
+                for &i in sel.iter() {
+                    let i = i as usize;
+                    let bucket = column_field(b, b_t, b_at + i);
+                    fold.acc.fold_refs(&bucket, &column_field(v, v_t, v_at + i));
+                }
             }
-            self.buf.push_back(row);
+            // Survivors materialize straight from the columns, in output
+            // order — the `Record` is the only allocation.
+            None => {
+                let views: Vec<View<'_>> = match out {
+                    Some(out) => out.iter().map(|&c| views(c)).collect(),
+                    None => (0..templates.len()).map(views).collect(),
+                };
+                sink.reserve(sel.len());
+                for &i in sel.iter() {
+                    let mut record = Vec::with_capacity(views.len());
+                    for &(col, template, at) in &views {
+                        record.push(column_field(col, template, at + i as usize).to_value()?);
+                    }
+                    sink.push(record);
+                }
+            }
         }
         Ok(true)
     }
@@ -766,25 +860,24 @@ fn group_positions(positions: &[u64]) -> Vec<(usize, usize, Vec<usize>)> {
 /// A lazy scan over a [`PhysicalLayout`]: yields already-filtered,
 /// already-projected records in storage order, decoding pages on demand.
 ///
-/// Vertically partitioned layouts are the one materialization point: their
-/// objects must be stitched positionally, so the stitched result (pre-filtered
-/// per object, so the all-NULL stitch buffer covers only surviving rows) is
-/// buffered up front and then replayed.
+/// Every layout streams. A vertically partitioned layout is read by one
+/// cursor over the objects the scan needs, their column chunks advancing in
+/// lock-step by row position — nothing is stitched or buffered up front, and
+/// a scan that needs a single object reads it like any other.
 pub struct ScanIter<'a> {
     layout: &'a PhysicalLayout,
     selected: Vec<usize>,
+    /// The selected objects are the column groups of one vertical partition
+    /// (read together) rather than horizontal pieces (read one by one).
+    vertical: bool,
     out_fields: Vec<String>,
     predicate: Option<Condition>,
-    /// Streaming state (non-vertical layouts).
+    /// Streaming state: the cursor being drained and its ordinal.
     obj_cursor: usize,
     current: Option<ObjectState<'a>>,
     /// Index-assisted state (set when the declared index covers the
     /// predicate); replaces the streamed path entirely.
     indexed: Option<IndexedScan>,
-    /// Buffered rows (vertical layouts); consumed destructively and rebuilt
-    /// on [`ScanIter::rewind`].
-    buffered: Option<Vec<Record>>,
-    buffered_pos: usize,
     /// Levelled-tier state: once the base path is exhausted, the scan
     /// continues through the non-pruned runs (deepest level first) and then
     /// the memtable. Rows there are full-width, so the predicate and
@@ -832,17 +925,22 @@ impl<'a> ScanIter<'a> {
             .schema
             .indices_of(&out_fields)
             .map_err(LayoutError::Algebra)?;
-        let selected = layout.objects_to_read(fields, predicate);
+        let mut selected = layout.objects_to_read(fields, predicate);
+        let vertical = layout.is_vertically_partitioned();
+        if vertical && selected.is_empty() && !layout.objects.is_empty() {
+            // A zero-width projection still yields one (empty) row per tuple;
+            // any column group knows how many there are.
+            selected.push(0);
+        }
         let mut iter = ScanIter {
             layout,
             selected,
+            vertical,
             out_fields,
             predicate: predicate.cloned(),
             obj_cursor: 0,
             current: None,
             indexed: None,
-            buffered: None,
-            buffered_pos: 0,
             lsm_runs: Vec::new(),
             lsm_cursor: 0,
             lsm_buf: VecDeque::new(),
@@ -877,9 +975,7 @@ impl<'a> ScanIter<'a> {
                 .map(|p| CompiledPredicate::compile(p, &schema_fields, layout.schema.name()))
                 .transpose()?;
         }
-        if layout.is_vertically_partitioned() {
-            iter.buffered = Some(iter.build_vertical_buffer()?);
-        } else if let (Some(pred), Some(idx)) = (predicate, layout.index.as_ref()) {
+        if let (false, Some(pred), Some(idx)) = (vertical, predicate, layout.index.as_ref()) {
             let ranges = extract_ranges(pred);
             if idx.covers(&ranges) {
                 let positions = idx.probe(&ranges)?;
@@ -900,31 +996,10 @@ impl<'a> ScanIter<'a> {
         self.indexed.is_some()
     }
 
-    /// Whether the iterator decodes lazily. `false` when the layout forced
-    /// materialization up front (vertical partitions buffer their stitched
-    /// rows; everything else streams).
-    pub fn is_lazy(&self) -> bool {
-        self.buffered.is_none()
-    }
-
-    /// Total number of result rows, known only when the scan had to buffer
-    /// (`None` while streaming lazily).
-    pub fn buffered_len(&self) -> Option<usize> {
-        self.buffered.as_ref().map(Vec::len)
-    }
-
-    /// Buffered rows not yet yielded (`None` while streaming lazily).
-    pub fn buffered_remaining(&self) -> Option<usize> {
-        self.buffered
-            .as_ref()
-            .map(|b| b.len().saturating_sub(self.buffered_pos))
-    }
-
     /// Restarts the scan from the first record.
     pub fn rewind(&mut self) -> Result<()> {
         self.obj_cursor = 0;
         self.current = None;
-        self.buffered_pos = 0;
         self.lsm_cursor = 0;
         self.lsm_buf.clear();
         self.lsm_mem_pos = 0;
@@ -935,90 +1010,75 @@ impl<'a> ScanIter<'a> {
             indexed.buf.clear();
             indexed.state = None;
         }
-        if self.buffered.is_some() {
-            // Buffered rows are moved out as they are yielded; rebuild.
-            self.buffered = Some(self.build_vertical_buffer()?);
-        }
         Ok(())
     }
 
-    /// Stitches, filters, and projects a vertically partitioned layout.
-    fn build_vertical_buffer(&self) -> Result<Vec<Record>> {
-        let schema_fields = self.layout.schema.field_names();
-        let out_indices = self
-            .layout
-            .schema
-            .indices_of(&self.out_fields)
-            .map_err(LayoutError::Algebra)?;
-        let has_dup = has_duplicates(&out_indices);
-        let compiled = self
-            .predicate
-            .as_ref()
-            .map(|p| CompiledPredicate::compile(p, &schema_fields, self.layout.schema.name()))
-            .transpose()?;
-        let stitched = self
-            .layout
-            .scan_vertical(&self.selected, self.predicate.as_ref())?;
-        let mut out = Vec::with_capacity(stitched.len());
-        for mut row in stitched {
-            if let Some(pred) = &compiled {
-                if !pred.matches(&row)? {
-                    continue;
-                }
-            }
-            out.push(project_row(&mut row, &out_indices, has_dup));
+    /// The objects the `n`-th cursor of the streamed path reads: all the
+    /// selected column groups of a vertical partition at once, otherwise one
+    /// selected object per cursor.
+    fn group(&self, n: usize) -> Option<&[usize]> {
+        if self.vertical {
+            (n == 0 && !self.selected.is_empty()).then_some(&self.selected[..])
+        } else {
+            self.selected.get(n..n + 1)
         }
-        Ok(out)
     }
 
-    fn open_object(&self, obj_index: usize) -> Result<ObjectState<'a>> {
-        let obj = &self.layout.objects[obj_index];
+    fn open_group(&self, group: &[usize]) -> Result<ObjectState<'a>> {
+        let layout = self.layout;
+        let objs: Vec<&'a StoredObject> = group.iter().map(|&i| &layout.objects[i]).collect();
+        let name = &objs[0].name;
+        // A group reads as one object holding its members' fields in order.
+        let fields: Vec<String> = objs.iter().flat_map(|o| o.fields.iter().cloned()).collect();
         // Everything the scan touches — output fields plus predicate fields —
         // must be decoded; nothing else is.
-        let mut needed = vec![false; obj.fields.len()];
-        for f in &self.out_fields {
-            needed[resolve(f, &obj.fields, &obj.name)?] = true;
+        let pred_fields = self.predicate.as_ref().map(Condition::referenced_fields);
+        let mut needed = vec![false; fields.len()];
+        for f in self.out_fields.iter().chain(pred_fields.iter().flatten()) {
+            needed[resolve(f, &fields, name)?] = true;
         }
-        if let Some(pred) = &self.predicate {
-            for f in pred.referenced_fields() {
-                needed[resolve(&f, &obj.fields, &obj.name)?] = true;
-            }
-        }
-        let templates = self.layout.templates_for(&obj.fields);
-        let mut cursor = ObjectCursor::new(obj, &needed, templates)?;
+        let templates = layout.templates_for(&fields);
+        let mut cursor = ObjectCursor::new(&objs, &needed, templates)?;
         // The cursor yields compact rows; rebind names to compact positions.
         let compact_names: Vec<String> = cursor
             .compact
             .iter()
-            .map(|&p| obj.fields[p].clone())
+            .map(|&p| fields[p].clone())
             .collect();
         let out_positions: Vec<usize> = self
             .out_fields
             .iter()
-            .map(|f| resolve(f, &compact_names, &obj.name))
+            .map(|f| resolve(f, &compact_names, name))
             .collect::<Result<_>>()?;
         let predicate = self
             .predicate
             .as_ref()
-            .map(|p| CompiledPredicate::compile(p, &compact_names, &obj.name))
+            .map(|p| CompiledPredicate::compile(p, &compact_names, name))
             .transpose()?;
         let identity = out_positions.len() == compact_names.len()
             && out_positions.iter().enumerate().all(|(i, &p)| i == p);
         let has_dup = has_duplicates(&out_positions);
         if cursor.borrowed {
-            // Push the predicate and projection down into the borrowed decode
-            // loop when the predicate (if any) compiles to borrowed form, so
-            // rows that fail the filter never materialize a single value.
+            // Push the predicate and projection down into the borrowed loop
+            // when the predicate (if any) compiles to borrowed form, so rows
+            // that fail the filter never materialize a single value.
             let pushed = match &predicate {
                 None => Some(None),
                 Some(p) => BorrowedPred::compile(&p.node).map(Some),
             };
             if let Some(pred) = pushed {
+                if pred.is_some() {
+                    cursor.pred_cols = pred_fields
+                        .iter()
+                        .flatten()
+                        .map(|f| resolve(f, &compact_names, name))
+                        .collect::<Result<_>>()?;
+                }
                 cursor.borrowed_pred = pred;
                 cursor.finished = true;
                 if let Some(fs) = &self.fold_spec {
-                    // Aggregate pushdown: fold inside the page loop instead
-                    // of materializing projected rows.
+                    // Aggregate pushdown: fold inside the loop instead of
+                    // materializing projected rows.
                     cursor.fold = Some(CursorFold {
                         bucket: out_positions[fs.bucket_pos],
                         value: out_positions[fs.value_pos],
@@ -1038,7 +1098,7 @@ impl<'a> ScanIter<'a> {
         })
     }
 
-    /// Like [`ScanIter::open_object`] but for the page-addressed indexed
+    /// Like [`ScanIter::open_group`] but for the page-addressed indexed
     /// path: no cursor, just the decode/projection state plus the object's
     /// page list so ordinals from packed positions resolve to page ids.
     fn indexed_obj_state(&self, obj_index: usize) -> Result<IndexedObjState> {
@@ -1145,10 +1205,10 @@ impl<'a> ScanIter<'a> {
     fn next_streamed(&mut self) -> Result<Option<Record>> {
         loop {
             if self.current.is_none() {
-                let Some(&obj_index) = self.selected.get(self.obj_cursor) else {
+                let Some(group) = self.group(self.obj_cursor) else {
                     return Ok(None);
                 };
-                self.current = Some(self.open_object(obj_index)?);
+                self.current = Some(self.open_group(group)?);
             }
             let state = self.current.as_mut().expect("object state opened above");
             match state.cursor.next_row()? {
@@ -1185,12 +1245,12 @@ impl<'a> ScanIter<'a> {
 
     /// Collects every remaining row. Result-equivalent to
     /// `collect::<Result<Vec<_>>>()`, but cursors that already filtered and
-    /// projected their rows inside the page decode loop (the borrowed-frame
-    /// pushdown path) are emptied page-at-a-time instead of pumping the
-    /// row-at-a-time iterator protocol — the streaming machinery runs once
-    /// per page, not once per row.
+    /// projected their rows inside the borrowed loop (the pushdown path) are
+    /// emptied a page or chunk at a time instead of pumping the row-at-a-time
+    /// iterator protocol — the streaming machinery runs once per page, not
+    /// once per row.
     pub fn collect_rows(mut self) -> Result<Vec<Record>> {
-        if self.done || self.buffered.is_some() || self.indexed.is_some() {
+        if self.done || self.indexed.is_some() {
             return self.collect();
         }
         let mut out = Vec::new();
@@ -1201,19 +1261,19 @@ impl<'a> ScanIter<'a> {
         Ok(out)
     }
 
-    /// Drains the streamed (non-indexed, non-buffered) path into `out`.
-    /// Finished cursors — the borrowed-frame pushdown path, whose page loop
-    /// already filtered, projected, and materialized — decode every page
-    /// straight into `out`. Anything else (forced-copy cursors, predicates
-    /// that did not compile to borrowed form) streams through the same
-    /// row-at-a-time protocol the iterator uses.
+    /// Drains the streamed (non-indexed) path into `out`. Finished cursors —
+    /// the borrowed pushdown path, whose loop already filtered, projected,
+    /// and materialized — decode every page or chunk straight into `out`.
+    /// Anything else (forced-copy row cursors, predicates that did not
+    /// compile to borrowed form) streams through the same row-at-a-time
+    /// protocol the iterator uses.
     fn drain_streamed_into(&mut self, out: &mut Vec<Record>) -> Result<()> {
         loop {
             if self.current.is_none() {
-                let Some(&obj_index) = self.selected.get(self.obj_cursor) else {
+                let Some(group) = self.group(self.obj_cursor) else {
                     return Ok(());
                 };
-                self.current = Some(self.open_object(obj_index)?);
+                self.current = Some(self.open_group(group)?);
             }
             let state = self.current.as_mut().expect("object state opened above");
             if state.cursor.finished {
@@ -1240,11 +1300,12 @@ impl<'a> ScanIter<'a> {
 
     /// Exhausts the scan, folding every matching row into fixed-width
     /// buckets. The bucket and value fields must be part of the scan's
-    /// projection. On the borrowed-frame row path the fold runs inside the
-    /// page decode loop (`ObjectCursor::refill_rows_borrowed`) and no
-    /// output row is ever allocated; every other path (column blocks,
-    /// vertical stitches, index probes, levelled runs, memtables) folds the
-    /// rows it would have yielded. Terminal: the iterator is left exhausted.
+    /// projection. On the borrowed path — row pages and column chunks,
+    /// vertical partitions included — the fold runs inside the cursor's loop
+    /// (`ObjectCursor::step_into`) and no output row is ever allocated; every
+    /// other path (forced-copy row pages, predicates with no borrowed form,
+    /// index probes, levelled runs, memtables) folds the rows it would have
+    /// yielded. Terminal: the iterator is left exhausted.
     pub fn fold_windowed(&mut self, spec: &WindowedAggregate) -> Result<WindowAccumulator> {
         spec.validate()?;
         let position = |field: &str| {
@@ -1349,25 +1410,18 @@ impl Iterator for ScanIter<'_> {
         if self.done {
             return None;
         }
-        if let Some(buf) = &mut self.buffered {
-            if let Some(row) = buf.get_mut(self.buffered_pos) {
-                self.buffered_pos += 1;
-                return Some(Ok(std::mem::take(row)));
-            }
+        let stepped = if self.indexed.is_some() {
+            self.next_indexed()
         } else {
-            let stepped = if self.indexed.is_some() {
-                self.next_indexed()
-            } else {
-                self.next_streamed()
-            };
-            match stepped {
-                Ok(Some(row)) => return Some(Ok(row)),
-                Ok(None) => {}
-                Err(e) => {
-                    // An error ends the stream; further calls yield None.
-                    self.done = true;
-                    return Some(Err(e));
-                }
+            self.next_streamed()
+        };
+        match stepped {
+            Ok(Some(row)) => return Some(Ok(row)),
+            Ok(None) => {}
+            Err(e) => {
+                // An error ends the stream; further calls yield None.
+                self.done = true;
+                return Some(Err(e));
             }
         }
         // Base exhausted; the levelled tier (if any) continues the scan.
@@ -1600,6 +1654,135 @@ mod tests {
         assert_eq!(rows[0].sum, 45.0); // 0 + 1 + ... + 9
         assert_eq!(rows[3].min, 30.0);
         assert_eq!(rows[3].max, 39.0);
+    }
+
+    /// Replaces block `nth` (in heap order) of `obj` with `block`, which must
+    /// not be longer than the block it replaces.
+    fn overwrite_block(pager: &Pager, obj: &StoredObject, nth: usize, block: &[u8]) {
+        use rodentstore_storage::slotted::SlottedPage;
+        let mut seen = 0usize;
+        for page_id in obj.heap.page_ids().unwrap() {
+            let mut page = pager.read(page_id).unwrap();
+            let mut records: Vec<Vec<u8>> =
+                SlottedReader::new(&page).records().map(<[u8]>::to_vec).collect();
+            if nth < seen + records.len() {
+                records[nth - seen] = block.to_vec();
+                let mut slotted = SlottedPage::open(&mut page);
+                slotted.truncate_slots(0).unwrap();
+                for record in &records {
+                    slotted.insert(record).unwrap();
+                }
+                pager.write(&page).unwrap();
+                return;
+            }
+            seen += records.len();
+        }
+        panic!("object has only {seen} blocks");
+    }
+
+    #[test]
+    fn ragged_chunks_are_corruption_not_nulls() {
+        use rodentstore_compress::{ColumnCodec, ColumnData, PlainCodec};
+        let provider = MemTableProvider::single(schema(), records(100));
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let layout = render(
+            &LayoutExpr::table("T").pax_with(16),
+            &provider,
+            Arc::clone(&pager),
+            RenderOptions::default(),
+        )
+        .unwrap();
+        let obj = &layout.objects[0];
+        // Chunk 0 is blocks 0..3 (a, name, v): give `v` one row where the
+        // chunk holds sixteen.
+        let short = PlainCodec.encode(&ColumnData::Floats(vec![0.5])).unwrap();
+        overwrite_block(&pager, obj, 2, &short);
+        let ragged = |result: Result<Vec<Record>>| match result {
+            Err(LayoutError::Corrupted(msg)) => {
+                assert!(msg.contains(&obj.name) && msg.contains("chunk 0"), "{msg}");
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        };
+        ragged(layout.scan(None, None));
+        ragged(layout.scan(Some(&["v".to_string()]), Some(&Condition::range("a", 0i64, 5i64))));
+        ragged(layout.get_element(3, None).map(|row| vec![row]));
+        let spec = WindowedAggregate::new("a", 8.0, "v");
+        assert!(matches!(
+            layout.scan_aggregate(&spec, None),
+            Err(LayoutError::Corrupted(_))
+        ));
+        // Blocks nobody needs are not decoded, so the damage stays unseen...
+        let a_only = vec!["a".to_string()];
+        assert_eq!(layout.scan(Some(&a_only), None).unwrap().len(), 100);
+        // ...unless the short block is the one the row count is taken from:
+        // then the object comes up short of its catalog row count.
+        assert!(matches!(
+            layout.scan(Some(&["v".to_string()]), None),
+            Err(LayoutError::Corrupted(_))
+        ));
+    }
+
+    #[test]
+    fn vertical_objects_with_different_chunk_splits_advance_in_lock_step() {
+        // 300-byte names overflow a 512-byte page at any chunk size above
+        // one, so the `name` group splits down to single-row chunks while
+        // the `a, v` group keeps wide ones.
+        let rows: Vec<Record> = (0..40)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Str(format!("{i:0>300}")),
+                    Value::Float(i as f64 * 0.5),
+                ]
+            })
+            .collect();
+        let provider = MemTableProvider::single(schema(), rows.clone());
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let layout = render(
+            &LayoutExpr::table("T").vertical([vec!["a", "v"], vec!["name"]]),
+            &provider,
+            Arc::clone(&pager),
+            RenderOptions::default(),
+        )
+        .unwrap();
+        assert!(layout.objects[1].heap.record_count() > 2 * layout.objects[0].heap.record_count());
+        assert_eq!(layout.scan(None, None).unwrap(), rows);
+        // A predicate in one group, the projection in the other: only the
+        // chunks of `name` holding a survivor are decoded.
+        let before = pager.stats().snapshot();
+        let pred = Condition::range("a", 10i64, 12i64);
+        let got = layout.scan(Some(&["name".to_string()]), Some(&pred)).unwrap();
+        let want: Vec<Record> = rows[10..=12].iter().map(|r| vec![r[1].clone()]).collect();
+        assert_eq!(got, want);
+        let io = pager.stats().snapshot().since(&before);
+        assert_eq!(io.blocks_skipped, 40 - 3, "one single-row `name` chunk per filtered-out row");
+        assert_eq!(
+            io.pages_read as usize,
+            layout.objects.iter().map(StoredObject::page_count).sum::<usize>(),
+            "skipping a decode never skips a page"
+        );
+        for i in [0usize, 17, 39] {
+            assert_eq!(layout.get_element(i, None).unwrap(), rows[i]);
+        }
+    }
+
+    #[test]
+    fn fold_on_columns_matches_the_row_fold_bit_for_bit() {
+        let spec = WindowedAggregate::new("a", 16.0, "v");
+        let pred = Condition::range("a", 8i64, 99i64);
+        let rows = rendered(LayoutExpr::table("T"), 120);
+        for expr in [
+            LayoutExpr::table("T").pax_with(32),
+            LayoutExpr::table("T").vertical([vec!["a"], vec!["name", "v"]]),
+        ] {
+            let columns = rendered(expr, 120);
+            for pred in [None, Some(&pred)] {
+                let want = rows.scan_aggregate(&spec, pred).unwrap();
+                let got = columns.scan_aggregate(&spec, pred).unwrap();
+                assert_eq!(got.rows_folded(), want.rows_folded());
+                assert_eq!(got.finish(), want.finish());
+            }
+        }
     }
 
     #[test]

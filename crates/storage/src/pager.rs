@@ -595,6 +595,14 @@ impl Pager {
         });
     }
 
+    /// Records that a reader finished with one column chunk stored on this
+    /// pager's pages, having skipped the decode of `skipped` needed blocks —
+    /// attributed to the shared and per-operation statistics like a read.
+    pub fn record_chunk(&self, skipped: u64) {
+        self.stats.record_chunk(skipped);
+        stats::with_op_stats(|op| op.record_chunk(skipped));
+    }
+
     /// Writes a page back, recording the access in the I/O statistics.
     pub fn write(&self, page: &Page) -> Result<()> {
         self.write_raw(page.id, &page.data)

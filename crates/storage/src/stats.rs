@@ -30,6 +30,8 @@ pub struct IoStats {
     cache_misses: AtomicU64,
     frame_hits: AtomicU64,
     frame_copies: AtomicU64,
+    chunks: AtomicU64,
+    blocks_skipped: AtomicU64,
 }
 
 /// A point-in-time copy of the counters; two snapshots can be subtracted to
@@ -54,6 +56,11 @@ pub struct IoSnapshot {
     pub frame_hits: u64,
     /// Page accesses that copied the page bytes out of the store.
     pub frame_copies: u64,
+    /// Column chunks a reader walked past (decoded or not).
+    pub chunks: u64,
+    /// Needed column blocks of those chunks that were never decoded because
+    /// no row of the chunk survived the predicate.
+    pub blocks_skipped: u64,
 }
 
 impl IoSnapshot {
@@ -69,6 +76,8 @@ impl IoSnapshot {
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             frame_hits: self.frame_hits.saturating_sub(earlier.frame_hits),
             frame_copies: self.frame_copies.saturating_sub(earlier.frame_copies),
+            chunks: self.chunks.saturating_sub(earlier.chunks),
+            blocks_skipped: self.blocks_skipped.saturating_sub(earlier.blocks_skipped),
         }
     }
 
@@ -127,6 +136,13 @@ impl IoStats {
         }
     }
 
+    /// Records one column chunk a reader finished with, `skipped` of whose
+    /// needed blocks it never had to decode.
+    pub fn record_chunk(&self, skipped: u64) {
+        self.chunks.fetch_add(1, Ordering::Relaxed);
+        self.blocks_skipped.fetch_add(skipped, Ordering::Relaxed);
+    }
+
     /// Takes a snapshot of the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
@@ -139,6 +155,8 @@ impl IoStats {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             frame_hits: self.frame_hits.load(Ordering::Relaxed),
             frame_copies: self.frame_copies.load(Ordering::Relaxed),
+            chunks: self.chunks.load(Ordering::Relaxed),
+            blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
         }
     }
 
@@ -153,6 +171,8 @@ impl IoStats {
         self.cache_misses.store(0, Ordering::Relaxed);
         self.frame_hits.store(0, Ordering::Relaxed);
         self.frame_copies.store(0, Ordering::Relaxed);
+        self.chunks.store(0, Ordering::Relaxed);
+        self.blocks_skipped.store(0, Ordering::Relaxed);
     }
 
     /// Total pages read so far.

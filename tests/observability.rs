@@ -222,6 +222,56 @@ fn calibration_attribution_is_exact_under_concurrent_neighbours() {
     );
 }
 
+/// Late materialization is visible from the registry alone: a 1 % `ts`
+/// window over the telemetry column groups walks every chunk and reads
+/// exactly the pages the full projected scan reads, but decodes the `value`
+/// block of almost none of them; column-block pages are counted as frames
+/// like row pages.
+#[test]
+fn selective_windows_skip_value_blocks_but_not_pages() {
+    use rodentstore_workload::telemetry::{generate_telemetry, telemetry_schema, TelemetryConfig};
+    let rows = generate_telemetry(&TelemetryConfig::with_readings(40_000));
+    let max_ts = rows.last().unwrap()[0].as_i64().unwrap();
+    let db = Database::in_memory();
+    db.create_table(telemetry_schema()).unwrap();
+    db.insert("Telemetry", rows).unwrap();
+    db.apply_layout_text(
+        "Telemetry",
+        "delta[ts,seq](vertical[ts,value|sensor,status,seq](Telemetry))",
+    )
+    .unwrap();
+
+    let projected = ScanRequest::all().fields(["ts", "value"]);
+    let before = db.metrics();
+    assert_eq!(db.scan("Telemetry", &projected).unwrap().len(), 40_000);
+    let full = db.metrics();
+    let chunks = delta(&before, &full, "scan.chunks");
+    assert!(chunks > 20, "40 000 rows span many chunks, got {chunks}");
+    assert_eq!(delta(&before, &full, "scan.blocks_skipped"), 0);
+    let full_pages = delta(&before, &full, "scan.pages");
+    assert_eq!(
+        delta(&before, &full, "scan.frame_hits") + delta(&before, &full, "scan.frame_copies"),
+        full_pages,
+        "every column-block page is served as a frame"
+    );
+
+    let lo = max_ts / 2;
+    let window = projected
+        .clone()
+        .predicate(Condition::range("ts", lo, lo + max_ts / 100));
+    let hits = db.scan("Telemetry", &window).unwrap().len();
+    assert!(hits > 0 && hits < 800, "a 1 % window, got {hits} rows");
+    let after = db.metrics();
+    assert_eq!(delta(&full, &after, "scan.pages"), full_pages, "same pages, same order");
+    assert_eq!(delta(&full, &after, "scan.chunks"), chunks);
+    // One `value` block per chunk; only the chunks the window touches decode theirs.
+    let skipped = delta(&full, &after, "scan.blocks_skipped");
+    assert!(
+        skipped * 10 > chunks * 9 && skipped < chunks,
+        "{skipped} of {chunks} value blocks skipped"
+    );
+}
+
 /// `explain` mirrors the dispatch the scan actually performs.
 #[test]
 fn explain_reports_the_dispatched_access_path() {
@@ -244,11 +294,11 @@ fn explain_reports_the_dispatched_access_path() {
     assert!(explain.predicted_pages > 0);
     assert_eq!(explain.layout_expr.as_deref(), Some("Points"));
 
-    // Vertical partitions materialize their stitched rows.
+    // Vertical partitions stream too: their column groups advance together.
     db.apply_layout_text("Points", "vertical[x|y,tag](Points)")
         .unwrap();
     let explain = db.explain("Points", &all).unwrap();
-    assert_eq!(explain.access_path, AccessPath::Materialized);
+    assert_eq!(explain.access_path, AccessPath::Streaming);
 
     // A request referencing a field the layout projected away falls back
     // to the canonical rows.

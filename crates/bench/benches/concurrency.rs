@@ -1,6 +1,5 @@
-//! Concurrency bench: read scaling across threads, multi-producer group
-//! commit, and the sharded vs. whole-hog buffer pool, with asserted
-//! invariants so CI catches regressions (set `RODENTSTORE_BENCH_SMOKE=1`
+//! Concurrency bench: read scaling across threads, snapshot pin latency, and
+//! multi-producer group commit, with asserted invariants so CI catches regressions (set `RODENTSTORE_BENCH_SMOKE=1`
 //! for the tiny configuration). Emits `BENCH_concurrency.json` at the
 //! workspace root.
 //!
@@ -35,10 +34,6 @@
 //!      (leader/follower) — must beat ≥ 1.5× naive, which is only possible
 //!      if fsyncs are genuinely shared (measured ~3× at ~4 commits/fsync
 //!      on the 1-core reference box).
-//!
-//! 3. **Buffer pool** — concurrent random `get`s against a pre-warmed
-//!    whole-hog-locked [`BufferPool`] vs. the [`ShardedBufferPool`];
-//!    reported (the measured answer to "shard or lock whole-hog?").
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rodentstore::{
@@ -46,7 +41,7 @@ use rodentstore::{
     SyncPolicy, Value,
 };
 use rodentstore_optimizer::CostModel;
-use rodentstore_storage::{BufferPool, PageId, Pager, ShardedBufferPool, Wal};
+use rodentstore_storage::Wal;
 use rodentstore_workload::{generate_traces, traces_schema, CartelConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,7 +60,6 @@ struct Config {
     rows: usize,
     scans_per_thread: usize,
     commits_per_thread: usize,
-    pool_touches: usize,
     pin_samples: usize,
 }
 
@@ -75,7 +69,6 @@ fn config() -> Config {
         rows: if smoke { 2_000 } else { 20_000 },
         scans_per_thread: if smoke { 20 } else { 150 },
         commits_per_thread: if smoke { 50 } else { 400 },
-        pool_touches: if smoke { 20_000 } else { 200_000 },
         pin_samples: if smoke { 5_000 } else { 50_000 },
     }
 }
@@ -156,6 +149,7 @@ fn measure_read_throughput(db: &Arc<Database>, readers: usize, config: &Config) 
             let scans = config.scans_per_thread;
             std::thread::spawn(move || {
                 barrier.wait();
+                let start = Instant::now();
                 for i in 0..scans {
                     // Mix projected and predicated scans, like live traffic.
                     let rows = if (i + t) % 4 == 0 {
@@ -168,17 +162,18 @@ fn measure_read_throughput(db: &Arc<Database>, readers: usize, config: &Config) 
                     // `Traces` must be complete and untorn.
                     assert_eq!(rows.len(), expected_rows, "torn snapshot");
                 }
+                start.elapsed()
             })
         })
         .collect();
-    let start = {
-        barrier.wait();
-        Instant::now()
-    };
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = start.elapsed();
+    barrier.wait();
+    // Each reader times its own scans: a clock started here could start
+    // after a reader the barrier released first had already finished.
+    let elapsed = handles
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .max()
+        .unwrap_or_default();
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
     (readers * config.scans_per_thread) as f64 / elapsed.as_secs_f64()
@@ -247,31 +242,6 @@ fn measure_commit_throughput(policy: SyncPolicy, threads: usize, commits: usize,
     ((threads * commits) as f64 / elapsed.as_secs_f64(), syncs)
 }
 
-/// Concurrent random hits against a pre-warmed pool; returns gets/second
-/// (`thread::scope` joins at block end, so the whole block is timed).
-fn measure_pool(
-    get: impl Fn(PageId) -> PageId + Send + Sync,
-    pages: &[PageId],
-    threads: usize,
-    touches: usize,
-) -> f64 {
-    let start = Instant::now();
-    let get = &get;
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            scope.spawn(move || {
-                let mut x = 0x9E3779B97F4A7C15u64.wrapping_mul(t as u64 + 1);
-                for _ in 0..touches {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let id = pages[(x >> 33) as usize % pages.len()];
-                    assert_eq!(get(id), id);
-                }
-            });
-        }
-    });
-    (threads * touches) as f64 / start.elapsed().as_secs_f64()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     config: &Config,
@@ -282,8 +252,6 @@ fn write_json(
     naive: f64,
     group_mp: f64,
     durable_mp: (f64, u64),
-    pool_locked: f64,
-    pool_sharded: f64,
 ) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root
@@ -302,8 +270,7 @@ fn write_json(
          \"commit_rate_per_s\": {{\n    \"naive_fsync_1_thread\": {:.1},\n    \
          \"group_commit_64_8_threads\": {:.1},\n    \"group_durable_8_threads\": {:.1}\n  }},\n  \
          \"group_commit_multiplier\": {:.2},\n  \"group_durable_multiplier\": {:.2},\n  \
-         \"group_durable_commits_per_fsync\": {:.2},\n  \
-         \"bufferpool_gets_per_s\": {{\n    \"whole_hog_locked\": {:.0},\n    \"sharded_8\": {:.0}\n  }}\n}}\n",
+         \"group_durable_commits_per_fsync\": {:.2}\n}}\n",
         if smoke_mode() { "smoke" } else { "full" },
         cores(),
         config.rows,
@@ -323,8 +290,6 @@ fn write_json(
         group_mp / naive,
         durable_mp.0 / naive,
         total_durable_commits / (durable_mp.1.max(1) as f64),
-        pool_locked,
-        pool_sharded,
     );
     std::fs::write(&path, json).unwrap();
     println!("concurrency/json → {}", path.display());
@@ -449,36 +414,6 @@ fn bench_concurrency(c: &mut Criterion) {
         durable_mp / naive
     );
 
-    // --- 3. Buffer pool: whole-hog lock vs sharded --------------------------
-    let pager = Arc::new(Pager::in_memory_with_page_size(1024));
-    let pages: Vec<PageId> = (0..512)
-        .map(|_| pager.allocate_with(|_| Ok(())).unwrap())
-        .collect();
-    let locked = BufferPool::new(Arc::clone(&pager), 1024);
-    for &id in &pages {
-        locked.get(id).unwrap();
-    }
-    let pool_locked = measure_pool(
-        |id| locked.get(id).unwrap().id(),
-        &pages,
-        4,
-        config.pool_touches,
-    );
-    let sharded = ShardedBufferPool::new(Arc::clone(&pager), 1024, 8);
-    for &id in &pages {
-        sharded.get(id).unwrap();
-    }
-    let pool_sharded = measure_pool(
-        |id| sharded.get(id).unwrap().id(),
-        &pages,
-        4,
-        config.pool_touches,
-    );
-    println!(
-        "concurrency/bufferpool: whole-hog {pool_locked:.0} gets/s, sharded×8 {pool_sharded:.0} gets/s ({:.2}×)",
-        pool_sharded / pool_locked
-    );
-
     write_json(
         &config,
         read_1,
@@ -488,8 +423,6 @@ fn bench_concurrency(c: &mut Criterion) {
         naive,
         group_mp,
         (durable_mp, durable_syncs),
-        pool_locked,
-        pool_sharded,
     );
 
     // Criterion measurements: snapshot pin acquisition alone, and one

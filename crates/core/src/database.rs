@@ -1348,21 +1348,6 @@ impl Database {
         &self.pager
     }
 
-    /// Forces every page read back onto the legacy copy-out path: scans
-    /// copy page bytes out of the store and eagerly decode whole records,
-    /// instead of borrowing shared frames. Reads return identical bytes
-    /// either way — this exists as the A/B baseline for the zero-copy read
-    /// path (`scan_hot_path` bench) and as a correctness oracle in property
-    /// tests.
-    pub fn set_copy_reads(&self, on: bool) {
-        self.pager.set_force_copy(on);
-    }
-
-    /// Whether forced-copy reads are on (see [`Database::set_copy_reads`]).
-    pub fn copy_reads(&self) -> bool {
-        self.pager.force_copy()
-    }
-
     /// Snapshot of the I/O statistics.
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.pager.stats().snapshot()
@@ -2304,8 +2289,6 @@ impl Database {
         snap.set_counter("io.seeks", io.seeks);
         snap.set_counter("io.bytes_read", io.bytes_read);
         snap.set_counter("io.bytes_written", io.bytes_written);
-        snap.set_counter("io.cache_hits", io.cache_hits);
-        snap.set_counter("io.cache_misses", io.cache_misses);
         snap.set_counter("io.frame_hits", io.frame_hits);
         snap.set_counter("io.frame_copies", io.frame_copies);
         for (name, slot, _) in self.catalog().entries().iter() {

@@ -35,7 +35,8 @@ pub struct Instruments {
     /// row pages and column-block pages alike.
     pub scan_frame_hits: Arc<Counter>,
     /// `scan.frame_copies` — pages scans had to copy out of the store
-    /// (forced-copy mode, or a file store without an mmap window).
+    /// because it could not share them (a file store without an mmap
+    /// window).
     pub scan_frame_copies: Arc<Counter>,
     /// `scan.chunks` — column chunks scans walked (decoded or not).
     pub scan_chunks: Arc<Counter>,

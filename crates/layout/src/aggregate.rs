@@ -168,19 +168,6 @@ impl WindowAccumulator {
         }
     }
 
-    /// Merges another accumulator (built from the same spec) into this one.
-    /// Used to combine per-object partial folds from the in-cursor fast path.
-    pub fn absorb(&mut self, other: WindowAccumulator) {
-        self.rows_folded += other.rows_folded;
-        for (key, slot) in other.index {
-            let o = other.accs[slot];
-            let (slot, fresh) = self.slot(key, o);
-            if !fresh {
-                self.accs[slot].merge(o);
-            }
-        }
-    }
-
     /// Rows that contributed to a bucket so far.
     pub fn rows_folded(&self) -> u64 {
         self.rows_folded

@@ -14,7 +14,7 @@
 //! listed as outliers that every probe includes unconditionally.
 
 use crate::plan::{ObjectEncoding, PhysicalLayout};
-use crate::rowcodec::decode_record_subset;
+use crate::rowcodec::decode_fields_borrowed;
 use crate::{LayoutError, Result};
 use rodentstore_algebra::types::DataType;
 use rodentstore_algebra::value::{Record, Value};
@@ -401,29 +401,29 @@ pub(crate) fn build_index(layout: &PhysicalLayout, fields: &[String]) -> Result<
         .schema
         .indices_of(fields)
         .map_err(LayoutError::Algebra)?;
-    let mut needed = vec![false; layout.schema.arity()];
-    for &p in &field_positions {
-        needed[p] = true;
-    }
+    // Borrowed refs up to the last indexed field, so a field's ref sits at
+    // its schema position (skipping a field costs about what borrowing it
+    // does).
+    let prefix: Vec<usize> = (0..=field_positions.iter().max().copied().unwrap_or(0)).collect();
 
-    // Walk every object's records in storage order, collecting the indexed
-    // values alongside their packed positions.
-    let mut keyed: Vec<(Vec<Option<Value>>, u64)> = Vec::with_capacity(layout.row_count);
+    // Walk every object's records in storage order, decoding the indexed
+    // values straight out of the page frames alongside their packed
+    // positions.
+    let mut keyed: Vec<(Vec<Value>, u64)> = Vec::with_capacity(layout.row_count);
     let mut outliers = Vec::new();
     for (obj_idx, obj) in layout.objects.iter().enumerate() {
-        let mut raw: Vec<(RecordId, Vec<u8>)> = Vec::new();
         obj.heap.scan(|rid, payload| {
-            raw.push((rid, payload.to_vec()));
-            Ok(())
+            let mut refs = Vec::with_capacity(prefix.len());
+            decode_fields_borrowed(payload, &prefix, &mut refs)?;
+            // Sized exactly: one of these stays resident per row until the
+            // tree is loaded.
+            let mut values = Vec::with_capacity(field_positions.len());
+            for &p in &field_positions {
+                values.push(refs[p].to_value()?);
+            }
+            keyed.push((values, pack_pos(obj_idx, rid.page_index, rid.slot)?));
+            Ok::<_, LayoutError>(())
         })?;
-        for (rid, bytes) in raw {
-            let pos = pack_pos(obj_idx, rid.page_index, rid.slot)?;
-            let row = decode_record_subset(&bytes, &needed)?;
-            keyed.push((
-                field_positions.iter().map(|&p| Some(row[p].clone())).collect(),
-                pos,
-            ));
-        }
     }
 
     let pager = Arc::clone(layout.pager());
@@ -431,7 +431,7 @@ pub(crate) fn build_index(layout: &PhysicalLayout, fields: &[String]) -> Result<
         1 => {
             let mut entries: Vec<(i64, u64)> = Vec::with_capacity(keyed.len());
             for (values, pos) in &keyed {
-                match values[0].as_ref().and_then(|v| key_of(v, key_kinds[0])) {
+                match key_of(&values[0], key_kinds[0]) {
                     Some(key) => entries.push((key, *pos)),
                     None => outliers.push(*pos),
                 }
@@ -442,9 +442,7 @@ pub(crate) fn build_index(layout: &PhysicalLayout, fields: &[String]) -> Result<
         2 => {
             let mut items: Vec<(Rect, u64)> = Vec::with_capacity(keyed.len());
             for (values, pos) in &keyed {
-                let x = values[0].as_ref().and_then(coord_of);
-                let y = values[1].as_ref().and_then(coord_of);
-                match (x, y) {
+                match (coord_of(&values[0]), coord_of(&values[1])) {
                     (Some(x), Some(y)) => items.push((Rect::point(x, y), *pos)),
                     _ => outliers.push(*pos),
                 }

@@ -24,8 +24,9 @@
 //! event ring.
 
 use crate::pipeline::sort_records;
+use crate::plan::read_heap_row;
 use crate::rowcodec::{decode_record, encode_record};
-use crate::Result;
+use crate::{LayoutError, Result};
 use rodentstore_algebra::expr::SortKey;
 use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::value::{Record, Value};
@@ -207,7 +208,8 @@ impl std::fmt::Debug for Memtable {
 
 /// One immutable sorted run of the levelled tier.
 pub struct LsmRun {
-    /// Sealed heap file holding the run's rows (row-encoded, full width).
+    /// Sealed heap file holding the run's rows (row-encoded, full width):
+    /// scans read it with the same cursor as any row-encoded object.
     pub heap: HeapFile,
     /// Level the run lives on (0 = freshest spills).
     pub level: u32,
@@ -252,16 +254,6 @@ impl LsmRun {
             }
         }
         true
-    }
-
-    /// Decodes every row of the run, in key order.
-    pub fn read_rows(&self) -> Result<Vec<Record>> {
-        let mut rows = Vec::with_capacity(self.row_count);
-        self.heap.scan(|_, payload| {
-            rows.push(payload.to_vec());
-            Ok(())
-        })?;
-        rows.into_iter().map(|bytes| decode_record(&bytes)).collect()
     }
 }
 
@@ -362,12 +354,12 @@ impl LsmState {
 
     /// The row at `idx` in the tier's scan order: runs deepest level first
     /// (oldest first within a level), each in key order, then the memtable
-    /// in key order. Decodes only the containing run.
-    pub fn row_at(&self, mut idx: usize) -> Result<Option<Record>> {
+    /// in key order — decoding, from a run, only the positions marked in
+    /// `needed` of the one record (a memtable row is cloned whole).
+    pub fn row_at(&self, mut idx: usize, needed: &[bool]) -> Result<Option<Record>> {
         for run in &self.runs {
             if idx < run.row_count {
-                let rows = run.read_rows()?;
-                return Ok(rows.into_iter().nth(idx));
+                return read_heap_row(&run.heap, idx, needed).map(Some);
             }
             idx -= run.row_count;
         }
@@ -595,7 +587,10 @@ impl LsmState {
         merged.sort_by_key(|r| r.seq);
         let mut rows = Vec::with_capacity(merged.iter().map(|r| r.row_count).sum());
         for run in &merged {
-            rows.extend(run.read_rows()?);
+            run.heap.scan(|_, payload| {
+                rows.push(decode_record(payload)?);
+                Ok::<_, LayoutError>(())
+            })?;
         }
         let pages_freed: u64 = merged.iter().map(|r| r.heap.extent().len() as u64).sum();
         let runs_merged = merged.len() as u64;
@@ -684,8 +679,11 @@ mod tests {
         assert!(lsm.runs.iter().any(|r| r.level >= 1), "{:?}", lsm.runs);
         // Every run is internally key-sorted.
         for run in &lsm.runs {
-            let rows = run.read_rows().unwrap();
-            let ids: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            let rows = run.heap.read_all().unwrap();
+            let ids: Vec<i64> = rows
+                .iter()
+                .map(|bytes| decode_record(bytes).unwrap()[0].as_i64().unwrap())
+                .collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             assert_eq!(ids, sorted);
@@ -822,5 +820,94 @@ mod tests {
         assert_eq!(absorbs, 32, "one absorb record per call");
         assert_eq!(spills, 8, "32 rows at cap 4");
         assert!(merges >= 4, "fanout 2 forces regular merges, saw {merges}");
+    }
+
+    fn decoded(run: &LsmRun) -> Vec<Record> {
+        let rows: Vec<Record> = run
+            .heap
+            .read_all()
+            .unwrap()
+            .iter()
+            .map(|bytes| decode_record(bytes).unwrap())
+            .collect();
+        assert_eq!(rows.len(), run.row_count);
+        rows
+    }
+
+    #[test]
+    fn row_at_follows_scan_order_and_decodes_only_needed_fields() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let mut lsm = LsmState::with_params(vec!["id".into()], 8, 2);
+        let schema = schema();
+        for batch in 0..9i64 {
+            let rows = (0..5).map(|i| row((batch * 7 + i * 13) % 50)).collect();
+            lsm.absorb(&pager, "t", &schema, rows).unwrap();
+        }
+        assert!(lsm.runs.len() >= 2 && !lsm.memtable.is_empty(), "{lsm:?}");
+        let in_runs: Vec<Record> = lsm.runs.iter().flat_map(decoded).collect();
+        let want: Vec<Record> = in_runs.iter().chain(lsm.memtable.iter()).cloned().collect();
+        assert_eq!(want.len(), lsm.rows());
+        for (i, expected) in want.iter().enumerate() {
+            assert_eq!(lsm.row_at(i, &[true, true]).unwrap().as_ref(), Some(expected));
+        }
+        // A run row decodes only the needed positions; a memtable row is
+        // cloned whole.
+        for (i, expected) in in_runs.iter().enumerate() {
+            assert_eq!(
+                lsm.row_at(i, &[false, true]).unwrap(),
+                Some(vec![Value::Null, expected[1].clone()])
+            );
+        }
+        assert_eq!(lsm.row_at(want.len(), &[true, true]).unwrap(), None);
+    }
+
+    #[test]
+    fn row_at_reads_pages_of_the_containing_run_only() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let mut lsm = LsmState::with_params(vec!["id".into()], 64, 8);
+        let schema = schema();
+        for batch in 0..4i64 {
+            let rows = (0..64).map(|i| row(batch * 64 + i)).collect();
+            lsm.absorb(&pager, "t", &schema, rows).unwrap();
+        }
+        assert_eq!(lsm.runs.len(), 4, "fanout 8 leaves four level-0 runs");
+        let mut start = 0usize;
+        for run in &lsm.runs {
+            assert!(run.heap.page_count() > 1);
+            let last = start + run.row_count - 1;
+            for (idx, pages) in [(start, 1), (last, run.heap.page_count())] {
+                let before = pager.stats().snapshot();
+                let got = lsm.row_at(idx, &[true, false]).unwrap().unwrap();
+                let io = pager.stats().snapshot().since(&before);
+                assert_eq!(got, vec![Value::Int(idx as i64), Value::Null]);
+                assert_eq!(io.pages_read as usize, pages, "row {idx}");
+            }
+            start += run.row_count;
+        }
+    }
+
+    #[test]
+    fn merges_keep_arrival_order_among_equal_keys() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 2);
+        let schema = schema();
+        // Three keys arriving over and over; `x` records the arrival order.
+        for i in 0..48i64 {
+            let row = vec![Value::Int(i % 3), Value::Float(i as f64)];
+            lsm.absorb(&pager, "t", &schema, vec![row]).unwrap();
+        }
+        lsm.compact(&pager, "t", &schema).unwrap();
+        assert!(lsm.runs.iter().any(|r| r.level >= 2), "{:?}", lsm.runs);
+        let mut total = 0;
+        for run in &lsm.runs {
+            let rows = decoded(run);
+            total += rows.len();
+            for pair in rows.windows(2) {
+                let key = |r: &Record| (r[0].as_i64().unwrap(), r[1].as_f64().unwrap());
+                let ((ka, xa), (kb, xb)) = (key(&pair[0]), key(&pair[1]));
+                assert!(ka < kb || (ka == kb && xa < xb), "{pair:?}");
+            }
+        }
+        assert_eq!(total, 48);
     }
 }

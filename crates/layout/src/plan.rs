@@ -9,7 +9,7 @@
 //! processor.
 
 use crate::rowcodec::{
-    column_field, decode_record, decode_record_subset, encode_record, values_to_column,
+    column_field, decode_fields_borrowed, decode_record, encode_record, values_to_column,
 };
 use crate::index::StoredIndex;
 use crate::lsm::LsmState;
@@ -161,30 +161,13 @@ impl StoredObject {
             )));
         }
         match &self.encoding {
-            ObjectEncoding::Rows => {
-                let mut remaining = index;
-                for page_id in self.heap.page_ids()? {
-                    let frame = self.heap.pager().read_frame(page_id)?;
-                    let reader =
-                        rodentstore_storage::slotted::SlottedReader::over(frame.data(), frame.id());
-                    let slots = reader.slot_count();
-                    if remaining < slots {
-                        return decode_record_subset(reader.get(remaining)?, needed);
-                    }
-                    remaining -= slots;
-                }
-                Err(LayoutError::Corrupted(format!(
-                    "row {index} beyond the stored pages of `{}`",
-                    self.name
-                )))
-            }
+            ObjectEncoding::Rows => read_heap_row(&self.heap, index, needed),
             ObjectEncoding::Folded { key_fields } => {
                 let key_fields = *key_fields;
                 let mut remaining = index;
                 for page_id in self.heap.page_ids()? {
                     let frame = self.heap.pager().read_frame(page_id)?;
-                    let reader =
-                        rodentstore_storage::slotted::SlottedReader::over(frame.data(), frame.id());
+                    let reader = SlottedReader::over(frame.data(), frame.id());
                     for slot in 0..reader.slot_count() {
                         let folded = decode_record(reader.get(slot)?)?;
                         let (key, nested) = split_folded(&folded, key_fields, &self.name)?;
@@ -293,6 +276,34 @@ impl StoredObject {
         }
         Ok(())
     }
+}
+
+/// Reads record `index` (in file order) of a row-encoded heap — a stored
+/// object or an lsm run — decoding only the positions marked in `needed`;
+/// every other position of the returned row is [`Value::Null`]. Earlier pages
+/// are fetched to count their slots, but none of their records is decoded.
+pub(crate) fn read_heap_row(heap: &HeapFile, index: usize, needed: &[bool]) -> Result<Record> {
+    let positions: Vec<usize> = (0..needed.len()).filter(|&p| needed[p]).collect();
+    let mut remaining = index;
+    for page_id in heap.page_ids()? {
+        let frame = heap.pager().read_frame(page_id)?;
+        let reader = SlottedReader::over(frame.data(), frame.id());
+        let slots = reader.slot_count();
+        if remaining < slots {
+            let mut refs = Vec::with_capacity(positions.len());
+            decode_fields_borrowed(reader.get(remaining)?, &positions, &mut refs)?;
+            let mut row = vec![Value::Null; needed.len()];
+            for (&p, field) in positions.iter().zip(&refs) {
+                row[p] = field.to_value()?;
+            }
+            return Ok(row);
+        }
+        remaining -= slots;
+    }
+    Err(LayoutError::Corrupted(format!(
+        "row {index} beyond the stored pages of `{}`",
+        heap.name()
+    )))
 }
 
 /// Streams the chunks of one column-block object — the one decoder every
@@ -830,17 +841,27 @@ impl PhysicalLayout {
             None => self.schema.field_names(),
         };
         let out_indices = self.schema.indices_of(&out_fields).map_err(LayoutError::Algebra)?;
+        // Objects of horizontal layouts and lsm runs hold full tuples in the
+        // layout schema's field order.
+        let needed: Vec<bool> = self
+            .schema
+            .field_names()
+            .iter()
+            .map(|f| out_fields.iter().any(|o| o == f))
+            .collect();
 
         // Positions past the stored base fall into the levelled tier, which
         // serves them in its scan order (runs, then memtable).
         if position >= self.base_row_count() {
             if let Some(lsm) = &self.lsm {
-                let row = lsm.row_at(position - self.base_row_count())?.ok_or_else(|| {
-                    LayoutError::Corrupted(format!(
-                        "lsm tier of `{}` does not cover element {position}",
-                        self.name
-                    ))
-                })?;
+                let row = lsm
+                    .row_at(position - self.base_row_count(), &needed)?
+                    .ok_or_else(|| {
+                        LayoutError::Corrupted(format!(
+                            "lsm tier of `{}` does not cover element {position}",
+                            self.name
+                        ))
+                    })?;
                 return Ok(out_indices.iter().map(|&i| row[i].clone()).collect());
             }
         }
@@ -878,14 +899,7 @@ impl PhysicalLayout {
             return Ok(out_indices.iter().map(|&i| full[i].clone()).collect());
         }
 
-        // Locate the object containing the position; objects hold full
-        // tuples in the layout schema's field order.
-        let needed: Vec<bool> = self
-            .schema
-            .field_names()
-            .iter()
-            .map(|f| out_fields.iter().any(|o| o == f))
-            .collect();
+        // Locate the object containing the position.
         let mut remaining = position;
         for obj in &self.objects {
             if remaining < obj.row_count {
@@ -1015,5 +1029,59 @@ mod tests {
             template_value(&DataType::named("x", DataType::Bool)),
             Value::Bool(false)
         );
+    }
+
+    /// A sealed row-encoded heap of `n` rows `[i, "r<i>", i / 4]` on
+    /// 256-byte pages.
+    fn row_heap(n: usize) -> (Arc<Pager>, HeapFile, Vec<Record>) {
+        let pager = Arc::new(Pager::in_memory_with_page_size(256));
+        let heap = HeapFile::create("rows", Arc::clone(&pager));
+        let rows: Vec<Record> = (0..n)
+            .map(|i| {
+                vec![
+                    Value::Int(i as i64),
+                    Value::Str(format!("r{i}")),
+                    Value::Float(i as f64 / 4.0),
+                ]
+            })
+            .collect();
+        for row in &rows {
+            heap.append(&encode_record(row)).unwrap();
+        }
+        heap.flush().unwrap();
+        (pager, heap, rows)
+    }
+
+    #[test]
+    fn heap_row_decodes_only_needed_positions_and_stops_at_its_page() {
+        let (pager, heap, rows) = row_heap(120);
+        assert!(heap.page_count() > 4, "rows must spill over several pages");
+        let mut page_of = Vec::with_capacity(rows.len());
+        heap.scan(|rid, _| {
+            page_of.push(rid.page_index);
+            Ok::<_, LayoutError>(())
+        })
+        .unwrap();
+        for i in [0usize, 1, 57, 119] {
+            assert_eq!(read_heap_row(&heap, i, &[true; 3]).unwrap(), rows[i]);
+            let before = pager.stats().snapshot();
+            let got = read_heap_row(&heap, i, &[false, true, false]).unwrap();
+            let io = pager.stats().snapshot().since(&before);
+            assert_eq!(got, vec![Value::Null, rows[i][1].clone(), Value::Null]);
+            assert_eq!(
+                io.pages_read as usize,
+                page_of[i] + 1,
+                "row {i} reads the pages up to its own, none after"
+            );
+        }
+    }
+
+    #[test]
+    fn heap_row_past_the_last_record_is_corruption() {
+        let (_pager, heap, rows) = row_heap(30);
+        match read_heap_row(&heap, rows.len(), &[true; 3]) {
+            Err(LayoutError::Corrupted(msg)) => assert!(msg.contains("`rows`"), "{msg}"),
+            other => panic!("expected corruption, got {other:?}"),
+        }
     }
 }

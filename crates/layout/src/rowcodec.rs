@@ -5,7 +5,9 @@
 //! module provides both encodings:
 //!
 //! * [`encode_record`] / [`decode_record`] — self-describing row encoding
-//!   (per-value type tags, varint lengths);
+//!   (per-value type tags, varint lengths), decoded whole into owned values;
+//! * [`decode_fields_borrowed`] / [`FixedRowPlan`] — the read path's decoder:
+//!   only the wanted fields, as [`FieldRef`]s borrowed from the page bytes;
 //! * [`values_to_column`] / `column_field` — conversion between algebra
 //!   [`Value`]s and the typed [`ColumnData`] the compression codecs operate
 //!   on; reads borrow each element back as a [`FieldRef`].
@@ -214,52 +216,6 @@ fn skip_value(input: &[u8], pos: &mut usize) -> Result<()> {
     }
 }
 
-/// Decode-on-demand variant of [`decode_record`]: positions where `needed`
-/// is `true` are decoded, every other position is skipped over (it becomes
-/// [`Value::Null`] in the returned record). Positions past the end of
-/// `needed` are treated as not needed. The returned record always has the
-/// stored record's full arity, so field positions remain valid.
-pub fn decode_record_subset(bytes: &[u8], needed: &[bool]) -> Result<Record> {
-    let mut pos = 0usize;
-    let len = read_varint(bytes, &mut pos)? as usize;
-    let mut record = Vec::with_capacity(len);
-    for i in 0..len {
-        if needed.get(i).copied().unwrap_or(false) {
-            record.push(decode_value(bytes, &mut pos)?);
-        } else {
-            skip_value(bytes, &mut pos)?;
-            record.push(Value::Null);
-        }
-    }
-    Ok(record)
-}
-
-/// The hot-path projection decoder: decodes exactly the values at
-/// `positions` (which must be strictly ascending), returning them in that
-/// order with no padding. Values before an unwanted position are skipped
-/// byte-wise, and decoding stops as soon as the last wanted position has
-/// been read — trailing fields are not even walked. Positions at or past the
-/// record's arity yield [`Value::Null`].
-pub fn decode_record_projected(bytes: &[u8], positions: &[usize]) -> Result<Record> {
-    debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-    let mut pos = 0usize;
-    let len = read_varint(bytes, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(positions.len());
-    let mut wanted = positions.iter().copied().peekable();
-    for i in 0..len {
-        match wanted.peek() {
-            None => break,
-            Some(&p) if p == i => {
-                out.push(decode_value(bytes, &mut pos)?);
-                wanted.next();
-            }
-            Some(_) => skip_value(bytes, &mut pos)?,
-        }
-    }
-    out.extend(wanted.map(|_| Value::Null));
-    Ok(out)
-}
-
 /// A field value borrowed straight out of an encoded record payload.
 ///
 /// This is the zero-copy counterpart of [`Value`]: scalars are decoded
@@ -346,10 +302,10 @@ impl<'a> FieldRef<'a> {
 
 /// Decodes exactly the fields at `positions` (strictly ascending) as
 /// borrowed [`FieldRef`]s, reusing `out` as scratch (cleared on entry; no
-/// allocation once its capacity has grown). Positions at or past the
-/// record's arity yield [`FieldRef::Null`], mirroring
-/// [`decode_record_projected`]. Decoding stops after the last wanted
-/// position — trailing fields are not walked.
+/// allocation once its capacity has grown). Fields before an unwanted
+/// position are skipped byte-wise, without allocating; positions at or past
+/// the record's arity yield [`FieldRef::Null`]. Decoding stops after the last
+/// wanted position — trailing fields are not walked.
 pub fn decode_fields_borrowed<'a>(
     bytes: &'a [u8],
     positions: &[usize],
@@ -698,55 +654,15 @@ mod tests {
         assert_eq!(values_to_column(&vals), ColumnData::Ints(vec![0, 5]));
     }
 
-    #[test]
-    fn subset_decoding_skips_unneeded_fields() {
-        let record: Record = vec![
-            Value::Int(7),
-            Value::Str("skipped".into()),
-            Value::Float(2.5),
-            Value::List(vec![Value::Str("nested".into()), Value::Null]),
-            Value::Bool(true),
-        ];
-        let bytes = encode_record(&record);
-        let needed = vec![true, false, true, false, true];
-        let decoded = decode_record_subset(&bytes, &needed).unwrap();
-        assert_eq!(
-            decoded,
-            vec![
-                Value::Int(7),
-                Value::Null,
-                Value::Float(2.5),
-                Value::Null,
-                Value::Bool(true),
-            ]
-        );
-        // A short mask leaves the tail undecoded; an all-true mask matches
-        // the full decoder.
-        let short = decode_record_subset(&bytes, &[false, true]).unwrap();
-        assert_eq!(short[1], Value::Str("skipped".into()));
-        assert_eq!(short.len(), record.len());
-        assert_eq!(
-            decode_record_subset(&bytes, &[true; 5]).unwrap(),
-            record
-        );
-        // Truncated payloads are still rejected even when skipped over.
-        assert!(decode_record_subset(&bytes[..bytes.len() - 1], &needed).is_err());
+    /// Owned values of the borrowed decode of `positions`.
+    fn borrowed(bytes: &[u8], positions: &[usize]) -> Result<Record> {
+        let mut refs = Vec::new();
+        decode_fields_borrowed(bytes, positions, &mut refs)?;
+        refs.iter().map(FieldRef::to_value).collect()
     }
 
     #[test]
-    fn absurd_skip_lengths_are_rejected_not_wrapped() {
-        // A record claiming one string whose length varint decodes to
-        // u64::MAX-ish: skipping must report corruption, not overflow `pos`.
-        let mut bytes = vec![1, TAG_STR];
-        bytes.extend_from_slice(&[0xFF; 9]); // varint ~ 2^63
-        bytes.push(0x7F);
-        assert!(decode_record_subset(&bytes, &[false]).is_err());
-        assert!(decode_record_subset(&bytes, &[true]).is_err());
-        assert!(decode_record_projected(&bytes, &[0]).is_err());
-    }
-
-    #[test]
-    fn borrowed_decode_matches_projected_decode() {
+    fn borrowed_decode_skips_unwanted_fields() {
         let record: Record = vec![
             Value::Int(7),
             Value::Str("borrowed".into()),
@@ -757,16 +673,95 @@ mod tests {
             Value::Null,
         ];
         let bytes = encode_record(&record);
-        let positions = vec![1, 3, 5, 6, 9];
+        let all: Vec<usize> = (0..record.len()).collect();
+        assert_eq!(borrowed(&bytes, &all).unwrap(), record);
+        let picked = [1, 3, 5, 6];
+        let want: Record = picked.iter().map(|&p| record[p].clone()).collect();
+        assert_eq!(borrowed(&bytes, &picked).unwrap(), want);
+        // Positions past the arity pad NULL.
+        assert_eq!(
+            borrowed(&bytes, &[0, 9]).unwrap(),
+            vec![Value::Int(7), Value::Null]
+        );
         let mut refs = Vec::new();
-        decode_fields_borrowed(&bytes, &positions, &mut refs).unwrap();
-        let owned: Record = refs.iter().map(|r| r.to_value().unwrap()).collect();
-        assert_eq!(owned, decode_record_projected(&bytes, &positions).unwrap());
+        decode_fields_borrowed(&bytes, &picked, &mut refs).unwrap();
         assert!(matches!(refs[0], FieldRef::Str("borrowed")));
-        assert!(matches!(refs[4], FieldRef::Null), "past-arity pads null");
         // Scratch reuse: a second decode into the same vec works.
         decode_fields_borrowed(&bytes, &[0], &mut refs).unwrap();
         assert_eq!(refs.as_slice(), &[FieldRef::Int(7)]);
+    }
+
+    #[test]
+    fn borrowed_decode_rejects_truncated_and_short_records() {
+        let record: Record = vec![
+            Value::Int(7),
+            Value::Str("skipped".into()),
+            Value::Float(2.5),
+        ];
+        let bytes = encode_record(&record);
+        // A truncated payload is an error even where it is only skipped over.
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(borrowed(cut, &[2]).is_err());
+        assert!(
+            borrowed(&bytes[..12], &[0, 2]).is_err(),
+            "truncated inside a skipped string"
+        );
+        // A record whose arity claims more fields than its bytes hold.
+        let mut short = bytes.clone();
+        short[0] = 4;
+        assert!(borrowed(&short, &[3]).is_err());
+    }
+
+    #[test]
+    fn absurd_skip_lengths_are_rejected_not_wrapped() {
+        // A record claiming one string whose length varint decodes to
+        // u64::MAX-ish: decoding or skipping it must report corruption, not
+        // overflow `pos`.
+        let mut absurd = vec![1, TAG_STR];
+        absurd.extend_from_slice(&[0xFF; 9]);
+        absurd.push(0x7F);
+        assert!(borrowed(&absurd, &[0]).is_err());
+        absurd[0] = 2;
+        assert!(
+            borrowed(&absurd, &[1]).is_err(),
+            "skipping the string fails too"
+        );
+        // The same for a list whose item count is absurd.
+        let mut list = vec![2, TAG_LIST];
+        list.extend_from_slice(&[0xFF; 9]);
+        list.push(0x7F);
+        assert!(borrowed(&list, &[0]).is_err());
+        assert!(borrowed(&list, &[1]).is_err());
+    }
+
+    #[test]
+    fn subset_decoding_skips_unneeded_fields() {
+        let record: Record = vec![
+            Value::Int(7),
+            Value::Str("skipped".into()),
+            Value::Float(2.5),
+            Value::List(vec![Value::Str("nested".into()), Value::Null]),
+            Value::Bool(true),
+        ];
+        let bytes = encode_record(&record);
+        assert_eq!(
+            borrowed(&bytes, &[0, 2, 4]).unwrap(),
+            vec![Value::Int(7), Value::Float(2.5), Value::Bool(true)]
+        );
+        // Decoding stops after the last wanted position: bytes past it are
+        // never walked, so a record cut inside its tail still yields the
+        // wanted prefix...
+        let int_and_string = 1 + 9 + 1 + 1 + "skipped".len();
+        let prefix = &bytes[..int_and_string];
+        assert_eq!(
+            borrowed(prefix, &[1]).unwrap(),
+            vec![Value::Str("skipped".into())]
+        );
+        // ...while a wanted field behind the cut is corruption.
+        assert!(borrowed(prefix, &[2]).is_err());
+        // Every position decodes to exactly what the full decoder returns.
+        let all: Vec<usize> = (0..record.len()).collect();
+        assert_eq!(borrowed(&bytes, &all).unwrap(), decode_record(&bytes).unwrap());
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   decoding only the fields a scan actually needs — projected-out fields
 //!   are skipped over byte-wise (the self-describing row encoding carries
 //!   lengths) and unneeded column blocks are never run through their codec;
-//! * one borrowed loop serves row pages and column chunks alike: a row is a
-//!   slice of [`FieldRef`]s — decoded out of a page frame, or read off the
-//!   typed vectors of a decoded chunk — the predicate runs on the refs, and
-//!   only survivors are folded or materialized (for column chunks the
-//!   predicate's columns are decoded first and the rest only if a row
-//!   survived);
+//! * one borrowed loop serves every stored source alike — row pages (all
+//!   their slots, or only the slots an index probe names), column chunks,
+//!   and the sealed runs of an `lsm[...]` tier: a row is a slice of
+//!   [`FieldRef`]s — decoded out of a page frame, or read off the typed
+//!   vectors of a decoded chunk — the predicate runs on the refs, and only
+//!   survivors are folded or materialized (for column chunks the predicate's
+//!   columns are decoded first and the rest only if a row survived); the lsm
+//!   memtable is the scan's one in-memory tail;
 //! * [`PhysicalLayout::scan`] is now a thin `collect()` over the iterator,
 //!   and `rodentstore_exec::Cursor` wraps the iterator directly so
 //!   native-order scans never materialize the full result set.
@@ -30,14 +32,14 @@ use crate::plan::{
     StoredObject,
 };
 use crate::rowcodec::{
-    column_field, decode_fields_borrowed, decode_record, decode_record_projected, FieldRef,
-    FixedRowPlan,
+    column_field, decode_fields_borrowed, decode_record, FieldRef, FixedRowPlan,
 };
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{interleave_bits, CmpOp, Condition, ElemExpr};
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_algebra::AlgebraError;
 use rodentstore_compress::ColumnData;
+use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::page::PageId;
 use rodentstore_storage::slotted::SlottedReader;
 use std::cmp::Ordering;
@@ -425,13 +427,16 @@ fn materialize(refs: &[FieldRef<'_>], out: Option<&[usize]>) -> Result<Record> {
 }
 
 /// Streams the decoded rows of one stored object — or, for a vertical
-/// partition, of the objects a scan needs, advancing together.
+/// partition, of the objects a scan needs, advancing together; or of one
+/// sealed lsm run, which is row pages like any row-encoded object.
 ///
-/// The hot loop is the same whatever the encoding: a row is presented as
+/// The hot loop is the same whatever the source: a row is presented as
 /// borrowed [`FieldRef`]s, the pushed-down predicate runs on the refs, and a
 /// survivor is folded or materialized. What differs is where the refs come
-/// from — the records of a row page ([`ObjectCursor::step_rows`]) or the
-/// typed columns of a decoded chunk ([`ObjectCursor::step_columns`]).
+/// from — the records of a row page ([`ObjectCursor::step_rows`]; every slot,
+/// or only those an index probe picked) or the typed columns of a decoded
+/// chunk ([`ObjectCursor::step_columns`]). Folded groups alone are decoded
+/// into owned rows.
 ///
 /// Rows come out *compact*: only the object positions listed in
 /// [`ObjectCursor::compact`] are present (ascending object order), with no
@@ -439,8 +444,17 @@ fn materialize(refs: &[FieldRef<'_>], out: Option<&[usize]>) -> Result<Record> {
 /// compiled against these compact positions, so the hot loop never touches a
 /// value it did not need to decode.
 struct ObjectCursor<'a> {
-    obj: &'a StoredObject,
+    /// The heap holding the pages the cursor reads (a column group's first
+    /// object's), and the name errors report.
+    heap: &'a HeapFile,
+    name: &'a str,
+    /// Key-field count of a folded-group object: the one source whose rows
+    /// are decoded into owned records in `buf` instead of borrowed refs.
+    folded: Option<usize>,
     pages: Vec<PageId>,
+    /// The ascending slots to visit on each page of `pages` when an index
+    /// probe restricts the cursor; empty when every slot is read.
+    picked: Vec<Vec<usize>>,
     next_page: usize,
     buf: VecDeque<Record>,
     /// Ascending object positions present in each yielded row, and the
@@ -455,10 +469,6 @@ struct ObjectCursor<'a> {
     /// current range that survived the predicate.
     row: usize,
     sel: Vec<u32>,
-    /// The borrowed loop is active: rows are decoded as [`FieldRef`]s straight
-    /// out of page frames (always for column blocks — under forced-copy reads
-    /// the frames are copies; for row pages unless reads are forced to copy).
-    borrowed: bool,
     /// Predicate pushed down into the borrowed loop (evaluated on borrowed
     /// refs before anything is materialized), and the compact positions it
     /// reads — the columns a chunk decodes first.
@@ -481,18 +491,28 @@ struct ObjectCursor<'a> {
 }
 
 impl<'a> ObjectCursor<'a> {
-    /// Opens a cursor over `objs` — one object, or the column-block objects
-    /// of a vertical partition — reading the positions marked in `needed`
-    /// (which, like `templates`, runs over the objects' fields concatenated).
-    fn new(objs: &[&'a StoredObject], needed: &[bool], templates: Vec<Value>) -> Result<Self> {
-        let obj = objs[0];
-        let columnar = matches!(obj.encoding, ObjectEncoding::ColumnBlocks { .. });
-        let borrowed = columnar
-            || (matches!(obj.encoding, ObjectEncoding::Rows) && !obj.heap.pager().force_copy());
-        let compact: Vec<usize> = match obj.encoding {
+    /// Opens a cursor over the pages of `heap` (called `name` in errors),
+    /// stored with `encoding` — for column blocks, over the chunks of
+    /// `group`, the object itself or the column-block objects of a vertical
+    /// partition — reading the positions marked in `needed` (which, like
+    /// `templates`, runs over the objects' fields concatenated).
+    fn new(
+        heap: &'a HeapFile,
+        name: &'a str,
+        encoding: &ObjectEncoding,
+        group: &[&'a StoredObject],
+        needed: &[bool],
+        templates: Vec<Value>,
+    ) -> Result<Self> {
+        let columnar = matches!(encoding, ObjectEncoding::ColumnBlocks { .. });
+        let folded = match encoding {
+            ObjectEncoding::Folded { key_fields } => Some(*key_fields),
+            _ => None,
+        };
+        let compact: Vec<usize> = match folded {
             // Folded groups are decoded whole anyway; keep every field.
-            ObjectEncoding::Folded { .. } => (0..obj.fields.len()).collect(),
-            _ => needed
+            Some(_) => (0..needed.len()).collect(),
+            None => needed
                 .iter()
                 .enumerate()
                 .filter(|(_, &b)| b)
@@ -503,7 +523,7 @@ impl<'a> ObjectCursor<'a> {
         let mut slots = Vec::new();
         if columnar {
             let mut base = 0usize;
-            for (r, o) in objs.iter().enumerate() {
+            for (r, o) in group.iter().enumerate() {
                 if !matches!(o.encoding, ObjectEncoding::ColumnBlocks { .. }) {
                     return Err(LayoutError::Corrupted(format!(
                         "object `{}` of a vertical partition is not column-encoded",
@@ -517,14 +537,21 @@ impl<'a> ObjectCursor<'a> {
                 base = end;
             }
         }
-        let fast = if borrowed && !columnar {
-            FixedRowPlan::compile(&templates, &compact)
-        } else {
+        let fast = if columnar || folded.is_some() {
             None
+        } else {
+            FixedRowPlan::compile(&templates, &compact)
         };
         Ok(ObjectCursor {
-            pages: if columnar { Vec::new() } else { obj.heap.page_ids()? },
-            obj,
+            pages: if columnar {
+                Vec::new()
+            } else {
+                heap.page_ids()?
+            },
+            heap,
+            name,
+            folded,
+            picked: Vec::new(),
             next_page: 0,
             buf: VecDeque::new(),
             templates: compact.iter().map(|&p| templates[p].clone()).collect(),
@@ -533,7 +560,6 @@ impl<'a> ObjectCursor<'a> {
             slots,
             row: 0,
             sel: Vec::new(),
-            borrowed,
             borrowed_pred: None,
             pred_cols: Vec::new(),
             out: None,
@@ -542,6 +568,24 @@ impl<'a> ObjectCursor<'a> {
             fast,
             scratch: Vec::new(),
         })
+    }
+
+    /// Restricts a row-page cursor to an index probe's `(page ordinal,
+    /// ascending slots)` batches: only those pages are read, and only those
+    /// slots decoded.
+    fn pick(&mut self, batches: &[(usize, Vec<usize>)]) -> Result<()> {
+        let pages = std::mem::take(&mut self.pages);
+        for (ordinal, slots) in batches {
+            let &page = pages.get(*ordinal).ok_or_else(|| {
+                LayoutError::Corrupted(format!(
+                    "index references page ordinal {ordinal} beyond object `{}`",
+                    self.name
+                ))
+            })?;
+            self.pages.push(page);
+            self.picked.push(slots.clone());
+        }
+        Ok(())
     }
 
     /// Takes the accumulator of a completed in-cursor fold, if one ran.
@@ -563,44 +607,26 @@ impl<'a> ObjectCursor<'a> {
     /// Decodes the next page (or column-chunk range) into `buf`. Returns
     /// `false` when the object is exhausted.
     fn refill(&mut self) -> Result<bool> {
-        if self.borrowed {
+        let Some(key_fields) = self.folded else {
             let mut rows = std::mem::take(&mut self.scratch);
             rows.clear();
             let res = self.step_into(&mut rows);
             self.buf.extend(rows.drain(..));
             self.scratch = rows;
             return res;
-        }
+        };
         let Some(&page_id) = self.pages.get(self.next_page) else {
             return Ok(false);
         };
         self.next_page += 1;
-        match &self.obj.encoding {
-            ObjectEncoding::Rows => {
-                // Forced-copy mode: the legacy eager path — copy the page out
-                // of the store and decode every record into owned values
-                // before filtering. Kept as the A/B baseline and as the
-                // fallback when frames are unavailable.
-                let page = self.obj.heap.pager().read(page_id)?;
-                let reader = SlottedReader::new(&page);
-                for slot in 0..reader.slot_count() {
-                    self.buf
-                        .push_back(decode_record_projected(reader.get(slot)?, &self.compact)?);
-                }
+        let frame = self.heap.pager().read_frame(page_id)?;
+        let reader = SlottedReader::over(frame.data(), frame.id());
+        for slot in 0..reader.slot_count() {
+            let folded = decode_record(reader.get(slot)?)?;
+            let (key, nested) = split_folded(&folded, key_fields, self.name)?;
+            for inner in nested {
+                self.buf.push_back(stitch_folded_row(key, inner)?);
             }
-            ObjectEncoding::Folded { key_fields } => {
-                let key_fields = *key_fields;
-                let frame = self.obj.heap.pager().read_frame(page_id)?;
-                let reader = SlottedReader::over(frame.data(), frame.id());
-                for slot in 0..reader.slot_count() {
-                    let folded = decode_record(reader.get(slot)?)?;
-                    let (key, nested) = split_folded(&folded, key_fields, &self.obj.name)?;
-                    for inner in nested {
-                        self.buf.push_back(stitch_folded_row(key, inner)?);
-                    }
-                }
-            }
-            ObjectEncoding::ColumnBlocks { .. } => unreachable!("column blocks are borrowed"),
         }
         Ok(true)
     }
@@ -609,7 +635,7 @@ impl<'a> ObjectCursor<'a> {
     /// buffered by earlier `next_row` calls first, then every remaining page
     /// or chunk decoded straight into `out` — the row buffer is bypassed.
     fn drain_finished_into(&mut self, out: &mut Vec<Record>) -> Result<()> {
-        debug_assert!(self.finished && self.borrowed);
+        debug_assert!(self.finished && self.folded.is_none());
         out.extend(self.buf.drain(..));
         while self.step_into(out)? {}
         Ok(())
@@ -621,28 +647,31 @@ impl<'a> ObjectCursor<'a> {
         if !self.readers.is_empty() {
             return self.step_columns(sink);
         }
-        let Some(&page_id) = self.pages.get(self.next_page) else {
+        if self.next_page == self.pages.len() {
             return Ok(false);
-        };
+        }
         self.next_page += 1;
-        self.step_rows(page_id, sink).map(|()| true)
+        self.step_rows(self.next_page - 1, sink).map(|()| true)
     }
 
-    /// The row-page source: decodes each record of one shared page frame
-    /// into borrowed [`FieldRef`]s — through the fixed-offset plan when the
-    /// record matches the compiled shape, the generic varint walk otherwise.
-    fn step_rows(&mut self, page_id: PageId, sink: &mut Vec<Record>) -> Result<()> {
-        let frame = self.obj.heap.pager().read_frame(page_id)?;
+    /// The row-page source: decodes each record of the `ix`-th page's shared
+    /// frame (or the records of the slots picked on it) into borrowed
+    /// [`FieldRef`]s — through the fixed-offset plan when the record matches
+    /// the compiled shape, the generic varint walk otherwise.
+    fn step_rows(&mut self, ix: usize, sink: &mut Vec<Record>) -> Result<()> {
+        let frame = self.heap.pager().read_frame(self.pages[ix])?;
         let reader = SlottedReader::over(frame.data(), frame.id());
+        let picked = self.picked.get(ix).map(Vec::as_slice);
+        let count = picked.map_or(reader.slot_count(), <[usize]>::len);
         let plan = self.fast.as_ref();
         let out = self.out.as_deref();
         // No predicate, no fold: every record materializes — the full-scan
-        // hot path the frame-vs-copy A/B measures. With a plan, wanted
-        // fields decode straight to owned values at their fixed offsets in
-        // output order, with no borrowed intermediate at all.
+        // hot path. With a plan, wanted fields decode straight to owned
+        // values at their fixed offsets in output order, with no borrowed
+        // intermediate at all.
         let straight: Option<Vec<u32>> = match plan {
             Some(plan) if self.borrowed_pred.is_none() && self.fold.is_none() => {
-                sink.reserve(reader.slot_count());
+                sink.reserve(count);
                 Some(match out {
                     Some(out) => out.iter().map(|&i| plan.offsets()[i]).collect(),
                     None => plan.offsets().to_vec(),
@@ -651,8 +680,8 @@ impl<'a> ObjectCursor<'a> {
             _ => None,
         };
         let mut refs: Vec<FieldRef<'_>> = Vec::with_capacity(self.compact.len());
-        for slot in 0..reader.slot_count() {
-            let bytes = reader.get(slot)?;
+        for k in 0..count {
+            let bytes = reader.get(picked.map_or(k, |slots| slots[k]))?;
             if let (Some(plan), Some(offsets)) = (plan, &straight) {
                 if let Some(row) = plan.decode_owned(bytes, offsets)? {
                     sink.push(row);
@@ -701,7 +730,7 @@ impl<'a> ObjectCursor<'a> {
             return Err(LayoutError::Corrupted(format!(
                 "objects of the partition around `{}` disagree on the row count: {live} of {} \
                  continue past row {}",
-                self.obj.name,
+                self.name,
                 self.readers.len(),
                 self.row
             )));
@@ -803,8 +832,8 @@ impl<'a> ObjectCursor<'a> {
     }
 }
 
-/// Per-object scan state: a decoding cursor plus the predicate and
-/// projection compiled against this object's field order.
+/// Per-cursor scan state: a decoding cursor plus the predicate and
+/// projection compiled against its compact field order.
 struct ObjectState<'a> {
     cursor: ObjectCursor<'a>,
     predicate: Option<CompiledPredicate>,
@@ -815,99 +844,88 @@ struct ObjectState<'a> {
     has_dup: bool,
 }
 
-/// Index-assisted scan state: the probe's packed positions, grouped into
-/// `(object, page ordinal, ascending slots)` batches in storage order, so
-/// every heap page holding a candidate row is read exactly once and rows
-/// still come out in storage order (matching the streamed path).
-struct IndexedScan {
-    batches: Vec<(usize, usize, Vec<usize>)>,
-    next_batch: usize,
-    buf: VecDeque<Record>,
-    /// Decode state for the object of the current batch.
-    state: Option<(usize, IndexedObjState)>,
-}
+/// An index probe's candidates in one object: `(page ordinal, ascending
+/// slots)` batches, in storage order.
+type Batches = Vec<(usize, Vec<usize>)>;
 
-/// Per-object decode state for the indexed path: like [`ObjectState`] but
-/// page-addressed instead of cursor-driven.
-struct IndexedObjState {
-    pages: Vec<PageId>,
-    compact: Vec<usize>,
-    predicate: Option<CompiledPredicate>,
-    out_positions: Vec<usize>,
-    identity: bool,
-    has_dup: bool,
-}
-
-/// Groups sorted packed positions into per-`(object, page)` slot batches.
-fn group_positions(positions: &[u64]) -> Vec<(usize, usize, Vec<usize>)> {
-    let mut batches: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+/// Groups sorted packed positions into per-object [`Batches`] in storage
+/// order, so every heap page holding a candidate row is read exactly once
+/// and rows still come out in storage order (matching the unrestricted
+/// scan).
+fn group_positions(positions: &[u64]) -> Vec<(usize, Batches)> {
+    let mut grouped: Vec<(usize, Batches)> = Vec::new();
     for &pos in positions {
         let (obj, page, slot) = unpack_pos(pos);
-        match batches.last_mut() {
-            Some((o, p, slots)) if *o == obj && *p == page => {
+        match grouped.last_mut() {
+            Some((o, pages)) if *o == obj => match pages.last_mut() {
                 // Duplicate positions can arise when a probe's outliers
                 // overlap tree results; decode each slot once.
-                if slots.last() != Some(&slot) {
-                    slots.push(slot);
+                Some((p, slots)) if *p == page => {
+                    if slots.last() != Some(&slot) {
+                        slots.push(slot);
+                    }
                 }
-            }
-            _ => batches.push((obj, page, vec![slot])),
+                _ => pages.push((page, vec![slot])),
+            },
+            _ => grouped.push((obj, vec![(page, vec![slot])])),
         }
     }
-    batches
+    grouped
 }
 
 /// A lazy scan over a [`PhysicalLayout`]: yields already-filtered,
 /// already-projected records in storage order, decoding pages on demand.
 ///
-/// Every layout streams. A vertically partitioned layout is read by one
+/// Every source streams through one cursor loop, one source at a time: the
+/// selected objects of the base (a vertically partitioned layout is one
 /// cursor over the objects the scan needs, their column chunks advancing in
-/// lock-step by row position — nothing is stitched or buffered up front, and
-/// a scan that needs a single object reads it like any other.
+/// lock-step by row position; an index probe restricts each object's cursor
+/// to the pages and slots holding candidates), then the non-pruned runs of an
+/// `lsm[...]` tier. The tier's memtable is the in-memory tail.
 pub struct ScanIter<'a> {
     layout: &'a PhysicalLayout,
+    /// Base objects the scan reads — under an index probe, those holding a
+    /// candidate row.
     selected: Vec<usize>,
     /// The selected objects are the column groups of one vertical partition
     /// (read together) rather than horizontal pieces (read one by one).
     vertical: bool,
+    /// Set when the declared index covers the predicate: per selected
+    /// object, the batches its cursor is restricted to.
+    probe: Option<Vec<Batches>>,
     out_fields: Vec<String>,
     predicate: Option<Condition>,
-    /// Streaming state: the cursor being drained and its ordinal.
+    /// Ordinal of the cursor being drained (see [`ScanIter::open_cursor`])
+    /// and its state.
     obj_cursor: usize,
     current: Option<ObjectState<'a>>,
-    /// Index-assisted state (set when the declared index covers the
-    /// predicate); replaces the streamed path entirely.
-    indexed: Option<IndexedScan>,
-    /// Levelled-tier state: once the base path is exhausted, the scan
-    /// continues through the non-pruned runs (deepest level first) and then
-    /// the memtable. Rows there are full-width, so the predicate and
-    /// projection are compiled once against the layout schema.
+    /// Levelled-tier runs the predicate does not prune, in the tier's scan
+    /// order (deepest level first, oldest first within a level); each is
+    /// read by a cursor once the base is exhausted.
     lsm_runs: Vec<usize>,
-    lsm_cursor: usize,
-    lsm_buf: VecDeque<Record>,
     /// Memtable rows the scan may yield, pre-selected by pushing the
-    /// predicate's first-key range into the ordered memtable.
-    lsm_mem: Vec<&'a Record>,
-    lsm_mem_pos: usize,
-    lsm_pred: Option<CompiledPredicate>,
-    lsm_out: Vec<usize>,
-    lsm_has_dup: bool,
+    /// predicate's first-key range into the ordered memtable, and the
+    /// predicate and projection compiled against the full-width rows.
+    mem_rows: Vec<&'a Record>,
+    mem_pos: usize,
+    mem_pred: Option<CompiledPredicate>,
+    mem_out: Vec<usize>,
     /// Set while [`ScanIter::fold_windowed`] drives the scan: newly opened
     /// cursors that fully absorb the predicate and projection fold in place
     /// instead of yielding rows.
-    fold_spec: Option<FoldSpec>,
-    /// Accumulators harvested from exhausted in-cursor folds.
-    fold_acc: Option<WindowAccumulator>,
+    fold: Option<Fold>,
     done: bool,
 }
 
-/// Where the bucket and value fields of an active windowed fold live in the
-/// scan's output projection, plus the aggregate spec itself (needed to seed
-/// per-cursor accumulators).
-struct FoldSpec {
+/// An active windowed fold: where its bucket and value fields live in the
+/// scan's output projection, and the scan's one accumulator — lent to each
+/// cursor that folds in place and taken back when it closes, so rows fold
+/// in scan order whichever path yields them (float sums match a fold of the
+/// scanned rows bit for bit).
+struct Fold {
     bucket_pos: usize,
     value_pos: usize,
-    spec: WindowedAggregate,
+    acc: Option<WindowAccumulator>,
 }
 
 impl<'a> ScanIter<'a> {
@@ -932,25 +950,37 @@ impl<'a> ScanIter<'a> {
             // any column group knows how many there are.
             selected.push(0);
         }
+        let mut probe = None;
+        if let (false, Some(pred), Some(idx)) = (vertical, predicate, layout.index.as_ref()) {
+            let ranges = extract_ranges(pred);
+            if idx.covers(&ranges) {
+                let (objects, batches) = group_positions(&idx.probe(&ranges)?).into_iter().unzip();
+                selected = objects;
+                probe = Some(batches);
+            }
+        }
+        if let Some(&obj) = selected.iter().find(|&&o| o >= layout.objects.len()) {
+            return Err(LayoutError::Corrupted(format!(
+                "index references object {obj} beyond the {} of `{}`",
+                layout.objects.len(),
+                layout.name
+            )));
+        }
         let mut iter = ScanIter {
             layout,
             selected,
             vertical,
+            probe,
             out_fields,
             predicate: predicate.cloned(),
             obj_cursor: 0,
             current: None,
-            indexed: None,
             lsm_runs: Vec::new(),
-            lsm_cursor: 0,
-            lsm_buf: VecDeque::new(),
-            lsm_mem: Vec::new(),
-            lsm_mem_pos: 0,
-            lsm_pred: None,
-            lsm_out: Vec::new(),
-            lsm_has_dup: false,
-            fold_spec: None,
-            fold_acc: None,
+            mem_rows: Vec::new(),
+            mem_pos: 0,
+            mem_pred: None,
+            mem_out: Vec::new(),
+            fold: None,
             done: false,
         };
         if let Some(lsm) = &layout.lsm {
@@ -963,29 +993,16 @@ impl<'a> ScanIter<'a> {
                 .map(|(i, _)| i)
                 .collect();
             let first_key_range = lsm.key.first().and_then(|f| ranges.get(f)).copied();
-            iter.lsm_mem = lsm.memtable.select(first_key_range);
+            iter.mem_rows = lsm.memtable.select(first_key_range);
             let schema_fields = layout.schema.field_names();
-            iter.lsm_out = iter
+            iter.mem_out = iter
                 .out_fields
                 .iter()
                 .map(|f| resolve(f, &schema_fields, layout.schema.name()))
                 .collect::<Result<_>>()?;
-            iter.lsm_has_dup = has_duplicates(&iter.lsm_out);
-            iter.lsm_pred = predicate
+            iter.mem_pred = predicate
                 .map(|p| CompiledPredicate::compile(p, &schema_fields, layout.schema.name()))
                 .transpose()?;
-        }
-        if let (false, Some(pred), Some(idx)) = (vertical, predicate, layout.index.as_ref()) {
-            let ranges = extract_ranges(pred);
-            if idx.covers(&ranges) {
-                let positions = idx.probe(&ranges)?;
-                iter.indexed = Some(IndexedScan {
-                    batches: group_positions(&positions),
-                    next_batch: 0,
-                    buf: VecDeque::new(),
-                    state: None,
-                });
-            }
         }
         Ok(iter)
     }
@@ -993,29 +1010,21 @@ impl<'a> ScanIter<'a> {
     /// Whether this scan resolves the predicate through the declared index
     /// instead of streaming every selected object.
     pub fn uses_index(&self) -> bool {
-        self.indexed.is_some()
+        self.probe.is_some()
     }
 
     /// Restarts the scan from the first record.
     pub fn rewind(&mut self) -> Result<()> {
         self.obj_cursor = 0;
         self.current = None;
-        self.lsm_cursor = 0;
-        self.lsm_buf.clear();
-        self.lsm_mem_pos = 0;
-        self.fold_acc = None;
+        self.mem_pos = 0;
         self.done = false;
-        if let Some(indexed) = &mut self.indexed {
-            indexed.next_batch = 0;
-            indexed.buf.clear();
-            indexed.state = None;
-        }
         Ok(())
     }
 
-    /// The objects the `n`-th cursor of the streamed path reads: all the
-    /// selected column groups of a vertical partition at once, otherwise one
-    /// selected object per cursor.
+    /// The base objects the `n`-th cursor reads: all the selected column
+    /// groups of a vertical partition at once, otherwise one selected object
+    /// per cursor.
     fn group(&self, n: usize) -> Option<&[usize]> {
         if self.vertical {
             (n == 0 && !self.selected.is_empty()).then_some(&self.selected[..])
@@ -1024,12 +1033,42 @@ impl<'a> ScanIter<'a> {
         }
     }
 
-    fn open_group(&self, group: &[usize]) -> Result<ObjectState<'a>> {
+    /// Opens the `n`-th cursor of the scan: the base groups first (see
+    /// [`ScanIter::group`]), then one per non-pruned lsm run. `None` once
+    /// every cursor has been opened.
+    fn open_cursor(&mut self, n: usize) -> Result<Option<ObjectState<'a>>> {
         let layout = self.layout;
-        let objs: Vec<&'a StoredObject> = group.iter().map(|&i| &layout.objects[i]).collect();
-        let name = &objs[0].name;
-        // A group reads as one object holding its members' fields in order.
-        let fields: Vec<String> = objs.iter().flat_map(|o| o.fields.iter().cloned()).collect();
+        let objs: Vec<&'a StoredObject>;
+        let (heap, name, encoding, fields) = match self.group(n) {
+            Some(group) => {
+                objs = group.iter().map(|&i| &layout.objects[i]).collect();
+                // A group reads as one object holding its members' fields
+                // in order.
+                let fields: Vec<String> =
+                    objs.iter().flat_map(|o| o.fields.iter().cloned()).collect();
+                let head = objs[0];
+                (&head.heap, head.name.as_str(), &head.encoding, fields)
+            }
+            None => {
+                let base = if self.vertical {
+                    usize::from(!self.selected.is_empty())
+                } else {
+                    self.selected.len()
+                };
+                let (Some(lsm), Some(&run)) = (&layout.lsm, self.lsm_runs.get(n - base)) else {
+                    return Ok(None);
+                };
+                objs = Vec::new();
+                // A run holds full-width rows in the layout schema's order.
+                let heap = &lsm.runs[run].heap;
+                (
+                    heap,
+                    heap.name(),
+                    &ObjectEncoding::Rows,
+                    layout.schema.field_names(),
+                )
+            }
+        };
         // Everything the scan touches — output fields plus predicate fields —
         // must be decoded; nothing else is.
         let pred_fields = self.predicate.as_ref().map(Condition::referenced_fields);
@@ -1038,7 +1077,10 @@ impl<'a> ScanIter<'a> {
             needed[resolve(f, &fields, name)?] = true;
         }
         let templates = layout.templates_for(&fields);
-        let mut cursor = ObjectCursor::new(&objs, &needed, templates)?;
+        let mut cursor = ObjectCursor::new(heap, name, encoding, &objs, &needed, templates)?;
+        if let Some(batches) = self.probe.as_ref().and_then(|probe| probe.get(n)) {
+            cursor.pick(batches)?;
+        }
         // The cursor yields compact rows; rebind names to compact positions.
         let compact_names: Vec<String> = cursor
             .compact
@@ -1058,7 +1100,7 @@ impl<'a> ScanIter<'a> {
         let identity = out_positions.len() == compact_names.len()
             && out_positions.iter().enumerate().all(|(i, &p)| i == p);
         let has_dup = has_duplicates(&out_positions);
-        if cursor.borrowed {
+        if cursor.folded.is_none() {
             // Push the predicate and projection down into the borrowed loop
             // when the predicate (if any) compiles to borrowed form, so rows
             // that fail the filter never materialize a single value.
@@ -1076,171 +1118,88 @@ impl<'a> ScanIter<'a> {
                 }
                 cursor.borrowed_pred = pred;
                 cursor.finished = true;
-                if let Some(fs) = &self.fold_spec {
+                let lent = self
+                    .fold
+                    .as_mut()
+                    .and_then(|f| Some((f.bucket_pos, f.value_pos, f.acc.take()?)));
+                match lent {
                     // Aggregate pushdown: fold inside the loop instead of
                     // materializing projected rows.
-                    cursor.fold = Some(CursorFold {
-                        bucket: out_positions[fs.bucket_pos],
-                        value: out_positions[fs.value_pos],
-                        acc: WindowAccumulator::new(&fs.spec),
-                    });
-                } else {
-                    cursor.out = Some(out_positions.clone());
+                    Some((bucket, value, acc)) => {
+                        cursor.fold = Some(CursorFold {
+                            bucket: out_positions[bucket],
+                            value: out_positions[value],
+                            acc,
+                        });
+                    }
+                    None => cursor.out = Some(out_positions.clone()),
                 }
             }
         }
-        Ok(ObjectState {
+        Ok(Some(ObjectState {
             cursor,
             predicate,
             out_positions,
             identity,
             has_dup,
-        })
+        }))
     }
 
-    /// Like [`ScanIter::open_group`] but for the page-addressed indexed
-    /// path: no cursor, just the decode/projection state plus the object's
-    /// page list so ordinals from packed positions resolve to page ids.
-    fn indexed_obj_state(&self, obj_index: usize) -> Result<IndexedObjState> {
-        let obj = &self.layout.objects[obj_index];
-        let mut needed = vec![false; obj.fields.len()];
-        for f in &self.out_fields {
-            needed[resolve(f, &obj.fields, &obj.name)?] = true;
+    /// Closes the exhausted current cursor, taking back the accumulator of
+    /// an in-cursor fold.
+    fn close_cursor(&mut self) {
+        let lent = self.current.take().and_then(|mut s| s.cursor.take_fold());
+        if let (Some(fold), Some(acc)) = (&mut self.fold, lent) {
+            fold.acc = Some(acc);
         }
-        if let Some(pred) = &self.predicate {
-            for f in pred.referenced_fields() {
-                needed[resolve(&f, &obj.fields, &obj.name)?] = true;
-            }
-        }
-        let compact: Vec<usize> = needed
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect();
-        let compact_names: Vec<String> =
-            compact.iter().map(|&p| obj.fields[p].clone()).collect();
-        let out_positions: Vec<usize> = self
-            .out_fields
-            .iter()
-            .map(|f| resolve(f, &compact_names, &obj.name))
-            .collect::<Result<_>>()?;
-        let predicate = self
-            .predicate
-            .as_ref()
-            .map(|p| CompiledPredicate::compile(p, &compact_names, &obj.name))
-            .transpose()?;
-        let identity = out_positions.len() == compact_names.len()
-            && out_positions.iter().enumerate().all(|(i, &p)| i == p);
-        let has_dup = has_duplicates(&out_positions);
-        Ok(IndexedObjState {
-            pages: obj.heap.page_ids()?,
-            compact,
-            predicate,
-            out_positions,
-            identity,
-            has_dup,
-        })
-    }
-
-    fn next_indexed(&mut self) -> Result<Option<Record>> {
-        loop {
-            {
-                let indexed = self.indexed.as_mut().expect("indexed path active");
-                if let Some(row) = indexed.buf.pop_front() {
-                    return Ok(Some(row));
-                }
-                if indexed.next_batch >= indexed.batches.len() {
-                    return Ok(None);
-                }
-            }
-            self.decode_next_batch()?;
-        }
-    }
-
-    /// Reads the heap page of the next `(object, page, slots)` batch and
-    /// decodes its candidate slots into the indexed buffer, applying the
-    /// residual predicate (probes are a superset) and the projection.
-    fn decode_next_batch(&mut self) -> Result<()> {
-        let (obj_idx, need_state) = {
-            let indexed = self.indexed.as_ref().expect("indexed path active");
-            let (obj_idx, _, _) = indexed.batches[indexed.next_batch];
-            let need_state = !matches!(&indexed.state, Some((o, _)) if *o == obj_idx);
-            (obj_idx, need_state)
-        };
-        if need_state {
-            let state = self.indexed_obj_state(obj_idx)?;
-            self.indexed.as_mut().expect("indexed path active").state = Some((obj_idx, state));
-        }
-        let layout = self.layout;
-        let indexed = self.indexed.as_mut().expect("indexed path active");
-        let (_, st) = indexed.state.as_ref().expect("state installed above");
-        let (_, page_ord, slots) = &indexed.batches[indexed.next_batch];
-        let &page_id = st.pages.get(*page_ord).ok_or_else(|| {
-            LayoutError::Corrupted(format!(
-                "index references page ordinal {page_ord} beyond object {obj_idx}"
-            ))
-        })?;
-        let frame = layout.objects[obj_idx].heap.pager().read_frame(page_id)?;
-        let reader = SlottedReader::over(frame.data(), frame.id());
-        let mut decoded = Vec::with_capacity(slots.len());
-        for &slot in slots {
-            let mut row = decode_record_projected(reader.get(slot)?, &st.compact)?;
-            if let Some(pred) = &st.predicate {
-                if !pred.matches(&row)? {
-                    continue;
-                }
-            }
-            decoded.push(if st.identity {
-                row
-            } else {
-                project_row(&mut row, &st.out_positions, st.has_dup)
-            });
-        }
-        indexed.buf.extend(decoded);
-        indexed.next_batch += 1;
-        Ok(())
+        self.obj_cursor += 1;
     }
 
     fn next_streamed(&mut self) -> Result<Option<Record>> {
         loop {
             if self.current.is_none() {
-                let Some(group) = self.group(self.obj_cursor) else {
-                    return Ok(None);
-                };
-                self.current = Some(self.open_group(group)?);
+                self.current = self.open_cursor(self.obj_cursor)?;
             }
-            let state = self.current.as_mut().expect("object state opened above");
-            match state.cursor.next_row()? {
-                None => {
-                    // Harvest the accumulator of an in-cursor fold before the
-                    // state is dropped; `fold_windowed` merges it at the end.
-                    if let Some(harvest) = state.cursor.take_fold() {
-                        match &mut self.fold_acc {
-                            Some(acc) => acc.absorb(harvest),
-                            None => self.fold_acc = Some(harvest),
-                        }
-                    }
-                    self.current = None;
-                    self.obj_cursor += 1;
-                }
-                Some(mut row) => {
-                    if state.cursor.finished {
-                        // The cursor already filtered and projected.
-                        return Ok(Some(row));
-                    }
-                    if let Some(pred) = &state.predicate {
-                        if !pred.matches(&row)? {
-                            continue;
-                        }
-                    }
-                    if state.identity {
-                        return Ok(Some(row));
-                    }
-                    return Ok(Some(project_row(&mut row, &state.out_positions, state.has_dup)));
+            let Some(state) = self.current.as_mut() else {
+                return Ok(None);
+            };
+            let Some(mut row) = state.cursor.next_row()? else {
+                self.close_cursor();
+                continue;
+            };
+            if state.cursor.finished {
+                // The cursor already filtered and projected.
+                return Ok(Some(row));
+            }
+            if let Some(pred) = &state.predicate {
+                if !pred.matches(&row)? {
+                    continue;
                 }
             }
+            if state.identity {
+                return Ok(Some(row));
+            }
+            return Ok(Some(project_row(
+                &mut row,
+                &state.out_positions,
+                state.has_dup,
+            )));
         }
+    }
+
+    /// The in-memory tail: memtable rows in key order (already narrowed to
+    /// the predicate's first-key range by the ordered memtable).
+    fn next_mem(&mut self) -> Result<Option<Record>> {
+        while let Some(&row) = self.mem_rows.get(self.mem_pos) {
+            self.mem_pos += 1;
+            if let Some(pred) = &self.mem_pred {
+                if !pred.matches(row)? {
+                    continue;
+                }
+            }
+            return Ok(Some(self.mem_out.iter().map(|&i| row[i].clone()).collect()));
+        }
+        Ok(None)
     }
 
     /// Collects every remaining row. Result-equivalent to
@@ -1250,62 +1209,45 @@ impl<'a> ScanIter<'a> {
     /// iterator protocol — the streaming machinery runs once per page, not
     /// once per row.
     pub fn collect_rows(mut self) -> Result<Vec<Record>> {
-        if self.done || self.indexed.is_some() {
-            return self.collect();
-        }
         let mut out = Vec::new();
-        self.drain_streamed_into(&mut out)?;
-        while let Some(row) = self.next_lsm()? {
+        if self.done {
+            return Ok(out);
+        }
+        loop {
+            if self.current.is_none() {
+                self.current = self.open_cursor(self.obj_cursor)?;
+            }
+            let Some(state) = self.current.as_mut() else {
+                break;
+            };
+            if state.cursor.finished {
+                state.cursor.drain_finished_into(&mut out)?;
+                self.close_cursor();
+                continue;
+            }
+            // The cursor needs the outer filter/project (folded groups, a
+            // predicate with no borrowed form); let the row-at-a-time
+            // machinery run it — it re-enters this loop's fast path once the
+            // next finished cursor opens.
+            match self.next_streamed()? {
+                Some(row) => out.push(row),
+                None => break,
+            }
+        }
+        while let Some(row) = self.next_mem()? {
             out.push(row);
         }
         Ok(out)
     }
 
-    /// Drains the streamed (non-indexed) path into `out`. Finished cursors —
-    /// the borrowed pushdown path, whose loop already filtered, projected,
-    /// and materialized — decode every page or chunk straight into `out`.
-    /// Anything else (forced-copy row cursors, predicates that did not
-    /// compile to borrowed form) streams through the same row-at-a-time
-    /// protocol the iterator uses.
-    fn drain_streamed_into(&mut self, out: &mut Vec<Record>) -> Result<()> {
-        loop {
-            if self.current.is_none() {
-                let Some(group) = self.group(self.obj_cursor) else {
-                    return Ok(());
-                };
-                self.current = Some(self.open_group(group)?);
-            }
-            let state = self.current.as_mut().expect("object state opened above");
-            if state.cursor.finished {
-                state.cursor.drain_finished_into(out)?;
-                if let Some(harvest) = state.cursor.take_fold() {
-                    match &mut self.fold_acc {
-                        Some(acc) => acc.absorb(harvest),
-                        None => self.fold_acc = Some(harvest),
-                    }
-                }
-                self.current = None;
-                self.obj_cursor += 1;
-                continue;
-            }
-            // The current cursor needs the outer filter/project; let the
-            // row-at-a-time machinery run it (it re-enters this loop's fast
-            // path once the next finished cursor opens).
-            match self.next_streamed()? {
-                Some(row) => out.push(row),
-                None => return Ok(()),
-            }
-        }
-    }
-
     /// Exhausts the scan, folding every matching row into fixed-width
     /// buckets. The bucket and value fields must be part of the scan's
-    /// projection. On the borrowed path — row pages and column chunks,
-    /// vertical partitions included — the fold runs inside the cursor's loop
-    /// (`ObjectCursor::step_into`) and no output row is ever allocated; every
-    /// other path (forced-copy row pages, predicates with no borrowed form,
-    /// index probes, levelled runs, memtables) folds the rows it would have
-    /// yielded. Terminal: the iterator is left exhausted.
+    /// projection. On the borrowed path — row pages, index-picked slots,
+    /// column chunks and lsm runs alike, vertical partitions included — the
+    /// fold runs inside the cursor's loop (`ObjectCursor::step_into`) and no
+    /// output row is ever allocated; folded groups, predicates with no
+    /// borrowed form and the memtable fold the rows they would have yielded.
+    /// Terminal: the iterator is left exhausted.
     pub fn fold_windowed(&mut self, spec: &WindowedAggregate) -> Result<WindowAccumulator> {
         spec.validate()?;
         let position = |field: &str| {
@@ -1318,68 +1260,27 @@ impl<'a> ScanIter<'a> {
                     ))
                 })
         };
-        let fs = FoldSpec {
-            bucket_pos: position(&spec.bucket_field)?,
-            value_pos: position(&spec.value_field)?,
-            spec: spec.clone(),
-        };
-        let (bucket_pos, value_pos) = (fs.bucket_pos, fs.value_pos);
-        self.fold_spec = Some(fs);
-        let mut acc = WindowAccumulator::new(spec);
-        loop {
+        let (bucket_pos, value_pos) = (position(&spec.bucket_field)?, position(&spec.value_field)?);
+        self.fold = Some(Fold {
+            bucket_pos,
+            value_pos,
+            acc: Some(WindowAccumulator::new(spec)),
+        });
+        let folded = loop {
             match self.next() {
-                Some(Ok(row)) => acc.fold_values(&row[bucket_pos], &row[value_pos]),
-                Some(Err(e)) => {
-                    self.fold_spec = None;
-                    return Err(e);
+                // A yielded row comes from a path that does not fold in
+                // place, so the accumulator is not lent out.
+                Some(Ok(row)) => {
+                    if let Some(Fold { acc: Some(acc), .. }) = &mut self.fold {
+                        acc.fold_values(&row[bucket_pos], &row[value_pos]);
+                    }
                 }
-                None => break,
+                Some(Err(e)) => break Err(e),
+                None => break Ok(()),
             }
-        }
-        self.fold_spec = None;
-        if let Some(harvest) = self.fold_acc.take() {
-            acc.absorb(harvest);
-        }
-        Ok(acc)
-    }
-
-    /// Continues the scan through the levelled tier after the base objects
-    /// are exhausted: non-pruned runs in scan order (deepest level first,
-    /// oldest first within a level, each internally key-sorted), then the
-    /// memtable in key order (already narrowed to the predicate's first-key
-    /// range by the ordered memtable).
-    fn next_lsm(&mut self) -> Result<Option<Record>> {
-        let Some(lsm) = &self.layout.lsm else {
-            return Ok(None);
         };
-        loop {
-            if let Some(mut row) = self.lsm_buf.pop_front() {
-                return Ok(Some(project_row(&mut row, &self.lsm_out, self.lsm_has_dup)));
-            }
-            if let Some(&run_idx) = self.lsm_runs.get(self.lsm_cursor) {
-                self.lsm_cursor += 1;
-                for row in lsm.runs[run_idx].read_rows()? {
-                    if let Some(pred) = &self.lsm_pred {
-                        if !pred.matches(&row)? {
-                            continue;
-                        }
-                    }
-                    self.lsm_buf.push_back(row);
-                }
-                continue;
-            }
-            while let Some(&row) = self.lsm_mem.get(self.lsm_mem_pos) {
-                self.lsm_mem_pos += 1;
-                if let Some(pred) = &self.lsm_pred {
-                    if !pred.matches(row)? {
-                        continue;
-                    }
-                }
-                let mut row = row.clone();
-                return Ok(Some(project_row(&mut row, &self.lsm_out, self.lsm_has_dup)));
-            }
-            return Ok(None);
-        }
+        let acc = self.fold.take().and_then(|f| f.acc);
+        folded.map(|()| acc.expect("a folding cursor hands the accumulator back when it closes"))
     }
 }
 
@@ -1390,7 +1291,7 @@ fn has_duplicates(positions: &[usize]) -> bool {
         .any(|(i, p)| positions[..i].contains(p))
 }
 
-/// Extracts the output values from a full-width row, moving values out when
+/// Extracts the output values from a compact row, moving values out when
 /// positions are unique and cloning when the projection repeats a field.
 fn project_row(row: &mut Record, positions: &[usize], has_dup: bool) -> Record {
     if has_dup {
@@ -1410,25 +1311,15 @@ impl Iterator for ScanIter<'_> {
         if self.done {
             return None;
         }
-        let stepped = if self.indexed.is_some() {
-            self.next_indexed()
-        } else {
-            self.next_streamed()
+        let stepped = match self.next_streamed() {
+            // Every cursor is drained; the memtable continues the scan.
+            Ok(None) => self.next_mem(),
+            other => other,
         };
         match stepped {
-            Ok(Some(row)) => return Some(Ok(row)),
-            Ok(None) => {}
+            Ok(row) => row.map(Ok),
             Err(e) => {
                 // An error ends the stream; further calls yield None.
-                self.done = true;
-                return Some(Err(e));
-            }
-        }
-        // Base exhausted; the levelled tier (if any) continues the scan.
-        match self.next_lsm() {
-            Ok(Some(row)) => Some(Ok(row)),
-            Ok(None) => None,
-            Err(e) => {
                 self.done = true;
                 Some(Err(e))
             }
@@ -1567,16 +1458,24 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_and_forced_copy_paths_agree() {
+    fn shared_and_copied_frames_agree() {
+        // One cursor, two byte sources: the memory store shares its page
+        // buffers, a file store without an mmap window copies every frame.
+        use rodentstore_storage::pager::FileStore;
+        let path = std::env::temp_dir().join(format!(
+            "rodentstore-scan-test-{}-frames.db",
+            std::process::id()
+        ));
         let provider = MemTableProvider::single(schema(), records(150));
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let layout = render(
-            &LayoutExpr::table("T"),
-            &provider,
-            Arc::clone(&pager),
-            RenderOptions::default(),
-        )
-        .unwrap();
+        let expr = LayoutExpr::table("T");
+        let memory = Arc::new(Pager::in_memory_with_page_size(512));
+        let file = Arc::new(Pager::with_store(Arc::new(
+            FileStore::create(&path, 512).unwrap(),
+        )));
+        let layouts: Vec<PhysicalLayout> = [memory, Arc::clone(&file)]
+            .into_iter()
+            .map(|pager| render(&expr, &provider, pager, RenderOptions::default()).unwrap())
+            .collect();
         let fields = vec!["name".to_string(), "a".to_string()];
         let preds = [
             None,
@@ -1588,14 +1487,16 @@ mod tests {
             ])),
         ];
         for pred in &preds {
-            assert!(!pager.force_copy());
-            let borrowed = layout.scan(Some(&fields), pred.as_ref()).unwrap();
-            pager.set_force_copy(true);
-            let copied = layout.scan(Some(&fields), pred.as_ref()).unwrap();
-            pager.set_force_copy(false);
-            assert_eq!(borrowed, copied, "{pred:?}");
-            assert!(!borrowed.is_empty());
+            let shared = layouts[0].scan(Some(&fields), pred.as_ref()).unwrap();
+            let before = file.stats().snapshot();
+            let copied = layouts[1].scan(Some(&fields), pred.as_ref()).unwrap();
+            let io = file.stats().snapshot().since(&before);
+            assert_eq!(shared, copied, "{pred:?}");
+            assert!(!shared.is_empty());
+            assert_eq!((io.frame_hits, io.frame_copies), (0, io.pages_read));
+            assert!(io.pages_read > 0);
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1802,6 +1703,203 @@ mod tests {
                 layout.get_element(44, Some(&narrow)).unwrap(),
                 vec![rows[44][1].clone()]
             );
+        }
+    }
+
+    #[test]
+    fn group_positions_batches_each_page_once_in_storage_order() {
+        use crate::index::pack_pos;
+        let positions: Vec<u64> = [(0, 0, 1), (0, 0, 3), (0, 0, 3), (0, 2, 0), (1, 1, 4)]
+            .iter()
+            .map(|&(obj, page, slot)| pack_pos(obj, page, slot).unwrap())
+            .collect();
+        assert_eq!(
+            group_positions(&positions),
+            vec![
+                (0, vec![(0, vec![1, 3]), (2, vec![0])]),
+                (1, vec![(1, vec![4])]),
+            ]
+        );
+        assert!(group_positions(&[]).is_empty());
+    }
+
+    #[test]
+    fn picked_slots_are_the_only_rows_read_and_bad_ordinals_are_corruption() {
+        let layout = rendered(LayoutExpr::table("T"), 150);
+        let obj = &layout.objects[0];
+        assert!(obj.page_count() > 3);
+        let templates = layout.templates_for(&obj.fields);
+        let open = || {
+            let needed = [true; 3];
+            ObjectCursor::new(&obj.heap, &obj.name, &obj.encoding, &[], &needed, templates.clone())
+                .unwrap()
+        };
+        let picks = [(1usize, vec![0usize, 2]), (3, vec![1])];
+        let mut want = Vec::new();
+        obj.heap
+            .scan(|rid, payload| {
+                if picks
+                    .iter()
+                    .any(|(page, slots)| *page == rid.page_index && slots.contains(&rid.slot))
+                {
+                    want.push(decode_record(payload)?);
+                }
+                Ok::<_, LayoutError>(())
+            })
+            .unwrap();
+        let mut cursor = open();
+        cursor.pick(&picks).unwrap();
+        let before = layout.pager().stats().snapshot();
+        let mut got = Vec::new();
+        while let Some(row) = cursor.next_row().unwrap() {
+            got.push(row);
+        }
+        let io = layout.pager().stats().snapshot().since(&before);
+        assert_eq!(got, want);
+        assert_eq!(io.pages_read, 2, "one read per picked page");
+        match open().pick(&[(0, vec![0]), (obj.page_count(), vec![0])]) {
+            Err(LayoutError::Corrupted(msg)) => assert!(msg.contains(&obj.name), "{msg}"),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn index_probe_reads_the_tree_and_the_candidate_pages_only() {
+        let layout = rendered(LayoutExpr::table("T").index(["a"]), 300);
+        let pager = Arc::clone(layout.pager());
+        let pred = Condition::range("a", 100i64, 109i64);
+        let mut candidate_pages = std::collections::BTreeSet::new();
+        layout.objects[0]
+            .heap
+            .scan(|rid, payload| {
+                if (100..110).contains(&decode_record(payload)?[0].as_i64().unwrap_or(-1)) {
+                    candidate_pages.insert(rid.page_index);
+                }
+                Ok::<_, LayoutError>(())
+            })
+            .unwrap();
+        let index = layout.index.as_ref().unwrap();
+        let before = pager.stats().snapshot();
+        index.probe(&extract_ranges(&pred)).unwrap();
+        let probe_pages = pager.stats().snapshot().since(&before).pages_read;
+
+        let before = pager.stats().snapshot();
+        let iter = layout.scan_iter(Some(&["name".to_string()]), Some(&pred)).unwrap();
+        assert!(iter.uses_index());
+        let got = iter.collect_rows().unwrap();
+        let io = pager.stats().snapshot().since(&before);
+        let want: Vec<Record> = (100..110).map(|i| vec![Value::Str(format!("row-{i}"))]).collect();
+        assert_eq!(got, want);
+        assert_eq!(io.pages_read, probe_pages + candidate_pages.len() as u64);
+        assert!(candidate_pages.len() < layout.objects[0].page_count());
+    }
+
+    #[test]
+    fn fold_over_an_index_probe_matches_the_fold_of_the_probed_rows() {
+        let indexed = rendered(LayoutExpr::table("T").index(["a"]), 300);
+        let plain = rendered(LayoutExpr::table("T"), 300);
+        let spec = WindowedAggregate::new("a", 8.0, "v");
+        let pred = Condition::range("a", 50i64, 149i64).and(Condition::range("v", 20.0, 30.0));
+        assert!(indexed.scan_iter(None, Some(&pred)).unwrap().uses_index());
+        let got = indexed.scan_aggregate(&spec, Some(&pred)).unwrap();
+        let fields = vec!["a".to_string(), "v".to_string()];
+        let rows = plain.scan(Some(&fields), Some(&pred)).unwrap();
+        assert_eq!(rows.len(), 41, "v in [20, 30] is a in [80, 120]");
+        let mut want = WindowAccumulator::new(&spec);
+        for row in &rows {
+            want.fold_values(&row[0], &row[1]);
+        }
+        assert_eq!(got.rows_folded(), want.rows_folded());
+        assert_eq!(got.finish(), want.finish());
+    }
+
+    /// A `lsm[a]` layout: 40 base rows, then 90 appended in batches of 10
+    /// with keys out of arrival order, spilled at 16 rows and merged two
+    /// runs a level — several runs on more than one level, plus a memtable.
+    fn lsm_layout() -> PhysicalLayout {
+        let provider = MemTableProvider::single(schema(), records(40));
+        let options = RenderOptions {
+            lsm_memtable_cap: 16,
+            lsm_fanout: 2,
+            ..RenderOptions::default()
+        };
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let expr = LayoutExpr::table("T").lsm(["a"]);
+        let mut layout = render(&expr, &provider, pager, options).unwrap();
+        for batch in 0..9usize {
+            let rows: Vec<Record> = (0..10)
+                .map(|i| {
+                    let a = 1000 + (batch * 10 + i) * 37 % 90;
+                    vec![
+                        Value::Int(a as i64),
+                        Value::Str(format!("late-{a}")),
+                        Value::Float(a as f64 * 0.5),
+                    ]
+                })
+                .collect();
+            crate::append::append_records(&mut layout, &MemTableProvider::single(schema(), rows))
+                .unwrap();
+        }
+        let lsm = layout.lsm.as_ref().unwrap();
+        assert!(lsm.runs.len() >= 2 && !lsm.memtable.is_empty(), "{lsm:?}");
+        assert!(lsm.runs.iter().any(|r| r.level > 0), "{lsm:?}");
+        layout
+    }
+
+    #[test]
+    fn lsm_scans_read_base_then_unpruned_runs_in_tier_order_then_the_memtable() {
+        let layout = lsm_layout();
+        let lsm = layout.lsm.as_ref().unwrap();
+        let mut want = records(40);
+        for run in &lsm.runs {
+            for bytes in run.heap.read_all().unwrap() {
+                want.push(decode_record(&bytes).unwrap());
+            }
+        }
+        want.extend(lsm.memtable.iter().cloned());
+        assert_eq!(want.len(), 130);
+        assert_eq!(layout.scan(None, None).unwrap(), want);
+
+        let pred = Condition::range("a", 1010i64, 1029i64);
+        let fields = vec!["v".to_string(), "a".to_string()];
+        let filtered: Vec<Record> = want
+            .iter()
+            .filter(|r| (1010..=1029).contains(&r[0].as_i64().unwrap()))
+            .map(|r| vec![r[2].clone(), r[0].clone()])
+            .collect();
+        assert_eq!(filtered.len(), 20);
+        let ranges = extract_ranges(&pred);
+        let run_pages: usize = lsm
+            .runs
+            .iter()
+            .filter(|r| r.may_match(&lsm.key, &ranges))
+            .map(|r| r.heap.page_count())
+            .sum();
+        let before = layout.pager().stats().snapshot();
+        assert_eq!(layout.scan(Some(&fields), Some(&pred)).unwrap(), filtered);
+        let io = layout.pager().stats().snapshot().since(&before);
+        assert_eq!(
+            io.pages_read as usize,
+            layout.objects[0].page_count() + run_pages,
+            "pruned runs are never opened"
+        );
+    }
+
+    #[test]
+    fn fold_over_lsm_runs_matches_the_fold_of_the_scanned_rows_bit_for_bit() {
+        let layout = lsm_layout();
+        let spec = WindowedAggregate::new("a", 25.0, "v");
+        let fields = vec!["a".to_string(), "v".to_string()];
+        let pred = Condition::range("a", 30i64, 1060i64);
+        for pred in [None, Some(&pred)] {
+            let got = layout.scan_aggregate(&spec, pred).unwrap();
+            let rows = layout.scan(Some(&fields), pred).unwrap();
+            let mut want = WindowAccumulator::new(&spec);
+            for row in &rows {
+                want.fold_values(&row[0], &row[1]);
+            }
+            assert_eq!(got.rows_folded(), rows.len() as u64);
+            assert_eq!(got.finish(), want.finish());
         }
     }
 }

@@ -19,8 +19,8 @@ use std::sync::Arc;
 /// Where a frame's bytes live.
 #[derive(Debug, Clone)]
 enum FrameBytes {
-    /// A shared heap buffer (memory store, buffer-pool residents, and the
-    /// copy fallback).
+    /// A shared heap buffer (memory store, and the copy a store without a
+    /// shareable representation reads into).
     Shared(Arc<[u8]>),
     /// A window into an `mmap`ed region of the data file.
     Mapped {

@@ -364,9 +364,14 @@ impl HeapFile {
     }
 
     /// Scans every record in file order, invoking `visit` with the record id
-    /// and payload. Pages are read strictly sequentially, which the I/O
-    /// statistics reward with at most one seek.
-    pub fn scan(&self, mut visit: impl FnMut(RecordId, &[u8]) -> Result<()>) -> Result<()> {
+    /// and the payload, borrowed from the page frame. Pages are read strictly
+    /// sequentially, which the I/O statistics reward with at most one seek.
+    /// `visit` may fail with any error a storage error converts into, so a
+    /// caller decodes payloads in place instead of copying them out.
+    pub fn scan<E: From<StorageError>>(
+        &self,
+        mut visit: impl FnMut(RecordId, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         self.flush()?;
         let pages = self.extent();
         for (page_index, page_id) in pages.iter().enumerate() {
@@ -386,7 +391,7 @@ impl HeapFile {
         let mut out = Vec::new();
         self.scan(|_, payload| {
             out.push(payload.to_vec());
-            Ok(())
+            Ok::<_, StorageError>(())
         })?;
         Ok(out)
     }
@@ -467,10 +472,42 @@ mod tests {
         }
         heap.flush().unwrap();
         pager.stats().reset();
-        heap.scan(|_, _| Ok(())).unwrap();
+        heap.scan(|_, _| Ok::<_, StorageError>(())).unwrap();
         let snap = pager.stats().snapshot();
         assert!(snap.pages_read > 1);
         assert_eq!(snap.seeks, 1, "file pages are contiguous, so one seek");
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_visitor_error_and_returns_it() {
+        #[derive(Debug, PartialEq)]
+        enum VisitError {
+            Storage(String),
+            Rejected(u8),
+        }
+        impl From<StorageError> for VisitError {
+            fn from(e: StorageError) -> Self {
+                VisitError::Storage(e.to_string())
+            }
+        }
+        let heap = HeapFile::create("t", small_pager());
+        for i in 0..60u8 {
+            heap.append(&[i; 10]).unwrap();
+        }
+        assert!(heap.page_count() > 2);
+        let mut seen = Vec::new();
+        let err = heap
+            .scan(|rid, payload| {
+                if payload[0] == 37 {
+                    return Err(VisitError::Rejected(payload[0]));
+                }
+                seen.push(rid);
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err, VisitError::Rejected(37));
+        assert_eq!(seen.len(), 37, "no record after the failing one is visited");
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "file order");
     }
 
     #[test]

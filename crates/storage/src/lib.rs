@@ -3,7 +3,7 @@
 //! Page-based storage substrate for RodentStore: fixed-size [`page::Page`]s,
 //! slotted-page record organization, a [`pager::Pager`] with pluggable
 //! in-memory or file backing, a validated superblock, and full I/O
-//! accounting, an LRU [`bufferpool::BufferPool`], append-oriented
+//! accounting, shared read-only [`frame::PageFrame`]s, append-oriented
 //! [`heap::HeapFile`]s, and a file-backed, checksummed, redo-only
 //! [`wal::Wal`] with group commit.
 //!
@@ -18,7 +18,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bufferpool;
 pub mod checksum;
 pub mod frame;
 pub mod heap;
@@ -29,7 +28,6 @@ pub mod slotted;
 pub mod stats;
 pub mod wal;
 
-pub use bufferpool::{BufferPool, ShardedBufferPool};
 pub use checksum::{crc32, crc32_extend};
 pub use frame::PageFrame;
 pub use heap::{HeapFile, RecordId};

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A backing store able to persist fixed-size pages.
@@ -431,10 +431,6 @@ pub struct Pager {
     last_read: AtomicU64,
     last_write: AtomicU64,
     free: Mutex<std::collections::BTreeSet<PageId>>,
-    /// When set, [`Pager::read_frame`] copies page bytes even from stores
-    /// that could share them — the legacy read path kept as a runtime
-    /// fallback and as the baseline side of frame-vs-copy A/B benchmarks.
-    force_copy: AtomicBool,
 }
 
 impl std::fmt::Debug for Pager {
@@ -465,19 +461,7 @@ impl Pager {
             last_read: AtomicU64::new(u64::MAX),
             last_write: AtomicU64::new(u64::MAX),
             free: Mutex::new(std::collections::BTreeSet::new()),
-            force_copy: AtomicBool::new(false),
         }
-    }
-
-    /// Forces [`Pager::read_frame`] onto the copying path (`true`) or
-    /// restores zero-copy frames (`false`, the default).
-    pub fn set_force_copy(&self, on: bool) {
-        self.force_copy.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether frame reads are currently forced onto the copying path.
-    pub fn force_copy(&self) -> bool {
-        self.force_copy.load(Ordering::Relaxed)
     }
 
     /// The shared I/O statistics of this pager.
@@ -573,13 +557,9 @@ impl Pager {
     /// access in the I/O statistics exactly like [`Pager::read`] (same page,
     /// byte, and seek accounting — the two paths are indistinguishable to
     /// pages-per-query measurements). Zero-copy unless the store cannot
-    /// share its bytes or [`Pager::set_force_copy`] is on.
+    /// share its bytes (a [`FileStore`] without an mmap window copies).
     pub fn read_frame(&self, id: PageId) -> Result<PageFrame> {
-        let frame = if self.force_copy.load(Ordering::Relaxed) {
-            PageFrame::copied(id, self.store.read(id)?)
-        } else {
-            self.store.read_frame(id)?
-        };
+        let frame = self.store.read_frame(id)?;
         self.record_read_at(id, frame.len(), frame.is_copied());
         Ok(frame)
     }
@@ -605,18 +585,12 @@ impl Pager {
 
     /// Writes a page back, recording the access in the I/O statistics.
     pub fn write(&self, page: &Page) -> Result<()> {
-        self.write_raw(page.id, &page.data)
-    }
-
-    /// Writes raw page bytes back (the frame-based buffer pool's write-back
-    /// path, which has no `Page` to hand), with the same accounting as
-    /// [`Pager::write`].
-    pub fn write_raw(&self, id: PageId, data: &[u8]) -> Result<()> {
-        self.store.write(id, data)?;
-        let prev = self.last_write.swap(id, Ordering::Relaxed);
-        let sequential = prev != u64::MAX && id == prev.wrapping_add(1);
-        self.stats.record_write(data.len(), sequential);
-        stats::with_op_stats(|op| op.record_write(data.len(), sequential));
+        self.store.write(page.id, &page.data)?;
+        let prev = self.last_write.swap(page.id, Ordering::Relaxed);
+        let sequential = prev != u64::MAX && page.id == prev.wrapping_add(1);
+        let bytes = page.data.len();
+        self.stats.record_write(bytes, sequential);
+        stats::with_op_stats(|op| op.record_write(bytes, sequential));
         Ok(())
     }
 
@@ -887,16 +861,17 @@ mod tests {
     }
 
     #[test]
-    fn force_copy_falls_back_to_copied_frames() {
-        let pager = Pager::in_memory_with_page_size(64);
-        let p = pager.allocate().unwrap();
+    fn file_store_without_mmap_serves_copied_frames() {
+        let path = temp_store_path("copied-frames");
+        let pager = Pager::with_store(Arc::new(FileStore::create(&path, 128).unwrap()));
+        let mut p = pager.allocate().unwrap();
+        p.write_bytes(0, b"copied").unwrap();
         pager.write(&p).unwrap();
-        assert!(!pager.read_frame(p.id).unwrap().is_copied());
-        pager.set_force_copy(true);
-        assert!(pager.force_copy());
-        assert!(pager.read_frame(p.id).unwrap().is_copied());
-        pager.set_force_copy(false);
-        assert!(!pager.read_frame(p.id).unwrap().is_copied());
+        let frame = pager.read_frame(p.id).unwrap();
+        assert!(frame.is_copied(), "the store chooses the byte source");
+        assert_eq!(frame.data(), pager.read(p.id).unwrap().data.as_slice());
+        assert_eq!(pager.stats().snapshot().frame_copies, 2);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

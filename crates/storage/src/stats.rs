@@ -11,7 +11,7 @@
 //!   metric is *pages read per query*.
 //!
 //! Counters are atomic so a single `IoStats` can be shared (via `Arc`)
-//! between the pager, the buffer pool, and measurement code without locking.
+//! between the pager, per-operation scopes, and measurement code without locking.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -26,8 +26,6 @@ pub struct IoStats {
     seeks: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     frame_hits: AtomicU64,
     frame_copies: AtomicU64,
     chunks: AtomicU64,
@@ -48,10 +46,6 @@ pub struct IoSnapshot {
     pub bytes_read: u64,
     /// Bytes written to the backing store.
     pub bytes_written: u64,
-    /// Buffer-pool hits (reads served without touching the backing store).
-    pub cache_hits: u64,
-    /// Buffer-pool misses.
-    pub cache_misses: u64,
     /// Page accesses served as shared frames without copying the bytes.
     pub frame_hits: u64,
     /// Page accesses that copied the page bytes out of the store.
@@ -72,8 +66,6 @@ impl IoSnapshot {
             seeks: self.seeks.saturating_sub(earlier.seeks),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             frame_hits: self.frame_hits.saturating_sub(earlier.frame_hits),
             frame_copies: self.frame_copies.saturating_sub(earlier.frame_copies),
             chunks: self.chunks.saturating_sub(earlier.chunks),
@@ -116,16 +108,6 @@ impl IoStats {
         }
     }
 
-    /// Records a buffer-pool hit.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a buffer-pool miss.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a page access served as a frame; `copied` distinguishes the
     /// copy fallback from a zero-copy shared/mapped frame.
     pub fn record_frame(&self, copied: bool) {
@@ -151,8 +133,6 @@ impl IoStats {
             seeks: self.seeks.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             frame_hits: self.frame_hits.load(Ordering::Relaxed),
             frame_copies: self.frame_copies.load(Ordering::Relaxed),
             chunks: self.chunks.load(Ordering::Relaxed),
@@ -167,8 +147,6 @@ impl IoStats {
         self.seeks.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
         self.frame_hits.store(0, Ordering::Relaxed);
         self.frame_copies.store(0, Ordering::Relaxed);
         self.chunks.store(0, Ordering::Relaxed);
@@ -291,7 +269,7 @@ mod tests {
     fn reset_zeroes_counters() {
         let stats = IoStats::default();
         stats.record_read(10, false);
-        stats.record_cache_hit();
+        stats.record_frame(true);
         stats.reset();
         assert_eq!(stats.snapshot(), IoSnapshot::default());
     }
@@ -307,17 +285,6 @@ mod tests {
         // 5 seeks * 10ms + 10MB at 100MB/s = 50ms + 100ms
         let ms = snap.estimated_millis(10.0, 100.0);
         assert!((ms - 150.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cache_counters() {
-        let stats = IoStats::default();
-        stats.record_cache_hit();
-        stats.record_cache_hit();
-        stats.record_cache_miss();
-        let s = stats.snapshot();
-        assert_eq!(s.cache_hits, 2);
-        assert_eq!(s.cache_misses, 1);
     }
 
     #[test]

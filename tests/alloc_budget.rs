@@ -1,11 +1,13 @@
-//! The allocation budget of the column-chunk read path, as an assertion.
+//! The allocation budget of the cursor read path, as an assertion.
 //!
 //! "No allocation on the hot path, a unit of work is constant": over column
 //! chunks a fold allocates per *chunk* (a scratch vector or two), never per
 //! row; a selective window allocates for the chunks it walks plus one
 //! `Record` per surviving row; a projected scan allocates the `Record` it
-//! returns per row and nothing else. This binary installs its own counting
-//! allocator and holds the three to a per-row budget.
+//! returns per row and nothing else; and over the sealed runs of an lsm tier
+//! a fold allocates per *run* (one cursor each), never per row. This binary
+//! installs its own counting allocator and holds the four to a per-row
+//! budget.
 //!
 //! It is one `#[test]` on purpose: the counter is process-wide, and a second
 //! test running beside it would be counted too.
@@ -99,4 +101,30 @@ fn column_chunk_reads_stay_within_their_allocation_budget() {
     assert_eq!(all.len(), ROWS);
     let per_row = allocs as f64 / ROWS as f64;
     assert!(per_row <= 1.1, "projected scan: {allocs} allocations, {per_row:.4} per returned row");
+
+    // The same rows arriving in 1 000-row batches into `lsm[ts]`: every one
+    // of them sits in a sealed run (the memtable spills at exactly 1 000).
+    let rows = generate_telemetry(&TelemetryConfig::with_readings(ROWS));
+    let db = Database::in_memory();
+    db.set_lsm_params(1_000, 4);
+    db.create_table(telemetry_schema()).unwrap();
+    db.apply_layout_text("Telemetry", "lsm[ts](Telemetry)")
+        .unwrap();
+    for batch in rows.chunks(1_000) {
+        db.insert("Telemetry", batch.to_vec()).unwrap();
+    }
+    let catalog = db.catalog();
+    let access = catalog.get("Telemetry").unwrap().access.as_ref().unwrap();
+    let lsm = access.layout().lsm.as_ref();
+    assert_eq!(lsm.map(|t| (t.memtable.len(), t.rows())), Some((0, ROWS)));
+    drop(catalog);
+    db.scan_aggregate("Telemetry", &spec, None).unwrap();
+
+    let (buckets, allocs) = counted(|| db.scan_aggregate("Telemetry", &spec, None).unwrap());
+    assert!(buckets.iter().map(|b| b.count).sum::<u64>() == ROWS as u64);
+    let per_row = allocs as f64 / ROWS as f64;
+    assert!(
+        per_row <= 0.02,
+        "lsm fold: {allocs} allocations, {per_row:.4} per row"
+    );
 }

@@ -3,12 +3,24 @@
 //! expressions must round-trip through the parser.
 
 use proptest::prelude::*;
-use rodentstore::{Database, ScanRequest, Value};
+use rodentstore::{Database, DurabilityOptions, ReorgStrategy, ScanRequest, SyncPolicy, Value};
 use rodentstore_algebra::comprehension::{CmpOp, Condition, ElemExpr};
 use rodentstore_algebra::{parse, DataType, Field, LayoutExpr, Schema};
-use rodentstore_layout::{render, MemTableProvider, RenderOptions};
-use rodentstore_storage::pager::Pager;
+use rodentstore_layout::{render, MemTableProvider, PhysicalLayout, RenderOptions};
+use rodentstore_storage::pager::{FileStore, Pager};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// A fresh path under the temp directory, unique to this process and call.
+fn scratch_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "rodentstore-layout-props-{}-{tag}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
 
 fn points_schema() -> Schema {
     Schema::new(
@@ -47,6 +59,12 @@ fn layout_strategy() -> impl Strategy<Value = LayoutExpr> {
             LayoutExpr::table("Points")
                 .order_by(["tag"])
                 .compress(["tag"], rodentstore_algebra::expr::CodecSpec::Rle)
+        ),
+        Just(LayoutExpr::table("Points").lsm(["tag"])),
+        Just(
+            LayoutExpr::table("Points")
+                .vertical([vec!["x"], vec!["y", "tag"]])
+                .lsm(["tag"])
         ),
     ]
 }
@@ -265,9 +283,30 @@ proptest! {
         field_mask in 1u8..16,
         predicate in predicate_strategy(),
     ) {
-        let provider = MemTableProvider::single(points_schema(), records);
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let rendered = render(&layout, &provider, pager, RenderOptions::default()).unwrap();
+        // A levelled layout is built through a database with a tiny memtable
+        // and most rows arriving after the layout, so they sit in spilled
+        // runs (several levels deep) and a few in the memtable.
+        let (db, catalog, owned);
+        let rendered: &PhysicalLayout = if matches!(layout, LayoutExpr::Lsm { .. }) {
+            db = Database::with_page_size(512);
+            db.set_lsm_params(4, 2);
+            db.create_table(points_schema()).unwrap();
+            let (early, late) = records.split_at(records.len() / 3);
+            if !early.is_empty() {
+                db.insert("Points", early.to_vec()).unwrap();
+            }
+            db.apply_layout("Points", layout.clone(), ReorgStrategy::Eager).unwrap();
+            for batch in late.chunks(7) {
+                db.insert("Points", batch.to_vec()).unwrap();
+            }
+            catalog = db.catalog();
+            catalog.get("Points").unwrap().access.as_ref().unwrap().layout()
+        } else {
+            let provider = MemTableProvider::single(points_schema(), records);
+            let pager = Arc::new(Pager::in_memory_with_page_size(512));
+            owned = render(&layout, &provider, pager, RenderOptions::default()).unwrap();
+            &owned
+        };
 
         // Reference result: decode every field of every row, then filter with
         // the interpreted `Condition::eval` and project by schema position.
@@ -315,14 +354,15 @@ proptest! {
         prop_assert!(rendered.get_element(full.len(), None).is_err());
     }
 
-    /// The zero-copy read path is invisible to results: for every layout
-    /// shape (including `index[...]` probes and the levelled `lsm[...]`
-    /// tier), a projected + filtered scan and a windowed-aggregate pushdown
-    /// on the borrowed-frame path return exactly what the forced-copy
-    /// fallback returns, and both match an owned decode-everything reference
-    /// computed from the full scan in memory.
+    /// One cursor, two byte sources: for every lossless layout shape
+    /// (`index[...]` probes and both `lsm[...]` shapes included, with half the
+    /// rows arriving after the layout so appends land and lsm runs spill), a
+    /// projected + filtered scan and a windowed-aggregate pushdown return what
+    /// filtering and folding the inserted records returns — in memory, where
+    /// frames share the store's buffers, and on a file-backed database
+    /// without mmap, where every frame is a copy.
     #[test]
-    fn borrowed_frame_path_matches_forced_copy_reference(
+    fn every_layout_matches_the_inserted_records_on_shared_and_copied_frames(
         records in proptest::collection::vec(record_strategy(), 1..150),
         layout in full_field_layout_text(),
         predicate in predicate_strategy(),
@@ -330,55 +370,65 @@ proptest! {
     ) {
         use rodentstore::{WindowAccumulator, WindowedAggregate};
 
-        let db = Database::with_page_size(512);
-        db.create_table(points_schema()).unwrap();
-        db.insert("Points", records).unwrap();
-        db.apply_layout_text("Points", layout).unwrap();
-
-        // Owned decode-everything reference, read through the copy fallback.
-        db.set_copy_reads(true);
-        let full = db.scan("Points", &ScanRequest::all()).unwrap();
+        // The engine-free reference: the inserted records themselves.
         let schema = points_schema();
         let spec = WindowedAggregate::new("tag", width, "x");
-        let mut acc = WindowAccumulator::new(&spec);
+        let mut fold = WindowAccumulator::new(&spec);
         let mut expected: Vec<String> = Vec::new();
-        for row in &full {
-            if predicate.eval(&schema, row).unwrap() {
-                expected.push(format!("{:?}", [&row[0], &row[2]]));
-                acc.fold(row[2].as_f64().unwrap(), row[0].as_f64().unwrap());
-            }
+        for row in records.iter().filter(|row| predicate.eval(&schema, row).unwrap()) {
+            expected.push(format!("{:?}", [&row[0], &row[2]]));
+            fold.fold_values(&row[2], &row[0]);
         }
-        let reference_windows = acc.finish();
-        let request = ScanRequest::all().fields(["x", "tag"]).predicate(predicate);
-        let copied = db.scan("Points", &request).unwrap();
-        let copied_windows = db.scan_aggregate("Points", &spec, Some(&request.predicate.clone().unwrap())).unwrap();
-
-        // The borrowed-frame path must be byte-for-byte the same answer.
-        db.set_copy_reads(false);
-        let borrowed = db.scan("Points", &request).unwrap();
-        let borrowed_windows = db.scan_aggregate("Points", &spec, Some(&request.predicate.clone().unwrap())).unwrap();
-        prop_assert_eq!(&borrowed, &copied, "scan rows diverge on layout {}", layout);
-        prop_assert_eq!(&borrowed_windows, &copied_windows, "aggregate diverges on layout {}", layout);
-
-        // Both match the in-memory reference as a multiset (index probes may
-        // emit rows in key order rather than heap order).
-        let mut got: Vec<String> = borrowed.iter().map(|r| format!("{:?}", [&r[0], &r[1]])).collect();
-        got.sort();
         expected.sort();
-        prop_assert_eq!(got, expected, "layout {}", layout);
-        // Float sums may differ in the last ulp when the access path folds in
-        // a different row order than the reference; everything else is exact.
-        prop_assert_eq!(borrowed_windows.len(), reference_windows.len(), "layout {}", layout);
-        for (b, r) in borrowed_windows.iter().zip(&reference_windows) {
-            prop_assert_eq!(b.bucket_start, r.bucket_start, "layout {}", layout);
-            prop_assert_eq!(b.count, r.count, "layout {}", layout);
-            prop_assert_eq!(b.min, r.min, "layout {}", layout);
-            prop_assert_eq!(b.max, r.max, "layout {}", layout);
-            prop_assert!(
-                (b.sum - r.sum).abs() <= 1e-9 * b.sum.abs().max(1.0),
-                "bucket sum diverges on layout {}: {} vs {}", layout, b.sum, r.sum
-            );
+        let reference_windows = fold.finish();
+
+        let dir = scratch_path("copied-frames");
+        let options = DurabilityOptions { page_size: 512, sync: SyncPolicy::Never, mmap_reads: false };
+        let file_backed = Database::create_with(&dir, options).unwrap();
+        let mut answers = Vec::new();
+        for (db, copied) in [(Database::with_page_size(512), false), (file_backed, true)] {
+            db.set_lsm_params(8, 2);
+            db.create_table(points_schema()).unwrap();
+            let (early, late) = records.split_at(records.len().div_ceil(2));
+            db.insert("Points", early.to_vec()).unwrap();
+            db.apply_layout_text("Points", layout).unwrap();
+            for batch in late.chunks(10) {
+                db.insert("Points", batch.to_vec()).unwrap();
+            }
+            let request = ScanRequest::all().fields(["x", "tag"]).predicate(predicate.clone());
+            let before = db.io_snapshot();
+            let rows = db.scan("Points", &request).unwrap();
+            let windows = db.scan_aggregate("Points", &spec, Some(&predicate)).unwrap();
+            let io = db.io_snapshot().since(&before);
+            if copied {
+                prop_assert!(io.frame_copies > 0, "layout {}", layout);
+                prop_assert_eq!(io.frame_copies, io.pages_read, "layout {}", layout);
+            }
+
+            // Index probes and lsm tiers emit rows in storage order, not
+            // insertion order: compare as a multiset.
+            let mut got: Vec<String> = rows.iter().map(|r| format!("{:?}", [&r[0], &r[1]])).collect();
+            got.sort();
+            prop_assert_eq!(&got, &expected, "layout {}", layout);
+            // Float sums may differ in the last ulp when the access path folds
+            // in a different row order than the reference; everything else is
+            // exact.
+            prop_assert_eq!(windows.len(), reference_windows.len(), "layout {}", layout);
+            for (w, r) in windows.iter().zip(&reference_windows) {
+                prop_assert_eq!(w.bucket_start, r.bucket_start, "layout {}", layout);
+                prop_assert_eq!(w.count, r.count, "layout {}", layout);
+                prop_assert_eq!(w.min, r.min, "layout {}", layout);
+                prop_assert_eq!(w.max, r.max, "layout {}", layout);
+                prop_assert!(
+                    (w.sum - r.sum).abs() <= 1e-9 * w.sum.abs().max(1.0),
+                    "bucket sum diverges on layout {}: {} vs {}", layout, w.sum, r.sum
+                );
+            }
+            answers.push((rows, windows));
         }
+        // Same code, two byte sources: the same rows in the same order.
+        prop_assert_eq!(&answers[0], &answers[1], "layout {}", layout);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The column-chunk row source is a drop-in for the owned decode: over
@@ -386,7 +436,8 @@ proptest! {
     /// duplicate ones too) and predicate shape, `scan`, `scan_iter` with a
     /// `rewind`, `scan_aggregate` and `get_element` return what filtering,
     /// projecting and folding the full decode in memory returns — same rows,
-    /// same order, same bits — on shared frames and on forced copies.
+    /// same order, same bits — over a memory store's shared frames and over a
+    /// file store's copied ones.
     #[test]
     fn column_chunk_source_matches_owned_reference(
         records in proptest::collection::vec(special_record_strategy(), 1..150),
@@ -398,39 +449,39 @@ proptest! {
         use rodentstore::{WindowAccumulator, WindowedAggregate};
 
         let provider = MemTableProvider::single(points_schema(), records.clone());
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let rendered = render(
-            &parse(layout).unwrap(),
-            &provider,
-            Arc::clone(&pager),
-            RenderOptions::default(),
-        )
-        .unwrap();
-        let schema = points_schema();
+        let path = scratch_path("column-chunks");
+        let file = Pager::with_store(Arc::new(FileStore::create(&path, 512).unwrap()));
+        for pager in [Pager::in_memory_with_page_size(512), file] {
+            let rendered = render(
+                &parse(layout).unwrap(),
+                &provider,
+                Arc::new(pager),
+                RenderOptions::default(),
+            )
+            .unwrap();
+            let schema = points_schema();
 
-        // The full decode is itself pinned to what was inserted wherever the
-        // codecs are lossless: row count, order, and the integer column
-        // (`Null` is stored as the zero sentinel).
-        let full = rendered.scan(None, None).unwrap();
-        prop_assert_eq!(full.len(), records.len());
-        for (got, want) in full.iter().zip(&records) {
-            prop_assert_eq!(got[2].as_i64(), Some(want[2].as_i64().unwrap_or(0)), "layout {}", layout);
-        }
-
-        let indices = schema.indices_of(&fields).unwrap();
-        let project = |row: &Vec<Value>| indices.iter().map(|&i| row[i].clone()).collect::<Vec<_>>();
-        let spec = WindowedAggregate::new("tag", width, "x");
-        let mut fold = WindowAccumulator::new(&spec);
-        let mut expected: Vec<Vec<Value>> = Vec::new();
-        for row in &full {
-            if predicate.eval(&schema, row).unwrap() {
-                expected.push(project(row));
-                fold.fold_values(&row[2], &row[0]);
+            // The full decode is itself pinned to what was inserted wherever the
+            // codecs are lossless: row count, order, and the integer column
+            // (`Null` is stored as the zero sentinel).
+            let full = rendered.scan(None, None).unwrap();
+            prop_assert_eq!(full.len(), records.len());
+            for (got, want) in full.iter().zip(&records) {
+                prop_assert_eq!(got[2].as_i64(), Some(want[2].as_i64().unwrap_or(0)), "layout {}", layout);
             }
-        }
 
-        for copy in [false, true] {
-            pager.set_force_copy(copy);
+            let indices = schema.indices_of(&fields).unwrap();
+            let project = |row: &Vec<Value>| indices.iter().map(|&i| row[i].clone()).collect::<Vec<_>>();
+            let spec = WindowedAggregate::new("tag", width, "x");
+            let mut fold = WindowAccumulator::new(&spec);
+            let mut expected: Vec<Vec<Value>> = Vec::new();
+            for row in &full {
+                if predicate.eval(&schema, row).unwrap() {
+                    expected.push(project(row));
+                    fold.fold_values(&row[2], &row[0]);
+                }
+            }
+
             let scanned = rendered.scan(Some(&fields), Some(&predicate)).unwrap();
             prop_assert_eq!(shown(&scanned), shown(&expected), "scan, layout {}", layout);
 
@@ -456,6 +507,7 @@ proptest! {
                 prop_assert_eq!(shown(&[element]), shown(&[project(&full[i])]), "layout {}", layout);
             }
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Two column groups of one partition need not agree on where their

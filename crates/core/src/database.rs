@@ -508,6 +508,7 @@ impl Database {
                             cell: o.cell,
                             row_count: o.row_count as usize,
                             ordering: o.ordering,
+                            chunks: o.chunks,
                         })
                     })
                     .collect::<Result<_>>()?;
@@ -2156,6 +2157,7 @@ impl Database {
             ins.scan_frame_hits.add(op.frame_hits);
             ins.scan_frame_copies.add(op.frame_copies);
             ins.scan_chunks.add(op.chunks);
+            ins.scan_chunks_pruned.add(op.chunks_pruned);
             ins.scan_blocks_skipped.add(op.blocks_skipped);
             ins.scan_micros.record(started.elapsed().as_micros() as u64);
             if let (Ok(predicted), Ok(slot)) = (snapshot.scan_pages(request), self.slot(table)) {
@@ -2208,6 +2210,7 @@ impl Database {
             ins.scan_frame_hits.add(op.frame_hits);
             ins.scan_frame_copies.add(op.frame_copies);
             ins.scan_chunks.add(op.chunks);
+            ins.scan_chunks_pruned.add(op.chunks_pruned);
             ins.scan_blocks_skipped.add(op.blocks_skipped);
             ins.scan_agg_rows_folded.add(acc.rows_folded());
             ins.scan_micros.record(started.elapsed().as_micros() as u64);

@@ -50,8 +50,11 @@ use rodentstore_algebra::types::DataType;
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_exec::{CostParams, ScanRequest};
 use rodentstore_layout::rowcodec::{decode_record, encode_record};
-use rodentstore_layout::{CellBounds, CodecKind, KeyKind, ObjectEncoding};
+use rodentstore_layout::{
+    has_chunk_directory, CellBounds, ChunkDirectory, ChunkEntry, CodecKind, KeyKind, ObjectEncoding,
+};
 use rodentstore_optimizer::{AdvisorOptions, CostModel};
+use rodentstore_storage::heap::RecordId;
 use rodentstore_storage::wal::SyncPolicy;
 use rodentstore_storage::{crc32, PageId, StorageError, DEFAULT_PAGE_SIZE};
 use std::fs::{File, OpenOptions};
@@ -77,8 +80,10 @@ const MANIFEST_MAGIC: &[u8; 8] = b"RDNTMAN1";
 /// made the manifest metadata only: the canonical and pending rows left it
 /// for each table's canonical page extent, which it describes by page ids,
 /// row and record counts, tail slot count and checksum, plus a pending-row
-/// count.
-const MANIFEST_VERSION: u32 = 5;
+/// count. Version 6 added each column-block object's chunk directory (per
+/// chunk: row count, first block's page ordinal and slot, a fence per
+/// field), checked against the object when it is decoded.
+const MANIFEST_VERSION: u32 = 6;
 
 /// Sentinel in the object encoding for "no open tail page".
 const NO_TAIL: u32 = u32::MAX;
@@ -873,6 +878,9 @@ pub(crate) struct ObjectManifest {
     /// when every page was sealed). Lets `open` refill the page and cut
     /// orphaned post-checkpoint slots.
     pub tail_valid_slots: Option<u32>,
+    /// The chunk directory of a column-block object outside a grid, checked
+    /// against the fields, rows and pages above.
+    pub chunks: Option<ChunkDirectory>,
 }
 
 fn enc_policy(e: &mut Enc, policy: &AdaptivePolicy, cost_params: CostParams) {
@@ -1043,6 +1051,62 @@ fn enc_object(e: &mut Enc, object: &ObjectManifest) {
     }
     e.u64(object.heap_records);
     e.u32(object.tail_valid_slots.unwrap_or(NO_TAIL));
+    match &object.chunks {
+        None => e.bool(false),
+        Some(dir) => {
+            e.bool(true);
+            e.u32(dir.len() as u32);
+            for (c, entry) in dir.entries().iter().enumerate() {
+                e.u32(entry.rows as u32);
+                e.u32(entry.first.page_index as u32);
+                e.u32(entry.first.slot as u32);
+                for fence in dir.fences(c) {
+                    match fence {
+                        None => e.bool(false),
+                        Some((lo, hi)) => {
+                            e.bool(true);
+                            e.f64(*lo);
+                            e.f64(*hi);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Decodes a chunk directory and checks it against the object it belongs
+/// to; one that disagrees is corruption, never a reader's guess.
+fn dec_chunks(
+    d: &mut Dec,
+    name: &str,
+    fields: usize,
+    row_count: u64,
+    pages: usize,
+) -> Result<ChunkDirectory> {
+    let nchunks = d.u32()? as usize;
+    let mut entries = Vec::with_capacity(nchunks.min(1 << 16));
+    let mut fences = Vec::new();
+    for _ in 0..nchunks {
+        let rows = d.u32()? as usize;
+        let page_index = d.u32()? as usize;
+        let slot = d.u32()? as usize;
+        entries.push(ChunkEntry {
+            rows,
+            first: RecordId { page_index, slot },
+        });
+        for _ in 0..fields {
+            fences.push(if d.bool()? {
+                Some((d.f64()?, d.f64()?))
+            } else {
+                None
+            });
+        }
+    }
+    let row_count = usize::try_from(row_count)
+        .map_err(|_| corrupt(format!("object `{name}` claims {row_count} rows")))?;
+    ChunkDirectory::from_parts(fields, entries, fences, row_count, pages)
+        .map_err(|e| corrupt(format!("object `{name}`: {e}")))
 }
 
 fn dec_object(d: &mut Dec) -> Result<ObjectManifest> {
@@ -1069,6 +1133,18 @@ fn dec_object(d: &mut Dec) -> Result<ObjectManifest> {
     }
     let heap_records = d.u64()?;
     let tail_slots = d.u32()?;
+    let chunks = if d.bool()? {
+        Some(dec_chunks(d, &name, fields.len(), row_count, pages.len())?)
+    } else {
+        None
+    };
+    if chunks.is_some() != has_chunk_directory(&encoding, cell.as_ref()) {
+        return Err(corrupt(format!(
+            "object `{name}` ({encoding:?}, cell {}) {} a chunk directory",
+            cell.is_some(),
+            if chunks.is_some() { "carries" } else { "lacks" }
+        )));
+    }
     Ok(ObjectManifest {
         name,
         fields,
@@ -1080,6 +1156,7 @@ fn dec_object(d: &mut Dec) -> Result<ObjectManifest> {
         pages,
         heap_records,
         tail_valid_slots: (tail_slots != NO_TAIL).then_some(tail_slots),
+        chunks,
     })
 }
 
@@ -1326,6 +1403,7 @@ pub(crate) fn encode_manifest(catalog: &CatalogView, ctx: &ManifestContext) -> R
                             pages,
                             heap_records: obj.heap.record_count(),
                             tail_valid_slots: obj.heap.tail_valid_slots(),
+                            chunks: obj.chunks.clone(),
                         },
                     );
                 }

@@ -40,6 +40,9 @@ pub struct Instruments {
     pub scan_frame_copies: Arc<Counter>,
     /// `scan.chunks` — column chunks scans walked (decoded or not).
     pub scan_chunks: Arc<Counter>,
+    /// `scan.chunks_pruned` — column chunks scans passed over unread because
+    /// their fences rule out the predicate's ranges.
+    pub scan_chunks_pruned: Arc<Counter>,
     /// `scan.blocks_skipped` — needed column blocks scans never decoded
     /// because no row of their chunk survived the predicate (late
     /// materialization at work).
@@ -134,6 +137,7 @@ impl Instruments {
             scan_frame_hits: registry.counter("scan.frame_hits"),
             scan_frame_copies: registry.counter("scan.frame_copies"),
             scan_chunks: registry.counter("scan.chunks"),
+            scan_chunks_pruned: registry.counter("scan.chunks_pruned"),
             scan_blocks_skipped: registry.counter("scan.blocks_skipped"),
             scan_agg_rows_folded: registry.counter("scan.agg_rows_folded"),
             get_element_count: registry.counter("get_element.count"),
@@ -203,6 +207,7 @@ pub fn metric_names() -> &'static [&'static str] {
         "scan.agg_rows_folded",
         "scan.blocks_skipped",
         "scan.chunks",
+        "scan.chunks_pruned",
         "scan.count",
         "scan.frame_copies",
         "scan.frame_hits",

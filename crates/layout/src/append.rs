@@ -369,19 +369,18 @@ fn append_grid(
                         .map(|&c| c.clamp(0, u32::MAX as i64) as u32)
                         .collect(),
                 };
-                let mut obj = StoredObject {
-                    name: format!("{}/cell{coords:?}+", layout.name),
-                    fields: layout.schema.field_names(),
-                    heap: HeapFile::create(
+                let mut obj = StoredObject::new(
+                    format!("{}/cell{coords:?}+", layout.name),
+                    layout.schema.field_names(),
+                    HeapFile::create(
                         format!("{}.cell{coords:?}+", layout.name),
                         Arc::clone(layout.pager()),
                     ),
-                    encoding: encoding.clone(),
-                    codecs: codecs.clone(),
-                    cell: Some(bounds),
-                    row_count: 0,
-                    ordering: Vec::new(),
-                };
+                    encoding.clone(),
+                    codecs.clone(),
+                    Some(bounds),
+                    Vec::new(),
+                );
                 let obj_idx = layout.objects.len();
                 let ids = obj.write_rows(&bucket)?;
                 placed.extend(
@@ -459,19 +458,15 @@ fn append_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(
             }
             None => {
                 let p = layout.objects.len();
-                let mut obj = StoredObject {
-                    name: format!("{}/part{p}={label}", layout.name),
-                    fields: layout.schema.field_names(),
-                    heap: HeapFile::create(
-                        format!("{}.p{p}+", layout.name),
-                        Arc::clone(layout.pager()),
-                    ),
-                    encoding: ObjectEncoding::Rows,
-                    codecs: HashMap::new(),
-                    cell: None,
-                    row_count: 0,
-                    ordering: Vec::new(),
-                };
+                let mut obj = StoredObject::new(
+                    format!("{}/part{p}={label}", layout.name),
+                    layout.schema.field_names(),
+                    HeapFile::create(format!("{}.p{p}+", layout.name), Arc::clone(layout.pager())),
+                    ObjectEncoding::Rows,
+                    HashMap::new(),
+                    None,
+                    Vec::new(),
+                );
                 let ids = obj.write_rows(&bucket)?;
                 placed.extend(ids.into_iter().zip(bucket).map(|(rid, row)| (p, rid, row)));
                 layout.objects.push(obj);

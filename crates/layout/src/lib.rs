@@ -27,6 +27,7 @@
 
 pub mod aggregate;
 pub mod append;
+pub mod directory;
 pub mod index;
 pub mod lsm;
 pub mod pipeline;
@@ -37,10 +38,13 @@ pub mod scan;
 
 pub use aggregate::{WindowAccumulator, WindowRow, WindowedAggregate};
 pub use append::{append_records, estimate_append_pages, AppendOutcome};
+pub use directory::{ChunkDirectory, ChunkEntry, Fence};
 pub use index::{IndexKind, KeyKind, StoredIndex};
 pub use lsm::{LsmActivity, LsmRun, LsmState, Memtable};
 pub use pipeline::{MemTableProvider, TableProvider};
-pub use plan::{extract_ranges, CellBounds, ObjectEncoding, PhysicalLayout, StoredObject};
+pub use plan::{
+    extract_ranges, has_chunk_directory, CellBounds, ObjectEncoding, PhysicalLayout, StoredObject,
+};
 pub use rodentstore_compress::CodecKind;
 pub use render::{render, RenderOptions};
 pub use rowcodec::FieldRef;

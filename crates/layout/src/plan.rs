@@ -8,11 +8,12 @@
 //! are what the access-method API in `rodentstore_exec` exposes to a query
 //! processor.
 
+use crate::directory::{fence_of, intersect, ChunkDirectory, ChunkEntry};
+use crate::index::StoredIndex;
+use crate::lsm::LsmState;
 use crate::rowcodec::{
     column_field, decode_fields_borrowed, decode_record, encode_record, values_to_column,
 };
-use crate::index::StoredIndex;
-use crate::lsm::LsmState;
 use crate::scan::ScanIter;
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{CmpOp, Condition, ElemExpr};
@@ -94,6 +95,17 @@ pub struct StoredObject {
     pub row_count: usize,
     /// Sort order of tuples within the object, if any.
     pub ordering: Vec<SortKey>,
+    /// Where each chunk starts and which values it holds — kept by every
+    /// column-block object outside a grid (see [`has_chunk_directory`]),
+    /// `None` for every other object.
+    pub chunks: Option<ChunkDirectory>,
+}
+
+/// Whether objects of this encoding and cell keep a [`ChunkDirectory`]:
+/// column blocks outside a grid. A grid cell's bounds already fence it, and
+/// row pages, folded groups and lsm runs have no chunks.
+pub fn has_chunk_directory(encoding: &ObjectEncoding, cell: Option<&CellBounds>) -> bool {
+    matches!(encoding, ObjectEncoding::ColumnBlocks { .. }) && cell.is_none()
 }
 
 impl std::fmt::Debug for StoredObject {
@@ -139,6 +151,32 @@ pub(crate) fn stitch_folded_row(key: &[Value], entry: &Value) -> Result<Record> 
 }
 
 impl StoredObject {
+    /// An empty object, ready for [`StoredObject::write_rows`]; it keeps a
+    /// chunk directory when [`has_chunk_directory`] says so.
+    pub fn new(
+        name: String,
+        fields: Vec<String>,
+        heap: HeapFile,
+        encoding: ObjectEncoding,
+        codecs: HashMap<String, CodecKind>,
+        cell: Option<CellBounds>,
+        ordering: Vec<SortKey>,
+    ) -> StoredObject {
+        let chunks = has_chunk_directory(&encoding, cell.as_ref())
+            .then(|| ChunkDirectory::new(fields.len()));
+        StoredObject {
+            name,
+            fields,
+            heap,
+            encoding,
+            codecs,
+            cell,
+            row_count: 0,
+            ordering,
+            chunks,
+        }
+    }
+
     /// Number of pages the object occupies.
     pub fn page_count(&self) -> usize {
         self.heap.page_count()
@@ -186,9 +224,10 @@ impl StoredObject {
         }
     }
 
-    /// Positional access within a column-block object: walks the chunks by
-    /// their block-header row counts and decodes only the needed blocks of
-    /// the containing chunk.
+    /// Positional access within a column-block object: seeks the chunk
+    /// holding the row (through the directory, or for a grid cell by walking
+    /// the chunks by their block-header row counts) and decodes only its
+    /// needed blocks.
     fn read_block_row_at(
         &self,
         index: usize,
@@ -196,24 +235,22 @@ impl StoredObject {
         needed: &[bool],
     ) -> Result<Record> {
         let mut reader = ChunkReader::new(self, needed)?;
-        while reader.next_chunk()? {
-            if index < reader.end() {
-                let at = index - reader.start;
-                let mut row = vec![Value::Null; self.fields.len()];
-                for (f, value) in row.iter_mut().enumerate() {
-                    if needed.get(f).copied().unwrap_or(false) {
-                        reader.decode(f)?;
-                        let template = templates.get(f).unwrap_or(&Value::Null);
-                        *value = column_field(reader.col(f), template, at).to_value()?;
-                    }
-                }
-                return Ok(row);
+        if !reader.seek(index)? {
+            return Err(LayoutError::Corrupted(format!(
+                "row {index} beyond the stored blocks of `{}`",
+                self.name
+            )));
+        }
+        let at = index - reader.start;
+        let mut row = vec![Value::Null; self.fields.len()];
+        for (f, value) in row.iter_mut().enumerate() {
+            if needed.get(f).copied().unwrap_or(false) {
+                reader.decode(f)?;
+                let template = templates.get(f).unwrap_or(&Value::Null);
+                *value = column_field(reader.col(f), template, at).to_value()?;
             }
         }
-        Err(LayoutError::Corrupted(format!(
-            "row {index} beyond the stored blocks of `{}`",
-            self.name
-        )))
+        Ok(row)
     }
 
     /// Writes tuples (already restricted to this object's fields, in object
@@ -251,8 +288,9 @@ impl StoredObject {
 
     /// Encodes one chunk of rows as per-field column blocks. Chunks whose
     /// encoded blocks would not fit in a page are split recursively so the
-    /// chosen block size never violates the page capacity.
-    fn write_column_chunk(&self, chunk: &[Record], max_block: usize) -> Result<()> {
+    /// chosen block size never violates the page capacity. Every chunk
+    /// written extends the directory, if the object keeps one.
+    fn write_column_chunk(&mut self, chunk: &[Record], max_block: usize) -> Result<()> {
         let mut blocks = Vec::with_capacity(self.fields.len());
         for (f, field) in self.fields.iter().enumerate() {
             let values: Vec<Value> = chunk.iter().map(|r| r[f].clone()).collect();
@@ -263,16 +301,37 @@ impl StoredObject {
                 .copied()
                 .unwrap_or(CodecKind::Plain)
                 .build();
-            blocks.push(codec.encode(&column)?);
+            let numeric = !matches!(column, ColumnData::Strings(_));
+            blocks.push((codec.encode(&column)?, codec, numeric));
         }
-        if blocks.iter().any(|b| b.len() > max_block) && chunk.len() > 1 {
+        if blocks.iter().any(|(b, ..)| b.len() > max_block) && chunk.len() > 1 {
             let mid = chunk.len() / 2;
             self.write_column_chunk(&chunk[..mid], max_block)?;
             self.write_column_chunk(&chunk[mid..], max_block)?;
             return Ok(());
         }
-        for block in blocks {
-            self.heap.append(&block)?;
+        let mut first = None;
+        for (block, ..) in &blocks {
+            let at = self.heap.append(block)?;
+            first.get_or_insert(at);
+        }
+        if let (Some(dir), Some(first)) = (&mut self.chunks, first) {
+            // A fence must describe what a reader decodes — the delta codec
+            // rounds floats to its quantum — so it is taken over the decoded
+            // block, not over the values handed in.
+            let mut fences = Vec::with_capacity(blocks.len());
+            for (block, codec, numeric) in &blocks {
+                fences.push(if *numeric {
+                    fence_of(&codec.decode(block)?)
+                } else {
+                    None
+                });
+            }
+            let entry = ChunkEntry {
+                rows: chunk.len(),
+                first,
+            };
+            dir.push(entry, fences);
         }
         Ok(())
     }
@@ -310,9 +369,12 @@ pub(crate) fn read_heap_row(heap: &HeapFile, index: usize, needed: &[bool]) -> R
 /// column-block read path (scans, folds, positional access) goes through.
 ///
 /// A chunk is one encoded block per field, in field order, and may straddle
-/// pages; the reader walks the object's pages in order (every page is read
-/// exactly once, whether or not anything on it is decoded), learns a chunk's
-/// row count from a block header, and decodes a field's block only when
+/// pages; the reader moves from chunk to chunk in storage order, reading
+/// each page it needs once — a page one chunk ends on and the next begins on
+/// is not read twice — or [`ChunkReader::seek`]s forward, jumping through
+/// the object's chunk directory over the chunks in between without reading
+/// their pages. It learns a chunk's row count from a block header (checked
+/// against the directory) and decodes a field's block only when
 /// [`ChunkReader::decode`] asks for it — straight from the page frame into a
 /// typed buffer it reuses for the next chunk.
 pub(crate) struct ChunkReader<'a> {
@@ -331,6 +393,9 @@ pub(crate) struct ChunkReader<'a> {
     cols: Vec<ColumnData>,
     decoded: Vec<bool>,
     chunk: usize,
+    /// Chunks [`ChunkReader::seek`] jumped over without reading them, not
+    /// yet taken by [`ChunkReader::take_jumped`].
+    jumped: usize,
     /// Object row position of the current chunk's first row.
     pub(crate) start: usize,
     len: usize,
@@ -359,9 +424,15 @@ impl<'a> ChunkReader<'a> {
             cols: (0..ncols).map(|_| ColumnData::Ints(Vec::new())).collect(),
             decoded: vec![false; ncols],
             chunk: 0,
+            jumped: 0,
             start: 0,
             len: 0,
         })
+    }
+
+    /// Takes the count of chunks jumped over since the last call.
+    pub(crate) fn take_jumped(&mut self) -> usize {
+        std::mem::take(&mut self.jumped)
     }
 
     /// Object row position one past the current chunk's last row.
@@ -369,10 +440,50 @@ impl<'a> ChunkReader<'a> {
         self.start + self.len
     }
 
-    /// Moves to the next chunk; `false` once the object is exhausted. The
-    /// chunk's row count comes from the header of its first needed block, so
-    /// a chunk nobody decodes costs a header read.
+    /// Moves to the chunk holding object row `row`, at or after the current
+    /// one: nothing to do when the current chunk holds it, the next chunk
+    /// when `row` is where the current one ends, a jump through the
+    /// directory otherwise (an object without one — a grid cell — walks).
+    /// `false` when the object ends before `row`.
+    pub(crate) fn seek(&mut self, row: usize) -> Result<bool> {
+        if (self.start..self.end()).contains(&row) {
+            return Ok(true);
+        }
+        if row > self.end() {
+            let next = self.chunk + usize::from(!self.blocks.is_empty());
+            let target = self.obj.chunks.as_ref().and_then(|dir| dir.chunk_of(row));
+            if let Some(c) = target.filter(|&c| c != next) {
+                return self.jump(c);
+            }
+        }
+        while self.end() <= row {
+            if !self.next_chunk()? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Moves to the next chunk; `false` once the object is exhausted.
     pub(crate) fn next_chunk(&mut self) -> Result<bool> {
+        self.finish();
+        self.load()
+    }
+
+    /// Leaves the object: finishes the current chunk, and the directory
+    /// chunks the reader never reached count as jumped over. Closing twice
+    /// counts nothing more.
+    pub(crate) fn close(&mut self) {
+        self.finish();
+        if let Some(dir) = &self.obj.chunks {
+            self.jumped += dir.len().saturating_sub(self.chunk);
+            self.chunk = self.chunk.max(dir.len());
+        }
+    }
+
+    /// Leaves the current chunk, accounting for the blocks it never had to
+    /// decode.
+    fn finish(&mut self) {
         if !self.blocks.is_empty() {
             let skipped = self.needed.iter().zip(&self.decoded).filter(|(n, d)| **n && !**d);
             self.obj.heap.pager().record_chunk(skipped.count() as u64);
@@ -381,6 +492,43 @@ impl<'a> ChunkReader<'a> {
         }
         self.start += self.len;
         self.len = 0;
+    }
+
+    /// Moves to chunk `c` of the directory, reading its first page unless
+    /// the reader already holds it; the chunks in between count as jumped.
+    fn jump(&mut self, c: usize) -> Result<bool> {
+        self.finish();
+        let dir = self
+            .obj
+            .chunks
+            .as_ref()
+            .expect("only objects with a directory jump");
+        let ChunkEntry { first, .. } = dir.entries()[c];
+        self.start = dir.start(c);
+        self.jumped += c.saturating_sub(self.chunk);
+        self.chunk = c;
+        if self.frames.is_empty() || self.next_page != first.page_index + 1 {
+            let &page_id = self.pages.get(first.page_index).ok_or_else(|| {
+                LayoutError::Corrupted(format!(
+                    "chunk {c} of `{}` starts on page ordinal {} of {}",
+                    self.obj.name,
+                    first.page_index,
+                    self.pages.len()
+                ))
+            })?;
+            self.frames.clear();
+            self.frames.push(self.obj.heap.pager().read_frame(page_id)?);
+            self.next_page = first.page_index + 1;
+        }
+        self.slot = first.slot;
+        self.load()
+    }
+
+    /// Gathers the blocks of the chunk starting at the reader's position;
+    /// `false` once the object is exhausted. The chunk's row count comes from
+    /// the header of its first needed block, so a chunk nobody decodes costs
+    /// a header read.
+    fn load(&mut self) -> Result<bool> {
         // Only the last frame can still hold unread blocks.
         self.frames.drain(..self.frames.len().saturating_sub(1));
         let ncols = self.obj.fields.len();
@@ -414,6 +562,22 @@ impl<'a> ChunkReader<'a> {
         self.decoded.fill(false);
         let probe = self.needed.iter().position(|&n| n).unwrap_or(0);
         self.len = self.codecs[probe].count(block_at(&self.frames, self.blocks[probe])?)?;
+        if let Some(dir) = &self.obj.chunks {
+            let (frame, slot) = self.blocks[0];
+            let page_index = self.next_page - self.frames.len() + frame;
+            let found = ChunkEntry {
+                rows: self.len,
+                first: RecordId { page_index, slot },
+            };
+            if dir.entries().get(self.chunk) != Some(&found) {
+                return Err(LayoutError::Corrupted(format!(
+                    "chunk {} of object `{}` ({found:?}) disagrees with its directory ({:?})",
+                    self.chunk,
+                    self.obj.name,
+                    dir.entries().get(self.chunk)
+                )));
+            }
+        }
         Ok(true)
     }
 
@@ -550,6 +714,7 @@ impl PhysicalLayout {
                 cell: o.cell.clone(),
                 row_count: o.row_count,
                 ordering: o.ordering.clone(),
+                chunks: o.chunks.clone(),
             });
         }
         let index = match &self.index {
@@ -721,6 +886,26 @@ impl PhysicalLayout {
             .collect()
     }
 
+    /// The base objects a streaming scan reads, grouped by the cursor that
+    /// reads them: the selected column groups of a vertical partition
+    /// together — any one of them when the scan needs no field, since it
+    /// still yields one (empty) row per tuple — and every other selected
+    /// object on its own.
+    pub fn cursor_groups(
+        &self,
+        fields: Option<&[String]>,
+        predicate: Option<&Condition>,
+    ) -> Vec<Vec<usize>> {
+        let selected = self.objects_to_read(fields, predicate);
+        if !self.is_vertically_partitioned() {
+            return selected.into_iter().map(|i| vec![i]).collect();
+        }
+        if selected.is_empty() {
+            return vec![vec![0]];
+        }
+        vec![selected]
+    }
+
     /// Estimated number of pages a scan would read, without performing it.
     /// When the declared index covers the predicate, the estimate probes it
     /// and counts the tree pages plus the distinct heap pages holding
@@ -752,11 +937,74 @@ impl PhysicalLayout {
                 }
             }
         }
-        self.objects_to_read(fields, predicate)
+        // Each cursor reads the pages of the chunks its fences let through.
+        let base: u64 = self
+            .cursor_groups(fields, predicate)
             .iter()
-            .map(|&i| self.objects[i].page_count() as u64)
-            .sum::<u64>()
-            + lsm_pages
+            .map(|group| group.iter().map(|&i| &self.objects[i]).collect::<Vec<_>>())
+            .map(|group| match self.fenced_rows(&group, predicate) {
+                Some(rows) => group
+                    .iter()
+                    .map(|o| {
+                        let all = o.page_count();
+                        o.chunks
+                            .as_ref()
+                            .map_or(all as u64, |dir| dir.pages_read(&rows, all))
+                    })
+                    .sum::<u64>(),
+                None => group.iter().map(|o| o.page_count() as u64).sum(),
+            })
+            .sum();
+        base + lsm_pages
+    }
+
+    /// The rows a cursor over `group` — one object, or the column groups of
+    /// a vertical partition read together — must deliver under `predicate`:
+    /// per member with a chunk directory, the rows of the chunks whose
+    /// fences meet the ranges the predicate implies on its `Int`,
+    /// `Timestamp` and `Float` fields, intersected across members. `None`
+    /// when no fence constrains the predicate — the cursor reads everything.
+    ///
+    /// A fence only rules chunks out; which rows match is still decided row
+    /// by row, so the ranges may hold rows the predicate rejects.
+    pub(crate) fn fenced_rows(
+        &self,
+        group: &[&StoredObject],
+        predicate: Option<&Condition>,
+    ) -> Option<Vec<(usize, usize)>> {
+        let predicate = predicate?;
+        if group.iter().all(|o| o.chunks.is_none()) {
+            return None;
+        }
+        let ranges = extract_ranges(predicate);
+        let mut rows: Option<Vec<(usize, usize)>> = None;
+        for obj in group {
+            let Some(dir) = &obj.chunks else {
+                continue;
+            };
+            let bounds: Vec<(usize, f64, f64)> = obj
+                .fields
+                .iter()
+                .enumerate()
+                .filter_map(|(f, name)| {
+                    let &(lo, hi) = ranges.get(name)?;
+                    let numeric = matches!(
+                        self.schema.field(name).ok()?.ty.unwrap_named(),
+                        DataType::Int | DataType::Timestamp | DataType::Float
+                    );
+                    numeric.then_some((f, lo, hi))
+                })
+                .collect();
+            if bounds.is_empty() {
+                continue;
+            }
+            let here = dir.surviving(&bounds);
+            rows = Some(match rows {
+                Some(before) => intersect(&before, &here),
+                None => here,
+            });
+        }
+        rows
     }
 
     fn index_scan_pages(
@@ -1083,5 +1331,134 @@ mod tests {
             Err(LayoutError::Corrupted(msg)) => assert!(msg.contains("`rows`"), "{msg}"),
             other => panic!("expected corruption, got {other:?}"),
         }
+    }
+
+    /// A 20 000-row telemetry table under
+    /// `delta[ts](vertical[ts,value|sensor,status,seq](…))` on 4 KiB pages.
+    fn telemetry_layout() -> PhysicalLayout {
+        use rodentstore_algebra::schema::Field;
+        let schema = Schema::new(
+            "Telemetry",
+            vec![
+                Field::new("ts", DataType::Int),
+                Field::new("sensor", DataType::String),
+                Field::new("value", DataType::Float),
+                Field::new("status", DataType::Int),
+                Field::new("seq", DataType::Int),
+            ],
+        );
+        let rows: Vec<Record> = (0..20_000i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i * 3),
+                    Value::Str(format!("sensor-{:04}", i % 16)),
+                    Value::Float((i % 97) as f64 * 0.5),
+                    Value::Int(i % 5),
+                    Value::Int(i / 16),
+                ]
+            })
+            .collect();
+        let expr = rodentstore_algebra::parse(
+            "delta[ts](vertical[ts,value|sensor,status,seq](Telemetry))",
+        )
+        .unwrap();
+        let provider = crate::MemTableProvider::single(schema, rows);
+        let pager = Arc::new(Pager::in_memory_with_page_size(4096));
+        crate::render(&expr, &provider, pager, crate::RenderOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn get_element_reads_only_the_pages_of_the_rows_chunk() {
+        let layout = telemetry_layout();
+        let full = layout.scan(None, None).unwrap();
+        for i in [0usize, 10_000, 19_999] {
+            // The pages the blocks of row `i`'s chunk lie on, per object, from
+            // a walk over the heap's records (one block per field per chunk).
+            let mut want = 0usize;
+            for obj in &layout.objects {
+                let dir = obj.chunks.as_ref().expect("column groups keep a directory");
+                let c = dir.chunk_of(i).unwrap();
+                let mut pages = Vec::new();
+                obj.heap
+                    .scan(|rid, _| {
+                        pages.push(rid.page_index);
+                        Ok::<_, LayoutError>(())
+                    })
+                    .unwrap();
+                let blocks = &pages[c * obj.fields.len()..(c + 1) * obj.fields.len()];
+                want += blocks[blocks.len() - 1] - blocks[0] + 1;
+                assert!(
+                    dir.len() > 20 && obj.page_count() > 20,
+                    "{obj:?} spans many chunks"
+                );
+            }
+            let before = layout.pager().stats().snapshot();
+            assert_eq!(layout.get_element(i, None).unwrap(), full[i], "row {i}");
+            let io = layout.pager().stats().snapshot().since(&before);
+            assert_eq!(
+                io.pages_read as usize, want,
+                "row {i} reads its chunk's pages only"
+            );
+        }
+    }
+
+    #[test]
+    fn windows_read_the_pages_the_estimate_predicts() {
+        let layout = telemetry_layout();
+        let fields = vec!["ts".to_string(), "value".to_string()];
+        let full_pages = layout.estimate_scan_pages(Some(&fields), None);
+        for (lo, hi) in [(0i64, 0i64), (29_997, 30_300), (59_000, 59_997), (-5, -1)] {
+            let pred = Condition::range("ts", lo, hi);
+            let predicted = layout.estimate_scan_pages(Some(&fields), Some(&pred));
+            let before = layout.pager().stats().snapshot();
+            let rows = layout.scan(Some(&fields), Some(&pred)).unwrap();
+            let io = layout.pager().stats().snapshot().since(&before);
+            let want = (lo.max(0)..=hi).filter(|ts| ts % 3 == 0).count();
+            assert_eq!(rows.len(), want, "window [{lo}, {hi}]");
+            assert_eq!(io.pages_read, predicted, "window [{lo}, {hi}]");
+            assert!(
+                predicted * 20 < full_pages,
+                "window [{lo}, {hi}]: {predicted} pages"
+            );
+        }
+        // A scan needing no field still reads one column group.
+        let none: Vec<String> = Vec::new();
+        let predicted = layout.estimate_scan_pages(Some(&none), None);
+        let before = layout.pager().stats().snapshot();
+        assert_eq!(layout.scan(Some(&none), None).unwrap().len(), 20_000);
+        let io = layout.pager().stats().snapshot().since(&before);
+        assert!(predicted > 0);
+        assert_eq!(io.pages_read, predicted);
+    }
+
+    #[test]
+    fn chunks_count_as_pruned_when_the_scan_passes_them() {
+        let layout = telemetry_layout();
+        let group = &layout.objects[0];
+        assert_eq!(group.fields, ["ts", "value"]);
+        let dir = group.chunks.as_ref().unwrap();
+        let fields = vec!["ts".to_string(), "value".to_string()];
+        // Row 10 000 holds ts 30 000; the chunks before it cannot match.
+        let pred = Condition::range("ts", 30_000i64, 30_300i64);
+        let skipped = dir.chunk_of(10_000).unwrap();
+        assert!(skipped > 0 && skipped + 2 < dir.len());
+
+        // Stopped after its first row, the scan has passed only the chunks
+        // before the window.
+        let before = layout.pager().stats().snapshot();
+        let mut iter = layout.scan_iter(Some(&fields), Some(&pred)).unwrap();
+        let first = iter.next().unwrap().unwrap();
+        assert_eq!(first[0], Value::Int(30_000));
+        drop(iter);
+        let io = layout.pager().stats().snapshot().since(&before);
+        assert_eq!(io.chunks_pruned as usize, skipped);
+
+        // Run to the end, it passes the rest too: every chunk is walked or
+        // pruned, once.
+        let before = layout.pager().stats().snapshot();
+        assert_eq!(layout.scan(Some(&fields), Some(&pred)).unwrap().len(), 101);
+        let io = layout.pager().stats().snapshot().since(&before);
+        assert!(io.chunks_pruned as usize > skipped);
+        assert_eq!((io.chunks + io.chunks_pruned) as usize, dir.len());
     }
 }

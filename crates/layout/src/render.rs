@@ -132,32 +132,30 @@ pub fn render<P: TableProvider + ?Sized>(
                 .iter()
                 .map(|r| indices.iter().map(|&i| r[i].clone()).collect())
                 .collect();
-            let mut obj = StoredObject {
-                name: format!("{name}/group{g}[{}]", group.join(",")),
-                fields: group.clone(),
-                heap: HeapFile::create(format!("{name}.g{g}"), Arc::clone(&pager)),
-                encoding: ObjectEncoding::ColumnBlocks { block_rows },
-                codecs: codecs.clone(),
-                cell: None,
-                row_count: 0,
-                ordering: derived.orderings.last().cloned().unwrap_or_default(),
-            };
+            let mut obj = StoredObject::new(
+                format!("{name}/group{g}[{}]", group.join(",")),
+                group.clone(),
+                HeapFile::create(format!("{name}.g{g}"), Arc::clone(&pager)),
+                ObjectEncoding::ColumnBlocks { block_rows },
+                codecs.clone(),
+                None,
+                derived.orderings.last().cloned().unwrap_or_default(),
+            );
             obj.write_rows(&group_rows)?;
             objects.push(obj);
         }
     } else if let Some(pax) = &derived.pax {
-        let mut obj = StoredObject {
-            name: format!("{name}/pax"),
-            fields: schema.field_names(),
-            heap: HeapFile::create(format!("{name}.pax"), Arc::clone(&pager)),
-            encoding: ObjectEncoding::ColumnBlocks {
+        let mut obj = StoredObject::new(
+            format!("{name}/pax"),
+            schema.field_names(),
+            HeapFile::create(format!("{name}.pax"), Arc::clone(&pager)),
+            ObjectEncoding::ColumnBlocks {
                 block_rows: pax.records_per_page,
             },
-            codecs: codecs.clone(),
-            cell: None,
-            row_count: 0,
-            ordering: derived.orderings.last().cloned().unwrap_or_default(),
-        };
+            codecs.clone(),
+            None,
+            derived.orderings.last().cloned().unwrap_or_default(),
+        );
         obj.write_rows(&records)?;
         objects.push(obj);
     } else if let Some((key, values)) = derived.folded.clone() {
@@ -170,30 +168,28 @@ pub fn render<P: TableProvider + ?Sized>(
         // Compression without an explicit structural transform: store the
         // whole relation as column blocks so the codecs have a columnar
         // substrate to work on.
-        let mut obj = StoredObject {
-            name: format!("{name}/compressed"),
-            fields: schema.field_names(),
-            heap: HeapFile::create(format!("{name}.cb"), Arc::clone(&pager)),
-            encoding: ObjectEncoding::ColumnBlocks { block_rows },
-            codecs: codecs.clone(),
-            cell: None,
-            row_count: 0,
-            ordering: derived.orderings.last().cloned().unwrap_or_default(),
-        };
+        let mut obj = StoredObject::new(
+            format!("{name}/compressed"),
+            schema.field_names(),
+            HeapFile::create(format!("{name}.cb"), Arc::clone(&pager)),
+            ObjectEncoding::ColumnBlocks { block_rows },
+            codecs.clone(),
+            None,
+            derived.orderings.last().cloned().unwrap_or_default(),
+        );
         obj.write_rows(&records)?;
         objects.push(obj);
     } else {
         // Canonical row-major representation.
-        let mut obj = StoredObject {
-            name: format!("{name}/rows"),
-            fields: schema.field_names(),
-            heap: HeapFile::create(format!("{name}.rows"), Arc::clone(&pager)),
-            encoding: ObjectEncoding::Rows,
-            codecs: HashMap::new(),
-            cell: None,
-            row_count: 0,
-            ordering: derived.orderings.last().cloned().unwrap_or_default(),
-        };
+        let mut obj = StoredObject::new(
+            format!("{name}/rows"),
+            schema.field_names(),
+            HeapFile::create(format!("{name}.rows"), Arc::clone(&pager)),
+            ObjectEncoding::Rows,
+            HashMap::new(),
+            None,
+            derived.orderings.last().cloned().unwrap_or_default(),
+        );
         obj.write_rows(&records)?;
         objects.push(obj);
     }
@@ -310,16 +306,15 @@ fn render_grid(
                 .collect(),
             coords: coord.clone(),
         };
-        let mut obj = StoredObject {
-            name: format!("{name}/cell{coord:?}"),
-            fields: schema.field_names(),
-            heap: HeapFile::create(format!("{name}.cell{coord:?}"), Arc::clone(pager)),
-            encoding: encoding.clone(),
-            codecs: codecs.clone(),
-            cell: Some(bounds),
-            row_count: 0,
-            ordering: Vec::new(),
-        };
+        let mut obj = StoredObject::new(
+            format!("{name}/cell{coord:?}"),
+            schema.field_names(),
+            HeapFile::create(format!("{name}.cell{coord:?}"), Arc::clone(pager)),
+            encoding.clone(),
+            codecs.clone(),
+            Some(bounds),
+            Vec::new(),
+        );
         obj.write_rows(cell_records)?;
         objects.push(obj);
     }
@@ -378,18 +373,19 @@ fn render_folded(
     }
     heap.flush()?;
 
-    Ok(StoredObject {
-        name: format!("{name}/folded"),
-        fields: schema.field_names(),
+    let mut obj = StoredObject::new(
+        format!("{name}/folded"),
+        schema.field_names(),
         heap,
-        encoding: ObjectEncoding::Folded {
+        ObjectEncoding::Folded {
             key_fields: key.len(),
         },
-        codecs: HashMap::new(),
-        cell: None,
-        row_count: records.len(),
-        ordering: derived.orderings.last().cloned().unwrap_or_default(),
-    })
+        HashMap::new(),
+        None,
+        derived.orderings.last().cloned().unwrap_or_default(),
+    );
+    obj.row_count = records.len();
+    Ok(obj)
 }
 
 /// Horizontal partitioning: one full-width row object per partition.
@@ -433,16 +429,15 @@ fn render_partitions(
 
     let mut objects = Vec::with_capacity(buckets.len());
     for (p, (label, rows)) in buckets.iter().enumerate() {
-        let mut obj = StoredObject {
-            name: format!("{name}/part{p}={label}"),
-            fields: schema.field_names(),
-            heap: HeapFile::create(format!("{name}.p{p}"), Arc::clone(pager)),
-            encoding: ObjectEncoding::Rows,
-            codecs: HashMap::new(),
-            cell: None,
-            row_count: 0,
-            ordering: derived.orderings.last().cloned().unwrap_or_default(),
-        };
+        let mut obj = StoredObject::new(
+            format!("{name}/part{p}={label}"),
+            schema.field_names(),
+            HeapFile::create(format!("{name}.p{p}"), Arc::clone(pager)),
+            ObjectEncoding::Rows,
+            HashMap::new(),
+            None,
+            derived.orderings.last().cloned().unwrap_or_default(),
+        );
         obj.write_rows(rows)?;
         objects.push(obj);
     }

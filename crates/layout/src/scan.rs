@@ -14,7 +14,8 @@
 //!   are skipped over byte-wise (the self-describing row encoding carries
 //!   lengths) and unneeded column blocks are never run through their codec;
 //! * one borrowed loop serves every stored source alike — row pages (all
-//!   their slots, or only the slots an index probe names), column chunks,
+//!   their slots, or only the slots an index probe names), column chunks
+//!   (all of them, or only those whose fences meet the predicate's ranges),
 //!   and the sealed runs of an `lsm[...]` tier: a row is a slice of
 //!   [`FieldRef`]s — decoded out of a page frame, or read off the typed
 //!   vectors of a decoded chunk — the predicate runs on the refs, and only
@@ -469,6 +470,12 @@ struct ObjectCursor<'a> {
     /// current range that survived the predicate.
     row: usize,
     sel: Vec<u32>,
+    /// The ascending `[start, end)` row ranges the readers deliver — the
+    /// whole group, unless chunk fences narrowed them — the one being
+    /// delivered, and the group's row count.
+    ranges: Vec<(usize, usize)>,
+    range: usize,
+    total: usize,
     /// Predicate pushed down into the borrowed loop (evaluated on borrowed
     /// refs before anything is materialized), and the compact positions it
     /// reads — the columns a chunk decodes first.
@@ -521,6 +528,13 @@ impl<'a> ObjectCursor<'a> {
         };
         let mut readers = Vec::new();
         let mut slots = Vec::new();
+        let total = group.first().map_or(0, |o| o.row_count);
+        if let Some(o) = group.iter().find(|o| o.row_count != total) {
+            return Err(LayoutError::Corrupted(format!(
+                "object `{}` of the partition around `{name}` holds {} rows, its siblings {total}",
+                o.name, o.row_count
+            )));
+        }
         if columnar {
             let mut base = 0usize;
             for (r, o) in group.iter().enumerate() {
@@ -560,6 +574,9 @@ impl<'a> ObjectCursor<'a> {
             slots,
             row: 0,
             sel: Vec::new(),
+            ranges: vec![(0, total)],
+            range: 0,
+            total,
             borrowed_pred: None,
             pred_cols: Vec::new(),
             out: None,
@@ -586,6 +603,13 @@ impl<'a> ObjectCursor<'a> {
             self.picked.push(slots.clone());
         }
         Ok(())
+    }
+
+    /// Restricts a column-block cursor to the row ranges its chunk fences
+    /// let through (see [`PhysicalLayout::fenced_rows`]); the chunks outside
+    /// them are never read, and count as pruned as the readers pass them.
+    fn restrict(&mut self, rows: Vec<(usize, usize)>) {
+        self.ranges = rows;
     }
 
     /// Takes the accumulator of a completed in-cursor fold, if one ran.
@@ -714,28 +738,45 @@ impl<'a> ObjectCursor<'a> {
     /// The column-chunk source, with late materialization: the readers move
     /// to the next range of rows every one of them holds decoded or
     /// decodable (chunk boundaries may differ between the objects of a
-    /// partition), the predicate's columns are decoded and evaluated first,
+    /// partition) — jumping over the rows between two of the cursor's
+    /// ranges — the predicate's columns are decoded and evaluated first,
     /// and the remaining columns are decoded only if a row survived — so a
     /// selective window pays for one column, not for the projection.
     fn step_columns(&mut self, sink: &mut Vec<Record>) -> Result<bool> {
+        let (hi, skips) = loop {
+            match self.ranges.get(self.range) {
+                Some(&(lo, hi)) if self.row < hi => {
+                    let skips = self.row < lo;
+                    self.row = self.row.max(lo);
+                    break (hi, skips);
+                }
+                Some(_) => self.range += 1,
+                None => return self.close_columns(),
+            }
+        };
         let mut live = 0usize;
         for reader in &mut self.readers {
-            while reader.end() == self.row && reader.next_chunk()? {}
-            live += usize::from(reader.end() > self.row);
+            live += usize::from(reader.seek(self.row)?);
         }
-        if live == 0 {
-            return Ok(false);
+        if skips {
+            self.record_jumps();
         }
         if live < self.readers.len() {
             return Err(LayoutError::Corrupted(format!(
                 "objects of the partition around `{}` disagree on the row count: {live} of {} \
-                 continue past row {}",
+                 hold row {}",
                 self.name,
                 self.readers.len(),
                 self.row
             )));
         }
-        let end = self.readers.iter().map(ChunkReader::end).min().unwrap_or(self.row);
+        let end = self
+            .readers
+            .iter()
+            .map(ChunkReader::end)
+            .min()
+            .unwrap_or(self.row)
+            .min(hi);
         let (row, n) = (self.row, end - self.row);
         self.row = end;
         let ObjectCursor {
@@ -830,6 +871,35 @@ impl<'a> ObjectCursor<'a> {
         }
         Ok(true)
     }
+
+    /// Ends the column-chunk source once its last range is delivered: the
+    /// readers account for the chunk they stand on and count the chunks
+    /// after the last range as pruned, and a cursor that read to the group's
+    /// last row makes sure no object holds a chunk past it.
+    fn close_columns(&mut self) -> Result<bool> {
+        for reader in &mut self.readers {
+            if self.row == self.total && reader.seek(self.row)? {
+                return Err(LayoutError::Corrupted(format!(
+                    "object `{}` holds rows past its row count {}",
+                    self.name, self.total
+                )));
+            }
+            reader.close();
+        }
+        self.record_jumps();
+        Ok(false)
+    }
+
+    /// Counts the chunks the readers jumped over — fenced out — as pruned.
+    /// Readers jump only onto the start of a range, so the loop calls this
+    /// when it enters one past a gap, and once at the end.
+    #[cold]
+    fn record_jumps(&mut self) {
+        let pruned: usize = self.readers.iter_mut().map(ChunkReader::take_jumped).sum();
+        if pruned > 0 {
+            self.heap.pager().record_pruned(pruned as u64);
+        }
+    }
 }
 
 /// Per-cursor scan state: a decoding cursor plus the predicate and
@@ -884,14 +954,12 @@ fn group_positions(positions: &[u64]) -> Vec<(usize, Batches)> {
 /// `lsm[...]` tier. The tier's memtable is the in-memory tail.
 pub struct ScanIter<'a> {
     layout: &'a PhysicalLayout,
-    /// Base objects the scan reads — under an index probe, those holding a
-    /// candidate row.
-    selected: Vec<usize>,
-    /// The selected objects are the column groups of one vertical partition
-    /// (read together) rather than horizontal pieces (read one by one).
-    vertical: bool,
-    /// Set when the declared index covers the predicate: per selected
-    /// object, the batches its cursor is restricted to.
+    /// Base objects the scan reads, one group per cursor (see
+    /// [`PhysicalLayout::cursor_groups`]) — under an index probe, each object
+    /// holding a candidate row on its own.
+    groups: Vec<Vec<usize>>,
+    /// Set when the declared index covers the predicate: per group, the
+    /// batches its cursor is restricted to.
     probe: Option<Vec<Batches>>,
     out_fields: Vec<String>,
     predicate: Option<Condition>,
@@ -943,23 +1011,19 @@ impl<'a> ScanIter<'a> {
             .schema
             .indices_of(&out_fields)
             .map_err(LayoutError::Algebra)?;
-        let mut selected = layout.objects_to_read(fields, predicate);
+        let mut groups = layout.cursor_groups(fields, predicate);
         let vertical = layout.is_vertically_partitioned();
-        if vertical && selected.is_empty() && !layout.objects.is_empty() {
-            // A zero-width projection still yields one (empty) row per tuple;
-            // any column group knows how many there are.
-            selected.push(0);
-        }
         let mut probe = None;
         if let (false, Some(pred), Some(idx)) = (vertical, predicate, layout.index.as_ref()) {
             let ranges = extract_ranges(pred);
             if idx.covers(&ranges) {
-                let (objects, batches) = group_positions(&idx.probe(&ranges)?).into_iter().unzip();
-                selected = objects;
+                let (objects, batches): (Vec<usize>, _) =
+                    group_positions(&idx.probe(&ranges)?).into_iter().unzip();
+                groups = objects.into_iter().map(|o| vec![o]).collect();
                 probe = Some(batches);
             }
         }
-        if let Some(&obj) = selected.iter().find(|&&o| o >= layout.objects.len()) {
+        if let Some(&obj) = groups.iter().flatten().find(|&&o| o >= layout.objects.len()) {
             return Err(LayoutError::Corrupted(format!(
                 "index references object {obj} beyond the {} of `{}`",
                 layout.objects.len(),
@@ -968,8 +1032,7 @@ impl<'a> ScanIter<'a> {
         }
         let mut iter = ScanIter {
             layout,
-            selected,
-            vertical,
+            groups,
             probe,
             out_fields,
             predicate: predicate.cloned(),
@@ -1022,24 +1085,13 @@ impl<'a> ScanIter<'a> {
         Ok(())
     }
 
-    /// The base objects the `n`-th cursor reads: all the selected column
-    /// groups of a vertical partition at once, otherwise one selected object
-    /// per cursor.
-    fn group(&self, n: usize) -> Option<&[usize]> {
-        if self.vertical {
-            (n == 0 && !self.selected.is_empty()).then_some(&self.selected[..])
-        } else {
-            self.selected.get(n..n + 1)
-        }
-    }
-
     /// Opens the `n`-th cursor of the scan: the base groups first (see
-    /// [`ScanIter::group`]), then one per non-pruned lsm run. `None` once
-    /// every cursor has been opened.
+    /// [`PhysicalLayout::cursor_groups`]), then one per non-pruned lsm run.
+    /// `None` once every cursor has been opened.
     fn open_cursor(&mut self, n: usize) -> Result<Option<ObjectState<'a>>> {
         let layout = self.layout;
         let objs: Vec<&'a StoredObject>;
-        let (heap, name, encoding, fields) = match self.group(n) {
+        let (heap, name, encoding, fields) = match self.groups.get(n) {
             Some(group) => {
                 objs = group.iter().map(|&i| &layout.objects[i]).collect();
                 // A group reads as one object holding its members' fields
@@ -1050,11 +1102,7 @@ impl<'a> ScanIter<'a> {
                 (&head.heap, head.name.as_str(), &head.encoding, fields)
             }
             None => {
-                let base = if self.vertical {
-                    usize::from(!self.selected.is_empty())
-                } else {
-                    self.selected.len()
-                };
+                let base = self.groups.len();
                 let (Some(lsm), Some(&run)) = (&layout.lsm, self.lsm_runs.get(n - base)) else {
                     return Ok(None);
                 };
@@ -1080,6 +1128,9 @@ impl<'a> ScanIter<'a> {
         let mut cursor = ObjectCursor::new(heap, name, encoding, &objs, &needed, templates)?;
         if let Some(batches) = self.probe.as_ref().and_then(|probe| probe.get(n)) {
             cursor.pick(batches)?;
+        }
+        if let Some(rows) = layout.fenced_rows(&objs, self.predicate.as_ref()) {
+            cursor.restrict(rows);
         }
         // The cursor yields compact rows; rebind names to compact positions.
         let compact_names: Vec<String> = cursor

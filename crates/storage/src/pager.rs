@@ -583,6 +583,14 @@ impl Pager {
         stats::with_op_stats(|op| op.record_chunk(skipped));
     }
 
+    /// Records that a scan skipped `pruned` column chunks stored on this
+    /// pager's pages without reading them, because their fences ruled out
+    /// its predicate.
+    pub fn record_pruned(&self, pruned: u64) {
+        self.stats.record_pruned(pruned);
+        stats::with_op_stats(|op| op.record_pruned(pruned));
+    }
+
     /// Writes a page back, recording the access in the I/O statistics.
     pub fn write(&self, page: &Page) -> Result<()> {
         self.store.write(page.id, &page.data)?;

@@ -30,6 +30,7 @@ pub struct IoStats {
     frame_copies: AtomicU64,
     chunks: AtomicU64,
     blocks_skipped: AtomicU64,
+    chunks_pruned: AtomicU64,
 }
 
 /// A point-in-time copy of the counters; two snapshots can be subtracted to
@@ -55,6 +56,11 @@ pub struct IoSnapshot {
     /// Needed column blocks of those chunks that were never decoded because
     /// no row of the chunk survived the predicate.
     pub blocks_skipped: u64,
+    /// Column chunks a scan passed over without reading them because their
+    /// fences rule out every row its predicate asks for; counted as the scan
+    /// passes them, so a scan stopped early counts none beyond where it
+    /// stopped.
+    pub chunks_pruned: u64,
 }
 
 impl IoSnapshot {
@@ -70,6 +76,7 @@ impl IoSnapshot {
             frame_copies: self.frame_copies.saturating_sub(earlier.frame_copies),
             chunks: self.chunks.saturating_sub(earlier.chunks),
             blocks_skipped: self.blocks_skipped.saturating_sub(earlier.blocks_skipped),
+            chunks_pruned: self.chunks_pruned.saturating_sub(earlier.chunks_pruned),
         }
     }
 
@@ -125,6 +132,11 @@ impl IoStats {
         self.blocks_skipped.fetch_add(skipped, Ordering::Relaxed);
     }
 
+    /// Records `pruned` column chunks a scan skipped by their fences.
+    pub fn record_pruned(&self, pruned: u64) {
+        self.chunks_pruned.fetch_add(pruned, Ordering::Relaxed);
+    }
+
     /// Takes a snapshot of the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
@@ -137,6 +149,7 @@ impl IoStats {
             frame_copies: self.frame_copies.load(Ordering::Relaxed),
             chunks: self.chunks.load(Ordering::Relaxed),
             blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
+            chunks_pruned: self.chunks_pruned.load(Ordering::Relaxed),
         }
     }
 
@@ -151,6 +164,7 @@ impl IoStats {
         self.frame_copies.store(0, Ordering::Relaxed);
         self.chunks.store(0, Ordering::Relaxed);
         self.blocks_skipped.store(0, Ordering::Relaxed);
+        self.chunks_pruned.store(0, Ordering::Relaxed);
     }
 
     /// Total pages read so far.

@@ -9,7 +9,7 @@
 //! nothing in between.
 
 use rodentstore::{
-    AdaptOutcome, AdaptivePolicy, AdvisorOptions, CostParams, DataType, Database,
+    AdaptOutcome, AdaptivePolicy, AdvisorOptions, Condition, CostParams, DataType, Database,
     DurabilityOptions, Field, LayoutExpr, ReorgStrategy, RodentError, ScanRequest, Schema,
     SyncPolicy, Value,
 };
@@ -743,19 +743,19 @@ fn foreign_or_corrupt_files_are_typed_errors() {
     corrupt[last] ^= 0x55;
     std::fs::write(&manifest_path, &corrupt).unwrap();
     assert!(Database::open(&dir).is_err(), "corrupt manifest must not open");
-    // A manifest of the previous format version (canonical rows inline) is
+    // A manifest of the previous format version (no chunk directories) is
     // rejected by version, not misread.
-    let v4_body = 4u32.to_le_bytes();
-    let mut v4 = b"RDNTMAN1".to_vec();
-    v4.extend_from_slice(&(v4_body.len() as u32).to_le_bytes());
-    v4.extend_from_slice(&rodentstore_storage::crc32(&v4_body).to_le_bytes());
-    v4.extend_from_slice(&v4_body);
-    std::fs::write(&manifest_path, &v4).unwrap();
+    let v5_body = 5u32.to_le_bytes();
+    let mut v5 = b"RDNTMAN1".to_vec();
+    v5.extend_from_slice(&(v5_body.len() as u32).to_le_bytes());
+    v5.extend_from_slice(&rodentstore_storage::crc32(&v5_body).to_le_bytes());
+    v5.extend_from_slice(&v5_body);
+    std::fs::write(&manifest_path, &v5).unwrap();
     assert!(matches!(
         Database::open(&dir),
         Err(RodentError::Storage(StorageError::UnsupportedVersion {
-            found: 4,
-            supported: 5
+            found: 5,
+            supported: 6
         }))
     ));
     std::fs::write(&manifest_path, &pristine).unwrap();
@@ -1431,5 +1431,150 @@ fn rows_wider_than_a_page_checkpoint_and_reopen() {
     }
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.scan("Notes", &ScanRequest::all()).unwrap(), rows);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fenced column layout across a crash between checkpoints: the reopened
+/// manifest's chunk directory describes exactly the checkpointed chunks, WAL
+/// replay re-appends the later batches through the same writer (extending
+/// the directory chunk by chunk), and windows the fences prune return the
+/// reference rows in order — after the crash, and again after the recovered
+/// database checkpoints and reopens.
+#[test]
+fn fenced_windows_match_the_reference_after_crash_and_replay() {
+    let dir = scratch_dir("fenced-replay");
+    {
+        let db = Database::create_with(&dir, small_pages()).unwrap();
+        db.create_table(ledger_schema()).unwrap();
+        db.insert("Ledger", ledger_rows(0..3_000)).unwrap();
+        db.apply_layout_text("Ledger", "delta[id](vertical[id|amount](Ledger))")
+            .unwrap();
+        db.checkpoint().unwrap();
+        for batch in 0..6 {
+            db.insert(
+                "Ledger",
+                ledger_rows(3_000 + batch * 250..3_250 + batch * 250),
+            )
+            .unwrap();
+        }
+    } // dropped without a checkpoint: the batches live only in the WAL
+    let reference = ledger_rows(0..4_500);
+    for _ in 0..2 {
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.scan("Ledger", &ScanRequest::all()).unwrap(), reference);
+        for (lo, hi) in [
+            (100i64, 180i64),
+            (2_990, 3_010),
+            (3_600, 3_600),
+            (4_400, 4_499),
+        ] {
+            let want: Vec<Vec<Value>> = reference
+                .iter()
+                .filter(|row| (lo..=hi).contains(&row[0].as_i64().unwrap()))
+                .cloned()
+                .collect();
+            let window = ScanRequest::all().predicate(Condition::range("id", lo, hi));
+            let before = db.metrics();
+            assert_eq!(
+                db.scan("Ledger", &window).unwrap(),
+                want,
+                "window [{lo}, {hi}]"
+            );
+            let after = db.metrics();
+            let pruned = after.counter("scan.chunks_pruned").unwrap()
+                - before.counter("scan.chunks_pruned").unwrap();
+            assert!(pruned > 0, "window [{lo}, {hi}] pruned no chunk");
+        }
+        db.checkpoint().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A manifest whose chunk directory disagrees with its object — rows that
+/// do not sum to the object's, a first block past the object's pages,
+/// chunks out of order — is a typed `Corrupted` error at open, never a
+/// panic and never a scan that trusts it.
+#[test]
+fn manifests_with_a_disagreeing_chunk_directory_are_rejected() {
+    let dir = scratch_dir("corrupt-directory");
+    let entries = {
+        let db = Database::create(&dir).unwrap();
+        db.create_table(Schema::new("T", vec![Field::new("x", DataType::Int)]))
+            .unwrap();
+        db.insert("T", (0..3_000i64).map(|i| vec![Value::Int(i)]).collect())
+            .unwrap();
+        db.apply_layout_text("T", "delta[x](T)").unwrap();
+        db.checkpoint().unwrap();
+        let snapshot = db.snapshot("T").unwrap();
+        let layout = snapshot.layout().unwrap();
+        let dir = layout.objects[0].chunks.clone().unwrap();
+        assert!(dir.len() >= 3, "the object spans several chunks");
+        dir.entries().to_vec()
+    };
+    // A v6 directory entry: rows, page ordinal and slot as u32, then one
+    // fence per field (a presence byte and two f64 bounds).
+    let encode = |rows: usize, page: usize, slot: usize, c: usize| {
+        let mut bytes = Vec::new();
+        for v in [rows, page, slot] {
+            bytes.extend_from_slice(&(v as u32).to_le_bytes());
+        }
+        let lo: usize = entries[..c].iter().map(|e| e.rows).sum();
+        bytes.push(1);
+        bytes.extend_from_slice(&(lo as f64).to_le_bytes());
+        bytes.extend_from_slice(&((lo + rows - 1) as f64).to_le_bytes());
+        bytes
+    };
+    let manifest_path = dir.join("manifest.rodent");
+    let pristine = std::fs::read(&manifest_path).unwrap();
+    let at = |c: usize| {
+        let e = entries[c];
+        let needle = encode(e.rows, e.first.page_index, e.first.slot, c);
+        let hits: Vec<usize> = pristine
+            .windows(needle.len())
+            .enumerate()
+            .filter(|(_, w)| *w == needle.as_slice())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(hits.len(), 1, "entry {c} is found exactly once");
+        hits[0]
+    };
+    let u32s = |values: &[usize]| -> Vec<u8> {
+        values
+            .iter()
+            .flat_map(|&v| (v as u32).to_le_bytes())
+            .collect()
+    };
+    let first = entries[0].first;
+    let cases = [
+        // One row fewer in the first chunk than the object holds.
+        (at(0), u32s(&[entries[0].rows - 1]), "rows, the object"),
+        // The last chunk's first block on a page the object does not have.
+        (at(entries.len() - 1) + 4, u32s(&[7]), "page ordinal"),
+        // The second chunk starting where the first one does.
+        (
+            at(1) + 4,
+            u32s(&[first.page_index, first.slot]),
+            "does not start after",
+        ),
+    ];
+    for (offset, patch, what) in cases {
+        let mut bytes = pristine.clone();
+        bytes[offset..offset + patch.len()].copy_from_slice(&patch);
+        let crc = rodentstore_storage::crc32(&bytes[16..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&manifest_path, &bytes).unwrap();
+        match Database::open(&dir) {
+            Err(RodentError::Storage(StorageError::Corrupted(msg))) => {
+                assert!(
+                    msg.contains("chunk directory") && msg.contains(what),
+                    "{msg}"
+                );
+            }
+            Err(other) => panic!("{what}: expected corruption, got {other}"),
+            Ok(_) => panic!("{what}: a disagreeing directory opened"),
+        }
+    }
+    std::fs::write(&manifest_path, &pristine).unwrap();
+    assert_eq!(Database::open(&dir).unwrap().row_count("T").unwrap(), 3_000);
     let _ = std::fs::remove_dir_all(&dir);
 }

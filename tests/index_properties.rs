@@ -201,11 +201,22 @@ proptest! {
     }
 }
 
-/// The acceptance loop: a purely selective workload observed live must make
-/// the advisor introduce an index by itself — no `apply_layout`, no
-/// `maybe_adapt`, nothing but scans.
-#[test]
-fn advisor_recommends_an_index_from_a_selective_workload() {
+/// The narrow `id` probes of [`observe_selective_workload`].
+fn ledger_probes() -> impl Iterator<Item = ScanRequest> {
+    (0..40i64).filter(|k| k % 4 != 3).map(|k| {
+        let lo = (k * 149) % 5900;
+        ScanRequest::all().predicate(Condition::range("id", lo as f64, (lo + 3) as f64))
+    })
+}
+
+/// Creates a 6 000-row `Ledger` whose `i`-th inserted row has id `id(i)`
+/// under an adaptive policy, and runs a selective workload against it:
+/// mostly narrow probes on `id`, with periodic full sweeps (the shape a
+/// lookup-heavy service produces); every `check_every`-th scan runs the
+/// advisor against the captured profile. The sweeps rule out shattering the
+/// table into per-probe buckets. Returns the database and the layout the
+/// advisor chose.
+fn observe_selective_workload(id: impl Fn(i64) -> i64) -> (Database, String) {
     use rodentstore::{AdaptivePolicy, AdvisorOptions, CostParams};
     use rodentstore_optimizer::CostModel;
 
@@ -240,29 +251,18 @@ fn advisor_recommends_an_index_from_a_selective_workload() {
     db.insert(
         "Ledger",
         (0..6000)
-            .map(|i| vec![Value::Int(i), Value::Float(i as f64 * 0.5)])
+            .map(|i| vec![Value::Int(id(i)), Value::Float(id(i) as f64 * 0.5)])
             .collect(),
     )
     .unwrap();
 
-    // Mostly narrow probes on `id`, with periodic full sweeps (the shape a
-    // lookup-heavy service produces); every `check_every`-th scan runs the
-    // advisor against the captured profile. The sweeps rule out shattering
-    // the table into per-probe buckets — only a secondary index serves both
-    // access patterns.
+    let mut probes = ledger_probes();
     for k in 0..40i64 {
         if k % 4 == 3 {
             assert_eq!(db.scan("Ledger", &ScanRequest::all()).unwrap().len(), 6000);
             continue;
         }
-        let lo = (k * 149) % 5900;
-        let rows = db
-            .scan(
-                "Ledger",
-                &ScanRequest::all()
-                    .predicate(Condition::range("id", lo as f64, (lo + 3) as f64)),
-            )
-            .unwrap();
+        let rows = db.scan("Ledger", &probes.next().unwrap()).unwrap();
         assert_eq!(rows.len(), 4);
     }
 
@@ -276,6 +276,37 @@ fn advisor_recommends_an_index_from_a_selective_workload() {
             .map(|e| e.to_string())
             .unwrap_or_default()
     };
+    assert!(db.layout_stats("Ledger").unwrap().adaptations >= 1);
+    // Freeze the chosen layout so later scans measure it.
+    db.set_adaptive_policy(AdaptivePolicy {
+        auto: false,
+        ..db.adaptive_policy()
+    });
+    (db, expr)
+}
+
+/// Pages the `Ledger` probes read on average under the current layout.
+fn pages_per_probe(db: &Database) -> f64 {
+    let (mut pages, mut probes) = (0u64, 0u64);
+    for probe in ledger_probes() {
+        let before = db.metrics();
+        assert_eq!(db.scan("Ledger", &probe).unwrap().len(), 4);
+        let after = db.metrics();
+        pages += after.counter("io.pages_read").unwrap() - before.counter("io.pages_read").unwrap();
+        probes += 1;
+    }
+    pages as f64 / probes as f64
+}
+
+/// The acceptance loop: a purely selective workload observed live must make
+/// the advisor introduce an index by itself — no `apply_layout`, no
+/// `maybe_adapt`, nothing but scans. Ids arrive in no particular order (a
+/// permutation of 0..6000), so no stretch of the table holds a narrow id
+/// range a chunk fence could isolate: only a secondary index serves both
+/// access patterns.
+#[test]
+fn advisor_recommends_an_index_from_a_selective_workload() {
+    let (db, expr) = observe_selective_workload(|i| i * 2399 % 6000);
     assert!(
         expr.contains("index["),
         "selective probes must drive the advisor to an index, got {expr:?}"
@@ -283,7 +314,30 @@ fn advisor_recommends_an_index_from_a_selective_workload() {
     let snapshot = db.snapshot("Ledger").unwrap();
     let layout = snapshot.layout().expect("adapted layout must be rendered");
     assert!(layout.index.is_some(), "the chosen index must be live");
-    assert!(db.layout_stats("Ledger").unwrap().adaptations >= 1);
+}
+
+/// With ids inserted in order, the chunk fences of a column-block layout
+/// isolate each narrow probe as well as an index does, and the advisor's
+/// estimate (which reads the fences) sees it: whatever it picks reads no
+/// more pages per probe than `index[id]` over the same rows.
+#[test]
+fn advisor_on_clustered_ids_picks_a_layout_no_costlier_per_probe_than_an_index() {
+    let (db, expr) = observe_selective_workload(|i| i);
+    {
+        let snapshot = db.snapshot("Ledger").unwrap();
+        let layout = snapshot.layout().expect("adapted layout must be rendered");
+        assert!(
+            layout.index.is_some() || layout.objects.iter().any(|o| o.chunks.is_some()),
+            "the advisor must pick an index or a fenced layout, got {expr:?}"
+        );
+    }
+    let chosen = pages_per_probe(&db);
+    db.apply_layout_text("Ledger", "index[id](Ledger)").unwrap();
+    let indexed = pages_per_probe(&db);
+    assert!(
+        chosen <= indexed,
+        "the advisor's {expr:?} reads {chosen} pages per probe, index[id] {indexed}"
+    );
 }
 
 /// A bounded range on the indexed field must actually take the index path —

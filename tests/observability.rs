@@ -222,13 +222,16 @@ fn calibration_attribution_is_exact_under_concurrent_neighbours() {
     );
 }
 
-/// Late materialization is visible from the registry alone: a 1 % `ts`
-/// window over the telemetry column groups walks every chunk and reads
-/// exactly the pages the full projected scan reads, but decodes the `value`
-/// block of almost none of them; column-block pages are counted as frames
-/// like row pages.
+/// Chunk fences and late materialization are visible from the registry
+/// alone. A full projected scan of the telemetry column groups walks every
+/// chunk and prunes none; a 1 % `ts` window reads only the chunks whose `ts`
+/// fence meets the window — exactly the pages the cost model predicts and
+/// the pager observes — and of those decodes the `value` block of only the
+/// ones holding a match. A window no fence can narrow reads every page, yet
+/// still skips the `value` block of almost every chunk. Column-block pages
+/// are counted as frames like row pages.
 #[test]
-fn selective_windows_skip_value_blocks_but_not_pages() {
+fn selective_windows_read_only_the_chunks_their_fences_admit() {
     use rodentstore_workload::telemetry::{generate_telemetry, telemetry_schema, TelemetryConfig};
     let rows = generate_telemetry(&TelemetryConfig::with_readings(40_000));
     let max_ts = rows.last().unwrap()[0].as_i64().unwrap();
@@ -248,6 +251,11 @@ fn selective_windows_skip_value_blocks_but_not_pages() {
     let chunks = delta(&before, &full, "scan.chunks");
     assert!(chunks > 20, "40 000 rows span many chunks, got {chunks}");
     assert_eq!(delta(&before, &full, "scan.blocks_skipped"), 0);
+    assert_eq!(
+        delta(&before, &full, "scan.chunks_pruned"),
+        0,
+        "a full scan prunes nothing"
+    );
     let full_pages = delta(&before, &full, "scan.pages");
     assert_eq!(
         delta(&before, &full, "scan.frame_hits") + delta(&before, &full, "scan.frame_copies"),
@@ -259,13 +267,42 @@ fn selective_windows_skip_value_blocks_but_not_pages() {
     let window = projected
         .clone()
         .predicate(Condition::range("ts", lo, lo + max_ts / 100));
+    let predicted = db.explain("Telemetry", &window).unwrap().predicted_pages;
     let hits = db.scan("Telemetry", &window).unwrap().len();
     assert!(hits > 0 && hits < 800, "a 1 % window, got {hits} rows");
     let after = db.metrics();
-    assert_eq!(delta(&full, &after, "scan.pages"), full_pages, "same pages, same order");
-    assert_eq!(delta(&full, &after, "scan.chunks"), chunks);
-    // One `value` block per chunk; only the chunks the window touches decode theirs.
-    let skipped = delta(&full, &after, "scan.blocks_skipped");
+    let pages = delta(&full, &after, "scan.pages");
+    assert_eq!(pages, delta(&full, &after, "io.pages_read"));
+    assert_eq!(
+        pages, predicted,
+        "the estimate counts the pages of the admitted chunks"
+    );
+    assert!(
+        pages * 10 < full_pages,
+        "{pages} of {full_pages} pages read"
+    );
+    let walked = delta(&full, &after, "scan.chunks");
+    assert!(delta(&full, &after, "scan.chunks_pruned") > 0);
+    assert_eq!(delta(&full, &after, "scan.chunks_pruned") + walked, chunks);
+    // One `value` block per walked chunk; a chunk the window only grazes
+    // decodes its `ts` block, finds no match, and skips its `value` block.
+    assert!(walked > 0 && delta(&full, &after, "scan.blocks_skipped") < walked);
+
+    // The same window behind an `Or` implies no range, so no fence narrows
+    // it: the scan walks every chunk and reads every page the full scan
+    // reads, and late materialization alone keeps it from decoding the
+    // `value` block of almost every chunk.
+    let unfenced = projected.predicate(Condition::Or(vec![Condition::range(
+        "ts",
+        lo,
+        lo + max_ts / 100,
+    )]));
+    assert_eq!(db.scan("Telemetry", &unfenced).unwrap().len(), hits);
+    let last = db.metrics();
+    assert_eq!(delta(&after, &last, "scan.pages"), full_pages, "same pages as the full scan");
+    assert_eq!(delta(&after, &last, "scan.chunks"), chunks);
+    assert_eq!(delta(&after, &last, "scan.chunks_pruned"), 0);
+    let skipped = delta(&after, &last, "scan.blocks_skipped");
     assert!(
         skipped * 10 > chunks * 9 && skipped < chunks,
         "{skipped} of {chunks} value blocks skipped"

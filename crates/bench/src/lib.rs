@@ -5,9 +5,9 @@
 //! designs — `N1` (raw row scan), `N2` (drop columns + order/group), `N3`
 //! (grid), `N4` (z-curve + delta), and a conventional secondary R-tree.
 //! This crate builds those five designs over the synthetic CarTel workload
-//! and measures pages/query for each; the `figure2` binary prints the series
-//! and the Criterion benches measure wall-clock time on a scaled-down
-//! configuration.
+//! and measures pages/query for each; the `figure2` binary prints the series.
+//! Wall-clock time is measured by `rodentbench`, which renders its N1–N3
+//! designs through [`build_designs`].
 
 #![forbid(unsafe_code)]
 
@@ -51,7 +51,8 @@ impl Default for Figure2Config {
 }
 
 impl Figure2Config {
-    /// A configuration small enough for unit tests and Criterion benches.
+    /// A configuration small enough for unit tests and the Figure-2 golden
+    /// pin.
     /// With only a few tens of thousands of points, cells are sized like the
     /// queries themselves so each cell still spans several pages (the regime
     /// the paper's 10M-observation dataset is in).

@@ -174,8 +174,8 @@ impl Instruments {
 }
 
 /// The stable metric-name catalog: every counter, gauge and histogram the
-/// engine registers, in name order. Benches and CI validate their emitted
-/// `BENCH_*.json` metric sections against this list; changing a name is a
+/// engine registers, in name order. Every name is in a snapshot from the
+/// database's creation, so tests read them strictly; changing a name is a
 /// breaking change to `docs/OBSERVABILITY.md`.
 pub fn metric_names() -> &'static [&'static str] {
     &[

@@ -2,11 +2,17 @@
 //! reorganization strategy carries a layout change, and whether pending rows
 //! are buffered, absorbed incrementally, or rebuilt, scans must return
 //! exactly the canonical logical contents — before, during, and after an
-//! adaptation.
+//! adaptation. Beside them, in pages: the closed loop converges near the
+//! best hand-declared layout after a workload shift, and an eager insert
+//! appends instead of re-rendering.
 
 use proptest::prelude::*;
-use rodentstore::{Database, ReorgStrategy, ScanRequest, Value};
+use rodentstore::{
+    AdaptivePolicy, AdvisorOptions, CostParams, Database, ReorgStrategy, ScanRequest, Value,
+};
 use rodentstore_algebra::{DataType, Field, LayoutExpr, Schema};
+use rodentstore_optimizer::CostModel;
+use rodentstore_workload::{generate_traces, traces_schema, CartelConfig};
 
 fn points_schema() -> Schema {
     Schema::new(
@@ -145,4 +151,124 @@ proptest! {
         // After: force full absorption (another access) and re-check.
         prop_assert_eq!(observed(&db, &ScanRequest::all()), reference(&all));
     }
+}
+
+const TRACES: usize = 2_000;
+
+fn traces_db() -> Database {
+    let db = Database::with_page_size(1024);
+    db.create_table(traces_schema()).unwrap();
+    db.insert(
+        "Traces",
+        generate_traces(&CartelConfig {
+            observations: TRACES,
+            vehicles: 10,
+            ..CartelConfig::default()
+        }),
+    )
+    .unwrap();
+    db
+}
+
+/// Average pages per scan of `request` over `queries` scans.
+fn pages_per_query(db: &Database, request: &ScanRequest, queries: u64) -> f64 {
+    let before = db.io_snapshot().pages_read;
+    for _ in 0..queries {
+        db.scan("Traces", request).unwrap();
+    }
+    (db.io_snapshot().pages_read - before) as f64 / queries as f64
+}
+
+/// The closed loop under a workload shift: full-width scans, then narrow
+/// `lat` projections, with auto-adaptation on and no `advise` or
+/// `apply_layout` call in the driver. The layout the loop converges to reads
+/// within 1.2× (+1 page) of the best hand-declared layout for the new phase.
+#[test]
+fn auto_layout_after_a_workload_shift_matches_the_best_hand_layout() {
+    let db = traces_db();
+    db.set_adaptive_policy(AdaptivePolicy {
+        auto: true,
+        check_every: 4,
+        min_queries: 4,
+        hysteresis: 0.1,
+        strategy: ReorgStrategy::Eager,
+        advisor: AdvisorOptions {
+            cost_model: CostModel {
+                sample_size: 1_000,
+                page_size: 1024,
+                cost_params: CostParams {
+                    seek_ms: 1.0,
+                    transfer_mb_per_s: 2.0,
+                },
+            },
+            anneal_iterations: 2,
+            seed: 7,
+        },
+    });
+    for _ in 0..12 {
+        db.scan("Traces", &ScanRequest::all()).unwrap();
+    }
+    let adaptations = db.layout_stats("Traces").unwrap().adaptations;
+    // Long enough for the first phase to decay out of the profile.
+    let shifted = ScanRequest::all().fields(["lat"]);
+    for _ in 0..128 {
+        db.scan("Traces", &shifted).unwrap();
+    }
+    assert!(
+        db.layout_stats("Traces").unwrap().adaptations > adaptations,
+        "the loop must re-declare the layout for the shifted workload"
+    );
+    let auto = pages_per_query(&db, &shifted, 8);
+
+    let (best, best_layout) = [
+        "project[lat](Traces)",
+        "vertical[lat|t,lon,id](Traces)",
+        "columns(Traces)",
+    ]
+    .into_iter()
+    .map(|layout| {
+        let hand = traces_db();
+        hand.apply_layout_text("Traces", layout).unwrap();
+        (pages_per_query(&hand, &shifted, 8), layout)
+    })
+    .min_by(|a, b| a.0.total_cmp(&b.0))
+    .unwrap();
+    assert!(
+        auto <= best * 1.2 + 1.0,
+        "the converged layout reads {auto:.1} pages/query, {best_layout} {best:.1}"
+    );
+}
+
+/// An eager insert into a rendered row layout appends to its tail: no full
+/// re-render, one incremental append, and under a fifth of the layout's
+/// pages written.
+#[test]
+fn eager_insert_appends_without_rerendering() {
+    let db = traces_db();
+    db.apply_layout("Traces", LayoutExpr::table("Traces"), ReorgStrategy::Eager)
+        .unwrap();
+    let layout_pages = db
+        .snapshot("Traces")
+        .unwrap()
+        .layout()
+        .expect("eager layouts render")
+        .total_pages() as u64;
+    let before = db.layout_stats("Traces").unwrap();
+    let extra = generate_traces(&CartelConfig {
+        observations: TRACES / 30,
+        vehicles: 20,
+        seed: 0xF00D,
+        ..CartelConfig::default()
+    });
+    let written = db.io_snapshot().pages_written;
+    db.insert("Traces", extra).unwrap();
+    let written = db.io_snapshot().pages_written - written;
+    let after = db.layout_stats("Traces").unwrap();
+    assert_eq!(after.full_renders, before.full_renders, "no full re-render");
+    assert_eq!(after.incremental_appends, before.incremental_appends + 1);
+    assert!(
+        written * 5 < layout_pages,
+        "the append wrote {written} pages of a {layout_pages}-page layout"
+    );
+    assert_eq!(db.row_count("Traces").unwrap(), TRACES + TRACES / 30);
 }

@@ -1,8 +1,9 @@
 //! End-to-end integration test of the paper's case study through the public
 //! `Database` API: the layouts N1–N4 all answer the same spatial queries with
-//! the same results, while reading progressively fewer pages.
+//! the same results, while reading progressively fewer pages; and the
+//! introductory sales grid prunes a slice query.
 
-use rodentstore::{Database, ReorgStrategy, ScanRequest};
+use rodentstore::{Condition, Database, ReorgStrategy, ScanRequest};
 use rodentstore_algebra::LayoutExpr;
 use rodentstore_workload::{figure2_queries, generate_traces, traces_schema, CartelConfig};
 
@@ -65,6 +66,43 @@ fn all_case_study_layouts_agree_and_grid_reads_fewer_pages() {
     assert!(total_pages[0] > total_pages[1], "{total_pages:?}");
     assert!(total_pages[1] > total_pages[2] * 5, "{total_pages:?}");
     assert!(total_pages[3] <= total_pages[2], "{total_pages:?}");
+}
+
+/// The paper's introductory example, `zorder(grid[year, zipcode](Sales))`:
+/// a year × zipcode slice returns the same rows as over the row layout and
+/// reads fewer pages, because the grid prunes the cells outside the slice.
+#[test]
+fn gridded_sales_slice_reads_fewer_pages_than_rows() {
+    use rodentstore_workload::{generate_sales, sales_schema, SalesConfig};
+    let db = Database::with_page_size(2048);
+    db.create_table(sales_schema()).unwrap();
+    db.insert(
+        "Sales",
+        generate_sales(&SalesConfig {
+            rows: 30_000,
+            ..SalesConfig::default()
+        }),
+    )
+    .unwrap();
+    let slice = ScanRequest::all().predicate(
+        Condition::range("year", 2004i64, 2005i64)
+            .and(Condition::range("zipcode", 2000i64, 2100i64)),
+    );
+    let mut pages = Vec::new();
+    let mut matches = Vec::new();
+    for layout in ["Sales", "zorder(grid[year,zipcode;1,50](Sales))"] {
+        db.apply_layout_text("Sales", layout).unwrap();
+        pages.push(db.scan_pages("Sales", &slice).unwrap());
+        matches.push(db.scan("Sales", &slice).unwrap().len());
+    }
+    assert!(matches[0] > 0, "the slice must match rows");
+    assert_eq!(matches[1], matches[0], "the grid changed the slice's rows");
+    assert!(
+        pages[1] < pages[0],
+        "grid pages {} vs rows {}",
+        pages[1],
+        pages[0]
+    );
 }
 
 #[test]

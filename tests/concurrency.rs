@@ -11,16 +11,20 @@
 //!
 //! The restart tests cover the durable state added in this PR: the
 //! persisted adaptive policy and cost parameters, and the free-page list.
+//! Beside them, multi-producer commits are counted sharing fsyncs, and
+//! snapshot pins are timed staying flat while another table re-renders.
 
 use rodentstore::{
     AdaptivePolicy, AdvisorOptions, CostParams, DataType, Database, Field, LayoutExpr,
     ReorgStrategy, ScanRequest, Schema, SyncPolicy, Value,
 };
 use rodentstore_optimizer::CostModel;
+use rodentstore_storage::Wal;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -289,6 +293,171 @@ fn pinned_snapshots_survive_layout_swaps_and_defer_page_reclamation() {
     assert!(
         db.pager().free_page_count() > 0,
         "superseded layout's pages must reach the free list after the pin drops"
+    );
+}
+
+fn events_schema() -> Schema {
+    Schema::new(
+        "Events",
+        vec![
+            Field::new("seq", DataType::Int),
+            Field::new("weight", DataType::Float),
+        ],
+    )
+}
+
+/// Median latency of `samples` consecutive snapshot pins on `table`.
+fn median_pin_latency(db: &Database, table: &str, samples: usize) -> Duration {
+    let mut latencies: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            let snapshot = db.snapshot(table).unwrap();
+            let elapsed = start.elapsed();
+            drop(snapshot);
+            elapsed
+        })
+        .collect();
+    latencies.sort_unstable();
+    latencies[samples / 2]
+}
+
+/// Scans per second that `readers` threads sustain over projected scans of
+/// `Points` while a writer keeps inserting into `Events`.
+fn read_throughput(db: &Database, readers: usize, scans_each: usize) -> f64 {
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(readers);
+    let elapsed = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut seq = 0i64;
+            while !stop.load(Ordering::Relaxed) {
+                let batch = (seq..seq + 16)
+                    .map(|i| vec![Value::Int(i), Value::Float(i as f64)])
+                    .collect();
+                db.insert("Events", batch).unwrap();
+                seq += 16;
+                std::thread::yield_now();
+            }
+        });
+        let handles: Vec<_> = (0..readers)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let start = Instant::now();
+                    for _ in 0..scans_each {
+                        db.scan("Points", &ScanRequest::all().fields(["x"]))
+                            .unwrap();
+                    }
+                    start.elapsed()
+                })
+            })
+            .collect();
+        // Each reader times its own scans: one clock started here could
+        // start after a reader released first had already finished.
+        let slowest = handles.into_iter().map(|h| h.join().unwrap()).max();
+        stop.store(true, Ordering::Relaxed);
+        slowest.unwrap_or_default()
+    });
+    (readers * scans_each) as f64 / elapsed.as_secs_f64()
+}
+
+/// A snapshot pin is two atomic loads and takes no lock, so re-rendering
+/// one table in a tight loop must not move the median pin latency on
+/// another. No work count can say "takes no lock", so this stays timed,
+/// with a generous bound: a pin that waited on a render would take
+/// milliseconds. On hosts with ≥ 4 cores, eight readers beside a writer
+/// must also deliver ≥ 3× the scan throughput of one; smaller hosts have no
+/// parallelism to measure.
+#[test]
+fn snapshot_pins_and_reads_never_wait_on_another_table() {
+    const PIN_SAMPLES: usize = 5_000;
+    let db = Database::with_page_size(1024);
+    db.create_table(points_schema()).unwrap();
+    db.insert("Points", batch_rows(0, 2_000)).unwrap();
+    db.apply_layout_text("Points", "columns(Points)").unwrap();
+    db.create_table(events_schema()).unwrap();
+
+    let quiet = median_pin_latency(&db, "Events", PIN_SAMPLES);
+    let renders = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let busy = std::thread::scope(|s| {
+        s.spawn(|| {
+            for layout in ["rows(Points)", "columns(Points)"].iter().cycle() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                db.apply_layout_text("Points", layout).unwrap();
+                renders.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Measure once re-renders are under way.
+        while renders.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let busy = median_pin_latency(&db, "Events", PIN_SAMPLES);
+        stop.store(true, Ordering::Relaxed);
+        busy
+    });
+    let bound = (quiet * 20).max(Duration::from_micros(50));
+    assert!(
+        busy <= bound,
+        "re-rendering Points moved the median pin on Events: \
+         quiet {quiet:?} → busy {busy:?} (bound {bound:?})"
+    );
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 4 {
+        let one = read_throughput(&db, 1, 20);
+        let eight = read_throughput(&db, 8, 20);
+        assert!(
+            eight >= one * 3.0,
+            "8 readers must deliver ≥ 3× one reader's scans, got {:.2}× on {cores} cores",
+            eight / one
+        );
+    }
+}
+
+/// Eight producers commit one-op transactions straight into the WAL.
+/// `GroupCommit(64)` batches fsyncs across producers; `GroupDurable` makes
+/// every commit durable before it returns, yet committers arriving while an
+/// fsync is in flight park on the next one and share it.
+#[test]
+fn multi_producer_commits_share_fsyncs() {
+    const PRODUCERS: usize = 8;
+    const COMMITS_EACH: usize = 50;
+    const COMMITS: u64 = (PRODUCERS * COMMITS_EACH) as u64;
+    let fsyncs = |policy: SyncPolicy, tag: &str| {
+        let dir = scratch_dir(tag);
+        let wal = Wal::create(dir.join("wal.rodent"), policy).unwrap();
+        let before = wal.sync_count();
+        let barrier = Barrier::new(PRODUCERS);
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (wal, barrier) = (&wal, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for c in 0..COMMITS_EACH {
+                        let tx = wal.begin().unwrap();
+                        wal.log_op(tx, format!("p{p}-c{c}").as_bytes()).unwrap();
+                        wal.commit(tx).unwrap();
+                    }
+                });
+            }
+        });
+        let fsyncs = wal.sync_count() - before;
+        drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+        fsyncs
+    };
+    let grouped = fsyncs(SyncPolicy::GroupCommit(64), "mp-group-commit");
+    assert!(
+        grouped * 5 <= COMMITS,
+        "GroupCommit(64) × {PRODUCERS} producers: {grouped} fsyncs for {COMMITS} commits"
+    );
+    let durable = fsyncs(SyncPolicy::GroupDurable, "mp-group-durable");
+    assert!(
+        COMMITS as f64 >= 1.5 * durable as f64,
+        "GroupDurable × {PRODUCERS} producers must share fsyncs: \
+         {durable} fsyncs for {COMMITS} commits"
     );
 }
 

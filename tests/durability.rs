@@ -256,9 +256,61 @@ fn kill_at_every_wal_byte_truncation_point_recovers_committed_prefix() {
     let _ = std::fs::remove_dir_all(&crash);
 }
 
+/// One-row commits: `EveryCommit` pays at least one fsync per commit, while
+/// `GroupCommit(64)` shares each fsync among at least five commits. The sync
+/// is the dominant cost of a small transaction, so the count is the claim.
+#[test]
+fn group_commit_shares_fsyncs_among_one_row_commits() {
+    const COMMITS: u64 = 200;
+    let fsyncs = |sync: SyncPolicy, tag: &str| {
+        let dir = scratch_dir(tag);
+        let db = Database::create_with(
+            &dir,
+            DurabilityOptions {
+                page_size: 1024,
+                sync,
+                ..DurabilityOptions::default()
+            },
+        )
+        .unwrap();
+        db.create_table(ledger_schema()).unwrap();
+        let before = db.wal().sync_count();
+        for id in 0..COMMITS as i64 {
+            db.insert("Ledger", ledger_rows(id..id + 1)).unwrap();
+        }
+        assert_eq!(db.row_count("Ledger").unwrap(), COMMITS as usize);
+        let fsyncs = db.wal().sync_count() - before;
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        fsyncs
+    };
+    let every = fsyncs(SyncPolicy::EveryCommit, "fsync-every-commit");
+    assert!(
+        every >= COMMITS,
+        "EveryCommit must fsync each commit: {every} fsyncs for {COMMITS} commits"
+    );
+    let grouped = fsyncs(SyncPolicy::GroupCommit(64), "fsync-group-commit");
+    assert!(
+        grouped * 5 <= COMMITS,
+        "GroupCommit(64) must share each fsync among ≥ 5 commits: \
+         {grouped} fsyncs for {COMMITS} commits"
+    );
+}
+
+/// An adapted layout, its stats and the workload profile come back from the
+/// manifest, and the committed transactions after the last checkpoint —
+/// durable only through the WAL — replay into that layout as appends: open
+/// re-renders nothing, and neither do the scans after it.
 #[test]
 fn adapted_layout_and_profile_survive_restart_without_rerender() {
-    let dir = scratch_dir("adapted");
+    for wal_tail_rows in [0usize, 100] {
+        reopens_adapted_layout_with_wal_tail(wal_tail_rows);
+    }
+}
+
+fn reopens_adapted_layout_with_wal_tail(wal_tail_rows: usize) {
+    const OBSERVATIONS: usize = 1_500;
+    let dir = scratch_dir(&format!("adapted-{wal_tail_rows}"));
     let (expr_before, stats_before, observed_before, templates_before, rows_before) = {
         let db = Database::create_with(
             &dir,
@@ -274,7 +326,7 @@ fn adapted_layout_and_profile_survive_restart_without_rerender() {
         db.insert(
             "Traces",
             generate_traces(&CartelConfig {
-                observations: 1_500,
+                observations: OBSERVATIONS,
                 vehicles: 10,
                 ..CartelConfig::default()
             }),
@@ -290,6 +342,17 @@ fn adapted_layout_and_profile_survive_restart_without_rerender() {
             "expected adaptation, got {outcome:?}"
         );
         db.checkpoint().unwrap();
+        // Committed after the checkpoint, in ten transactions: these rows
+        // survive the drop below only through the WAL.
+        let tail = generate_traces(&CartelConfig {
+            observations: wal_tail_rows,
+            vehicles: 20,
+            seed: 0xF00D,
+            ..CartelConfig::default()
+        });
+        for tx in tail.chunks(wal_tail_rows.div_ceil(10).max(1)) {
+            db.insert("Traces", tx.to_vec()).unwrap();
+        }
         let expr = {
             let catalog = db.catalog();
             catalog.get("Traces").unwrap().layout_expr.clone().unwrap()
@@ -305,15 +368,34 @@ fn adapted_layout_and_profile_survive_restart_without_rerender() {
     assert!(stats_before.adaptations >= 1);
 
     let db = Database::open(&dir).unwrap();
-    // Zero writes during open: the layout was reattached, not re-rendered.
-    assert_eq!(db.io_snapshot().pages_written, 0, "open must not write pages");
+    assert_eq!(
+        db.row_count("Traces").unwrap(),
+        OBSERVATIONS + wal_tail_rows,
+        "every committed row must come back"
+    );
     {
         let catalog = db.catalog();
         let entry = catalog.get("Traces").unwrap();
         assert_eq!(entry.layout_expr.as_ref().unwrap(), &expr_before);
         assert!(entry.access.is_some(), "rendered layout reattached from manifest");
     }
-    assert_eq!(db.layout_stats("Traces").unwrap(), stats_before);
+    let stats = db.layout_stats("Traces").unwrap();
+    if wal_tail_rows == 0 {
+        // Zero writes during open: the layout was reattached, not re-rendered.
+        assert_eq!(
+            db.io_snapshot().pages_written,
+            0,
+            "open must not write pages"
+        );
+        assert_eq!(stats, stats_before);
+    } else {
+        // The WAL tail replays as appends to the reattached rendering.
+        assert_eq!(
+            stats.full_renders, stats_before.full_renders,
+            "open must reattach the rendering and replay appends — no full re-render"
+        );
+        assert_eq!(stats.adaptations, stats_before.adaptations);
+    }
 
     // The workload profile resumed where it left off.
     let profile = db.workload_profile("Traces").unwrap();
@@ -331,7 +413,7 @@ fn adapted_layout_and_profile_survive_restart_without_rerender() {
     assert_eq!(
         db.layout_stats("Traces").unwrap().full_renders,
         stats_before.full_renders,
-        "scanning after open must not re-render"
+        "scanning after open must not re-render (WAL tail of {wal_tail_rows} rows)"
     );
     // Auto-adaptation resumes from the restored profile: the same workload
     // keeps the current (already adapted) design.

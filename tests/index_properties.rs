@@ -2,7 +2,7 @@
 //! scan pushes through a B-tree or R-tree, the result must equal — in rows
 //! AND in order — what streaming the whole table and filtering in memory
 //! produces, including when part of the data still sits in the pending row
-//! buffer mid-append.
+//! buffer mid-append — and, at scale, read a tenth of its pages.
 
 use proptest::prelude::*;
 use rodentstore::{Database, ReorgStrategy, ScanRequest, Value};
@@ -338,6 +338,78 @@ fn advisor_on_clustered_ids_picks_a_layout_no_costlier_per_probe_than_an_index()
         chosen <= indexed,
         "the advisor's {expr:?} reads {chosen} pages per probe, index[id] {indexed}"
     );
+}
+
+/// Selective probes through declared indexes over 30 000 CarTel rows: a
+/// B-tree over `t` answering a ~50-row time window and an R-tree over
+/// `(lat, lon)` answering a tight box return exactly the streaming pass's
+/// rows and read at least 10× fewer pages. Vehicles interleave in arrival
+/// order, so the box's matches are scattered and only the index avoids the
+/// full sweep.
+#[test]
+fn index_probes_read_a_tenth_of_the_streaming_pages() {
+    use rodentstore_workload::{generate_traces, traces_schema, CartelConfig};
+    const ROWS: usize = 30_000;
+    let cartel = CartelConfig {
+        observations: ROWS,
+        vehicles: 100,
+        ..CartelConfig::default()
+    };
+    let records = generate_traces(&cartel);
+    let t = |i: usize| records[i][0].as_i64().unwrap() as f64;
+    let window = Condition::range("t", t(ROWS / 2), t(ROWS / 2 + 50));
+    // A box around one observation, so it is never empty.
+    let (lat, lon) = (
+        records[ROWS / 3][1].as_f64().unwrap(),
+        records[ROWS / 3][2].as_f64().unwrap(),
+    );
+    let dlat = cartel.bbox.lat_span() * 0.004;
+    let dlon = cartel.bbox.lon_span() * 0.004;
+    let spatial_box = Condition::range("lat", lat - dlat, lat + dlat).and(Condition::range(
+        "lon",
+        lon - dlon,
+        lon + dlon,
+    ));
+
+    let load = |layout: &str| {
+        let db = Database::with_page_size(1024);
+        db.create_table(traces_schema()).unwrap();
+        db.insert("Traces", records.clone()).unwrap();
+        db.apply_layout_text("Traces", layout).unwrap();
+        db
+    };
+    // Pages the scan itself read, and its rows as sorted debug strings.
+    let probe = |db: &Database, predicate: &Condition| {
+        let pages = |db: &Database| {
+            db.metrics()
+                .counter("scan.pages")
+                .expect("scan.pages registered")
+        };
+        let before = pages(db);
+        let rows = db
+            .scan("Traces", &ScanRequest::all().predicate(predicate.clone()))
+            .unwrap();
+        let mut rows = printable(&rows);
+        rows.sort();
+        (pages(db) - before, rows)
+    };
+    let streaming = load("Traces");
+    for (layout, predicate) in [
+        ("index[t](Traces)", &window),
+        ("index[lat,lon](Traces)", &spatial_box),
+    ] {
+        let (streaming_pages, expected) = probe(&streaming, predicate);
+        let (index_pages, rows) = probe(&load(layout), predicate);
+        assert!(!expected.is_empty(), "{layout}: the probe must match rows");
+        assert_eq!(
+            rows, expected,
+            "{layout} must return exactly the streaming rows"
+        );
+        assert!(
+            index_pages * 10 <= streaming_pages,
+            "{layout} read {index_pages} pages, streaming {streaming_pages}: not ≥ 10× fewer"
+        );
+    }
 }
 
 /// A bounded range on the indexed field must actually take the index path —

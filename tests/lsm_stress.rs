@@ -7,9 +7,12 @@
 //!   reused while any pinned generation can still read them;
 //! - the retired set (including parked run extents) stays bounded during
 //!   the flood and drains once pins are released;
-//! - the flood never triggers a full re-render — absorbing is the point;
-//! - on the durable variant, the tier survives checkpoint-under-churn and
-//!   reopens byte-identically.
+//! - the flood never triggers a full re-render — absorbing is the point —
+//!   and writes at most a fifth of the pages that re-rendering the same
+//!   shape after every batch writes;
+//! - on the durable variant, the tier survives checkpoint-under-churn,
+//!   ends within 4× of the pages of loading its rows once, and reopens
+//!   byte-identically.
 
 use rodentstore::{
     Condition, Database, DurabilityOptions, LayoutExpr, ReorgStrategy, ScanRequest, SyncPolicy,
@@ -172,32 +175,155 @@ fn pinned_snapshots_survive_compaction_churn_and_retired_extents_drain() {
     assert_eq!(db.layout_stats("Events").unwrap().full_renders, 1);
 }
 
+fn kv_schema() -> Schema {
+    Schema::new(
+        "Events",
+        vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Float),
+        ],
+    )
+}
+
+fn kv_rows(start: usize, rows: usize) -> Vec<Vec<Value>> {
+    (start as i64..(start + rows) as i64)
+        // Interleaved keys: spilled runs overlap, so compaction merges.
+        .map(|k| {
+            vec![
+                Value::Int((k * 7919) % 1_000_003),
+                Value::Float(k as f64 * 0.5),
+            ]
+        })
+        .collect()
+}
+
+fn sorted_contents(db: &Database) -> Vec<String> {
+    let mut rows: Vec<String> = db
+        .scan("Events", &ScanRequest::all())
+        .unwrap()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    rows
+}
+
+fn pages_written(db: &Database, op: impl FnOnce()) -> u64 {
+    let before = db.io_snapshot().pages_written;
+    op();
+    db.io_snapshot().pages_written - before
+}
+
+/// The same flood kept current two ways: eagerly re-rendering
+/// `vertical[k|v]` after every batch (O(table) per batch), or declaring
+/// `lsm[k](vertical[k|v])` once and only inserting (O(batch) per absorb).
+/// The tier returns the same contents, never re-renders, absorbs each batch
+/// once, merges at most once per spill, writes at most a fifth of the
+/// rebuild's pages, and no single absorb writes as much as one re-render.
+#[test]
+fn flood_absorbs_into_the_tier_for_a_fraction_of_the_rebuild_pages() {
+    const INITIAL: usize = 800;
+    const BATCHES: usize = 16;
+    const BATCH: usize = 50;
+
+    let rebuild = Database::with_page_size(1024);
+    rebuild.create_table(kv_schema()).unwrap();
+    rebuild.insert("Events", kv_rows(0, INITIAL)).unwrap();
+    rebuild
+        .apply_layout_text("Events", "vertical[k|v](Events)")
+        .unwrap();
+    let (mut rebuild_pages, mut smallest_rerender) = (0, u64::MAX);
+    for b in 0..BATCHES {
+        rebuild_pages += pages_written(&rebuild, || {
+            rebuild
+                .insert("Events", kv_rows(INITIAL + b * BATCH, BATCH))
+                .unwrap();
+        });
+        let rerender = pages_written(&rebuild, || {
+            rebuild
+                .apply_layout_text("Events", "vertical[k|v](Events)")
+                .unwrap();
+        });
+        rebuild_pages += rerender;
+        smallest_rerender = smallest_rerender.min(rerender);
+    }
+
+    let lsm = Database::with_page_size(1024);
+    lsm.create_table(kv_schema()).unwrap();
+    lsm.insert("Events", kv_rows(0, INITIAL)).unwrap();
+    lsm.apply_layout_text("Events", "lsm[k](vertical[k|v](Events))")
+        .unwrap();
+    let (mut flood_pages, mut largest_absorb) = (0, 0);
+    for b in 0..BATCHES {
+        let absorb = pages_written(&lsm, || {
+            lsm.insert("Events", kv_rows(INITIAL + b * BATCH, BATCH))
+                .unwrap();
+        });
+        flood_pages += absorb;
+        largest_absorb = largest_absorb.max(absorb);
+    }
+
+    assert_eq!(sorted_contents(&lsm), sorted_contents(&rebuild));
+    assert!(
+        flood_pages * 5 <= rebuild_pages,
+        "the tier wrote {flood_pages} pages, the per-batch rebuild {rebuild_pages}"
+    );
+    assert!(
+        largest_absorb < smallest_rerender,
+        "the largest absorb wrote {largest_absorb} pages, one re-render {smallest_rerender}"
+    );
+    let stats = lsm.layout_stats("Events").unwrap();
+    assert_eq!(
+        stats.full_renders, 1,
+        "the flood must never re-render the tier"
+    );
+    assert_eq!(stats.incremental_appends, BATCHES as u64);
+    let metrics = lsm.metrics();
+    let absorbs = metrics
+        .histogram("lsm.absorb_micros")
+        .expect("lsm.absorb_micros registered");
+    assert_eq!(absorbs.count, BATCHES as u64, "one absorb per batch");
+    let spills = metrics
+        .counter("lsm.spills")
+        .expect("lsm.spills registered");
+    let merges = metrics
+        .counter("lsm.merges")
+        .expect("lsm.merges registered");
+    assert!(spills > 0, "the flood must overflow the memtable");
+    assert!(
+        merges <= spills,
+        "compaction runs at most one level merge per spill: {merges} merges, {spills} spills"
+    );
+}
+
+/// A durable flood under checkpoint churn: pinned snapshots re-scan
+/// identically, the checkpoints truncate the WAL, compaction leaves no
+/// garbage behind — the file ends within 4× of loading the same rows once —
+/// and the tier reopens byte-identically.
 #[test]
 fn checkpoint_under_churn_reclaims_extents_and_reopens_identically() {
     const BATCH: usize = 25;
     const BATCHES: i64 = 24;
-    let dir = scratch_dir("churn");
-    let expected = {
-        let db = Arc::new(
-            Database::create_with(
-                &dir,
-                DurabilityOptions {
-                    page_size: 1024,
-                    sync: SyncPolicy::GroupCommit(8),
-                    ..DurabilityOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        db.set_lsm_params(8, 2);
-        db.create_table(events_schema()).unwrap();
-        db.insert("Events", batch_rows(0, 40)).unwrap();
+    let options = DurabilityOptions {
+        page_size: 1024,
+        sync: SyncPolicy::GroupCommit(8),
+        ..DurabilityOptions::default()
+    };
+    let declare_tier = |db: &Database| {
         db.apply_layout(
             "Events",
             LayoutExpr::table("Events").lsm(["k"]),
             ReorgStrategy::Eager,
         )
         .unwrap();
+    };
+    let dir = scratch_dir("churn");
+    let (expected, flooded_pages) = {
+        let db = Arc::new(Database::create_with(&dir, options).unwrap());
+        db.set_lsm_params(8, 2);
+        db.create_table(events_schema()).unwrap();
+        db.insert("Events", batch_rows(0, 40)).unwrap();
+        declare_tier(&db);
 
         let committed = Arc::new(AtomicUsize::new(0));
         let reader = {
@@ -231,12 +357,25 @@ fn checkpoint_under_churn_reclaims_extents_and_reopens_identically() {
         let peak = db.pager().page_count();
         db.checkpoint().unwrap();
         db.checkpoint().unwrap();
-        assert!(
-            db.pager().page_count() <= peak,
-            "checkpoint must never grow the file"
-        );
+        let flooded_pages = db.pager().page_count();
+        assert!(flooded_pages <= peak, "checkpoint must never grow the file");
         assert_eq!(db.layout_stats("Events").unwrap().full_renders, 1);
-        db.scan("Events", &ScanRequest::all()).unwrap()
+        let metrics = db.metrics();
+        let checkpoints = metrics
+            .counter("checkpoint.count")
+            .expect("checkpoint.count registered");
+        let truncations = metrics
+            .counter("wal.truncations")
+            .expect("wal.truncations registered");
+        assert!(
+            checkpoints >= 2 && truncations >= 1,
+            "the flood must checkpoint and truncate the WAL: \
+             {checkpoints} checkpoints, {truncations} truncations"
+        );
+        (
+            db.scan("Events", &ScanRequest::all()).unwrap(),
+            flooded_pages,
+        )
     };
 
     let db = Database::open(&dir).unwrap();
@@ -246,5 +385,24 @@ fn checkpoint_under_churn_reclaims_extents_and_reopens_identically() {
         "reopened tier must scan byte-identically"
     );
     assert_eq!(db.layout_stats("Events").unwrap().full_renders, 1);
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The same rows loaded once and rendered once bound the flooded file.
+    let fresh = scratch_dir("churn-fresh");
+    let fresh_pages = {
+        let db = Database::create_with(&fresh, options).unwrap();
+        db.set_lsm_params(8, 2);
+        db.create_table(events_schema()).unwrap();
+        db.insert("Events", expected.clone()).unwrap();
+        declare_tier(&db);
+        db.checkpoint().unwrap();
+        db.pager().page_count()
+    };
+    let _ = std::fs::remove_dir_all(&fresh);
+    assert!(
+        flooded_pages <= fresh_pages * 4,
+        "flood, compaction and checkpoints accreted garbage: \
+         {flooded_pages} pages against {fresh_pages} for one load"
+    );
 }

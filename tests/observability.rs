@@ -6,7 +6,9 @@
 //! streaming layout scan, index probe, levelled-tier merge, pending-buffer
 //! merge) served the query. And `explain` must predict with the cost
 //! model's own `estimate_scan_pages` number, so its output is checkable
-//! against both `scan_pages` and the post-hoc calibration metrics.
+//! against both `scan_pages` and the post-hoc calibration metrics. The same
+//! counters prove aggregate pushdown (same pages, no rows), and a timed A/B
+//! bounds the cost of recording them.
 
 use proptest::prelude::*;
 use rodentstore::{
@@ -15,6 +17,7 @@ use rodentstore::{
 };
 use rodentstore_algebra::{DataType, Field, Schema};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn points_schema() -> Schema {
     Schema::new(
@@ -56,6 +59,21 @@ fn delta(
     name: &str,
 ) -> u64 {
     after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
+}
+
+/// Counter delta of a catalogued counter. The snapshot holds every
+/// catalogued instrument from creation, so a misspelt or renamed name fails
+/// here instead of reading 0.
+fn catalogued_delta(
+    before: &rodentstore::MetricsSnapshot,
+    after: &rodentstore::MetricsSnapshot,
+    name: &str,
+) -> u64 {
+    let read = |m: &rodentstore::MetricsSnapshot| {
+        m.counter(name)
+            .unwrap_or_else(|| panic!("{name} registered"))
+    };
+    read(after) - read(before)
 }
 
 /// Every access path must report the same pages into `scan.pages` that the
@@ -307,6 +325,143 @@ fn selective_windows_read_only_the_chunks_their_fences_admit() {
         skipped * 10 > chunks * 9 && skipped < chunks,
         "{skipped} of {chunks} value blocks skipped"
     );
+}
+
+/// Windowed aggregates push down into every layout of an append-heavy
+/// stream — eager rows, the levelled tier, delta-compressed column groups:
+/// the aggregate equals an engine-free fold of the readings, reads exactly
+/// the pages of the projected scan it replaces, materialises no row and
+/// folds every reading. The tier absorbs the stream without a re-render, and
+/// the compressed groups read fewer pages than the rows.
+#[test]
+fn windowed_aggregates_read_the_projected_pages_and_materialise_nothing() {
+    use rodentstore::{WindowAccumulator, WindowedAggregate};
+    use rodentstore_workload::telemetry::{generate_telemetry, telemetry_schema, TelemetryConfig};
+    const READINGS: usize = 20_000;
+    let rows = generate_telemetry(&TelemetryConfig::with_readings(READINGS));
+    let spec = WindowedAggregate::new("ts", 512.0, "value");
+    let mut fold = WindowAccumulator::new(&spec);
+    for row in &rows {
+        let (Value::Int(ts), Value::Float(value)) = (&row[0], &row[2]) else {
+            panic!("telemetry rows are (ts, sensor, value, ..)");
+        };
+        fold.fold(*ts as f64, *value);
+    }
+    let reference = fold.finish();
+
+    let projected = ScanRequest::all().fields(["ts", "value"]);
+    let mut scan_pages = Vec::new();
+    for layout in [
+        "Telemetry",
+        "lsm[ts](Telemetry)",
+        "delta[ts,seq](vertical[ts,value|sensor,status,seq](Telemetry))",
+    ] {
+        let db = Database::with_page_size(4096);
+        db.create_table(telemetry_schema()).unwrap();
+        // Declared before the stream arrives, then appended in batches.
+        db.apply_layout_text("Telemetry", layout).unwrap();
+        for batch in rows.chunks(1_000) {
+            db.insert("Telemetry", batch.to_vec()).unwrap();
+        }
+        if layout.starts_with("lsm") {
+            assert_eq!(
+                db.layout_stats("Telemetry").unwrap().full_renders,
+                1,
+                "the tier must absorb the stream without re-rendering"
+            );
+        } else {
+            db.apply_layout_text("Telemetry", layout).unwrap();
+        }
+
+        let before = db.metrics();
+        assert_eq!(db.scan("Telemetry", &projected).unwrap().len(), READINGS);
+        let scanned = db.metrics();
+        let windows = db.scan_aggregate("Telemetry", &spec, None).unwrap();
+        let aggregated = db.metrics();
+        assert_eq!(
+            windows, reference,
+            "{layout}: buckets diverge from the reference fold"
+        );
+        let pages = catalogued_delta(&before, &scanned, "scan.pages");
+        assert_eq!(
+            catalogued_delta(&scanned, &aggregated, "scan.pages"),
+            pages,
+            "{layout}: the aggregate must read exactly the projected scan's pages"
+        );
+        assert_eq!(
+            catalogued_delta(&scanned, &aggregated, "scan.rows"),
+            0,
+            "{layout}: the aggregate must materialise no row"
+        );
+        assert_eq!(
+            catalogued_delta(&scanned, &aggregated, "scan.agg_rows_folded"),
+            READINGS as u64,
+            "{layout}: every reading folds into a bucket"
+        );
+        scan_pages.push(pages);
+    }
+    assert!(
+        scan_pages[2] < scan_pages[0],
+        "compressed column groups must read fewer pages than eager rows: {scan_pages:?}"
+    );
+}
+
+/// Recording metrics is relaxed atomics only, so it may cost at most 5 % of
+/// a scan. No count measures an instrument's own cost, so this stays timed:
+/// 41 interleaved trials, alternating which side runs first, cancel clock
+/// drift and cache bias, and the medians are compared with a 20 µs floor
+/// against jitter on fast scans.
+#[test]
+fn metrics_recording_costs_at_most_five_percent_of_a_scan() {
+    const TRIALS: usize = 41;
+    let db = Database::in_memory();
+    db.create_table(points_schema()).unwrap();
+    let rows = (0..4_000i64)
+        .map(|i| {
+            vec![
+                Value::Float((i % 1_000) as f64),
+                Value::Float((i * 37 % 500) as f64),
+                Value::Int(i % 16),
+            ]
+        })
+        .collect();
+    db.insert("Points", rows).unwrap();
+    db.apply_layout_text("Points", "vertical[x|y,tag](Points)")
+        .unwrap();
+    let request = ScanRequest::all().predicate(Condition::range("x", 100.0, 600.0));
+    let timed = |enabled: bool| {
+        db.set_metrics_enabled(enabled);
+        let start = Instant::now();
+        db.scan("Points", &request).unwrap();
+        start.elapsed()
+    };
+    for _ in 0..4 {
+        timed(true);
+        timed(false);
+    }
+    let (mut enabled, mut disabled) = (Vec::new(), Vec::new());
+    for trial in 0..TRIALS {
+        if trial % 2 == 0 {
+            enabled.push(timed(true));
+            disabled.push(timed(false));
+        } else {
+            disabled.push(timed(false));
+            enabled.push(timed(true));
+        }
+    }
+    db.set_metrics_enabled(true);
+    enabled.sort_unstable();
+    disabled.sort_unstable();
+    let (enabled, disabled) = (enabled[TRIALS / 2], disabled[TRIALS / 2]);
+    assert!(
+        enabled <= disabled.mul_f64(1.05) + Duration::from_micros(20),
+        "metrics recording must cost ≤ 5 % of a scan: enabled {enabled:?}, disabled {disabled:?}"
+    );
+    let scans = db
+        .metrics()
+        .counter("scan.count")
+        .expect("scan.count registered");
+    assert!(scans > 0, "enabled scans must reach the registry");
 }
 
 /// `explain` mirrors the dispatch the scan actually performs.

@@ -507,7 +507,6 @@ impl Database {
                             codecs: o.codecs.into_iter().collect(),
                             cell: o.cell,
                             row_count: o.row_count as usize,
-                            ordering: o.ordering,
                             chunks: o.chunks,
                         })
                     })
@@ -1488,6 +1487,8 @@ impl Database {
     pub fn insert(&self, table: &str, records: Vec<Record>) -> Result<()> {
         let inserted = records.len();
         let started = self.obs.enabled().then(Instant::now);
+        let mut laps = Laps(started);
+        let ins = &self.obs.ins;
         // Durable inserts hold the commit fence (shared side) from before
         // the rows apply until the commit resolves, so a checkpoint can
         // never persist rows whose commit might still fail and roll back.
@@ -1502,14 +1503,18 @@ impl Database {
             if !self.slot_is_current(table, &slot) {
                 return Err(RodentError::UnknownTable(table.to_string()));
             }
+            laps.mark();
             self.reap_retired();
+            laps.lap(&ins.insert_phase_reap_micros);
             let state = self.pin_state(&slot);
             for r in &records {
                 state.schema.validate_record(r)?;
             }
             let records_before = state.records.len();
+            laps.mark();
             let tx = self.log_op_begin(|| durability::encode_insert(table, &records))?;
-            if let Err(e) = self.insert_applied(&slot, &state, table, records) {
+            laps.lap(&ins.insert_phase_wal_append_micros);
+            if let Err(e) = self.insert_applied(&slot, &state, table, records, &mut laps) {
                 self.log_op_abort(tx);
                 return Err(e);
             }
@@ -1529,6 +1534,7 @@ impl Database {
         // must not queue behind the disk, and readers never waited in the
         // first place. WAL replay order still matches application order
         // because op records are appended while the writer mutex is held.
+        laps.mark();
         let commit_result = self.log_op_commit(tx);
         if let Some((queue, ticket, removed_at_apply)) = queue {
             // Resolve in apply order: every earlier insert has confirmed or
@@ -1551,6 +1557,7 @@ impl Database {
                 }
             }
         }
+        laps.lap(&ins.insert_phase_commit_micros);
         commit_result?;
         // Inserts feed the profile the way queries do: the decayed write
         // weight is what lets the advisor propose — and later retire — the
@@ -1589,13 +1596,16 @@ impl Database {
     /// rows, pending buffer, and (for the eager strategy) the absorbed or
     /// re-rendered layout — is built entirely aside and published once; if
     /// any step fails, nothing is published and the table is untouched.
+    /// `laps` times the build as `absorb` and the publication as `publish`.
     fn insert_applied(
         &self,
         slot: &TableSlot,
         state: &Arc<TableState>,
         table: &str,
         records: Vec<Record>,
+        laps: &mut Laps,
     ) -> Result<()> {
+        laps.mark();
         let mut next = (**state).clone();
         let has_layout = next.access.is_some() || next.layout_expr.is_some();
         let mut retire = Vec::new();
@@ -1608,11 +1618,13 @@ impl Database {
         } else {
             next.records.push_rows(records);
         }
+        laps.lap(&self.obs.ins.insert_phase_absorb_micros);
         self.publish_state(slot, next, retire);
         // Any table whose layout joins this one rendered from our *previous*
         // rows; flag it so its next access rebuilds (see
         // `mark_dependents_dirty`).
         self.mark_dependents_dirty(table);
+        laps.lap(&self.obs.ins.insert_phase_publish_micros);
         Ok(())
     }
 
@@ -1934,9 +1946,10 @@ impl Database {
                 return Ok(()); // rendering is current
             }
             // Incremental absorption on a fork: the fork shares the
-            // published rendering's sealed pages (never mutating them — the
-            // adopted tail is protected, so the first append relocates it)
-            // and appends into fresh ones.
+            // published rendering's objects and forks only those it writes
+            // (never mutating their pages — a forked object's tail is
+            // adopted protected, so its first append relocates it) and
+            // appends into fresh pages.
             let cost_params = self.config_snapshot().cost_params;
             let forked_layout = access
                 .layout()
@@ -2915,6 +2928,29 @@ impl Explain {
             .u64_field("lsm_memtable_rows", self.lsm_memtable_rows)
             .u64_field("pending_rows", self.pending_rows);
         w.finish()
+    }
+}
+
+/// Consecutive phases of one operation, timed only when metrics are on (the
+/// mark is `None` otherwise): [`Laps::lap`] records the microseconds since
+/// the last mark, floor-rounded, and moves the mark.
+struct Laps(Option<Instant>);
+
+impl Laps {
+    /// Starts the next phase now (time since the last mark goes nowhere).
+    fn mark(&mut self) {
+        if let Some(mark) = &mut self.0 {
+            *mark = Instant::now();
+        }
+    }
+
+    /// Ends the current phase into `phase` and starts the next.
+    fn lap(&mut self, phase: &rodentstore_obs::Histogram) {
+        if let Some(mark) = &mut self.0 {
+            let now = Instant::now();
+            phase.record(now.duration_since(*mark).as_micros() as u64);
+            *mark = now;
+        }
     }
 }
 

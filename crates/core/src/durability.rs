@@ -82,8 +82,10 @@ const MANIFEST_MAGIC: &[u8; 8] = b"RDNTMAN1";
 /// row and record counts, tail slot count and checksum, plus a pending-row
 /// count. Version 6 added each column-block object's chunk directory (per
 /// chunk: row count, first block's page ordinal and slot, a fence per
-/// field), checked against the object when it is decoded.
-const MANIFEST_VERSION: u32 = 6;
+/// field), checked against the object when it is decoded. Version 7 dropped
+/// the per-object sort order, which nothing read: the layout-level
+/// orderings above the objects are what `open` restores.
+const MANIFEST_VERSION: u32 = 7;
 
 /// Sentinel in the object encoding for "no open tail page".
 const NO_TAIL: u32 = u32::MAX;
@@ -871,7 +873,6 @@ pub(crate) struct ObjectManifest {
     pub codecs: Vec<(String, CodecKind)>,
     pub cell: Option<CellBounds>,
     pub row_count: u64,
-    pub ordering: Vec<SortKey>,
     pub pages: Vec<PageId>,
     pub heap_records: u64,
     /// Valid slot count of the open tail page at checkpoint time (`None`
@@ -1044,7 +1045,6 @@ fn enc_object(e: &mut Enc, object: &ObjectManifest) {
         }
     }
     e.u64(object.row_count);
-    enc_sort_keys(e, &object.ordering);
     e.u32(object.pages.len() as u32);
     for page in &object.pages {
         e.u64(*page);
@@ -1125,7 +1125,6 @@ fn dec_object(d: &mut Dec) -> Result<ObjectManifest> {
     }
     let cell = if d.bool()? { Some(dec_cell(d)?) } else { None };
     let row_count = d.u64()?;
-    let ordering = dec_sort_keys(d)?;
     let npages = d.u32()? as usize;
     let mut pages = Vec::with_capacity(npages.min(1 << 20));
     for _ in 0..npages {
@@ -1152,7 +1151,6 @@ fn dec_object(d: &mut Dec) -> Result<ObjectManifest> {
         codecs,
         cell,
         row_count,
-        ordering,
         pages,
         heap_records,
         tail_valid_slots: (tail_slots != NO_TAIL).then_some(tail_slots),
@@ -1399,7 +1397,6 @@ pub(crate) fn encode_manifest(catalog: &CatalogView, ctx: &ManifestContext) -> R
                             codecs,
                             cell: obj.cell.clone(),
                             row_count: obj.row_count as u64,
-                            ordering: obj.ordering.clone(),
                             pages,
                             heap_records: obj.heap.record_count(),
                             tail_valid_slots: obj.heap.tail_valid_slots(),

@@ -61,6 +61,22 @@ pub struct Instruments {
     pub insert_rows: Arc<Counter>,
     /// `insert.micros` — end-to-end insert latency (including WAL commit).
     pub insert_micros: Arc<Histogram>,
+    /// `insert.phase.reap_micros` — reclaiming retired renderings before
+    /// the insert applies.
+    pub insert_phase_reap_micros: Arc<Histogram>,
+    /// `insert.phase.wal_append_micros` — encoding and appending the op
+    /// record to the WAL (no fsync).
+    pub insert_phase_wal_append_micros: Arc<Histogram>,
+    /// `insert.phase.absorb_micros` — building the successor state aside:
+    /// the rows, and under the eager strategy the forked append or
+    /// re-render.
+    pub insert_phase_absorb_micros: Arc<Histogram>,
+    /// `insert.phase.publish_micros` — publishing the successor state and
+    /// retiring the superseded rendering.
+    pub insert_phase_publish_micros: Arc<Histogram>,
+    /// `insert.phase.commit_micros` — the WAL commit (fsync or group-commit
+    /// wait) and in-order resolution.
+    pub insert_phase_commit_micros: Arc<Histogram>,
 
     // The write-optimized tier.
     /// `lsm.spills` — level-0 runs sealed from the memtable.
@@ -144,6 +160,11 @@ impl Instruments {
             insert_batches: registry.counter("insert.batches"),
             insert_rows: registry.counter("insert.rows"),
             insert_micros: registry.histogram("insert.micros"),
+            insert_phase_reap_micros: registry.histogram("insert.phase.reap_micros"),
+            insert_phase_wal_append_micros: registry.histogram("insert.phase.wal_append_micros"),
+            insert_phase_absorb_micros: registry.histogram("insert.phase.absorb_micros"),
+            insert_phase_publish_micros: registry.histogram("insert.phase.publish_micros"),
+            insert_phase_commit_micros: registry.histogram("insert.phase.commit_micros"),
             lsm_spills: registry.counter("lsm.spills"),
             lsm_spill_rows: registry.counter("lsm.spill.rows"),
             lsm_spill_pages: registry.counter("lsm.spill.pages"),
@@ -194,6 +215,11 @@ pub fn metric_names() -> &'static [&'static str] {
         "get_element.count",
         "insert.batches",
         "insert.micros",
+        "insert.phase.absorb_micros",
+        "insert.phase.commit_micros",
+        "insert.phase.publish_micros",
+        "insert.phase.reap_micros",
+        "insert.phase.wal_append_micros",
         "insert.rows",
         "lsm.absorb.merges",
         "lsm.absorb_micros",

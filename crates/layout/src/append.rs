@@ -18,6 +18,11 @@
 //!   group and appended to *all* objects, preserving the equal-row-set
 //!   invariant vertical reads depend on.
 //!
+//! Grid cells and partitions are found through an index of the layout's
+//! objects by cell coordinate or label, so an append never visits the
+//! objects it does not write — and on a fork
+//! ([`PhysicalLayout::fork_for_append`]) it forks only the objects it writes.
+//!
 //! Shapes whose invariants cannot be maintained row-at-a-time — `fold`
 //! (groups are single heap records), `prejoin` (needs the other table),
 //! `limit`, explicit comprehensions, and vertical groups combined with
@@ -30,7 +35,9 @@
 //! native ordering.
 
 use crate::pipeline::{self, TableProvider};
-use crate::plan::{CellBounds, ObjectEncoding, PhysicalLayout, StoredObject};
+use crate::plan::{
+    lattice_origin, CellBounds, ObjectEncoding, PhysicalLayout, StoredObject, Target,
+};
 use crate::render::{codec_map, find_partition};
 use crate::Result;
 use rodentstore_algebra::expr::{GridDim, PartitionBy, TransformKind};
@@ -63,6 +70,23 @@ pub enum AppendOutcome {
 
 fn needs(reason: &str) -> Result<AppendOutcome> {
     Ok(AppendOutcome::NeedsRebuild(reason.to_string()))
+}
+
+/// The index of the object `key` routes to, pushing the one `create`
+/// builds when the layout has none yet.
+fn target_object(
+    layout: &mut PhysicalLayout,
+    key: Target,
+    create: impl FnOnce(&PhysicalLayout) -> StoredObject,
+) -> usize {
+    if let Some(&i) = layout.targets.get(&key) {
+        return i;
+    }
+    let i = layout.objects.len();
+    let obj = create(layout);
+    layout.objects.push(Arc::new(obj));
+    Arc::make_mut(&mut layout.targets).insert(key, i);
+    i
 }
 
 /// Estimated pages written to absorb one batch of new rows — the write side
@@ -152,7 +176,7 @@ pub fn append_records<P: TableProvider + ?Sized>(
     } else if layout.objects.len() == 1
         && layout.objects[0].fields == layout.schema.field_names()
     {
-        let ids = layout.objects[0].write_rows(&new_rows)?;
+        let ids = layout.object_mut(0)?.write_rows(&new_rows)?;
         let placed = ids
             .into_iter()
             .zip(new_rows)
@@ -167,12 +191,7 @@ pub fn append_records<P: TableProvider + ?Sized>(
     layout.row_count += rows_appended;
     // Appended rows are not sorted into place; drop native-order claims so
     // ordered scans re-sort instead of returning wrongly ordered results.
-    if !layout.derived.orderings.is_empty() {
-        layout.derived.orderings.clear();
-        for obj in &mut layout.objects {
-            obj.ordering.clear();
-        }
-    }
+    layout.derived.orderings.clear();
     Ok(AppendOutcome::Appended {
         objects_touched,
         rows_appended,
@@ -236,12 +255,12 @@ fn append_vertical(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<usi
                 .collect::<Result<Vec<usize>>>()
         })
         .collect::<Result<_>>()?;
-    for (obj, positions) in layout.objects.iter_mut().zip(positions) {
+    for (i, positions) in positions.into_iter().enumerate() {
         let projected: Vec<Record> = rows
             .iter()
             .map(|r| positions.iter().map(|&i| r[i].clone()).collect())
             .collect();
-        obj.write_rows(&projected)?;
+        layout.object_mut(i)?.write_rows(&projected)?;
     }
     Ok(layout.objects.len())
 }
@@ -263,15 +282,10 @@ fn append_grid(
         })
         .collect::<Result<_>>()?;
 
-    // Recover the lattice origin from any existing cell (`lo = origin +
-    // coord·stride`); a layout rendered over an empty table has no cells yet,
-    // so fall back to the render rule: origin = per-dimension minimum.
-    let origins: Vec<f64> = match layout.objects.iter().find_map(|o| o.cell.as_ref()) {
-        Some(cell) => dims
-            .iter()
-            .enumerate()
-            .map(|(d, dim)| cell.dims[d].1 - cell.coords[d] as f64 * dim.stride)
-            .collect(),
+    // A layout rendered over an empty table has no cells yet, so fall back
+    // to the render rule: origin = per-dimension minimum.
+    let origins: Vec<f64> = match lattice_origin(&layout.objects, dims) {
+        Some(origins) => origins,
         None => {
             let mut origins = vec![f64::INFINITY; dims.len()];
             for r in &rows {
@@ -328,69 +342,40 @@ fn append_grid(
     let mut touched = 0usize;
     let mut placed = Placed::new();
     for (coords, bucket) in buckets {
-        // A representative point (the cell center) locates the target cell by
-        // bounds containment, immune to floating-point origin round-trips.
-        let center: Vec<f64> = coords
-            .iter()
-            .zip(dims.iter())
-            .enumerate()
-            .map(|(d, (&c, dim))| origins[d] + (c as f64 + 0.5) * dim.stride)
-            .collect();
-        let existing = layout.objects.iter_mut().enumerate().find(|(_, o)| {
-            o.cell.as_ref().is_some_and(|cell| {
-                cell.dims
+        let obj_idx = target_object(layout, Target::Cell(coords.clone()), |layout| {
+            let bounds = CellBounds {
+                dims: dims
                     .iter()
-                    .zip(center.iter())
-                    .all(|((_, lo, hi), v)| lo <= v && v < hi)
-            })
+                    .zip(coords.iter())
+                    .enumerate()
+                    .map(|(d, (dim, &c))| {
+                        let lo = origins[d] + c as f64 * dim.stride;
+                        (dim.field.clone(), lo, lo + dim.stride)
+                    })
+                    .collect(),
+                coords: coords
+                    .iter()
+                    .map(|&c| c.clamp(0, u32::MAX as i64) as u32)
+                    .collect(),
+            };
+            StoredObject::new(
+                format!("{}/cell{coords:?}+", layout.name),
+                layout.schema.field_names(),
+                HeapFile::create(
+                    format!("{}.cell{coords:?}+", layout.name),
+                    Arc::clone(layout.pager()),
+                ),
+                encoding.clone(),
+                codecs.clone(),
+                Some(bounds),
+            )
         });
-        match existing {
-            Some((obj_idx, obj)) => {
-                let ids = obj.write_rows(&bucket)?;
-                placed.extend(
-                    ids.into_iter()
-                        .zip(bucket)
-                        .map(|(rid, row)| (obj_idx, rid, row)),
-                );
-            }
-            None => {
-                let bounds = CellBounds {
-                    dims: dims
-                        .iter()
-                        .zip(coords.iter())
-                        .enumerate()
-                        .map(|(d, (dim, &c))| {
-                            let lo = origins[d] + c as f64 * dim.stride;
-                            (dim.field.clone(), lo, lo + dim.stride)
-                        })
-                        .collect(),
-                    coords: coords
-                        .iter()
-                        .map(|&c| c.clamp(0, u32::MAX as i64) as u32)
-                        .collect(),
-                };
-                let mut obj = StoredObject::new(
-                    format!("{}/cell{coords:?}+", layout.name),
-                    layout.schema.field_names(),
-                    HeapFile::create(
-                        format!("{}.cell{coords:?}+", layout.name),
-                        Arc::clone(layout.pager()),
-                    ),
-                    encoding.clone(),
-                    codecs.clone(),
-                    Some(bounds),
-                    Vec::new(),
-                );
-                let obj_idx = layout.objects.len();
-                let ids = obj.write_rows(&bucket)?;
-                placed.extend(
-                    ids.into_iter()
-                        .zip(bucket)
-                        .map(|(rid, row)| (obj_idx, rid, row)),
-                );
-                layout.objects.push(obj);
-            }
-        }
+        let ids = layout.object_mut(obj_idx)?.write_rows(&bucket)?;
+        placed.extend(
+            ids.into_iter()
+                .zip(bucket)
+                .map(|(rid, row)| (obj_idx, rid, row)),
+        );
         touched += 1;
     }
     Ok((touched, placed))
@@ -441,37 +426,23 @@ fn append_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(
     let mut touched = 0usize;
     let mut placed = Placed::new();
     for (label, bucket) in buckets {
-        // Partition objects are named `{layout}/part{p}={label}`.
-        let existing = layout
-            .objects
-            .iter_mut()
-            .enumerate()
-            .find(|(_, o)| o.name.split_once('=').map(|x| x.1) == Some(label.as_str()));
-        match existing {
-            Some((obj_idx, obj)) => {
-                let ids = obj.write_rows(&bucket)?;
-                placed.extend(
-                    ids.into_iter()
-                        .zip(bucket)
-                        .map(|(rid, row)| (obj_idx, rid, row)),
-                );
-            }
-            None => {
-                let p = layout.objects.len();
-                let mut obj = StoredObject::new(
-                    format!("{}/part{p}={label}", layout.name),
-                    layout.schema.field_names(),
-                    HeapFile::create(format!("{}.p{p}+", layout.name), Arc::clone(layout.pager())),
-                    ObjectEncoding::Rows,
-                    HashMap::new(),
-                    None,
-                    Vec::new(),
-                );
-                let ids = obj.write_rows(&bucket)?;
-                placed.extend(ids.into_iter().zip(bucket).map(|(rid, row)| (p, rid, row)));
-                layout.objects.push(obj);
-            }
-        }
+        let obj_idx = target_object(layout, Target::Label(label.clone()), |layout| {
+            let p = layout.objects.len();
+            StoredObject::new(
+                format!("{}/part{p}={label}", layout.name),
+                layout.schema.field_names(),
+                HeapFile::create(format!("{}.p{p}+", layout.name), Arc::clone(layout.pager())),
+                ObjectEncoding::Rows,
+                HashMap::new(),
+                None,
+            )
+        });
+        let ids = layout.object_mut(obj_idx)?.write_rows(&bucket)?;
+        placed.extend(
+            ids.into_iter()
+                .zip(bucket)
+                .map(|(rid, row)| (obj_idx, rid, row)),
+        );
         touched += 1;
     }
     Ok((touched, placed))
@@ -598,6 +569,57 @@ mod tests {
 
         // And the full contents match a from-scratch render.
         check_append_matches_rerender(expr, points(200, 0.0), points(50, 100.0));
+    }
+
+    #[test]
+    fn grid_scans_probe_the_cells_a_linear_pass_would_pick() {
+        let expr = LayoutExpr::table("Points")
+            .grid([("x", 0.7), ("y", 1.3)])
+            .zorder();
+        let pager = Arc::new(Pager::in_memory_with_page_size(1024));
+        let provider = MemTableProvider::single(points_schema(), points(300, 0.1));
+        let mut layout = render(&expr, &provider, pager, RenderOptions::default()).unwrap();
+        // Cells below the origin (clamped coordinates) and far above it.
+        for offset in [-9.3, 40.0] {
+            let extra = MemTableProvider::single(points_schema(), points(40, offset));
+            append_records(&mut layout, &extra).unwrap();
+        }
+        assert!(layout.objects.len() > 200, "{} cells", layout.objects.len());
+        let linear = |pred: &Condition| {
+            let ranges = crate::plan::extract_ranges(pred);
+            (0..layout.objects.len())
+                .filter(|&i| layout.objects[i].cell.as_ref().unwrap().intersects(&ranges))
+                .collect::<Vec<_>>()
+        };
+        // Query bounds on the cells' own edges, where rounding decides.
+        let mut edges: Vec<f64> = layout
+            .objects
+            .iter()
+            .flat_map(|o| {
+                let dims = &o.cell.as_ref().unwrap().dims;
+                [dims[0].1, dims[0].2, dims[1].1, dims[1].2]
+            })
+            .collect();
+        edges.sort_by(f64::total_cmp);
+        edges.dedup();
+        let edges: Vec<f64> = edges.iter().step_by(3).copied().collect();
+        let mut probed = 0;
+        for &lo in &edges {
+            for &hi in edges.iter().filter(|&&hi| hi >= lo).take(12) {
+                for pred in [
+                    Condition::range("x", lo, hi).and(Condition::range("y", lo, hi)),
+                    Condition::range("x", lo, lo).and(Condition::range("y", hi, hi)),
+                    Condition::range("x", lo, hi),
+                ] {
+                    let got = layout.objects_to_read(None, Some(&pred));
+                    assert_eq!(got, linear(&pred), "{pred:?}");
+                    let ranges = crate::plan::extract_ranges(&pred);
+                    probed +=
+                        usize::from(!got.is_empty() && layout.cells_meeting(&ranges).is_some());
+                }
+            }
+        }
+        assert!(probed > 100, "{probed} non-empty probes");
     }
 
     #[test]

@@ -139,7 +139,6 @@ pub fn render<P: TableProvider + ?Sized>(
                 ObjectEncoding::ColumnBlocks { block_rows },
                 codecs.clone(),
                 None,
-                derived.orderings.last().cloned().unwrap_or_default(),
             );
             obj.write_rows(&group_rows)?;
             objects.push(obj);
@@ -154,16 +153,15 @@ pub fn render<P: TableProvider + ?Sized>(
             },
             codecs.clone(),
             None,
-            derived.orderings.last().cloned().unwrap_or_default(),
         );
         obj.write_rows(&records)?;
         objects.push(obj);
     } else if let Some((key, values)) = derived.folded.clone() {
         objects.push(render_folded(
-            &name, &records, &schema, &derived, &key, &values, &pager,
+            &name, &records, &schema, &key, &values, &pager,
         )?);
     } else if derived.partitioned {
-        objects = render_partitions(&name, expr, &records, &schema, &derived, &pager)?;
+        objects = render_partitions(&name, expr, &records, &schema, &pager)?;
     } else if !codecs.is_empty() {
         // Compression without an explicit structural transform: store the
         // whole relation as column blocks so the codecs have a columnar
@@ -175,7 +173,6 @@ pub fn render<P: TableProvider + ?Sized>(
             ObjectEncoding::ColumnBlocks { block_rows },
             codecs.clone(),
             None,
-            derived.orderings.last().cloned().unwrap_or_default(),
         );
         obj.write_rows(&records)?;
         objects.push(obj);
@@ -188,7 +185,6 @@ pub fn render<P: TableProvider + ?Sized>(
             ObjectEncoding::Rows,
             HashMap::new(),
             None,
-            derived.orderings.last().cloned().unwrap_or_default(),
         );
         obj.write_rows(&records)?;
         objects.push(obj);
@@ -313,7 +309,6 @@ fn render_grid(
             encoding.clone(),
             codecs.clone(),
             Some(bounds),
-            Vec::new(),
         );
         obj.write_rows(cell_records)?;
         objects.push(obj);
@@ -327,7 +322,6 @@ fn render_folded(
     name: &str,
     records: &[Record],
     schema: &rodentstore_algebra::Schema,
-    derived: &DerivedLayout,
     key: &[String],
     values: &[String],
     pager: &Arc<Pager>,
@@ -382,7 +376,6 @@ fn render_folded(
         },
         HashMap::new(),
         None,
-        derived.orderings.last().cloned().unwrap_or_default(),
     );
     obj.row_count = records.len();
     Ok(obj)
@@ -394,7 +387,6 @@ fn render_partitions(
     expr: &LayoutExpr,
     records: &[Record],
     schema: &rodentstore_algebra::Schema,
-    derived: &DerivedLayout,
     pager: &Arc<Pager>,
 ) -> Result<Vec<StoredObject>> {
     let by = find_partition(expr).cloned().ok_or_else(|| {
@@ -436,7 +428,6 @@ fn render_partitions(
             ObjectEncoding::Rows,
             HashMap::new(),
             None,
-            derived.orderings.last().cloned().unwrap_or_default(),
         );
         obj.write_rows(rows)?;
         objects.push(obj);

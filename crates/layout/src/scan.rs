@@ -1093,7 +1093,7 @@ impl<'a> ScanIter<'a> {
         let objs: Vec<&'a StoredObject>;
         let (heap, name, encoding, fields) = match self.groups.get(n) {
             Some(group) => {
-                objs = group.iter().map(|&i| &layout.objects[i]).collect();
+                objs = group.iter().map(|&i| &*layout.objects[i]).collect();
                 // A group reads as one object holding its members' fields
                 // in order.
                 let fields: Vec<String> =
@@ -1710,7 +1710,7 @@ mod tests {
         assert_eq!(io.blocks_skipped, 40 - 3, "one single-row `name` chunk per filtered-out row");
         assert_eq!(
             io.pages_read as usize,
-            layout.objects.iter().map(StoredObject::page_count).sum::<usize>(),
+            layout.objects.iter().map(|o| o.page_count()).sum::<usize>(),
             "skipping a decode never skips a page"
         );
         for i in [0usize, 17, 39] {

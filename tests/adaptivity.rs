@@ -8,7 +8,8 @@
 
 use proptest::prelude::*;
 use rodentstore::{
-    AdaptivePolicy, AdvisorOptions, CostParams, Database, ReorgStrategy, ScanRequest, Value,
+    AdaptivePolicy, AdvisorOptions, Condition, CostParams, Database, ReorgStrategy, ScanRequest,
+    Value,
 };
 use rodentstore_algebra::{DataType, Field, LayoutExpr, Schema};
 use rodentstore_optimizer::CostModel;
@@ -271,4 +272,149 @@ fn eager_insert_appends_without_rerendering() {
         "the append wrote {written} pages of a {layout_pages}-page layout"
     );
     assert_eq!(db.row_count("Traces").unwrap(), TRACES + TRACES / 30);
+}
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "rodentstore-adaptivity-{}-{tag}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `per_cell` rows in each cell `(cx, cy)` of a unit grid, at the cell's
+/// center.
+fn cell_rows(cells: &[(f64, f64)], per_cell: usize) -> Vec<Vec<Value>> {
+    cells
+        .iter()
+        .flat_map(|&(cx, cy)| {
+            (0..per_cell).map(move |i| {
+                vec![
+                    Value::Float(cx + 0.5),
+                    Value::Float(cy + 0.5),
+                    Value::Int(i as i64),
+                ]
+            })
+        })
+        .collect()
+}
+
+const CELL_GRID: &str = "zorder(grid[x,y;1,1](Points))";
+
+/// An eager insert into a gridded layout costs the cells its rows land in,
+/// not the cells the layout has: it reads and relocates only their tails,
+/// while a reader pinned before it keeps scanning the old generation — also
+/// across a checkpoint — and reclaiming that generation frees only the
+/// relocated tails.
+#[test]
+fn gridded_insert_forks_only_the_cells_it_writes() {
+    let dir = scratch_dir("grid-fork");
+    let db = Database::create(&dir).unwrap();
+    db.create_table(points_schema()).unwrap();
+    let lattice: Vec<(f64, f64)> = (0..20)
+        .flat_map(|x| (0..20).map(move |y| (x as f64, y as f64)))
+        .collect();
+    db.insert("Points", cell_rows(&lattice, 5)).unwrap();
+    db.apply_layout_text("Points", CELL_GRID).unwrap();
+    db.checkpoint().unwrap();
+    let pin = db.snapshot("Points").unwrap();
+    let cells = pin.layout().unwrap().objects.len();
+    assert_eq!(cells, 400);
+    let pinned = pin.scan(&ScanRequest::all()).unwrap();
+
+    let touched = [(1.0, 1.0), (5.0, 7.0), (10.0, 3.0), (19.0, 19.0)];
+    let c = touched.len() as u64;
+    let renders = db.layout_stats("Points").unwrap().full_renders;
+    let io = db.io_snapshot();
+    db.insert("Points", cell_rows(&touched, 3)).unwrap();
+    let io = db.io_snapshot().since(&io);
+    assert_eq!(db.layout_stats("Points").unwrap().full_renders, renders);
+    assert!(
+        io.pages_read <= c,
+        "an insert into {c} of {cells} cells read {} pages",
+        io.pages_read
+    );
+    assert!(
+        io.pages_written <= 2 * c,
+        "an insert into {c} cells wrote {} pages",
+        io.pages_written
+    );
+    let live = db.snapshot("Points").unwrap();
+    assert_eq!(
+        live.layout().unwrap().objects.len(),
+        cells,
+        "no cell created"
+    );
+    assert_eq!(live.scan(&ScanRequest::all()).unwrap().len(), 2_012);
+
+    assert_eq!(pin.scan(&ScanRequest::all()).unwrap(), pinned);
+    db.checkpoint().unwrap();
+    assert_eq!(pin.scan(&ScanRequest::all()).unwrap(), pinned);
+
+    let reclaimed = |db: &Database| db.metrics().counter("epoch.reclaimed_pages").unwrap();
+    let before = reclaimed(&db);
+    drop((pin, live));
+    db.checkpoint().unwrap();
+    assert_eq!(
+        reclaimed(&db) - before,
+        c,
+        "the superseded generation owned only the {c} relocated tails"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cells an append creates below the lattice origin (where the stored cell
+/// coordinate clamps to 0) and above it are found again by later appends,
+/// before and after a reopen, instead of being created twice.
+#[test]
+fn appended_cells_below_and_above_the_origin_are_found_again() {
+    let dir = scratch_dir("grid-outside");
+    let outside = [(-3.0, -2.0), (25.0, 30.0)];
+    let objects = |db: &Database| {
+        db.snapshot("Points")
+            .unwrap()
+            .layout()
+            .unwrap()
+            .objects
+            .len()
+    };
+    let in_cell = |db: &Database, (cx, cy): (f64, f64)| {
+        let window = Condition::range("x", cx, cx + 0.9).and(Condition::range("y", cy, cy + 0.9));
+        db.scan("Points", &ScanRequest::all().predicate(window))
+            .unwrap()
+            .len()
+    };
+    let cells = {
+        let db = Database::create(&dir).unwrap();
+        db.create_table(points_schema()).unwrap();
+        let lattice: Vec<(f64, f64)> = (0..4)
+            .flat_map(|x| (0..4).map(move |y| (x as f64, y as f64)))
+            .collect();
+        db.insert("Points", cell_rows(&lattice, 2)).unwrap();
+        db.apply_layout_text("Points", CELL_GRID).unwrap();
+        let rendered = objects(&db);
+        db.insert("Points", cell_rows(&outside, 1)).unwrap();
+        assert_eq!(objects(&db), rendered + 2, "one new cell on each side");
+        db.insert("Points", cell_rows(&outside, 1)).unwrap();
+        assert_eq!(objects(&db), rendered + 2, "both new cells found again");
+        assert_eq!(
+            in_cell(&db, (0.0, 0.0)),
+            2,
+            "the origin cell keeps its rows"
+        );
+        db.checkpoint().unwrap();
+        rendered + 2
+    };
+    let db = Database::open(&dir).unwrap();
+    db.insert("Points", cell_rows(&outside, 1)).unwrap();
+    assert_eq!(objects(&db), cells, "found again after a reopen");
+    for cell in outside {
+        assert_eq!(in_cell(&db, cell), 3, "cell {cell:?}");
+    }
+    assert_eq!(in_cell(&db, (0.0, 0.0)), 2);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -825,19 +825,19 @@ fn foreign_or_corrupt_files_are_typed_errors() {
     corrupt[last] ^= 0x55;
     std::fs::write(&manifest_path, &corrupt).unwrap();
     assert!(Database::open(&dir).is_err(), "corrupt manifest must not open");
-    // A manifest of the previous format version (no chunk directories) is
+    // A manifest of the previous format version (per-object sort orders) is
     // rejected by version, not misread.
-    let v5_body = 5u32.to_le_bytes();
-    let mut v5 = b"RDNTMAN1".to_vec();
-    v5.extend_from_slice(&(v5_body.len() as u32).to_le_bytes());
-    v5.extend_from_slice(&rodentstore_storage::crc32(&v5_body).to_le_bytes());
-    v5.extend_from_slice(&v5_body);
-    std::fs::write(&manifest_path, &v5).unwrap();
+    let v6_body = 6u32.to_le_bytes();
+    let mut v6 = b"RDNTMAN1".to_vec();
+    v6.extend_from_slice(&(v6_body.len() as u32).to_le_bytes());
+    v6.extend_from_slice(&rodentstore_storage::crc32(&v6_body).to_le_bytes());
+    v6.extend_from_slice(&v6_body);
+    std::fs::write(&manifest_path, &v6).unwrap();
     assert!(matches!(
         Database::open(&dir),
         Err(RodentError::Storage(StorageError::UnsupportedVersion {
-            found: 5,
-            supported: 6
+            found: 6,
+            supported: 7
         }))
     ));
     std::fs::write(&manifest_path, &pristine).unwrap();

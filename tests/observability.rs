@@ -669,6 +669,53 @@ fn disabling_metrics_freezes_counters() {
     );
 }
 
+/// Every durable insert records one sample into each `insert.phase.*`
+/// histogram, and the phases — disjoint, floor-rounded sub-intervals of the
+/// insert — sum to no more than `insert.micros`.
+#[test]
+fn insert_phases_split_every_durable_insert() {
+    const PHASES: [&str; 5] = [
+        "insert.phase.reap_micros",
+        "insert.phase.wal_append_micros",
+        "insert.phase.absorb_micros",
+        "insert.phase.publish_micros",
+        "insert.phase.commit_micros",
+    ];
+    let dir = scratch_dir("insert-phases");
+    let db = Database::create(&dir).unwrap();
+    db.create_table(points_schema()).unwrap();
+    db.insert("Points", points(500)).unwrap();
+    db.apply_layout_text("Points", "delta[x,y](zorder(grid[x,y;50,25](Points)))")
+        .unwrap();
+    let summary = |m: &rodentstore::MetricsSnapshot, name: &str| {
+        *m.histogram(name)
+            .unwrap_or_else(|| panic!("{name} registered"))
+    };
+    let before = db.metrics();
+    let inserts = 6u64;
+    for i in 0..inserts as usize {
+        db.insert("Points", points(40 + i)).unwrap();
+    }
+    let after = db.metrics();
+    let total = summary(&after, "insert.micros").sum - summary(&before, "insert.micros").sum;
+    let mut phases = 0;
+    for name in PHASES {
+        let (a, b) = (summary(&after, name), summary(&before, name));
+        assert_eq!(a.count - b.count, inserts, "{name}: one sample per insert");
+        phases += a.sum - b.sum;
+    }
+    assert!(
+        phases <= total,
+        "phase sums {phases} µs exceed the inserts' {total} µs"
+    );
+    assert_eq!(
+        summary(&after, "insert.micros").count - summary(&before, "insert.micros").count,
+        inserts
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The registered instrument set is exactly the documented catalog, and
 /// the JSON dump carries the reserved injected prefixes.
 #[test]

@@ -352,10 +352,7 @@ impl Database {
             std::fs::remove_file(&manifest_path)
                 .map_err(|e| RodentError::Storage(rodentstore_storage::StorageError::Io(e)))?;
         }
-        let mut store =
-            FileStore::create(&data_path, options.page_size).map_err(RodentError::Storage)?;
-        store.set_mmap_reads(options.mmap_reads);
-        let store = Arc::new(store);
+        let store = Arc::new(FileStore::create(&data_path, options.page_size)?);
         let pager = Arc::new(Pager::with_store(
             Arc::clone(&store) as Arc<dyn PageStore>
         ));
@@ -397,10 +394,7 @@ impl Database {
         let dir = dir.as_ref().to_path_buf();
         let (data_path, wal_path, _) = durability::db_paths(&dir);
         let manifest = durability::decode_manifest(&durability::read_manifest_file(&dir)?)?;
-        let mut store = FileStore::open_expecting(&data_path, manifest.page_size)
-            .map_err(RodentError::Storage)?;
-        store.set_mmap_reads(options.mmap_reads);
-        let store = Arc::new(store);
+        let store = Arc::new(FileStore::open_expecting(&data_path, manifest.page_size)?);
         // Pages written after the checkpoint are not described by the
         // manifest; drop them — the WAL replay below re-derives their
         // contents from the logged logical operations.
@@ -533,19 +527,16 @@ impl Database {
                 if let Some(im) = r.index {
                     let manifest_pages = im.pages.clone();
                     if layout.derived.index.as_deref() == Some(&im.fields[..]) {
-                        layout.index = Some(
-                            StoredIndex::from_parts(
-                                Arc::clone(&pager),
-                                &im.kind,
-                                im.fields,
-                                im.key_kinds,
-                                im.root,
-                                im.len,
-                                im.height as usize,
-                                im.outliers,
-                            )
-                            .map_err(RodentError::Layout)?,
-                        );
+                        layout.index = Some(StoredIndex::from_parts(
+                            Arc::clone(&pager),
+                            &im.kind,
+                            im.fields,
+                            im.key_kinds,
+                            im.root,
+                            im.len,
+                            im.height as usize,
+                            im.outliers,
+                        )?);
                     } else {
                         orphaned_index_pages.extend(manifest_pages);
                     }
@@ -578,18 +569,15 @@ impl Database {
                                 token: Arc::new(()),
                             })
                             .collect();
-                        layout.lsm = Some(
-                            LsmState::restore(
-                                key,
-                                lm.memtable_cap as usize,
-                                lm.fanout as usize,
-                                lm.next_seq,
-                                &layout.schema,
-                                lm.memtable,
-                                runs,
-                            )
-                            .map_err(RodentError::Layout)?,
-                        );
+                        layout.lsm = Some(LsmState::restore(
+                            key,
+                            lm.memtable_cap as usize,
+                            lm.fanout as usize,
+                            lm.next_seq,
+                            &layout.schema,
+                            lm.memtable,
+                            runs,
+                        )?);
                     } else {
                         for run in lm.runs {
                             orphaned_index_pages.extend(run.pages);
@@ -645,8 +633,8 @@ impl Database {
             if access.layout().derived.index.is_none() || access.layout().index.is_some() {
                 continue;
             }
-            let mut forked_layout = access.layout().fork_for_append().map_err(RodentError::Layout)?;
-            forked_layout.rebuild_index().map_err(RodentError::Layout)?;
+            let mut forked_layout = access.layout().fork_for_append()?;
+            forked_layout.rebuild_index()?;
             let vacated = forked_layout.take_relocated();
             let forked = AccessMethods::with_cost_params(forked_layout, cost_params);
             let _w = slot.writer.lock();
@@ -1951,10 +1939,7 @@ impl Database {
             // adopted protected, so its first append relocates it) and
             // appends into fresh pages.
             let cost_params = self.config_snapshot().cost_params;
-            let forked_layout = access
-                .layout()
-                .fork_for_append()
-                .map_err(RodentError::Layout)?;
+            let forked_layout = access.layout().fork_for_append()?;
             let mut forked = AccessMethods::with_cost_params(forked_layout, cost_params);
             let provider =
                 MemTableProvider::single(next.schema.clone(), next.pending.to_vec());
@@ -2385,8 +2370,7 @@ impl Database {
                 // Mirror the scan dispatch exactly: opening the iterator is
                 // what decides between the streaming and probing paths.
                 let iter = layout
-                    .scan_iter(fields, predicate)
-                    .map_err(RodentError::Layout)?;
+                    .scan_iter(fields, predicate)?;
                 let access_path = if iter.uses_index() {
                     AccessPath::IndexProbe
                 } else {
@@ -2735,7 +2719,7 @@ impl TableSnapshot {
         spec: &WindowedAggregate,
         predicate: Option<&Condition>,
     ) -> Result<WindowAccumulator> {
-        spec.validate().map_err(RodentError::Layout)?;
+        spec.validate()?;
         let bucket_idx = self
             .state
             .schema

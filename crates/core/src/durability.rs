@@ -103,12 +103,6 @@ pub struct DurabilityOptions {
     /// an explicit policy (e.g. [`SyncPolicy::GroupCommit`]) to trade
     /// durability of the last few commits for latency.
     pub sync: SyncPolicy,
-    /// Serve data-file reads as memory-mapped shared frames instead of
-    /// copying page bytes out of the file. Defaults to the value of the
-    /// `RODENTSTORE_MMAP` environment variable (`1`/`true` = on); ignored on
-    /// platforms without mmap support, where reads fall back to the copy
-    /// path. Purely a read-path choice: the bytes served are identical.
-    pub mmap_reads: bool,
 }
 
 impl Default for DurabilityOptions {
@@ -116,17 +110,8 @@ impl Default for DurabilityOptions {
         DurabilityOptions {
             page_size: DEFAULT_PAGE_SIZE,
             sync: SyncPolicy::GroupDurable,
-            mmap_reads: mmap_env_default(),
         }
     }
-}
-
-/// Reads the `RODENTSTORE_MMAP` environment default for
-/// [`DurabilityOptions::mmap_reads`].
-fn mmap_env_default() -> bool {
-    std::env::var("RODENTSTORE_MMAP")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
 }
 
 /// Handle to the on-disk pieces of a durable database (held by
@@ -243,7 +228,7 @@ fn enc_value(e: &mut Enc, v: &Value) {
 }
 
 fn dec_value(d: &mut Dec) -> Result<Value> {
-    let record = decode_record(d.bytes()?).map_err(RodentError::Layout)?;
+    let record = decode_record(d.bytes()?)?;
     record
         .into_iter()
         .next()
@@ -255,7 +240,7 @@ fn enc_rec(e: &mut Enc, r: &Record) {
 }
 
 fn dec_rec(d: &mut Dec) -> Result<Record> {
-    decode_record(d.bytes()?).map_err(RodentError::Layout)
+    decode_record(d.bytes()?).map_err(RodentError::from)
 }
 
 fn enc_records(e: &mut Enc, records: &[Record]) {

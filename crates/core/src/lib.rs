@@ -126,14 +126,24 @@ impl From<rodentstore_algebra::AlgebraError> for RodentError {
         RodentError::Algebra(e)
     }
 }
+// A storage failure surfaces as `RodentError::Storage` whichever layer it
+// passed through, so a caller matches one variant for an I/O error.
 impl From<rodentstore_layout::LayoutError> for RodentError {
     fn from(e: rodentstore_layout::LayoutError) -> Self {
-        RodentError::Layout(e)
+        match e {
+            rodentstore_layout::LayoutError::Storage(e) => RodentError::Storage(e),
+            e => RodentError::Layout(e),
+        }
     }
 }
 impl From<rodentstore_exec::ExecError> for RodentError {
     fn from(e: rodentstore_exec::ExecError) -> Self {
-        RodentError::Exec(e)
+        match e {
+            rodentstore_exec::ExecError::Layout(rodentstore_layout::LayoutError::Storage(e)) => {
+                RodentError::Storage(e)
+            }
+            e => RodentError::Exec(e),
+        }
     }
 }
 impl From<rodentstore_optimizer::OptimizerError> for RodentError {

@@ -31,12 +31,11 @@ pub struct Instruments {
     pub scan_pages: Arc<Counter>,
     /// `scan.micros` — end-to-end scan latency.
     pub scan_micros: Arc<Histogram>,
-    /// `scan.frame_hits` — pages served to scans as shared frames (no copy),
-    /// row pages and column-block pages alike.
+    /// `scan.frame_hits` — pages served to scans as frames shared with the
+    /// in-memory store (no copy), row pages and column-block pages alike.
     pub scan_frame_hits: Arc<Counter>,
-    /// `scan.frame_copies` — pages scans had to copy out of the store
-    /// because it could not share them (a file store without an mmap
-    /// window).
+    /// `scan.frame_copies` — pages scans copied out of the store: every
+    /// read of a file store.
     pub scan_frame_copies: Arc<Counter>,
     /// `scan.chunks` — column chunks scans walked (decoded or not).
     pub scan_chunks: Arc<Counter>,

@@ -88,7 +88,7 @@ impl Node {
     }
 }
 
-/// A page-backed R-Tree mapping rectangles to `u64` payloads.
+/// A page-backed R-Tree from rectangles to `u64` payloads.
 pub struct RTree {
     pager: Arc<Pager>,
     root: PageId,

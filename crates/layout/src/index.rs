@@ -70,7 +70,7 @@ pub enum KeyKind {
     Float,
 }
 
-/// Key mapping for a schema data type; errors on non-numeric types (the
+/// Key kind of a schema data type; errors on non-numeric types (the
 /// validator rejects those up front, so this is a backstop).
 pub fn key_kind(ty: &DataType) -> Result<KeyKind> {
     match ty.unwrap_named() {
@@ -145,7 +145,7 @@ pub enum IndexKind {
 pub struct StoredIndex {
     /// Indexed field names (one ⇒ B-tree, two ⇒ R-tree).
     pub fields: Vec<String>,
-    /// Key mapping per indexed field.
+    /// Key kind per indexed field.
     pub key_kinds: Vec<KeyKind>,
     /// The backing tree.
     pub kind: IndexKind,

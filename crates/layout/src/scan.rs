@@ -1511,7 +1511,7 @@ mod tests {
     #[test]
     fn shared_and_copied_frames_agree() {
         // One cursor, two byte sources: the memory store shares its page
-        // buffers, a file store without an mmap window copies every frame.
+        // buffers, a file store copies every frame.
         use rodentstore_storage::pager::FileStore;
         let path = std::env::temp_dir().join(format!(
             "rodentstore-scan-test-{}-frames.db",

@@ -1,51 +1,37 @@
 //! Shared, immutable page frames.
 //!
 //! A [`PageFrame`] is the zero-copy counterpart of [`crate::page::Page`]:
-//! instead of owning a freshly copied `Vec<u8>`, it holds a cheaply
-//! clonable reference to bytes that live elsewhere — an `Arc<[u8]>` shared
-//! with the in-memory store, or a slice of an `mmap`ed region of the data
-//! file. Cloning a frame is a reference-count bump; the page bytes are
-//! copied at most once, and for the memory-store and mmap paths not at all.
+//! instead of owning a freshly copied `Vec<u8>`, it holds an `Arc<[u8]>` —
+//! either the buffer the in-memory store keeps the page in, or the one
+//! buffer a file store reads the page into. Cloning a frame is a
+//! reference-count bump; the page bytes are copied at most once (the file
+//! store's read) and for the memory store not at all.
 //!
 //! Frames are immutable. Writers keep using [`crate::page::Page`] (and the
 //! stores keep their copy-on-write discipline: the memory store replaces the
 //! shared buffer on write rather than mutating it), so a frame observed by a
 //! reader never changes underneath it.
 
-use crate::mmap::Mapping;
 use crate::page::PageId;
 use std::sync::Arc;
-
-/// Where a frame's bytes live.
-#[derive(Debug, Clone)]
-enum FrameBytes {
-    /// A shared heap buffer (memory store, and the copy a store without a
-    /// shareable representation reads into).
-    Shared(Arc<[u8]>),
-    /// A window into an `mmap`ed region of the data file.
-    Mapped {
-        map: Arc<Mapping>,
-        offset: usize,
-        len: usize,
-    },
-}
 
 /// A cheaply-clonable, immutable view of one page's bytes.
 #[derive(Debug, Clone)]
 pub struct PageFrame {
     id: PageId,
     copied: bool,
-    bytes: FrameBytes,
+    bytes: Arc<[u8]>,
 }
 
 impl PageFrame {
-    /// Wraps bytes that were copied out of the store (the legacy path and
-    /// the fallback for stores without a shared representation).
-    pub fn copied(id: PageId, data: Vec<u8>) -> PageFrame {
+    /// Wraps a buffer the page bytes were copied into by this read (the
+    /// file store's read, and the fallback for stores without a shared
+    /// representation).
+    pub fn copied(id: PageId, data: Arc<[u8]>) -> PageFrame {
         PageFrame {
             id,
             copied: true,
-            bytes: FrameBytes::Shared(data.into()),
+            bytes: data,
         }
     }
 
@@ -54,20 +40,7 @@ impl PageFrame {
         PageFrame {
             id,
             copied: false,
-            bytes: FrameBytes::Shared(data),
-        }
-    }
-
-    /// Wraps a window of an `mmap`ed file region — no bytes were copied.
-    ///
-    /// The caller asserts `offset + len` lies within both the mapping and
-    /// the file's current length (see the safety contract in [`crate::mmap`]).
-    pub fn mapped(id: PageId, map: Arc<Mapping>, offset: usize, len: usize) -> PageFrame {
-        debug_assert!(offset + len <= map.len());
-        PageFrame {
-            id,
-            copied: false,
-            bytes: FrameBytes::Mapped { map, offset, len },
+            bytes: data,
         }
     }
 
@@ -78,27 +51,21 @@ impl PageFrame {
 
     /// The page bytes.
     pub fn data(&self) -> &[u8] {
-        match &self.bytes {
-            FrameBytes::Shared(data) => data,
-            FrameBytes::Mapped { map, offset, len } => &map.data()[*offset..*offset + *len],
-        }
+        &self.bytes
     }
 
     /// Length of the page in bytes.
     pub fn len(&self) -> usize {
-        match &self.bytes {
-            FrameBytes::Shared(data) => data.len(),
-            FrameBytes::Mapped { len, .. } => *len,
-        }
+        self.bytes.len()
     }
 
     /// Whether the frame holds an empty page.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.bytes.is_empty()
     }
 
-    /// Whether producing this frame copied the page bytes (`true` on the
-    /// legacy/fallback path) or shared them zero-copy (`false`).
+    /// Whether producing this frame copied the page bytes (`true` for a
+    /// file-store read) or shared them zero-copy (`false`).
     pub fn is_copied(&self) -> bool {
         self.copied
     }
@@ -110,7 +77,7 @@ mod tests {
 
     #[test]
     fn copied_frames_own_their_bytes() {
-        let frame = PageFrame::copied(3, vec![1, 2, 3]);
+        let frame = PageFrame::copied(3, vec![1, 2, 3].into());
         assert_eq!(frame.id(), 3);
         assert_eq!(frame.data(), &[1, 2, 3]);
         assert_eq!(frame.len(), 3);

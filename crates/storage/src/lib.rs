@@ -12,16 +12,12 @@
 //! read per query, as reported in the paper's Figure 2 — falls directly out
 //! of [`stats::IoStats`].
 
-// `unsafe` is denied crate-wide; the single exception is the tiny mmap shim
-// in `mmap.rs`, which carries its own `#[allow(unsafe_code)]` and safety
-// arguments. Everything else remains unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;
 pub mod frame;
 pub mod heap;
-pub mod mmap;
 pub mod page;
 pub mod pager;
 pub mod slotted;
@@ -31,7 +27,6 @@ pub mod wal;
 pub use checksum::{crc32, crc32_extend};
 pub use frame::PageFrame;
 pub use heap::{HeapFile, RecordId};
-pub use mmap::mmap_supported;
 pub use page::{Page, PageId, DEFAULT_PAGE_SIZE};
 pub use pager::{FileStore, MemStore, PageStore, Pager};
 pub use slotted::{SlottedPage, SlottedReader};

@@ -15,7 +15,6 @@
 
 use crate::checksum::crc32;
 use crate::frame::PageFrame;
-use crate::mmap::Mapping;
 use crate::page::{Page, PageId, DEFAULT_PAGE_SIZE};
 use crate::stats::{self, IoStats};
 use crate::{Result, StorageError};
@@ -36,13 +35,12 @@ pub trait PageStore: Send + Sync {
     fn allocate(&self) -> Result<PageId>;
     /// Reads the raw contents of a page.
     fn read(&self, id: PageId) -> Result<Vec<u8>>;
-    /// Reads a page as a shared immutable [`PageFrame`]. Stores with a
-    /// shareable representation (the memory store's `Arc` buffers, the file
-    /// store's mmap window) serve the bytes zero-copy; the default
-    /// implementation falls back to [`PageStore::read`] and marks the frame
-    /// as copied.
+    /// Reads a page as a shared immutable [`PageFrame`]. A store with a
+    /// shareable representation (the memory store's `Arc` buffers) serves
+    /// the bytes zero-copy; the default implementation falls back to
+    /// [`PageStore::read`] and marks the frame as copied.
     fn read_frame(&self, id: PageId) -> Result<PageFrame> {
-        Ok(PageFrame::copied(id, self.read(id)?))
+        Ok(PageFrame::copied(id, self.read(id)?.into()))
     }
     /// Writes the raw contents of a page.
     fn write(&self, id: PageId, data: &[u8]) -> Result<()>;
@@ -120,7 +118,7 @@ impl PageStore for MemStore {
         let slot = pages
             .get_mut(id as usize)
             .ok_or(StorageError::PageNotFound(id))?;
-        *slot = data.to_vec().into();
+        *slot = Arc::from(data);
         Ok(())
     }
 
@@ -162,15 +160,6 @@ pub struct FileStore {
     file: Mutex<File>,
     path: PathBuf,
     page_count: AtomicU64,
-    /// Serve [`FileStore::read_frame`] out of an mmap window when possible.
-    /// Off by default; enabled by [`FileStore::set_mmap_reads`] (the engine
-    /// wires it to `DurabilityOptions::mmap_reads`). Any mapping failure
-    /// silently falls back to the copying read path.
-    mmap_reads: bool,
-    /// Cached read-only mapping of the data file. Grows lazily as the file
-    /// grows; invalidated on truncate. Frames clone the `Arc`, so a remap
-    /// never pulls bytes out from under an outstanding frame.
-    map: Mutex<Option<Arc<Mapping>>>,
 }
 
 impl FileStore {
@@ -200,8 +189,6 @@ impl FileStore {
             file: Mutex::new(file),
             path,
             page_count: AtomicU64::new(0),
-            mmap_reads: false,
-            map: Mutex::new(None),
         })
     }
 
@@ -256,8 +243,6 @@ impl FileStore {
             file: Mutex::new(file),
             path,
             page_count: AtomicU64::new(page_count),
-            mmap_reads: false,
-            map: Mutex::new(None),
         })
     }
 
@@ -283,54 +268,20 @@ impl FileStore {
         &self.path
     }
 
-    /// Enables or disables the mmap-backed frame path. Call before sharing
-    /// the store; when off (the default) or when mapping fails, frames are
-    /// served by the copying fallback.
-    pub fn set_mmap_reads(&mut self, enabled: bool) {
-        self.mmap_reads = enabled;
-    }
-
-    /// Whether the mmap-backed frame path is enabled.
-    pub fn mmap_reads(&self) -> bool {
-        self.mmap_reads
-    }
-
     fn offset_of(&self, id: PageId) -> u64 {
         (id + 1) * self.page_size as u64
     }
 
-    /// Tries to serve page `id` out of the cached mapping, remapping when
-    /// the file has grown past the mapped window. Returns `Ok(None)` when
-    /// the platform or filesystem refuses to map — the caller copies.
-    ///
-    /// Lock discipline: never holds `map` while taking `file` (truncate
-    /// nests the other way around).
-    fn mapped_frame(&self, id: PageId) -> Result<Option<PageFrame>> {
-        let need = (self.offset_of(id) as usize) + self.page_size;
-        let cached = self.map.lock().clone();
-        let map = match cached {
-            Some(m) if m.len() >= need => m,
-            _ => {
-                let mapping = {
-                    let file = self.file.lock();
-                    let len = file.metadata().map_err(StorageError::from)?.len() as usize;
-                    if len < need {
-                        // A torn trailing page (or a concurrent truncate);
-                        // let the copying path produce the proper error.
-                        return Ok(None);
-                    }
-                    match Mapping::of_file(&file, len) {
-                        Ok(m) => m,
-                        Err(_) => return Ok(None),
-                    }
-                };
-                let m = Arc::new(mapping);
-                *self.map.lock() = Some(Arc::clone(&m));
-                m
-            }
-        };
-        let offset = self.offset_of(id) as usize;
-        Ok(Some(PageFrame::mapped(id, map, offset, self.page_size)))
+    /// Reads page `id` into `buf`, which is one page long. A page past the
+    /// end of the file (one cut off under the store) is an I/O error.
+    fn read_into(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        if id >= self.page_count() {
+            return Err(StorageError::PageNotFound(id));
+        }
+        let mut file = self.file.lock();
+        file.seek(SeekFrom::Start(self.offset_of(id)))
+            .map_err(StorageError::from)?;
+        file.read_exact(buf).map_err(StorageError::from)
     }
 }
 
@@ -354,27 +305,18 @@ impl PageStore for FileStore {
     }
 
     fn read(&self, id: PageId) -> Result<Vec<u8>> {
-        if id >= self.page_count() {
-            return Err(StorageError::PageNotFound(id));
-        }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset_of(id)))
-            .map_err(StorageError::from)?;
         let mut buf = vec![0u8; self.page_size];
-        file.read_exact(&mut buf).map_err(StorageError::from)?;
+        self.read_into(id, &mut buf)?;
         Ok(buf)
     }
 
+    /// Reads the page straight into the frame's buffer: one allocation and
+    /// one copy per page.
     fn read_frame(&self, id: PageId) -> Result<PageFrame> {
-        if id >= self.page_count() {
-            return Err(StorageError::PageNotFound(id));
-        }
-        if self.mmap_reads {
-            if let Some(frame) = self.mapped_frame(id)? {
-                return Ok(frame);
-            }
-        }
-        Ok(PageFrame::copied(id, self.read(id)?))
+        let mut bytes: Arc<[u8]> = std::iter::repeat(0).take(self.page_size).collect();
+        let buf = Arc::get_mut(&mut bytes).expect("a buffer just allocated is unshared");
+        self.read_into(id, buf)?;
+        Ok(PageFrame::copied(id, bytes))
     }
 
     fn write(&self, id: PageId, data: &[u8]) -> Result<()> {
@@ -407,12 +349,6 @@ impl PageStore for FileStore {
         file.set_len((page_count + 1) * self.page_size as u64)
             .map_err(StorageError::from)?;
         self.page_count.store(page_count, Ordering::SeqCst);
-        // Drop the cached mapping: its window may extend past the new file
-        // end. Outstanding frames keep their own `Arc<Mapping>` alive, and
-        // every page they can reference survives the truncation (only
-        // quarantined, reader-free pages are ever cut), so their byte ranges
-        // stay within the file.
-        *self.map.lock() = None;
         Ok(())
     }
 }
@@ -556,8 +492,8 @@ impl Pager {
     /// Reads a page as a shared immutable [`PageFrame`], recording the
     /// access in the I/O statistics exactly like [`Pager::read`] (same page,
     /// byte, and seek accounting — the two paths are indistinguishable to
-    /// pages-per-query measurements). Zero-copy unless the store cannot
-    /// share its bytes (a [`FileStore`] without an mmap window copies).
+    /// pages-per-query measurements). Zero-copy on a [`MemStore`]; a
+    /// [`FileStore`] copies the page once, into the frame's buffer.
     pub fn read_frame(&self, id: PageId) -> Result<PageFrame> {
         let frame = self.store.read_frame(id)?;
         self.record_read_at(id, frame.len(), frame.is_copied());
@@ -869,16 +805,37 @@ mod tests {
     }
 
     #[test]
-    fn file_store_without_mmap_serves_copied_frames() {
+    fn file_store_serves_copied_frames() {
         let path = temp_store_path("copied-frames");
         let pager = Pager::with_store(Arc::new(FileStore::create(&path, 128).unwrap()));
-        let mut p = pager.allocate().unwrap();
-        p.write_bytes(0, b"copied").unwrap();
-        pager.write(&p).unwrap();
-        let frame = pager.read_frame(p.id).unwrap();
-        assert!(frame.is_copied(), "the store chooses the byte source");
-        assert_eq!(frame.data(), pager.read(p.id).unwrap().data.as_slice());
-        assert_eq!(pager.stats().snapshot().frame_copies, 2);
+        let mut ids = Vec::new();
+        for i in 0..3u8 {
+            let mut p = pager.allocate().unwrap();
+            p.write_bytes(0, &[i; 16]).unwrap();
+            pager.write(&p).unwrap();
+            ids.push(p.id);
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            let frame = pager.read_frame(id).unwrap();
+            assert!(frame.is_copied(), "the store chooses the byte source");
+            assert_eq!(frame.len(), 128);
+            assert_eq!(&frame.data()[..16], &[i as u8; 16]);
+            assert_eq!(frame.data(), pager.read(id).unwrap().data.as_slice());
+        }
+        assert_eq!(pager.stats().snapshot().frame_copies, 6);
+        // A page allocated after earlier reads reads back.
+        let mut extra = pager.allocate().unwrap();
+        extra.write_bytes(0, b"grown").unwrap();
+        pager.write(&extra).unwrap();
+        assert_eq!(&pager.read_frame(extra.id).unwrap().data()[..5], b"grown");
+        // A frame taken before a truncate keeps its bytes, even those of a
+        // page the truncate cuts; truncated pages are refused.
+        let held = pager.read_frame(ids[2]).unwrap();
+        pager.truncate_pages(2).unwrap();
+        assert_eq!(&held.data()[..16], &[2u8; 16]);
+        assert!(pager.read_frame(ids[2]).is_err());
+        assert!(pager.read_frame(extra.id).is_err());
+        assert_eq!(&pager.read_frame(1).unwrap().data()[..16], &[1u8; 16]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -894,44 +851,6 @@ mod tests {
         // Copy-on-write: the old frame still sees the old bytes.
         assert_eq!(frame.data()[..6], *b"before");
         assert_eq!(pager.read_frame(p.id).unwrap().data()[..6], *b"after!");
-    }
-
-    #[test]
-    fn file_store_mmap_frames_round_trip() {
-        let path = temp_store_path("mmap-frames");
-        let mut store = FileStore::create(&path, 128).unwrap();
-        store.set_mmap_reads(true);
-        assert!(store.mmap_reads());
-        let pager = Pager::with_store(Arc::new(store));
-        let mut ids = Vec::new();
-        for i in 0..3u8 {
-            let mut p = pager.allocate().unwrap();
-            p.write_bytes(0, &[i; 16]).unwrap();
-            pager.write(&p).unwrap();
-            ids.push(p.id);
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            let frame = pager.read_frame(id).unwrap();
-            assert_eq!(frame.len(), 128);
-            assert_eq!(&frame.data()[..16], &[i as u8; 16]);
-            if crate::mmap::mmap_supported() {
-                assert!(!frame.is_copied(), "mmap path serves zero-copy frames");
-            }
-            assert_eq!(frame.data(), pager.read(id).unwrap().data.as_slice());
-        }
-        // Growth past the mapped window remaps transparently.
-        let mut extra = pager.allocate().unwrap();
-        extra.write_bytes(0, b"grown").unwrap();
-        pager.write(&extra).unwrap();
-        assert_eq!(&pager.read_frame(extra.id).unwrap().data()[..5], b"grown");
-        // Frames taken before a truncate stay readable; truncated pages
-        // are refused.
-        let held = pager.read_frame(ids[0]).unwrap();
-        pager.truncate_pages(2).unwrap();
-        assert_eq!(&held.data()[..16], &[0u8; 16]);
-        assert!(pager.read_frame(3).is_err());
-        assert_eq!(&pager.read_frame(1).unwrap().data()[..16], &[1u8; 16]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -115,8 +115,8 @@ impl IoStats {
         }
     }
 
-    /// Records a page access served as a frame; `copied` distinguishes the
-    /// copy fallback from a zero-copy shared/mapped frame.
+    /// Records a page access served as a frame; `copied` distinguishes a
+    /// page copied out of the store from a zero-copy shared frame.
     pub fn record_frame(&self, copied: bool) {
         if copied {
             self.frame_copies.fetch_add(1, Ordering::Relaxed);

@@ -7,12 +7,15 @@
 //! returns per row and nothing else; and over the sealed runs of an lsm tier
 //! a fold allocates per *run* (one cursor each), never per row. This binary
 //! installs its own counting allocator and holds the four to a per-row
-//! budget.
+//! budget. A file-backed store adds one allocation per page read — the
+//! buffer the page is copied into — and nothing else.
 //!
 //! It is one `#[test]` on purpose: the counter is process-wide, and a second
 //! test running beside it would be counted too.
 
-use rodentstore::{Condition, Database, ScanRequest, WindowedAggregate};
+use rodentstore::{
+    Condition, Database, DurabilityOptions, ScanRequest, SyncPolicy, WindowedAggregate,
+};
 use rodentstore_workload::telemetry::{generate_telemetry, telemetry_schema, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -87,10 +90,10 @@ fn column_chunk_reads_stay_within_their_allocation_budget() {
     db.scan_aggregate("Telemetry", &spec, None).unwrap();
     db.scan("Telemetry", &window).unwrap();
 
-    let (buckets, allocs) = counted(|| db.scan_aggregate("Telemetry", &spec, None).unwrap());
+    let (buckets, fold_allocs) = counted(|| db.scan_aggregate("Telemetry", &spec, None).unwrap());
     assert!(buckets.iter().map(|b| b.count).sum::<u64>() == ROWS as u64);
-    let per_row = allocs as f64 / ROWS as f64;
-    assert!(per_row <= 0.02, "fold: {allocs} allocations, {per_row:.4} per row");
+    let per_row = fold_allocs as f64 / ROWS as f64;
+    assert!(per_row <= 0.02, "fold: {fold_allocs} allocations, {per_row:.4} per row");
 
     let (hits, allocs) = counted(|| db.scan("Telemetry", &window).unwrap());
     assert!(!hits.is_empty() && hits.len() < ROWS / 50, "a 1 % window, got {}", hits.len());
@@ -101,6 +104,39 @@ fn column_chunk_reads_stay_within_their_allocation_budget() {
     assert_eq!(all.len(), ROWS);
     let per_row = allocs as f64 / ROWS as f64;
     assert!(per_row <= 1.1, "projected scan: {allocs} allocations, {per_row:.4} per returned row");
+
+    // The same fold over a file-backed database: each page read is copied
+    // once, into the one buffer its frame shares.
+    let dir = std::env::temp_dir().join(format!("rodentstore-alloc-budget-{}", std::process::id()));
+    let options = DurabilityOptions {
+        sync: SyncPolicy::Never,
+        ..DurabilityOptions::default()
+    };
+    let file_backed = Database::create_with(&dir, options).unwrap();
+    file_backed.create_table(telemetry_schema()).unwrap();
+    file_backed
+        .insert("Telemetry", generate_telemetry(&TelemetryConfig::with_readings(ROWS)))
+        .unwrap();
+    file_backed
+        .apply_layout_text(
+            "Telemetry",
+            "delta[ts](vertical[ts,value|sensor,status,seq](Telemetry))",
+        )
+        .unwrap();
+    file_backed.scan_aggregate("Telemetry", &spec, None).unwrap();
+    let before = file_backed.io_snapshot();
+    let (buckets, allocs) =
+        counted(|| file_backed.scan_aggregate("Telemetry", &spec, None).unwrap());
+    let io = file_backed.io_snapshot().since(&before);
+    assert!(buckets.iter().map(|b| b.count).sum::<u64>() == ROWS as u64);
+    assert!(io.pages_read > 0 && io.frame_copies == io.pages_read);
+    assert!(
+        allocs <= fold_allocs + io.pages_read,
+        "file-backed fold: {allocs} allocations, in memory {fold_allocs}, {} pages read",
+        io.pages_read
+    );
+    drop(file_backed);
+    let _ = std::fs::remove_dir_all(&dir);
 
     // The same rows arriving in 1 000-row batches into `lsm[ts]`: every one
     // of them sits in a sealed run (the memtable spills at exactly 1 000).

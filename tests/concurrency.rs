@@ -526,7 +526,6 @@ fn restart_restores_policy_cost_params_and_free_list() {
             rodentstore::DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::GroupDurable,
-                ..rodentstore::DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -600,7 +599,6 @@ fn checkpointed_extents_survive_unlogged_rebuilds_until_next_checkpoint() {
             rodentstore::DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..rodentstore::DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -647,7 +645,6 @@ fn concurrent_durable_inserts_all_recover() {
                 rodentstore::DurabilityOptions {
                     page_size: 1024,
                     sync: SyncPolicy::GroupDurable,
-                    ..rodentstore::DurabilityOptions::default()
                 },
             )
             .unwrap(),
@@ -783,7 +780,6 @@ fn per_table_registry_round_trips_through_checkpoint_and_open() {
             rodentstore::DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::GroupDurable,
-                ..rodentstore::DurabilityOptions::default()
             },
         )
         .unwrap();

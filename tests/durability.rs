@@ -66,7 +66,6 @@ fn create_checkpoint_reopen_round_trips_rows_and_layout() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::GroupCommit(8),
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -124,7 +123,6 @@ fn wal_replay_recovers_unchekpointed_mutations() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -176,7 +174,6 @@ fn kill_at_every_wal_byte_truncation_point_recovers_committed_prefix() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -269,7 +266,6 @@ fn group_commit_shares_fsyncs_among_one_row_commits() {
             DurabilityOptions {
                 page_size: 1024,
                 sync,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -317,7 +313,6 @@ fn reopens_adapted_layout_with_wal_tail(wal_tail_rows: usize) {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::GroupCommit(16),
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -441,7 +436,6 @@ fn pending_buffer_and_strategy_survive_restart() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -496,7 +490,6 @@ fn drop_table_and_multiple_tables_replay_correctly() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -536,7 +529,6 @@ fn failed_mutations_do_not_poison_recovery() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -580,7 +572,6 @@ fn failed_apply_layout_keeps_the_previous_layout_live_and_recovered() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -691,7 +682,6 @@ fn kill_at_every_wal_byte_recovers_indexed_scans() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -898,7 +888,6 @@ fn kill_at_every_wal_byte_recovers_lsm_tier() {
             DurabilityOptions {
                 page_size: 1024,
                 sync: SyncPolicy::EveryCommit,
-                ..DurabilityOptions::default()
             },
         )
         .unwrap();
@@ -1044,158 +1033,45 @@ fn kill_at_every_wal_byte_recovers_lsm_tier() {
     let _ = std::fs::remove_dir_all(&crash);
 }
 
-/// Memory-mapped reads must be invisible to recovery: at a spread of WAL
-/// truncation points (commit boundaries and torn mid-record tails alike),
-/// opening the crashed image with `mmap_reads` enabled must replay to
-/// byte-identical scan results as the copy-read fallback, attribute its page
-/// accesses to zero-copy frames rather than copies, and keep accepting
-/// writes and checkpoints while mapped.
+/// A data file cut short under an open database (a bad restore, another
+/// process, a filesystem error) fails the next read that reaches a missing
+/// page with a typed storage error: the scan neither panics nor takes the
+/// process down.
 #[test]
-fn mmap_open_replays_byte_identically_to_copy_reads() {
-    let dir = scratch_dir("mmap-sweep");
-    let checkpoint_len = {
-        let db = Database::create_with(
-            &dir,
-            DurabilityOptions {
-                page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
-                mmap_reads: false,
-            },
-        )
-        .unwrap();
-        db.create_table(traces_schema()).unwrap();
-        db.insert(
-            "Traces",
-            generate_traces(&CartelConfig {
-                observations: 300,
-                vehicles: 5,
-                ..CartelConfig::default()
-            }),
-        )
-        .unwrap();
-        // A rendered layout so replayed inserts land in pages and reopened
-        // scans actually read them (canonical rows would read none).
-        db.apply_layout_text("Traces", "vertical[lat,lon|t,id](Traces)").unwrap();
-        db.checkpoint().unwrap();
-        let checkpoint_len = std::fs::metadata(dir.join("wal.rodent")).unwrap().len();
-        for tx in 0..10i64 {
-            db.insert(
-                "Traces",
-                vec![vec![
-                    Value::Timestamp(100_000 + tx),
-                    Value::Float(tx as f64),
-                    Value::Float(-(tx as f64)),
-                    Value::Str(format!("car-tail-{tx}")),
-                ]],
-            )
-            .unwrap();
-        }
-        checkpoint_len
-    };
-    let pristine_wal = std::fs::read(dir.join("wal.rodent")).unwrap();
-    let mapped_dir = scratch_dir("mmap-sweep-mapped");
-    let copied_dir = scratch_dir("mmap-sweep-copied");
-
-    let wal_len = pristine_wal.len() as u64;
+fn data_file_shrunk_under_an_open_database_is_a_typed_error() {
+    let dir = scratch_dir("shrunk");
+    let db = Database::create_with(&dir, small_pages()).unwrap();
+    db.create_table(traces_schema()).unwrap();
+    db.insert(
+        "Traces",
+        generate_traces(&CartelConfig {
+            observations: 400,
+            vehicles: 4,
+            ..CartelConfig::default()
+        }),
+    )
+    .unwrap();
+    // A rendered layout, so the scans read pages (canonical rows read none).
+    db.apply_layout_text("Traces", "vertical[lat,lon|t,id](Traces)").unwrap();
+    db.checkpoint().unwrap();
     let request = ScanRequest::all();
-    let projected = ScanRequest::all().fields(["lat", "t"]);
-    for i in 0..=8u64 {
-        let cut = checkpoint_len + (wal_len - checkpoint_len) * i / 8;
-        copy_db(&dir, &mapped_dir);
-        copy_db(&dir, &copied_dir);
-        std::fs::write(mapped_dir.join("wal.rodent"), &pristine_wal[..cut as usize]).unwrap();
-        std::fs::write(copied_dir.join("wal.rodent"), &pristine_wal[..cut as usize]).unwrap();
-        let mapped = Database::open_with(
-            &mapped_dir,
-            DurabilityOptions {
-                mmap_reads: true,
-                ..DurabilityOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("mmap open failed at cut {cut}: {e}"));
-        let copied = Database::open_with(
-            &copied_dir,
-            DurabilityOptions {
-                mmap_reads: false,
-                ..DurabilityOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("copy open failed at cut {cut}: {e}"));
-
-        assert_eq!(
-            mapped.row_count("Traces").unwrap(),
-            copied.row_count("Traces").unwrap(),
-            "row counts diverge at cut {cut}"
-        );
-        let before_mapped = mapped.metrics();
-        let before_copied = copied.metrics();
-        assert_eq!(
-            mapped.scan("Traces", &request).unwrap(),
-            copied.scan("Traces", &request).unwrap(),
-            "full scans diverge at cut {cut}"
-        );
-        assert_eq!(
-            mapped.scan("Traces", &projected).unwrap(),
-            copied.scan("Traces", &projected).unwrap(),
-            "projected scans diverge at cut {cut}"
-        );
-        let after_mapped = mapped.metrics();
-        let after_copied = copied.metrics();
-        let hits = |b: &rodentstore::MetricsSnapshot, a: &rodentstore::MetricsSnapshot, n: &str| {
-            a.counter(n).unwrap_or(0) - b.counter(n).unwrap_or(0)
-        };
-        // Same pages either way; the mapped store serves them as zero-copy
-        // frames, the fallback copies every one of them.
-        assert_eq!(
-            hits(&before_mapped, &after_mapped, "scan.pages"),
-            hits(&before_copied, &after_copied, "scan.pages"),
-            "page counts diverge at cut {cut}"
-        );
-        assert!(
-            hits(&before_mapped, &after_mapped, "scan.frame_hits") > 0,
-            "mapped reads must be served as frames at cut {cut}"
-        );
-        assert_eq!(
-            hits(&before_mapped, &after_mapped, "scan.frame_copies"),
-            0,
-            "mapped reads must not copy at cut {cut}"
-        );
-        assert_eq!(
-            hits(&before_copied, &after_copied, "scan.frame_hits"),
-            0,
-            "fallback reads must not map at cut {cut}"
-        );
-        assert!(
-            hits(&before_copied, &after_copied, "scan.frame_copies") > 0,
-            "fallback reads must copy at cut {cut}"
-        );
-
-        // The mapped database keeps working: a write, a checkpoint (which
-        // rewrites and remaps the data file), and a re-scan.
-        if cut == checkpoint_len || cut == wal_len {
-            let count = mapped.row_count("Traces").unwrap();
-            mapped
-                .insert(
-                    "Traces",
-                    vec![vec![
-                        Value::Timestamp(999_999),
-                        Value::Float(1.0),
-                        Value::Float(2.0),
-                        Value::Str("car-post-map".into()),
-                    ]],
-                )
-                .unwrap();
-            mapped.checkpoint().unwrap();
-            assert_eq!(
-                mapped.scan("Traces", &request).unwrap().len(),
-                count + 1,
-                "post-checkpoint scan wrong at cut {cut}"
-            );
-        }
-    }
+    assert_eq!(db.scan("Traces", &request).unwrap().len(), 400);
+    // Keep the superblock and the first page; every later page is gone.
+    let page_size = small_pages().page_size as u64;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("data.rodent"))
+        .unwrap()
+        .set_len(2 * page_size)
+        .unwrap();
+    let result = db.scan("Traces", &request);
+    assert!(
+        matches!(result, Err(RodentError::Storage(_))),
+        "a scan over a shrunk data file must be a storage error, got {:?}",
+        result.map(|rows| rows.len())
+    );
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&mapped_dir);
-    let _ = std::fs::remove_dir_all(&copied_dir);
 }
 
 fn ledger_schema() -> Schema {
@@ -1217,7 +1093,6 @@ fn small_pages() -> DurabilityOptions {
     DurabilityOptions {
         page_size: 1024,
         sync: SyncPolicy::EveryCommit,
-        ..DurabilityOptions::default()
     }
 }
 

@@ -487,8 +487,8 @@ proptest! {
     /// rows arriving after the layout so appends land and lsm runs spill), a
     /// projected + filtered scan and a windowed-aggregate pushdown return what
     /// filtering and folding the inserted records returns — in memory, where
-    /// frames share the store's buffers, and on a file-backed database
-    /// without mmap, where every frame is a copy.
+    /// frames share the store's buffers, and on a file-backed database,
+    /// where every frame is a copy.
     #[test]
     fn every_layout_matches_the_inserted_records_on_shared_and_copied_frames(
         records in proptest::collection::vec(record_strategy(), 1..150),
@@ -511,7 +511,7 @@ proptest! {
         let reference_windows = fold.finish();
 
         let dir = scratch_path("copied-frames");
-        let options = DurabilityOptions { page_size: 512, sync: SyncPolicy::Never, mmap_reads: false };
+        let options = DurabilityOptions { page_size: 512, sync: SyncPolicy::Never };
         let file_backed = Database::create_with(&dir, options).unwrap();
         let mut answers = Vec::new();
         for (db, copied) in [(Database::with_page_size(512), false), (file_backed, true)] {
@@ -746,7 +746,7 @@ proptest! {
     /// layout, every scan returns what filtering the inserted rows with
     /// `Condition::eval` returns — in the same order (as a multiset for the
     /// grid) — reads exactly the pages `explain` predicts, and `get_element`
-    /// agrees with the scan; in memory and on a file store without mmap.
+    /// agrees with the scan; in memory and on a file store.
     #[test]
     fn chunk_fences_never_hide_a_matching_row(
         seed in 0u64..1_000_000,
@@ -797,7 +797,7 @@ proptest! {
             .collect();
 
         let dir = scratch_path("fences");
-        let options = DurabilityOptions { page_size: 512, sync: SyncPolicy::Never, mmap_reads: false };
+        let options = DurabilityOptions { page_size: 512, sync: SyncPolicy::Never };
         for db in [Database::with_page_size(512), Database::create_with(&dir, options).unwrap()] {
             db.create_table(fenced_schema()).unwrap();
             db.insert("Fenced", early.to_vec()).unwrap();

@@ -307,7 +307,6 @@ fn checkpoint_under_churn_reclaims_extents_and_reopens_identically() {
     let options = DurabilityOptions {
         page_size: 1024,
         sync: SyncPolicy::GroupCommit(8),
-        ..DurabilityOptions::default()
     };
     let declare_tier = |db: &Database| {
         db.apply_layout(

@@ -854,6 +854,105 @@ mod tests {
     }
 
     #[test]
+    fn file_store_frames_are_stable_across_writes() {
+        let path = temp_store_path("stable-frames");
+        let pager = Pager::with_store(Arc::new(FileStore::create(&path, 128).unwrap()));
+        let mut p = pager.allocate().unwrap();
+        p.write_bytes(0, b"before").unwrap();
+        pager.write(&p).unwrap();
+        let frame = pager.read_frame(p.id).unwrap();
+        p.write_bytes(0, b"after!").unwrap();
+        pager.write(&p).unwrap();
+        // A copied frame is a snapshot of the page as it was read.
+        assert_eq!(frame.data()[..6], *b"before");
+        assert_eq!(pager.read_frame(p.id).unwrap().data()[..6], *b"after!");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_store_reads_copy_into_a_buffer_per_read() {
+        let path = temp_store_path("buffer-per-read");
+        let pager = Pager::with_store(Arc::new(FileStore::create(&path, 128).unwrap()));
+        let mut p = pager.allocate().unwrap();
+        p.write_bytes(0, b"twice").unwrap();
+        pager.write(&p).unwrap();
+        let first = pager.read_frame(p.id).unwrap();
+        let second = pager.read_frame(p.id).unwrap();
+        assert_eq!(first.data(), second.data());
+        assert_ne!(first.data().as_ptr(), second.data().as_ptr());
+        // Cloning a frame shares its buffer instead of copying again.
+        assert_eq!(first.clone().data().as_ptr(), first.data().as_ptr());
+        assert_eq!(pager.stats().snapshot().frame_copies, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_store_read_past_a_shrunk_file_is_an_io_error() {
+        let path = temp_store_path("shrunk");
+        let store = Arc::new(FileStore::create(&path, 128).unwrap());
+        let pager = Pager::with_store(Arc::clone(&store) as Arc<dyn PageStore>);
+        for i in 0..3u8 {
+            let mut p = pager.allocate().unwrap();
+            p.write_bytes(0, &[i; 4]).unwrap();
+            pager.write(&p).unwrap();
+        }
+        // Cut the last page in half behind the store's back: superblock,
+        // two whole pages, then half of the third.
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(128 * 3 + 64).unwrap();
+        drop(file);
+        assert_eq!(store.page_count(), 3, "the store does not notice the cut");
+        assert!(matches!(pager.read_frame(2), Err(StorageError::Io(_))));
+        assert!(matches!(pager.read(2), Err(StorageError::Io(_))));
+        assert_eq!(&pager.read_frame(1).unwrap().data()[..4], &[1u8; 4]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_store_rejects_bad_writes_with_typed_errors() {
+        let path = temp_store_path("bad-writes");
+        let store = FileStore::create(&path, 128).unwrap();
+        let id = store.allocate().unwrap();
+        assert!(matches!(
+            store.write(id, &[0u8; 127]),
+            Err(StorageError::InvalidPageSize {
+                expected: 128,
+                found: 127,
+            })
+        ));
+        assert!(matches!(
+            store.write(id + 1, &[0u8; 128]),
+            Err(StorageError::PageNotFound(1))
+        ));
+        assert!(matches!(
+            store.read_frame(id + 1),
+            Err(StorageError::PageNotFound(1))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mem_store_truncate_keeps_held_frames_and_regrows_zeroed() {
+        let pager = Pager::in_memory_with_page_size(64);
+        for i in 0..3u8 {
+            let mut p = pager.allocate().unwrap();
+            p.write_bytes(0, &[i + 1; 8]).unwrap();
+            pager.write(&p).unwrap();
+        }
+        let held = pager.read_frame(2).unwrap();
+        pager.truncate_pages(2).unwrap();
+        assert_eq!(&held.data()[..8], &[3u8; 8]);
+        assert!(matches!(
+            pager.read_frame(2),
+            Err(StorageError::PageNotFound(2))
+        ));
+        // The regrown page starts zeroed, not with the truncated bytes.
+        assert_eq!(pager.allocate().unwrap().id, 2);
+        assert_eq!(pager.read_frame(2).unwrap().data(), &[0u8; 64][..]);
+        assert_eq!(&held.data()[..8], &[3u8; 8]);
+    }
+
+    #[test]
     fn op_scope_sees_only_this_pagers_thread_io() {
         let pager = Pager::in_memory_with_page_size(64);
         for _ in 0..3 {

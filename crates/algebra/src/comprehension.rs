@@ -10,7 +10,7 @@
 //! ([`Condition`]) are reused by `select` predicates throughout the system,
 //! so evaluation helpers over records are provided here.
 
-use crate::expr::{SortKey, SortOrder};
+use crate::expr::{sort_by_positions, SortKey, SortOrder};
 use crate::schema::Schema;
 use crate::value::{Record, Value};
 use crate::{AlgebraError, Result};
@@ -492,6 +492,9 @@ impl Comprehension {
     pub fn eval_records(&self, schema: &Schema, records: &[Record]) -> Result<Vec<Record>> {
         let count = records.len();
         let mut out: Vec<Record> = Vec::new();
+        // The record each output row came from: order keys name fields of
+        // the *input* schema, the head's output being positional.
+        let mut sources: Vec<&Record> = Vec::new();
         'rec: for (pos, record) in records.iter().enumerate() {
             for cond in &self.conditions {
                 if !cond.eval_at(schema, record, pos, count)? {
@@ -503,55 +506,42 @@ impl Comprehension {
                 row.push(h.eval(schema, record, pos, count)?);
             }
             out.push(row);
+            sources.push(record);
         }
 
-        // The output schema of the head is positional; clauses referring to
-        // fields are resolved against the *input* schema by re-evaluating the
-        // key expressions, so we sort using precomputed keys.
         for clause in &self.clauses {
             match clause {
                 Clause::OrderBy(keys) => {
-                    // Pair output rows with their source records to evaluate keys.
-                    let mut indexed: Vec<(usize, Record)> =
-                        out.drain(..).enumerate().collect();
-                    // Recompute which source record produced each output row.
-                    // Because filtering preserves order, we re-derive the map.
-                    let mut source_rows: Vec<&Record> = Vec::new();
-                    'rec2: for (pos, record) in records.iter().enumerate() {
-                        for cond in &self.conditions {
-                            if !cond.eval_at(schema, record, pos, count)? {
-                                continue 'rec2;
-                            }
-                        }
-                        source_rows.push(record);
-                    }
-                    let mut sort_keys: Vec<Vec<Value>> = Vec::with_capacity(source_rows.len());
-                    for r in &source_rows {
-                        let mut kv = Vec::with_capacity(keys.len());
-                        for k in keys {
-                            let idx = schema.index_of(&k.field)?;
-                            kv.push(r[idx].clone());
-                        }
-                        sort_keys.push(kv);
-                    }
-                    indexed.sort_by(|(ia, _), (ib, _)| {
-                        let ka = &sort_keys[*ia];
-                        let kb = &sort_keys[*ib];
-                        for (i, key) in keys.iter().enumerate() {
-                            let ord = ka[i].compare(&kb[i]);
-                            let ord = match key.order {
-                                SortOrder::Asc => ord,
-                                SortOrder::Desc => ord.reverse(),
-                            };
-                            if ord != Ordering::Equal {
-                                return ord;
-                            }
-                        }
-                        Ordering::Equal
-                    });
-                    out = indexed.into_iter().map(|(_, r)| r).collect();
+                    // Sort each row's key values, tagged with the row's
+                    // ordinal, then permute the rows to match.
+                    let idx: Vec<usize> = keys
+                        .iter()
+                        .map(|k| schema.index_of(&k.field))
+                        .collect::<Result<_>>()?;
+                    let mut keyed: Vec<Record> = sources
+                        .iter()
+                        .enumerate()
+                        .map(|(n, r)| {
+                            idx.iter()
+                                .map(|&i| r[i].clone())
+                                .chain([Value::Int(n as i64)])
+                                .collect()
+                        })
+                        .collect();
+                    let positions: Vec<(usize, SortOrder)> =
+                        keys.iter().enumerate().map(|(i, k)| (i, k.order)).collect();
+                    sort_by_positions(&mut keyed, &positions);
+                    let order: Vec<usize> = keyed
+                        .iter()
+                        .map(|k| k[idx.len()].as_i64().unwrap_or_default() as usize)
+                        .collect();
+                    out = order.iter().map(|&n| std::mem::take(&mut out[n])).collect();
+                    sources = order.iter().map(|&n| sources[n]).collect();
                 }
-                Clause::Limit(n) => out.truncate(*n),
+                Clause::Limit(n) => {
+                    out.truncate(*n);
+                    sources.truncate(*n);
+                }
                 Clause::GroupBy(_) | Clause::PartitionBy(_, _) => {
                     // Structural clauses: handled by the interpreter.
                 }

@@ -24,6 +24,7 @@
 
 use crate::comprehension::{Comprehension, Condition};
 use crate::schema::Field;
+use crate::value::Record;
 use std::fmt;
 
 /// Ascending or descending sort direction.
@@ -69,6 +70,23 @@ impl SortKey {
             order: SortOrder::Desc,
         }
     }
+}
+
+/// Stable-sorts records by `(position, direction)` keys, comparing values
+/// with [`crate::Value::compare`]: the one record comparator of the engine. Rows
+/// that tie on every key keep their relative order, so sorting two runs
+/// that are each already in key order, appended one after the other, is
+/// their merge with the first run winning ties.
+pub fn sort_by_positions(records: &mut [Record], keys: &[(usize, SortOrder)]) {
+    records.sort_by(|a, b| {
+        keys.iter()
+            .map(|&(pos, order)| match order {
+                SortOrder::Asc => a[pos].compare(&b[pos]),
+                SortOrder::Desc => a[pos].compare(&b[pos]).reverse(),
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
 }
 
 /// A gridding dimension: `grid[A1,…,An],[stride1,…,striden](N)` repartitions

@@ -181,17 +181,6 @@ impl Rows {
         })
     }
 
-    /// The `i`-th row in insertion order.
-    pub fn get(&self, mut i: usize) -> Option<&Record> {
-        for chunk in &self.chunks {
-            if i < chunk.len() {
-                return chunk.get(i);
-            }
-            i -= chunk.len();
-        }
-        None
-    }
-
     /// Materializes the rows as one contiguous vector (for the renderer and
     /// the layout advisor, whose APIs take slices).
     pub fn to_vec(&self) -> Vec<Record> {
@@ -787,8 +776,8 @@ mod tests {
             })
             .collect();
         assert_eq!(flat, (0..350).collect::<Vec<i64>>());
-        assert_eq!(rows.get(349), Some(&row(349)));
-        assert_eq!(rows.get(350), None);
+        assert_eq!(rows.iter_from(349).next(), Some(&row(349)));
+        assert_eq!(rows.iter_from(350).next(), None);
         assert_eq!(rows.to_vec().len(), 350);
     }
 

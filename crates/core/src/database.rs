@@ -9,7 +9,7 @@ use crate::reorg::ReorgStrategy;
 use crate::{Result, RodentError};
 use parking_lot::{Mutex, RwLock};
 use rodentstore_algebra::comprehension::Condition;
-use rodentstore_algebra::expr::{LayoutExpr, SortOrder};
+use rodentstore_algebra::expr::LayoutExpr;
 use rodentstore_algebra::parse;
 use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::validate;
@@ -20,7 +20,7 @@ use rodentstore_exec::{
 };
 use rodentstore_layout::{
     render, AppendOutcome, LsmActivity, LsmRun, LsmState, MemTableProvider, PhysicalLayout,
-    RenderOptions, StoredIndex, StoredObject,
+    RenderOptions, RowTail, StoredIndex, StoredObject,
 };
 use rodentstore_optimizer::{
     advise, advise_with_baseline, AdvisorOptions, Recommendation, Workload,
@@ -2126,8 +2126,8 @@ impl Database {
     /// canonical row-major representation; tables with a layout use the
     /// rendered objects (rendering lazily if necessary). Under the
     /// new-data-only strategy, rows inserted after the layout was declared
-    /// are merged in from the row buffer — order-aware when the request asks
-    /// for a sort order, so the merged result is globally ordered.
+    /// are appended from the row buffer, and a requested sort order sorts
+    /// the combined result, so it is globally ordered.
     ///
     /// Every scan is recorded into the table's live workload profile; in
     /// auto-adapt mode, every [`AdaptivePolicy::check_every`]-th query also
@@ -2135,29 +2135,9 @@ impl Database {
     pub fn scan(&self, table: &str, request: &ScanRequest) -> Result<Vec<Record>> {
         let run_check = self.observe(table, request)?;
         let snapshot = self.snapshot(table)?;
-        // When recording, run the scan under a per-operation I/O scope: the
-        // pager mirrors this thread's reads into the scope, so `scan.pages`
-        // (the paper's headline metric) and the table's calibration totals
-        // count exactly the pages *this* scan read — concurrent readers
-        // sharing the pager no longer bleed into each other's attribution.
-        let recording = self
-            .obs
-            .enabled()
-            .then(|| (Instant::now(), OpStatsScope::enter()));
-        let rows = snapshot.scan(request)?;
-        if let Some((started, scope)) = recording {
-            let op = scope.stats().snapshot();
-            drop(scope);
-            let ins = &self.obs.ins;
-            ins.scan_count.incr();
-            ins.scan_rows.add(rows.len() as u64);
-            ins.scan_pages.add(op.pages_read);
-            ins.scan_frame_hits.add(op.frame_hits);
-            ins.scan_frame_copies.add(op.frame_copies);
-            ins.scan_chunks.add(op.chunks);
-            ins.scan_chunks_pruned.add(op.chunks_pruned);
-            ins.scan_blocks_skipped.add(op.blocks_skipped);
-            ins.scan_micros.record(started.elapsed().as_micros() as u64);
+        let (rows, op) = self.instrumented_scan(|| snapshot.scan(request))?;
+        if let Some(op) = op {
+            self.obs.ins.scan_rows.add(rows.len() as u64);
             if let (Ok(predicted), Ok(slot)) = (snapshot.scan_pages(request), self.slot(table)) {
                 slot.predicted_pages_total.fetch_add(predicted, Ordering::Relaxed);
                 slot.actual_pages_total.fetch_add(op.pages_read, Ordering::Relaxed);
@@ -2169,6 +2149,38 @@ impl Database {
             self.auto_adapt_check(table)?;
         }
         Ok(rows)
+    }
+
+    /// Runs one read of a scan or an aggregate. When recording, the read
+    /// runs under a per-operation I/O scope — the pager mirrors this
+    /// thread's reads into the scope, so `scan.pages` (the paper's headline
+    /// metric) counts exactly the pages *this* read did, whatever concurrent
+    /// readers sharing the pager do — and its counts feed the `scan.*`
+    /// instruments. Returns the scope's counts when recording.
+    fn instrumented_scan<T>(
+        &self,
+        read: impl FnOnce() -> Result<T>,
+    ) -> Result<(T, Option<IoSnapshot>)> {
+        let recording = self
+            .obs
+            .enabled()
+            .then(|| (Instant::now(), OpStatsScope::enter()));
+        let out = read()?;
+        let Some((started, scope)) = recording else {
+            return Ok((out, None));
+        };
+        let op = scope.stats().snapshot();
+        drop(scope);
+        let ins = &self.obs.ins;
+        ins.scan_count.incr();
+        ins.scan_pages.add(op.pages_read);
+        ins.scan_frame_hits.add(op.frame_hits);
+        ins.scan_frame_copies.add(op.frame_copies);
+        ins.scan_chunks.add(op.chunks);
+        ins.scan_chunks_pruned.add(op.chunks_pruned);
+        ins.scan_blocks_skipped.add(op.blocks_skipped);
+        ins.scan_micros.record(started.elapsed().as_micros() as u64);
+        Ok((out, Some(op)))
     }
 
     /// Folds a table's rows into fixed-width buckets (`count/sum/min/max`
@@ -2194,24 +2206,9 @@ impl Database {
         request.predicate = predicate.cloned();
         let run_check = self.observe(table, &request)?;
         let snapshot = self.snapshot(table)?;
-        let recording = self
-            .obs
-            .enabled()
-            .then(|| (Instant::now(), OpStatsScope::enter()));
-        let acc = snapshot.scan_aggregate(spec, predicate)?;
-        if let Some((started, scope)) = recording {
-            let op = scope.stats().snapshot();
-            drop(scope);
-            let ins = &self.obs.ins;
-            ins.scan_count.incr();
-            ins.scan_pages.add(op.pages_read);
-            ins.scan_frame_hits.add(op.frame_hits);
-            ins.scan_frame_copies.add(op.frame_copies);
-            ins.scan_chunks.add(op.chunks);
-            ins.scan_chunks_pruned.add(op.chunks_pruned);
-            ins.scan_blocks_skipped.add(op.blocks_skipped);
-            ins.scan_agg_rows_folded.add(acc.rows_folded());
-            ins.scan_micros.record(started.elapsed().as_micros() as u64);
+        let (acc, op) = self.instrumented_scan(|| snapshot.scan_aggregate(spec, predicate))?;
+        if op.is_some() {
+            self.obs.ins.scan_agg_rows_folded.add(acc.rows_folded());
         }
         drop(snapshot);
         if run_check {
@@ -2368,30 +2365,20 @@ impl Database {
                 let fields = request.fields.as_deref();
                 let predicate = request.predicate.as_ref();
                 // Mirror the scan dispatch exactly: opening the iterator is
-                // what decides between the streaming and probing paths.
-                let iter = layout
-                    .scan_iter(fields, predicate)?;
+                // what decides between the streaming and probing paths, and
+                // which lsm runs the predicate prunes.
+                let iter = layout.scan_iter(fields, predicate)?;
                 let access_path = if iter.uses_index() {
                     AccessPath::IndexProbe
                 } else {
                     AccessPath::Streaming
                 };
+                let lsm_runs_pruned = iter.lsm_runs_pruned() as u64;
                 drop(iter);
-                let (lsm_runs_total, lsm_runs_pruned, lsm_memtable_rows) = match &layout.lsm {
-                    Some(lsm) => {
-                        let ranges = predicate
-                            .map(rodentstore_layout::extract_ranges)
-                            .unwrap_or_default();
-                        let total = lsm.runs.len() as u64;
-                        let scanned = lsm
-                            .runs
-                            .iter()
-                            .filter(|r| r.may_match(&lsm.key, &ranges))
-                            .count() as u64;
-                        (total, total - scanned, lsm.memtable.len() as u64)
-                    }
-                    None => (0, 0, 0),
-                };
+                let (lsm_runs_total, lsm_memtable_rows) = layout
+                    .lsm
+                    .as_ref()
+                    .map_or((0, 0), |lsm| (lsm.runs.len() as u64, lsm.memtable.len() as u64));
                 Ok(Explain {
                     table: table.to_string(),
                     layout_expr,
@@ -2667,94 +2654,87 @@ impl TableSnapshot {
         self.state.access.as_deref().map(AccessMethods::layout)
     }
 
+    /// A [`RowTail`] over rows in the canonical schema's shape — the
+    /// pending buffer or the canonical rows — yielding `out_fields` of the
+    /// rows matching `predicate`.
+    fn tail<'s, I: Iterator<Item = &'s Record>>(
+        &self,
+        rows: I,
+        out_fields: &[String],
+        predicate: Option<&Condition>,
+    ) -> Result<RowTail<I>> {
+        let schema = &self.state.schema;
+        Ok(RowTail::new(
+            rows,
+            &schema.field_names(),
+            schema.name(),
+            out_fields,
+            predicate,
+        )?)
+    }
+
     /// Scans the snapshot. Tables without a declared layout are scanned
-    /// from their canonical row-major representation; tables with a layout
-    /// use the pinned rendered objects, merging any pending row buffer in
-    /// (order-aware when the request asks for a sort). No database lock is
-    /// held.
+    /// from their canonical rows; tables with a layout use the pinned
+    /// rendered objects, with any pending rows appended after the layout's
+    /// rows in the layout's output shape. In-memory rows (canonical or
+    /// pending) are filtered and projected by one [`RowTail`], and a
+    /// requested order sorts the whole result once, stably — so on ties
+    /// layout rows come before pending rows. No database lock is held.
     pub fn scan(&self, request: &ScanRequest) -> Result<Vec<Record>> {
-        match &self.state.access {
+        let state = &self.state;
+        let (mut rows, shape, in_memory) = match &state.access {
             // A layout can only serve requests over the fields it kept; a
             // query referencing a field the (possibly auto-adapted) layout
             // projected away falls back to the canonical rows — and, having
             // been recorded in the profile, steers the next adaptation back
             // toward a layout that covers it.
             Some(access) if layout_serves(access, request) => {
-                let mut rows = access.scan(request)?;
-                if !self.state.pending.is_empty() {
-                    // Pending rows must come out in the *layout's* output
-                    // shape (a projection layout exposes fewer fields than
-                    // the canonical schema), so the merge compares and
-                    // returns uniformly shaped records.
-                    let out_fields: Vec<String> = request
-                        .fields
-                        .clone()
-                        .unwrap_or_else(|| access.layout().schema.field_names());
-                    let pending_request = ScanRequest {
-                        fields: Some(out_fields.clone()),
-                        predicate: request.predicate.clone(),
-                        order: request.order.clone(),
-                    };
-                    let pending = scan_canonical(
-                        &self.state.schema,
-                        self.state.pending.iter(),
-                        &pending_request,
-                    )?;
-                    rows = merge_by_order(&out_fields, request.order.as_deref(), rows, pending);
+                let rows = access.scan(request)?;
+                if state.pending.is_empty() {
+                    return Ok(rows);
                 }
-                Ok(rows)
+                (rows, &access.layout().schema, state.pending.iter())
             }
-            _ => scan_canonical(&self.state.schema, self.state.records.iter(), request),
+            _ => (Vec::new(), &state.schema, state.records.iter()),
+        };
+        let out_fields = request
+            .fields
+            .clone()
+            .unwrap_or_else(|| shape.field_names());
+        for row in self.tail(in_memory, &out_fields, request.predicate.as_ref())? {
+            rows.push(row?);
         }
+        if let Some(order) = &request.order {
+            rodentstore_exec::sort_rows(&out_fields, &mut rows, order)?;
+        }
+        Ok(rows)
     }
 
     /// Folds the snapshot's rows into fixed-width buckets without
     /// materializing a result set. Dispatch mirrors [`TableSnapshot::scan`]:
     /// a layout that serves the (bucket, value) projection folds inside its
-    /// scan (zero rows materialized on the borrowed row path), pending rows
-    /// not yet absorbed fold from the in-memory buffer, and everything else
-    /// folds from the canonical rows.
+    /// scan (zero rows materialized on the borrowed row path) and pending
+    /// rows fold after it; everything else folds from the canonical rows.
+    /// In-memory rows fold in place through a [`RowTail`].
     pub fn scan_aggregate(
         &self,
         spec: &WindowedAggregate,
         predicate: Option<&Condition>,
     ) -> Result<WindowAccumulator> {
         spec.validate()?;
-        let bucket_idx = self
-            .state
-            .schema
-            .index_of(&spec.bucket_field)
-            .map_err(RodentError::Algebra)?;
-        let value_idx = self
-            .state
-            .schema
-            .index_of(&spec.value_field)
-            .map_err(RodentError::Algebra)?;
-        let fold_rows = |acc: &mut WindowAccumulator, rows: &Rows| -> Result<()> {
-            for row in rows.iter() {
-                if let Some(pred) = predicate {
-                    if !pred.eval(&self.state.schema, row).map_err(RodentError::Algebra)? {
-                        continue;
-                    }
-                }
-                acc.fold_values(&row[bucket_idx], &row[value_idx]);
-            }
-            Ok(())
-        };
-        let mut request = ScanRequest::all().fields([&spec.bucket_field, &spec.value_field]);
+        let fields = [spec.bucket_field.clone(), spec.value_field.clone()];
+        let mut request = ScanRequest::all().fields(fields.clone());
         request.predicate = predicate.cloned();
-        match &self.state.access {
-            Some(access) if layout_serves(access, &request) => {
-                let mut acc = access.scan_aggregate(spec, predicate)?;
-                fold_rows(&mut acc, &self.state.pending)?;
-                Ok(acc)
-            }
-            _ => {
-                let mut acc = WindowAccumulator::new(spec);
-                fold_rows(&mut acc, &self.state.records)?;
-                Ok(acc)
-            }
-        }
+        let (mut acc, in_memory) = match &self.state.access {
+            Some(access) if layout_serves(access, &request) => (
+                access.scan_aggregate(spec, predicate)?,
+                self.state.pending.iter(),
+            ),
+            _ => (WindowAccumulator::new(spec), self.state.records.iter()),
+        };
+        self.tail(in_memory, &fields, predicate)?
+            .fold_into(&mut acc, 0, 1)?;
+        Ok(acc)
     }
 
     /// Opens a cursor over the snapshot. When the pinned layout can serve
@@ -2775,7 +2755,8 @@ impl TableSnapshot {
     /// representation (layout storage order first, then any pending row
     /// buffer).
     pub fn get_element(&self, index: usize, fields: Option<&[String]>) -> Result<Record> {
-        match &self.state.access {
+        let state = &self.state;
+        let (shape, in_memory) = match &state.access {
             // Fields the layout projected away are served from the canonical
             // rows (in canonical order — a storage order over fields the
             // layout does not store is not meaningful).
@@ -2786,42 +2767,25 @@ impl TableSnapshot {
                         .all(|f| access.layout().schema.index_of(f).is_ok())
                 }) =>
             {
+                // Pending rows (new-data-only buffer) extend the storage
+                // order past the rendered representation, projected to the
+                // layout's exposed fields so the record shape does not
+                // change at the layout/pending boundary.
                 let layout_rows = access.layout().row_count;
-                if index >= layout_rows && index - layout_rows < self.state.pending.len() {
-                    // Pending rows (new-data-only buffer) extend the storage
-                    // order past the rendered representation; project them to
-                    // the layout's exposed fields so the record shape does
-                    // not change at the layout/pending boundary.
-                    let layout_fields;
-                    let effective: &[String] = match fields {
-                        Some(fields) => fields,
-                        None => {
-                            layout_fields = access.layout().schema.field_names();
-                            &layout_fields
-                        }
-                    };
-                    project_record(
-                        &self.state.schema,
-                        self.state
-                            .pending
-                            .get(index - layout_rows)
-                            .cloned()
-                            .expect("bounds checked above"),
-                        Some(effective),
-                    )
-                } else {
-                    Ok(access.get_element(index, fields)?)
+                match index.checked_sub(layout_rows) {
+                    Some(i) if i < state.pending.len() => {
+                        (&access.layout().schema, state.pending.iter_from(i))
+                    }
+                    _ => return Ok(access.get_element(index, fields)?),
                 }
             }
-            _ => self
-                .state
-                .records
-                .get(index)
-                .cloned()
-                .map(|r| project_record(&self.state.schema, r, fields))
-                .transpose()?
-                .ok_or_else(|| RodentError::Invalid(format!("element {index} out of range"))),
-        }
+            _ => (&state.schema, state.records.iter_from(index)),
+        };
+        let out_fields = fields.map_or_else(|| shape.field_names(), <[String]>::to_vec);
+        self.tail(in_memory.take(1), &out_fields, None)?
+            .next()
+            .transpose()?
+            .ok_or_else(|| RodentError::Invalid(format!("element {index} out of range")))
     }
 
     /// Estimated cost of a scan over this snapshot, in milliseconds.
@@ -2969,122 +2933,6 @@ fn layout_serves(access: &AccessMethods, request: &ScanRequest) -> bool {
         }
     }
     true
-}
-
-/// Projects a canonical record to the requested fields.
-fn project_record(
-    schema: &Schema,
-    record: Record,
-    fields: Option<&[String]>,
-) -> Result<Record> {
-    match fields {
-        Some(fields) => schema.extract(&record, fields).map_err(RodentError::Algebra),
-        None => Ok(record),
-    }
-}
-
-/// Compares two equally shaped records on `(position, direction)` sort keys
-/// — the single comparator shared by the canonical scan sort and the
-/// pending-row merge.
-fn compare_by_keys(
-    key_positions: &[(usize, SortOrder)],
-    a: &Record,
-    b: &Record,
-) -> std::cmp::Ordering {
-    for (pos, dir) in key_positions {
-        let ord = a[*pos].compare(&b[*pos]);
-        let ord = match dir {
-            SortOrder::Asc => ord,
-            SortOrder::Desc => ord.reverse(),
-        };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Merges pending-buffer rows into a layout scan's result. Both inputs carry
-/// records in the `out_fields` shape. When the request asks for a sort
-/// order, both inputs are already sorted on the order keys (the access
-/// methods sort non-native orders; [`scan_canonical`] sorts the buffer), so
-/// a two-way merge keeps the combined result globally ordered — blindly
-/// appending the buffer (the old behavior) broke any `ScanRequest` ordering.
-/// Without an order (or when no order key survives the projection), the
-/// buffer is appended after the layout rows.
-fn merge_by_order(
-    out_fields: &[String],
-    order: Option<&[rodentstore_algebra::expr::SortKey]>,
-    base: Vec<Record>,
-    extra: Vec<Record>,
-) -> Vec<Record> {
-    let key_positions: Vec<(usize, SortOrder)> = order
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|k| {
-            out_fields
-                .iter()
-                .position(|f| *f == k.field)
-                .map(|pos| (pos, k.order))
-        })
-        .collect();
-    if key_positions.is_empty() {
-        let mut rows = base;
-        rows.extend(extra);
-        return rows;
-    }
-    let mut merged = Vec::with_capacity(base.len() + extra.len());
-    let mut a = base.into_iter().peekable();
-    let mut b = extra.into_iter().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                // `<=` keeps the merge stable: layout rows win ties.
-                if compare_by_keys(&key_positions, x, y) != std::cmp::Ordering::Greater {
-                    merged.push(a.next().expect("peeked"));
-                } else {
-                    merged.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => merged.push(a.next().expect("peeked")),
-            (None, Some(_)) => merged.push(b.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    merged
-}
-
-/// Scans in-memory canonical records (used before any layout is declared and
-/// for the new-data-only pending buffer).
-fn scan_canonical<'a>(
-    schema: &Schema,
-    records: impl IntoIterator<Item = &'a Record>,
-    request: &ScanRequest,
-) -> Result<Vec<Record>> {
-    let out_fields: Vec<String> = request
-        .fields
-        .clone()
-        .unwrap_or_else(|| schema.field_names());
-    let indices = schema.indices_of(&out_fields)?;
-    let mut rows = Vec::new();
-    for r in records {
-        if let Some(pred) = &request.predicate {
-            if !pred.eval(schema, r)? {
-                continue;
-            }
-        }
-        rows.push(indices.iter().map(|&i| r[i].clone()).collect());
-    }
-    if let Some(order) = &request.order {
-        let mut key_positions = Vec::new();
-        for key in order {
-            if let Some(pos) = out_fields.iter().position(|f| *f == key.field) {
-                key_positions.push((pos, key.order));
-            }
-        }
-        rows.sort_by(|a: &Record, b: &Record| compare_by_keys(&key_positions, a, b));
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -3475,6 +3323,43 @@ mod tests {
         assert!(rows.iter().all(|r| r.len() == 2), "uniform layout shape");
         assert_eq!(rows[0][0], Value::Float(-90.0), "pending row merged first");
         assert!(rows.windows(2).all(|w| w[0][0] <= w[1][0]));
+    }
+
+    #[test]
+    fn order_keys_outside_the_projection_are_rejected_on_every_path() {
+        let db = Database::with_page_size(2048);
+        db.create_table(traces_schema()).unwrap();
+        let rows = generate_traces(&CartelConfig {
+            observations: 300,
+            vehicles: 5,
+            ..CartelConfig::default()
+        });
+        db.insert("Traces", rows.clone()).unwrap();
+        let request = ScanRequest::all().fields(["lat"]).order(["t"]);
+        let rejected = |db: &Database, path: &str| match db.scan("Traces", &request) {
+            Err(RodentError::Exec(rodentstore_exec::ExecError::InvalidRequest(msg))) => {
+                assert_eq!(msg, "order key `t` must be part of the projected fields", "{path}")
+            }
+            other => panic!("{path}: expected the order-key error, got {other:?}"),
+        };
+        rejected(&db, "canonical");
+        db.apply_layout_text("Traces", "Traces").unwrap();
+        rejected(&db, "layout");
+        db.apply_layout(
+            "Traces",
+            LayoutExpr::table("Traces"),
+            ReorgStrategy::NewDataOnly,
+        )
+        .unwrap();
+        db.insert("Traces", rows[..5].to_vec()).unwrap();
+        assert_eq!(db.explain("Traces", &request).unwrap().pending_rows, 5);
+        rejected(&db, "pending");
+        // With the key projected, every path sorts.
+        let ordered = db
+            .scan("Traces", &ScanRequest::all().fields(["t", "lat"]).order(["t"]))
+            .unwrap();
+        assert_eq!(ordered.len(), 305);
+        assert!(ordered.windows(2).all(|w| w[0][0] <= w[1][0]));
     }
 
     #[test]

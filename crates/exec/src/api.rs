@@ -3,10 +3,9 @@
 use crate::cursor::Cursor;
 use crate::{ExecError, Result};
 use rodentstore_algebra::comprehension::Condition;
-use rodentstore_algebra::expr::{SortKey, SortOrder};
+use rodentstore_algebra::expr::{sort_by_positions, SortKey, SortOrder};
 use rodentstore_algebra::value::Record;
 use rodentstore_layout::PhysicalLayout;
-use std::cmp::Ordering;
 
 /// Parameters of the simple disk model used to convert pages and seeks into
 /// milliseconds, following Section 5 of the paper ("count bytes of I/O as
@@ -132,45 +131,33 @@ impl AccessMethods {
     /// optional projection, predicate, and sort order. If the layout is
     /// already efficient for the requested order (it appears in
     /// [`AccessMethods::order_list`]), no re-sort is performed; otherwise the
-    /// result is sorted before being returned.
+    /// result is sorted before being returned. Order keys must be part of
+    /// the projected fields, native order or not.
     pub fn scan(&self, request: &ScanRequest) -> Result<Vec<Record>> {
-        self.validate_fields(&request.fields)?;
+        let resort = self.resort_keys(request)?;
         let mut rows = self
             .layout
             .scan(request.fields.as_deref(), request.predicate.as_ref())?;
-
-        if let Some(order) = &request.order {
-            if !self.order_is_native(order) {
-                let out_fields: Vec<String> = request
-                    .fields
-                    .clone()
-                    .unwrap_or_else(|| self.layout.schema.field_names());
-                let mut key_positions = Vec::with_capacity(order.len());
-                for key in order {
-                    let pos = out_fields.iter().position(|f| *f == key.field).ok_or_else(|| {
-                        ExecError::InvalidRequest(format!(
-                            "order key `{}` must be part of the projected fields",
-                            key.field
-                        ))
-                    })?;
-                    key_positions.push((pos, key.order));
-                }
-                rows.sort_by(|a, b| {
-                    for (pos, dir) in &key_positions {
-                        let ord = a[*pos].compare(&b[*pos]);
-                        let ord = match dir {
-                            SortOrder::Asc => ord,
-                            SortOrder::Desc => ord.reverse(),
-                        };
-                        if ord != Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    Ordering::Equal
-                });
-            }
+        if let Some(keys) = resort {
+            sort_by_positions(&mut rows, &keys);
         }
         Ok(rows)
+    }
+
+    /// Validates a request's projection and order keys, returning the keys'
+    /// output positions when the layout cannot deliver the order natively
+    /// (the result must then be re-sorted).
+    fn resort_keys(&self, request: &ScanRequest) -> Result<Option<Vec<(usize, SortOrder)>>> {
+        self.validate_fields(&request.fields)?;
+        let Some(order) = &request.order else {
+            return Ok(None);
+        };
+        let fields = request
+            .fields
+            .clone()
+            .unwrap_or_else(|| self.layout.schema.field_names());
+        let keys = order_positions(&fields, order)?;
+        Ok((!self.order_is_native(order)).then_some(keys))
     }
 
     /// Opens a cursor over a scan (the `next(table, [order])` access method).
@@ -181,11 +168,8 @@ impl AccessMethods {
     /// partitioned layouts included. Only a non-native sort forces
     /// materialization (the cursor then knows its length).
     pub fn open_cursor(&self, request: &ScanRequest) -> Result<Cursor<'_>> {
-        self.validate_fields(&request.fields)?;
-        if let Some(order) = &request.order {
-            if !self.order_is_native(order) {
-                return Ok(Cursor::new(self.scan(request)?));
-            }
+        if self.resort_keys(request)?.is_some() {
+            return Ok(Cursor::new(self.scan(request)?));
         }
         let iter = self
             .layout
@@ -295,6 +279,31 @@ impl AccessMethods {
                     .all(|(a, b)| a.field == b.field && a.order == b.order)
         })
     }
+}
+
+/// Resolves order keys to positions in `fields` (the shape of the rows to
+/// sort). An order key must be part of the projection.
+fn order_positions(fields: &[String], order: &[SortKey]) -> Result<Vec<(usize, SortOrder)>> {
+    order
+        .iter()
+        .map(|key| {
+            let pos = fields.iter().position(|f| *f == key.field).ok_or_else(|| {
+                ExecError::InvalidRequest(format!(
+                    "order key `{}` must be part of the projected fields",
+                    key.field
+                ))
+            })?;
+            Ok((pos, key.order))
+        })
+        .collect()
+}
+
+/// Stable-sorts `rows`, each holding `fields` in order, by `order`: rows
+/// that tie keep their relative order. Fails, sorting nothing, when an order
+/// key is not one of `fields` — the rule [`AccessMethods::scan`] applies.
+pub fn sort_rows(fields: &[String], rows: &mut [Record], order: &[SortKey]) -> Result<()> {
+    sort_by_positions(rows, &order_positions(fields, order)?);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 pub mod api;
 pub mod cursor;
 
-pub use api::{AccessMethods, CostParams, ScanRequest};
+pub use api::{sort_rows, AccessMethods, CostParams, ScanRequest};
 pub use cursor::Cursor;
 pub use rodentstore_layout::{WindowAccumulator, WindowRow, WindowedAggregate};
 

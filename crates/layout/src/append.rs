@@ -38,9 +38,9 @@ use crate::pipeline::{self, TableProvider};
 use crate::plan::{
     lattice_origin, CellBounds, ObjectEncoding, PhysicalLayout, StoredObject, Target,
 };
-use crate::render::{codec_map, find_partition};
+use crate::render::{codec_map, partition_rows};
 use crate::Result;
-use rodentstore_algebra::expr::{GridDim, PartitionBy, TransformKind};
+use rodentstore_algebra::expr::{GridDim, TransformKind};
 use rodentstore_algebra::value::Record;
 use rodentstore_compress::CodecKind;
 use rodentstore_storage::heap::{HeapFile, RecordId};
@@ -384,45 +384,7 @@ fn append_grid(
 /// Routes new rows to their horizontal partition by re-evaluating the
 /// original partitioning rule, creating objects for unseen labels.
 fn append_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
-    let by = find_partition(&layout.expr).cloned().ok_or_else(|| {
-        crate::LayoutError::Unsupported("partitioned layout without a partition transform".into())
-    })?;
-    let mut buckets: Vec<(String, Vec<Record>)> = Vec::new();
-    for r in rows {
-        let label = match &by {
-            PartitionBy::Field(field) => {
-                let idx = layout
-                    .schema
-                    .index_of(field)
-                    .map_err(crate::LayoutError::Algebra)?;
-                r[idx].to_string()
-            }
-            PartitionBy::Stride(field, stride) => {
-                let idx = layout
-                    .schema
-                    .index_of(field)
-                    .map_err(crate::LayoutError::Algebra)?;
-                let v = r[idx].as_f64().unwrap_or(0.0);
-                format!("{}", (v / stride).floor() as i64)
-            }
-            PartitionBy::Predicate(cond) => {
-                let hit = cond
-                    .eval(&layout.schema, &r)
-                    .map_err(crate::LayoutError::Algebra)?;
-                if hit {
-                    "match".to_string()
-                } else {
-                    "rest".to_string()
-                }
-            }
-        };
-        if let Some((_, bucket)) = buckets.iter_mut().find(|(l, _)| *l == label) {
-            bucket.push(r);
-        } else {
-            buckets.push((label, vec![r]));
-        }
-    }
-
+    let buckets = partition_rows(&layout.expr, &layout.schema, rows)?;
     let mut touched = 0usize;
     let mut placed = Placed::new();
     for (label, bucket) in buckets {
@@ -625,7 +587,8 @@ mod tests {
     #[test]
     fn append_to_partitioned_layout_routes_by_label() {
         check_append_matches_rerender(
-            LayoutExpr::table("Points").partition(PartitionBy::Field("tag".into())),
+            LayoutExpr::table("Points")
+                .partition(rodentstore_algebra::expr::PartitionBy::Field("tag".into())),
             points(100, 0.0),
             points(20, 1.0),
         );

@@ -48,7 +48,7 @@ pub use plan::{
 pub use rodentstore_compress::CodecKind;
 pub use render::{render, RenderOptions};
 pub use rowcodec::FieldRef;
-pub use scan::{CompiledPredicate, ScanIter};
+pub use scan::{CompiledPredicate, RowTail, ScanIter};
 
 use rodentstore_algebra::AlgebraError;
 use rodentstore_compress::CompressError;

@@ -7,12 +7,10 @@
 //! structural strategy (rows / columns / PAX / grid cells) to write it out.
 
 use crate::{LayoutError, Result};
-use rodentstore_algebra::comprehension::Condition;
-use rodentstore_algebra::expr::{LayoutExpr, SortKey, SortOrder};
+use rodentstore_algebra::expr::{sort_by_positions, LayoutExpr, SortKey};
 use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::validate::SchemaProvider;
 use rodentstore_algebra::value::{Record, Value};
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Supplies the canonical (row-major) contents of base tables.
@@ -72,23 +70,11 @@ impl<'a, P: TableProvider + ?Sized> SchemaProvider for ProviderSchemas<'a, P> {
 
 /// Sorts records by the given keys (stable).
 pub fn sort_records(schema: &Schema, records: &mut [Record], keys: &[SortKey]) -> Result<()> {
-    let mut key_indices = Vec::with_capacity(keys.len());
-    for k in keys {
-        key_indices.push((schema.index_of(&k.field)?, k.order));
-    }
-    records.sort_by(|a, b| {
-        for (idx, order) in &key_indices {
-            let ord = a[*idx].compare(&b[*idx]);
-            let ord = match order {
-                SortOrder::Asc => ord,
-                SortOrder::Desc => ord.reverse(),
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    });
+    let positions = keys
+        .iter()
+        .map(|k| Ok((schema.index_of(&k.field)?, k.order)))
+        .collect::<Result<Vec<_>>>()?;
+    sort_by_positions(records, &positions);
     Ok(())
 }
 
@@ -244,17 +230,10 @@ pub fn materialize<P: TableProvider + ?Sized>(
     }
 }
 
-/// Evaluates a predicate against a record (convenience wrapper shared with
-/// the read paths).
-pub fn matches(schema: &Schema, record: &Record, predicate: &Condition) -> Result<bool> {
-    predicate
-        .eval(schema, record)
-        .map_err(LayoutError::Algebra)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rodentstore_algebra::comprehension::Condition;
     use rodentstore_algebra::schema::Field;
     use rodentstore_algebra::types::DataType;
     use rodentstore_algebra::Comprehension;

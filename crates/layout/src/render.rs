@@ -80,7 +80,7 @@ pub(crate) fn codec_map(derived: &DerivedLayout) -> HashMap<String, CodecKind> {
         .collect()
 }
 
-pub(crate) fn find_partition(expr: &LayoutExpr) -> Option<&PartitionBy> {
+fn find_partition(expr: &LayoutExpr) -> Option<&PartitionBy> {
     if let LayoutExpr::Partition { by, .. } = expr {
         return Some(by);
     }
@@ -90,6 +90,37 @@ pub(crate) fn find_partition(expr: &LayoutExpr) -> Option<&PartitionBy> {
         }
     }
     None
+}
+
+/// Buckets rows by the label of their horizontal partition under the
+/// expression's partitioning rule: labels in first-seen order, rows in
+/// arrival order within a label. A render and an append both route rows
+/// this way.
+pub(crate) fn partition_rows(
+    expr: &LayoutExpr,
+    schema: &rodentstore_algebra::Schema,
+    rows: impl IntoIterator<Item = Record>,
+) -> Result<Vec<(String, Vec<Record>)>> {
+    let by = find_partition(expr).ok_or_else(|| {
+        LayoutError::Unsupported("partitioned layout without a partition transform".into())
+    })?;
+    let mut buckets: Vec<(String, Vec<Record>)> = Vec::new();
+    for r in rows {
+        let label = match by {
+            PartitionBy::Field(field) => r[schema.index_of(field)?].to_string(),
+            PartitionBy::Stride(field, stride) => {
+                let v = r[schema.index_of(field)?].as_f64().unwrap_or(0.0);
+                format!("{}", (v / stride).floor() as i64)
+            }
+            PartitionBy::Predicate(cond) if cond.eval(schema, &r)? => "match".to_string(),
+            PartitionBy::Predicate(_) => "rest".to_string(),
+        };
+        match buckets.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, bucket)) => bucket.push(r),
+            None => buckets.push((label, vec![r])),
+        }
+    }
+    Ok(buckets)
 }
 
 /// Renders a storage-algebra expression into a [`PhysicalLayout`], writing
@@ -389,36 +420,7 @@ fn render_partitions(
     schema: &rodentstore_algebra::Schema,
     pager: &Arc<Pager>,
 ) -> Result<Vec<StoredObject>> {
-    let by = find_partition(expr).cloned().ok_or_else(|| {
-        LayoutError::Unsupported("partitioned layout without a partition transform".into())
-    })?;
-    let mut buckets: Vec<(String, Vec<Record>)> = Vec::new();
-    let bucket_of = |label: String, record: Record, buckets: &mut Vec<(String, Vec<Record>)>| {
-        if let Some((_, rows)) = buckets.iter_mut().find(|(l, _)| *l == label) {
-            rows.push(record);
-        } else {
-            buckets.push((label, vec![record]));
-        }
-    };
-    for r in records {
-        let label = match &by {
-            PartitionBy::Field(field) => {
-                let idx = schema.index_of(field).map_err(LayoutError::Algebra)?;
-                r[idx].to_string()
-            }
-            PartitionBy::Stride(field, stride) => {
-                let idx = schema.index_of(field).map_err(LayoutError::Algebra)?;
-                let v = r[idx].as_f64().unwrap_or(0.0);
-                format!("{}", (v / stride).floor() as i64)
-            }
-            PartitionBy::Predicate(cond) => {
-                let hit = cond.eval(schema, r).map_err(LayoutError::Algebra)?;
-                if hit { "match".to_string() } else { "rest".to_string() }
-            }
-        };
-        bucket_of(label, r.clone(), &mut buckets);
-    }
-
+    let buckets = partition_rows(expr, schema, records.iter().cloned())?;
     let mut objects = Vec::with_capacity(buckets.len());
     for (p, (label, rows)) in buckets.iter().enumerate() {
         let mut obj = StoredObject::new(

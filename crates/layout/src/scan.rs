@@ -20,8 +20,10 @@
 //!   [`FieldRef`]s — decoded out of a page frame, or read off the typed
 //!   vectors of a decoded chunk — the predicate runs on the refs, and only
 //!   survivors are folded or materialized (for column chunks the predicate's
-//!   columns are decoded first and the rest only if a row survived); the lsm
-//!   memtable is the scan's one in-memory tail;
+//!   columns are decoded first and the rest only if a row survived);
+//! * [`RowTail`] is the one in-memory row source: the lsm memtable after a
+//!   scan's last cursor, and the core crate's pending rows and canonical
+//!   rows, filter, project and fold through it;
 //! * [`PhysicalLayout::scan`] is now a thin `collect()` over the iterator,
 //!   and `rodentstore_exec::Cursor` wraps the iterator directly so
 //!   native-order scans never materialize the full result set.
@@ -943,6 +945,86 @@ fn group_positions(positions: &[u64]) -> Vec<(usize, Batches)> {
     grouped
 }
 
+/// The one in-memory row source: rows held in memory — an lsm memtable, a
+/// table's pending buffer or its canonical rows — filtered by a predicate
+/// compiled once and projected through positions resolved once.
+///
+/// The tail borrows its rows: a row is cloned only when it survives the
+/// filter and is yielded, and a fold reads the surviving rows in place. It
+/// yields rows ([`Iterator`]; a tail over one row projects that row) or
+/// folds them ([`RowTail::fold_into`]).
+pub struct RowTail<I> {
+    rows: I,
+    predicate: Option<CompiledPredicate>,
+    /// Output positions within a row.
+    out: Vec<usize>,
+}
+
+impl<'a, I: Iterator<Item = &'a Record>> RowTail<I> {
+    /// A tail over `rows`, each holding `fields` in order (`within` names
+    /// them in errors), that yields the `out_fields` of every row matching
+    /// `predicate`. Fails on a field `fields` does not hold.
+    pub fn new(
+        rows: I,
+        fields: &[String],
+        within: &str,
+        out_fields: &[String],
+        predicate: Option<&Condition>,
+    ) -> Result<RowTail<I>> {
+        Ok(RowTail {
+            rows,
+            predicate: predicate
+                .map(|p| CompiledPredicate::compile(p, fields, within))
+                .transpose()?,
+            out: out_fields
+                .iter()
+                .map(|f| resolve(f, fields, within))
+                .collect::<Result<_>>()?,
+        })
+    }
+
+    /// The next row matching the predicate, unprojected.
+    fn next_match(&mut self) -> Result<Option<&'a Record>> {
+        for row in self.rows.by_ref() {
+            match &self.predicate {
+                Some(pred) if !pred.matches(row)? => {}
+                _ => return Ok(Some(row)),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Projects `row` to the tail's output fields.
+    fn project(&self, row: &Record) -> Record {
+        self.out.iter().map(|&i| row[i].clone()).collect()
+    }
+
+    /// Folds every remaining matching row into `acc`, in row order; `bucket`
+    /// and `value` are positions in the output fields.
+    pub fn fold_into(
+        &mut self,
+        acc: &mut WindowAccumulator,
+        bucket: usize,
+        value: usize,
+    ) -> Result<()> {
+        let (bucket, value) = (self.out[bucket], self.out[value]);
+        while let Some(row) = self.next_match()? {
+            acc.fold_values(&row[bucket], &row[value]);
+        }
+        Ok(())
+    }
+}
+
+impl<'a, I: Iterator<Item = &'a Record>> Iterator for RowTail<I> {
+    type Item = Result<Record>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_match()
+            .map(|row| row.map(|row| self.project(row)))
+            .transpose()
+    }
+}
+
 /// A lazy scan over a [`PhysicalLayout`]: yields already-filtered,
 /// already-projected records in storage order, decoding pages on demand.
 ///
@@ -951,7 +1033,7 @@ fn group_positions(positions: &[u64]) -> Vec<(usize, Batches)> {
 /// cursor over the objects the scan needs, their column chunks advancing in
 /// lock-step by row position; an index probe restricts each object's cursor
 /// to the pages and slots holding candidates), then the non-pruned runs of an
-/// `lsm[...]` tier. The tier's memtable is the in-memory tail.
+/// `lsm[...]` tier. The tier's memtable is read last, as a [`RowTail`].
 pub struct ScanIter<'a> {
     layout: &'a PhysicalLayout,
     /// Base objects the scan reads, one group per cursor (see
@@ -971,13 +1053,9 @@ pub struct ScanIter<'a> {
     /// order (deepest level first, oldest first within a level); each is
     /// read by a cursor once the base is exhausted.
     lsm_runs: Vec<usize>,
-    /// Memtable rows the scan may yield, pre-selected by pushing the
-    /// predicate's first-key range into the ordered memtable, and the
-    /// predicate and projection compiled against the full-width rows.
-    mem_rows: Vec<&'a Record>,
-    mem_pos: usize,
-    mem_pred: Option<CompiledPredicate>,
-    mem_out: Vec<usize>,
+    /// The tier's memtable, read after the last cursor (see
+    /// [`ScanIter::memtable_tail`]).
+    tail: Option<RowTail<std::vec::IntoIter<&'a Record>>>,
     /// Set while [`ScanIter::fold_windowed`] drives the scan: newly opened
     /// cursors that fully absorb the predicate and projection fold in place
     /// instead of yielding rows.
@@ -1039,10 +1117,7 @@ impl<'a> ScanIter<'a> {
             obj_cursor: 0,
             current: None,
             lsm_runs: Vec::new(),
-            mem_rows: Vec::new(),
-            mem_pos: 0,
-            mem_pred: None,
-            mem_out: Vec::new(),
+            tail: None,
             fold: None,
             done: false,
         };
@@ -1055,19 +1130,39 @@ impl<'a> ScanIter<'a> {
                 .filter(|(_, r)| r.may_match(&lsm.key, &ranges))
                 .map(|(i, _)| i)
                 .collect();
-            let first_key_range = lsm.key.first().and_then(|f| ranges.get(f)).copied();
-            iter.mem_rows = lsm.memtable.select(first_key_range);
-            let schema_fields = layout.schema.field_names();
-            iter.mem_out = iter
-                .out_fields
-                .iter()
-                .map(|f| resolve(f, &schema_fields, layout.schema.name()))
-                .collect::<Result<_>>()?;
-            iter.mem_pred = predicate
-                .map(|p| CompiledPredicate::compile(p, &schema_fields, layout.schema.name()))
-                .transpose()?;
         }
+        iter.tail = iter.memtable_tail()?;
         Ok(iter)
+    }
+
+    /// The lsm memtable as the scan's in-memory tail (`None` without a
+    /// tier): its rows, narrowed to the predicate's first-key range by the
+    /// ordered memtable, filtered and projected by a [`RowTail`].
+    fn memtable_tail(&self) -> Result<Option<RowTail<std::vec::IntoIter<&'a Record>>>> {
+        let layout = self.layout;
+        let Some(lsm) = &layout.lsm else {
+            return Ok(None);
+        };
+        let predicate = self.predicate.as_ref();
+        let ranges = predicate.map(extract_ranges).unwrap_or_default();
+        let first_key_range = lsm.key.first().and_then(|f| ranges.get(f)).copied();
+        RowTail::new(
+            lsm.memtable.select(first_key_range).into_iter(),
+            &layout.schema.field_names(),
+            layout.schema.name(),
+            &self.out_fields,
+            predicate,
+        )
+        .map(Some)
+    }
+
+    /// Sealed lsm runs the predicate's key range proves irrelevant: the scan
+    /// skips them without reading a page.
+    pub fn lsm_runs_pruned(&self) -> usize {
+        self.layout
+            .lsm
+            .as_ref()
+            .map_or(0, |lsm| lsm.runs.len() - self.lsm_runs.len())
     }
 
     /// Whether this scan resolves the predicate through the declared index
@@ -1080,7 +1175,7 @@ impl<'a> ScanIter<'a> {
     pub fn rewind(&mut self) -> Result<()> {
         self.obj_cursor = 0;
         self.current = None;
-        self.mem_pos = 0;
+        self.tail = self.memtable_tail()?;
         self.done = false;
         Ok(())
     }
@@ -1238,21 +1333,6 @@ impl<'a> ScanIter<'a> {
         }
     }
 
-    /// The in-memory tail: memtable rows in key order (already narrowed to
-    /// the predicate's first-key range by the ordered memtable).
-    fn next_mem(&mut self) -> Result<Option<Record>> {
-        while let Some(&row) = self.mem_rows.get(self.mem_pos) {
-            self.mem_pos += 1;
-            if let Some(pred) = &self.mem_pred {
-                if !pred.matches(row)? {
-                    continue;
-                }
-            }
-            return Ok(Some(self.mem_out.iter().map(|&i| row[i].clone()).collect()));
-        }
-        Ok(None)
-    }
-
     /// Collects every remaining row. Result-equivalent to
     /// `collect::<Result<Vec<_>>>()`, but cursors that already filtered and
     /// projected their rows inside the borrowed loop (the pushdown path) are
@@ -1285,8 +1365,8 @@ impl<'a> ScanIter<'a> {
                 None => break,
             }
         }
-        while let Some(row) = self.next_mem()? {
-            out.push(row);
+        for row in self.tail.into_iter().flatten() {
+            out.push(row?);
         }
         Ok(out)
     }
@@ -1296,9 +1376,10 @@ impl<'a> ScanIter<'a> {
     /// projection. On the borrowed path — row pages, index-picked slots,
     /// column chunks and lsm runs alike, vertical partitions included — the
     /// fold runs inside the cursor's loop (`ObjectCursor::step_into`) and no
-    /// output row is ever allocated; folded groups, predicates with no
-    /// borrowed form and the memtable fold the rows they would have yielded.
-    /// Terminal: the iterator is left exhausted.
+    /// output row is ever allocated; folded groups and predicates with no
+    /// borrowed form fold the rows they would have yielded, and the memtable
+    /// folds its matching rows in place, last. Terminal: the iterator is left
+    /// exhausted.
     pub fn fold_windowed(&mut self, spec: &WindowedAggregate) -> Result<WindowAccumulator> {
         spec.validate()?;
         let position = |field: &str| {
@@ -1317,21 +1398,27 @@ impl<'a> ScanIter<'a> {
             value_pos,
             acc: Some(WindowAccumulator::new(spec)),
         });
-        let folded = loop {
-            match self.next() {
+        let streamed = loop {
+            match self.next_streamed() {
                 // A yielded row comes from a path that does not fold in
                 // place, so the accumulator is not lent out.
-                Some(Ok(row)) => {
+                Ok(Some(row)) => {
                     if let Some(Fold { acc: Some(acc), .. }) = &mut self.fold {
                         acc.fold_values(&row[bucket_pos], &row[value_pos]);
                     }
                 }
-                Some(Err(e)) => break Err(e),
-                None => break Ok(()),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
             }
         };
+        self.done = true;
         let acc = self.fold.take().and_then(|f| f.acc);
-        folded.map(|()| acc.expect("a folding cursor hands the accumulator back when it closes"))
+        streamed?;
+        let mut acc = acc.expect("a folding cursor hands the accumulator back when it closes");
+        if let Some(tail) = &mut self.tail {
+            tail.fold_into(&mut acc, bucket_pos, value_pos)?;
+        }
+        Ok(acc)
     }
 }
 
@@ -1364,7 +1451,7 @@ impl Iterator for ScanIter<'_> {
         }
         let stepped = match self.next_streamed() {
             // Every cursor is drained; the memtable continues the scan.
-            Ok(None) => self.next_mem(),
+            Ok(None) => self.tail.as_mut().and_then(Iterator::next).transpose(),
             other => other,
         };
         match stepped {

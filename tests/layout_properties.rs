@@ -725,17 +725,51 @@ proptest! {
         db.insert("Points", batch3.clone()).unwrap();
         prop_assert!(!db.catalog().get("Points").unwrap().pending.is_empty());
 
+        use rodentstore::{WindowAccumulator, WindowedAggregate};
+
         let schema = points_schema();
         let indices = schema.indices_of(&fields).unwrap();
-        let expected: Vec<Vec<Value>> = batch1
-            .iter()
-            .chain(&batch2)
-            .chain(&batch3)
-            .filter(|row| predicate.eval(&schema, row).unwrap())
-            .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
-            .collect();
-        let request = ScanRequest::all().fields(fields).predicate(predicate);
+        let project = |row: &Vec<Value>| -> Vec<Value> {
+            indices.iter().map(|&i| row[i].clone()).collect()
+        };
+        let inserted: Vec<&Vec<Value>> = batch1.iter().chain(&batch2).chain(&batch3).collect();
+        let spec = WindowedAggregate::new("tag", 3.0, "x");
+        let mut fold = WindowAccumulator::new(&spec);
+        let mut expected: Vec<Vec<Value>> = Vec::new();
+        for row in inserted.iter().filter(|row| predicate.eval(&schema, row).unwrap()) {
+            expected.push(project(row));
+            fold.fold_values(&row[2], &row[0]);
+        }
+        let request = ScanRequest::all().fields(fields.clone()).predicate(predicate.clone());
         prop_assert_eq!(&db.scan("Points", &request).unwrap(), &expected, "layout {}", layout);
+
+        // The fold reads the layout, then the pending rows, in arrival order:
+        // the sums match the reference bit for bit.
+        let windows = db.scan_aggregate("Points", &spec, Some(&predicate)).unwrap();
+        prop_assert_eq!(
+            format!("{:?}", windows),
+            format!("{:?}", fold.finish()),
+            "aggregate, layout {}", layout
+        );
+
+        // Positions run through the layout's rows into the pending ones.
+        for (i, row) in inserted.iter().enumerate() {
+            prop_assert_eq!(
+                &db.get_element("Points", i, Some(&fields)).unwrap(),
+                &project(row),
+                "element {}, layout {}", i, layout
+            );
+        }
+        prop_assert!(db.get_element("Points", inserted.len(), Some(&fields)).is_err());
+
+        // An order over a projected key sorts layout and pending rows as one
+        // stable sort of the arrival order.
+        if let Some(key) = fields.first() {
+            let mut sorted = expected.clone();
+            sorted.sort_by(|a, b| a[0].compare(&b[0]));
+            let ordered = request.clone().order([key.clone()]);
+            prop_assert_eq!(&db.scan("Points", &ordered).unwrap(), &sorted, "layout {}", layout);
+        }
     }
 
     /// Chunk fences only ever skip chunks that cannot match. Over a fenced

@@ -356,6 +356,22 @@ mod tests {
         // (the full-scale run in EXPERIMENTS.md shows the two orders of
         // magnitude the paper reports).
         assert!(n2 / n3 > 5.0, "N2/N3 = {}", n2 / n3);
+        // The exact small-scale figures. Seeks follow the storage order of
+        // the grid cells, so this also pins the order a render writes them.
+        let exact: Vec<(&str, f64, f64, usize)> = results
+            .iter()
+            .map(|r| (r.label.as_str(), r.pages_per_query, r.seeks_per_query, r.layout_pages))
+            .collect();
+        assert_eq!(
+            exact,
+            vec![
+                ("N1 (raw + scan)", 1429.0, 1.0, 1429),
+                ("N2 (raw + drop column)", 811.0, 1.0, 811),
+                ("N3 (grid)", 36.13, 1.855, 865),
+                ("N4 (zcurve + delta)", 6.855, 2.23, 172),
+                ("rtree", 45.325, 5.3, 816),
+            ]
+        );
     }
 
     #[test]

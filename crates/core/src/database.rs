@@ -3128,6 +3128,59 @@ mod tests {
     }
 
     #[test]
+    fn zorder_grid_declared_before_its_rows_lays_them_out_as_a_render_does() {
+        let schema = Schema::new(
+            "P",
+            vec![
+                Field::new("x", DataType::Float),
+                Field::new("y", DataType::Float),
+            ],
+        );
+        // 400 points on a 20×20 lattice, arriving row by row: first-seen
+        // cell order is row-major, not the Z curve.
+        let rows: Vec<Record> = (0..400)
+            .map(|i| vec![Value::Float((i % 20) as f64), Value::Float((i / 20) as f64)])
+            .collect();
+        let expr = LayoutExpr::table("P")
+            .grid([("x", 2.0), ("y", 2.0)])
+            .zorder();
+        let cells = |db: &Database| {
+            let snap = db.snapshot("P").unwrap();
+            let layout = snap.layout().expect("rendered");
+            let cells: Vec<(Vec<u32>, usize)> = layout
+                .objects
+                .iter()
+                .map(|o| (o.cell.as_ref().unwrap().coords.clone(), o.row_count))
+                .collect();
+            (cells, layout.total_pages())
+        };
+
+        let declared_first = Database::with_page_size(1024);
+        declared_first.create_table(schema.clone()).unwrap();
+        declared_first
+            .apply_layout("P", expr.clone(), ReorgStrategy::Eager)
+            .unwrap();
+        declared_first.insert("P", rows.clone()).unwrap();
+        let stats = declared_first.layout_stats("P").unwrap();
+        assert_eq!((stats.full_renders, stats.incremental_appends), (1, 1));
+
+        let loaded_first = Database::with_page_size(1024);
+        loaded_first.create_table(schema).unwrap();
+        loaded_first.insert("P", rows).unwrap();
+        loaded_first
+            .apply_layout("P", expr, ReorgStrategy::Eager)
+            .unwrap();
+
+        let (got, want) = (cells(&declared_first), cells(&loaded_first));
+        assert_eq!(want.0.len(), 100);
+        assert_eq!(
+            want.0[..4].iter().map(|c| c.0.clone()).collect::<Vec<_>>(),
+            [vec![0, 0], vec![1, 0], vec![0, 1], vec![1, 1]]
+        );
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn lazy_inserts_absorb_incrementally_on_next_access() {
         let db = small_db();
         db.apply_layout(

@@ -4,24 +4,16 @@
 //! point of an adaptive system: under live traffic, inserts must be absorbed
 //! into the existing representation. [`append_records`] runs the *record
 //! pipeline* (selection, projection, …) over just the new rows and writes
-//! them into the stored objects the layout already has:
+//! them through the renderer's own placement routine, so a grid cell,
+//! partition, column group or single object is written the same way whether
+//! its rows arrive in one render or in many appends. Grid cells and
+//! partitions are found through an index of the layout's objects by cell
+//! coordinate or label, so an append never visits the objects it does not
+//! write — and on a fork ([`PhysicalLayout::fork_for_append`]) it forks only
+//! the objects it writes.
 //!
-//! * **single-object layouts** (row-major, PAX, compressed column blocks) —
-//!   the new rows become new heap records / new column blocks at the end of
-//!   the object;
-//! * **grid layouts** — each new row is bucketed into the grid cell whose
-//!   bounds contain it; rows falling outside every existing cell get *new*
-//!   cell objects aligned to the same lattice;
-//! * **horizontal partitions** — rows are routed to their partition by the
-//!   original partitioning rule, creating objects for unseen labels;
-//! * **vertical partitions** — each new row is projected onto every field
-//!   group and appended to *all* objects, preserving the equal-row-set
-//!   invariant vertical reads depend on.
-//!
-//! Grid cells and partitions are found through an index of the layout's
-//! objects by cell coordinate or label, so an append never visits the
-//! objects it does not write — and on a fork
-//! ([`PhysicalLayout::fork_for_append`]) it forks only the objects it writes.
+//! A levelled `lsm[...]` tier absorbs the new rows into its memtable
+//! instead, leaving the base objects untouched.
 //!
 //! Shapes whose invariants cannot be maintained row-at-a-time — `fold`
 //! (groups are single heap records), `prejoin` (needs the other table),
@@ -35,22 +27,11 @@
 //! native ordering.
 
 use crate::pipeline::{self, TableProvider};
-use crate::plan::{
-    lattice_origin, CellBounds, ObjectEncoding, PhysicalLayout, StoredObject, Target,
-};
-use crate::render::{codec_map, partition_rows};
+use crate::plan::PhysicalLayout;
+use crate::render::place;
 use crate::Result;
-use rodentstore_algebra::expr::{GridDim, TransformKind};
-use rodentstore_algebra::value::Record;
-use rodentstore_compress::CodecKind;
-use rodentstore_storage::heap::{HeapFile, RecordId};
-use std::collections::HashMap;
+use rodentstore_algebra::expr::TransformKind;
 use std::sync::Arc;
-
-/// Where appended rows landed: `(object index, record id, row)`. The rows are
-/// moved in (they were owned by the append buckets anyway) so the declared
-/// index can be maintained without re-reading the heap.
-type Placed = Vec<(usize, RecordId, Record)>;
 
 /// What [`append_records`] did with the new rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,48 +53,53 @@ fn needs(reason: &str) -> Result<AppendOutcome> {
     Ok(AppendOutcome::NeedsRebuild(reason.to_string()))
 }
 
-/// The index of the object `key` routes to, pushing the one `create`
-/// builds when the layout has none yet.
-fn target_object(
-    layout: &mut PhysicalLayout,
-    key: Target,
-    create: impl FnOnce(&PhysicalLayout) -> StoredObject,
-) -> usize {
-    if let Some(&i) = layout.targets.get(&key) {
-        return i;
+/// Why new rows cannot be written into `layout` without a full re-render,
+/// or `None` when they can: the one rebuild rule, which [`append_records`]
+/// acts on and [`estimate_append_pages`] prices. A levelled tier absorbs
+/// rows whatever the base shape (fold, vertical+grid, …); only transforms
+/// whose output cannot be computed from the new rows alone defeat it.
+fn rebuild_reason(layout: &PhysicalLayout) -> Option<&'static str> {
+    let whole_input = [
+        (TransformKind::Prejoin, "prejoin"),
+        (TransformKind::Limit, "limit"),
+        (TransformKind::Comprehension, "comprehension"),
+    ];
+    if let Some((_, reason)) = whole_input
+        .iter()
+        .find(|(k, _)| layout.expr.contains_kind(*k))
+    {
+        return Some(reason);
     }
-    let i = layout.objects.len();
-    let obj = create(layout);
-    layout.objects.push(Arc::new(obj));
-    Arc::make_mut(&mut layout.targets).insert(key, i);
-    i
+    let d = &layout.derived;
+    if layout.lsm.is_some() {
+        None
+    } else if d.folded.is_some() {
+        Some("fold")
+    } else if !d.groups.is_empty() && (d.grid.is_some() || d.partitioned) {
+        // Vertical groups combined with gridding/partitioning multiply the
+        // object bookkeeping; only the pure shapes absorb rows in place.
+        Some("vertical partition combined with grid/partition")
+    } else {
+        None
+    }
 }
 
 /// Estimated pages written to absorb one batch of new rows — the write side
-/// of the cost model, mirroring the [`append_records`] rejection ladder so
-/// the advisor and the executor can never disagree about what a shape pays
+/// of the cost model, pricing the [`append_records`] rebuild rule so the
+/// advisor and the executor can never disagree about what a shape pays
 /// per insert. Shapes that reject incremental appends re-render the whole
 /// layout (every page); a levelled tier absorbs a batch for a couple of
 /// amortized run pages; in-place shapes touch roughly one tail page per
 /// stored object.
 pub fn estimate_append_pages(layout: &PhysicalLayout) -> usize {
-    let rebuild_always = layout.expr.contains_kind(TransformKind::Prejoin)
-        || layout.expr.contains_kind(TransformKind::Limit)
-        || layout.expr.contains_kind(TransformKind::Comprehension);
-    if rebuild_always {
-        return layout.total_pages().max(1);
-    }
-    if layout.lsm.is_some() {
+    if rebuild_reason(layout).is_some() {
+        layout.total_pages().max(1)
+    } else if layout.lsm.is_some() {
         // Memtable absorb plus the amortized share of spills and compaction.
-        return 2;
+        2
+    } else {
+        layout.objects.len().max(1)
     }
-    if layout.derived.folded.is_some()
-        || (!layout.derived.groups.is_empty()
-            && (layout.derived.grid.is_some() || layout.derived.partitioned))
-    {
-        return layout.total_pages().max(1);
-    }
-    layout.objects.len().max(1)
 }
 
 /// Appends the rows supplied by `provider` (the *new* canonical rows of the
@@ -123,35 +109,9 @@ pub fn append_records<P: TableProvider + ?Sized>(
     layout: &mut PhysicalLayout,
     provider: &P,
 ) -> Result<AppendOutcome> {
-    if layout.expr.contains_kind(TransformKind::Prejoin) {
-        return needs("prejoin");
+    if let Some(reason) = rebuild_reason(layout) {
+        return needs(reason);
     }
-    if layout.expr.contains_kind(TransformKind::Limit) {
-        return needs("limit");
-    }
-    if layout.expr.contains_kind(TransformKind::Comprehension) {
-        return needs("comprehension");
-    }
-    // A levelled tier absorbs the new rows into its memtable no matter how
-    // unfriendly the base shape is (fold, vertical+grid, …): the base objects
-    // are left untouched and the rows surface through the tier's runs. Only
-    // transforms whose output cannot be computed from the new rows alone
-    // (prejoin, limit, comprehensions — rejected above) still force a
-    // rebuild.
-    if layout.lsm.is_some() {
-        return append_lsm(layout, provider);
-    }
-    if layout.derived.folded.is_some() {
-        return needs("fold");
-    }
-    if !layout.derived.groups.is_empty()
-        && (layout.derived.grid.is_some() || layout.derived.partitioned)
-    {
-        // Vertical groups combined with gridding/partitioning multiply the
-        // object bookkeeping; only the pure shapes absorb rows in place.
-        return needs("vertical partition combined with grid/partition");
-    }
-
     // Run the tuple-level pipeline over just the new rows: selection drops
     // non-qualifying tuples, projection reshapes them into the layout schema.
     let expr = layout.expr.clone();
@@ -159,255 +119,33 @@ pub fn append_records<P: TableProvider + ?Sized>(
     if schema.field_names() != layout.schema.field_names() {
         return needs("schema drift");
     }
-    if new_rows.is_empty() {
-        return Ok(AppendOutcome::Appended {
-            objects_touched: 0,
-            rows_appended: 0,
-        });
-    }
     let rows_appended = new_rows.len();
-
-    let (objects_touched, placed) = if let Some(dims) = layout.derived.grid.clone() {
-        append_grid(layout, &dims, new_rows)?
-    } else if layout.derived.partitioned {
-        append_partitions(layout, new_rows)?
-    } else if !layout.derived.groups.is_empty() {
-        (append_vertical(layout, new_rows)?, Placed::new())
-    } else if layout.objects.len() == 1
-        && layout.objects[0].fields == layout.schema.field_names()
-    {
-        let ids = layout.object_mut(0)?.write_rows(&new_rows)?;
-        let placed = ids
-            .into_iter()
-            .zip(new_rows)
-            .map(|(rid, row)| (0, rid, row))
-            .collect();
-        (1, placed)
+    let objects_touched = if rows_appended == 0 {
+        0
+    } else if layout.lsm.is_some() {
+        // The tier spills into sorted runs and compacts as thresholds are
+        // crossed; the objects it reports are the runs it added.
+        let pager = Arc::clone(layout.pager());
+        let lsm = layout.lsm.as_mut().expect("checked above");
+        let runs_before = lsm.runs.len();
+        lsm.absorb(&pager, &layout.name, &layout.schema, new_rows)?;
+        lsm.runs.len().saturating_sub(runs_before)
     } else {
-        return needs("unrecognized multi-object shape");
+        let Some((touched, placed)) = place(layout, new_rows)? else {
+            return needs("unrecognized multi-object shape");
+        };
+        crate::index::maintain_index(layout, &placed)?;
+        // Appended rows are not sorted into place; drop native-order claims
+        // so ordered scans re-sort instead of returning wrongly ordered
+        // results.
+        layout.derived.orderings.clear();
+        touched
     };
-
-    crate::index::maintain_index(layout, &placed)?;
     layout.row_count += rows_appended;
-    // Appended rows are not sorted into place; drop native-order claims so
-    // ordered scans re-sort instead of returning wrongly ordered results.
-    layout.derived.orderings.clear();
     Ok(AppendOutcome::Appended {
         objects_touched,
         rows_appended,
     })
-}
-
-/// Appends into the levelled tier of an `lsm[...]` layout: the new rows run
-/// through the record pipeline and land in the memtable (spilling into sorted
-/// runs and compacting as thresholds are crossed); the base objects are never
-/// touched.
-fn append_lsm<P: TableProvider + ?Sized>(
-    layout: &mut PhysicalLayout,
-    provider: &P,
-) -> Result<AppendOutcome> {
-    let expr = layout.expr.clone();
-    let (schema, new_rows) = pipeline::materialize(&expr, provider)?;
-    if schema.field_names() != layout.schema.field_names() {
-        return needs("schema drift");
-    }
-    if new_rows.is_empty() {
-        return Ok(AppendOutcome::Appended {
-            objects_touched: 0,
-            rows_appended: 0,
-        });
-    }
-    let rows_appended = new_rows.len();
-    let name = layout.name.clone();
-    let layout_schema = layout.schema.clone();
-    let pager = Arc::clone(layout.pager());
-    let lsm = layout
-        .lsm
-        .as_mut()
-        .expect("append_lsm called without a levelled tier");
-    let runs_before = lsm.runs.len();
-    lsm.absorb(&pager, &name, &layout_schema, new_rows)?;
-    let runs_after = lsm.runs.len();
-    layout.row_count += rows_appended;
-    Ok(AppendOutcome::Appended {
-        objects_touched: runs_after.saturating_sub(runs_before),
-        rows_appended,
-    })
-}
-
-/// Appends to a vertical partition: every new row is projected onto each
-/// object's field group and appended to *all* objects, which preserves the
-/// invariant vertical reads depend on — every object holds exactly the same
-/// row set, in the same order.
-fn append_vertical(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<usize> {
-    let positions: Vec<Vec<usize>> = layout
-        .objects
-        .iter()
-        .map(|obj| {
-            obj.fields
-                .iter()
-                .map(|f| {
-                    layout
-                        .schema
-                        .index_of(f)
-                        .map_err(crate::LayoutError::Algebra)
-                })
-                .collect::<Result<Vec<usize>>>()
-        })
-        .collect::<Result<_>>()?;
-    for (i, positions) in positions.into_iter().enumerate() {
-        let projected: Vec<Record> = rows
-            .iter()
-            .map(|r| positions.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        layout.object_mut(i)?.write_rows(&projected)?;
-    }
-    Ok(layout.objects.len())
-}
-
-/// Buckets new rows into grid cells, appending to existing cell objects and
-/// creating lattice-aligned objects for cells the data has not reached yet.
-fn append_grid(
-    layout: &mut PhysicalLayout,
-    dims: &[GridDim],
-    rows: Vec<Record>,
-) -> Result<(usize, Placed)> {
-    let dim_indices: Vec<usize> = dims
-        .iter()
-        .map(|d| {
-            layout
-                .schema
-                .index_of(&d.field)
-                .map_err(crate::LayoutError::Algebra)
-        })
-        .collect::<Result<_>>()?;
-
-    // A layout rendered over an empty table has no cells yet, so fall back
-    // to the render rule: origin = per-dimension minimum.
-    let origins: Vec<f64> = match lattice_origin(&layout.objects, dims) {
-        Some(origins) => origins,
-        None => {
-            let mut origins = vec![f64::INFINITY; dims.len()];
-            for r in &rows {
-                for (d, &idx) in dim_indices.iter().enumerate() {
-                    if let Some(v) = r[idx].as_f64() {
-                        origins[d] = origins[d].min(v);
-                    }
-                }
-            }
-            origins
-                .into_iter()
-                .map(|o| if o.is_finite() { o } else { 0.0 })
-                .collect()
-        }
-    };
-
-    // Group rows by signed lattice coordinate (rows below the original origin
-    // land in cells with negative coordinates; their bounds stay exact).
-    let mut buckets: Vec<(Vec<i64>, Vec<Record>)> = Vec::new();
-    for r in rows {
-        let mut coords = Vec::with_capacity(dims.len());
-        for (d, &idx) in dim_indices.iter().enumerate() {
-            let v = r[idx].as_f64().unwrap_or(origins[d]);
-            coords.push(((v - origins[d]) / dims[d].stride).floor() as i64);
-        }
-        if let Some((_, bucket)) = buckets.iter_mut().find(|(c, _)| *c == coords) {
-            bucket.push(r);
-        } else {
-            buckets.push((coords, vec![r]));
-        }
-    }
-
-    // Encoding and codecs for any newly created cell mirror the existing
-    // cells (or the derived codecs when the layout is still empty).
-    let codecs: HashMap<String, CodecKind> = layout
-        .objects
-        .first()
-        .map(|o| o.codecs.clone())
-        .unwrap_or_else(|| codec_map(&layout.derived));
-    let encoding = layout
-        .objects
-        .first()
-        .map(|o| o.encoding.clone())
-        .unwrap_or_else(|| {
-            if codecs.is_empty() {
-                ObjectEncoding::Rows
-            } else {
-                ObjectEncoding::ColumnBlocks {
-                    block_rows: layout.derived.chunk.unwrap_or(1024),
-                }
-            }
-        });
-
-    let mut touched = 0usize;
-    let mut placed = Placed::new();
-    for (coords, bucket) in buckets {
-        let obj_idx = target_object(layout, Target::Cell(coords.clone()), |layout| {
-            let bounds = CellBounds {
-                dims: dims
-                    .iter()
-                    .zip(coords.iter())
-                    .enumerate()
-                    .map(|(d, (dim, &c))| {
-                        let lo = origins[d] + c as f64 * dim.stride;
-                        (dim.field.clone(), lo, lo + dim.stride)
-                    })
-                    .collect(),
-                coords: coords
-                    .iter()
-                    .map(|&c| c.clamp(0, u32::MAX as i64) as u32)
-                    .collect(),
-            };
-            StoredObject::new(
-                format!("{}/cell{coords:?}+", layout.name),
-                layout.schema.field_names(),
-                HeapFile::create(
-                    format!("{}.cell{coords:?}+", layout.name),
-                    Arc::clone(layout.pager()),
-                ),
-                encoding.clone(),
-                codecs.clone(),
-                Some(bounds),
-            )
-        });
-        let ids = layout.object_mut(obj_idx)?.write_rows(&bucket)?;
-        placed.extend(
-            ids.into_iter()
-                .zip(bucket)
-                .map(|(rid, row)| (obj_idx, rid, row)),
-        );
-        touched += 1;
-    }
-    Ok((touched, placed))
-}
-
-/// Routes new rows to their horizontal partition by re-evaluating the
-/// original partitioning rule, creating objects for unseen labels.
-fn append_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
-    let buckets = partition_rows(&layout.expr, &layout.schema, rows)?;
-    let mut touched = 0usize;
-    let mut placed = Placed::new();
-    for (label, bucket) in buckets {
-        let obj_idx = target_object(layout, Target::Label(label.clone()), |layout| {
-            let p = layout.objects.len();
-            StoredObject::new(
-                format!("{}/part{p}={label}", layout.name),
-                layout.schema.field_names(),
-                HeapFile::create(format!("{}.p{p}+", layout.name), Arc::clone(layout.pager())),
-                ObjectEncoding::Rows,
-                HashMap::new(),
-                None,
-            )
-        });
-        let ids = layout.object_mut(obj_idx)?.write_rows(&bucket)?;
-        placed.extend(
-            ids.into_iter()
-                .zip(bucket)
-                .map(|(rid, row)| (obj_idx, rid, row)),
-        );
-        touched += 1;
-    }
-    Ok((touched, placed))
 }
 
 #[cfg(test)]
@@ -418,7 +156,7 @@ mod tests {
     use rodentstore_algebra::comprehension::Condition;
     use rodentstore_algebra::schema::{Field, Schema};
     use rodentstore_algebra::types::DataType;
-    use rodentstore_algebra::value::Value;
+    use rodentstore_algebra::value::{Record, Value};
     use rodentstore_algebra::LayoutExpr;
     use rodentstore_storage::pager::Pager;
 

@@ -12,9 +12,11 @@
 //! 1. [`render::render`] validates an expression against the logical schema,
 //!    runs the *record pipeline* (selection, projection, ordering, grouping,
 //!    folding, prejoining — the transforms that decide which tuples exist and
-//!    in what order), and then applies the *structural strategy* (rows,
-//!    column groups, PAX mini-pages, grid cells ordered along a space-filling
-//!    curve) to write [`plan::StoredObject`]s into heap files.
+//!    in what order), and then places the tuples into the empty layout the
+//!    *structural strategy* calls for (rows, column groups, PAX mini-pages,
+//!    grid cells ordered along a space-filling curve), writing
+//!    [`plan::StoredObject`]s into heap files. [`append::append_records`]
+//!    places new rows through the same routine.
 //! 2. The resulting [`plan::PhysicalLayout`] exposes scans with projection
 //!    and predicates, element access, and page-count estimation. Grid
 //!    layouts prune cells whose bounds do not intersect range predicates;

@@ -6,6 +6,7 @@
 //! module materializes that record stream; [`crate::render()`] then applies the
 //! structural strategy (rows / columns / PAX / grid cells) to write it out.
 
+use crate::scan::CompiledPredicate;
 use crate::{LayoutError, Result};
 use rodentstore_algebra::expr::{sort_by_positions, LayoutExpr, SortKey};
 use rodentstore_algebra::schema::Schema;
@@ -120,12 +121,11 @@ pub fn materialize<P: TableProvider + ?Sized>(
         }
         LayoutExpr::Select { input, predicate } => {
             let (schema, records) = materialize(input, provider)?;
+            let predicate =
+                CompiledPredicate::compile(predicate, &schema.field_names(), schema.name())?;
             let mut out = Vec::with_capacity(records.len());
             for r in records {
-                if predicate
-                    .eval(&schema, &r)
-                    .map_err(LayoutError::Algebra)?
-                {
+                if predicate.matches(&r)? {
                     out.push(r);
                 }
             }

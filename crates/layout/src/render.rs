@@ -2,46 +2,54 @@
 //!
 //! `render` is the concrete implementation of the paper's *algebra
 //! interpreter* (Section 4.2): it validates the expression, materializes the
-//! record pipeline, chooses a structural strategy, and writes heap-file
-//! objects through the pager:
+//! record pipeline, builds the empty layout the derived shape calls for, and
+//! places the rows into it through `place` — the routine
+//! [`crate::append_records`] runs for new rows too, so each shape has one
+//! writer:
 //!
-//! * **grid** (`grid`, optionally `zorder`) — one object per cell, cells
-//!   written in space-filling-curve order so spatially adjacent cells are
-//!   adjacent on disk;
+//! * **grid** (`grid`, optionally `zorder`) — one object per cell, created
+//!   when a row first reaches it; the cells one placement writes follow the
+//!   layout's cell order (the Z curve under `zorder`), so spatially adjacent
+//!   cells are adjacent on disk;
 //! * **vertical partition / column-major** — one object per column group,
-//!   encoded as column blocks (with any requested compression);
+//!   encoded as column blocks (with any requested compression), every
+//!   object holding every row in the same order;
 //! * **PAX** — a single object whose heap records are per-attribute
 //!   mini-pages;
 //! * **fold** — one heap record per key group with the nested values
-//!   attached;
-//! * **horizontal partition** — one full-width object per partition;
+//!   attached, written whole by the renderer;
+//! * **horizontal partition** — one full-width row object per partition,
+//!   created when a row first reaches it;
 //! * **row-major** (the default canonical representation) — a single object
 //!   with one heap record per tuple.
 
-use crate::pipeline::{self, TableProvider};
-use crate::plan::{CellBounds, ObjectEncoding, PhysicalLayout, StoredObject};
-use crate::rowcodec::encode_record;
-use crate::{LayoutError, Result};
 pub use crate::pipeline::MemTableProvider;
-use rodentstore_algebra::expr::{CodecSpec, GridDim, LayoutExpr, PartitionBy};
+use crate::pipeline::{self, TableProvider};
+use crate::plan::{
+    lattice_origin, CellBounds, ObjectEncoding, PhysicalLayout, StoredObject, Target,
+};
+use crate::rowcodec::encode_record;
+use crate::scan::CompiledPredicate;
+use crate::{LayoutError, Result};
+use rodentstore_algebra::expr::{CodecSpec, LayoutExpr, PartitionBy};
 use rodentstore_algebra::validate::{check_with, DerivedLayout};
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_compress::CodecKind;
-use rodentstore_sfc::{order_cells, Curve};
-use rodentstore_storage::heap::HeapFile;
+use rodentstore_sfc::morton_n;
+use rodentstore_storage::heap::{HeapFile, RecordId};
 use rodentstore_storage::pager::Pager;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
+
+/// Rows per column block when the expression declares no `chunk`.
+const DEFAULT_BLOCK_ROWS: usize = 1024;
 
 /// Options controlling how the renderer writes objects.
 #[derive(Debug, Clone)]
 pub struct RenderOptions {
     /// Name for the layout; defaults to `<table>__<expression kind>`.
     pub name: Option<String>,
-    /// Rows per column block for column-block encodings.
-    pub block_rows: usize,
-    /// Space-filling curve used when the expression requests `zorder`.
-    pub curve: Curve,
     /// Memtable spill threshold (rows) for freshly rendered `lsm` tiers.
     /// Tests shrink it to exercise multi-level shapes with few rows;
     /// reattached tiers keep whatever was persisted.
@@ -54,8 +62,6 @@ impl Default for RenderOptions {
     fn default() -> Self {
         RenderOptions {
             name: None,
-            block_rows: 1024,
-            curve: Curve::ZOrder,
             lsm_memtable_cap: crate::lsm::DEFAULT_MEMTABLE_CAP,
             lsm_fanout: crate::lsm::DEFAULT_FANOUT,
         }
@@ -72,12 +78,19 @@ fn codec_kind(spec: CodecSpec) -> CodecKind {
     }
 }
 
-pub(crate) fn codec_map(derived: &DerivedLayout) -> HashMap<String, CodecKind> {
+fn codec_map(derived: &DerivedLayout) -> HashMap<String, CodecKind> {
     derived
         .codecs
         .iter()
         .map(|(field, spec)| (field.clone(), codec_kind(*spec)))
         .collect()
+}
+
+/// Column blocks of the declared `chunk` size, else [`DEFAULT_BLOCK_ROWS`].
+fn column_blocks(derived: &DerivedLayout) -> ObjectEncoding {
+    ObjectEncoding::ColumnBlocks {
+        block_rows: derived.chunk.unwrap_or(DEFAULT_BLOCK_ROWS).max(1),
+    }
 }
 
 fn find_partition(expr: &LayoutExpr) -> Option<&PartitionBy> {
@@ -92,35 +105,93 @@ fn find_partition(expr: &LayoutExpr) -> Option<&PartitionBy> {
     None
 }
 
-/// Buckets rows by the label of their horizontal partition under the
-/// expression's partitioning rule: labels in first-seen order, rows in
-/// arrival order within a label. A render and an append both route rows
-/// this way.
-pub(crate) fn partition_rows(
-    expr: &LayoutExpr,
-    schema: &rodentstore_algebra::Schema,
-    rows: impl IntoIterator<Item = Record>,
-) -> Result<Vec<(String, Vec<Record>)>> {
-    let by = find_partition(expr).ok_or_else(|| {
-        LayoutError::Unsupported("partitioned layout without a partition transform".into())
-    })?;
-    let mut buckets: Vec<(String, Vec<Record>)> = Vec::new();
-    for r in rows {
-        let label = match by {
-            PartitionBy::Field(field) => r[schema.index_of(field)?].to_string(),
-            PartitionBy::Stride(field, stride) => {
-                let v = r[schema.index_of(field)?].as_f64().unwrap_or(0.0);
-                format!("{}", (v / stride).floor() as i64)
-            }
-            PartitionBy::Predicate(cond) if cond.eval(schema, &r)? => "match".to_string(),
-            PartitionBy::Predicate(_) => "rest".to_string(),
-        };
-        match buckets.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, bucket)) => bucket.push(r),
-            None => buckets.push((label, vec![r])),
+/// Which writer a derived layout's rows go through. The precedence between
+/// the structural transforms lives here alone: the empty layout [`render`]
+/// builds and [`place`] both follow it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// One object per grid cell.
+    Cells,
+    /// One column-block object per vertical group.
+    Groups,
+    /// One PAX, compressed or row object.
+    Single,
+    /// One heap record per `fold` key group.
+    Folded,
+    /// One row object per horizontal partition.
+    Partitions,
+}
+
+impl Shape {
+    fn of(derived: &DerivedLayout) -> Shape {
+        if derived.grid.is_some() {
+            Shape::Cells
+        } else if !derived.groups.is_empty() {
+            Shape::Groups
+        } else if derived.pax.is_some() {
+            Shape::Single
+        } else if derived.folded.is_some() {
+            Shape::Folded
+        } else if derived.partitioned {
+            Shape::Partitions
+        } else {
+            Shape::Single
         }
     }
-    Ok(buckets)
+}
+
+/// The objects of `derived`'s layout before any row arrives: one per
+/// vertical group, or the one PAX, compressed or row object. Grids and
+/// partitions start with none ([`place`] creates each cell and partition
+/// when a row first reaches it), and a fold is written whole by
+/// [`render_folded`].
+fn empty_objects(name: &str, derived: &DerivedLayout, pager: &Arc<Pager>) -> Vec<StoredObject> {
+    let codecs = codec_map(derived);
+    let object = |suffix: String, file: String, fields: Vec<String>, encoding| {
+        StoredObject::new(
+            format!("{name}/{suffix}"),
+            fields,
+            HeapFile::create(format!("{name}.{file}"), Arc::clone(pager)),
+            encoding,
+            codecs.clone(),
+            None,
+        )
+    };
+    let fields = derived.schema.field_names();
+    match Shape::of(derived) {
+        Shape::Cells | Shape::Partitions | Shape::Folded => Vec::new(),
+        Shape::Groups => derived
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(g, group)| {
+                let suffix = format!("group{g}[{}]", group.join(","));
+                object(
+                    suffix,
+                    format!("g{g}"),
+                    group.clone(),
+                    column_blocks(derived),
+                )
+            })
+            .collect(),
+        Shape::Single => vec![match &derived.pax {
+            Some(pax) => object(
+                "pax".into(),
+                "pax".into(),
+                fields,
+                ObjectEncoding::ColumnBlocks {
+                    block_rows: pax.records_per_page,
+                },
+            ),
+            None if !codecs.is_empty() => object(
+                "compressed".into(),
+                "cb".into(),
+                fields,
+                column_blocks(derived),
+            ),
+            None => object("rows".into(), "rows".into(), fields, ObjectEncoding::Rows),
+        }],
+    }
 }
 
 /// Renders a storage-algebra expression into a [`PhysicalLayout`], writing
@@ -133,94 +204,23 @@ pub fn render<P: TableProvider + ?Sized>(
 ) -> Result<PhysicalLayout> {
     let derived = check_with(expr, &pipeline::ProviderSchemas(provider))?;
     let (_, records) = pipeline::materialize(expr, provider)?;
-    let schema = derived.schema.clone();
     let name = options.name.clone().unwrap_or_else(|| {
-        format!(
-            "{}__{:?}",
-            expr.base_tables().join("_"),
-            expr.kind()
-        )
-        .to_lowercase()
+        format!("{}__{:?}", expr.base_tables().join("_"), expr.kind()).to_lowercase()
     });
-    let codecs = codec_map(&derived);
-    let block_rows = derived.chunk.unwrap_or(options.block_rows).max(1);
-    let row_count = records.len();
-
-    let mut objects: Vec<StoredObject> = Vec::new();
-
-    if let Some(dims) = derived.grid.clone() {
-        objects = render_grid(
-            &name, &records, &schema, &derived, &dims, &codecs, block_rows, &options, &pager,
-        )?;
-    } else if !derived.groups.is_empty() {
-        // Vertical partitioning / full column decomposition.
-        for (g, group) in derived.groups.iter().enumerate() {
-            let indices: Vec<usize> = group
-                .iter()
-                .map(|f| schema.index_of(f).map_err(LayoutError::Algebra))
-                .collect::<Result<_>>()?;
-            let group_rows: Vec<Record> = records
-                .iter()
-                .map(|r| indices.iter().map(|&i| r[i].clone()).collect())
-                .collect();
-            let mut obj = StoredObject::new(
-                format!("{name}/group{g}[{}]", group.join(",")),
-                group.clone(),
-                HeapFile::create(format!("{name}.g{g}"), Arc::clone(&pager)),
-                ObjectEncoding::ColumnBlocks { block_rows },
-                codecs.clone(),
-                None,
-            );
-            obj.write_rows(&group_rows)?;
-            objects.push(obj);
-        }
-    } else if let Some(pax) = &derived.pax {
-        let mut obj = StoredObject::new(
-            format!("{name}/pax"),
-            schema.field_names(),
-            HeapFile::create(format!("{name}.pax"), Arc::clone(&pager)),
-            ObjectEncoding::ColumnBlocks {
-                block_rows: pax.records_per_page,
-            },
-            codecs.clone(),
-            None,
-        );
-        obj.write_rows(&records)?;
-        objects.push(obj);
-    } else if let Some((key, values)) = derived.folded.clone() {
+    let shape = Shape::of(&derived);
+    let mut objects = empty_objects(&name, &derived, &pager);
+    if let (Shape::Folded, Some((key, values))) = (shape, &derived.folded) {
         objects.push(render_folded(
-            &name, &records, &schema, &key, &values, &pager,
+            &name,
+            &records,
+            &derived.schema,
+            key,
+            values,
+            &pager,
         )?);
-    } else if derived.partitioned {
-        objects = render_partitions(&name, expr, &records, &schema, &pager)?;
-    } else if !codecs.is_empty() {
-        // Compression without an explicit structural transform: store the
-        // whole relation as column blocks so the codecs have a columnar
-        // substrate to work on.
-        let mut obj = StoredObject::new(
-            format!("{name}/compressed"),
-            schema.field_names(),
-            HeapFile::create(format!("{name}.cb"), Arc::clone(&pager)),
-            ObjectEncoding::ColumnBlocks { block_rows },
-            codecs.clone(),
-            None,
-        );
-        obj.write_rows(&records)?;
-        objects.push(obj);
-    } else {
-        // Canonical row-major representation.
-        let mut obj = StoredObject::new(
-            format!("{name}/rows"),
-            schema.field_names(),
-            HeapFile::create(format!("{name}.rows"), Arc::clone(&pager)),
-            ObjectEncoding::Rows,
-            HashMap::new(),
-            None,
-        );
-        obj.write_rows(&records)?;
-        objects.push(obj);
     }
-
+    let schema = derived.schema.clone();
+    let row_count = records.len();
     let mut layout = PhysicalLayout::new(
         name,
         expr.clone(),
@@ -230,6 +230,11 @@ pub fn render<P: TableProvider + ?Sized>(
         row_count,
         pager,
     );
+    if shape != Shape::Folded {
+        place(&mut layout, records)?.ok_or_else(|| {
+            LayoutError::Corrupted(format!("`{}` objects do not fit its shape", layout.name))
+        })?;
+    }
     if let Some(fields) = layout.derived.index.clone() {
         layout.index = Some(crate::index::build_index(&layout, &fields)?);
     }
@@ -245,106 +250,272 @@ pub fn render<P: TableProvider + ?Sized>(
     Ok(layout)
 }
 
-/// Grid strategy: bucket tuples into cells, order the cells along the
-/// requested curve (or a deterministic hash order when no `zorder` was
-/// requested, mirroring the paper's hash-table cell directory), and write one
-/// object per cell.
-#[allow(clippy::too_many_arguments)]
-fn render_grid(
-    name: &str,
-    records: &[Record],
-    schema: &rodentstore_algebra::Schema,
-    derived: &DerivedLayout,
-    dims: &[GridDim],
-    codecs: &HashMap<String, CodecKind>,
-    block_rows: usize,
-    options: &RenderOptions,
-    pager: &Arc<Pager>,
-) -> Result<Vec<StoredObject>> {
-    let dim_indices: Vec<usize> = dims
-        .iter()
-        .map(|d| schema.index_of(&d.field).map_err(LayoutError::Algebra))
-        .collect::<Result<_>>()?;
+/// Where placed rows landed: `(object index, record id, row)`, for
+/// row-encoded objects (column blocks are not slot-addressable). The rows
+/// are moved in, so an append maintains the declared index without
+/// re-reading the heap.
+pub(crate) type Placed = Vec<(usize, RecordId, Record)>;
 
-    // Per-dimension origin = minimum value, so cell coordinates are dense.
-    let mut origins = vec![f64::INFINITY; dims.len()];
-    for r in records {
-        for (d, &idx) in dim_indices.iter().enumerate() {
-            if let Some(v) = r[idx].as_f64() {
-                origins[d] = origins[d].min(v);
+fn landed(
+    obj: usize,
+    ids: Vec<RecordId>,
+    rows: Vec<Record>,
+) -> impl Iterator<Item = (usize, RecordId, Record)> {
+    ids.into_iter()
+        .zip(rows)
+        .map(move |(rid, row)| (obj, rid, row))
+}
+
+/// Writes materialized rows into `layout`'s objects: the one writer of
+/// every shape but fold, which [`render`] runs over an empty layout and
+/// [`crate::append_records`] over a rendered one.
+///
+/// * **cells** — rows are bucketed by lattice coordinate, on the lattice
+///   the layout's cells sit on (or, before any cell exists, the one whose
+///   origin is the rows' per-dimension minimum); cells the rows reach first
+///   are created lattice-aligned, rows below the origin getting negative
+///   coordinates with exact bounds;
+/// * **partitions** — rows are routed by the partitioning rule, creating an
+///   object for each unseen label;
+/// * **groups** — every row is projected onto each group and appended to
+///   *all* objects, keeping the equal-row-set invariant vertical reads
+///   depend on;
+/// * **single object** — rows become new heap records or column blocks at
+///   the end of the object.
+///
+/// Returns how many objects were written and where row-encoded rows
+/// landed, or `None` when the objects do not fit the shape.
+pub(crate) fn place(
+    layout: &mut PhysicalLayout,
+    rows: Vec<Record>,
+) -> Result<Option<(usize, Placed)>> {
+    Ok(Some(match Shape::of(&layout.derived) {
+        Shape::Cells => place_cells(layout, rows)?,
+        Shape::Partitions => place_partitions(layout, rows)?,
+        Shape::Groups => (place_groups(layout, &rows)?, Placed::new()),
+        Shape::Single
+            if layout.objects.len() == 1
+                && layout.objects[0].fields == layout.schema.field_names() =>
+        {
+            let ids = layout.object_mut(0)?.write_rows(&rows)?;
+            (1, landed(0, ids, rows).collect())
+        }
+        Shape::Single | Shape::Folded => return Ok(None),
+    }))
+}
+
+/// Groups rows by `key` through a hash index of the keys seen: keys in
+/// first-seen order, rows in arrival order within a key.
+fn bucket<K: Hash + Eq + Clone>(
+    rows: Vec<Record>,
+    mut key: impl FnMut(&Record) -> Result<K>,
+) -> Result<Vec<(K, Vec<Record>)>> {
+    let mut seen: HashMap<K, usize> = HashMap::new();
+    let mut buckets: Vec<(K, Vec<Record>)> = Vec::new();
+    for r in rows {
+        let k = key(&r)?;
+        match seen.get(&k) {
+            Some(&b) => buckets[b].1.push(r),
+            None => {
+                seen.insert(k.clone(), buckets.len());
+                buckets.push((k, vec![r]));
             }
         }
     }
-    for origin in &mut origins {
-        if !origin.is_finite() {
-            *origin = 0.0;
-        }
-    }
+    Ok(buckets)
+}
 
-    // Bucket records into cells.
-    let mut cells: HashMap<Vec<u32>, Vec<Record>> = HashMap::new();
-    for r in records {
-        let mut coords = Vec::with_capacity(dims.len());
-        for (d, &idx) in dim_indices.iter().enumerate() {
-            let v = r[idx].as_f64().unwrap_or(origins[d]);
-            let c = ((v - origins[d]) / dims[d].stride).floor().max(0.0) as u32;
-            coords.push(c);
-        }
-        cells.entry(coords).or_default().push(r.clone());
+/// Writes each bucket into the object its key names in the layout's object
+/// index, first creating the object with `create` when there is none.
+fn place_buckets<K>(
+    layout: &mut PhysicalLayout,
+    buckets: Vec<(K, Vec<Record>)>,
+    target: impl Fn(&K) -> Target,
+    create: impl Fn(&PhysicalLayout, &K) -> StoredObject,
+) -> Result<(usize, Placed)> {
+    let touched = buckets.len();
+    let mut placed = Placed::new();
+    for (key, rows) in buckets {
+        let target = target(&key);
+        let i = match layout.targets.get(&target) {
+            Some(&i) => i,
+            None => {
+                let obj = create(layout, &key);
+                layout.objects.push(Arc::new(obj));
+                let i = layout.objects.len() - 1;
+                Arc::make_mut(&mut layout.targets).insert(target, i);
+                i
+            }
+        };
+        let ids = layout.object_mut(i)?.write_rows(&rows)?;
+        placed.extend(landed(i, ids, rows));
     }
+    Ok((touched, placed))
+}
 
-    // Choose the cell storage order.
-    let mut coords: Vec<Vec<u32>> = cells.keys().cloned().collect();
-    coords.sort(); // deterministic base order
-    let order: Vec<usize> = if derived.zordered {
-        order_cells(&coords, options.curve)
+/// A cell's rank in the layout's cell order: its position on the Z curve
+/// under `zorder`, else a deterministic hash of its coordinates — the
+/// paper's N3 tracks cells in a hash table, so their order is arbitrary,
+/// but benchmarks must be reproducible.
+fn cell_rank(coords: &[u32], zordered: bool) -> u64 {
+    if zordered {
+        morton_n(coords)
     } else {
-        // No zorder: the paper's N3 tracks cells with a hash table, i.e. an
-        // essentially arbitrary order. Use a deterministic pseudo-random
-        // permutation so benchmarks are reproducible.
-        let mut idx: Vec<usize> = (0..coords.len()).collect();
-        idx.sort_by_key(|&i| {
-            coords[i]
-                .iter()
-                .fold(0u64, |acc, &c| acc.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(c as u64))
-        });
-        idx
-    };
+        coords.iter().fold(0u64, |acc, &c| {
+            acc.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(c as u64)
+        })
+    }
+}
 
+/// Grid placement (see [`place`]). The cells are written in the layout's
+/// cell order over this batch, their coordinates shifted by the batch's
+/// minimum so cells below the origin order too; a render's origin is the
+/// data minimum, so there the shift is zero.
+fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
+    let dims = layout.derived.grid.clone().unwrap_or_default();
+    let at: Vec<usize> = dims
+        .iter()
+        .map(|d| layout.schema.index_of(&d.field))
+        .collect::<std::result::Result<_, _>>()?;
+    let origins = lattice_origin(&layout.objects, &dims).unwrap_or_else(|| {
+        at.iter()
+            .map(|&i| {
+                let lo = rows
+                    .iter()
+                    .filter_map(|r| r[i].as_f64())
+                    .fold(f64::INFINITY, f64::min);
+                if lo.is_finite() {
+                    lo
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    });
+    let mut cells = bucket(rows, |r| {
+        Ok(at
+            .iter()
+            .zip(&dims)
+            .zip(&origins)
+            .map(|((&i, dim), &o)| ((r[i].as_f64().unwrap_or(o) - o) / dim.stride).floor() as i64)
+            .collect::<Vec<i64>>())
+    })?;
+    let low: Vec<i64> = (0..dims.len())
+        .map(|d| cells.iter().map(|(c, _)| c[d]).min().unwrap_or(0))
+        .collect();
+    // Coordinates break rank ties, as a sorted base order.
+    cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let zordered = layout.derived.zordered;
+    cells.sort_by_cached_key(|(c, _)| {
+        let shifted: Vec<u32> = c
+            .iter()
+            .zip(&low)
+            .map(|(c, low)| c.abs_diff(*low).min(u32::MAX.into()) as u32)
+            .collect();
+        cell_rank(&shifted, zordered)
+    });
+    let codecs = codec_map(&layout.derived);
     let encoding = if codecs.is_empty() {
         ObjectEncoding::Rows
     } else {
-        ObjectEncoding::ColumnBlocks { block_rows }
+        column_blocks(&layout.derived)
     };
+    place_buckets(
+        layout,
+        cells,
+        |coords| Target::Cell(coords.clone()),
+        |layout, coords| {
+            let bounds = CellBounds {
+                dims: dims
+                    .iter()
+                    .zip(coords)
+                    .zip(&origins)
+                    .map(|((dim, &c), &o)| {
+                        let lo = o + c as f64 * dim.stride;
+                        (dim.field.clone(), lo, lo + dim.stride)
+                    })
+                    .collect(),
+                coords: coords
+                    .iter()
+                    .map(|&c| c.clamp(0, u32::MAX as i64) as u32)
+                    .collect(),
+            };
+            StoredObject::new(
+                format!("{}/cell{coords:?}", layout.name),
+                layout.schema.field_names(),
+                HeapFile::create(
+                    format!("{}.cell{coords:?}", layout.name),
+                    Arc::clone(layout.pager()),
+                ),
+                encoding.clone(),
+                codecs.clone(),
+                Some(bounds),
+            )
+        },
+    )
+}
 
-    let mut objects = Vec::with_capacity(coords.len());
-    for &ci in &order {
-        let coord = &coords[ci];
-        let cell_records = &cells[coord];
-        let bounds = CellBounds {
-            dims: dims
-                .iter()
-                .zip(coord.iter())
-                .enumerate()
-                .map(|(d, (dim, &c))| {
-                    let lo = origins[d] + c as f64 * dim.stride;
-                    (dim.field.clone(), lo, lo + dim.stride)
-                })
-                .collect(),
-            coords: coord.clone(),
-        };
-        let mut obj = StoredObject::new(
-            format!("{name}/cell{coord:?}"),
-            schema.field_names(),
-            HeapFile::create(format!("{name}.cell{coord:?}"), Arc::clone(pager)),
-            encoding.clone(),
-            codecs.clone(),
-            Some(bounds),
-        );
-        obj.write_rows(cell_records)?;
-        objects.push(obj);
+/// A partitioning rule resolved against a schema: the label of a row.
+type LabelOf = Box<dyn Fn(&Record) -> Result<String>>;
+
+/// Partition placement (see [`place`]): labels by the partitioning rule,
+/// its field or predicate resolved once against the layout's schema.
+fn place_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
+    let by = find_partition(&layout.expr).ok_or_else(|| {
+        LayoutError::Unsupported("partitioned layout without a partition transform".into())
+    })?;
+    let schema = &layout.schema;
+    let label: LabelOf = match by {
+        PartitionBy::Field(field) => {
+            let i = schema.index_of(field)?;
+            Box::new(move |r| Ok(r[i].to_string()))
+        }
+        PartitionBy::Stride(field, stride) => {
+            let (i, stride) = (schema.index_of(field)?, *stride);
+            Box::new(move |r| {
+                let v = r[i].as_f64().unwrap_or(0.0);
+                Ok(format!("{}", (v / stride).floor() as i64))
+            })
+        }
+        PartitionBy::Predicate(cond) => {
+            let pred = CompiledPredicate::compile(cond, &schema.field_names(), schema.name())?;
+            Box::new(move |r| Ok(if pred.matches(r)? { "match" } else { "rest" }.to_string()))
+        }
+    };
+    let partitions = bucket(rows, label)?;
+    place_buckets(
+        layout,
+        partitions,
+        |label| Target::Label(label.clone()),
+        |layout, label| {
+            let p = layout.objects.len();
+            StoredObject::new(
+                format!("{}/part{p}={label}", layout.name),
+                layout.schema.field_names(),
+                HeapFile::create(format!("{}.p{p}", layout.name), Arc::clone(layout.pager())),
+                ObjectEncoding::Rows,
+                HashMap::new(),
+                None,
+            )
+        },
+    )
+}
+
+/// Vertical placement (see [`place`]); returns the objects written.
+fn place_groups(layout: &mut PhysicalLayout, rows: &[Record]) -> Result<usize> {
+    let positions: Vec<Vec<usize>> = layout
+        .objects
+        .iter()
+        .map(|obj| layout.schema.indices_of(&obj.fields))
+        .collect::<std::result::Result<_, _>>()?;
+    for (i, at) in positions.into_iter().enumerate() {
+        let projected: Vec<Record> = rows
+            .iter()
+            .map(|r| at.iter().map(|&p| r[p].clone()).collect())
+            .collect();
+        layout.object_mut(i)?.write_rows(&projected)?;
     }
-    Ok(objects)
+    Ok(layout.objects.len())
 }
 
 /// Fold strategy: one heap record per key group, with the nested values
@@ -357,14 +528,8 @@ fn render_folded(
     values: &[String],
     pager: &Arc<Pager>,
 ) -> Result<StoredObject> {
-    let key_indices: Vec<usize> = key
-        .iter()
-        .map(|f| schema.index_of(f).map_err(LayoutError::Algebra))
-        .collect::<Result<_>>()?;
-    let value_indices: Vec<usize> = values
-        .iter()
-        .map(|f| schema.index_of(f).map_err(LayoutError::Algebra))
-        .collect::<Result<_>>()?;
+    let key_indices = schema.indices_of(key)?;
+    let value_indices = schema.indices_of(values)?;
 
     let heap = HeapFile::create(format!("{name}.fold"), Arc::clone(pager));
     // Records arrive grouped by key (the pipeline sorts on the fold key).
@@ -410,31 +575,6 @@ fn render_folded(
     );
     obj.row_count = records.len();
     Ok(obj)
-}
-
-/// Horizontal partitioning: one full-width row object per partition.
-fn render_partitions(
-    name: &str,
-    expr: &LayoutExpr,
-    records: &[Record],
-    schema: &rodentstore_algebra::Schema,
-    pager: &Arc<Pager>,
-) -> Result<Vec<StoredObject>> {
-    let buckets = partition_rows(expr, schema, records.iter().cloned())?;
-    let mut objects = Vec::with_capacity(buckets.len());
-    for (p, (label, rows)) in buckets.iter().enumerate() {
-        let mut obj = StoredObject::new(
-            format!("{name}/part{p}={label}"),
-            schema.field_names(),
-            HeapFile::create(format!("{name}.p{p}"), Arc::clone(pager)),
-            ObjectEncoding::Rows,
-            HashMap::new(),
-            None,
-        );
-        obj.write_rows(rows)?;
-        objects.push(obj);
-    }
-    Ok(objects)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use rodentstore_exec::{
 };
 use rodentstore_layout::{
     render, AppendOutcome, LsmActivity, LsmRun, LsmState, MemTableProvider, PhysicalLayout,
-    RenderOptions, RowTail, StoredIndex, StoredObject,
+    RenderOptions, RowTail, ScanPlan, StoredIndex, StoredObject,
 };
 use rodentstore_optimizer::{
     advise, advise_with_baseline, AdvisorOptions, Recommendation, Workload,
@@ -2135,15 +2135,26 @@ impl Database {
     pub fn scan(&self, table: &str, request: &ScanRequest) -> Result<Vec<Record>> {
         let run_check = self.observe(table, request)?;
         let snapshot = self.snapshot(table)?;
-        let (rows, op) = self.instrumented_scan(|| snapshot.scan(request))?;
+        let ((rows, plan), op) = self.instrumented_scan(|| snapshot.scan_planned(request))?;
         if let Some(op) = op {
             self.obs.ins.scan_rows.add(rows.len() as u64);
-            if let (Ok(predicted), Ok(slot)) = (snapshot.scan_pages(request), self.slot(table)) {
+            // The prediction of the plan the scan ran — 0 when memory served
+            // it — counted after the scan's I/O scope closed, so the tree
+            // pages an index probe's count re-reads are not charged to it.
+            let predicted = match &plan {
+                Some(plan) => plan
+                    .predicted_pages()
+                    .ok()
+                    .or_else(|| snapshot.scan_pages(request).ok()),
+                None => Some(0),
+            };
+            if let (Some(predicted), Ok(slot)) = (predicted, self.slot(table)) {
                 slot.predicted_pages_total.fetch_add(predicted, Ordering::Relaxed);
                 slot.actual_pages_total.fetch_add(op.pages_read, Ordering::Relaxed);
                 slot.calibration_samples.fetch_add(1, Ordering::Relaxed);
             }
         }
+        drop(plan);
         drop(snapshot); // release the pin before adaptation may re-render
         if run_check {
             self.auto_adapt_check(table)?;
@@ -2681,21 +2692,28 @@ impl TableSnapshot {
     /// requested order sorts the whole result once, stably — so on ties
     /// layout rows come before pending rows. No database lock is held.
     pub fn scan(&self, request: &ScanRequest) -> Result<Vec<Record>> {
+        self.scan_planned(request).map(|(rows, _)| rows)
+    }
+
+    /// [`TableSnapshot::scan`], handing back the read plan of the layout
+    /// scan that served it too (`None` when memory served it), whose
+    /// predicted pages are what [`TableSnapshot::scan_pages`] estimates.
+    fn scan_planned(&self, request: &ScanRequest) -> Result<(Vec<Record>, Option<ScanPlan<'_>>)> {
         let state = &self.state;
-        let (mut rows, shape, in_memory) = match &state.access {
+        let (mut rows, plan, shape, in_memory) = match &state.access {
             // A layout can only serve requests over the fields it kept; a
             // query referencing a field the (possibly auto-adapted) layout
             // projected away falls back to the canonical rows — and, having
             // been recorded in the profile, steers the next adaptation back
             // toward a layout that covers it.
             Some(access) if layout_serves(access, request) => {
-                let rows = access.scan(request)?;
+                let (rows, plan) = access.scan_planned(request)?;
                 if state.pending.is_empty() {
-                    return Ok(rows);
+                    return Ok((rows, Some(plan)));
                 }
-                (rows, &access.layout().schema, state.pending.iter())
+                (rows, Some(plan), &access.layout().schema, state.pending.iter())
             }
-            _ => (Vec::new(), &state.schema, state.records.iter()),
+            _ => (Vec::new(), None, &state.schema, state.records.iter()),
         };
         let out_fields = request
             .fields
@@ -2707,7 +2725,7 @@ impl TableSnapshot {
         if let Some(order) = &request.order {
             rodentstore_exec::sort_rows(&out_fields, &mut rows, order)?;
         }
-        Ok(rows)
+        Ok((rows, plan))
     }
 
     /// Folds the snapshot's rows into fixed-width buckets without

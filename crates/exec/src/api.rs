@@ -5,7 +5,7 @@ use crate::{ExecError, Result};
 use rodentstore_algebra::comprehension::Condition;
 use rodentstore_algebra::expr::{sort_by_positions, SortKey, SortOrder};
 use rodentstore_algebra::value::Record;
-use rodentstore_layout::PhysicalLayout;
+use rodentstore_layout::{PhysicalLayout, ScanPlan};
 
 /// Parameters of the simple disk model used to convert pages and seeks into
 /// milliseconds, following Section 5 of the paper ("count bytes of I/O as
@@ -134,14 +134,23 @@ impl AccessMethods {
     /// result is sorted before being returned. Order keys must be part of
     /// the projected fields, native order or not.
     pub fn scan(&self, request: &ScanRequest) -> Result<Vec<Record>> {
+        self.scan_planned(request).map(|(rows, _)| rows)
+    }
+
+    /// [`AccessMethods::scan`], handing back the read plan the scan ran too:
+    /// its [`ScanPlan::predicted_pages`] is what
+    /// [`AccessMethods::scan_pages`] estimates for the request, without
+    /// planning the scan again.
+    pub fn scan_planned(&self, request: &ScanRequest) -> Result<(Vec<Record>, ScanPlan<'_>)> {
         let resort = self.resort_keys(request)?;
-        let mut rows = self
+        let (mut rows, plan) = self
             .layout
-            .scan(request.fields.as_deref(), request.predicate.as_ref())?;
+            .scan_iter(request.fields.as_deref(), request.predicate.as_ref())?
+            .collect_planned()?;
         if let Some(keys) = resort {
             sort_by_positions(&mut rows, &keys);
         }
-        Ok(rows)
+        Ok((rows, plan))
     }
 
     /// Validates a request's projection and order keys, returning the keys'

@@ -50,7 +50,7 @@ pub use plan::{
 pub use rodentstore_compress::CodecKind;
 pub use render::{render, RenderOptions};
 pub use rowcodec::FieldRef;
-pub use scan::{CompiledPredicate, RowTail, ScanIter};
+pub use scan::{CompiledPredicate, RowTail, ScanIter, ScanPlan};
 
 use rodentstore_algebra::AlgebraError;
 use rodentstore_compress::CompressError;

@@ -14,7 +14,7 @@ use crate::lsm::LsmState;
 use crate::rowcodec::{
     column_field, decode_fields_borrowed, decode_record, encode_record, values_to_column,
 };
-use crate::scan::ScanIter;
+use crate::scan::{ScanIter, ScanPlan};
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{CmpOp, Condition, ElemExpr};
 use rodentstore_algebra::expr::{GridDim, LayoutExpr, SortKey};
@@ -313,7 +313,8 @@ impl StoredObject {
         templates: &[Value],
         needed: &[bool],
     ) -> Result<Record> {
-        let mut reader = ChunkReader::new(self, needed)?;
+        let mut reader = ChunkReader::new(self, needed);
+        reader.reset(self)?;
         if !reader.seek(index)? {
             return Err(LayoutError::Corrupted(format!(
                 "row {index} beyond the stored blocks of `{}`",
@@ -456,7 +457,8 @@ pub(crate) fn read_heap_row(heap: &HeapFile, index: usize, needed: &[bool]) -> R
 /// their pages. It learns a chunk's row count from a block header (checked
 /// against the directory) and decodes a field's block only when
 /// [`ChunkReader::decode`] asks for it — straight from the page frame into a
-/// typed buffer it reuses for the next chunk.
+/// typed buffer it reuses for the next chunk, and, after a
+/// [`ChunkReader::reset`], for the next object of the same shape.
 pub(crate) struct ChunkReader<'a> {
     obj: &'a StoredObject,
     codecs: Vec<Box<dyn ColumnCodec>>,
@@ -488,15 +490,17 @@ fn block_at(frames: &[PageFrame], (frame, slot): (usize, usize)) -> Result<&[u8]
 }
 
 impl<'a> ChunkReader<'a> {
-    /// Opens a reader that will decode (at most) the fields marked `needed`.
-    pub(crate) fn new(obj: &'a StoredObject, needed: &[bool]) -> Result<ChunkReader<'a>> {
+    /// A reader for objects storing `obj`'s fields with its codecs, which
+    /// will decode (at most) the fields marked `needed`. It reads nothing
+    /// until [`ChunkReader::reset`] points it at an object.
+    pub(crate) fn new(obj: &'a StoredObject, needed: &[bool]) -> ChunkReader<'a> {
         let ncols = obj.fields.len();
         let codec = |f: &String| obj.codecs.get(f).copied().unwrap_or(CodecKind::Plain).build();
-        Ok(ChunkReader {
+        ChunkReader {
             obj,
             codecs: obj.fields.iter().map(codec).collect(),
             needed: (0..ncols).map(|f| needed.get(f).copied().unwrap_or(false)).collect(),
-            pages: obj.heap.page_ids()?,
+            pages: Vec::new(),
             next_page: 0,
             frames: Vec::new(),
             slot: 0,
@@ -507,7 +511,25 @@ impl<'a> ChunkReader<'a> {
             jumped: 0,
             start: 0,
             len: 0,
-        })
+        }
+    }
+
+    /// Points the reader at the first chunk of `obj`, which stores the
+    /// fields of the object it was made for with the same codecs. Only the
+    /// page list is fetched; codecs, frame list and column buffers are kept.
+    pub(crate) fn reset(&mut self, obj: &'a StoredObject) -> Result<()> {
+        debug_assert_eq!(obj.fields, self.obj.fields);
+        self.pages = obj.heap.page_ids()?;
+        self.obj = obj;
+        self.next_page = 0;
+        self.frames.clear();
+        self.slot = 0;
+        self.blocks.clear();
+        self.chunk = 0;
+        self.jumped = 0;
+        self.start = 0;
+        self.len = 0;
+        Ok(())
     }
 
     /// Takes the count of chunks jumped over since the last call.
@@ -622,7 +644,8 @@ impl<'a> ChunkReader<'a> {
                 continue;
             }
             let Some(&page_id) = self.pages.get(self.next_page) else {
-                let trailing = std::mem::take(&mut self.blocks).len();
+                let trailing = self.blocks.len();
+                self.blocks.clear();
                 if trailing == 0 && self.start == self.obj.row_count {
                     return Ok(false);
                 }
@@ -919,10 +942,10 @@ impl PhysicalLayout {
         self.derived.orderings.clone()
     }
 
-    pub(crate) fn templates_for(&self, fields: &[String]) -> Vec<Value> {
+    pub(crate) fn templates_for<S: AsRef<str>>(&self, fields: &[S]) -> Vec<Value> {
         fields
             .iter()
-            .map(|f| match self.schema.field(f) {
+            .map(|f| match self.schema.field(f.as_ref()) {
                 Ok(fd) => template_value(&fd.ty),
                 Err(_) => Value::Int(0),
             })
@@ -938,6 +961,17 @@ impl PhysicalLayout {
         predicate: Option<&Condition>,
     ) -> Vec<usize> {
         let ranges = predicate.map(extract_ranges).unwrap_or_default();
+        self.objects_meeting(fields, predicate, &ranges)
+    }
+
+    /// [`PhysicalLayout::objects_to_read`], with the predicate's ranges
+    /// already extracted.
+    pub(crate) fn objects_meeting(
+        &self,
+        fields: Option<&[String]>,
+        predicate: Option<&Condition>,
+        ranges: &HashMap<String, (f64, f64)>,
+    ) -> Vec<usize> {
         let mut needed_fields: Option<Vec<String>> = fields.map(|f| f.to_vec());
         if let (Some(needed), Some(pred)) = (&mut needed_fields, predicate) {
             for f in pred.referenced_fields() {
@@ -949,7 +983,7 @@ impl PhysicalLayout {
         let read = |&i: &usize| {
             let obj = &self.objects[i];
             if let Some(cell) = &obj.cell {
-                if !cell.intersects(&ranges) {
+                if !cell.intersects(ranges) {
                     return false;
                 }
             }
@@ -960,7 +994,7 @@ impl PhysicalLayout {
             }
             true
         };
-        match self.cells_meeting(&ranges) {
+        match self.cells_meeting(ranges) {
             Some(cells) => cells.into_iter().filter(read).collect(),
             None => (0..self.objects.len()).filter(read).collect(),
         }
@@ -993,15 +1027,19 @@ impl PhysicalLayout {
         if probes > self.objects.len() as f64 {
             return None;
         }
-        let mut cells = Vec::new();
+        let mut cells = Vec::with_capacity(probes as usize);
         if spans.iter().any(|(first, last)| first > last) {
             return Some(cells);
         }
-        let mut coords: Vec<i64> = spans.iter().map(|&(first, _)| first).collect();
+        // One probe key, stepped in place through the coordinates.
+        let mut key = Target::Cell(spans.iter().map(|&(first, _)| first).collect());
         loop {
-            if let Some(&i) = self.targets.get(&Target::Cell(coords.clone())) {
+            if let Some(&i) = self.targets.get(&key) {
                 cells.push(i);
             }
+            let Target::Cell(coords) = &mut key else {
+                unreachable!("the probe key is a cell coordinate")
+            };
             // Step to the next coordinate, the first dimension fastest.
             let mut d = 0;
             while coords[d] == spans[d].1 {
@@ -1026,89 +1064,66 @@ impl PhysicalLayout {
         fields: Option<&[String]>,
         predicate: Option<&Condition>,
     ) -> Vec<Vec<usize>> {
-        let selected = self.objects_to_read(fields, predicate);
-        if !self.is_vertically_partitioned() {
-            return selected.into_iter().map(|i| vec![i]).collect();
+        let ranges = predicate.map(extract_ranges).unwrap_or_default();
+        match self.cursor_objects(fields, predicate, &ranges) {
+            (objects, true) => vec![objects],
+            (objects, false) => objects.into_iter().map(|i| vec![i]).collect(),
         }
-        if selected.is_empty() {
-            return vec![vec![0]];
-        }
-        vec![selected]
     }
 
-    /// Estimated number of pages a scan would read, without performing it.
-    /// When the declared index covers the predicate, the estimate probes it
-    /// and counts the tree pages plus the distinct heap pages holding
-    /// candidate rows — the number the indexed scan path actually reads.
+    /// [`PhysicalLayout::cursor_groups`] without a vector per group: the
+    /// objects in read order, and whether one cursor reads them together
+    /// (a vertical partition) rather than one cursor each.
+    pub(crate) fn cursor_objects(
+        &self,
+        fields: Option<&[String]>,
+        predicate: Option<&Condition>,
+        ranges: &HashMap<String, (f64, f64)>,
+    ) -> (Vec<usize>, bool) {
+        let selected = self.objects_meeting(fields, predicate, ranges);
+        if !self.is_vertically_partitioned() {
+            return (selected, false);
+        }
+        if selected.is_empty() {
+            return (vec![0], true);
+        }
+        (selected, true)
+    }
+
+    /// Estimated number of pages a scan would read, without performing it:
+    /// the pages of the read plan the scan would build (see
+    /// [`ScanPlan::predicted_pages`]). When the declared index covers the
+    /// predicate, that is the tree pages plus the distinct heap pages
+    /// holding candidate rows — the number the indexed scan path actually
+    /// reads — unless probing the index fails, in which case the streaming
+    /// plan is counted.
     pub fn estimate_scan_pages(
         &self,
         fields: Option<&[String]>,
         predicate: Option<&Condition>,
     ) -> u64 {
-        // Levelled-tier runs are merged into every scan: non-pruned run pages
-        // are read on top of whatever the base costs (the memtable is
-        // in-memory and costs no pages).
-        let lsm_pages = match (&self.lsm, predicate) {
-            (Some(lsm), pred) => {
-                let ranges = pred.map(extract_ranges).unwrap_or_default();
-                lsm.runs
-                    .iter()
-                    .filter(|r| r.may_match(&lsm.key, &ranges))
-                    .map(|r| r.heap.page_count() as u64)
-                    .sum()
-            }
-            (None, _) => 0u64,
-        };
-        if let (Some(pred), Some(idx)) = (predicate, &self.index) {
-            let ranges = extract_ranges(pred);
-            if idx.covers(&ranges) {
-                if let Ok(pages) = self.index_scan_pages(idx, &ranges) {
-                    return pages + lsm_pages;
-                }
-            }
-        }
-        // Each cursor reads the pages of the chunks its fences let through.
-        let base: u64 = self
-            .cursor_groups(fields, predicate)
-            .iter()
-            .map(|group| group.iter().map(|&i| &*self.objects[i]).collect::<Vec<_>>())
-            .map(|group| match self.fenced_rows(&group, predicate) {
-                Some(rows) => group
-                    .iter()
-                    .map(|o| {
-                        let all = o.page_count();
-                        o.chunks
-                            .as_ref()
-                            .map_or(all as u64, |dir| dir.pages_read(&rows, all))
-                    })
-                    .sum::<u64>(),
-                None => group.iter().map(|o| o.page_count() as u64).sum(),
-            })
-            .sum();
-        base + lsm_pages
+        ScanPlan::new(self, fields, predicate, true)
+            .and_then(|plan| plan.predicted_pages())
+            .or_else(|_| ScanPlan::new(self, fields, predicate, false)?.predicted_pages())
+            .unwrap_or(0)
     }
 
     /// The rows a cursor over `group` — one object, or the column groups of
-    /// a vertical partition read together — must deliver under `predicate`:
-    /// per member with a chunk directory, the rows of the chunks whose
-    /// fences meet the ranges the predicate implies on its `Int`,
-    /// `Timestamp` and `Float` fields, intersected across members. `None`
-    /// when no fence constrains the predicate — the cursor reads everything.
+    /// a vertical partition read together — must deliver under a predicate
+    /// implying `ranges`: per member with a chunk directory, the rows of the
+    /// chunks whose fences meet the ranges on its `Int`, `Timestamp` and
+    /// `Float` fields, intersected across members. `None` when no fence
+    /// constrains the ranges — the cursor reads everything.
     ///
     /// A fence only rules chunks out; which rows match is still decided row
     /// by row, so the ranges may hold rows the predicate rejects.
     pub(crate) fn fenced_rows(
         &self,
-        group: &[&StoredObject],
-        predicate: Option<&Condition>,
+        group: &[usize],
+        ranges: &HashMap<String, (f64, f64)>,
     ) -> Option<Vec<(usize, usize)>> {
-        let predicate = predicate?;
-        if group.iter().all(|o| o.chunks.is_none()) {
-            return None;
-        }
-        let ranges = extract_ranges(predicate);
         let mut rows: Option<Vec<(usize, usize)>> = None;
-        for obj in group {
+        for obj in group.iter().map(|&i| &self.objects[i]) {
             let Some(dir) = &obj.chunks else {
                 continue;
             };
@@ -1135,25 +1150,6 @@ impl PhysicalLayout {
             });
         }
         rows
-    }
-
-    fn index_scan_pages(
-        &self,
-        idx: &StoredIndex,
-        ranges: &HashMap<String, (f64, f64)>,
-    ) -> Result<u64> {
-        let node_pages = idx.probe_node_pages(ranges)? as u64;
-        let positions = idx.probe(ranges)?;
-        let mut heap_pages = 0u64;
-        let mut last: Option<(usize, usize)> = None;
-        for pos in positions {
-            let (obj, page, _) = crate::index::unpack_pos(pos);
-            if last != Some((obj, page)) {
-                heap_pages += 1;
-                last = Some((obj, page));
-            }
-        }
-        Ok(node_pages + heap_pages)
     }
 
     /// Opens a lazy, decode-on-demand scan over the layout: records are

@@ -46,7 +46,7 @@ use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::page::PageId;
 use rodentstore_storage::slotted::SlottedReader;
 use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// An element expression with field references resolved to positions.
 #[derive(Debug, Clone)]
@@ -62,7 +62,7 @@ enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    fn compile(expr: &ElemExpr, fields: &[String], within: &str) -> Result<CompiledExpr> {
+    fn compile<S: AsRef<str>>(expr: &ElemExpr, fields: &[S], within: &str) -> Result<CompiledExpr> {
         Ok(match expr {
             ElemExpr::Literal(v) => CompiledExpr::Literal(v.clone()),
             ElemExpr::Field(name) => CompiledExpr::Field(resolve(name, fields, within)?),
@@ -129,10 +129,10 @@ fn type_mismatch(what: &str, found: &Value) -> LayoutError {
     })
 }
 
-fn resolve(field: &str, fields: &[String], within: &str) -> Result<usize> {
+fn resolve<S: AsRef<str>>(field: &str, fields: &[S], within: &str) -> Result<usize> {
     fields
         .iter()
-        .position(|f| f == field)
+        .position(|f| f.as_ref() == field)
         .ok_or_else(|| {
             LayoutError::Algebra(AlgebraError::UnknownField {
                 field: field.to_string(),
@@ -170,13 +170,21 @@ enum CompiledCond {
 impl CompiledPredicate {
     /// Compiles a condition against an ordered field list (`within` names the
     /// schema or object for error messages). Fails on unknown fields.
-    pub fn compile(cond: &Condition, fields: &[String], within: &str) -> Result<CompiledPredicate> {
+    pub fn compile<S: AsRef<str>>(
+        cond: &Condition,
+        fields: &[S],
+        within: &str,
+    ) -> Result<CompiledPredicate> {
         Ok(CompiledPredicate {
             node: Self::compile_node(cond, fields, within)?,
         })
     }
 
-    fn compile_node(cond: &Condition, fields: &[String], within: &str) -> Result<CompiledCond> {
+    fn compile_node<S: AsRef<str>>(
+        cond: &Condition,
+        fields: &[S],
+        within: &str,
+    ) -> Result<CompiledCond> {
         Ok(match cond {
             Condition::True => CompiledCond::True,
             Condition::Cmp { left, op, right } => CompiledCond::Cmp {
@@ -375,12 +383,29 @@ impl BorrowedPred {
 /// field's template, and the column index of the range's first row.
 type View<'r> = (&'r ColumnData, &'r Value, usize);
 
+/// The [`View`] of compact position `c`, read through `(reader, field)`
+/// slot `(r, f)`, over the range starting at object row `row`.
+fn column_view<'r>(
+    readers: &'r [ChunkReader<'_>],
+    templates: &'r [Value],
+    (r, f): (usize, usize),
+    (c, row): (usize, usize),
+) -> View<'r> {
+    (readers[r].col(f), &templates[c], row - readers[r].start)
+}
+
 /// Drops from `sel` (row offsets into the view) the rows of a typed column
 /// that fall outside `[lo, hi]` — when the column (by its `template`) and both
-/// bounds are of one numeric type, so the comparison is the one
-/// [`Value::compare`] would make (a NaN is "equal" to everything there and
-/// passes here too). Any other pairing leaves `sel` as it is.
-fn narrow_to_range((col, template, at): View<'_>, lo: &Value, hi: &Value, sel: &mut Vec<u32>) {
+/// bounds are of one numeric type, so the comparison is exactly the one
+/// [`FieldRef::compare_value`] would make on the row's ref (a NaN is "equal"
+/// to everything there and passes here too), and returns `true`: the range
+/// is decided. Any other pairing leaves `sel` as it is and returns `false`.
+fn narrow_to_range(
+    (col, template, at): View<'_>,
+    lo: &Value,
+    hi: &Value,
+    sel: &mut Vec<u32>,
+) -> bool {
     use Value::{Float, Int, Timestamp};
     match (col, template, lo, hi) {
         (ColumnData::Ints(v), Int(_), Int(lo), Int(hi))
@@ -392,8 +417,9 @@ fn narrow_to_range((col, template, at): View<'_>, lo: &Value, hi: &Value, sel: &
             x.partial_cmp(lo) != Some(Ordering::Less)
                 && x.partial_cmp(hi) != Some(Ordering::Greater)
         }),
-        _ => {}
+        _ => return false,
     }
+    true
 }
 
 /// A windowed-aggregate fold running inside a cursor's borrowed decode loop:
@@ -429,6 +455,38 @@ fn materialize(refs: &[FieldRef<'_>], out: Option<&[usize]>) -> Result<Record> {
     }
 }
 
+/// Empties a scratch vector and hands its buffer back typed for another
+/// lifetime of its items: collecting a `vec::IntoIter` into a vector of a
+/// same-layout type reuses the buffer, so a cursor keeps its vectors of
+/// borrowed refs and views from step to step without allocating.
+fn recycle<T, U>(mut scratch: Vec<T>) -> Vec<U> {
+    scratch.clear();
+    scratch.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// What one cursor reads: a group of base objects (one object, or the
+/// column groups of a vertical partition read together), named by their
+/// indices in the layout, or the heap of a sealed lsm run.
+#[derive(Clone, Copy)]
+enum Source<'a, 'g> {
+    Group(&'g [usize]),
+    Run(&'a HeapFile),
+}
+
+impl<'a> Source<'a, '_> {
+    /// The heap the cursor reads pages from (a group's first object's), the
+    /// name errors report, and the row count of a group (0 for a run).
+    fn heap(self, layout: &'a PhysicalLayout) -> (&'a HeapFile, &'a str, usize) {
+        match self {
+            Source::Group(group) => {
+                let head = &*layout.objects[group[0]];
+                (&head.heap, head.name.as_str(), head.row_count)
+            }
+            Source::Run(heap) => (heap, heap.name(), 0),
+        }
+    }
+}
+
 /// Streams the decoded rows of one stored object — or, for a vertical
 /// partition, of the objects a scan needs, advancing together; or of one
 /// sealed lsm run, which is row pages like any row-encoded object.
@@ -446,28 +504,24 @@ fn materialize(refs: &[FieldRef<'_>], out: Option<&[usize]>) -> Result<Record> {
 /// NULL padding for skipped fields — the projection and predicate above are
 /// compiled against these compact positions, so the hot loop never touches a
 /// value it did not need to decode.
+///
+/// Everything but the object being read is compiled once, for the shape of
+/// the objects (their fields, encoding and codecs): moving on to the next
+/// object of that shape is an [`ObjectCursor::reset`], which keeps the
+/// decode buffers, the frame list and the scratch vectors.
 struct ObjectCursor<'a> {
     /// The heap holding the pages the cursor reads (a column group's first
     /// object's), and the name errors report.
     heap: &'a HeapFile,
     name: &'a str,
-    /// Key-field count of a folded-group object: the one source whose rows
-    /// are decoded into owned records in `buf` instead of borrowed refs.
-    folded: Option<usize>,
     pages: Vec<PageId>,
     /// The ascending slots to visit on each page of `pages` when an index
     /// probe restricts the cursor; empty when every slot is read.
     picked: Vec<Vec<usize>>,
     next_page: usize,
     buf: VecDeque<Record>,
-    /// Ascending object positions present in each yielded row, and the
-    /// template value of each.
-    compact: Vec<usize>,
-    templates: Vec<Value>,
-    /// Column-block encodings: one chunk reader per object of the group, and
-    /// the `(reader, field)` behind each compact position.
+    /// Column-block encodings: one chunk reader per object of the group.
     readers: Vec<ChunkReader<'a>>,
-    slots: Vec<(usize, usize)>,
     /// Row position the readers have delivered up to, and the rows of the
     /// current range that survived the predicate.
     row: usize,
@@ -478,6 +532,18 @@ struct ObjectCursor<'a> {
     ranges: Vec<(usize, usize)>,
     range: usize,
     total: usize,
+    /// When set, matching rows are folded here instead of entering `buf`.
+    fold: Option<CursorFold>,
+
+    /// Key-field count of a folded-group object: the one source whose rows
+    /// are decoded into owned records in `buf` instead of borrowed refs.
+    folded: Option<usize>,
+    /// Ascending object positions present in each yielded row, and the
+    /// template value of each.
+    compact: Vec<usize>,
+    templates: Vec<Value>,
+    /// The `(reader, field)` behind each compact position.
+    slots: Vec<(usize, usize)>,
     /// Predicate pushed down into the borrowed loop (evaluated on borrowed
     /// refs before anything is materialized), and the compact positions it
     /// reads — the columns a chunk decodes first.
@@ -489,30 +555,38 @@ struct ObjectCursor<'a> {
     /// Rows in `buf` are already filtered and projected; the state above the
     /// cursor must pass them through untouched.
     finished: bool,
-    /// When set, matching rows are folded here instead of entering `buf`.
-    fold: Option<CursorFold>,
     /// Fixed-offset decode plan compiled from the object's schema templates;
     /// records matching the expected shape skip the generic varint walk.
     fast: Option<FixedRowPlan>,
+    /// With no predicate in the loop: the plan's offsets of the output
+    /// fields, in output order, so a record not folded decodes straight to
+    /// its output row.
+    straight: Option<Vec<u32>>,
+
     /// Reusable staging vector for the row-at-a-time borrowed refill (the
     /// bulk drain writes past it, straight into the caller's output).
     scratch: Vec<Record>,
+    /// Scratch for the borrowed refs of a row, the column views of a chunk
+    /// step, and the conjuncts a chunk step still checks per row.
+    refs: Vec<FieldRef<'static>>,
+    views: Vec<View<'static>>,
+    residual: Vec<usize>,
 }
 
 impl<'a> ObjectCursor<'a> {
-    /// Opens a cursor over the pages of `heap` (called `name` in errors),
-    /// stored with `encoding` — for column blocks, over the chunks of
-    /// `group`, the object itself or the column-block objects of a vertical
-    /// partition — reading the positions marked in `needed` (which, like
-    /// `templates`, runs over the objects' fields concatenated).
+    /// Compiles a cursor for objects shaped like `group` — one object, or
+    /// the column-block objects of a vertical partition; none for an lsm
+    /// run, which is row pages — reading the positions marked in `needed`
+    /// (which, like `templates`, runs over the objects' fields
+    /// concatenated), and points it at `source`.
     fn new(
-        heap: &'a HeapFile,
-        name: &'a str,
-        encoding: &ObjectEncoding,
+        layout: &'a PhysicalLayout,
+        source: Source<'a, '_>,
         group: &[&'a StoredObject],
         needed: &[bool],
         templates: Vec<Value>,
     ) -> Result<Self> {
+        let encoding = group.first().map_or(&ObjectEncoding::Rows, |o| &o.encoding);
         let columnar = matches!(encoding, ObjectEncoding::ColumnBlocks { .. });
         let folded = match encoding {
             ObjectEncoding::Folded { key_fields } => Some(*key_fields),
@@ -530,13 +604,6 @@ impl<'a> ObjectCursor<'a> {
         };
         let mut readers = Vec::new();
         let mut slots = Vec::new();
-        let total = group.first().map_or(0, |o| o.row_count);
-        if let Some(o) = group.iter().find(|o| o.row_count != total) {
-            return Err(LayoutError::Corrupted(format!(
-                "object `{}` of the partition around `{name}` holds {} rows, its siblings {total}",
-                o.name, o.row_count
-            )));
-        }
         if columnar {
             let mut base = 0usize;
             for (r, o) in group.iter().enumerate() {
@@ -547,7 +614,7 @@ impl<'a> ObjectCursor<'a> {
                     )));
                 }
                 let end = base + o.fields.len();
-                readers.push(ChunkReader::new(o, &needed[base..end])?);
+                readers.push(ChunkReader::new(o, &needed[base..end]));
                 let here = compact.iter().filter(|&&p| (base..end).contains(&p));
                 slots.extend(here.map(|&p| (r, p - base)));
                 base = end;
@@ -558,35 +625,73 @@ impl<'a> ObjectCursor<'a> {
         } else {
             FixedRowPlan::compile(&templates, &compact)
         };
-        Ok(ObjectCursor {
-            pages: if columnar {
-                Vec::new()
-            } else {
-                heap.page_ids()?
-            },
+        let (heap, name, _) = source.heap(layout);
+        let mut cursor = ObjectCursor {
             heap,
             name,
-            folded,
+            pages: Vec::new(),
             picked: Vec::new(),
             next_page: 0,
             buf: VecDeque::new(),
-            templates: compact.iter().map(|&p| templates[p].clone()).collect(),
-            compact,
             readers,
-            slots,
             row: 0,
             sel: Vec::new(),
-            ranges: vec![(0, total)],
+            ranges: Vec::new(),
             range: 0,
-            total,
+            total: 0,
+            fold: None,
+            folded,
+            templates: compact.iter().map(|&p| templates[p].clone()).collect(),
+            compact,
+            slots,
             borrowed_pred: None,
             pred_cols: Vec::new(),
             out: None,
             finished: false,
-            fold: None,
             fast,
+            straight: None,
             scratch: Vec::new(),
-        })
+            refs: Vec::new(),
+            views: Vec::new(),
+            residual: Vec::new(),
+        };
+        cursor.reset(layout, source)?;
+        Ok(cursor)
+    }
+
+    /// Points the cursor at the first row of `source`, an object group of
+    /// the shape it was compiled for or an lsm run: fetches its page lists
+    /// and clears the position, keeping every buffer.
+    fn reset(&mut self, layout: &'a PhysicalLayout, source: Source<'a, '_>) -> Result<()> {
+        let (heap, name, total) = source.heap(layout);
+        if let Source::Group(group) = source {
+            let members = group.iter().map(|&i| &*layout.objects[i]);
+            if let Some(o) = members.clone().find(|o| o.row_count != total) {
+                return Err(LayoutError::Corrupted(format!(
+                    "object `{}` of the partition around `{name}` holds {} rows, its siblings \
+                     {total}",
+                    o.name, o.row_count
+                )));
+            }
+            for (reader, obj) in self.readers.iter_mut().zip(members) {
+                reader.reset(obj)?;
+            }
+        }
+        self.heap = heap;
+        self.name = name;
+        self.pages.clear();
+        if self.readers.is_empty() {
+            self.pages = heap.page_ids()?;
+        }
+        self.picked.clear();
+        self.next_page = 0;
+        self.buf.clear();
+        self.row = 0;
+        self.ranges.clear();
+        self.ranges.push((0, total));
+        self.range = 0;
+        self.total = total;
+        Ok(())
     }
 
     /// Restricts a row-page cursor to an index probe's `(page ordinal,
@@ -610,8 +715,9 @@ impl<'a> ObjectCursor<'a> {
     /// Restricts a column-block cursor to the row ranges its chunk fences
     /// let through (see [`PhysicalLayout::fenced_rows`]); the chunks outside
     /// them are never read, and count as pruned as the readers pass them.
-    fn restrict(&mut self, rows: Vec<(usize, usize)>) {
-        self.ranges = rows;
+    fn restrict(&mut self, rows: &[(usize, usize)]) {
+        self.ranges.clear();
+        self.ranges.extend_from_slice(rows);
     }
 
     /// Takes the accumulator of a completed in-cursor fold, if one ran.
@@ -695,20 +801,17 @@ impl<'a> ObjectCursor<'a> {
         // hot path. With a plan, wanted fields decode straight to owned
         // values at their fixed offsets in output order, with no borrowed
         // intermediate at all.
-        let straight: Option<Vec<u32>> = match plan {
-            Some(plan) if self.borrowed_pred.is_none() && self.fold.is_none() => {
+        let straight = match (&self.straight, &self.fold) {
+            (Some(offsets), None) => {
                 sink.reserve(count);
-                Some(match out {
-                    Some(out) => out.iter().map(|&i| plan.offsets()[i]).collect(),
-                    None => plan.offsets().to_vec(),
-                })
+                Some(offsets.as_slice())
             }
             _ => None,
         };
-        let mut refs: Vec<FieldRef<'_>> = Vec::with_capacity(self.compact.len());
+        let mut refs: Vec<FieldRef<'_>> = recycle(std::mem::take(&mut self.refs));
         for k in 0..count {
             let bytes = reader.get(picked.map_or(k, |slots| slots[k]))?;
-            if let (Some(plan), Some(offsets)) = (plan, &straight) {
+            if let (Some(plan), Some(offsets)) = (plan, straight) {
                 if let Some(row) = plan.decode_owned(bytes, offsets)? {
                     sink.push(row);
                     continue;
@@ -734,6 +837,7 @@ impl<'a> ObjectCursor<'a> {
                 None => sink.push(materialize(&refs, out)?),
             }
         }
+        self.refs = recycle(refs);
         Ok(())
     }
 
@@ -743,7 +847,8 @@ impl<'a> ObjectCursor<'a> {
     /// partition) — jumping over the rows between two of the cursor's
     /// ranges — the predicate's columns are decoded and evaluated first,
     /// and the remaining columns are decoded only if a row survived — so a
-    /// selective window pays for one column, not for the projection.
+    /// selective window pays for one column, not for the projection (see
+    /// [`ObjectCursor::filter_range`]).
     fn step_columns(&mut self, sink: &mut Vec<Record>) -> Result<bool> {
         let (hi, skips) = loop {
             match self.ranges.get(self.range) {
@@ -781,73 +886,34 @@ impl<'a> ObjectCursor<'a> {
             .min(hi);
         let (row, n) = (self.row, end - self.row);
         self.row = end;
+        self.sel.clear();
+        self.sel.extend(0..n as u32);
+        if self.borrowed_pred.is_some() {
+            self.filter_range(row)?;
+        }
+        if self.sel.is_empty() {
+            return Ok(true);
+        }
         let ObjectCursor {
             readers,
             slots,
             sel,
             templates,
-            borrowed_pred,
-            pred_cols,
             out,
             fold,
+            views,
             ..
         } = self;
-        fn view<'r>(
-            readers: &'r [ChunkReader<'_>],
-            templates: &'r [Value],
-            (r, f): (usize, usize),
-            (c, row): (usize, usize),
-        ) -> View<'r> {
-            (readers[r].col(f), &templates[c], row - readers[r].start)
-        }
-        sel.clear();
-        sel.extend(0..n as u32);
-        if let Some(pred) = borrowed_pred {
-            for &c in pred_cols.iter() {
-                readers[slots[c].0].decode(slots[c].1)?;
-            }
-            let views: Vec<(usize, View<'_>)> = pred_cols
-                .iter()
-                .map(|&c| (c, view(readers, templates, slots[c], (c, row))))
-                .collect();
-            // Conjuncts that are a range over a numeric column of their
-            // bounds' own type thin the candidates on the typed vector; the
-            // predicate proper then runs on what is left, so the pre-pass
-            // only has to be conservative, never exact.
-            for conjunct in pred.conjuncts() {
-                if let BorrowedPred::Range { index, lo, hi } = conjunct {
-                    if let Some(&(_, view)) = views.iter().find(|(c, _)| c == index) {
-                        narrow_to_range(view, lo, hi, sel);
-                    }
-                }
-            }
-            let mut refs = vec![FieldRef::Null; templates.len()];
-            let mut kept = 0usize;
-            for k in 0..sel.len() {
-                let i = sel[k];
-                for &(c, (col, template, at)) in &views {
-                    refs[c] = column_field(col, template, at + i as usize);
-                }
-                if pred.matches(&refs)? {
-                    sel[kept] = i;
-                    kept += 1;
-                }
-            }
-            sel.truncate(kept);
-        }
-        if sel.is_empty() {
-            return Ok(true);
-        }
         for &(r, f) in slots.iter() {
             readers[r].decode(f)?;
         }
-        let views = |c: usize| view(readers, templates, slots[c], (c, row));
+        let column = |c: usize| column_view(readers, templates, slots[c], (c, row));
         match fold {
             // Fold on columns: the accumulator is fed straight from the typed
             // vectors, in storage order (float sums stay bit-identical to the
             // row path); no row is assembled.
             Some(fold) => {
-                let ((b, b_t, b_at), (v, v_t, v_at)) = (views(fold.bucket), views(fold.value));
+                let ((b, b_t, b_at), (v, v_t, v_at)) = (column(fold.bucket), column(fold.value));
                 for &i in sel.iter() {
                     let i = i as usize;
                     let bucket = column_field(b, b_t, b_at + i);
@@ -857,21 +923,93 @@ impl<'a> ObjectCursor<'a> {
             // Survivors materialize straight from the columns, in output
             // order — the `Record` is the only allocation.
             None => {
-                let views: Vec<View<'_>> = match out {
-                    Some(out) => out.iter().map(|&c| views(c)).collect(),
-                    None => (0..templates.len()).map(views).collect(),
-                };
+                let mut cols: Vec<View<'_>> = recycle(std::mem::take(views));
+                match out {
+                    Some(out) => cols.extend(out.iter().map(|&c| column(c))),
+                    None => cols.extend((0..templates.len()).map(column)),
+                }
                 sink.reserve(sel.len());
                 for &i in sel.iter() {
-                    let mut record = Vec::with_capacity(views.len());
-                    for &(col, template, at) in &views {
+                    let mut record = Vec::with_capacity(cols.len());
+                    for &(col, template, at) in &cols {
                         record.push(column_field(col, template, at + i as usize).to_value()?);
                     }
                     sink.push(record);
                 }
+                *views = recycle(cols);
             }
         }
         Ok(true)
+    }
+
+    /// Narrows `sel`, the rows of the range starting at object row `row`, to
+    /// those the pushed-down predicate keeps. The predicate's columns are
+    /// decoded; each top-level range conjunct that [`narrow_to_range`]
+    /// decides on its typed column is done, and only the conjuncts left
+    /// over run row by row, on borrowed refs.
+    fn filter_range(&mut self, row: usize) -> Result<()> {
+        let ObjectCursor {
+            readers,
+            slots,
+            sel,
+            templates,
+            borrowed_pred: Some(pred),
+            pred_cols,
+            refs,
+            views,
+            residual,
+            ..
+        } = self
+        else {
+            return Ok(());
+        };
+        for &c in pred_cols.iter() {
+            readers[slots[c].0].decode(slots[c].1)?;
+        }
+        let conjuncts = pred.conjuncts();
+        residual.clear();
+        for (j, conjunct) in conjuncts.iter().enumerate() {
+            let decided = match conjunct {
+                BorrowedPred::True => true,
+                BorrowedPred::Range { index, lo, hi } => {
+                    let column = column_view(readers, templates, slots[*index], (*index, row));
+                    narrow_to_range(column, lo, hi, sel)
+                }
+                _ => false,
+            };
+            if !decided {
+                residual.push(j);
+            }
+        }
+        if residual.is_empty() || sel.is_empty() {
+            return Ok(());
+        }
+        let mut cols: Vec<View<'_>> = recycle(std::mem::take(views));
+        cols.extend(
+            pred_cols
+                .iter()
+                .map(|&c| column_view(readers, templates, slots[c], (c, row))),
+        );
+        let mut row_refs: Vec<FieldRef<'_>> = recycle(std::mem::take(refs));
+        row_refs.resize(templates.len(), FieldRef::Null);
+        let mut kept = 0usize;
+        'rows: for k in 0..sel.len() {
+            let i = sel[k] as usize;
+            for (&c, &(col, template, at)) in pred_cols.iter().zip(&cols) {
+                row_refs[c] = column_field(col, template, at + i);
+            }
+            for &j in residual.iter() {
+                if !conjuncts[j].matches(&row_refs)? {
+                    continue 'rows;
+                }
+            }
+            sel[kept] = i as u32;
+            kept += 1;
+        }
+        sel.truncate(kept);
+        *refs = recycle(row_refs);
+        *views = recycle(cols);
+        Ok(())
     }
 
     /// Ends the column-chunk source once its last range is delivered: the
@@ -904,9 +1042,14 @@ impl<'a> ObjectCursor<'a> {
     }
 }
 
-/// Per-cursor scan state: a decoding cursor plus the predicate and
-/// projection compiled against its compact field order.
+/// One read plan, compiled once per scan for each distinct object shape,
+/// and the cursor it drives: which positions the cursor decodes, and the
+/// predicate and projection compiled against its compact field order. Every
+/// cell of a grid — every run of an lsm tier — shares one.
 struct ObjectState<'a> {
+    /// The objects the plan was compiled for; empty for an lsm run, whose
+    /// rows are full-width in the layout schema's order.
+    shape: Vec<&'a StoredObject>,
     cursor: ObjectCursor<'a>,
     predicate: Option<CompiledPredicate>,
     out_positions: Vec<usize>,
@@ -914,6 +1057,114 @@ struct ObjectState<'a> {
     identity: bool,
     /// `out_positions` repeats a position — fall back to cloning.
     has_dup: bool,
+}
+
+/// Whether a read plan compiled for `b` reads `a` too: the same fields,
+/// encoding and codecs.
+fn same_shape(a: &StoredObject, b: &StoredObject) -> bool {
+    std::ptr::eq(a, b) || (a.fields == b.fields && a.encoding == b.encoding && a.codecs == b.codecs)
+}
+
+impl<'a> ObjectState<'a> {
+    /// Whether the plan reads `source`.
+    fn fits(&self, layout: &PhysicalLayout, source: Source<'_, '_>) -> bool {
+        match source {
+            Source::Group(group) => {
+                group.len() == self.shape.len()
+                    && group
+                        .iter()
+                        .zip(&self.shape)
+                        .all(|(&i, obj)| same_shape(&layout.objects[i], obj))
+            }
+            Source::Run(_) => self.shape.is_empty(),
+        }
+    }
+
+    /// Compiles the read plan of `source`'s shape for a scan yielding
+    /// `out_fields` of the rows matching `predicate`, with its cursor
+    /// pointed at `source`.
+    fn compile(
+        layout: &'a PhysicalLayout,
+        source: Source<'a, '_>,
+        out_fields: &[String],
+        predicate: Option<&Condition>,
+    ) -> Result<ObjectState<'a>> {
+        let (shape, fields): (Vec<&'a StoredObject>, Vec<&str>) = match source {
+            Source::Group(group) => {
+                let objs: Vec<&'a StoredObject> =
+                    group.iter().map(|&i| &*layout.objects[i]).collect();
+                // A group reads as one object holding its members' fields in
+                // order.
+                let fields = objs
+                    .iter()
+                    .flat_map(|o| o.fields.iter().map(String::as_str))
+                    .collect();
+                (objs, fields)
+            }
+            // A run holds full-width rows in the layout schema's order.
+            Source::Run(_) => (
+                Vec::new(),
+                layout.schema.fields().iter().map(|f| f.name.as_str()).collect(),
+            ),
+        };
+        let (_, name, _) = source.heap(layout);
+        // Everything the scan touches — output fields plus predicate fields —
+        // must be decoded; nothing else is.
+        let pred_fields = predicate.map(Condition::referenced_fields);
+        let mut needed = vec![false; fields.len()];
+        for f in out_fields.iter().chain(pred_fields.iter().flatten()) {
+            needed[resolve(f, &fields, name)?] = true;
+        }
+        let templates = layout.templates_for(&fields);
+        let mut cursor = ObjectCursor::new(layout, source, &shape, &needed, templates)?;
+        // The cursor yields compact rows; rebind names to compact positions.
+        let compact_names: Vec<&str> = cursor.compact.iter().map(|&p| fields[p]).collect();
+        let out_positions: Vec<usize> = out_fields
+            .iter()
+            .map(|f| resolve(f, &compact_names, name))
+            .collect::<Result<_>>()?;
+        let predicate = predicate
+            .map(|p| CompiledPredicate::compile(p, &compact_names, name))
+            .transpose()?;
+        let identity = out_positions.len() == compact_names.len()
+            && out_positions.iter().enumerate().all(|(i, &p)| i == p);
+        let has_dup = has_duplicates(&out_positions);
+        if cursor.folded.is_none() {
+            // Push the predicate and projection down into the borrowed loop
+            // when the predicate (if any) compiles to borrowed form, so rows
+            // that fail the filter never materialize a single value.
+            let pushed = match &predicate {
+                None => Some(None),
+                Some(p) => BorrowedPred::compile(&p.node).map(Some),
+            };
+            if let Some(pred) = pushed {
+                if pred.is_some() {
+                    cursor.pred_cols = pred_fields
+                        .iter()
+                        .flatten()
+                        .map(|f| resolve(f, &compact_names, name))
+                        .collect::<Result<_>>()?;
+                }
+                cursor.borrowed_pred = pred;
+                cursor.finished = true;
+                cursor.out = Some(out_positions.clone());
+            }
+        }
+        if cursor.borrowed_pred.is_none() {
+            cursor.straight = cursor.fast.as_ref().map(|plan| match &cursor.out {
+                Some(out) => out.iter().map(|&i| plan.offsets()[i]).collect(),
+                None => plan.offsets().to_vec(),
+            });
+        }
+        Ok(ObjectState {
+            shape,
+            cursor,
+            predicate,
+            out_positions,
+            identity,
+            has_dup,
+        })
+    }
 }
 
 /// An index probe's candidates in one object: `(page ordinal, ascending
@@ -1025,34 +1276,184 @@ impl<'a, I: Iterator<Item = &'a Record>> Iterator for RowTail<I> {
     }
 }
 
-/// A lazy scan over a [`PhysicalLayout`]: yields already-filtered,
-/// already-projected records in storage order, decoding pages on demand.
-///
-/// Every source streams through one cursor loop, one source at a time: the
-/// selected objects of the base (a vertically partitioned layout is one
-/// cursor over the objects the scan needs, their column chunks advancing in
-/// lock-step by row position; an index probe restricts each object's cursor
-/// to the pages and slots holding candidates), then the non-pruned runs of an
-/// `lsm[...]` tier. The tier's memtable is read last, as a [`RowTail`].
-pub struct ScanIter<'a> {
+/// What a scan reads, decided once before its first page: the base objects
+/// and the cursors that read them (see [`PhysicalLayout::cursor_groups`]) —
+/// under an index probe, each object holding a candidate row on its own,
+/// restricted to the pages and slots holding candidates — the rows each
+/// cursor's chunk fences let through, and the lsm runs the predicate does
+/// not prune. The predicate's ranges are extracted once, here, for all of
+/// them; [`ScanPlan::predicted_pages`] counts what the plan reads.
+pub struct ScanPlan<'a> {
     layout: &'a PhysicalLayout,
-    /// Base objects the scan reads, one group per cursor (see
-    /// [`PhysicalLayout::cursor_groups`]) — under an index probe, each object
-    /// holding a candidate row on its own.
-    groups: Vec<Vec<usize>>,
-    /// Set when the declared index covers the predicate: per group, the
-    /// batches its cursor is restricted to.
-    probe: Option<Vec<Batches>>,
-    out_fields: Vec<String>,
     predicate: Option<Condition>,
-    /// Ordinal of the cursor being drained (see [`ScanIter::open_cursor`])
-    /// and its state.
-    obj_cursor: usize,
-    current: Option<ObjectState<'a>>,
+    ranges: HashMap<String, (f64, f64)>,
+    /// Base objects in read order, and whether one cursor reads them all (a
+    /// vertical partition) instead of one cursor each.
+    objects: Vec<usize>,
+    together: bool,
+    /// Per base cursor, the row ranges its chunk fences let through (`None`
+    /// or missing: every row).
+    fences: Vec<Option<Vec<(usize, usize)>>>,
+    /// Set when the declared index covers the predicate: per base cursor,
+    /// the batches it is restricted to.
+    probe: Option<Vec<Batches>>,
     /// Levelled-tier runs the predicate does not prune, in the tier's scan
     /// order (deepest level first, oldest first within a level); each is
     /// read by a cursor once the base is exhausted.
     lsm_runs: Vec<usize>,
+}
+
+impl<'a> ScanPlan<'a> {
+    /// Plans a scan of `fields` (all when `None`) under `predicate`, probing
+    /// the declared index when `use_index` is set and the index covers the
+    /// predicate.
+    pub(crate) fn new(
+        layout: &'a PhysicalLayout,
+        fields: Option<&[String]>,
+        predicate: Option<&Condition>,
+        use_index: bool,
+    ) -> Result<ScanPlan<'a>> {
+        let ranges = predicate.map(extract_ranges).unwrap_or_default();
+        let mut probe = None;
+        let (objects, together) = match (&layout.index, predicate) {
+            (Some(idx), Some(_)) if use_index && idx.covers(&ranges) => {
+                let (objects, batches) = group_positions(&idx.probe(&ranges)?).into_iter().unzip();
+                probe = Some(batches);
+                (objects, false)
+            }
+            _ => layout.cursor_objects(fields, predicate, &ranges),
+        };
+        if let Some(&obj) = objects.iter().find(|&&o| o >= layout.objects.len()) {
+            return Err(LayoutError::Corrupted(format!(
+                "index references object {obj} beyond the {} of `{}`",
+                layout.objects.len(),
+                layout.name
+            )));
+        }
+        let lsm_runs = match &layout.lsm {
+            Some(lsm) => lsm
+                .runs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.may_match(&lsm.key, &ranges))
+                .map(|(i, _)| i)
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut plan = ScanPlan {
+            layout,
+            predicate: predicate.cloned(),
+            ranges,
+            objects,
+            together,
+            fences: Vec::new(),
+            probe,
+            lsm_runs,
+        };
+        // Only objects with a chunk directory are fenced, and only by ranges.
+        let fenced = plan.objects.iter().any(|&i| layout.objects[i].chunks.is_some());
+        if fenced && !plan.ranges.is_empty() {
+            plan.fences = (0..plan.base_cursors())
+                .map(|n| layout.fenced_rows(plan.group(n), &plan.ranges))
+                .collect();
+        }
+        Ok(plan)
+    }
+
+    /// How many cursors read the base objects.
+    fn base_cursors(&self) -> usize {
+        if self.together {
+            1
+        } else {
+            self.objects.len()
+        }
+    }
+
+    /// The objects the `n`-th base cursor reads.
+    fn group(&self, n: usize) -> &[usize] {
+        if self.together {
+            &self.objects
+        } else {
+            std::slice::from_ref(&self.objects[n])
+        }
+    }
+
+    /// What the `n`-th cursor of the scan reads: the base groups first, then
+    /// one lsm run each. `None` past the last.
+    fn source(&self, n: usize) -> Option<Source<'a, '_>> {
+        if n < self.base_cursors() {
+            return Some(Source::Group(self.group(n)));
+        }
+        let lsm = self.layout.lsm.as_ref()?;
+        let &run = self.lsm_runs.get(n - self.base_cursors())?;
+        Some(Source::Run(&lsm.runs[run].heap))
+    }
+
+    /// The pages the plan reads — what
+    /// [`PhysicalLayout::estimate_scan_pages`] reports: under an index
+    /// probe, the tree pages the probe visits (counted again here, which
+    /// reads them) plus one per candidate heap page; otherwise each base
+    /// cursor's pages, only those of the chunks its fences let through for
+    /// an object with a chunk directory; plus the pages of every lsm run the
+    /// predicate does not prune (the memtable is in memory).
+    pub fn predicted_pages(&self) -> Result<u64> {
+        let layout = self.layout;
+        let runs: u64 = match &layout.lsm {
+            Some(lsm) => self
+                .lsm_runs
+                .iter()
+                .map(|&r| lsm.runs[r].heap.page_count() as u64)
+                .sum(),
+            None => 0,
+        };
+        let base = match (&self.probe, &layout.index) {
+            (Some(batches), Some(idx)) => {
+                let heap_pages: usize = batches.iter().map(Vec::len).sum();
+                (idx.probe_node_pages(&self.ranges)? + heap_pages) as u64
+            }
+            _ => (0..self.base_cursors())
+                .map(|n| {
+                    let fence = self.fences.get(n).and_then(Option::as_deref);
+                    self.group(n)
+                        .iter()
+                        .map(|&i| {
+                            let obj = &layout.objects[i];
+                            let all = obj.page_count();
+                            match (fence, &obj.chunks) {
+                                (Some(rows), Some(dir)) => dir.pages_read(rows, all),
+                                _ => all as u64,
+                            }
+                        })
+                        .sum::<u64>()
+                })
+                .sum(),
+        };
+        Ok(base + runs)
+    }
+}
+
+/// A lazy scan over a [`PhysicalLayout`]: yields already-filtered,
+/// already-projected records in storage order, decoding pages on demand.
+///
+/// Every source streams through one cursor loop, one source at a time, in
+/// the order its [`ScanPlan`] lists them: the selected objects of the base
+/// (a vertically partitioned layout is one cursor over the objects the scan
+/// needs, their column chunks advancing in lock-step by row position; an
+/// index probe restricts each object's cursor to the pages and slots
+/// holding candidates), then the non-pruned runs of an `lsm[...]` tier. The
+/// tier's memtable is read last, as a [`RowTail`]. A read plan is compiled
+/// once per distinct object shape, and every later source of that shape
+/// resets its cursor instead of compiling another.
+pub struct ScanIter<'a> {
+    plan: ScanPlan<'a>,
+    out_fields: Vec<String>,
+    /// The read plans compiled so far, one per object shape (see
+    /// [`ObjectState`]).
+    states: Vec<ObjectState<'a>>,
+    /// Ordinal of the cursor being drained (see [`ScanIter::open_cursor`])
+    /// and the plan whose cursor reads it.
+    obj_cursor: usize,
+    current: Option<usize>,
     /// The tier's memtable, read after the last cursor (see
     /// [`ScanIter::memtable_tail`]).
     tail: Option<RowTail<std::vec::IntoIter<&'a Record>>>,
@@ -1085,52 +1486,19 @@ impl<'a> ScanIter<'a> {
             None => layout.schema.field_names(),
         };
         // Validate the projection (and implicitly the output arity) up front.
-        layout
-            .schema
-            .indices_of(&out_fields)
-            .map_err(LayoutError::Algebra)?;
-        let mut groups = layout.cursor_groups(fields, predicate);
-        let vertical = layout.is_vertically_partitioned();
-        let mut probe = None;
-        if let (false, Some(pred), Some(idx)) = (vertical, predicate, layout.index.as_ref()) {
-            let ranges = extract_ranges(pred);
-            if idx.covers(&ranges) {
-                let (objects, batches): (Vec<usize>, _) =
-                    group_positions(&idx.probe(&ranges)?).into_iter().unzip();
-                groups = objects.into_iter().map(|o| vec![o]).collect();
-                probe = Some(batches);
-            }
-        }
-        if let Some(&obj) = groups.iter().flatten().find(|&&o| o >= layout.objects.len()) {
-            return Err(LayoutError::Corrupted(format!(
-                "index references object {obj} beyond the {} of `{}`",
-                layout.objects.len(),
-                layout.name
-            )));
+        for f in &out_fields {
+            layout.schema.index_of(f).map_err(LayoutError::Algebra)?;
         }
         let mut iter = ScanIter {
-            layout,
-            groups,
-            probe,
+            plan: ScanPlan::new(layout, fields, predicate, true)?,
             out_fields,
-            predicate: predicate.cloned(),
+            states: Vec::new(),
             obj_cursor: 0,
             current: None,
-            lsm_runs: Vec::new(),
             tail: None,
             fold: None,
             done: false,
         };
-        if let Some(lsm) = &layout.lsm {
-            let ranges = predicate.map(extract_ranges).unwrap_or_default();
-            iter.lsm_runs = lsm
-                .runs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.may_match(&lsm.key, &ranges))
-                .map(|(i, _)| i)
-                .collect();
-        }
         iter.tail = iter.memtable_tail()?;
         Ok(iter)
     }
@@ -1139,19 +1507,17 @@ impl<'a> ScanIter<'a> {
     /// tier): its rows, narrowed to the predicate's first-key range by the
     /// ordered memtable, filtered and projected by a [`RowTail`].
     fn memtable_tail(&self) -> Result<Option<RowTail<std::vec::IntoIter<&'a Record>>>> {
-        let layout = self.layout;
+        let layout = self.plan.layout;
         let Some(lsm) = &layout.lsm else {
             return Ok(None);
         };
-        let predicate = self.predicate.as_ref();
-        let ranges = predicate.map(extract_ranges).unwrap_or_default();
-        let first_key_range = lsm.key.first().and_then(|f| ranges.get(f)).copied();
+        let first_key_range = lsm.key.first().and_then(|f| self.plan.ranges.get(f)).copied();
         RowTail::new(
             lsm.memtable.select(first_key_range).into_iter(),
             &layout.schema.field_names(),
             layout.schema.name(),
             &self.out_fields,
-            predicate,
+            self.plan.predicate.as_ref(),
         )
         .map(Some)
     }
@@ -1159,16 +1525,17 @@ impl<'a> ScanIter<'a> {
     /// Sealed lsm runs the predicate's key range proves irrelevant: the scan
     /// skips them without reading a page.
     pub fn lsm_runs_pruned(&self) -> usize {
-        self.layout
+        self.plan
+            .layout
             .lsm
             .as_ref()
-            .map_or(0, |lsm| lsm.runs.len() - self.lsm_runs.len())
+            .map_or(0, |lsm| lsm.runs.len() - self.plan.lsm_runs.len())
     }
 
     /// Whether this scan resolves the predicate through the declared index
     /// instead of streaming every selected object.
     pub fn uses_index(&self) -> bool {
-        self.probe.is_some()
+        self.plan.probe.is_some()
     }
 
     /// Restarts the scan from the first record.
@@ -1180,121 +1547,73 @@ impl<'a> ScanIter<'a> {
         Ok(())
     }
 
-    /// Opens the `n`-th cursor of the scan: the base groups first (see
-    /// [`PhysicalLayout::cursor_groups`]), then one per non-pruned lsm run.
-    /// `None` once every cursor has been opened.
-    fn open_cursor(&mut self, n: usize) -> Result<Option<ObjectState<'a>>> {
-        let layout = self.layout;
-        let objs: Vec<&'a StoredObject>;
-        let (heap, name, encoding, fields) = match self.groups.get(n) {
-            Some(group) => {
-                objs = group.iter().map(|&i| &*layout.objects[i]).collect();
-                // A group reads as one object holding its members' fields
-                // in order.
-                let fields: Vec<String> =
-                    objs.iter().flat_map(|o| o.fields.iter().cloned()).collect();
-                let head = objs[0];
-                (&head.heap, head.name.as_str(), &head.encoding, fields)
+    /// Opens the `n`-th cursor of the scan (see [`ScanPlan`]): resets the
+    /// cursor of the read plan compiled for the source's shape, compiling
+    /// the plan on the shape's first source. Returns the plan's index in
+    /// `states`; `None` once every cursor has been opened.
+    fn open_cursor(&mut self, n: usize) -> Result<Option<usize>> {
+        let ScanIter {
+            plan,
+            out_fields,
+            states,
+            fold,
+            ..
+        } = self;
+        let layout = plan.layout;
+        let Some(source) = plan.source(n) else {
+            return Ok(None);
+        };
+        let i = match states.iter().position(|s| s.fits(layout, source)) {
+            Some(i) => {
+                states[i].cursor.reset(layout, source)?;
+                i
             }
             None => {
-                let base = self.groups.len();
-                let (Some(lsm), Some(&run)) = (&layout.lsm, self.lsm_runs.get(n - base)) else {
-                    return Ok(None);
-                };
-                objs = Vec::new();
-                // A run holds full-width rows in the layout schema's order.
-                let heap = &lsm.runs[run].heap;
-                (
-                    heap,
-                    heap.name(),
-                    &ObjectEncoding::Rows,
-                    layout.schema.field_names(),
-                )
+                let state =
+                    ObjectState::compile(layout, source, out_fields, plan.predicate.as_ref())?;
+                states.push(state);
+                states.len() - 1
             }
         };
-        // Everything the scan touches — output fields plus predicate fields —
-        // must be decoded; nothing else is.
-        let pred_fields = self.predicate.as_ref().map(Condition::referenced_fields);
-        let mut needed = vec![false; fields.len()];
-        for f in self.out_fields.iter().chain(pred_fields.iter().flatten()) {
-            needed[resolve(f, &fields, name)?] = true;
+        let state = &mut states[i];
+        if let Some(batches) = plan.probe.as_ref().and_then(|probe| probe.get(n)) {
+            state.cursor.pick(batches)?;
         }
-        let templates = layout.templates_for(&fields);
-        let mut cursor = ObjectCursor::new(heap, name, encoding, &objs, &needed, templates)?;
-        if let Some(batches) = self.probe.as_ref().and_then(|probe| probe.get(n)) {
-            cursor.pick(batches)?;
+        if let Some(rows) = plan.fences.get(n).and_then(Option::as_deref) {
+            state.cursor.restrict(rows);
         }
-        if let Some(rows) = layout.fenced_rows(&objs, self.predicate.as_ref()) {
-            cursor.restrict(rows);
+        let lent = fold
+            .as_mut()
+            .filter(|_| state.cursor.finished)
+            .and_then(|f| Some((f.bucket_pos, f.value_pos, f.acc.take()?)));
+        // Aggregate pushdown: fold inside the loop instead of materializing
+        // projected rows.
+        if let Some((bucket, value, acc)) = lent {
+            state.cursor.fold = Some(CursorFold {
+                bucket: state.out_positions[bucket],
+                value: state.out_positions[value],
+                acc,
+            });
         }
-        // The cursor yields compact rows; rebind names to compact positions.
-        let compact_names: Vec<String> = cursor
-            .compact
-            .iter()
-            .map(|&p| fields[p].clone())
-            .collect();
-        let out_positions: Vec<usize> = self
-            .out_fields
-            .iter()
-            .map(|f| resolve(f, &compact_names, name))
-            .collect::<Result<_>>()?;
-        let predicate = self
-            .predicate
-            .as_ref()
-            .map(|p| CompiledPredicate::compile(p, &compact_names, name))
-            .transpose()?;
-        let identity = out_positions.len() == compact_names.len()
-            && out_positions.iter().enumerate().all(|(i, &p)| i == p);
-        let has_dup = has_duplicates(&out_positions);
-        if cursor.folded.is_none() {
-            // Push the predicate and projection down into the borrowed loop
-            // when the predicate (if any) compiles to borrowed form, so rows
-            // that fail the filter never materialize a single value.
-            let pushed = match &predicate {
-                None => Some(None),
-                Some(p) => BorrowedPred::compile(&p.node).map(Some),
-            };
-            if let Some(pred) = pushed {
-                if pred.is_some() {
-                    cursor.pred_cols = pred_fields
-                        .iter()
-                        .flatten()
-                        .map(|f| resolve(f, &compact_names, name))
-                        .collect::<Result<_>>()?;
-                }
-                cursor.borrowed_pred = pred;
-                cursor.finished = true;
-                let lent = self
-                    .fold
-                    .as_mut()
-                    .and_then(|f| Some((f.bucket_pos, f.value_pos, f.acc.take()?)));
-                match lent {
-                    // Aggregate pushdown: fold inside the loop instead of
-                    // materializing projected rows.
-                    Some((bucket, value, acc)) => {
-                        cursor.fold = Some(CursorFold {
-                            bucket: out_positions[bucket],
-                            value: out_positions[value],
-                            acc,
-                        });
-                    }
-                    None => cursor.out = Some(out_positions.clone()),
-                }
-            }
+        Ok(Some(i))
+    }
+
+    /// The plan whose cursor is open, opening the next cursor when none is;
+    /// `None` once every cursor has been drained.
+    fn cursor(&mut self) -> Result<Option<usize>> {
+        if self.current.is_none() {
+            self.current = self.open_cursor(self.obj_cursor)?;
         }
-        Ok(Some(ObjectState {
-            cursor,
-            predicate,
-            out_positions,
-            identity,
-            has_dup,
-        }))
+        Ok(self.current)
     }
 
     /// Closes the exhausted current cursor, taking back the accumulator of
     /// an in-cursor fold.
     fn close_cursor(&mut self) {
-        let lent = self.current.take().and_then(|mut s| s.cursor.take_fold());
+        let lent = self
+            .current
+            .take()
+            .and_then(|i| self.states[i].cursor.take_fold());
         if let (Some(fold), Some(acc)) = (&mut self.fold, lent) {
             fold.acc = Some(acc);
         }
@@ -1303,12 +1622,10 @@ impl<'a> ScanIter<'a> {
 
     fn next_streamed(&mut self) -> Result<Option<Record>> {
         loop {
-            if self.current.is_none() {
-                self.current = self.open_cursor(self.obj_cursor)?;
-            }
-            let Some(state) = self.current.as_mut() else {
+            let Some(i) = self.cursor()? else {
                 return Ok(None);
             };
+            let state = &mut self.states[i];
             let Some(mut row) = state.cursor.next_row()? else {
                 self.close_cursor();
                 continue;
@@ -1339,20 +1656,22 @@ impl<'a> ScanIter<'a> {
     /// emptied a page or chunk at a time instead of pumping the row-at-a-time
     /// iterator protocol — the streaming machinery runs once per page, not
     /// once per row.
-    pub fn collect_rows(mut self) -> Result<Vec<Record>> {
+    pub fn collect_rows(self) -> Result<Vec<Record>> {
+        self.collect_planned().map(|(rows, _)| rows)
+    }
+
+    /// [`ScanIter::collect_rows`], handing back the scan's plan too — to
+    /// count the pages it predicted once the scan is done, without planning
+    /// the scan again.
+    pub fn collect_planned(mut self) -> Result<(Vec<Record>, ScanPlan<'a>)> {
         let mut out = Vec::new();
         if self.done {
-            return Ok(out);
+            return Ok((out, self.plan));
         }
-        loop {
-            if self.current.is_none() {
-                self.current = self.open_cursor(self.obj_cursor)?;
-            }
-            let Some(state) = self.current.as_mut() else {
-                break;
-            };
-            if state.cursor.finished {
-                state.cursor.drain_finished_into(&mut out)?;
+        while let Some(i) = self.cursor()? {
+            let cursor = &mut self.states[i].cursor;
+            if cursor.finished {
+                cursor.drain_finished_into(&mut out)?;
                 self.close_cursor();
                 continue;
             }
@@ -1368,7 +1687,7 @@ impl<'a> ScanIter<'a> {
         for row in self.tail.into_iter().flatten() {
             out.push(row?);
         }
-        Ok(out)
+        Ok((out, self.plan))
     }
 
     /// Exhausts the scan, folding every matching row into fixed-width
@@ -1869,7 +2188,8 @@ mod tests {
         let templates = layout.templates_for(&obj.fields);
         let open = || {
             let needed = [true; 3];
-            ObjectCursor::new(&obj.heap, &obj.name, &obj.encoding, &[], &needed, templates.clone())
+            let group = [&**obj];
+            ObjectCursor::new(&layout, Source::Group(&[0]), &group, &needed, templates.clone())
                 .unwrap()
         };
         let picks = [(1usize, vec![0usize, 2]), (3, vec![1])];

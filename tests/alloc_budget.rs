@@ -8,7 +8,9 @@
 //! a fold allocates per *run* (one cursor each), never per row. This binary
 //! installs its own counting allocator and holds the four to a per-row
 //! budget. A file-backed store adds one allocation per page read — the
-//! buffer the page is copied into — and nothing else.
+//! buffer the page is copied into — and nothing else. Over a grid of many
+//! cells, a scan compiles its read plan once and a cell it opens costs its
+//! page list: a fold and a box query are held to a per-cell budget.
 //!
 //! It is one `#[test]` on purpose: the counter is process-wide, and a second
 //! test running beside it would be counted too.
@@ -162,5 +164,73 @@ fn column_chunk_reads_stay_within_their_allocation_budget() {
     assert!(
         per_row <= 0.02,
         "lsm fold: {allocs} allocations, {per_row:.4} per row"
+    );
+
+    many_cell_grid_reads_stay_within_their_allocation_budget();
+}
+
+/// Over a delta-compressed, Z-ordered grid of 625 cells, a scan compiles
+/// its read plan once and every cell it opens resets the plan's cursor: a
+/// cell costs its page list (at most two allocations) and nothing else, so
+/// a fold allocates a constant plus two per cell at most, and a box query
+/// one `Record` per row besides.
+fn many_cell_grid_reads_stay_within_their_allocation_budget() {
+    use rodentstore::Value;
+    use rodentstore_algebra::{DataType, Field, Schema};
+
+    const ROWS: usize = 20_000;
+    /// Set-up a scan pays once, however many cells it opens.
+    const PER_SCAN: usize = 64;
+    let schema = Schema::new(
+        "Points",
+        vec![
+            Field::new("x", DataType::Float),
+            Field::new("y", DataType::Float),
+            Field::new("tag", DataType::Int),
+        ],
+    );
+    let rows: Vec<Vec<Value>> = (0..ROWS)
+        .map(|i| {
+            vec![
+                Value::Float((i * 7_919 % 1_000) as f64 + 0.5),
+                Value::Float((i * 104_729 % 997) as f64 + 0.25),
+                Value::Int((i % 20) as i64),
+            ]
+        })
+        .collect();
+    let db = Database::in_memory();
+    db.create_table(schema).unwrap();
+    db.insert("Points", rows).unwrap();
+    db.apply_layout_text("Points", "delta[x,y](zorder(grid[x,y;40,40](Points)))")
+        .unwrap();
+    let spec = WindowedAggregate::new("x", 100.0, "y");
+    let boxed = ScanRequest::all().predicate(
+        Condition::range("x", 400.0, 500.0).and(Condition::range("y", 300.0, 400.0)),
+    );
+    db.scan_aggregate("Points", &spec, None).unwrap();
+    db.scan("Points", &boxed).unwrap();
+    // The layout's own reads: what a scan allocates per cell, without the
+    // database's per-query bookkeeping around it.
+    let catalog = db.catalog();
+    let layout = catalog.get("Points").unwrap().access.as_ref().unwrap().layout();
+    let cells = layout.objects.len();
+    let boxed = boxed.predicate.as_ref();
+    let opened = layout.objects_to_read(None, boxed).len();
+    assert!(cells >= 400, "{cells} cells");
+    assert!(opened >= 9 && opened < cells / 10, "a 1 % box opens {opened} cells");
+
+    let (buckets, allocs) = counted(|| layout.scan_aggregate(&spec, None).unwrap());
+    assert!(buckets.rows_folded() == ROWS as u64);
+    assert!(
+        allocs as usize <= 2 * cells + PER_SCAN,
+        "grid fold: {allocs} allocations over {cells} cells"
+    );
+
+    let (hits, allocs) = counted(|| layout.scan(None, boxed).unwrap());
+    assert!(!hits.is_empty());
+    assert!(
+        allocs as usize <= hits.len() + 2 * opened + PER_SCAN,
+        "grid box: {allocs} allocations for {} rows over {opened} cells",
+        hits.len()
     );
 }

@@ -26,10 +26,12 @@ use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::value::Record;
 use rodentstore_exec::AccessMethods;
 use rodentstore_layout::rowcodec::{decode_record_prefix, encode_record_into};
+use rodentstore_layout::TableProvider;
 use rodentstore_storage::slotted::max_record_len;
 use rodentstore_storage::{crc32, crc32_extend, HeapFile, PageId, Pager, StorageError};
 use rodentstore_sync::{AtomicArc, EpochGuard};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
@@ -181,8 +183,7 @@ impl Rows {
         })
     }
 
-    /// Materializes the rows as one contiguous vector (for the renderer and
-    /// the layout advisor, whose APIs take slices).
+    /// Copies the rows into one contiguous vector.
     pub fn to_vec(&self) -> Vec<Record> {
         let mut out = Vec::with_capacity(self.len);
         for chunk in &self.chunks {
@@ -214,17 +215,14 @@ impl Rows {
         }
     }
 
-    /// Drops all rows.
-    pub fn clear(&mut self) {
-        self.chunks.clear();
-        self.len = 0;
-    }
-
     /// Removes `range` (rollback path — rare, so a simple rebuild).
-    pub fn remove_range(&mut self, range: std::ops::Range<usize>) {
-        let mut rows = self.to_vec();
-        rows.drain(range);
-        *self = Rows::from_vec(rows);
+    pub fn remove_range(&mut self, range: Range<usize>) {
+        *self = self
+            .iter()
+            .enumerate()
+            .filter(|(at, _)| !range.contains(at))
+            .map(|(_, row)| row.clone())
+            .collect();
     }
 }
 
@@ -509,10 +507,11 @@ pub struct TableState {
     pub access: Option<Arc<AccessMethods>>,
     /// Reorganization strategy used when the layout changes.
     pub strategy: ReorgStrategy,
-    /// Records inserted since the layout was last rendered (used by the
-    /// new-data-only strategy and to detect staleness). Invariant: always a
-    /// suffix of `records`.
-    pub pending: Rows,
+    /// Positions in `records` of the rows inserted since the layout was
+    /// last rendered (used by the new-data-only strategy and to detect
+    /// staleness): the rows the rendering does not hold yet. Invariant:
+    /// always a suffix, so `pending.end == records.len()`.
+    pub pending: Range<usize>,
     /// Render/append/adaptation counters.
     pub stats: LayoutStats,
     /// Identity of the chain of incrementally forked renderings this state's
@@ -546,7 +545,7 @@ impl TableState {
             layout_expr: None,
             access: None,
             strategy: ReorgStrategy::Eager,
-            pending: Rows::new(),
+            pending: 0..0,
             stats: LayoutStats::default(),
             chain: Arc::new(()),
         }
@@ -555,6 +554,49 @@ impl TableState {
     /// Total number of rows (rendered plus pending).
     pub fn row_count(&self) -> usize {
         self.records.len()
+    }
+
+    /// Marks every row as held by the rendering.
+    pub(crate) fn clear_pending(&mut self) {
+        let end = self.records.len();
+        self.pending = end..end;
+    }
+}
+
+/// Base tables served in place from table states, each with the positions
+/// of its canonical rows a render or absorb reads: `materialize` clones a
+/// row only when it asks for the row's table, so that is the one copy the
+/// render makes.
+#[derive(Default)]
+pub(crate) struct PinnedRows<'a> {
+    pub(crate) tables: Vec<(&'a TableState, Range<usize>)>,
+}
+
+impl PinnedRows<'_> {
+    fn find(&self, table: &str) -> Option<&(&TableState, Range<usize>)> {
+        self.tables
+            .iter()
+            .find(|(state, _)| state.schema.name() == table)
+    }
+}
+
+impl TableProvider for PinnedRows<'_> {
+    fn schema(&self, table: &str) -> Option<Schema> {
+        self.find(table).map(|(state, _)| state.schema.clone())
+    }
+
+    fn records(&self, table: &str) -> Option<Vec<Record>> {
+        self.find(table).map(|(state, rows)| {
+            let mut out = Vec::with_capacity(rows.len());
+            out.extend(
+                state
+                    .records
+                    .iter_from(rows.start)
+                    .take(rows.len())
+                    .cloned(),
+            );
+            out
+        })
     }
 }
 
@@ -790,6 +832,29 @@ mod tests {
         for start in [0, 1, 5, 22, 44, 45, 60] {
             let expected: Vec<Record> = (start as i64..45).map(row).collect();
             assert_eq!(rows.iter_from(start).cloned().collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn advisor_samples_a_chunked_store_as_it_samples_the_slice() {
+        use rodentstore_optimizer::CostModel;
+        let mut rows = Rows::new();
+        // Shrinking batches never merge, so the store keeps every chunk.
+        for (batch, size) in [4_000, 1_900, 900, 400, 190, 17].into_iter().enumerate() {
+            rows.push_rows((0..size).map(|i| row(batch as i64 * 10_000 + i)).collect());
+        }
+        assert_eq!(rows.chunks.len(), 6);
+        let slice = rows.to_vec();
+        for sample_size in [100, 1_000, 7_407, 20_000] {
+            let model = CostModel {
+                sample_size,
+                ..CostModel::default()
+            };
+            assert_eq!(
+                model.sample_rows(rows.len(), rows.iter()),
+                model.sample(&slice),
+                "sample size {sample_size}"
+            );
         }
     }
 

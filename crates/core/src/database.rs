@@ -1,7 +1,7 @@
 //! The RodentStore database façade.
 
 use crate::catalog::{
-    CanonicalStore, CatalogView, Registry, Rows, TableMap, TableSlot, TableState,
+    CanonicalStore, CatalogView, PinnedRows, Registry, Rows, TableMap, TableSlot, TableState,
 };
 use crate::durability::{self, Durability, DurabilityOptions, DurableOp, ManifestContext};
 use crate::observe::EngineObs;
@@ -19,12 +19,10 @@ use rodentstore_exec::{
     WindowedAggregate,
 };
 use rodentstore_layout::{
-    render, AppendOutcome, LsmActivity, LsmRun, LsmState, MemTableProvider, PhysicalLayout,
+    render, AppendOutcome, LsmActivity, LsmRun, LsmState, PhysicalLayout,
     RenderOptions, RowTail, ScanPlan, StoredIndex, StoredObject,
 };
-use rodentstore_optimizer::{
-    advise, advise_with_baseline, AdvisorOptions, Recommendation, Workload,
-};
+use rodentstore_optimizer::{advise_sampled, AdvisorOptions, Recommendation, Workload};
 use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::pager::{FileStore, PageStore, Pager};
 use rodentstore_obs::{CostedAlternative, Event, EventKind, JsonWriter, MetricsSnapshot};
@@ -145,8 +143,8 @@ struct RetiredAccess {
 /// Dropped (and, for renderings, its pages reclaimed) once every epoch pin
 /// taken before the swap has been released — see [`Database::reap_retired`].
 enum Retired {
-    /// A superseded table state. Holding it keeps its `records`/`pending`
-    /// chunks and its `access` alive for late readers.
+    /// A superseded table state. Holding it keeps its `records` chunks and
+    /// its `access` alive for late readers.
     State {
         _state: Arc<TableState>,
         epoch: u64,
@@ -272,7 +270,7 @@ impl std::fmt::Debug for Database {
 }
 
 /// A pinned, immutable view of one table at a point in time: the canonical
-/// rows, the pending buffer, and the rendered layout as they were when the
+/// rows, the pending range, and the rendered layout as they were when the
 /// snapshot was taken. Produced by [`Database::snapshot`] with **no lock**
 /// — pinning is an epoch pin plus atomic loads — and concurrent layout
 /// swaps, inserts, or checkpoints never affect it: the pinned state is
@@ -447,7 +445,7 @@ impl Database {
                     })?;
                 let mut state = TableState::new(table.schema);
                 state.strategy = table.strategy;
-                state.pending = Rows::from_vec(records[pending_start..].to_vec());
+                state.pending = pending_start..records.len();
                 state.records = Rows::from_vec(records);
                 state.stats = table.stats;
                 if let Some(expr_text) = table.layout_expr {
@@ -1581,7 +1579,7 @@ impl Database {
     /// The apply half of [`Database::insert`]: validation and WAL logging
     /// already happened (or are skipped — recovery replay trusts the log).
     /// The caller holds the table's writer mutex. The successor state —
-    /// rows, pending buffer, and (for the eager strategy) the absorbed or
+    /// rows, pending range, and (for the eager strategy) the absorbed or
     /// re-rendered layout — is built entirely aside and published once; if
     /// any step fails, nothing is published and the table is untouched.
     /// `laps` times the build as `absorb` and the publication as `publish`.
@@ -1597,14 +1595,14 @@ impl Database {
         let mut next = (**state).clone();
         let has_layout = next.access.is_some() || next.layout_expr.is_some();
         let mut retire = Vec::new();
+        next.records.push_rows(records);
         if has_layout {
-            next.records.push_rows(records.clone());
-            next.pending.push_rows(records);
+            next.pending.end = next.records.len();
             if next.strategy == ReorgStrategy::Eager {
                 self.render_or_absorb(table, &mut next, &mut retire)?;
             }
         } else {
-            next.records.push_rows(records);
+            next.clear_pending();
         }
         laps.lap(&self.obs.ins.insert_phase_absorb_micros);
         self.publish_state(slot, next, retire);
@@ -1666,17 +1664,24 @@ impl Database {
                 debug_assert!(false, "rolling back row {start} of {persisted} persisted");
                 break 'remove 0;
             }
-            let pending_start = len - state.pending.len();
             let mut next = (*state).clone();
             next.records.remove_range(start..start + count);
+            // Pending rows past the doomed ones shift down with them.
+            let shift = (start + count)
+                .min(state.pending.start)
+                .saturating_sub(start);
+            next.pending = state.pending.start - shift..next.records.len();
             let mut retire = Vec::new();
-            if start >= pending_start {
-                let offset = start - pending_start;
-                next.pending.remove_range(offset..offset + count);
-            } else if let Some(access) = next.access.take() {
-                // The rendering absorbed the doomed rows; discard it. The
-                // next access re-renders from the canonical rows, which now
-                // match exactly what recovery would replay.
+            // Rows still pending were never rendered. A rendering that
+            // absorbed the doomed rows is discarded: the next access
+            // re-renders from the canonical rows, which now match exactly
+            // what recovery would replay.
+            let absorbed = if start < state.pending.start {
+                next.access.take()
+            } else {
+                None
+            };
+            if let Some(access) = absorbed {
                 retire.push(RetiredAccess {
                     pages: owned_pages(&access),
                     chain: std::mem::replace(&mut next.chain, Arc::new(())),
@@ -1805,7 +1810,7 @@ impl Database {
         }
         next.layout_expr = Some(expr);
         next.strategy = strategy;
-        next.pending.clear();
+        next.clear_pending();
         if adapted {
             next.stats.adaptations += 1;
         }
@@ -1941,8 +1946,9 @@ impl Database {
             let cost_params = self.config_snapshot().cost_params;
             let forked_layout = access.layout().fork_for_append()?;
             let mut forked = AccessMethods::with_cost_params(forked_layout, cost_params);
-            let provider =
-                MemTableProvider::single(next.schema.clone(), next.pending.to_vec());
+            let provider = PinnedRows {
+                tables: vec![(&*next, next.pending.clone())],
+            };
             match forked.append_rows(&provider) {
                 Ok(AppendOutcome::Appended { .. }) => {
                     // Pages the fork vacated (the relocated tail, index
@@ -1959,7 +1965,7 @@ impl Database {
                     self.park_lsm_notes(forked.layout().take_lsm_relocation_notes());
                     self.record_lsm_activity(table, forked.layout().take_lsm_activity());
                     next.access = Some(Arc::new(forked));
-                    next.pending.clear();
+                    next.clear_pending();
                     next.stats.incremental_appends += 1;
                     retire.push(RetiredAccess {
                         access,
@@ -2020,20 +2026,21 @@ impl Database {
                 slot.deps_dirty.store(false, Ordering::SeqCst);
             }
             let view = self.catalog();
-            let mut provider = MemTableProvider::new();
+            let mut provider = PinnedRows::default();
             let mut captured: Vec<(String, Arc<TableState>)> = Vec::new();
             for (name, _, state) in view.entries().iter() {
                 if !referenced.contains(name) {
                     continue;
                 }
                 if name == table {
-                    let mut records = next.records.to_vec();
-                    if !absorbs {
-                        records.truncate(records.len().saturating_sub(next.pending.len()));
-                    }
-                    provider.add(next.schema.clone(), records);
+                    let rendered = if absorbs {
+                        next.records.len()
+                    } else {
+                        next.pending.start
+                    };
+                    provider.tables.push((&*next, 0..rendered));
                 } else {
-                    provider.add(state.schema.clone(), state.records.to_vec());
+                    provider.tables.push((state, 0..state.records.len()));
                     captured.push((name.clone(), Arc::clone(state)));
                 }
             }
@@ -2081,7 +2088,7 @@ impl Database {
         )));
         next.stats.full_renders += 1;
         if absorbs {
-            next.pending.clear();
+            next.clear_pending();
         }
         Ok(())
     }
@@ -2438,7 +2445,11 @@ impl Database {
         // with no lock held and nobody blocked on us.
         let slot = self.slot(table)?;
         let state = self.pin_state(&slot);
-        Ok(advise(&state.schema, &state.records.to_vec(), workload, options)?)
+        let sample = options
+            .cost_model
+            .sample_rows(state.records.len(), state.records.iter());
+        let (recommendation, _) = advise_sampled(&state.schema, sample, workload, options, None)?;
+        Ok(recommendation)
     }
 
     /// Runs the advisor and applies the recommended layout eagerly.
@@ -2513,12 +2524,14 @@ impl Database {
             .clone()
             .unwrap_or_else(|| LayoutExpr::table(table));
         let advise_started = Instant::now();
-        let (recommendation, baseline) = advise_with_baseline(
+        let model = &policy.advisor.cost_model;
+        let sample = model.sample_rows(state.records.len(), state.records.iter());
+        let (recommendation, baseline) = advise_sampled(
             &state.schema,
-            &state.records.to_vec(),
+            sample,
             &workload,
             &policy.advisor,
-            &current_expr,
+            Some(&current_expr),
         )?;
         drop(state);
         if recording {
@@ -2711,9 +2724,10 @@ impl TableSnapshot {
                 if state.pending.is_empty() {
                     return Ok((rows, Some(plan)));
                 }
-                (rows, Some(plan), &access.layout().schema, state.pending.iter())
+                let pending = state.records.iter_from(state.pending.start);
+                (rows, Some(plan), &access.layout().schema, pending)
             }
-            _ => (Vec::new(), None, &state.schema, state.records.iter()),
+            _ => (Vec::new(), None, &state.schema, state.records.iter_from(0)),
         };
         let out_fields = request
             .fields
@@ -2746,9 +2760,12 @@ impl TableSnapshot {
         let (mut acc, in_memory) = match &self.state.access {
             Some(access) if layout_serves(access, &request) => (
                 access.scan_aggregate(spec, predicate)?,
-                self.state.pending.iter(),
+                self.state.records.iter_from(self.state.pending.start),
             ),
-            _ => (WindowAccumulator::new(spec), self.state.records.iter()),
+            _ => (
+                WindowAccumulator::new(spec),
+                self.state.records.iter_from(0),
+            ),
         };
         self.tail(in_memory, &fields, predicate)?
             .fold_into(&mut acc, 0, 1)?;
@@ -2791,9 +2808,10 @@ impl TableSnapshot {
                 // change at the layout/pending boundary.
                 let layout_rows = access.layout().row_count;
                 match index.checked_sub(layout_rows) {
-                    Some(i) if i < state.pending.len() => {
-                        (&access.layout().schema, state.pending.iter_from(i))
-                    }
+                    Some(i) if i < state.pending.len() => (
+                        &access.layout().schema,
+                        state.records.iter_from(state.pending.start + i),
+                    ),
                     _ => return Ok(access.get_element(index, fields)?),
                 }
             }
@@ -3034,6 +3052,63 @@ mod tests {
         assert!(db.catalog().get("Traces").unwrap().access.is_none());
         db.scan("Traces", &ScanRequest::all().fields(["lat"])).unwrap();
         assert!(db.catalog().get("Traces").unwrap().access.is_some());
+    }
+
+    /// Rolls back the `count` rows at `start` the way a failed durable
+    /// commit does: under the turn of a ticket taken from the table's commit
+    /// queue while its writer mutex is held.
+    fn roll_back(db: &Database, table: &str, start: usize, count: usize) {
+        let slot = db.slot(table).unwrap();
+        let queue = Arc::clone(&slot.commit_queue);
+        let (ticket, removed_at_apply) = {
+            let _w = slot.writer.lock();
+            queue.take_ticket()
+        };
+        assert_eq!(queue.await_turn(ticket, removed_at_apply), 0);
+        db.rollback_insert(table, &slot, start, count, &queue, ticket);
+    }
+
+    #[test]
+    fn rollback_removes_a_middle_batch_whether_pending_or_absorbed() {
+        let rows = generate_traces(&CartelConfig {
+            observations: 400,
+            vehicles: 5,
+            ..CartelConfig::default()
+        });
+        let batches: Vec<Vec<Record>> = rows.chunks(100).map(<[Record]>::to_vec).collect();
+        for strategy in [ReorgStrategy::NewDataOnly, ReorgStrategy::Eager] {
+            // One batch rendered, three inserted after it: new-data-only
+            // keeps those pending, eager absorbs each into the rendering.
+            let db = Database::with_page_size(2048);
+            db.create_table(traces_schema()).unwrap();
+            db.insert("Traces", batches[0].clone()).unwrap();
+            db.apply_layout("Traces", LayoutExpr::table("Traces"), strategy)
+                .unwrap();
+            db.ensure_rendered("Traces").unwrap();
+            for batch in &batches[1..] {
+                db.insert("Traces", batch.clone()).unwrap();
+            }
+            let pending = |db: &Database| db.catalog().get("Traces").unwrap().pending.len();
+            let rendered = db.layout_stats("Traces").unwrap().full_renders;
+            let eager = strategy == ReorgStrategy::Eager;
+            assert_eq!(pending(&db), if eager { 0 } else { 300 });
+
+            roll_back(&db, "Traces", 200, 100);
+            let survivors: Vec<Record> =
+                [0, 1, 3].iter().flat_map(|&b| batches[b].clone()).collect();
+            assert_eq!(db.row_count("Traces").unwrap(), survivors.len());
+            assert_eq!(pending(&db), if eager { 0 } else { 200 });
+            // The eager rendering held the doomed rows: it is gone, and the
+            // next access renders the surviving rows afresh.
+            assert_eq!(db.catalog().get("Traces").unwrap().access.is_none(), eager);
+            assert_eq!(db.scan("Traces", &ScanRequest::all()).unwrap(), survivors);
+            let renders = db.layout_stats("Traces").unwrap().full_renders - rendered;
+            assert_eq!(renders, u64::from(eager));
+            for (at, row) in survivors.iter().enumerate() {
+                let element = db.get_element("Traces", at, None).unwrap();
+                assert_eq!(&element, row, "{strategy:?} row {at}");
+            }
+        }
     }
 
     #[test]

@@ -104,17 +104,6 @@ impl AccessMethods {
         &self.layout
     }
 
-    /// Mutable access to the underlying layout (recovery and maintenance
-    /// paths, e.g. reattaching or rebuilding a declared index).
-    pub fn layout_mut(&mut self) -> &mut PhysicalLayout {
-        &mut self.layout
-    }
-
-    /// Consumes the access methods, returning the layout.
-    pub fn into_layout(self) -> PhysicalLayout {
-        self.layout
-    }
-
     fn validate_fields(&self, fields: &Option<Vec<String>>) -> Result<()> {
         if let Some(fields) = fields {
             for f in fields {

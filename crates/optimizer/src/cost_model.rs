@@ -66,29 +66,31 @@ impl CostModel {
     /// Draws a deterministic sample of the records (stride sampling keeps the
     /// value distributions and orderings representative).
     pub fn sample(&self, records: &[Record]) -> Vec<Record> {
-        if records.len() <= self.sample_size {
-            return records.to_vec();
-        }
-        let stride = records.len() / self.sample_size;
-        records
-            .iter()
-            .step_by(stride.max(1))
-            .take(self.sample_size)
-            .cloned()
-            .collect()
+        self.sample_rows(records.len(), records)
     }
 
-    /// Samples `records` once and wraps the sample in a provider that can be
-    /// shared across every candidate rendering of one `advise()` call — the
-    /// per-candidate sample clone used to dominate enumeration on large
-    /// tables (the annealing loop alone re-cloned the sample 12 times).
-    pub fn sampled_provider(&self, schema: &Schema, records: &[Record]) -> MemTableProvider {
-        MemTableProvider::single(schema.clone(), self.sample(records))
+    /// Draws the sample [`CostModel::sample`] draws, from `len` rows read in
+    /// order — so a row store that is not one slice is sampled in place,
+    /// cloning only the rows the sample keeps.
+    pub fn sample_rows<'a>(
+        &self,
+        len: usize,
+        rows: impl IntoIterator<Item = &'a Record>,
+    ) -> Vec<Record> {
+        let stride = (len / self.sample_size.max(1)).max(1);
+        let mut sample = Vec::with_capacity(len.min(self.sample_size));
+        sample.extend(
+            rows.into_iter()
+                .step_by(stride)
+                .take(self.sample_size)
+                .cloned(),
+        );
+        sample
     }
 
     /// Renders `expr` over the sampled data and sums the workload's estimated
     /// scan costs. Convenience wrapper that samples on every call; candidate
-    /// loops should build one [`CostModel::sampled_provider`] and use
+    /// loops should wrap one sample in a provider and use
     /// [`CostModel::cost_with_provider`] instead.
     pub fn cost(
         &self,
@@ -97,7 +99,8 @@ impl CostModel {
         records: &[Record],
         workload: &Workload,
     ) -> Result<DesignCost> {
-        self.cost_with_provider(expr, &self.sampled_provider(schema, records), workload)
+        let provider = MemTableProvider::single(schema.clone(), self.sample(records));
+        self.cost_with_provider(expr, &provider, workload)
     }
 
     /// Renders `expr` over an already-sampled provider and sums the
@@ -299,7 +302,7 @@ mod tests {
         let (schema, records) = small_traces();
         let model = io_bound_model();
         let workload = spatial_workload();
-        let provider = model.sampled_provider(&schema, &records);
+        let provider = MemTableProvider::single(schema.clone(), model.sample(&records));
         for expr in [
             LayoutExpr::table("Traces"),
             LayoutExpr::table("Traces").project(["lat", "lon"]),

@@ -28,7 +28,7 @@ pub mod workload;
 
 pub use candidates::enumerate_candidates;
 pub use cost_model::{CostModel, DesignCost};
-pub use search::{advise, advise_with_baseline, AdvisorOptions, Recommendation};
+pub use search::{advise, advise_sampled, AdvisorOptions, Recommendation};
 pub use workload::{Workload, WorkloadQuery};
 
 use rodentstore_exec::ExecError;

@@ -56,53 +56,41 @@ pub fn advise(
     workload: &Workload,
     options: &AdvisorOptions,
 ) -> Result<Recommendation> {
-    if workload.queries.is_empty() {
-        return Err(OptimizerError::InvalidInput(
-            "cannot advise on an empty workload".into(),
-        ));
-    }
-    // Sample the relation exactly once per advise() call; every candidate
-    // rendering (greedy enumeration and annealing alike) shares the provider.
-    let provider = options.cost_model.sampled_provider(schema, records);
-    advise_on_provider(schema, &provider, workload, options)
+    let sample = options.cost_model.sample(records);
+    let (recommendation, _) = advise_sampled(schema, sample, workload, options, None)?;
+    Ok(recommendation)
 }
 
-/// Like [`advise`], but additionally costs `baseline` — the design currently
-/// in place — against the *same* sampled provider as every candidate, so the
-/// caller can compare "what we have" with "what the advisor wants" without
-/// sampling skew. This is the primitive behind the self-adaptation loop's
-/// hysteresis check.
+/// Like [`advise`], over a sample the caller drew with
+/// [`CostModel::sample_rows`] — every candidate rendering (greedy
+/// enumeration and annealing alike) shares it. With a `baseline` — the
+/// design currently in place — it also costs that design against the same
+/// sample, so the caller can compare "what we have" with "what the advisor
+/// wants" without sampling skew. This is the primitive behind the
+/// self-adaptation loop's hysteresis check.
 ///
-/// The baseline cost is `None` when the baseline cannot be rendered over a
-/// single-table sample (e.g. a prejoin whose other table is absent).
-pub fn advise_with_baseline(
+/// The baseline cost is `None` when there is no baseline, or it cannot be
+/// rendered over a single-table sample (e.g. a prejoin whose other table is
+/// absent).
+pub fn advise_sampled(
     schema: &Schema,
-    records: &[Record],
+    sample: Vec<Record>,
     workload: &Workload,
     options: &AdvisorOptions,
-    baseline: &LayoutExpr,
+    baseline: Option<&LayoutExpr>,
 ) -> Result<(Recommendation, Option<DesignCost>)> {
     if workload.queries.is_empty() {
         return Err(OptimizerError::InvalidInput(
             "cannot advise on an empty workload".into(),
         ));
     }
-    let provider = options.cost_model.sampled_provider(schema, records);
-    let baseline_cost = options
-        .cost_model
-        .cost_with_provider(&simplify(baseline), &provider, workload)
-        .ok();
-    let recommendation = advise_on_provider(schema, &provider, workload, options)?;
-    Ok((recommendation, baseline_cost))
-}
-
-fn advise_on_provider(
-    schema: &Schema,
-    provider: &MemTableProvider,
-    workload: &Workload,
-    options: &AdvisorOptions,
-) -> Result<Recommendation> {
     let model = &options.cost_model;
+    let provider = &MemTableProvider::single(schema.clone(), sample);
+    let baseline_cost = baseline.and_then(|baseline| {
+        model
+            .cost_with_provider(&simplify(baseline), provider, workload)
+            .ok()
+    });
     let candidates = enumerate_candidates(schema, workload);
     let mut explored: Vec<DesignCost> = Vec::with_capacity(candidates.len());
     for candidate in candidates {
@@ -131,7 +119,7 @@ fn advise_on_provider(
         }
     }
 
-    Ok(Recommendation { best, explored })
+    Ok((Recommendation { best, explored }, baseline_cost))
 }
 
 fn extract_grid(expr: &LayoutExpr) -> Option<Vec<GridDim>> {
@@ -320,12 +308,12 @@ mod tests {
     fn empty_workload_is_rejected() {
         let (schema, records) = traces();
         assert!(advise(&schema, &records, &Workload::new(), &fast_options()).is_err());
-        assert!(advise_with_baseline(
+        assert!(advise_sampled(
             &schema,
-            &records,
+            records.clone(),
             &Workload::new(),
             &fast_options(),
-            &LayoutExpr::table("Traces"),
+            Some(&LayoutExpr::table("Traces")),
         )
         .is_err());
     }
@@ -334,12 +322,12 @@ mod tests {
     fn baseline_is_costed_on_the_same_sample() {
         let (schema, records) = traces();
         let baseline = rodentstore_algebra::LayoutExpr::table("Traces");
-        let (rec, cost) = advise_with_baseline(
+        let (rec, cost) = advise_sampled(
             &schema,
-            &records,
+            records.clone(),
             &spatial_workload(),
             &fast_options(),
-            &baseline,
+            Some(&baseline),
         )
         .unwrap();
         let cost = cost.expect("row baseline renders over the sample");
@@ -356,12 +344,12 @@ mod tests {
         // An un-renderable baseline (prejoin with a missing table) yields no
         // cost instead of an error.
         let prejoin = LayoutExpr::table("Traces").prejoin(LayoutExpr::table("Missing"), "id");
-        let (_, none) = advise_with_baseline(
+        let (_, none) = advise_sampled(
             &schema,
-            &records,
+            records.clone(),
             &spatial_workload(),
             &fast_options(),
-            &prejoin,
+            Some(&prejoin),
         )
         .unwrap();
         assert!(none.is_none());

@@ -276,14 +276,6 @@ impl HeapFile {
         Ok(RecordId { page_index, slot })
     }
 
-    /// Appends many records at once.
-    pub fn append_all<'a>(
-        &self,
-        records: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Result<Vec<RecordId>> {
-        records.into_iter().map(|r| self.append(r)).collect()
-    }
-
     /// Flushes the partially filled tail page (if it holds unwritten
     /// records) so the file is fully persisted. Called automatically by
     /// scans. The tail stays *open*: later appends keep filling it.
@@ -305,10 +297,10 @@ impl HeapFile {
     /// extent, for reclaiming a dead heap's pages.
     pub fn extent(&self) -> Vec<PageId> {
         let state = self.state.lock();
-        let mut ids = state.pages.clone();
-        if let Some(tail) = &state.tail {
-            ids.push(tail.id);
-        }
+        let tail = state.tail.as_ref().map(|tail| tail.id);
+        let mut ids = Vec::with_capacity(state.pages.len() + usize::from(tail.is_some()));
+        ids.extend_from_slice(&state.pages);
+        ids.extend(tail);
         ids
     }
 

@@ -55,12 +55,10 @@
 //! The state lock is never held while acquiring the other two.
 
 use crate::checksum::crc32;
-use crate::page::{Page, PageId};
-use crate::pager::Pager;
 use crate::{Result, StorageError};
 use parking_lot::Mutex;
 use rodentstore_obs::Histogram;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -82,7 +80,6 @@ const FRAME_HEADER_LEN: usize = 8;
 const TAG_BEGIN: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 const TAG_ABORT: u8 = 3;
-const TAG_PAGE_WRITE: u8 = 4;
 const TAG_OP: u8 = 5;
 
 /// When [`Wal::commit`] makes the log durable.
@@ -124,15 +121,6 @@ pub enum LogRecord {
     Commit(TxId),
     /// A transaction aborted.
     Abort(TxId),
-    /// A full after-image of a page written by a transaction.
-    PageWrite {
-        /// Writing transaction.
-        tx: TxId,
-        /// Page that was written.
-        page_id: PageId,
-        /// Full page contents after the write.
-        data: Vec<u8>,
-    },
     /// A logical operation logged by a higher layer. The payload is opaque
     /// to the storage crate — RodentStore's durability layer encodes catalog
     /// mutations (inserts, layout declarations) here so replay can re-derive
@@ -160,13 +148,6 @@ impl LogRecord {
             LogRecord::Abort(tx) => {
                 out.push(TAG_ABORT);
                 out.extend_from_slice(&tx.to_le_bytes());
-            }
-            LogRecord::PageWrite { tx, page_id, data } => {
-                out.push(TAG_PAGE_WRITE);
-                out.extend_from_slice(&tx.to_le_bytes());
-                out.extend_from_slice(&page_id.to_le_bytes());
-                out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                out.extend_from_slice(data);
             }
             LogRecord::Op { tx, payload } => {
                 out.push(TAG_OP);
@@ -196,13 +177,6 @@ impl LogRecord {
             TAG_BEGIN => Some(LogRecord::Begin(read_u64(1)?)),
             TAG_COMMIT => Some(LogRecord::Commit(read_u64(1)?)),
             TAG_ABORT => Some(LogRecord::Abort(read_u64(1)?)),
-            TAG_PAGE_WRITE => {
-                let tx = read_u64(1)?;
-                let page_id = read_u64(9)?;
-                let len = read_u32(17)? as usize;
-                let data = payload.get(21..21 + len)?.to_vec();
-                Some(LogRecord::PageWrite { tx, page_id, data })
-            }
             TAG_OP => {
                 let tx = read_u64(1)?;
                 let len = read_u32(9)? as usize;
@@ -218,7 +192,6 @@ impl LogRecord {
             LogRecord::Begin(tx)
             | LogRecord::Commit(tx)
             | LogRecord::Abort(tx)
-            | LogRecord::PageWrite { tx, .. }
             | LogRecord::Op { tx, .. } => *tx,
         }
     }
@@ -407,7 +380,6 @@ struct WalState {
     backend: Backend,
     policy: SyncPolicy,
     next_tx: TxId,
-    active: Vec<TxId>,
     /// LSN of the first record currently in the log.
     base_lsn: Lsn,
     /// LSN the next appended record will get.
@@ -491,7 +463,6 @@ impl Wal {
                 backend: Backend::Memory(Vec::new()),
                 policy: SyncPolicy::Never,
                 next_tx: 0,
-                active: Vec::new(),
                 base_lsn: 0,
                 next_lsn: 0,
                 unsynced_commits: 0,
@@ -546,7 +517,6 @@ impl Wal {
                 backend: Backend::File { file, path },
                 policy,
                 next_tx: 0,
-                active: Vec::new(),
                 base_lsn: 0,
                 next_lsn: 0,
                 unsynced_commits: 0,
@@ -593,16 +563,6 @@ impl Wal {
         }
         file.seek(SeekFrom::End(0)).map_err(StorageError::from)?;
         let next_tx = records.iter().map(|r| r.tx() + 1).max().unwrap_or(0);
-        let mut active = Vec::new();
-        for record in &records {
-            match record {
-                LogRecord::Begin(tx) => active.push(*tx),
-                LogRecord::Commit(tx) | LogRecord::Abort(tx) => {
-                    active.retain(|t| t != tx);
-                }
-                _ => {}
-            }
-        }
         let next_lsn = base_lsn + records.len() as u64;
         let sync_file = Some(file.try_clone().map_err(StorageError::from)?);
         Ok(Wal::assemble(
@@ -610,7 +570,6 @@ impl Wal {
                 backend: Backend::File { file, path },
                 policy,
                 next_tx,
-                active,
                 base_lsn,
                 next_lsn,
                 unsynced_commits: 0,
@@ -632,22 +591,8 @@ impl Wal {
         let mut state = self.state.lock();
         let tx = state.next_tx;
         state.next_tx += 1;
-        state.active.push(tx);
         Wal::append(&mut state, &LogRecord::Begin(tx))?;
         Ok(tx)
-    }
-
-    /// Logs a page write performed by `tx`.
-    pub fn log_page_write(&self, tx: TxId, page: &Page) -> Result<Lsn> {
-        let mut state = self.state.lock();
-        Wal::append(
-            &mut state,
-            &LogRecord::PageWrite {
-                tx,
-                page_id: page.id,
-                data: page.data.clone(),
-            },
-        )
     }
 
     /// Logs an opaque logical operation performed by `tx` (see
@@ -670,7 +615,6 @@ impl Wal {
         let started = Instant::now();
         let (commit_lsn, policy) = {
             let mut state = self.state.lock();
-            state.active.retain(|&t| t != tx);
             let lsn = Wal::append(&mut state, &LogRecord::Commit(tx))?;
             state.unsynced_commits += 1;
             let should_sync_inline = match state.policy {
@@ -764,7 +708,6 @@ impl Wal {
     /// Aborts a transaction; its records will be ignored by replay.
     pub fn abort(&self, tx: TxId) -> Result<()> {
         let mut state = self.state.lock();
-        state.active.retain(|&t| t != tx);
         Wal::append(&mut state, &LogRecord::Abort(tx))?;
         Ok(())
     }
@@ -812,11 +755,6 @@ impl Wal {
     /// header). Crash tests use this to enumerate truncation points.
     pub fn bytes_len(&self) -> Result<u64> {
         self.state.lock().backend.len()
-    }
-
-    /// Transactions that began but neither committed nor aborted.
-    pub fn active_transactions(&self) -> Vec<TxId> {
-        self.state.lock().active.clone()
     }
 
     /// Decodes the log records (oldest first), stopping at a torn or corrupt
@@ -883,47 +821,16 @@ impl Wal {
         *sync_file = state.backend.try_clone_file()?;
         Ok(())
     }
-
-    /// Replays the log into `pager`, applying the *last committed* image of
-    /// every page. Writes from uncommitted or aborted transactions — and
-    /// anything past a torn or corrupt record — are skipped. Returns the
-    /// number of pages restored.
-    pub fn replay(&self, pager: &Pager) -> Result<usize> {
-        let records = self.records()?;
-        let committed = effective_commits(&records);
-        let mut latest: HashMap<PageId, &Vec<u8>> = HashMap::new();
-        for record in &records {
-            if let LogRecord::PageWrite { tx, page_id, data } = record {
-                if committed.contains(tx) {
-                    latest.insert(*page_id, data);
-                }
-            }
-        }
-        // Make sure the pager has enough pages allocated, then restore.
-        let mut restored = 0usize;
-        let mut ids: Vec<PageId> = latest.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            while pager.page_count() <= id {
-                pager.allocate()?;
-            }
-            let data = latest[&id].clone();
-            pager.write(&Page { id, data })?;
-            restored += 1;
-        }
-        Ok(restored)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn page_with(id: PageId, byte: u8, size: usize) -> Page {
-        Page {
-            id,
-            data: vec![byte; size],
-        }
+    /// The payloads of the log's committed ops, in log order.
+    fn committed_payloads(wal: &Wal) -> Vec<Vec<u8>> {
+        let ops = wal.committed_ops().unwrap();
+        ops.into_iter().map(|(_, _, payload)| payload).collect()
     }
 
     fn temp_wal_path(tag: &str) -> PathBuf {
@@ -937,52 +844,33 @@ mod tests {
     fn committed_writes_are_replayed() {
         let wal = Wal::new();
         let tx = wal.begin().unwrap();
-        wal.log_page_write(tx, &page_with(0, 7, 64)).unwrap();
-        wal.log_page_write(tx, &page_with(1, 9, 64)).unwrap();
+        let first = wal.log_op(tx, b"seven").unwrap();
+        let second = wal.log_op(tx, b"nine").unwrap();
         wal.commit(tx).unwrap();
 
-        let pager = Pager::in_memory_with_page_size(64);
-        let restored = wal.replay(&pager).unwrap();
-        assert_eq!(restored, 2);
-        assert_eq!(pager.read(0).unwrap().data, vec![7u8; 64]);
-        assert_eq!(pager.read(1).unwrap().data, vec![9u8; 64]);
+        let ops = wal.committed_ops().unwrap();
+        assert_eq!(
+            ops,
+            vec![(first, tx, b"seven".to_vec()), (second, tx, b"nine".to_vec())]
+        );
     }
 
     #[test]
     fn aborted_and_in_flight_writes_are_skipped() {
         let wal = Wal::new();
         let t1 = wal.begin().unwrap();
-        wal.log_page_write(t1, &page_with(0, 1, 64)).unwrap();
+        wal.log_op(t1, b"aborted").unwrap();
         wal.abort(t1).unwrap();
 
         let t2 = wal.begin().unwrap();
-        wal.log_page_write(t2, &page_with(1, 2, 64)).unwrap();
+        wal.log_op(t2, b"in-flight").unwrap();
         // t2 never commits.
 
         let t3 = wal.begin().unwrap();
-        wal.log_page_write(t3, &page_with(2, 3, 64)).unwrap();
+        wal.log_op(t3, b"committed").unwrap();
         wal.commit(t3).unwrap();
 
-        let pager = Pager::in_memory_with_page_size(64);
-        let restored = wal.replay(&pager).unwrap();
-        assert_eq!(restored, 1);
-        assert_eq!(pager.read(2).unwrap().data, vec![3u8; 64]);
-        assert_eq!(wal.active_transactions(), vec![t2]);
-    }
-
-    #[test]
-    fn later_images_win() {
-        let wal = Wal::new();
-        let t1 = wal.begin().unwrap();
-        wal.log_page_write(t1, &page_with(0, 1, 32)).unwrap();
-        wal.commit(t1).unwrap();
-        let t2 = wal.begin().unwrap();
-        wal.log_page_write(t2, &page_with(0, 2, 32)).unwrap();
-        wal.commit(t2).unwrap();
-
-        let pager = Pager::in_memory_with_page_size(32);
-        wal.replay(&pager).unwrap();
-        assert_eq!(pager.read(0).unwrap().data, vec![2u8; 32]);
+        assert_eq!(committed_payloads(&wal), vec![b"committed".to_vec()]);
     }
 
     #[test]
@@ -1114,9 +1002,7 @@ mod tests {
         let t2 = wal.begin().unwrap();
         wal.log_op(t2, b"kept").unwrap();
         wal.commit(t2).unwrap();
-        let ops = wal.committed_ops().unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].2, b"kept");
+        assert_eq!(committed_payloads(&wal), vec![b"kept".to_vec()]);
     }
 
     #[test]
@@ -1215,7 +1101,7 @@ mod tests {
         // lies about its length.
         let wal = Wal::new();
         let t1 = wal.begin().unwrap();
-        wal.log_page_write(t1, &page_with(0, 5, 32)).unwrap();
+        wal.log_op(t1, b"five").unwrap();
         wal.commit(t1).unwrap();
         {
             let mut state = wal.state.lock();
@@ -1223,8 +1109,7 @@ mod tests {
             state.backend.append(&[200, 0, 0, 0, 1, 2, 3, 4]).unwrap();
             state.next_lsn += 1;
         }
-        let pager = Pager::in_memory_with_page_size(32);
-        assert_eq!(wal.replay(&pager).unwrap(), 1);
+        assert_eq!(committed_payloads(&wal), vec![b"five".to_vec()]);
         assert_eq!(wal.records().unwrap().len(), 3, "torn frame is not decoded");
     }
 }

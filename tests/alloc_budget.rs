@@ -11,12 +11,16 @@
 //! buffer the page is copied into — and nothing else. Over a grid of many
 //! cells, a scan compiles its read plan once and a cell it opens costs its
 //! page list: a fold and a box query are held to a per-cell budget.
+//! Writes hold every row once: a render clones each base row once, an eager
+//! insert clones its batch once, and an insert whose rows stay pending moves
+//! the batch in without cloning a row.
 //!
 //! It is one `#[test]` on purpose: the counter is process-wide, and a second
 //! test running beside it would be counted too.
 
 use rodentstore::{
-    Condition, Database, DurabilityOptions, ScanRequest, SyncPolicy, WindowedAggregate,
+    parse, Condition, Database, DurabilityOptions, ReorgStrategy, ScanRequest, SyncPolicy,
+    WindowedAggregate,
 };
 use rodentstore_workload::telemetry::{generate_telemetry, telemetry_schema, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -167,6 +171,41 @@ fn column_chunk_reads_stay_within_their_allocation_budget() {
     );
 
     many_cell_grid_reads_stay_within_their_allocation_budget();
+    writes_stay_within_their_allocation_budget();
+}
+
+/// A telemetry row clones into two allocations (the row and its `sensor`
+/// string), so the budgets below sit under one clone of the rows too many:
+/// a render of 50 000 rows into `lsm[ts]` clones each row once while it
+/// materializes them, an eager 1 000-row insert clones its batch once while
+/// the tier absorbs it, and a 1 000-row insert under the new-data-only
+/// strategy moves its batch into the canonical rows without cloning a row.
+fn writes_stay_within_their_allocation_budget() {
+    const ROWS: usize = 50_000;
+    const BATCH: usize = 1_000;
+    const LSM: &str = "lsm[ts](Telemetry)";
+    let loaded = || {
+        let mut rows = generate_telemetry(&TelemetryConfig::with_readings(ROWS + BATCH));
+        let batch = rows.split_off(ROWS);
+        let db = Database::in_memory();
+        db.create_table(telemetry_schema()).unwrap();
+        db.insert("Telemetry", rows).unwrap();
+        (db, batch)
+    };
+
+    let (db, batch) = loaded();
+    let ((), render) = counted(|| db.apply_layout_text("Telemetry", LSM).unwrap());
+    assert!(render <= 200_000, "render of {ROWS} rows: {render} allocations");
+    let ((), insert) = counted(|| db.insert("Telemetry", batch).unwrap());
+    assert_eq!(db.catalog().get("Telemetry").unwrap().pending.len(), 0);
+    assert!(insert <= 7_000, "eager {BATCH}-row insert: {insert} allocations");
+
+    let (db, batch) = loaded();
+    db.apply_layout("Telemetry", parse(LSM).unwrap(), ReorgStrategy::NewDataOnly)
+        .unwrap();
+    let ((), insert) = counted(|| db.insert("Telemetry", batch).unwrap());
+    assert_eq!(db.catalog().get("Telemetry").unwrap().pending.len(), BATCH);
+    assert!(insert <= 64, "new-data-only {BATCH}-row insert: {insert} allocations");
 }
 
 /// Over a delta-compressed, Z-ordered grid of 625 cells, a scan compiles

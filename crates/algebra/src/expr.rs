@@ -73,7 +73,8 @@ impl SortKey {
 }
 
 /// Stable-sorts records by `(position, direction)` keys, comparing values
-/// with [`crate::Value::compare`]: the one record comparator of the engine. Rows
+/// by their total order ([`Ord`], which puts NaN after every number): the
+/// one record comparator of the engine. Rows
 /// that tie on every key keep their relative order, so sorting two runs
 /// that are each already in key order, appended one after the other, is
 /// their merge with the first run winning ties.
@@ -81,8 +82,8 @@ pub fn sort_by_positions(records: &mut [Record], keys: &[(usize, SortOrder)]) {
     records.sort_by(|a, b| {
         keys.iter()
             .map(|&(pos, order)| match order {
-                SortOrder::Asc => a[pos].compare(&b[pos]),
-                SortOrder::Desc => a[pos].compare(&b[pos]).reverse(),
+                SortOrder::Asc => a[pos].cmp(&b[pos]),
+                SortOrder::Desc => a[pos].cmp(&b[pos]).reverse(),
             })
             .find(|ord| ord.is_ne())
             .unwrap_or(std::cmp::Ordering::Equal)

@@ -2,9 +2,11 @@
 //!
 //! A [`Value`] is a single element manipulated by the storage algebra; a
 //! [`Record`] is an ordered collection of values conforming to a
-//! [`crate::Schema`]. Values form a total order (numeric types promote to
-//! `f64` for mixed comparisons, `Null` sorts first) so they can be used as
-//! sort and grouping keys throughout the system.
+//! [`crate::Schema`]. Values form a total order ([`Ord`]: numeric types
+//! promote to `f64` for mixed comparisons, `Null` sorts first, NaN after
+//! every number) so they can be used as sort and grouping keys throughout
+//! the system; predicates compare with [`Value::compare`], under which NaN
+//! lies inside every range.
 
 use crate::types::DataType;
 use crate::{AlgebraError, Result};
@@ -99,9 +101,11 @@ impl Value {
         }
     }
 
-    /// Total order over values. `Null` sorts first; numeric types are
+    /// The predicate comparison. `Null` sorts first; numeric types are
     /// mutually comparable; otherwise values are ordered by a fixed type rank
-    /// and then by their natural ordering.
+    /// and then by their natural ordering. A NaN compares equal to every
+    /// number, so it lies inside every range; sorting uses [`Ord`], which
+    /// puts NaN after every number instead.
     pub fn compare(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -162,6 +166,10 @@ impl Value {
         }
     }
 
+    fn is_nan(&self) -> bool {
+        matches!(self, Value::Float(v) if v.is_nan())
+    }
+
     fn type_rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -183,9 +191,19 @@ impl PartialOrd for Value {
     }
 }
 
+/// The sort order: [`Value::compare`], except that a NaN sorts after every
+/// number and equal to another NaN, so the order is total.
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.compare(other)
+        match (self, other) {
+            (Value::List(a), Value::List(b)) => a.cmp(b),
+            _ => match (self.is_nan(), other.is_nan()) {
+                (true, true) => Ordering::Equal,
+                (true, false) if other.as_f64().is_some() => Ordering::Greater,
+                (false, true) if self.as_f64().is_some() => Ordering::Less,
+                _ => self.compare(other),
+            },
+        }
     }
 }
 
@@ -282,6 +300,31 @@ mod tests {
             Value::Timestamp(10).compare(&Value::Int(5)),
             Ordering::Greater
         );
+    }
+
+    #[test]
+    fn nan_sorts_after_every_number_but_matches_every_range() {
+        let nan = Value::Float(f64::NAN);
+        let mut vals = [
+            Value::Float(2.5),
+            nan.clone(),
+            Value::Int(7),
+            Value::Null,
+            nan.clone(),
+            Value::Float(f64::INFINITY),
+            Value::Int(-1),
+            Value::Str("a".into()),
+        ];
+        vals.sort();
+        let shown: Vec<String> = vals.iter().map(Value::to_string).collect();
+        assert_eq!(shown, ["null", "-1", "2.5", "7", "inf", "NaN", "NaN", "\"a\""]);
+        assert_eq!(nan.cmp(&Value::Float(f64::NAN)), Ordering::Equal);
+        assert_eq!(
+            Value::List(vec![nan.clone()]).cmp(&Value::List(vec![Value::Int(1)])),
+            Ordering::Greater
+        );
+        // Predicates keep the old rule: NaN is inside every range.
+        assert_eq!(nan.compare(&Value::Int(1)), Ordering::Equal);
     }
 
     #[test]

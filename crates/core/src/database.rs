@@ -236,13 +236,13 @@ pub struct Database {
     /// overwritten. In-memory databases bypass this (no recovery to
     /// protect) and free straight to the pager.
     pending_free: Mutex<Vec<PageId>>,
-    /// Extents vacated by levelled-tier compaction, parked until their run
-    /// token is unique. A compacted run's sealed pages are shared by every
-    /// published generation since the run was created, so they cannot ride
-    /// a single generation's retirement — a reader decoding any older
-    /// generation still reaches them. Each reap re-checks the tokens and
-    /// quarantines the extents whose last holder dropped.
-    parked_extents: Mutex<Vec<(Arc<()>, Vec<PageId>)>>,
+    /// Runs merged away by levelled-tier compaction, parked until this is
+    /// the last pointer to each. A run is shared by every published
+    /// generation since it was sealed, so it cannot ride a single
+    /// generation's retirement — a reader decoding any older generation
+    /// still reaches it. Each reap quarantines the extents of the runs whose
+    /// last other holder dropped.
+    parked_runs: Mutex<Vec<Arc<LsmRun>>>,
     /// Fences durable mutation windows against checkpoints. A durable
     /// mutation holds the *read* side from before it applies until its
     /// commit resolves (acknowledged or rolled back); a checkpoint holds
@@ -305,7 +305,7 @@ impl Database {
             durability: None,
             retired: Mutex::new(Vec::new()),
             pending_free: Mutex::new(Vec::new()),
-            parked_extents: Mutex::new(Vec::new()),
+            parked_runs: Mutex::new(Vec::new()),
             commit_fence: RwLock::new(()),
             replaying: std::sync::atomic::AtomicBool::new(false),
             obs: EngineObs::new(),
@@ -564,7 +564,6 @@ impl Database {
                                 seq: run.seq,
                                 row_count: run.row_count as usize,
                                 key_bounds: run.key_bounds,
-                                token: Arc::new(()),
                             })
                             .collect();
                         layout.lsm = Some(LsmState::restore(
@@ -743,9 +742,9 @@ impl Database {
                         idx.protect();
                     }
                     // Sealed lsm runs carry no refillable tails and were
-                    // flushed when sealed; extents vacated by tier
-                    // compaction ride the token-guarded parking lot and are
-                    // swept below once no generation can still read them.
+                    // flushed when sealed; runs merged away by tier
+                    // compaction join the parking lot and are swept below
+                    // once no generation can still read them.
                     if let Some(lsm) = &access.layout().lsm {
                         notes.extend(lsm.take_relocation_notes());
                     }
@@ -762,21 +761,11 @@ impl Database {
             }
         }
         self.park_lsm_notes(notes);
-        // Sweep the parking lot: extents whose run token drained join this
-        // checkpoint's quarantine (and thus this manifest's free list).
-        {
-            let mut parked = self.parked_extents.lock();
-            let mut freed = Vec::new();
-            parked.retain_mut(|(token, pages)| {
-                if Arc::strong_count(token) == 1 {
-                    freed.append(pages);
-                    false
-                } else {
-                    true
-                }
-            });
-            self.pending_free.lock().extend(freed);
-        }
+        // Sweep the parking lot: extents of runs no generation holds any more
+        // join this checkpoint's quarantine (and thus this manifest's free
+        // list).
+        let freed = self.unpark_lsm_runs();
+        self.pending_free.lock().extend(freed);
         mark(&mut phases, &mut phase_started, "flush_tails");
         self.pager.sync().map_err(RodentError::Storage)?;
         mark(&mut phases, &mut phase_started, "pager_sync");
@@ -797,8 +786,8 @@ impl Database {
         }
         // Parked compaction extents are likewise only held back by
         // in-process readers; after a restart nothing references them.
-        for (_, pages) in self.parked_extents.lock().iter() {
-            free_pages.extend(pages.iter().copied());
+        for run in self.parked_runs.lock().iter() {
+            free_pages.extend(run.heap.extent());
         }
         free_pages.sort_unstable();
         free_pages.dedup();
@@ -1125,19 +1114,9 @@ impl Database {
             }
         }
         self.park_lsm_notes(notes);
-        // Parked compaction extents: free the ones whose run token just
-        // became unique (every generation that shared the run has dropped).
-        {
-            let mut parked = self.parked_extents.lock();
-            parked.retain_mut(|(token, pages)| {
-                if Arc::strong_count(token) == 1 {
-                    reclaimed.append(pages);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        // Parked runs: free the ones every generation that shared them has
+        // dropped.
+        reclaimed.extend(self.unpark_lsm_runs());
         if !reclaimed.is_empty() {
             if self.obs.enabled() {
                 let pages = reclaimed.len() as u64;
@@ -1155,12 +1134,26 @@ impl Database {
         }
     }
 
-    /// Parks compaction-vacated extents until their run tokens drain (see
-    /// the `parked_extents` field).
-    fn park_lsm_notes(&self, notes: Vec<(Arc<()>, Vec<PageId>)>) {
-        if !notes.is_empty() {
-            self.parked_extents.lock().extend(notes);
+    /// Parks runs merged away by compaction until no generation holds them
+    /// (see the `parked_runs` field).
+    fn park_lsm_notes(&self, runs: Vec<Arc<LsmRun>>) {
+        if !runs.is_empty() {
+            self.parked_runs.lock().extend(runs);
         }
+    }
+
+    /// Unparks the runs the parking lot holds the last pointer to, and
+    /// returns their extents.
+    fn unpark_lsm_runs(&self) -> Vec<PageId> {
+        let mut freed = Vec::new();
+        self.parked_runs.lock().retain(|run| {
+            let held = Arc::strong_count(run) > 1;
+            if !held {
+                freed.extend(run.heap.extent());
+            }
+            held
+        });
+        freed
     }
 
     /// Folds a levelled tier's drained structural-work journal into the
@@ -1214,11 +1207,11 @@ impl Database {
     }
 
     /// Number of retired-but-unreclaimed values (states, maps, configs, and
-    /// renderings, and parked compaction extents) currently deferred behind
+    /// renderings, and parked compacted runs) currently deferred behind
     /// reader pins. Diagnostic: tests assert it stays bounded and drains
     /// once pins are released.
     pub fn retired_snapshots(&self) -> usize {
-        self.retired.lock().len() + self.parked_extents.lock().len()
+        self.retired.lock().len() + self.parked_runs.lock().len()
     }
 
     /// Writes a mutation's op record to the WAL (no-op for in-memory
@@ -1959,9 +1952,9 @@ impl Database {
                     // fork and the original are generations of one page
                     // chain.
                     let vacated = forked.layout().take_relocated();
-                    // Extents vacated by tier compaction are shared with
-                    // every older generation and take the token-guarded
-                    // parking route instead of the per-generation one.
+                    // Runs merged away by tier compaction are shared with
+                    // every older generation and take the parking route
+                    // instead of the per-generation one.
                     self.park_lsm_notes(forked.layout().take_lsm_relocation_notes());
                     self.record_lsm_activity(table, forked.layout().take_lsm_activity());
                     next.access = Some(Arc::new(forked));

@@ -51,7 +51,8 @@ use rodentstore_algebra::value::{Record, Value};
 use rodentstore_exec::{CostParams, ScanRequest};
 use rodentstore_layout::rowcodec::{decode_record, encode_record};
 use rodentstore_layout::{
-    has_chunk_directory, CellBounds, ChunkDirectory, ChunkEntry, CodecKind, KeyKind, ObjectEncoding,
+    has_chunk_directory, CellBounds, ChunkDirectory, ChunkEntry, CodecKind, KeyKind, LsmState,
+    ObjectEncoding,
 };
 use rodentstore_optimizer::{AdvisorOptions, CostModel};
 use rodentstore_storage::heap::RecordId;
@@ -1210,20 +1211,22 @@ fn dec_index(d: &mut Dec) -> Result<IndexManifest> {
     })
 }
 
-fn enc_lsm(e: &mut Enc, lsm: &LsmManifest) {
-    e.u64(lsm.memtable_cap);
-    e.u64(lsm.fanout);
+/// Writes a live tier in the [`LsmManifest`] format [`dec_lsm`] reads.
+fn enc_lsm(e: &mut Enc, lsm: &LsmState) -> Result<()> {
+    e.u64(lsm.memtable_cap as u64);
+    e.u64(lsm.fanout as u64);
     e.u64(lsm.next_seq);
     e.u32(lsm.runs.len() as u32);
     for run in &lsm.runs {
         e.u32(run.level);
         e.u64(run.seq);
-        e.u64(run.row_count);
-        e.u32(run.pages.len() as u32);
-        for p in &run.pages {
+        e.u64(run.row_count as u64);
+        let pages = run.heap.page_ids().map_err(RodentError::Storage)?;
+        e.u32(pages.len() as u32);
+        for p in &pages {
             e.u64(*p);
         }
-        e.u64(run.heap_records);
+        e.u64(run.heap.record_count());
         match &run.key_bounds {
             None => e.bool(false),
             Some(bounds) => {
@@ -1236,7 +1239,8 @@ fn enc_lsm(e: &mut Enc, lsm: &LsmManifest) {
             }
         }
     }
-    enc_records(e, &lsm.memtable);
+    enc_records(e, lsm.memtable.rows());
+    Ok(())
 }
 
 fn dec_lsm(d: &mut Dec) -> Result<LsmManifest> {
@@ -1415,29 +1419,7 @@ pub(crate) fn encode_manifest(catalog: &CatalogView, ctx: &ManifestContext) -> R
                     None => e.bool(false),
                     Some(lsm) => {
                         e.bool(true);
-                        let mut runs = Vec::with_capacity(lsm.runs.len());
-                        for run in &lsm.runs {
-                            let pages =
-                                run.heap.page_ids().map_err(RodentError::Storage)?;
-                            runs.push(LsmRunManifest {
-                                level: run.level,
-                                seq: run.seq,
-                                row_count: run.row_count as u64,
-                                pages,
-                                heap_records: run.heap.record_count(),
-                                key_bounds: run.key_bounds.clone(),
-                            });
-                        }
-                        enc_lsm(
-                            &mut e,
-                            &LsmManifest {
-                                memtable_cap: lsm.memtable_cap as u64,
-                                fanout: lsm.fanout as u64,
-                                next_seq: lsm.next_seq,
-                                runs,
-                                memtable: lsm.memtable.rows(),
-                            },
-                        );
+                        enc_lsm(&mut e, lsm)?;
                     }
                 }
             }

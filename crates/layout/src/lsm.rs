@@ -1,39 +1,39 @@
 //! The levelled write-optimized tier behind the `lsm[...]` operator.
 //!
 //! An [`LsmState`] rides on a [`crate::plan::PhysicalLayout`]: appended
-//! tuples land in an in-memory *memtable* — an ordered map keyed by the
-//! tier's sort key, so a spill is an O(n) walk instead of a sort and point
-//! lookups can push a key range straight into the memtable — spill into
-//! immutable key-sorted *runs* once the memtable fills, and are merged into
-//! deeper levels by incremental compaction. The inner expression still
-//! governs how the bulk-rendered base is stored; the tier only owns rows
-//! appended after the render.
+//! tuples land in an in-memory *memtable* — one vector of rows kept in the
+//! tier's key order, so a spill drains its front and a key range is a
+//! sub-slice — spill into immutable key-sorted *runs* once the memtable
+//! fills, and are merged into deeper levels by incremental compaction. The
+//! inner expression still governs how the bulk-rendered base is stored; the
+//! tier only owns rows appended after the render, and its runs are
+//! full-width row-encoded heaps whatever the inner shape.
 //!
 //! Runs are never rewritten once sealed — a spill writes a fresh heap file,
 //! flushes it, and re-opens it with every page sealed — so crash recovery
-//! can reattach them from manifest metadata without re-rendering a byte.
-//! Compaction is amortized: each absorb performs **at most one** level
-//! merge (the shallowest overflowing level), so the worst-case work per
-//! appended batch is bounded by a single merge instead of a full cascade.
-//! Merges park the vacated extents in a relocation note; the checkpoint
-//! quarantine turns that into the copying vacuum the free list has been
-//! waiting for.
+//! can reattach them from manifest metadata without re-rendering a byte,
+//! and every generation of the tier shares a run by [`Arc`]. Compaction is
+//! amortized: each absorb performs **at most one** level merge (the
+//! shallowest overflowing level), so the worst-case work per appended
+//! batch is bounded by a single merge instead of a full cascade. A merge
+//! parks each merged-away run; its extent is free once the parked pointer
+//! is the last one, the rule every stored object follows.
 //!
 //! Everything the tier does is additionally journaled as [`LsmActivity`]
 //! records, drained by the engine into its observability registry and
 //! event ring.
 
-use crate::pipeline::sort_records;
 use crate::plan::read_heap_row;
-use crate::rowcodec::{decode_record, encode_record};
+use crate::rowcodec::{decode_record, encode_record_into};
 use crate::{LayoutError, Result};
-use rodentstore_algebra::expr::SortKey;
+use rodentstore_algebra::expr::{sort_by_positions, SortOrder};
 use rodentstore_algebra::schema::Schema;
-use rodentstore_algebra::value::{Record, Value};
+use rodentstore_algebra::value::Record;
 use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::page::PageId;
 use rodentstore_storage::pager::Pager;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -79,24 +79,19 @@ pub enum LsmActivity {
         rows: u64,
         /// Pages the new run occupies.
         pages_written: u64,
-        /// Pages vacated (parked as relocation notes).
+        /// Pages vacated (freed once no generation holds the runs).
         pages_freed: u64,
     },
 }
 
-/// The tier's in-memory write buffer: rows grouped by their sort key in an
-/// ordered map. Keeping the map sorted makes a spill a linear walk (no
-/// per-spill sort) and lets point/range reads seek directly to the keys
-/// they need instead of filtering the whole buffer.
-///
-/// Rows with equal keys keep arrival order within their group, which is
-/// exactly what the stable per-spill sort used to guarantee.
+/// The tier's in-memory write buffer: one vector of rows in the tier's key
+/// order, arrival order among equal keys. A spill takes the front of it
+/// and a numeric range on the first key field is a sub-slice.
 #[derive(Clone)]
 pub struct Memtable {
-    entries: BTreeMap<Vec<Value>, Vec<Record>>,
-    len: usize,
+    rows: Vec<Record>,
     /// Every first-key value seen so far maps to a non-NaN `f64`, so a
-    /// numeric range on the first key field can seek the map directly.
+    /// numeric range on the first key field can seek the rows directly.
     /// Conservative: once false it stays false, even across drains.
     numeric: bool,
 }
@@ -111,87 +106,61 @@ impl Memtable {
     /// An empty memtable.
     pub fn new() -> Memtable {
         Memtable {
-            entries: BTreeMap::new(),
-            len: 0,
+            rows: Vec::new(),
             numeric: true,
         }
     }
 
     /// Number of buffered rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// Whether the memtable holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
-    /// Buffers `row` under its extracted sort `key`.
-    pub fn insert(&mut self, key: Vec<Value>, row: Record) {
-        if self.numeric {
-            self.numeric = key
-                .first()
-                .map_or(true, |v| v.as_f64().is_some_and(|f| !f.is_nan()));
+    /// Buffers `rows`, keeping the memtable sorted on the `key` positions
+    /// (stable, so equal keys keep arrival order).
+    pub fn absorb(&mut self, rows: Vec<Record>, key: &[(usize, SortOrder)]) {
+        if let (true, Some(&(first, _))) = (self.numeric, key.first()) {
+            self.numeric = rows
+                .iter()
+                .all(|r| r[first].as_f64().is_some_and(|f| !f.is_nan()));
         }
-        self.entries.entry(key).or_default().push(row);
-        self.len += 1;
+        self.rows.extend(rows);
+        sort_by_positions(&mut self.rows, key);
     }
 
-    /// Rows in key order (arrival order within equal keys).
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.entries.values().flatten()
-    }
-
-    /// Clones every row out, in key order (manifest serialization).
-    pub fn rows(&self) -> Vec<Record> {
-        self.iter().cloned().collect()
-    }
-
-    /// The `idx`-th row in key order.
-    pub fn get(&self, idx: usize) -> Option<&Record> {
-        self.iter().nth(idx)
+    /// The rows in key order (arrival order within equal keys).
+    pub fn rows(&self) -> &[Record] {
+        &self.rows
     }
 
     /// Removes and returns the first `n` rows in key order — already
-    /// sorted, so a spill can seal them without sorting. A key group that
-    /// straddles the cut is split, its remainder staying buffered.
+    /// sorted, so a spill seals them as they are.
     pub fn drain_first(&mut self, n: usize) -> Vec<Record> {
-        let mut out = Vec::with_capacity(n.min(self.len));
-        while out.len() < n {
-            let Some((key, mut rows)) = self.entries.pop_first() else {
-                break;
-            };
-            let remaining = n - out.len();
-            if rows.len() <= remaining {
-                out.extend(rows);
-            } else {
-                let rest = rows.split_off(remaining);
-                out.extend(rows);
-                self.entries.insert(key, rest);
-                break;
-            }
-        }
-        self.len -= out.len();
-        out
+        self.rows.drain(..n.min(self.rows.len())).collect()
     }
 
-    /// Rows whose *first* key value falls in the inclusive numeric range,
-    /// found by seeking the ordered map when every first-key value is
-    /// numeric. Falls back to every row when the range is absent or the
-    /// keys are not uniformly numeric (the caller still applies its full
-    /// predicate either way).
-    pub fn select(&self, range: Option<(f64, f64)>) -> Vec<&Record> {
+    /// The rows whose *first* key value, at position `first`, falls in the
+    /// inclusive numeric range, found by binary search while every
+    /// first-key value is numeric. Every row when the range is absent or
+    /// the keys are not uniformly numeric (the caller still applies its
+    /// full predicate either way).
+    pub fn select(&self, first: usize, range: Option<(f64, f64)>) -> &[Record] {
         match range {
-            Some((lo, hi)) if self.numeric => self
-                .entries
-                .range(vec![Value::Float(lo)]..)
-                .take_while(|(k, _)| {
-                    k.first().and_then(|v| v.as_f64()).is_some_and(|v| v <= hi)
-                })
-                .flat_map(|(_, rows)| rows.iter())
-                .collect(),
-            _ => self.iter().collect(),
+            Some((lo, hi)) if self.numeric => {
+                let key = |r: &Record| r[first].as_f64().unwrap_or(f64::NAN);
+                let start = self.rows.partition_point(|r| key(r) < lo);
+                // Not `<= hi`: a NaN bound keeps every row, as the predicate does.
+                let end = self
+                    .rows
+                    .partition_point(|r| key(r).partial_cmp(&hi) != Some(Ordering::Greater));
+                &self.rows[start..end.max(start)]
+            }
+            _ => &self.rows,
         }
     }
 }
@@ -199,14 +168,14 @@ impl Memtable {
 impl std::fmt::Debug for Memtable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memtable")
-            .field("rows", &self.len)
-            .field("keys", &self.entries.len())
+            .field("rows", &self.rows.len())
             .field("numeric", &self.numeric)
             .finish()
     }
 }
 
-/// One immutable sorted run of the levelled tier.
+/// One immutable sorted run of the levelled tier, shared by [`Arc`] by
+/// every generation of the tier that holds it.
 pub struct LsmRun {
     /// Sealed heap file holding the run's rows (row-encoded, full width):
     /// scans read it with the same cursor as any row-encoded object.
@@ -220,12 +189,6 @@ pub struct LsmRun {
     /// Inclusive `(min, max)` of each key field over the run's rows, when
     /// every key value maps to `f64`; `None` disables pruning for the run.
     pub key_bounds: Option<Vec<(f64, f64)>>,
-    /// Lifetime token, cloned by every fork that shares the run's sealed
-    /// pages. A run's extent is reclaimable only once its token is unique:
-    /// sealed pages are shared across *every* published generation since the
-    /// run was created, so a per-generation retirement guard is not enough —
-    /// a reader holding any older generation still decodes these pages.
-    pub token: Arc<()>,
 }
 
 impl std::fmt::Debug for LsmRun {
@@ -265,16 +228,17 @@ pub struct LsmState {
     pub memtable: Memtable,
     /// Sealed runs, kept in scan order: deepest level first, then by
     /// ascending sequence number (oldest data first).
-    pub runs: Vec<LsmRun>,
+    pub runs: Vec<Arc<LsmRun>>,
     /// Memtable spill threshold, in rows.
     pub memtable_cap: usize,
     /// Runs per level before compaction merges the level.
     pub fanout: usize,
     /// Next run sequence number.
     pub next_seq: u64,
-    /// Extents vacated by compaction since the last drain, each tagged with
-    /// the vacated run's lifetime token.
-    relocated: Mutex<Vec<(Arc<()>, Vec<PageId>)>>,
+    /// Runs merged away since the last drain. Older generations may still
+    /// hold them, and a run's extent is reusable only once the pointer
+    /// parked here is its last.
+    relocated: Mutex<Vec<Arc<LsmRun>>>,
     /// Structural work performed since the last drain, for the engine's
     /// metrics registry and event ring.
     activity: Mutex<Vec<LsmActivity>>,
@@ -291,13 +255,10 @@ impl std::fmt::Debug for LsmState {
 }
 
 impl LsmState {
-    /// Fresh tier with default spill and fanout parameters.
-    pub fn new(key: Vec<String>) -> LsmState {
-        LsmState::with_params(key, DEFAULT_MEMTABLE_CAP, DEFAULT_FANOUT)
-    }
-
-    /// Fresh tier with explicit parameters (tests shrink them to exercise
-    /// multi-level shapes with few rows).
+    /// Fresh tier with the given spill and fanout parameters (the render
+    /// options default them to [`DEFAULT_MEMTABLE_CAP`] and
+    /// [`DEFAULT_FANOUT`]; tests shrink them to exercise multi-level shapes
+    /// with few rows).
     pub fn with_params(key: Vec<String>, memtable_cap: usize, fanout: usize) -> LsmState {
         LsmState {
             key,
@@ -314,8 +275,7 @@ impl LsmState {
     /// Reattaches a tier from persisted metadata: the caller re-opens each
     /// run's sealed heap over its recorded extent (no page allocation, no
     /// re-rendering) and this puts them back in scan order. Memtable rows
-    /// were persisted in key order and re-keying them here preserves the
-    /// within-key arrival order.
+    /// were persisted in key order, which the stable sort keeps.
     pub fn restore(
         key: Vec<String>,
         memtable_cap: usize,
@@ -327,12 +287,10 @@ impl LsmState {
     ) -> Result<LsmState> {
         let mut state = LsmState::with_params(key, memtable_cap, fanout);
         state.next_seq = next_seq;
-        let positions = state.key_positions(schema)?;
-        for row in memtable_rows {
-            let key = positions.iter().map(|&p| row[p].clone()).collect();
-            state.memtable.insert(key, row);
-        }
-        state.runs = runs;
+        state
+            .memtable
+            .absorb(memtable_rows, &state.key_positions(schema)?);
+        state.runs = runs.into_iter().map(Arc::new).collect();
         state.order_runs();
         Ok(state)
     }
@@ -363,31 +321,29 @@ impl LsmState {
             }
             idx -= run.row_count;
         }
-        Ok(self.memtable.get(idx).cloned())
+        Ok(self.memtable.rows().get(idx).cloned())
     }
 
-    /// Drains the vacated extents that are already safe to reuse: those
-    /// whose run token is unique, meaning no forked generation (and thus no
-    /// pinned reader) can still reach the run's pages. Notes whose token is
-    /// still shared stay parked for a later drain.
+    /// Drains the extents of merged-away runs that are already safe to
+    /// reuse: those no forked generation (and thus no pinned reader) still
+    /// holds. Runs another generation still holds stay parked for a later
+    /// drain.
     pub fn take_relocated(&self) -> Vec<PageId> {
-        let mut relocated = self.relocated.lock().unwrap();
         let mut pages = Vec::new();
-        relocated.retain_mut(|(token, extent)| {
-            if Arc::strong_count(token) == 1 {
-                pages.append(extent);
-                false
-            } else {
-                true
+        self.relocated.lock().unwrap().retain(|run| {
+            let held = Arc::strong_count(run) > 1;
+            if !held {
+                pages.extend(run.heap.extent());
             }
+            held
         });
         pages
     }
 
-    /// Drains *every* relocation note, shared tokens included. Callers that
-    /// outlive this tier (the database's central parking lot) take the notes
-    /// wholesale and re-check token uniqueness themselves on each reap.
-    pub fn take_relocation_notes(&self) -> Vec<(Arc<()>, Vec<PageId>)> {
+    /// Drains *every* merged-away run, shared ones included. Callers that
+    /// outlive this tier (the database's central parking lot) take the runs
+    /// wholesale and free each extent once they hold the last pointer.
+    pub fn take_relocation_notes(&self) -> Vec<Arc<LsmRun>> {
         std::mem::take(&mut *self.relocated.lock().unwrap())
     }
 
@@ -400,15 +356,12 @@ impl LsmState {
         self.activity.lock().unwrap().push(activity);
     }
 
-    fn sort_keys(&self) -> Vec<SortKey> {
-        self.key.iter().map(|f| SortKey::asc(f.clone())).collect()
-    }
-
-    /// Schema positions of the tier's key fields.
-    fn key_positions(&self, schema: &Schema) -> Result<Vec<usize>> {
+    /// Schema positions of the tier's key fields, each ascending: the sort
+    /// key of the memtable and of every run.
+    fn key_positions(&self, schema: &Schema) -> Result<Vec<(usize, SortOrder)>> {
         self.key
             .iter()
-            .map(|f| schema.index_of(f).map_err(crate::LayoutError::Algebra))
+            .map(|f| Ok((schema.index_of(f)?, SortOrder::Asc)))
             .collect()
     }
 
@@ -418,7 +371,7 @@ impl LsmState {
             .sort_by(|a, b| b.level.cmp(&a.level).then(a.seq.cmp(&b.seq)));
     }
 
-    /// Absorbs appended rows: into the ordered memtable, spilling level-0
+    /// Absorbs appended rows: into the sorted memtable, spilling level-0
     /// runs at capacity. Each spill triggers **at most one** level merge
     /// (the shallowest overflowing level), so the structural work riding on
     /// any single absorb is bounded — deeper levels drain over subsequent
@@ -432,16 +385,13 @@ impl LsmState {
     ) -> Result<()> {
         let started = Instant::now();
         let absorbed = rows.len() as u64;
-        let positions = self.key_positions(schema)?;
-        for row in rows {
-            let key = positions.iter().map(|&p| row[p].clone()).collect();
-            self.memtable.insert(key, row);
-        }
+        let key = self.key_positions(schema)?;
+        self.memtable.absorb(rows, &key);
         let mut spills = 0u64;
         let mut merges = 0u64;
         while self.memtable.len() >= self.memtable_cap {
             let spill = self.memtable.drain_first(self.memtable_cap);
-            let (rows_sealed, pages) = self.seal_run(pager, layout_name, schema, spill, 0, true)?;
+            let (rows_sealed, pages) = self.seal_run(pager, layout_name, &key, spill, 0)?;
             spills += 1;
             self.record(LsmActivity::Spill {
                 level: 0,
@@ -461,72 +411,46 @@ impl LsmState {
         Ok(())
     }
 
-    /// Seals `rows` as a fresh immutable run on `level`, sorting them by
-    /// the key first unless the caller guarantees they already are
-    /// (memtable drains are; merge inputs rely on the sort as the merge).
-    /// The heap is flushed and re-opened with every page sealed, so the run
-    /// can never be appended to again. Returns `(rows, pages)` sealed.
+    /// Seals `rows`, already in key order, as a fresh immutable run on
+    /// `level`. The heap is flushed and re-opened with every page sealed, so
+    /// the run can never be appended to again. Returns `(rows, pages)`
+    /// sealed.
     fn seal_run(
         &mut self,
         pager: &Arc<Pager>,
         layout_name: &str,
-        schema: &Schema,
-        mut rows: Vec<Record>,
+        key: &[(usize, SortOrder)],
+        rows: Vec<Record>,
         level: u32,
-        presorted: bool,
     ) -> Result<(u64, u64)> {
-        if !presorted {
-            sort_records(schema, &mut rows, &self.sort_keys())?;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let name = format!("{layout_name}.run{seq}");
         let heap = HeapFile::create(name.clone(), Arc::clone(pager));
+        let mut encoded = Vec::new();
         for row in &rows {
-            heap.append(&encode_record(row))?;
+            encoded.clear();
+            encode_record_into(row, &mut encoded);
+            heap.append(&encoded)?;
         }
         heap.flush()?;
         let sealed = HeapFile::from_pages(name, Arc::clone(pager), heap.extent(), rows.len() as u64);
         let pages = sealed.page_count() as u64;
-        let key_bounds = self.bounds_of(schema, &rows)?;
         let row_count = rows.len();
-        self.runs.push(LsmRun {
+        self.runs.push(Arc::new(LsmRun {
             heap: sealed,
             level,
             seq,
             row_count,
-            key_bounds,
-            token: Arc::new(()),
-        });
+            key_bounds: bounds_of(key, &rows),
+        }));
         self.order_runs();
         Ok((row_count as u64, pages))
     }
 
-    /// Per-key-field `(min, max)` over `rows`, or `None` when any key value
-    /// has no numeric interpretation.
-    fn bounds_of(&self, schema: &Schema, rows: &[Record]) -> Result<Option<Vec<(f64, f64)>>> {
-        if rows.is_empty() {
-            return Ok(Some(vec![(f64::INFINITY, f64::NEG_INFINITY); self.key.len()]));
-        }
-        let positions = self.key_positions(schema)?;
-        let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); self.key.len()];
-        for row in rows {
-            for (k, &p) in positions.iter().enumerate() {
-                match row[p].as_f64() {
-                    Some(v) if !v.is_nan() => {
-                        bounds[k].0 = bounds[k].0.min(v);
-                        bounds[k].1 = bounds[k].1.max(v);
-                    }
-                    _ => return Ok(None),
-                }
-            }
-        }
-        Ok(Some(bounds))
-    }
-
     /// Merges the *shallowest* level holding at least `fanout` runs into a
     /// single run on the next level — one merge, no cascade. Returns whether
-    /// a merge happened. Vacated run extents are parked for
+    /// a merge happened. Merged-away runs are parked for
     /// [`LsmState::take_relocated`].
     pub fn compact_one(
         &mut self,
@@ -572,18 +496,11 @@ impl LsmState {
         schema: &Schema,
         level: u32,
     ) -> Result<()> {
-        let mut merged: Vec<LsmRun> = Vec::new();
-        let mut keep: Vec<LsmRun> = Vec::new();
-        for run in self.runs.drain(..) {
-            if run.level == level {
-                merged.push(run);
-            } else {
-                keep.push(run);
-            }
-        }
+        let (mut merged, keep): (Vec<_>, Vec<_>) =
+            self.runs.drain(..).partition(|run| run.level == level);
         self.runs = keep;
-        // Oldest first, so the stable merge sort preserves arrival order
-        // among equal keys.
+        // Oldest first, so the stable sort preserves arrival order among
+        // equal keys: concatenated sorted runs, sorted, are their merge.
         merged.sort_by_key(|r| r.seq);
         let mut rows = Vec::with_capacity(merged.iter().map(|r| r.row_count).sum());
         for run in &merged {
@@ -592,15 +509,12 @@ impl LsmState {
                 Ok::<_, LayoutError>(())
             })?;
         }
-        let pages_freed: u64 = merged.iter().map(|r| r.heap.extent().len() as u64).sum();
+        let key = self.key_positions(schema)?;
+        sort_by_positions(&mut rows, &key);
+        let pages_freed: u64 = merged.iter().map(|r| r.heap.page_count() as u64).sum();
         let runs_merged = merged.len() as u64;
-        let (rows_sealed, pages_written) =
-            self.seal_run(pager, layout_name, schema, rows, level + 1, false)?;
-        let mut relocated = self.relocated.lock().unwrap();
-        for run in merged {
-            relocated.push((Arc::clone(&run.token), run.heap.extent()));
-        }
-        drop(relocated);
+        let (rows_sealed, pages_written) = self.seal_run(pager, layout_name, &key, rows, level + 1)?;
+        self.relocated.lock().unwrap().extend(merged);
         self.record(LsmActivity::Merge {
             level,
             runs_merged,
@@ -611,31 +525,14 @@ impl LsmState {
         Ok(())
     }
 
-    /// Clones the tier for an append fork: run heaps are reattached over the
-    /// same sealed pages (no copying), the memtable is cloned, and pending
-    /// relocation notes and activity stay with the original.
-    pub fn fork(&self, pager: &Arc<Pager>) -> LsmState {
-        let runs = self
-            .runs
-            .iter()
-            .map(|r| LsmRun {
-                heap: HeapFile::from_pages(
-                    r.heap.name().to_string(),
-                    Arc::clone(pager),
-                    r.heap.extent(),
-                    r.row_count as u64,
-                ),
-                level: r.level,
-                seq: r.seq,
-                row_count: r.row_count,
-                key_bounds: r.key_bounds.clone(),
-                token: Arc::clone(&r.token),
-            })
-            .collect();
+    /// Clones the tier for an append fork: the runs are shared, the
+    /// memtable is cloned, and merged-away runs and activity stay with the
+    /// original.
+    pub fn fork(&self) -> LsmState {
         LsmState {
             key: self.key.clone(),
             memtable: self.memtable.clone(),
-            runs,
+            runs: self.runs.clone(),
             memtable_cap: self.memtable_cap,
             fanout: self.fanout,
             next_seq: self.next_seq,
@@ -643,6 +540,19 @@ impl LsmState {
             activity: Mutex::new(Vec::new()),
         }
     }
+}
+
+/// Per-key-field `(min, max)` over `rows`, or `None` when any key value
+/// has no numeric interpretation.
+fn bounds_of(key: &[(usize, SortOrder)], rows: &[Record]) -> Option<Vec<(f64, f64)>> {
+    let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); key.len()];
+    for row in rows {
+        for (b, &(p, _)) in bounds.iter_mut().zip(key) {
+            let v = row[p].as_f64().filter(|v| !v.is_nan())?;
+            *b = (b.0.min(v), b.1.max(v));
+        }
+    }
+    Some(bounds)
 }
 
 #[cfg(test)]
@@ -729,20 +639,52 @@ mod tests {
         lsm.absorb(&pager, "t", &schema, (0..6).map(row).collect())
             .unwrap();
         let before = pager.page_count();
-        let mut fork = lsm.fork(&pager);
+        let mut fork = lsm.fork();
         assert_eq!(pager.page_count(), before, "fork allocates no pages");
         assert_eq!(fork.rows(), lsm.rows());
+        assert!(fork.runs.iter().zip(&lsm.runs).all(|(a, b)| Arc::ptr_eq(a, b)));
         fork.absorb(&pager, "t", &schema, vec![row(99)]).unwrap();
         assert_eq!(fork.rows(), lsm.rows() + 1);
         assert_eq!(lsm.memtable.len(), 2, "original untouched");
     }
 
     #[test]
+    fn merged_run_extent_frees_after_the_last_generation_holding_it() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 2);
+        let schema = schema();
+        lsm.absorb(&pager, "t", &schema, (0..4).map(row).collect())
+            .unwrap();
+        let old = lsm.fork();
+        let older = lsm.fork();
+        let first = Arc::clone(&lsm.runs[0]);
+        // The second spill merges level 0, parking the first run.
+        lsm.absorb(&pager, "t", &schema, (4..8).map(row).collect())
+            .unwrap();
+        assert!(lsm.runs.iter().all(|r| r.level == 1 && !Arc::ptr_eq(r, &first)));
+        let extent = first.heap.extent();
+        drop(first);
+        // The second run was never forked: its extent frees at once.
+        let freed = lsm.take_relocated();
+        assert!(!freed.is_empty() && freed.iter().all(|p| !extent.contains(p)));
+        assert!(lsm.take_relocated().is_empty(), "two older generations hold the run");
+        drop(older);
+        assert!(lsm.take_relocated().is_empty(), "one older generation holds the run");
+        drop(old);
+        let freed = lsm.take_relocated();
+        assert!(extent.iter().all(|p| freed.contains(p)), "{freed:?} lacks {extent:?}");
+        assert!(lsm.take_relocated().is_empty(), "drain is a take");
+    }
+
+    #[test]
     fn memtable_drains_in_key_order_and_splits_groups() {
         let mut mem = Memtable::new();
-        for (i, id) in [5i64, 1, 5, 3, 1].iter().enumerate() {
-            mem.insert(vec![Value::Int(*id)], vec![Value::Int(*id), Value::Int(i as i64)]);
-        }
+        let rows = [5i64, 1, 5, 3, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, id)| vec![Value::Int(*id), Value::Int(i as i64)])
+            .collect();
+        mem.absorb(rows, &[(0, SortOrder::Asc)]);
         assert_eq!(mem.len(), 5);
         // First three in key order: both 1s (arrival order), then one 3.
         let first = mem.drain_first(3);
@@ -760,18 +702,49 @@ mod tests {
 
     #[test]
     fn memtable_select_seeks_numeric_first_key() {
+        let key = [(0, SortOrder::Asc)];
+        let firsts = |rows: &[Record]| rows.iter().map(|r| r[0].to_string()).collect::<Vec<_>>();
         let mut mem = Memtable::new();
-        for id in [10i64, 2, 7, 4, 9] {
-            mem.insert(vec![Value::Int(id)], vec![Value::Int(id)]);
-        }
-        let hits = mem.select(Some((4.0, 9.0)));
-        let keys: Vec<i64> = hits.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        assert_eq!(keys, vec![4, 7, 9]);
+        mem.absorb([10i64, 2, 7, 4, 9].map(|id| vec![Value::Int(id)]).to_vec(), &key);
+        assert_eq!(firsts(mem.select(0, Some((4.0, 9.0)))), ["4", "7", "9"]);
+        assert!(mem.select(0, Some((11.0, 20.0))).is_empty());
         // No range: everything, in key order.
-        assert_eq!(mem.select(None).len(), 5);
-        // A non-numeric key disables seeking but not correctness.
-        mem.insert(vec![Value::Str("z".into())], vec![Value::Str("z".into())]);
-        assert_eq!(mem.select(Some((4.0, 9.0))).len(), 6, "falls back to full walk");
+        assert_eq!(mem.select(0, None).len(), 5);
+        // Floats among the ints still seek, compared by value.
+        let floats = [4.5, 9.0, -1.0].map(|v| vec![Value::Float(v)]).to_vec();
+        mem.absorb(floats, &key);
+        assert_eq!(firsts(mem.select(0, Some((4.0, 9.0)))), ["4", "4.5", "7", "9", "9"]);
+        assert_eq!(firsts(mem.select(0, Some((-2.0, 2.0)))), ["-1", "2"]);
+        // A NaN first key lies inside every range, so it disables seeking;
+        // it sorts after every number.
+        mem.absorb(vec![vec![Value::Float(f64::NAN)]], &key);
+        let all = mem.select(0, Some((4.0, 9.0)));
+        assert_eq!(all.len(), 9, "falls back to every row");
+        assert_eq!(firsts(&all[7..]), ["10", "NaN"]);
+        // A non-numeric key disables seeking too.
+        let mut mem = Memtable::new();
+        mem.absorb(vec![vec![Value::Int(5)], vec![Value::Str("z".into())]], &key);
+        assert_eq!(mem.select(0, Some((4.0, 9.0))).len(), 2, "falls back to every row");
+    }
+
+    #[test]
+    fn nan_keys_seal_sorted_runs() {
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let mut lsm = LsmState::with_params(vec!["x".into()], 7, 2);
+        let schema = schema();
+        for i in 0..60i64 {
+            let x = if i % 7 == 3 { f64::NAN } else { ((i * 37) % 23) as f64 };
+            lsm.absorb(&pager, "t", &schema, vec![vec![Value::Int(i), Value::Float(x)]])
+                .unwrap();
+        }
+        assert!(lsm.runs.iter().any(|r| r.level >= 1), "{:?}", lsm.runs);
+        // Each run holds its numbers ascending, then its NaNs.
+        for run in &lsm.runs {
+            let xs: Vec<f64> = decoded(run).iter().map(|r| r[1].as_f64().unwrap()).collect();
+            let numbers = xs.iter().take_while(|x| !x.is_nan()).count();
+            assert!(xs[numbers..].iter().all(|x| x.is_nan()), "{xs:?}");
+            assert!(xs[..numbers].windows(2).all(|w| w[0] <= w[1]), "{xs:?}");
+        }
     }
 
     #[test]
@@ -844,8 +817,8 @@ mod tests {
             lsm.absorb(&pager, "t", &schema, rows).unwrap();
         }
         assert!(lsm.runs.len() >= 2 && !lsm.memtable.is_empty(), "{lsm:?}");
-        let in_runs: Vec<Record> = lsm.runs.iter().flat_map(decoded).collect();
-        let want: Vec<Record> = in_runs.iter().chain(lsm.memtable.iter()).cloned().collect();
+        let in_runs: Vec<Record> = lsm.runs.iter().flat_map(|r| decoded(r)).collect();
+        let want: Vec<Record> = in_runs.iter().chain(lsm.memtable.rows()).cloned().collect();
         assert_eq!(want.len(), lsm.rows());
         for (i, expected) in want.iter().enumerate() {
             assert_eq!(lsm.row_at(i, &[true, true]).unwrap().as_ref(), Some(expected));

@@ -56,6 +56,9 @@ pub enum ObjectEncoding {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellBounds {
     /// `(field, inclusive lower bound, exclusive upper bound)` per dimension.
+    /// A dimension bounded by `(-inf, inf)` is *unbounded*: the cell holds
+    /// the rows no lattice cell can place along it — a NaN, infinite or
+    /// non-numeric gridded value — and no range prunes it there.
     pub dims: Vec<(String, f64, f64)>,
     /// Integer cell coordinates along each dimension (used for curve
     /// ordering and diagnostics).
@@ -64,11 +67,11 @@ pub struct CellBounds {
 
 impl CellBounds {
     /// Whether the cell can contain tuples satisfying the given per-field
-    /// ranges (missing fields are unconstrained).
+    /// ranges (missing fields and unbounded dimensions are unconstrained).
     pub fn intersects(&self, ranges: &HashMap<String, (f64, f64)>) -> bool {
         for (field, lo, hi) in &self.dims {
             if let Some((qlo, qhi)) = ranges.get(field) {
-                if *hi <= *qlo || *lo > *qhi {
+                if lo.is_finite() && (*hi <= *qlo || *lo > *qhi) {
                     return false;
                 }
             }
@@ -78,11 +81,12 @@ impl CellBounds {
 }
 
 /// What the layout's object index is keyed by: the signed lattice
-/// coordinate of a grid cell, or the label of a horizontal partition.
-/// Appends route rows through it, and range scans find grid cells by it.
+/// coordinate of a grid cell, `None` along a dimension the cell leaves
+/// unbounded, or the label of a horizontal partition. Appends route rows
+/// through it, and range scans find grid cells by it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Target {
-    Cell(Vec<i64>),
+    Cell(Vec<Option<i64>>),
     Label(String),
 }
 
@@ -96,14 +100,18 @@ fn object_targets(
     let lattice = derived
         .grid
         .as_deref()
-        .and_then(|dims| Some((dims, lattice_origin(objects, dims)?)));
+        .map(|dims| (dims, lattice_origin(objects, dims)));
     let mut targets = HashMap::new();
     for (i, obj) in objects.iter().enumerate() {
         let key = match (&lattice, &obj.cell) {
             (Some((dims, origins)), Some(cell)) if cell.dims.len() == dims.len() => Target::Cell(
                 dims.iter()
                     .enumerate()
-                    .map(|(d, dim)| ((cell.dims[d].1 - origins[d]) / dim.stride).round() as i64)
+                    .map(|(d, dim)| {
+                        let lo = cell.dims[d].1;
+                        let origin = origins[d].filter(|_| lo.is_finite())?;
+                        Some(((lo - origin) / dim.stride).round() as i64)
+                    })
                     .collect(),
             ),
             _ => match obj.name.split_once('=') {
@@ -117,21 +125,23 @@ fn object_targets(
     targets
 }
 
-/// The grid's lattice origin, recovered from the first cell as `lo −
-/// coords·stride`. A cell whose coordinate was clamped to 0 shifts it by
-/// whole strides, so it is a lattice point either way.
-pub(crate) fn lattice_origin(objects: &[Arc<StoredObject>], dims: &[GridDim]) -> Option<Vec<f64>> {
-    let cell = objects.iter().find_map(|o| {
-        o.cell
-            .as_ref()
-            .filter(|c| c.dims.len() == dims.len() && c.coords.len() == dims.len())
-    })?;
-    Some(
-        dims.iter()
-            .enumerate()
-            .map(|(d, dim)| cell.dims[d].1 - cell.coords[d] as f64 * dim.stride)
-            .collect(),
-    )
+/// The grid's lattice origin along each dimension, recovered from the
+/// first cell bounded along it as `lo − coord·stride`; `None` along a
+/// dimension no cell bounds. A cell whose coordinate was clamped to 0
+/// shifts it by whole strides, so it is a lattice point either way.
+pub(crate) fn lattice_origin(objects: &[Arc<StoredObject>], dims: &[GridDim]) -> Vec<Option<f64>> {
+    (0..dims.len())
+        .map(|d| {
+            objects.iter().find_map(|o| {
+                let cell = o.cell.as_ref().filter(|c| {
+                    c.dims.len() == dims.len() && c.coords.len() == dims.len()
+                })?;
+                let lo = cell.dims[d].1;
+                lo.is_finite()
+                    .then(|| lo - f64::from(cell.coords[d]) * dims[d].stride)
+            })
+        })
+        .collect()
 }
 
 /// A stored object: one heap file holding a subset of the layout's fields.
@@ -831,7 +841,7 @@ impl PhysicalLayout {
             objects: self.objects.clone(),
             row_count: self.row_count,
             index,
-            lsm: self.lsm.as_ref().map(|l| l.fork(&self.pager)),
+            lsm: self.lsm.as_ref().map(LsmState::fork),
             targets: Arc::clone(&self.targets),
             pager: Arc::clone(&self.pager),
         })
@@ -866,12 +876,10 @@ impl PhysicalLayout {
         pages
     }
 
-    /// Drains the levelled tier's relocation notes wholesale, shared tokens
+    /// Drains the levelled tier's merged-away runs wholesale, shared ones
     /// included (see [`LsmState::take_relocation_notes`]). Empty for layouts
     /// without a tier.
-    pub fn take_lsm_relocation_notes(
-        &self,
-    ) -> Vec<(std::sync::Arc<()>, Vec<rodentstore_storage::page::PageId>)> {
+    pub fn take_lsm_relocation_notes(&self) -> Vec<Arc<crate::lsm::LsmRun>> {
         self.lsm
             .as_ref()
             .map(LsmState::take_relocation_notes)
@@ -1002,37 +1010,39 @@ impl PhysicalLayout {
 
     /// The grid cells that can meet `ranges`, in storage order, found by
     /// probing the object index at every lattice coordinate the ranges span,
-    /// padded by one cell each way against rounding. `None` — every object
-    /// is a candidate — unless every object is an indexed cell, every
-    /// gridded dimension is bounded, and the box spans no more coordinates
-    /// than the layout has objects.
+    /// padded by one cell each way against rounding, and at the unbounded
+    /// coordinate of every dimension. `None` — every object is a candidate —
+    /// unless every object is an indexed cell, every gridded dimension is
+    /// bounded, and the box spans no more coordinates than the layout has
+    /// objects.
     pub(crate) fn cells_meeting(&self, ranges: &HashMap<String, (f64, f64)>) -> Option<Vec<usize>> {
         let dims = self.derived.grid.as_deref().filter(|d| !d.is_empty())?;
         if self.targets.len() != self.objects.len() {
             return None;
         }
-        let origins = lattice_origin(&self.objects, dims)?;
+        let origins = lattice_origin(&self.objects, dims);
         let mut spans = Vec::with_capacity(dims.len());
         let mut probes = 1f64;
         for (dim, origin) in dims.iter().zip(&origins) {
+            let origin = (*origin)?;
             let &(lo, hi) = ranges.get(&dim.field)?;
             let at = |v: f64| ((v - origin) / dim.stride).floor();
             let (first, last) = (at(lo) - 1.0, at(hi) + 1.0);
             if !(first.is_finite() && last.is_finite()) {
                 return None;
             }
-            probes *= (last - first + 1.0).max(0.0);
+            probes *= (last - first + 1.0).max(0.0) + 1.0;
             spans.push((first as i64, last as i64));
         }
         if probes > self.objects.len() as f64 {
             return None;
         }
         let mut cells = Vec::with_capacity(probes as usize);
-        if spans.iter().any(|(first, last)| first > last) {
-            return Some(cells);
-        }
-        // One probe key, stepped in place through the coordinates.
-        let mut key = Target::Cell(spans.iter().map(|&(first, _)| first).collect());
+        // Along each dimension the probe visits the spanned coordinates,
+        // then the unbounded one (`None`): a NaN lies inside every range,
+        // even an empty one.
+        let start = |&(first, last): &(i64, i64)| (first <= last).then_some(first);
+        let mut key = Target::Cell(spans.iter().map(start).collect());
         loop {
             if let Some(&i) = self.targets.get(&key) {
                 cells.push(i);
@@ -1042,15 +1052,22 @@ impl PhysicalLayout {
             };
             // Step to the next coordinate, the first dimension fastest.
             let mut d = 0;
-            while coords[d] == spans[d].1 {
-                coords[d] = spans[d].0;
-                d += 1;
-                if d == coords.len() {
-                    cells.sort_unstable();
-                    return Some(cells);
+            loop {
+                match coords[d] {
+                    Some(c) if c < spans[d].1 => coords[d] = Some(c + 1),
+                    Some(_) => coords[d] = None,
+                    None => {
+                        coords[d] = start(&spans[d]);
+                        d += 1;
+                        if d == coords.len() {
+                            cells.sort_unstable();
+                            return Some(cells);
+                        }
+                        continue;
+                    }
                 }
+                break;
             }
-            coords[d] += 1;
         }
     }
 

@@ -370,19 +370,23 @@ fn cell_rank(coords: &[u32], zordered: bool) -> u64 {
 /// Grid placement (see [`place`]). The cells are written in the layout's
 /// cell order over this batch, their coordinates shifted by the batch's
 /// minimum so cells below the origin order too; a render's origin is the
-/// data minimum, so there the shift is zero.
+/// data minimum, so there the shift is zero. A row whose gridded value has
+/// no lattice coordinate — NaN, infinite, non-numeric, or too far out for
+/// an exact one — goes to the cell unbounded along that dimension.
 fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
     let dims = layout.derived.grid.clone().unwrap_or_default();
     let at: Vec<usize> = dims
         .iter()
         .map(|d| layout.schema.index_of(&d.field))
         .collect::<std::result::Result<_, _>>()?;
-    let origins = lattice_origin(&layout.objects, &dims).unwrap_or_else(|| {
-        at.iter()
-            .map(|&i| {
+    let origins: Vec<f64> = lattice_origin(&layout.objects, &dims)
+        .into_iter()
+        .zip(&at)
+        .map(|(origin, &i)| {
+            origin.unwrap_or_else(|| {
                 let lo = rows
                     .iter()
-                    .filter_map(|r| r[i].as_f64())
+                    .filter_map(|r| r[i].as_f64().filter(|v| v.is_finite()))
                     .fold(f64::INFINITY, f64::min);
                 if lo.is_finite() {
                     lo
@@ -390,18 +394,23 @@ fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize,
                     0.0
                 }
             })
-            .collect()
-    });
+        })
+        .collect();
+    /// Beyond this a coordinate is no longer an exact `f64` integer.
+    const MAX_COORD: f64 = (1u64 << 53) as f64;
     let mut cells = bucket(rows, |r| {
         Ok(at
             .iter()
             .zip(&dims)
             .zip(&origins)
-            .map(|((&i, dim), &o)| ((r[i].as_f64().unwrap_or(o) - o) / dim.stride).floor() as i64)
-            .collect::<Vec<i64>>())
+            .map(|((&i, dim), &o)| {
+                let c = ((r[i].as_f64()? - o) / dim.stride).floor();
+                (c.abs() <= MAX_COORD).then_some(c as i64)
+            })
+            .collect::<Vec<Option<i64>>>())
     })?;
     let low: Vec<i64> = (0..dims.len())
-        .map(|d| cells.iter().map(|(c, _)| c[d]).min().unwrap_or(0))
+        .map(|d| cells.iter().filter_map(|(c, _)| c[d]).min().unwrap_or(0))
         .collect();
     // Coordinates break rank ties, as a sorted base order.
     cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -410,7 +419,7 @@ fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize,
         let shifted: Vec<u32> = c
             .iter()
             .zip(&low)
-            .map(|(c, low)| c.abs_diff(*low).min(u32::MAX.into()) as u32)
+            .map(|(c, low)| c.map_or(u32::MAX, |c| c.abs_diff(*low).min(u32::MAX.into()) as u32))
             .collect();
         cell_rank(&shifted, zordered)
     });
@@ -430,21 +439,30 @@ fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize,
                     .iter()
                     .zip(coords)
                     .zip(&origins)
-                    .map(|((dim, &c), &o)| {
-                        let lo = o + c as f64 * dim.stride;
-                        (dim.field.clone(), lo, lo + dim.stride)
+                    .map(|((dim, &c), &o)| match c {
+                        Some(c) => {
+                            let lo = o + c as f64 * dim.stride;
+                            (dim.field.clone(), lo, lo + dim.stride)
+                        }
+                        None => (dim.field.clone(), f64::NEG_INFINITY, f64::INFINITY),
                     })
                     .collect(),
                 coords: coords
                     .iter()
-                    .map(|&c| c.clamp(0, u32::MAX as i64) as u32)
+                    .map(|&c| c.map_or(0, |c| c.clamp(0, u32::MAX as i64) as u32))
                     .collect(),
             };
+            // `[3, -1]`, with `*` along an unbounded dimension.
+            let label = coords
+                .iter()
+                .map(|c| c.map_or_else(|| "*".to_string(), |c| c.to_string()))
+                .collect::<Vec<_>>()
+                .join(", ");
             StoredObject::new(
-                format!("{}/cell{coords:?}", layout.name),
+                format!("{}/cell[{label}]", layout.name),
                 layout.schema.field_names(),
                 HeapFile::create(
-                    format!("{}.cell{coords:?}", layout.name),
+                    format!("{}.cell[{label}]", layout.name),
                     Arc::clone(layout.pager()),
                 ),
                 encoding.clone(),

@@ -1456,7 +1456,7 @@ pub struct ScanIter<'a> {
     current: Option<usize>,
     /// The tier's memtable, read after the last cursor (see
     /// [`ScanIter::memtable_tail`]).
-    tail: Option<RowTail<std::vec::IntoIter<&'a Record>>>,
+    tail: Option<RowTail<std::slice::Iter<'a, Record>>>,
     /// Set while [`ScanIter::fold_windowed`] drives the scan: newly opened
     /// cursors that fully absorb the predicate and projection fold in place
     /// instead of yielding rows.
@@ -1505,15 +1505,21 @@ impl<'a> ScanIter<'a> {
 
     /// The lsm memtable as the scan's in-memory tail (`None` without a
     /// tier): its rows, narrowed to the predicate's first-key range by the
-    /// ordered memtable, filtered and projected by a [`RowTail`].
-    fn memtable_tail(&self) -> Result<Option<RowTail<std::vec::IntoIter<&'a Record>>>> {
+    /// sorted memtable, filtered and projected by a [`RowTail`].
+    fn memtable_tail(&self) -> Result<Option<RowTail<std::slice::Iter<'a, Record>>>> {
         let layout = self.plan.layout;
         let Some(lsm) = &layout.lsm else {
             return Ok(None);
         };
-        let first_key_range = lsm.key.first().and_then(|f| self.plan.ranges.get(f)).copied();
+        let rows = match lsm.key.first() {
+            Some(first) => {
+                let range = self.plan.ranges.get(first).copied();
+                lsm.memtable.select(layout.schema.index_of(first)?, range)
+            }
+            None => lsm.memtable.rows(),
+        };
         RowTail::new(
-            lsm.memtable.select(first_key_range).into_iter(),
+            rows.iter(),
             &layout.schema.field_names(),
             layout.schema.name(),
             &self.out_fields,
@@ -2314,7 +2320,7 @@ mod tests {
                 want.push(decode_record(&bytes).unwrap());
             }
         }
-        want.extend(lsm.memtable.iter().cloned());
+        want.extend(lsm.memtable.rows().iter().cloned());
         assert_eq!(want.len(), 130);
         assert_eq!(layout.scan(None, None).unwrap(), want);
 

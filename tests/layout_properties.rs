@@ -894,3 +894,108 @@ proptest! {
         prop_assert_eq!(reparsed.to_string(), text);
     }
 }
+
+/// A row whose gridded value is NaN, infinite or `Null` has no lattice
+/// coordinate. It lives in a cell unbounded along that dimension, which a
+/// box query always reads, so a box far from the grid's origin cell still
+/// returns it whenever the predicate keeps it (a NaN lies inside every
+/// range; a column block reads a `Null` back as 0.0).
+#[test]
+fn grid_rows_without_a_lattice_coordinate_survive_box_pruning() {
+    let mut records: Vec<Vec<Value>> = (0..400)
+        .map(|i| {
+            let (x, y) = ((i % 20) as f64 * 10.0 + 0.5, (i / 20) as f64 * 10.0 + 0.5);
+            vec![Value::Float(x), Value::Float(y), Value::Int(i % 20)]
+        })
+        .collect();
+    let specials = [
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(1e300),
+        Value::Null,
+    ];
+    for (i, special) in specials.iter().enumerate() {
+        let near = Value::Float(150.5);
+        let tag = Value::Int(100 + i as i64);
+        records.push(vec![special.clone(), near.clone(), tag.clone()]);
+        records.push(vec![near, special.clone(), tag]);
+    }
+    let boxed = Condition::range("x", 140.0, 160.0).and(Condition::range("y", 140.0, 160.0));
+    let provider = MemTableProvider::single(points_schema(), records.clone());
+    for layout in [
+        "grid[x,y;20,20](Points)",
+        "zorder(grid[x,y;20,20](Points))",
+        "delta[x,y](zorder(grid[x,y;20,20](Points)))",
+    ] {
+        let rendered = render(
+            &parse(layout).unwrap(),
+            &provider,
+            Arc::new(Pager::in_memory_with_page_size(512)),
+            RenderOptions::default(),
+        )
+        .unwrap();
+        let full = rendered.scan(None, None).unwrap();
+        assert_eq!(full.len(), records.len(), "layout {layout}");
+        let schema = points_schema();
+        let mut expected: Vec<String> = full
+            .iter()
+            .filter(|row| boxed.eval(&schema, row).unwrap())
+            .map(|row| format!("{row:?}"))
+            .collect();
+        let mut got: Vec<String> = rendered
+            .scan(None, Some(&boxed))
+            .unwrap()
+            .iter()
+            .map(|row| format!("{row:?}"))
+            .collect();
+        expected.sort();
+        got.sort();
+        // The delta codec reads a NaN back as a number; the others keep it.
+        let nan_kept = expected.iter().any(|row| row.contains("NaN"));
+        assert_eq!(nan_kept, !layout.starts_with("delta"), "layout {layout}");
+        assert_eq!(got, expected, "layout {layout}");
+        // The box reads a handful of lattice cells and the unbounded ones,
+        // not the whole grid.
+        let read = rendered.objects_to_read(None, Some(&boxed)).len();
+        assert!(read < rendered.objects.len() / 4, "layout {layout}: {read} cells read");
+    }
+}
+
+/// An ordered scan sorts by the values' total order: NaN after every
+/// number, the numbers ascending, and no panic from the sort, at every
+/// table size.
+#[test]
+fn ordered_scans_put_nan_after_every_number() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for rows in [20usize, 57, 300, 1_000, 3_000] {
+        let records: Vec<Vec<Value>> = (0..rows)
+            .map(|i| {
+                let r = next();
+                let x = if i % 7 == 3 { f64::NAN } else { (r >> 11) as f64 / 1e12 };
+                vec![Value::Float(x), Value::Float(i as f64), Value::Int(i as i64)]
+            })
+            .collect();
+        let db = Database::in_memory();
+        db.create_table(points_schema()).unwrap();
+        db.insert("Points", records).unwrap();
+        let sorted = db
+            .scan("Points", &ScanRequest::all().order(["x"]))
+            .unwrap();
+        assert_eq!(sorted.len(), rows);
+        let xs: Vec<f64> = sorted.iter().map(|r| r[0].as_f64().unwrap()).collect();
+        let numbers = xs.iter().take_while(|x| !x.is_nan()).count();
+        assert!(xs[numbers..].iter().all(|x| x.is_nan()), "{rows} rows: NaN before a number");
+        assert!(numbers < rows, "{rows} rows hold a NaN");
+        assert!(
+            xs[..numbers].windows(2).all(|w| w[0] <= w[1]),
+            "{rows} rows: numbers out of order"
+        );
+    }
+}

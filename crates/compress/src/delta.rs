@@ -7,11 +7,17 @@
 //!
 //! Floats are quantized to a configurable scale (default 10⁻⁶, i.e.
 //! micro-degrees for latitude/longitude) before delta encoding; decoding
-//! reverses the quantization, so values round-trip to within `1/scale`.
+//! reverses the quantization, so values round-trip to within `1/scale`. A
+//! float block holding a value quantization cannot carry — a NaN, an
+//! infinity, or one whose `v × scale` leaves the range an `i64` holds — is
+//! stored unquantized instead, bit for bit.
 
 use crate::plain::{TAG_FLOATS, TAG_INTS};
 use crate::varint::{read_signed_varint, read_varint, write_signed_varint, write_varint};
 use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
+
+/// The tag of an unquantized float block, which only this codec writes.
+const TAG_RAW_FLOATS: u8 = 3;
 
 /// Delta + varint codec for numeric columns.
 #[derive(Debug, Clone, Copy)]
@@ -87,14 +93,28 @@ impl ColumnCodec for DeltaCodec {
                 Ok(out)
             }
             ColumnData::Floats(values) => {
+                // `i64::MIN` is -2^63 exactly; `q` within (-2^63, 2^63)
+                // converts without saturating.
+                let limit = -(i64::MIN as f64);
+                let quantized: Option<Vec<i64>> = values
+                    .iter()
+                    .map(|v| {
+                        let q = (v * self.float_scale).round();
+                        (q.abs() < limit).then_some(q as i64)
+                    })
+                    .collect();
+                let Some(quantized) = quantized else {
+                    out.push(TAG_RAW_FLOATS);
+                    write_varint(&mut out, values.len() as u64);
+                    for v in values {
+                        out.extend_from_slice(&v.to_le_bytes());
+                    }
+                    return Ok(out);
+                };
                 out.push(TAG_FLOATS);
                 write_varint(&mut out, values.len() as u64);
                 // Store the scale so decoding is self-contained.
                 out.extend_from_slice(&self.float_scale.to_le_bytes());
-                let quantized: Vec<i64> = values
-                    .iter()
-                    .map(|v| (v * self.float_scale).round() as i64)
-                    .collect();
                 Self::encode_ints(&quantized, &mut out);
                 Ok(out)
             }
@@ -130,6 +150,15 @@ impl ColumnCodec for DeltaCodec {
                 let scale = f64::from_le_bytes(buf);
                 pos += 8;
                 Self::decode_ints(block, &mut pos, count, out.floats_mut(), |q| q as f64 / scale)
+            }
+            TAG_RAW_FLOATS => {
+                let payload = count
+                    .checked_mul(8)
+                    .and_then(|len| block.get(pos..pos.checked_add(len)?))
+                    .ok_or_else(|| CompressError::Corrupted("truncated float block".into()))?;
+                let word = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("chunks_exact(8)"));
+                out.floats_mut().extend(payload.chunks_exact(8).map(word));
+                Ok(())
             }
             other => Err(CompressError::Corrupted(format!("unknown tag {other}"))),
         }
@@ -203,6 +232,27 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn non_finite_and_huge_floats_round_trip_bit_for_bit() {
+        let codec = DeltaCodec::default();
+        let values = vec![1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -0.25];
+        for column in [values.clone(), vec![1e300], vec![f64::NAN]] {
+            let block = codec.encode(&ColumnData::Floats(column.clone())).unwrap();
+            assert_eq!(codec.count(&block).unwrap(), column.len());
+            match codec.decode(&block).unwrap() {
+                ColumnData::Floats(decoded) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&decoded), bits(&column));
+                }
+                other => panic!("expected floats, got {other:?}"),
+            }
+            assert!(codec.decode(&block[..block.len() - 1]).is_err());
+        }
+        // A block of quantizable floats keeps its quantized form.
+        let block = codec.encode(&ColumnData::Floats(vec![0.5, 2.0])).unwrap();
+        assert_eq!(block[0], TAG_FLOATS);
     }
 
     #[test]

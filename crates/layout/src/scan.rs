@@ -8,7 +8,9 @@
 //!
 //! * [`CompiledPredicate`] resolves field names to record positions **once
 //!   per scan** instead of once per row per reference
-//!   (`Condition::eval` walks the schema by name on every call);
+//!   (`Condition::eval` walks the schema by name on every call); its one
+//!   tree and one evaluation function read owned records and borrowed refs
+//!   alike, so every predicate runs wherever the rows are;
 //! * [`ScanIter`] yields records lazily, object by object and page by page,
 //!   decoding only the fields a scan actually needs — projected-out fields
 //!   are skipped over byte-wise (the self-describing row encoding carries
@@ -20,7 +22,9 @@
 //!   [`FieldRef`]s — decoded out of a page frame, or read off the typed
 //!   vectors of a decoded chunk — the predicate runs on the refs, and only
 //!   survivors are folded or materialized (for column chunks the predicate's
-//!   columns are decoded first and the rest only if a row survived);
+//!   columns are decoded first and the rest only if a row survived); folded
+//!   groups, stitched into owned rows, are filtered, projected and folded in
+//!   the same cursor, so every row a cursor yields is final;
 //! * [`RowTail`] is the one in-memory row source: the lsm memtable after a
 //!   scan's last cursor, and the core crate's pending rows and canonical
 //!   rows, filter, project and fold through it;
@@ -45,16 +49,17 @@ use rodentstore_compress::ColumnData;
 use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::page::PageId;
 use rodentstore_storage::slotted::SlottedReader;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 
 /// An element expression with field references resolved to positions.
+/// Scans evaluate `pos()` and `count()` as 0, as [`Condition::eval`] does,
+/// so they compile to that literal.
 #[derive(Debug, Clone)]
 enum CompiledExpr {
     Literal(Value),
     Field(usize),
-    Pos,
-    Count,
     Bin(Box<CompiledExpr>),
     Interleave(Vec<CompiledExpr>),
     Sub(Box<CompiledExpr>, Box<CompiledExpr>),
@@ -63,62 +68,45 @@ enum CompiledExpr {
 
 impl CompiledExpr {
     fn compile<S: AsRef<str>>(expr: &ElemExpr, fields: &[S], within: &str) -> Result<CompiledExpr> {
+        let compile = |e: &ElemExpr| CompiledExpr::compile(e, fields, within).map(Box::new);
         Ok(match expr {
             ElemExpr::Literal(v) => CompiledExpr::Literal(v.clone()),
             ElemExpr::Field(name) => CompiledExpr::Field(resolve(name, fields, within)?),
-            ElemExpr::Pos => CompiledExpr::Pos,
-            ElemExpr::Count => CompiledExpr::Count,
-            ElemExpr::Bin(inner) => {
-                CompiledExpr::Bin(Box::new(CompiledExpr::compile(inner, fields, within)?))
-            }
+            ElemExpr::Pos | ElemExpr::Count => CompiledExpr::Literal(Value::Int(0)),
+            ElemExpr::Bin(inner) => CompiledExpr::Bin(compile(inner)?),
             ElemExpr::Interleave(items) => CompiledExpr::Interleave(
                 items
                     .iter()
                     .map(|e| CompiledExpr::compile(e, fields, within))
                     .collect::<Result<_>>()?,
             ),
-            ElemExpr::Sub(a, b) => CompiledExpr::Sub(
-                Box::new(CompiledExpr::compile(a, fields, within)?),
-                Box::new(CompiledExpr::compile(b, fields, within)?),
-            ),
-            ElemExpr::Add(a, b) => CompiledExpr::Add(
-                Box::new(CompiledExpr::compile(a, fields, within)?),
-                Box::new(CompiledExpr::compile(b, fields, within)?),
-            ),
+            ElemExpr::Sub(a, b) => CompiledExpr::Sub(compile(a)?, compile(b)?),
+            ElemExpr::Add(a, b) => CompiledExpr::Add(compile(a)?, compile(b)?),
         })
     }
 
-    fn eval(&self, record: &Record, pos: usize, count: usize) -> Result<Value> {
-        match self {
-            CompiledExpr::Literal(v) => Ok(v.clone()),
-            CompiledExpr::Field(idx) => Ok(record[*idx].clone()),
-            CompiledExpr::Pos => Ok(Value::Int(pos as i64)),
-            CompiledExpr::Count => Ok(Value::Int(count as i64)),
-            CompiledExpr::Bin(inner) => {
-                let v = inner.eval(record, pos, count)?;
-                let i = v.as_i64().ok_or_else(|| type_mismatch("bin()", &v))?;
-                Ok(Value::Int(i))
-            }
+    /// The expression's value on `row`: a literal or a field of an owned
+    /// record is borrowed; a field of borrowed refs and every computed value
+    /// is owned.
+    fn eval<'s, R: Row + ?Sized>(&'s self, row: &'s R) -> Result<Cow<'s, Value>> {
+        let int = |e: &CompiledExpr, what: &str| {
+            let v = e.eval(row)?;
+            v.as_i64().ok_or_else(|| type_mismatch(what, &v))
+        };
+        Ok(match self {
+            CompiledExpr::Literal(v) => Cow::Borrowed(v),
+            CompiledExpr::Field(i) => row.value(*i)?,
+            CompiledExpr::Bin(inner) => Cow::Owned(Value::Int(int(inner, "bin()")?)),
             CompiledExpr::Interleave(items) => {
-                let mut parts = Vec::with_capacity(items.len());
-                for item in items {
-                    let v = item.eval(record, pos, count)?;
-                    let i = v.as_i64().ok_or_else(|| type_mismatch("interleave()", &v))?;
-                    parts.push(i.unsigned_abs() as u32);
-                }
-                Ok(Value::Int(interleave_bits(&parts) as i64))
+                let parts = items
+                    .iter()
+                    .map(|e| int(e, "interleave()").map(|i| i.unsigned_abs() as u32))
+                    .collect::<Result<Vec<_>>>()?;
+                Cow::Owned(Value::Int(interleave_bits(&parts) as i64))
             }
-            CompiledExpr::Sub(a, b) => {
-                let av = a.eval(record, pos, count)?;
-                let bv = b.eval(record, pos, count)?;
-                av.sub(&bv).map_err(LayoutError::Algebra)
-            }
-            CompiledExpr::Add(a, b) => {
-                let av = a.eval(record, pos, count)?;
-                let bv = b.eval(record, pos, count)?;
-                av.add(&bv).map_err(LayoutError::Algebra)
-            }
-        }
+            CompiledExpr::Sub(a, b) => Cow::Owned(a.eval(row)?.sub(&*b.eval(row)?)?),
+            CompiledExpr::Add(a, b) => Cow::Owned(a.eval(row)?.add(&*b.eval(row)?)?),
+        })
     }
 }
 
@@ -141,9 +129,42 @@ fn resolve<S: AsRef<str>>(field: &str, fields: &[S], within: &str) -> Result<usi
         })
 }
 
+/// A row a compiled predicate reads in place: an owned record, or the
+/// borrowed [`FieldRef`]s a cursor decoded out of a page frame or a chunk.
+trait Row {
+    /// Field `i` against `v`, under the order of [`Value::compare`].
+    fn compare(&self, i: usize, v: &Value) -> Result<Ordering>;
+    /// Field `i` as a value: borrowed where the row holds one.
+    fn value(&self, i: usize) -> Result<Cow<'_, Value>>;
+}
+
+impl Row for [Value] {
+    fn compare(&self, i: usize, v: &Value) -> Result<Ordering> {
+        Ok(self[i].compare(v))
+    }
+
+    fn value(&self, i: usize) -> Result<Cow<'_, Value>> {
+        Ok(Cow::Borrowed(&self[i]))
+    }
+}
+
+/// [`FieldRef::compare_value`] mirrors `Value::compare`; a ref is
+/// materialized only as an operand of arithmetic, `bin`, `interleave`, or
+/// a comparison of two fields.
+impl Row for [FieldRef<'_>] {
+    fn compare(&self, i: usize, v: &Value) -> Result<Ordering> {
+        self[i].compare_value(v)
+    }
+
+    fn value(&self, i: usize) -> Result<Cow<'_, Value>> {
+        self[i].to_value().map(Cow::Owned)
+    }
+}
+
 /// A [`Condition`] with every field reference resolved to a record position,
-/// so evaluating it per row costs no name lookups. Semantics match
-/// [`Condition::eval_at`] exactly.
+/// so evaluating it per row costs no name lookups. One tree serves every row
+/// source — owned records and borrowed refs alike — with the semantics of
+/// [`Condition::eval`] exactly.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     node: CompiledCond,
@@ -176,15 +197,28 @@ impl CompiledPredicate {
         within: &str,
     ) -> Result<CompiledPredicate> {
         Ok(CompiledPredicate {
-            node: Self::compile_node(cond, fields, within)?,
+            node: CompiledCond::compile(cond, fields, within)?,
         })
     }
 
-    fn compile_node<S: AsRef<str>>(
+    /// Evaluates the predicate against a record, as [`Condition::eval`].
+    pub fn matches(&self, record: &Record) -> Result<bool> {
+        self.node.test(record.as_slice())
+    }
+}
+
+impl CompiledCond {
+    fn compile<S: AsRef<str>>(
         cond: &Condition,
         fields: &[S],
         within: &str,
     ) -> Result<CompiledCond> {
+        let all = |items: &[Condition]| {
+            items
+                .iter()
+                .map(|c| CompiledCond::compile(c, fields, within))
+                .collect::<Result<_>>()
+        };
         Ok(match cond {
             Condition::True => CompiledCond::True,
             Condition::Cmp { left, op, right } => CompiledCond::Cmp {
@@ -197,51 +231,43 @@ impl CompiledPredicate {
                 lo: lo.clone(),
                 hi: hi.clone(),
             },
-            Condition::And(items) => CompiledCond::And(
-                items
-                    .iter()
-                    .map(|c| Self::compile_node(c, fields, within))
-                    .collect::<Result<_>>()?,
-            ),
-            Condition::Or(items) => CompiledCond::Or(
-                items
-                    .iter()
-                    .map(|c| Self::compile_node(c, fields, within))
-                    .collect::<Result<_>>()?,
-            ),
+            Condition::And(items) => CompiledCond::And(all(items)?),
+            Condition::Or(items) => CompiledCond::Or(all(items)?),
             Condition::Not(inner) => {
-                CompiledCond::Not(Box::new(Self::compile_node(inner, fields, within)?))
+                CompiledCond::Not(Box::new(CompiledCond::compile(inner, fields, within)?))
             }
         })
     }
 
-    /// Evaluates the predicate against a record (positional context zero,
-    /// matching [`Condition::eval`]).
-    pub fn matches(&self, record: &Record) -> Result<bool> {
-        self.matches_at(record, 0, 0)
+    /// The top-level conjuncts: a row matches iff it matches every one.
+    fn conjuncts(&self) -> &[CompiledCond] {
+        match self {
+            CompiledCond::And(items) => items,
+            other => std::slice::from_ref(other),
+        }
     }
 
-    /// Evaluates with positional context (for `pos()` / `count()`).
-    pub fn matches_at(&self, record: &Record, pos: usize, count: usize) -> Result<bool> {
-        Self::eval_node(&self.node, record, pos, count)
-    }
-
-    fn eval_node(node: &CompiledCond, record: &Record, pos: usize, count: usize) -> Result<bool> {
-        match node {
+    /// Whether `row` matches. A comparison with a field on either side
+    /// compares that field in place (`Value::compare` is antisymmetric, so
+    /// a field on the right reverses the ordering).
+    fn test<R: Row + ?Sized>(&self, row: &R) -> Result<bool> {
+        match self {
             CompiledCond::True => Ok(true),
             CompiledCond::Cmp { left, op, right } => {
-                let l = left.eval(record, pos, count)?;
-                let r = right.eval(record, pos, count)?;
-                Ok(op.matches(l.compare(&r)))
+                let ord = match (left, right) {
+                    (CompiledExpr::Field(i), other) => row.compare(*i, &*other.eval(row)?)?,
+                    (other, CompiledExpr::Field(i)) => {
+                        row.compare(*i, &*other.eval(row)?)?.reverse()
+                    }
+                    (l, r) => l.eval(row)?.compare(&*r.eval(row)?),
+                };
+                Ok(op.matches(ord))
             }
-            CompiledCond::Range { index, lo, hi } => {
-                let v = &record[*index];
-                Ok(v.compare(lo) != std::cmp::Ordering::Less
-                    && v.compare(hi) != std::cmp::Ordering::Greater)
-            }
+            CompiledCond::Range { index, lo, hi } => Ok(row.compare(*index, lo)? != Ordering::Less
+                && row.compare(*index, hi)? != Ordering::Greater),
             CompiledCond::And(items) => {
                 for c in items {
-                    if !Self::eval_node(c, record, pos, count)? {
+                    if !c.test(row)? {
                         return Ok(false);
                     }
                 }
@@ -249,132 +275,13 @@ impl CompiledPredicate {
             }
             CompiledCond::Or(items) => {
                 for c in items {
-                    if Self::eval_node(c, record, pos, count)? {
+                    if c.test(row)? {
                         return Ok(true);
                     }
                 }
                 Ok(false)
             }
-            CompiledCond::Not(inner) => Ok(!Self::eval_node(inner, record, pos, count)?),
-        }
-    }
-}
-
-/// A predicate restricted to the shapes that can be evaluated against
-/// borrowed [`FieldRef`]s without materializing a single owned [`Value`]:
-/// comparisons of a field against a literal, ranges, and boolean combinators.
-/// Anything else (arithmetic, `pos()`/`count()`, field-vs-field comparisons)
-/// falls back to the owned [`CompiledPredicate`] above the cursor.
-///
-/// Semantics match [`CompiledPredicate::matches`] exactly:
-/// [`FieldRef::compare_value`] mirrors [`Value::compare`], and `Value::compare`
-/// is antisymmetric, so literal-on-the-left comparisons are evaluated by
-/// reversing the field-vs-literal ordering.
-#[derive(Debug, Clone)]
-enum BorrowedPred {
-    True,
-    Cmp {
-        index: usize,
-        op: CmpOp,
-        literal: Value,
-        /// The literal was the *left* operand; reverse the ordering.
-        flipped: bool,
-    },
-    Range {
-        index: usize,
-        lo: Value,
-        hi: Value,
-    },
-    And(Vec<BorrowedPred>),
-    Or(Vec<BorrowedPred>),
-    Not(Box<BorrowedPred>),
-}
-
-impl BorrowedPred {
-    /// Compiles a positional predicate into borrowed form, or `None` when any
-    /// node needs owned evaluation.
-    fn compile(node: &CompiledCond) -> Option<BorrowedPred> {
-        match node {
-            CompiledCond::True => Some(BorrowedPred::True),
-            CompiledCond::Cmp { left, op, right } => match (left, right) {
-                (CompiledExpr::Field(i), CompiledExpr::Literal(v)) => Some(BorrowedPred::Cmp {
-                    index: *i,
-                    op: *op,
-                    literal: v.clone(),
-                    flipped: false,
-                }),
-                (CompiledExpr::Literal(v), CompiledExpr::Field(i)) => Some(BorrowedPred::Cmp {
-                    index: *i,
-                    op: *op,
-                    literal: v.clone(),
-                    flipped: true,
-                }),
-                _ => None,
-            },
-            CompiledCond::Range { index, lo, hi } => Some(BorrowedPred::Range {
-                index: *index,
-                lo: lo.clone(),
-                hi: hi.clone(),
-            }),
-            CompiledCond::And(items) => items
-                .iter()
-                .map(BorrowedPred::compile)
-                .collect::<Option<Vec<_>>>()
-                .map(BorrowedPred::And),
-            CompiledCond::Or(items) => items
-                .iter()
-                .map(BorrowedPred::compile)
-                .collect::<Option<Vec<_>>>()
-                .map(BorrowedPred::Or),
-            CompiledCond::Not(inner) => {
-                BorrowedPred::compile(inner).map(|p| BorrowedPred::Not(Box::new(p)))
-            }
-        }
-    }
-
-    /// The top-level conjuncts: a row matches iff it matches every one.
-    fn conjuncts(&self) -> &[BorrowedPred] {
-        match self {
-            BorrowedPred::And(items) => items,
-            other => std::slice::from_ref(other),
-        }
-    }
-
-    fn matches(&self, row: &[FieldRef<'_>]) -> Result<bool> {
-        match self {
-            BorrowedPred::True => Ok(true),
-            BorrowedPred::Cmp {
-                index,
-                op,
-                literal,
-                flipped,
-            } => {
-                let ord = row[*index].compare_value(literal)?;
-                let ord = if *flipped { ord.reverse() } else { ord };
-                Ok(op.matches(ord))
-            }
-            BorrowedPred::Range { index, lo, hi } => {
-                let v = &row[*index];
-                Ok(v.compare_value(lo)? != Ordering::Less
-                    && v.compare_value(hi)? != Ordering::Greater)
-            }
-            BorrowedPred::And(items) => {
-                for p in items {
-                    if !p.matches(row)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            BorrowedPred::Or(items) => {
-                for p in items {
-                    if p.matches(row)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            BorrowedPred::Not(inner) => Ok(!inner.matches(row)?),
+            CompiledCond::Not(inner) => Ok(!inner.test(row)?),
         }
     }
 }
@@ -422,37 +329,26 @@ fn narrow_to_range(
     true
 }
 
-/// A windowed-aggregate fold running inside a cursor's borrowed decode loop:
-/// matching rows feed the accumulator as [`FieldRef`]s and are never
-/// materialized into the row buffer.
+/// A windowed-aggregate fold running inside a cursor's decode loop:
+/// matching rows feed the accumulator and are never materialized into the
+/// row buffer.
 struct CursorFold {
-    /// Index of the bucket field within the decoded compact refs.
+    /// Index of the bucket field within the compact row.
     bucket: usize,
-    /// Index of the value field within the decoded compact refs.
+    /// Index of the value field within the compact row.
     value: usize,
     acc: WindowAccumulator,
 }
 
-/// Materializes the projection `out` (indices into `refs`; all of them when
-/// `None`) of one borrowed row — the only place the borrowed loop allocates.
+/// Materializes the projection `out` (indices into `refs`) of one borrowed
+/// row — the only place the borrowed loop allocates.
 #[inline]
-fn materialize(refs: &[FieldRef<'_>], out: Option<&[usize]>) -> Result<Record> {
-    match out {
-        Some(out) => {
-            let mut row = Vec::with_capacity(out.len());
-            for &i in out {
-                row.push(refs[i].to_value()?);
-            }
-            Ok(row)
-        }
-        None => {
-            let mut row = Vec::with_capacity(refs.len());
-            for r in refs {
-                row.push(r.to_value()?);
-            }
-            Ok(row)
-        }
+fn materialize(refs: &[FieldRef<'_>], out: &[usize]) -> Result<Record> {
+    let mut row = Vec::with_capacity(out.len());
+    for &i in out {
+        row.push(refs[i].to_value()?);
     }
+    Ok(row)
 }
 
 /// Empties a scratch vector and hands its buffer back typed for another
@@ -492,18 +388,20 @@ impl<'a> Source<'a, '_> {
 /// sealed lsm run, which is row pages like any row-encoded object.
 ///
 /// The hot loop is the same whatever the source: a row is presented as
-/// borrowed [`FieldRef`]s, the pushed-down predicate runs on the refs, and a
-/// survivor is folded or materialized. What differs is where the refs come
-/// from — the records of a row page ([`ObjectCursor::step_rows`]; every slot,
-/// or only those an index probe picked) or the typed columns of a decoded
-/// chunk ([`ObjectCursor::step_columns`]). Folded groups alone are decoded
-/// into owned rows.
+/// borrowed [`FieldRef`]s, the predicate runs on the refs, and a survivor is
+/// folded or materialized. What differs is where the refs come from — the
+/// records of a row page ([`ObjectCursor::step_rows`]; every slot, or only
+/// those an index probe picked) or the typed columns of a decoded chunk
+/// ([`ObjectCursor::step_columns`]). Folded groups alone are decoded into
+/// owned rows ([`ObjectCursor::step_folded`]), which the same compiled
+/// predicate filters in place. Every row a cursor yields is final: filtered
+/// and projected.
 ///
-/// Rows come out *compact*: only the object positions listed in
-/// [`ObjectCursor::compact`] are present (ascending object order), with no
-/// NULL padding for skipped fields — the projection and predicate above are
-/// compiled against these compact positions, so the hot loop never touches a
-/// value it did not need to decode.
+/// The cursor decodes only the object positions listed in
+/// [`ObjectCursor::compact`] (ascending object order), with no NULL padding
+/// for skipped fields — the projection and predicate are compiled against
+/// these compact positions, so the hot loop never touches a value it did not
+/// need to decode.
 ///
 /// Everything but the object being read is compiled once, for the shape of
 /// the objects (their fields, encoding and codecs): moving on to the next
@@ -536,7 +434,7 @@ struct ObjectCursor<'a> {
     fold: Option<CursorFold>,
 
     /// Key-field count of a folded-group object: the one source whose rows
-    /// are decoded into owned records in `buf` instead of borrowed refs.
+    /// are decoded into owned records instead of borrowed refs.
     folded: Option<usize>,
     /// Ascending object positions present in each yielded row, and the
     /// template value of each.
@@ -544,17 +442,13 @@ struct ObjectCursor<'a> {
     templates: Vec<Value>,
     /// The `(reader, field)` behind each compact position.
     slots: Vec<(usize, usize)>,
-    /// Predicate pushed down into the borrowed loop (evaluated on borrowed
-    /// refs before anything is materialized), and the compact positions it
-    /// reads — the columns a chunk decodes first.
-    borrowed_pred: Option<BorrowedPred>,
+    /// The predicate, evaluated on each row before anything is
+    /// materialized, and the compact positions it reads — the columns a
+    /// chunk decodes first.
+    pred: Option<CompiledCond>,
     pred_cols: Vec<usize>,
-    /// Projection pushed down into the borrowed loop: indices into the
-    /// compact refs. When set, rows in `buf` are final output rows.
-    out: Option<Vec<usize>>,
-    /// Rows in `buf` are already filtered and projected; the state above the
-    /// cursor must pass them through untouched.
-    finished: bool,
+    /// The projection: the compact position of each output field.
+    out: Vec<usize>,
     /// Fixed-offset decode plan compiled from the object's schema templates;
     /// records matching the expected shape skip the generic varint walk.
     fast: Option<FixedRowPlan>,
@@ -563,8 +457,8 @@ struct ObjectCursor<'a> {
     /// its output row.
     straight: Option<Vec<u32>>,
 
-    /// Reusable staging vector for the row-at-a-time borrowed refill (the
-    /// bulk drain writes past it, straight into the caller's output).
+    /// Reusable staging vector for the row-at-a-time refill (the bulk drain
+    /// writes past it, straight into the caller's output).
     scratch: Vec<Record>,
     /// Scratch for the borrowed refs of a row, the column views of a chunk
     /// step, and the conjuncts a chunk step still checks per row.
@@ -578,7 +472,8 @@ impl<'a> ObjectCursor<'a> {
     /// the column-block objects of a vertical partition; none for an lsm
     /// run, which is row pages — reading the positions marked in `needed`
     /// (which, like `templates`, runs over the objects' fields
-    /// concatenated), and points it at `source`.
+    /// concatenated), and points it at `source`. It yields every compact
+    /// position of every row until a predicate and projection are set.
     fn new(
         layout: &'a PhysicalLayout,
         source: Source<'a, '_>,
@@ -626,6 +521,7 @@ impl<'a> ObjectCursor<'a> {
             FixedRowPlan::compile(&templates, &compact)
         };
         let (heap, name, _) = source.heap(layout);
+        let out = (0..compact.len()).collect();
         let mut cursor = ObjectCursor {
             heap,
             name,
@@ -644,10 +540,9 @@ impl<'a> ObjectCursor<'a> {
             templates: compact.iter().map(|&p| templates[p].clone()).collect(),
             compact,
             slots,
-            borrowed_pred: None,
+            pred: None,
             pred_cols: Vec::new(),
-            out: None,
-            finished: false,
+            out,
             fast,
             straight: None,
             scratch: Vec::new(),
@@ -739,42 +634,25 @@ impl<'a> ObjectCursor<'a> {
     /// Decodes the next page (or column-chunk range) into `buf`. Returns
     /// `false` when the object is exhausted.
     fn refill(&mut self) -> Result<bool> {
-        let Some(key_fields) = self.folded else {
-            let mut rows = std::mem::take(&mut self.scratch);
-            rows.clear();
-            let res = self.step_into(&mut rows);
-            self.buf.extend(rows.drain(..));
-            self.scratch = rows;
-            return res;
-        };
-        let Some(&page_id) = self.pages.get(self.next_page) else {
-            return Ok(false);
-        };
-        self.next_page += 1;
-        let frame = self.heap.pager().read_frame(page_id)?;
-        let reader = SlottedReader::over(frame.data(), frame.id());
-        for slot in 0..reader.slot_count() {
-            let folded = decode_record(reader.get(slot)?)?;
-            let (key, nested) = split_folded(&folded, key_fields, self.name)?;
-            for inner in nested {
-                self.buf.push_back(stitch_folded_row(key, inner)?);
-            }
-        }
-        Ok(true)
+        let mut rows = std::mem::take(&mut self.scratch);
+        rows.clear();
+        let res = self.step_into(&mut rows);
+        self.buf.extend(rows.drain(..));
+        self.scratch = rows;
+        res
     }
 
-    /// Bulk-drains a finished (already filtered and projected) cursor: rows
-    /// buffered by earlier `next_row` calls first, then every remaining page
-    /// or chunk decoded straight into `out` — the row buffer is bypassed.
-    fn drain_finished_into(&mut self, out: &mut Vec<Record>) -> Result<()> {
-        debug_assert!(self.finished && self.folded.is_none());
+    /// Bulk-drains the cursor: rows buffered by earlier `next_row` calls
+    /// first, then every remaining page or chunk decoded straight into `out`
+    /// — the row buffer is bypassed.
+    fn drain_into(&mut self, out: &mut Vec<Record>) -> Result<()> {
         out.extend(self.buf.drain(..));
         while self.step_into(out)? {}
         Ok(())
     }
 
-    /// One step of the borrowed loop — a row page or a column-chunk range —
-    /// with survivors written to `sink` (or folded). `false` once exhausted.
+    /// One step of the loop — a row page or a column-chunk range — with
+    /// survivors written to `sink` (or folded). `false` once exhausted.
     fn step_into(&mut self, sink: &mut Vec<Record>) -> Result<bool> {
         if !self.readers.is_empty() {
             return self.step_columns(sink);
@@ -783,7 +661,37 @@ impl<'a> ObjectCursor<'a> {
             return Ok(false);
         }
         self.next_page += 1;
-        self.step_rows(self.next_page - 1, sink).map(|()| true)
+        let ix = self.next_page - 1;
+        match self.folded {
+            Some(key_fields) => self.step_folded(ix, key_fields, sink),
+            None => self.step_rows(ix, sink),
+        }
+        .map(|()| true)
+    }
+
+    /// The folded-group source: every record of the `ix`-th page is split
+    /// into its key and nested rows, each stitched into an owned row that
+    /// the predicate tests in place; a survivor is folded or projected.
+    fn step_folded(&mut self, ix: usize, key_fields: usize, sink: &mut Vec<Record>) -> Result<()> {
+        let frame = self.heap.pager().read_frame(self.pages[ix])?;
+        let reader = SlottedReader::over(frame.data(), frame.id());
+        for slot in 0..reader.slot_count() {
+            let folded = decode_record(reader.get(slot)?)?;
+            let (key, nested) = split_folded(&folded, key_fields, self.name)?;
+            for inner in nested {
+                let row = stitch_folded_row(key, inner)?;
+                if let Some(pred) = &self.pred {
+                    if !pred.test(row.as_slice())? {
+                        continue;
+                    }
+                }
+                match &mut self.fold {
+                    Some(fold) => fold.acc.fold_values(&row[fold.bucket], &row[fold.value]),
+                    None => sink.push(self.out.iter().map(|&i| row[i].clone()).collect()),
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The row-page source: decodes each record of the `ix`-th page's shared
@@ -796,7 +704,6 @@ impl<'a> ObjectCursor<'a> {
         let picked = self.picked.get(ix).map(Vec::as_slice);
         let count = picked.map_or(reader.slot_count(), <[usize]>::len);
         let plan = self.fast.as_ref();
-        let out = self.out.as_deref();
         // No predicate, no fold: every record materializes — the full-scan
         // hot path. With a plan, wanted fields decode straight to owned
         // values at their fixed offsets in output order, with no borrowed
@@ -824,8 +731,8 @@ impl<'a> ObjectCursor<'a> {
             if !fast {
                 decode_fields_borrowed(bytes, &self.compact, &mut refs)?;
             }
-            if let Some(pred) = &self.borrowed_pred {
-                if !pred.matches(&refs)? {
+            if let Some(pred) = &self.pred {
+                if !pred.test(refs.as_slice())? {
                     continue;
                 }
             }
@@ -834,7 +741,7 @@ impl<'a> ObjectCursor<'a> {
             // now).
             match &mut self.fold {
                 Some(fold) => fold.acc.fold_refs(&refs[fold.bucket], &refs[fold.value]),
-                None => sink.push(materialize(&refs, out)?),
+                None => sink.push(materialize(&refs, &self.out)?),
             }
         }
         self.refs = recycle(refs);
@@ -888,7 +795,7 @@ impl<'a> ObjectCursor<'a> {
         self.row = end;
         self.sel.clear();
         self.sel.extend(0..n as u32);
-        if self.borrowed_pred.is_some() {
+        if self.pred.is_some() {
             self.filter_range(row)?;
         }
         if self.sel.is_empty() {
@@ -924,10 +831,7 @@ impl<'a> ObjectCursor<'a> {
             // order — the `Record` is the only allocation.
             None => {
                 let mut cols: Vec<View<'_>> = recycle(std::mem::take(views));
-                match out {
-                    Some(out) => cols.extend(out.iter().map(|&c| column(c))),
-                    None => cols.extend((0..templates.len()).map(column)),
-                }
+                cols.extend(out.iter().map(|&c| column(c)));
                 sink.reserve(sel.len());
                 for &i in sel.iter() {
                     let mut record = Vec::with_capacity(cols.len());
@@ -943,17 +847,17 @@ impl<'a> ObjectCursor<'a> {
     }
 
     /// Narrows `sel`, the rows of the range starting at object row `row`, to
-    /// those the pushed-down predicate keeps. The predicate's columns are
-    /// decoded; each top-level range conjunct that [`narrow_to_range`]
-    /// decides on its typed column is done, and only the conjuncts left
-    /// over run row by row, on borrowed refs.
+    /// those the predicate keeps. The predicate's columns are decoded; each
+    /// top-level range conjunct that [`narrow_to_range`] decides on its
+    /// typed column is done, and only the conjuncts left over run row by
+    /// row, on borrowed refs.
     fn filter_range(&mut self, row: usize) -> Result<()> {
         let ObjectCursor {
             readers,
             slots,
             sel,
             templates,
-            borrowed_pred: Some(pred),
+            pred: Some(pred),
             pred_cols,
             refs,
             views,
@@ -970,8 +874,8 @@ impl<'a> ObjectCursor<'a> {
         residual.clear();
         for (j, conjunct) in conjuncts.iter().enumerate() {
             let decided = match conjunct {
-                BorrowedPred::True => true,
-                BorrowedPred::Range { index, lo, hi } => {
+                CompiledCond::True => true,
+                CompiledCond::Range { index, lo, hi } => {
                     let column = column_view(readers, templates, slots[*index], (*index, row));
                     narrow_to_range(column, lo, hi, sel)
                 }
@@ -999,7 +903,7 @@ impl<'a> ObjectCursor<'a> {
                 row_refs[c] = column_field(col, template, at + i);
             }
             for &j in residual.iter() {
-                if !conjuncts[j].matches(&row_refs)? {
+                if !conjuncts[j].test(row_refs.as_slice())? {
                     continue 'rows;
                 }
             }
@@ -1042,21 +946,15 @@ impl<'a> ObjectCursor<'a> {
     }
 }
 
-/// One read plan, compiled once per scan for each distinct object shape,
-/// and the cursor it drives: which positions the cursor decodes, and the
-/// predicate and projection compiled against its compact field order. Every
-/// cell of a grid — every run of an lsm tier — shares one.
+/// One read plan, compiled once per scan for each distinct object shape:
+/// the cursor, with the positions it decodes and the predicate and
+/// projection compiled against its compact field order. Every cell of a
+/// grid — every run of an lsm tier — shares one.
 struct ObjectState<'a> {
     /// The objects the plan was compiled for; empty for an lsm run, whose
     /// rows are full-width in the layout schema's order.
     shape: Vec<&'a StoredObject>,
     cursor: ObjectCursor<'a>,
-    predicate: Option<CompiledPredicate>,
-    out_positions: Vec<usize>,
-    /// `out_positions` is exactly `0..arity` — yield rows unchanged.
-    identity: bool,
-    /// `out_positions` repeats a position — fall back to cloning.
-    has_dup: bool,
 }
 
 /// Whether a read plan compiled for `b` reads `a` too: the same fields,
@@ -1104,7 +1002,12 @@ impl<'a> ObjectState<'a> {
             // A run holds full-width rows in the layout schema's order.
             Source::Run(_) => (
                 Vec::new(),
-                layout.schema.fields().iter().map(|f| f.name.as_str()).collect(),
+                layout
+                    .schema
+                    .fields()
+                    .iter()
+                    .map(|f| f.name.as_str())
+                    .collect(),
             ),
         };
         let (_, name, _) = source.heap(layout);
@@ -1117,53 +1020,26 @@ impl<'a> ObjectState<'a> {
         }
         let templates = layout.templates_for(&fields);
         let mut cursor = ObjectCursor::new(layout, source, &shape, &needed, templates)?;
-        // The cursor yields compact rows; rebind names to compact positions.
+        // The cursor decodes compact rows; rebind names to compact positions.
         let compact_names: Vec<&str> = cursor.compact.iter().map(|&p| fields[p]).collect();
-        let out_positions: Vec<usize> = out_fields
-            .iter()
-            .map(|f| resolve(f, &compact_names, name))
-            .collect::<Result<_>>()?;
-        let predicate = predicate
-            .map(|p| CompiledPredicate::compile(p, &compact_names, name))
-            .transpose()?;
-        let identity = out_positions.len() == compact_names.len()
-            && out_positions.iter().enumerate().all(|(i, &p)| i == p);
-        let has_dup = has_duplicates(&out_positions);
-        if cursor.folded.is_none() {
-            // Push the predicate and projection down into the borrowed loop
-            // when the predicate (if any) compiles to borrowed form, so rows
-            // that fail the filter never materialize a single value.
-            let pushed = match &predicate {
-                None => Some(None),
-                Some(p) => BorrowedPred::compile(&p.node).map(Some),
-            };
-            if let Some(pred) = pushed {
-                if pred.is_some() {
-                    cursor.pred_cols = pred_fields
-                        .iter()
-                        .flatten()
-                        .map(|f| resolve(f, &compact_names, name))
-                        .collect::<Result<_>>()?;
-                }
-                cursor.borrowed_pred = pred;
-                cursor.finished = true;
-                cursor.out = Some(out_positions.clone());
-            }
+        let compact = |f: &String| resolve(f, &compact_names, name);
+        cursor.out = out_fields.iter().map(compact).collect::<Result<_>>()?;
+        if let Some(p) = predicate {
+            cursor.pred = Some(CompiledCond::compile(p, &compact_names, name)?);
+            cursor.pred_cols = pred_fields
+                .iter()
+                .flatten()
+                .map(compact)
+                .collect::<Result<_>>()?;
+        } else {
+            // No predicate: the fixed-offset plan decodes each record
+            // straight to its output row.
+            cursor.straight = cursor
+                .fast
+                .as_ref()
+                .map(|plan| cursor.out.iter().map(|&i| plan.offsets()[i]).collect());
         }
-        if cursor.borrowed_pred.is_none() {
-            cursor.straight = cursor.fast.as_ref().map(|plan| match &cursor.out {
-                Some(out) => out.iter().map(|&i| plan.offsets()[i]).collect(),
-                None => plan.offsets().to_vec(),
-            });
-        }
-        Ok(ObjectState {
-            shape,
-            cursor,
-            predicate,
-            out_positions,
-            identity,
-            has_dup,
-        })
+        Ok(ObjectState { shape, cursor })
     }
 }
 
@@ -1351,7 +1227,10 @@ impl<'a> ScanPlan<'a> {
             lsm_runs,
         };
         // Only objects with a chunk directory are fenced, and only by ranges.
-        let fenced = plan.objects.iter().any(|&i| layout.objects[i].chunks.is_some());
+        let fenced = plan
+            .objects
+            .iter()
+            .any(|&i| layout.objects[i].chunks.is_some());
         if fenced && !plan.ranges.is_empty() {
             plan.fences = (0..plan.base_cursors())
                 .map(|n| layout.fenced_rows(plan.group(n), &plan.ranges))
@@ -1457,18 +1336,16 @@ pub struct ScanIter<'a> {
     /// The tier's memtable, read after the last cursor (see
     /// [`ScanIter::memtable_tail`]).
     tail: Option<RowTail<std::slice::Iter<'a, Record>>>,
-    /// Set while [`ScanIter::fold_windowed`] drives the scan: newly opened
-    /// cursors that fully absorb the predicate and projection fold in place
-    /// instead of yielding rows.
+    /// Set while [`ScanIter::fold_windowed`] drives the scan: every cursor
+    /// opened folds its matching rows in place instead of yielding them.
     fold: Option<Fold>,
     done: bool,
 }
 
 /// An active windowed fold: where its bucket and value fields live in the
 /// scan's output projection, and the scan's one accumulator — lent to each
-/// cursor that folds in place and taken back when it closes, so rows fold
-/// in scan order whichever path yields them (float sums match a fold of the
-/// scanned rows bit for bit).
+/// cursor as it opens and taken back when it closes, so rows fold in scan
+/// order (float sums match a fold of the scanned rows bit for bit).
 struct Fold {
     bucket_pos: usize,
     value_pos: usize,
@@ -1588,16 +1465,16 @@ impl<'a> ScanIter<'a> {
         if let Some(rows) = plan.fences.get(n).and_then(Option::as_deref) {
             state.cursor.restrict(rows);
         }
-        let lent = fold
-            .as_mut()
-            .filter(|_| state.cursor.finished)
-            .and_then(|f| Some((f.bucket_pos, f.value_pos, f.acc.take()?)));
         // Aggregate pushdown: fold inside the loop instead of materializing
         // projected rows.
+        let lent = fold
+            .as_mut()
+            .and_then(|f| Some((f.bucket_pos, f.value_pos, f.acc.take()?)));
         if let Some((bucket, value, acc)) = lent {
-            state.cursor.fold = Some(CursorFold {
-                bucket: state.out_positions[bucket],
-                value: state.out_positions[value],
+            let cursor = &mut state.cursor;
+            cursor.fold = Some(CursorFold {
+                bucket: cursor.out[bucket],
+                value: cursor.out[value],
                 acc,
             });
         }
@@ -1627,41 +1504,29 @@ impl<'a> ScanIter<'a> {
     }
 
     fn next_streamed(&mut self) -> Result<Option<Record>> {
-        loop {
-            let Some(i) = self.cursor()? else {
-                return Ok(None);
-            };
-            let state = &mut self.states[i];
-            let Some(mut row) = state.cursor.next_row()? else {
-                self.close_cursor();
-                continue;
-            };
-            if state.cursor.finished {
-                // The cursor already filtered and projected.
+        while let Some(i) = self.cursor()? {
+            if let Some(row) = self.states[i].cursor.next_row()? {
                 return Ok(Some(row));
             }
-            if let Some(pred) = &state.predicate {
-                if !pred.matches(&row)? {
-                    continue;
-                }
-            }
-            if state.identity {
-                return Ok(Some(row));
-            }
-            return Ok(Some(project_row(
-                &mut row,
-                &state.out_positions,
-                state.has_dup,
-            )));
+            self.close_cursor();
         }
+        Ok(None)
+    }
+
+    /// Drains every remaining cursor into `out`, a page or chunk at a time.
+    fn drain_cursors(&mut self, out: &mut Vec<Record>) -> Result<()> {
+        while let Some(i) = self.cursor()? {
+            self.states[i].cursor.drain_into(out)?;
+            self.close_cursor();
+        }
+        Ok(())
     }
 
     /// Collects every remaining row. Result-equivalent to
-    /// `collect::<Result<Vec<_>>>()`, but cursors that already filtered and
-    /// projected their rows inside the borrowed loop (the pushdown path) are
-    /// emptied a page or chunk at a time instead of pumping the row-at-a-time
-    /// iterator protocol — the streaming machinery runs once per page, not
-    /// once per row.
+    /// `collect::<Result<Vec<_>>>()`, but each cursor is emptied a page or
+    /// chunk at a time instead of pumping the row-at-a-time iterator
+    /// protocol — the streaming machinery runs once per page, not once per
+    /// row.
     pub fn collect_rows(self) -> Result<Vec<Record>> {
         self.collect_planned().map(|(rows, _)| rows)
     }
@@ -1671,40 +1536,22 @@ impl<'a> ScanIter<'a> {
     /// the scan again.
     pub fn collect_planned(mut self) -> Result<(Vec<Record>, ScanPlan<'a>)> {
         let mut out = Vec::new();
-        if self.done {
-            return Ok((out, self.plan));
-        }
-        while let Some(i) = self.cursor()? {
-            let cursor = &mut self.states[i].cursor;
-            if cursor.finished {
-                cursor.drain_finished_into(&mut out)?;
-                self.close_cursor();
-                continue;
+        if !self.done {
+            self.drain_cursors(&mut out)?;
+            for row in self.tail.into_iter().flatten() {
+                out.push(row?);
             }
-            // The cursor needs the outer filter/project (folded groups, a
-            // predicate with no borrowed form); let the row-at-a-time
-            // machinery run it — it re-enters this loop's fast path once the
-            // next finished cursor opens.
-            match self.next_streamed()? {
-                Some(row) => out.push(row),
-                None => break,
-            }
-        }
-        for row in self.tail.into_iter().flatten() {
-            out.push(row?);
         }
         Ok((out, self.plan))
     }
 
-    /// Exhausts the scan, folding every matching row into fixed-width
-    /// buckets. The bucket and value fields must be part of the scan's
-    /// projection. On the borrowed path — row pages, index-picked slots,
-    /// column chunks and lsm runs alike, vertical partitions included — the
-    /// fold runs inside the cursor's loop (`ObjectCursor::step_into`) and no
-    /// output row is ever allocated; folded groups and predicates with no
-    /// borrowed form fold the rows they would have yielded, and the memtable
-    /// folds its matching rows in place, last. Terminal: the iterator is left
-    /// exhausted.
+    /// Folds every matching row of the scan into fixed-width buckets, from
+    /// its first row (the scan is rewound). The bucket and value fields must
+    /// be part of the scan's projection. The fold runs inside each cursor's
+    /// loop — row pages, index-picked slots, column chunks, folded groups
+    /// and lsm runs alike, vertical partitions included — and no output row
+    /// is ever allocated; the memtable folds its matching rows in place,
+    /// last. Terminal: the iterator is left exhausted.
     pub fn fold_windowed(&mut self, spec: &WindowedAggregate) -> Result<WindowAccumulator> {
         spec.validate()?;
         let position = |field: &str| {
@@ -1718,52 +1565,22 @@ impl<'a> ScanIter<'a> {
                 })
         };
         let (bucket_pos, value_pos) = (position(&spec.bucket_field)?, position(&spec.value_field)?);
+        // Every cursor must be opened with the fold lent to it.
+        self.rewind()?;
         self.fold = Some(Fold {
             bucket_pos,
             value_pos,
             acc: Some(WindowAccumulator::new(spec)),
         });
-        let streamed = loop {
-            match self.next_streamed() {
-                // A yielded row comes from a path that does not fold in
-                // place, so the accumulator is not lent out.
-                Ok(Some(row)) => {
-                    if let Some(Fold { acc: Some(acc), .. }) = &mut self.fold {
-                        acc.fold_values(&row[bucket_pos], &row[value_pos]);
-                    }
-                }
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
+        let drained = self.drain_cursors(&mut Vec::new());
         self.done = true;
         let acc = self.fold.take().and_then(|f| f.acc);
-        streamed?;
+        drained?;
         let mut acc = acc.expect("a folding cursor hands the accumulator back when it closes");
         if let Some(tail) = &mut self.tail {
             tail.fold_into(&mut acc, bucket_pos, value_pos)?;
         }
         Ok(acc)
-    }
-}
-
-fn has_duplicates(positions: &[usize]) -> bool {
-    positions
-        .iter()
-        .enumerate()
-        .any(|(i, p)| positions[..i].contains(p))
-}
-
-/// Extracts the output values from a compact row, moving values out when
-/// positions are unique and cloning when the projection repeats a field.
-fn project_row(row: &mut Record, positions: &[usize], has_dup: bool) -> Record {
-    if has_dup {
-        positions.iter().map(|&i| row[i].clone()).collect()
-    } else {
-        positions
-            .iter()
-            .map(|&i| std::mem::replace(&mut row[i], Value::Null))
-            .collect()
     }
 }
 
@@ -1831,9 +1648,23 @@ mod tests {
 
     #[test]
     fn compiled_predicate_matches_interpreted_eval() {
+        use crate::rowcodec::encode_record;
         let s = schema();
         let fields = s.field_names();
-        let rows = records(40);
+        let mut rows = records(40);
+        // NaN, `Null`, mixed `Int`/`Float` and strings.
+        rows.extend([
+            vec![Value::Null, Value::Str("row-7".into()), Value::Float(f64::NAN)],
+            vec![Value::Float(2.5), Value::Null, Value::Int(3)],
+            vec![Value::Int(-3), Value::Str(String::new()), Value::Float(f64::INFINITY)],
+            vec![Value::Int(9), Value::Str("row-9".into()), Value::Null],
+        ]);
+        let field = |f: &str| ElemExpr::Field(f.into());
+        let cmp = |left, op, right| Condition::Cmp { left, op, right };
+        let sub = |a, b| ElemExpr::Sub(Box::new(a), Box::new(b));
+        let add = |a, b| ElemExpr::Add(Box::new(a), Box::new(b));
+        let bin = |e| ElemExpr::Bin(Box::new(e));
+        let ill_typed = cmp(bin(field("name")), CmpOp::Eq, ElemExpr::lit(3i64));
         let preds = vec![
             Condition::True,
             Condition::range("a", 5i64, 20i64),
@@ -1843,16 +1674,45 @@ mod tests {
                 Condition::eq("a", 3i64),
                 Condition::Not(Box::new(Condition::range("a", 0i64, 35i64))),
             ]),
+            cmp(sub(field("a"), field("v")), CmpOp::Ge, ElemExpr::lit(2i64)),
+            cmp(add(field("v"), ElemExpr::lit(1.5)), CmpOp::Lt, field("a")),
+            cmp(ElemExpr::lit(5.5), CmpOp::Le, field("a")),
+            cmp(ElemExpr::lit("row-3"), CmpOp::Gt, field("name")),
+            cmp(field("a"), CmpOp::Le, field("v")),
+            cmp(bin(field("v")), CmpOp::Eq, field("a")),
+            cmp(
+                ElemExpr::Interleave(vec![field("a"), ElemExpr::lit(1i64)]),
+                CmpOp::Gt,
+                ElemExpr::lit(40i64),
+            ),
+            cmp(ElemExpr::Pos, CmpOp::Eq, field("a")),
+            Condition::range("a", 2.0, 9i64).and(ill_typed.clone()),
+            Condition::Or(vec![
+                Condition::eq("a", 9i64),
+                Condition::range("name", "row-", "row-2"),
+            ]),
         ];
-        for pred in preds {
-            let compiled = CompiledPredicate::compile(&pred, &fields, "T").unwrap();
+        // The same predicate on the refs decoded from the row's bytes.
+        let on_refs = |compiled: &CompiledPredicate, row: &Record| {
+            let bytes = encode_record(row);
+            let mut refs = Vec::new();
+            decode_fields_borrowed(&bytes, &[0, 1, 2], &mut refs)?;
+            compiled.node.test(refs.as_slice())
+        };
+        for pred in preds.iter().chain([&ill_typed]) {
+            let compiled = CompiledPredicate::compile(pred, &fields, "T").unwrap();
             for row in &rows {
-                assert_eq!(
-                    compiled.matches(row).unwrap(),
-                    pred.eval(&s, row).unwrap(),
-                    "{pred:?} on {row:?}"
-                );
+                let want = pred.eval(&s, row).ok();
+                assert_eq!(compiled.matches(row).ok(), want, "{pred:?} on {row:?}");
+                let got = on_refs(&compiled, row).ok();
+                assert_eq!(got, want, "{pred:?} on the refs of {row:?}");
             }
+        }
+        // A lone ill-typed conjunct is an error on every row.
+        let compiled = CompiledPredicate::compile(&ill_typed, &fields, "T").unwrap();
+        for row in &rows {
+            assert!(compiled.matches(row).is_err(), "{row:?}");
+            assert!(on_refs(&compiled, row).is_err(), "{row:?}");
         }
     }
 
@@ -1964,8 +1824,8 @@ mod tests {
 
     #[test]
     fn non_borrowable_predicates_fall_back_to_owned_eval() {
-        // `pos()` needs positional context, so the predicate cannot be pushed
-        // into the borrowed loop; the scan must still produce correct rows.
+        // `pos()` has no positional context in a scan; the predicate runs in
+        // the cursor like any other and must still produce correct rows.
         let layout = rendered(LayoutExpr::table("T"), 50);
         let pred = Condition::Cmp {
             left: ElemExpr::Field("a".into()),

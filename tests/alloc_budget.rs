@@ -215,9 +215,12 @@ fn writes_stay_within_their_allocation_budget() {
 /// its read plan once and every cell it opens resets the plan's cursor: a
 /// cell costs its page list (at most two allocations) and nothing else, so
 /// a fold allocates a constant plus two per cell at most, and a box query
-/// one `Record` per row besides.
+/// one `Record` per row besides. A predicate the cells cannot prune — an
+/// arithmetic comparison, or one field against another — is evaluated
+/// inside each cell's loop too: it allocates nothing per row scanned.
 fn many_cell_grid_reads_stay_within_their_allocation_budget() {
     use rodentstore::Value;
+    use rodentstore_algebra::comprehension::{CmpOp, ElemExpr};
     use rodentstore_algebra::{DataType, Field, Schema};
 
     const ROWS: usize = 20_000;
@@ -275,4 +278,33 @@ fn many_cell_grid_reads_stay_within_their_allocation_budget() {
         "grid box: {allocs} allocations for {} rows over {opened} cells",
         hits.len()
     );
+
+    let field = |name: &str| ElemExpr::Field(name.into());
+    let unprunable = [
+        Condition::Cmp {
+            left: ElemExpr::Sub(Box::new(field("x")), Box::new(field("y"))),
+            op: CmpOp::Ge,
+            right: ElemExpr::Literal(Value::Float(900.0)),
+        },
+        Condition::Cmp {
+            left: field("x"),
+            op: CmpOp::Le,
+            right: field("tag"),
+        },
+    ];
+    for pred in &unprunable {
+        let (hits, allocs) = counted(|| layout.scan(None, Some(pred)).unwrap());
+        assert!(!hits.is_empty() && hits.len() < ROWS / 20, "{pred:?}: {} rows", hits.len());
+        assert!(
+            allocs as usize <= hits.len() + 2 * cells + PER_SCAN,
+            "grid scan {pred:?}: {allocs} allocations for {} rows over {cells} cells",
+            hits.len()
+        );
+        let (buckets, allocs) = counted(|| layout.scan_aggregate(&spec, Some(pred)).unwrap());
+        assert!(buckets.rows_folded() == hits.len() as u64);
+        assert!(
+            allocs as usize <= 2 * cells + PER_SCAN,
+            "grid fold {pred:?}: {allocs} allocations over {cells} cells"
+        );
+    }
 }

@@ -13,7 +13,9 @@
 //! stored unquantized instead, bit for bit.
 
 use crate::plain::{TAG_FLOATS, TAG_INTS};
-use crate::varint::{read_signed_varint, read_varint, write_signed_varint, write_varint};
+use crate::varint::{
+    read_signed_varint, read_varint, write_signed_varint, write_varint, zigzag_decode,
+};
 use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 /// The tag of an unquantized float block, which only this codec writes.
@@ -56,6 +58,8 @@ impl DeltaCodec {
     /// Decodes `count` deltas from `block`, appending each reconstructed
     /// value to `out` through `map`. Every value takes at least one byte,
     /// which bounds `count` (and the reservation) by the bytes that remain.
+    /// A one-byte varint — the common delta — is read inline; longer ones
+    /// go through [`read_signed_varint`].
     fn decode_ints<T>(
         block: &[u8],
         pos: &mut usize,
@@ -69,7 +73,13 @@ impl DeltaCodec {
         out.reserve(count);
         let mut prev = 0i64;
         for i in 0..count {
-            let d = read_signed_varint(block, pos)?;
+            let d = match block.get(*pos) {
+                Some(&byte) if byte < 0x80 => {
+                    *pos += 1;
+                    zigzag_decode(u64::from(byte))
+                }
+                _ => read_signed_varint(block, pos)?,
+            };
             let v = if i == 0 { d } else { prev.wrapping_add(d) };
             out.push(map(v));
             prev = v;

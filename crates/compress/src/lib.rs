@@ -352,6 +352,108 @@ mod tests {
         }
     }
 
+    /// Decoders read bytes from disk, so a damaged block must be an error
+    /// or a column of exactly the count its header declares — never a
+    /// panic. Seeded mutations of delta and plain blocks: every truncation,
+    /// every continuation bit flipped, rewritten counts and random bit
+    /// flips.
+    #[test]
+    fn mutated_delta_and_plain_blocks_error_or_decode_their_header_count() {
+        use crate::varint::write_varint;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let jumpy: Vec<i64> = (0..300i64)
+            .map(|i| match i % 37 {
+                0 => i64::MAX - i,
+                1 => -(1 << 40) + i,
+                _ => 1_700_000_000 + i * 3 - (i % 5) * 70,
+            })
+            .collect();
+        let cases = [
+            (
+                "delta ints",
+                CodecKind::Delta,
+                ColumnData::Ints(jumpy.clone()),
+            ),
+            (
+                "delta quantized floats",
+                CodecKind::Delta,
+                ColumnData::Floats((0..300).map(|i| 20.0 + i as f64 * 0.125).collect()),
+            ),
+            (
+                "delta raw floats",
+                CodecKind::Delta,
+                ColumnData::Floats(vec![1.5, f64::NAN, f64::INFINITY, -0.25, 1e300]),
+            ),
+            ("plain ints", CodecKind::Plain, ColumnData::Ints(jumpy)),
+            (
+                "plain floats",
+                CodecKind::Plain,
+                ColumnData::Floats((0..40).map(|i| i as f64 / 3.0).collect()),
+            ),
+            (
+                "plain strings",
+                CodecKind::Plain,
+                ColumnData::Strings((0..40).map(|i| "é".repeat(i % 4) + "-row").collect()),
+            ),
+        ];
+        // splitmix64, seeded: no dependency, same stream on every run.
+        let mut state = 0xb10c_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut out = ColumnData::Strings(vec!["stale".into()]);
+        let mut decoded = 0usize;
+        for (what, kind, column) in &cases {
+            let codec = kind.build();
+            let block = &codec.encode(column).unwrap();
+            let mut check = |bytes: &[u8], mutation: &str| {
+                let result = catch_unwind(AssertUnwindSafe(|| codec.decode_into(bytes, &mut out)));
+                match result {
+                    Ok(Ok(())) => {
+                        decoded += 1;
+                        let count = header_count(bytes).unwrap();
+                        assert_eq!(out.len(), count, "{what}, {mutation}");
+                    }
+                    Ok(Err(_)) => {}
+                    Err(_) => panic!("{what}: decode panicked on {mutation}"),
+                }
+            };
+            check(block, "no mutation");
+            for cut in 0..block.len() {
+                check(&block[..cut], &format!("truncation to {cut} bytes"));
+            }
+            for at in 0..block.len() {
+                let mut bytes = block.to_vec();
+                bytes[at] ^= 0x80;
+                check(&bytes, &format!("continuation bit of byte {at} flipped"));
+            }
+            let count = header_count(block).unwrap() as u64;
+            let mut header_end = 1;
+            crate::varint::read_varint(block, &mut header_end).unwrap();
+            let forgeries = [count.saturating_sub(1), count + 1, count * 2];
+            for forged in [0, 1, u64::MAX >> 1, u64::MAX].into_iter().chain(forgeries) {
+                let mut bytes = vec![block[0]];
+                write_varint(&mut bytes, forged);
+                bytes.extend_from_slice(&block[header_end..]);
+                check(&bytes, &format!("count {count} rewritten as {forged}"));
+            }
+            for _ in 0..2_000 {
+                let mut bytes = block.to_vec();
+                for _ in 0..=next() % 3 {
+                    let at = (next() % bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << (next() % 8);
+                }
+                check(&bytes, "random bit flips");
+            }
+        }
+        assert!(decoded > cases.len(), "some mutations still decode");
+    }
+
     #[test]
     fn compression_ratio_favours_delta_on_sequential_ints() {
         let column = ColumnData::Ints((0..10_000).collect());

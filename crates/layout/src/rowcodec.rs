@@ -15,6 +15,7 @@
 use crate::{LayoutError, Result};
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_compress::ColumnData;
+use std::ops::Range;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -559,6 +560,35 @@ pub(crate) fn column_field<'a>(column: &'a ColumnData, template: &Value, i: usiz
             Value::Float(_) => FieldRef::Float(vs[i] as f64),
             _ => FieldRef::Int(vs[i]),
         },
+    }
+}
+
+/// A range of a decoded [`ColumnData`] read as numbers: each element's
+/// [`FieldRef::as_f64`] through [`column_field`], decided once per range
+/// instead of once per element. Integers carry ints, timestamps and
+/// integer-coded floats alike; a string column has no numeric reading.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lane<'a> {
+    /// A float column.
+    Floats(&'a [f64]),
+    /// An integer column read as `i64 as f64`.
+    Ints(&'a [i64]),
+    /// An integer-coded bool column: nonzero is 1.0, zero 0.0.
+    Bools(&'a [i64]),
+    /// A string column.
+    Text,
+}
+
+impl<'a> Lane<'a> {
+    /// The lane of elements `range` of `column`, restored by `template` as
+    /// [`column_field`] does. Panics if `range` is out of bounds.
+    pub(crate) fn of(column: &'a ColumnData, template: &Value, range: Range<usize>) -> Lane<'a> {
+        match column {
+            ColumnData::Floats(vs) => Lane::Floats(&vs[range]),
+            ColumnData::Ints(vs) if matches!(template, Value::Bool(_)) => Lane::Bools(&vs[range]),
+            ColumnData::Ints(vs) => Lane::Ints(&vs[range]),
+            ColumnData::Strings(_) => Lane::Text,
+        }
     }
 }
 

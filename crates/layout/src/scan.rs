@@ -39,7 +39,7 @@ use crate::plan::{
     StoredObject,
 };
 use crate::rowcodec::{
-    column_field, decode_fields_borrowed, decode_record, FieldRef, FixedRowPlan,
+    column_field, decode_fields_borrowed, decode_record, FieldRef, FixedRowPlan, Lane,
 };
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{interleave_bits, CmpOp, Condition, ElemExpr};
@@ -817,15 +817,16 @@ impl<'a> ObjectCursor<'a> {
         let column = |c: usize| column_view(readers, templates, slots[c], (c, row));
         match fold {
             // Fold on columns: the accumulator is fed straight from the typed
-            // vectors, in storage order (float sums stay bit-identical to the
-            // row path); no row is assembled.
+            // vectors, one lane per column and one loop per chunk, in storage
+            // order (float sums stay bit-identical to the row path); no row
+            // is assembled.
             Some(fold) => {
-                let ((b, b_t, b_at), (v, v_t, v_at)) = (column(fold.bucket), column(fold.value));
-                for &i in sel.iter() {
-                    let i = i as usize;
-                    let bucket = column_field(b, b_t, b_at + i);
-                    fold.acc.fold_refs(&bucket, &column_field(v, v_t, v_at + i));
-                }
+                let lane = |c: usize| {
+                    let (col, template, at) = column(c);
+                    Lane::of(col, template, at..at + n)
+                };
+                fold.acc
+                    .fold_lanes(lane(fold.bucket), lane(fold.value), sel);
             }
             // Survivors materialize straight from the columns, in output
             // order — the `Record` is the only allocation.
@@ -2005,6 +2006,103 @@ mod tests {
                 let got = columns.scan_aggregate(&spec, pred).unwrap();
                 assert_eq!(got.rows_folded(), want.rows_folded());
                 assert_eq!(got.finish(), want.finish());
+            }
+        }
+
+        // Every lane of the column kernel, as bucket and as value: ints,
+        // timestamps, bools, plain floats, delta-quantized floats, a delta
+        // block stored raw for its NaN and infinities, and a string (which
+        // folds nothing) — with no predicate, an exact typed range decided
+        // on its column, and a residual computed comparison.
+        let lanes = ["i", "t", "b", "f", "q", "r", "s"];
+        let schema = Schema::new(
+            "L",
+            vec![
+                Field::new("i", DataType::Int),
+                Field::new("t", DataType::Timestamp),
+                Field::new("b", DataType::Bool),
+                Field::new("f", DataType::Float),
+                Field::new("q", DataType::Float),
+                Field::new("r", DataType::Float),
+                Field::new("s", DataType::String),
+            ],
+        );
+        let lane_rows: Vec<Record> = (0..150i64)
+            .map(|k| {
+                let raw = match k % 17 {
+                    3 => f64::NAN,
+                    5 => f64::INFINITY,
+                    11 => f64::NEG_INFINITY,
+                    _ => k as f64 * -0.5,
+                };
+                vec![
+                    Value::Int(k * 7 % 50 - 20),
+                    Value::Timestamp(1_000 + k * 3),
+                    Value::Bool(k % 3 == 0),
+                    Value::Float(k as f64 * 0.37 - 10.0),
+                    // Quarters survive the codec's 10^-6 quantization exactly.
+                    Value::Float(k as f64 * 0.25 - 5.0),
+                    Value::Float(raw),
+                    Value::Str(format!("s{k}")),
+                ]
+            })
+            .collect();
+        let render_lanes = |expr: LayoutExpr| {
+            let provider = MemTableProvider::single(schema.clone(), lane_rows.clone());
+            let pager = Arc::new(Pager::in_memory_with_page_size(512));
+            render(&expr, &provider, pager, RenderOptions::default()).unwrap()
+        };
+        let rows = render_lanes(LayoutExpr::table("L"));
+        let field = |f: &str| ElemExpr::Field(f.into());
+        let preds = [
+            None,
+            Some(Condition::range("i", -10i64, 15i64)),
+            Some(Condition::Cmp {
+                left: ElemExpr::Sub(Box::new(field("i")), Box::new(field("f"))),
+                op: CmpOp::Ge,
+                right: ElemExpr::lit(-3i64),
+            }),
+        ];
+        let bits = |acc: &WindowAccumulator| -> Vec<_> {
+            acc.finish()
+                .iter()
+                .map(|w| {
+                    let bits = [w.bucket_start, w.sum, w.min, w.max].map(f64::to_bits);
+                    (w.count, bits)
+                })
+                .collect()
+        };
+        for expr in [
+            LayoutExpr::table("L").pax_with(16).delta(["q", "r"]),
+            LayoutExpr::table("L")
+                .vertical([vec!["i", "t", "b"], vec!["f", "q", "r", "s"]])
+                .delta(["q", "r"]),
+        ] {
+            let columns = render_lanes(expr);
+            for obj in &columns.objects {
+                assert!(matches!(obj.encoding, ObjectEncoding::ColumnBlocks { .. }));
+                for f in obj.fields.iter().filter(|f| *f == "q" || *f == "r") {
+                    assert_eq!(obj.codecs[f], rodentstore_compress::CodecKind::Delta);
+                }
+            }
+            // Quantization cannot carry a NaN: `r`'s blocks are stored raw.
+            let raw = columns.scan(Some(&["r".to_string()]), None).unwrap();
+            let nan = |row: &Record| matches!(row[0], Value::Float(x) if x.is_nan());
+            assert!(raw.iter().any(nan));
+            for bucket in lanes {
+                for value in lanes {
+                    let spec = WindowedAggregate::new(bucket, 4.0, value);
+                    for pred in &preds {
+                        let want = rows.scan_aggregate(&spec, pred.as_ref()).unwrap();
+                        let got = columns.scan_aggregate(&spec, pred.as_ref()).unwrap();
+                        let case = format!("{bucket} by {value} under {pred:?}");
+                        assert_eq!(got.rows_folded(), want.rows_folded(), "{case}");
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                        let numeric = |f: &str| f != "s";
+                        let folds = want.rows_folded() > 0;
+                        assert_eq!(folds, numeric(bucket) && numeric(value), "{case}");
+                    }
+                }
             }
         }
     }

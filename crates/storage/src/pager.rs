@@ -20,7 +20,7 @@ use crate::stats::{self, IoStats};
 use crate::{Result, StorageError};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,11 +153,14 @@ fn superblock_bytes(page_size: usize) -> [u8; SUPERBLOCK_LEN] {
 
 /// A file-backed page store: a superblock followed by concatenated pages.
 /// Data page `id` lives at byte offset `(id + 1) * page_size` — the first
-/// page-sized block is the superblock.
+/// page-sized block is the superblock. Reads and writes are positional
+/// (`pread`/`pwrite`), so they share the file without a lock; only the
+/// changes of its length — `allocate` and `truncate` — are serialized.
 #[derive(Debug)]
 pub struct FileStore {
     page_size: usize,
-    file: Mutex<File>,
+    file: File,
+    resize: Mutex<()>,
     path: PathBuf,
     page_count: AtomicU64,
 }
@@ -173,7 +176,7 @@ impl FileStore {
             });
         }
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .read(true)
             .write(true)
@@ -182,11 +185,12 @@ impl FileStore {
             .map_err(StorageError::from)?;
         let mut block = vec![0u8; page_size];
         block[..SUPERBLOCK_LEN].copy_from_slice(&superblock_bytes(page_size));
-        file.write_all(&block).map_err(StorageError::from)?;
+        file.write_all_at(&block, 0).map_err(StorageError::from)?;
         file.sync_data().map_err(StorageError::from)?;
         Ok(FileStore {
             page_size,
-            file: Mutex::new(file),
+            file,
+            resize: Mutex::new(()),
             path,
             page_count: AtomicU64::new(0),
         })
@@ -200,15 +204,16 @@ impl FileStore {
     /// trailing partial page is ignored.
     pub fn open(path: impl AsRef<Path>) -> Result<FileStore> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)
             .map_err(StorageError::from)?;
         let mut block = [0u8; SUPERBLOCK_LEN];
-        file.read_exact(&mut block).map_err(|_| StorageError::NotRodentStore {
-            path: path.display().to_string(),
-        })?;
+        file.read_exact_at(&mut block, 0)
+            .map_err(|_| StorageError::NotRodentStore {
+                path: path.display().to_string(),
+            })?;
         if &block[..8] != SUPERBLOCK_MAGIC {
             return Err(StorageError::NotRodentStore {
                 path: path.display().to_string(),
@@ -240,7 +245,8 @@ impl FileStore {
         let page_count = (len / page_size as u64).saturating_sub(1);
         Ok(FileStore {
             page_size,
-            file: Mutex::new(file),
+            file,
+            resize: Mutex::new(()),
             path,
             page_count: AtomicU64::new(page_count),
         })
@@ -278,10 +284,9 @@ impl FileStore {
         if id >= self.page_count() {
             return Err(StorageError::PageNotFound(id));
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset_of(id)))
-            .map_err(StorageError::from)?;
-        file.read_exact(buf).map_err(StorageError::from)
+        self.file
+            .read_exact_at(buf, self.offset_of(id))
+            .map_err(StorageError::from)
     }
 }
 
@@ -294,13 +299,15 @@ impl PageStore for FileStore {
         self.page_count.load(Ordering::SeqCst)
     }
 
+    /// Zeroes the page past the end, then publishes it: a reader never
+    /// sees a page id the file does not hold yet.
     fn allocate(&self) -> Result<PageId> {
-        let id = self.page_count.fetch_add(1, Ordering::SeqCst);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset_of(id)))
+        let _resize = self.resize.lock();
+        let id = self.page_count.load(Ordering::SeqCst);
+        self.file
+            .write_all_at(&vec![0u8; self.page_size], self.offset_of(id))
             .map_err(StorageError::from)?;
-        file.write_all(&vec![0u8; self.page_size])
-            .map_err(StorageError::from)?;
+        self.page_count.store(id + 1, Ordering::SeqCst);
         Ok(id)
     }
 
@@ -329,24 +336,23 @@ impl PageStore for FileStore {
                 found: data.len(),
             });
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset_of(id)))
-            .map_err(StorageError::from)?;
-        file.write_all(data).map_err(StorageError::from)?;
-        Ok(())
+        self.file
+            .write_all_at(data, self.offset_of(id))
+            .map_err(StorageError::from)
     }
 
     fn sync(&self) -> Result<()> {
-        self.file.lock().sync_data().map_err(StorageError::from)
+        self.file.sync_data().map_err(StorageError::from)
     }
 
     fn truncate(&self, page_count: u64) -> Result<()> {
-        let file = self.file.lock();
+        let _resize = self.resize.lock();
         let current = self.page_count.load(Ordering::SeqCst);
         if page_count >= current {
             return Ok(());
         }
-        file.set_len((page_count + 1) * self.page_size as u64)
+        self.file
+            .set_len((page_count + 1) * self.page_size as u64)
             .map_err(StorageError::from)?;
         self.page_count.store(page_count, Ordering::SeqCst);
         Ok(())

@@ -684,6 +684,52 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A windowed fold keyed on a float column — negative, NaN and infinite
+    /// bucket values, and a width so small that keys saturate — reads the
+    /// column chunks' typed lanes and must still fold, bit for bit, what
+    /// `Condition::eval` keeps of the full decode.
+    #[test]
+    fn column_folds_key_negative_and_nan_buckets_like_the_row_fold(
+        records in proptest::collection::vec(special_record_strategy(), 1..150),
+        layout in columnar_layout_text(),
+        predicate in columnar_predicate_strategy(),
+        width in prop_oneof![0.5f64..8.0, Just(1e-300)],
+    ) {
+        use rodentstore::{WindowAccumulator, WindowedAggregate};
+
+        let mut records = records;
+        let mid = records.len() / 2;
+        records.splice(mid..mid, [
+            vec![Value::Float(f64::NAN), Value::Float(1.5), Value::Int(1)],
+            vec![Value::Float(-0.5), Value::Float(-2.0), Value::Int(2)],
+            vec![Value::Float(f64::NEG_INFINITY), Value::Float(4.0), Value::Int(3)],
+            vec![Value::Float(-37.25), Value::Float(f64::NAN), Value::Int(4)],
+        ]);
+        let provider = MemTableProvider::single(points_schema(), records);
+        let rendered = render(
+            &parse(layout).unwrap(),
+            &provider,
+            Arc::new(Pager::in_memory_with_page_size(512)),
+            RenderOptions::default(),
+        )
+        .unwrap();
+        let schema = points_schema();
+        let spec = WindowedAggregate::new("x", width, "y");
+        let mut fold = WindowAccumulator::new(&spec);
+        for row in rendered.scan(None, None).unwrap() {
+            if predicate.eval(&schema, &row).unwrap() {
+                fold.fold_values(&row[0], &row[1]);
+            }
+        }
+        let windows = rendered.scan_aggregate(&spec, Some(&predicate)).unwrap();
+        prop_assert_eq!(windows.rows_folded(), fold.rows_folded(), "layout {}", layout);
+        prop_assert_eq!(
+            format!("{:?}", windows.finish()),
+            format!("{:?}", fold.finish()),
+            "aggregate, layout {}", layout
+        );
+    }
+
     /// Two column groups of one partition need not agree on where their
     /// chunks end: with a page this small, the group holding a wide string
     /// is split down to a row or two per chunk while its sibling keeps tens.

@@ -912,8 +912,11 @@ mod tests {
         fn allocate(&self) -> rodentstore_storage::Result<PageId> {
             self.inner.allocate()
         }
-        fn read(&self, id: PageId) -> rodentstore_storage::Result<Vec<u8>> {
-            self.inner.read(id)
+        fn read_frame(
+            &self,
+            id: PageId,
+        ) -> rodentstore_storage::Result<rodentstore_storage::PageFrame> {
+            self.inner.read_frame(id)
         }
         fn write(&self, id: PageId, data: &[u8]) -> rodentstore_storage::Result<()> {
             let left = self.writes_left.load(std::sync::atomic::Ordering::SeqCst);
@@ -970,7 +973,7 @@ mod tests {
         let rows = Rows::from_vec((0..40).map(|i| wide_row(i, 10)).collect());
         store.persist(&rows).unwrap();
         let extent = store.extent();
-        let mut page = pager.read(extent.pages[1]).unwrap();
+        let mut page = pager.read_frame(extent.pages[1]).unwrap().to_page();
         let last = page.data.len() - 1; // record payloads fill pages from the back
         page.data[last] ^= 0x40;
         pager.write(&page).unwrap();

@@ -924,8 +924,8 @@ impl Database {
             let Some(mut copy) = self.pager.allocate_below(page) else {
                 break;
             };
-            let written = self.pager.read(page).and_then(|original| {
-                copy.data.copy_from_slice(&original.data);
+            let written = self.pager.read_frame(page).and_then(|original| {
+                copy.data.copy_from_slice(original.data());
                 self.pager.write(&copy)
             });
             if let Err(e) = written {

@@ -155,7 +155,8 @@ impl BTree {
             node.entries = chunk.to_vec();
             if let Some(mut prev) = prev_leaf.take() {
                 prev.next = page.id;
-                let mut prev_page = pager.read(prev.page_id)?;
+                // Encoding rewrites the whole node: no read needed.
+                let mut prev_page = Page::zeroed(prev.page_id, pager.page_size());
                 prev.encode(&mut prev_page)?;
                 pager.write(&prev_page)?;
             }
@@ -234,8 +235,7 @@ impl BTree {
     }
 
     fn read_node(&self, id: PageId) -> Result<Node> {
-        let page = self.pager.read(id)?;
-        Node::decode(&page)
+        Node::decode(&self.pager.read_frame(id)?.to_page())
     }
 
     fn write_node(&self, node: &Node) -> Result<()> {

@@ -297,8 +297,7 @@ impl RTree {
     }
 
     fn read_node(&self, id: PageId) -> Result<Node> {
-        let page = self.pager.read(id)?;
-        Node::decode(&page)
+        Node::decode(&self.pager.read_frame(id)?.to_page())
     }
 
     fn write_node(&self, node: &Node) -> Result<()> {

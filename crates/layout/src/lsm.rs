@@ -23,7 +23,6 @@
 //! records, drained by the engine into its observability registry and
 //! event ring.
 
-use crate::plan::read_heap_row;
 use crate::rowcodec::{decode_record, encode_record_into};
 use crate::{LayoutError, Result};
 use rodentstore_algebra::expr::{sort_by_positions, SortOrder};
@@ -308,20 +307,6 @@ impl LsmState {
     /// Every page currently referenced by a run.
     pub fn extent_pages(&self) -> Vec<PageId> {
         self.runs.iter().flat_map(|r| r.heap.extent()).collect()
-    }
-
-    /// The row at `idx` in the tier's scan order: runs deepest level first
-    /// (oldest first within a level), each in key order, then the memtable
-    /// in key order — decoding, from a run, only the positions marked in
-    /// `needed` of the one record (a memtable row is cloned whole).
-    pub fn row_at(&self, mut idx: usize, needed: &[bool]) -> Result<Option<Record>> {
-        for run in &self.runs {
-            if idx < run.row_count {
-                return read_heap_row(&run.heap, idx, needed).map(Some);
-            }
-            idx -= run.row_count;
-        }
-        Ok(self.memtable.rows().get(idx).cloned())
     }
 
     /// Drains the extents of merged-away runs that are already safe to
@@ -805,58 +790,6 @@ mod tests {
             .collect();
         assert_eq!(rows.len(), run.row_count);
         rows
-    }
-
-    #[test]
-    fn row_at_follows_scan_order_and_decodes_only_needed_fields() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 8, 2);
-        let schema = schema();
-        for batch in 0..9i64 {
-            let rows = (0..5).map(|i| row((batch * 7 + i * 13) % 50)).collect();
-            lsm.absorb(&pager, "t", &schema, rows).unwrap();
-        }
-        assert!(lsm.runs.len() >= 2 && !lsm.memtable.is_empty(), "{lsm:?}");
-        let in_runs: Vec<Record> = lsm.runs.iter().flat_map(|r| decoded(r)).collect();
-        let want: Vec<Record> = in_runs.iter().chain(lsm.memtable.rows()).cloned().collect();
-        assert_eq!(want.len(), lsm.rows());
-        for (i, expected) in want.iter().enumerate() {
-            assert_eq!(lsm.row_at(i, &[true, true]).unwrap().as_ref(), Some(expected));
-        }
-        // A run row decodes only the needed positions; a memtable row is
-        // cloned whole.
-        for (i, expected) in in_runs.iter().enumerate() {
-            assert_eq!(
-                lsm.row_at(i, &[false, true]).unwrap(),
-                Some(vec![Value::Null, expected[1].clone()])
-            );
-        }
-        assert_eq!(lsm.row_at(want.len(), &[true, true]).unwrap(), None);
-    }
-
-    #[test]
-    fn row_at_reads_pages_of_the_containing_run_only() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 64, 8);
-        let schema = schema();
-        for batch in 0..4i64 {
-            let rows = (0..64).map(|i| row(batch * 64 + i)).collect();
-            lsm.absorb(&pager, "t", &schema, rows).unwrap();
-        }
-        assert_eq!(lsm.runs.len(), 4, "fanout 8 leaves four level-0 runs");
-        let mut start = 0usize;
-        for run in &lsm.runs {
-            assert!(run.heap.page_count() > 1);
-            let last = start + run.row_count - 1;
-            for (idx, pages) in [(start, 1), (last, run.heap.page_count())] {
-                let before = pager.stats().snapshot();
-                let got = lsm.row_at(idx, &[true, false]).unwrap().unwrap();
-                let io = pager.stats().snapshot().since(&before);
-                assert_eq!(got, vec![Value::Int(idx as i64), Value::Null]);
-                assert_eq!(io.pages_read as usize, pages, "row {idx}");
-            }
-            start += run.row_count;
-        }
     }
 
     #[test]

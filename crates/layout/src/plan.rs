@@ -11,9 +11,7 @@
 use crate::directory::{fence_of, intersect, ChunkDirectory, ChunkEntry, Fence};
 use crate::index::StoredIndex;
 use crate::lsm::LsmState;
-use crate::rowcodec::{
-    column_field, decode_fields_borrowed, decode_record, encode_record, values_to_column,
-};
+use crate::rowcodec::{encode_record, values_to_column};
 use crate::scan::{ScanIter, ScanPlan};
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{CmpOp, Condition, ElemExpr};
@@ -271,78 +269,6 @@ impl StoredObject {
         self.heap.page_count()
     }
 
-    /// Reads the single tuple at `index` (in object storage order), decoding
-    /// only the positions marked in `needed` (row encodings) or the blocks of
-    /// needed fields (column encodings). Earlier pages are still fetched to
-    /// locate the row, but their records are never decoded.
-    pub fn read_row_at(
-        &self,
-        index: usize,
-        templates: &[Value],
-        needed: &[bool],
-    ) -> Result<Record> {
-        if index >= self.row_count {
-            return Err(LayoutError::Unsupported(format!(
-                "element {index} out of range ({} rows in `{}`)",
-                self.row_count, self.name
-            )));
-        }
-        match &self.encoding {
-            ObjectEncoding::Rows => read_heap_row(&self.heap, index, needed),
-            ObjectEncoding::Folded { key_fields } => {
-                let key_fields = *key_fields;
-                let mut remaining = index;
-                for page_id in self.heap.page_ids()? {
-                    let frame = self.heap.pager().read_frame(page_id)?;
-                    let reader = SlottedReader::over(frame.data(), frame.id());
-                    for slot in 0..reader.slot_count() {
-                        let folded = decode_record(reader.get(slot)?)?;
-                        let (key, nested) = split_folded(&folded, key_fields, &self.name)?;
-                        if remaining < nested.len() {
-                            return stitch_folded_row(key, &nested[remaining]);
-                        }
-                        remaining -= nested.len();
-                    }
-                }
-                Err(LayoutError::Corrupted(format!(
-                    "row {index} beyond the folded groups of `{}`",
-                    self.name
-                )))
-            }
-            ObjectEncoding::ColumnBlocks { .. } => self.read_block_row_at(index, templates, needed),
-        }
-    }
-
-    /// Positional access within a column-block object: seeks the chunk
-    /// holding the row (through the directory, or for a grid cell by walking
-    /// the chunks by their block-header row counts) and decodes only its
-    /// needed blocks.
-    fn read_block_row_at(
-        &self,
-        index: usize,
-        templates: &[Value],
-        needed: &[bool],
-    ) -> Result<Record> {
-        let mut reader = ChunkReader::new(self, needed);
-        reader.reset(self)?;
-        if !reader.seek(index)? {
-            return Err(LayoutError::Corrupted(format!(
-                "row {index} beyond the stored blocks of `{}`",
-                self.name
-            )));
-        }
-        let at = index - reader.start;
-        let mut row = vec![Value::Null; self.fields.len()];
-        for (f, value) in row.iter_mut().enumerate() {
-            if needed.get(f).copied().unwrap_or(false) {
-                reader.decode(f)?;
-                let template = templates.get(f).unwrap_or(&Value::Null);
-                *value = column_field(reader.col(f), template, at).to_value()?;
-            }
-        }
-        Ok(row)
-    }
-
     /// Writes tuples (already restricted to this object's fields, in object
     /// field order) into the heap file. For row-encoded objects the returned
     /// vector names where each tuple landed (empty for block encodings, whose
@@ -428,36 +354,9 @@ fn chunk_fence(codec: CodecKind, column: &ColumnData, block: &[u8]) -> Result<Fe
     })
 }
 
-/// Reads record `index` (in file order) of a row-encoded heap — a stored
-/// object or an lsm run — decoding only the positions marked in `needed`;
-/// every other position of the returned row is [`Value::Null`]. Earlier pages
-/// are fetched to count their slots, but none of their records is decoded.
-pub(crate) fn read_heap_row(heap: &HeapFile, index: usize, needed: &[bool]) -> Result<Record> {
-    let positions: Vec<usize> = (0..needed.len()).filter(|&p| needed[p]).collect();
-    let mut remaining = index;
-    for page_id in heap.page_ids()? {
-        let frame = heap.pager().read_frame(page_id)?;
-        let reader = SlottedReader::over(frame.data(), frame.id());
-        let slots = reader.slot_count();
-        if remaining < slots {
-            let mut refs = Vec::with_capacity(positions.len());
-            decode_fields_borrowed(reader.get(remaining)?, &positions, &mut refs)?;
-            let mut row = vec![Value::Null; needed.len()];
-            for (&p, field) in positions.iter().zip(&refs) {
-                row[p] = field.to_value()?;
-            }
-            return Ok(row);
-        }
-        remaining -= slots;
-    }
-    Err(LayoutError::Corrupted(format!(
-        "row {index} beyond the stored pages of `{}`",
-        heap.name()
-    )))
-}
-
-/// Streams the chunks of one column-block object — the one decoder every
-/// column-block read path (scans, folds, positional access) goes through.
+/// Streams the chunks of one column-block object for a scan cursor — the
+/// one decoder of column blocks; scans, folds and positional gets (a
+/// one-row scan) all read through it.
 ///
 /// A chunk is one encoded block per field, in field order, and may straddle
 /// pages; the reader moves from chunk to chunk in storage order, reading
@@ -988,6 +887,7 @@ impl PhysicalLayout {
                 }
             }
         }
+        let vertical = self.is_vertically_partitioned();
         let read = |&i: &usize| {
             let obj = &self.objects[i];
             if let Some(cell) = &obj.cell {
@@ -995,12 +895,10 @@ impl PhysicalLayout {
                     return false;
                 }
             }
-            if let Some(needed) = &needed_fields {
-                if self.objects.len() > 1 && obj.cell.is_none() {
-                    return obj.fields.iter().any(|f| needed.contains(f));
-                }
+            match &needed_fields {
+                Some(needed) if vertical => obj.fields.iter().any(|f| needed.contains(f)),
+                _ => true,
             }
-            true
         };
         match self.cells_meeting(ranges) {
             Some(cells) => cells.into_iter().filter(read).collect(),
@@ -1213,9 +1111,10 @@ impl PhysicalLayout {
     }
 
     /// Returns the tuple at `position` (in storage order), optionally
-    /// projected — the `getElement` access method. Only the containing
-    /// row/block of each relevant object is decoded; vertically partitioned
-    /// layouts no longer stitch the whole relation to serve one element.
+    /// projected — the `getElement` access method. It is a scan of one row:
+    /// the unpredicated scan plan of `fields` finds the source holding the
+    /// position by its row count, and that source's cursor decodes the one
+    /// row (see [`ScanPlan`]).
     pub fn get_element(
         &self,
         position: usize,
@@ -1231,78 +1130,10 @@ impl PhysicalLayout {
             Some(f) => f.to_vec(),
             None => self.schema.field_names(),
         };
-        let out_indices = self.schema.indices_of(&out_fields).map_err(LayoutError::Algebra)?;
-        // Objects of horizontal layouts and lsm runs hold full tuples in the
-        // layout schema's field order.
-        let needed: Vec<bool> = self
-            .schema
-            .field_names()
-            .iter()
-            .map(|f| out_fields.iter().any(|o| o == f))
-            .collect();
-
-        // Positions past the stored base fall into the levelled tier, which
-        // serves them in its scan order (runs, then memtable).
-        if position >= self.base_row_count() {
-            if let Some(lsm) = &self.lsm {
-                let row = lsm
-                    .row_at(position - self.base_row_count(), &needed)?
-                    .ok_or_else(|| {
-                        LayoutError::Corrupted(format!(
-                            "lsm tier of `{}` does not cover element {position}",
-                            self.name
-                        ))
-                    })?;
-                return Ok(out_indices.iter().map(|&i| row[i].clone()).collect());
-            }
+        for f in &out_fields {
+            self.schema.index_of(f).map_err(LayoutError::Algebra)?;
         }
-
-        if self.is_vertically_partitioned() {
-            // Fetch the element of every object holding a requested field and
-            // stitch just that one row.
-            let mut full = vec![Value::Null; self.schema.arity()];
-            for obj in &self.objects {
-                let needed: Vec<bool> = obj
-                    .fields
-                    .iter()
-                    .map(|f| out_fields.iter().any(|o| o == f))
-                    .collect();
-                if !needed.iter().any(|&b| b) {
-                    continue;
-                }
-                if obj.row_count != self.base_row_count() {
-                    return Err(LayoutError::Corrupted(format!(
-                        "object `{}` has {} rows, layout has {}",
-                        obj.name,
-                        obj.row_count,
-                        self.base_row_count()
-                    )));
-                }
-                let templates = self.templates_for(&obj.fields);
-                let mut row = obj.read_row_at(position, &templates, &needed)?;
-                for (j, f) in obj.fields.iter().enumerate() {
-                    if needed[j] {
-                        let idx = self.schema.index_of(f).map_err(LayoutError::Algebra)?;
-                        full[idx] = std::mem::replace(&mut row[j], Value::Null);
-                    }
-                }
-            }
-            return Ok(out_indices.iter().map(|&i| full[i].clone()).collect());
-        }
-
-        // Locate the object containing the position.
-        let mut remaining = position;
-        for obj in &self.objects {
-            if remaining < obj.row_count {
-                let templates = self.templates_for(&obj.fields);
-                let row = obj.read_row_at(remaining, &templates, &needed)?;
-                return Ok(out_indices.iter().map(|&i| row[i].clone()).collect());
-            }
-            remaining -= obj.row_count;
-        }
-        Err(LayoutError::Corrupted(
-            "row counts of objects do not cover the layout".into(),
-        ))
+        ScanPlan::new(self, fields, None, false)?.element(position, &out_fields)
     }
 }
 
@@ -1468,60 +1299,6 @@ mod tests {
         let block = CodecKind::Delta.build().encode(&column).unwrap();
         let decoded = CodecKind::Delta.build().decode(&block).unwrap();
         assert_ne!(fence_of(&column), fence_of(&decoded));
-    }
-
-    /// A sealed row-encoded heap of `n` rows `[i, "r<i>", i / 4]` on
-    /// 256-byte pages.
-    fn row_heap(n: usize) -> (Arc<Pager>, HeapFile, Vec<Record>) {
-        let pager = Arc::new(Pager::in_memory_with_page_size(256));
-        let heap = HeapFile::create("rows", Arc::clone(&pager));
-        let rows: Vec<Record> = (0..n)
-            .map(|i| {
-                vec![
-                    Value::Int(i as i64),
-                    Value::Str(format!("r{i}")),
-                    Value::Float(i as f64 / 4.0),
-                ]
-            })
-            .collect();
-        for row in &rows {
-            heap.append(&encode_record(row)).unwrap();
-        }
-        heap.flush().unwrap();
-        (pager, heap, rows)
-    }
-
-    #[test]
-    fn heap_row_decodes_only_needed_positions_and_stops_at_its_page() {
-        let (pager, heap, rows) = row_heap(120);
-        assert!(heap.page_count() > 4, "rows must spill over several pages");
-        let mut page_of = Vec::with_capacity(rows.len());
-        heap.scan(|rid, _| {
-            page_of.push(rid.page_index);
-            Ok::<_, LayoutError>(())
-        })
-        .unwrap();
-        for i in [0usize, 1, 57, 119] {
-            assert_eq!(read_heap_row(&heap, i, &[true; 3]).unwrap(), rows[i]);
-            let before = pager.stats().snapshot();
-            let got = read_heap_row(&heap, i, &[false, true, false]).unwrap();
-            let io = pager.stats().snapshot().since(&before);
-            assert_eq!(got, vec![Value::Null, rows[i][1].clone(), Value::Null]);
-            assert_eq!(
-                io.pages_read as usize,
-                page_of[i] + 1,
-                "row {i} reads the pages up to its own, none after"
-            );
-        }
-    }
-
-    #[test]
-    fn heap_row_past_the_last_record_is_corruption() {
-        let (_pager, heap, rows) = row_heap(30);
-        match read_heap_row(&heap, rows.len(), &[true; 3]) {
-            Err(LayoutError::Corrupted(msg)) => assert!(msg.contains("`rows`"), "{msg}"),
-            other => panic!("expected corruption, got {other:?}"),
-        }
     }
 
     /// A 20 000-row telemetry table under

@@ -28,12 +28,20 @@
 //! * [`RowTail`] is the one in-memory row source: the lsm memtable after a
 //!   scan's last cursor, and the core crate's pending rows and canonical
 //!   rows, filter, project and fold through it;
+//! * positional access ([`PhysicalLayout::get_element`]) is a scan of one
+//!   row: the unpredicated plan's row counts name the source holding the
+//!   position, and only that source's cursor opens, restricted to the row.
+//!   Every source takes row ranges — column chunks jump to them, row pages
+//!   and folded groups are read up to the range's end (to count their rows)
+//!   and decode only the rows inside it — and a memtable row is a one-row
+//!   [`RowTail`];
 //! * [`PhysicalLayout::scan`] is now a thin `collect()` over the iterator,
 //!   and `rodentstore_exec::Cursor` wraps the iterator directly so
 //!   native-order scans never materialize the full result set.
 
 use crate::aggregate::{WindowAccumulator, WindowedAggregate};
 use crate::index::unpack_pos;
+use crate::lsm::LsmRun;
 use crate::plan::{
     extract_ranges, split_folded, stitch_folded_row, ChunkReader, ObjectEncoding, PhysicalLayout,
     StoredObject,
@@ -52,6 +60,7 @@ use rodentstore_storage::slotted::SlottedReader;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// An element expression with field references resolved to positions.
 /// Scans evaluate `pos()` and `count()` as 0, as [`Condition::eval`] does,
@@ -362,25 +371,48 @@ fn recycle<T, U>(mut scratch: Vec<T>) -> Vec<U> {
 
 /// What one cursor reads: a group of base objects (one object, or the
 /// column groups of a vertical partition read together), named by their
-/// indices in the layout, or the heap of a sealed lsm run.
+/// indices in the layout, or a sealed lsm run.
 #[derive(Clone, Copy)]
 enum Source<'a, 'g> {
     Group(&'g [usize]),
-    Run(&'a HeapFile),
+    Run(&'a LsmRun),
 }
 
 impl<'a> Source<'a, '_> {
     /// The heap the cursor reads pages from (a group's first object's), the
-    /// name errors report, and the row count of a group (0 for a run).
+    /// name errors report, and the source's row count.
     fn heap(self, layout: &'a PhysicalLayout) -> (&'a HeapFile, &'a str, usize) {
         match self {
             Source::Group(group) => {
                 let head = &*layout.objects[group[0]];
                 (&head.heap, head.name.as_str(), head.row_count)
             }
-            Source::Run(heap) => (heap, heap.name(), 0),
+            Source::Run(run) => (&run.heap, run.heap.name(), run.row_count),
         }
     }
+}
+
+/// The rows of one unit a row cursor reads — a page's slots, or a folded
+/// group's nested rows, covering rows `[base, end)` of the source — that
+/// lie in `ranges[*from..]`, as offsets from `base`: one window per range
+/// meeting the unit. `*from` moves past every range that ends by `end`.
+fn windows<'r>(
+    ranges: &'r [(usize, usize)],
+    from: &mut usize,
+    base: usize,
+    end: usize,
+) -> impl Iterator<Item = Range<usize>> + 'r {
+    let first = *from;
+    let last = first + ranges[first..].iter().take_while(|&&(lo, _)| lo < end).count();
+    // The last range meeting the unit stays current if it goes on past it.
+    *from = if last > first && ranges[last - 1].1 > end {
+        last - 1
+    } else {
+        last
+    };
+    ranges[first..last]
+        .iter()
+        .map(move |&(lo, hi)| lo.max(base) - base..hi.min(end).max(base) - base)
 }
 
 /// Streams the decoded rows of one stored object — or, for a vertical
@@ -420,13 +452,14 @@ struct ObjectCursor<'a> {
     buf: VecDeque<Record>,
     /// Column-block encodings: one chunk reader per object of the group.
     readers: Vec<ChunkReader<'a>>,
-    /// Row position the readers have delivered up to, and the rows of the
-    /// current range that survived the predicate.
+    /// Row position the cursor has read up to (for an index probe, the
+    /// count of picked slots), and the rows of the current column range
+    /// that survived the predicate.
     row: usize,
     sel: Vec<u32>,
-    /// The ascending `[start, end)` row ranges the readers deliver — the
-    /// whole group, unless chunk fences narrowed them — the one being
-    /// delivered, and the group's row count.
+    /// The ascending `[start, end)` row ranges the cursor delivers — the
+    /// whole source, unless chunk fences or a positional get narrowed them
+    /// — the one being delivered, and the source's row count.
     ranges: Vec<(usize, usize)>,
     range: usize,
     total: usize,
@@ -591,9 +624,11 @@ impl<'a> ObjectCursor<'a> {
 
     /// Restricts a row-page cursor to an index probe's `(page ordinal,
     /// ascending slots)` batches: only those pages are read, and only those
-    /// slots decoded.
+    /// slots decoded — its rows are the picked slots, every one delivered.
     fn pick(&mut self, batches: &[(usize, Vec<usize>)]) -> Result<()> {
         let pages = std::mem::take(&mut self.pages);
+        self.ranges.clear();
+        self.ranges.push((0, batches.iter().map(|(_, slots)| slots.len()).sum()));
         for (ordinal, slots) in batches {
             let &page = pages.get(*ordinal).ok_or_else(|| {
                 LayoutError::Corrupted(format!(
@@ -607,9 +642,12 @@ impl<'a> ObjectCursor<'a> {
         Ok(())
     }
 
-    /// Restricts a column-block cursor to the row ranges its chunk fences
-    /// let through (see [`PhysicalLayout::fenced_rows`]); the chunks outside
-    /// them are never read, and count as pruned as the readers pass them.
+    /// Restricts the cursor to ascending row ranges: those chunk fences let
+    /// through (see [`PhysicalLayout::fenced_rows`]), or the one row of a
+    /// positional get. Column chunks outside them are never read, and count
+    /// as pruned as the readers pass them; a row page or folded group is
+    /// still read to count its rows, but only the rows inside a range are
+    /// decoded, and no page after the last range is read.
     fn restrict(&mut self, rows: &[(usize, usize)]) {
         self.ranges.clear();
         self.ranges.extend_from_slice(rows);
@@ -657,7 +695,10 @@ impl<'a> ObjectCursor<'a> {
         if !self.readers.is_empty() {
             return self.step_columns(sink);
         }
-        if self.next_page == self.pages.len() {
+        while self.ranges.get(self.range).is_some_and(|&(_, hi)| hi <= self.row) {
+            self.range += 1;
+        }
+        if self.range == self.ranges.len() || self.next_page == self.pages.len() {
             return Ok(false);
         }
         self.next_page += 1;
@@ -670,24 +711,32 @@ impl<'a> ObjectCursor<'a> {
     }
 
     /// The folded-group source: every record of the `ix`-th page is split
-    /// into its key and nested rows, each stitched into an owned row that
-    /// the predicate tests in place; a survivor is folded or projected.
+    /// into its key and nested rows; each nested row inside the cursor's
+    /// ranges is stitched into an owned row that the predicate tests in
+    /// place, and a survivor is folded or projected.
     fn step_folded(&mut self, ix: usize, key_fields: usize, sink: &mut Vec<Record>) -> Result<()> {
         let frame = self.heap.pager().read_frame(self.pages[ix])?;
         let reader = SlottedReader::over(frame.data(), frame.id());
         for slot in 0..reader.slot_count() {
+            if self.range == self.ranges.len() {
+                break;
+            }
             let folded = decode_record(reader.get(slot)?)?;
             let (key, nested) = split_folded(&folded, key_fields, self.name)?;
-            for inner in nested {
-                let row = stitch_folded_row(key, inner)?;
-                if let Some(pred) = &self.pred {
-                    if !pred.test(row.as_slice())? {
-                        continue;
+            let base = self.row;
+            self.row += nested.len();
+            for window in windows(&self.ranges, &mut self.range, base, self.row) {
+                for inner in &nested[window] {
+                    let row = stitch_folded_row(key, inner)?;
+                    if let Some(pred) = &self.pred {
+                        if !pred.test(row.as_slice())? {
+                            continue;
+                        }
                     }
-                }
-                match &mut self.fold {
-                    Some(fold) => fold.acc.fold_values(&row[fold.bucket], &row[fold.value]),
-                    None => sink.push(self.out.iter().map(|&i| row[i].clone()).collect()),
+                    match &mut self.fold {
+                        Some(fold) => fold.acc.fold_values(&row[fold.bucket], &row[fold.value]),
+                        None => sink.push(self.out.iter().map(|&i| row[i].clone()).collect()),
+                    }
                 }
             }
         }
@@ -695,14 +744,17 @@ impl<'a> ObjectCursor<'a> {
     }
 
     /// The row-page source: decodes each record of the `ix`-th page's shared
-    /// frame (or the records of the slots picked on it) into borrowed
-    /// [`FieldRef`]s — through the fixed-offset plan when the record matches
-    /// the compiled shape, the generic varint walk otherwise.
+    /// frame that lies inside the cursor's ranges (or the records of the
+    /// slots picked on it) into borrowed [`FieldRef`]s — through the
+    /// fixed-offset plan when the record matches the compiled shape, the
+    /// generic varint walk otherwise.
     fn step_rows(&mut self, ix: usize, sink: &mut Vec<Record>) -> Result<()> {
         let frame = self.heap.pager().read_frame(self.pages[ix])?;
         let reader = SlottedReader::over(frame.data(), frame.id());
         let picked = self.picked.get(ix).map(Vec::as_slice);
         let count = picked.map_or(reader.slot_count(), <[usize]>::len);
+        let base = self.row;
+        self.row += count;
         let plan = self.fast.as_ref();
         // No predicate, no fold: every record materializes — the full-scan
         // hot path. With a plan, wanted fields decode straight to owned
@@ -716,32 +768,35 @@ impl<'a> ObjectCursor<'a> {
             _ => None,
         };
         let mut refs: Vec<FieldRef<'_>> = recycle(std::mem::take(&mut self.refs));
-        for k in 0..count {
-            let bytes = reader.get(picked.map_or(k, |slots| slots[k]))?;
-            if let (Some(plan), Some(offsets)) = (plan, straight) {
-                if let Some(row) = plan.decode_owned(bytes, offsets)? {
-                    sink.push(row);
-                    continue;
+        // The window is the whole page on a full scan.
+        for window in windows(&self.ranges, &mut self.range, base, self.row) {
+            for k in window {
+                let bytes = reader.get(picked.map_or(k, |slots| slots[k]))?;
+                if let (Some(plan), Some(offsets)) = (plan, straight) {
+                    if let Some(row) = plan.decode_owned(bytes, offsets)? {
+                        sink.push(row);
+                        continue;
+                    }
                 }
-            }
-            let fast = match plan {
-                Some(p) => p.decode_borrowed(bytes, &mut refs)?,
-                None => false,
-            };
-            if !fast {
-                decode_fields_borrowed(bytes, &self.compact, &mut refs)?;
-            }
-            if let Some(pred) = &self.pred {
-                if !pred.test(refs.as_slice())? {
-                    continue;
+                let fast = match plan {
+                    Some(p) => p.decode_borrowed(bytes, &mut refs)?,
+                    None => false,
+                };
+                if !fast {
+                    decode_fields_borrowed(bytes, &self.compact, &mut refs)?;
                 }
-            }
-            // A survivor feeds the aggregate (no allocation at all) or
-            // materializes the projection (strings and lists allocate only
-            // now).
-            match &mut self.fold {
-                Some(fold) => fold.acc.fold_refs(&refs[fold.bucket], &refs[fold.value]),
-                None => sink.push(materialize(&refs, &self.out)?),
+                if let Some(pred) = &self.pred {
+                    if !pred.test(refs.as_slice())? {
+                        continue;
+                    }
+                }
+                // A survivor feeds the aggregate (no allocation at all) or
+                // materializes the projection (strings and lists allocate
+                // only now).
+                match &mut self.fold {
+                    Some(fold) => fold.acc.fold_refs(&refs[fold.bucket], &refs[fold.value]),
+                    None => sink.push(materialize(&refs, &self.out)?),
+                }
             }
         }
         self.refs = recycle(refs);
@@ -1266,7 +1321,7 @@ impl<'a> ScanPlan<'a> {
         }
         let lsm = self.layout.lsm.as_ref()?;
         let &run = self.lsm_runs.get(n - self.base_cursors())?;
-        Some(Source::Run(&lsm.runs[run].heap))
+        Some(Source::Run(&lsm.runs[run]))
     }
 
     /// The pages the plan reads — what
@@ -1309,6 +1364,48 @@ impl<'a> ScanPlan<'a> {
                 .sum(),
         };
         Ok(base + runs)
+    }
+
+    /// The row at `position` of an unpredicated plan's scan, projected to
+    /// `out_fields` — [`PhysicalLayout::get_element`]. The sources' row
+    /// counts, added up in scan order, name the one source holding it; only
+    /// that source's cursor opens, restricted to the row, and the scan
+    /// drains that one row. A position in the memtable is a one-row
+    /// [`RowTail`].
+    pub(crate) fn element(&self, position: usize, out_fields: &[String]) -> Result<Record> {
+        debug_assert!(self.predicate.is_none() && self.probe.is_none());
+        let layout = self.layout;
+        let mut local = position;
+        let mut n = 0;
+        while let Some(source) = self.source(n) {
+            let (_, name, rows) = source.heap(layout);
+            if local < rows {
+                let mut state = ObjectState::compile(layout, source, out_fields, None)?;
+                state.cursor.restrict(&[(local, local + 1)]);
+                let mut row = Vec::with_capacity(1);
+                state.cursor.drain_into(&mut row)?;
+                return row.pop().ok_or_else(|| {
+                    LayoutError::Corrupted(format!(
+                        "`{name}` holds fewer than the {rows} rows it counts: no row {local}"
+                    ))
+                });
+            }
+            local -= rows;
+            n += 1;
+        }
+        let memtable = layout.lsm.as_ref().map_or(&[][..], |lsm| lsm.memtable.rows());
+        if let Some(row) = memtable.get(local) {
+            let fields = layout.schema.field_names();
+            let within = layout.schema.name();
+            let mut tail = RowTail::new(std::iter::once(row), &fields, within, out_fields, None)?;
+            if let Some(row) = tail.next() {
+                return row;
+            }
+        }
+        Err(LayoutError::Corrupted(format!(
+            "row counts of the sources of `{}` do not cover element {position}",
+            layout.name
+        )))
     }
 }
 
@@ -1887,7 +1984,7 @@ mod tests {
         use rodentstore_storage::slotted::SlottedPage;
         let mut seen = 0usize;
         for page_id in obj.heap.page_ids().unwrap() {
-            let mut page = pager.read(page_id).unwrap();
+            let mut page = pager.read_frame(page_id).unwrap().to_page();
             let mut records: Vec<Vec<u8>> =
                 SlottedReader::new(&page).records().map(<[u8]>::to_vec).collect();
             if nth < seen + records.len() {
@@ -2107,23 +2204,172 @@ mod tests {
         }
     }
 
+    /// Every stored shape: `get_element(i)` is row `i` of the full scan —
+    /// all fields, a reordered projection, and no field at all — and one
+    /// past the last row is an error.
     #[test]
     fn get_element_matches_streamed_scan_for_all_encodings() {
-        for expr in [
-            LayoutExpr::table("T"),
-            LayoutExpr::table("T").columns(["a", "name", "v"]),
-            LayoutExpr::table("T").vertical([vec!["a"], vec!["name", "v"]]),
-        ] {
-            let layout = rendered(expr, 90);
-            let rows = layout.scan(None, None).unwrap();
-            for i in [0usize, 1, 44, 89] {
-                assert_eq!(layout.get_element(i, None).unwrap(), rows[i]);
+        // `a` repeats every seven rows, so folds, grid cells and partitions
+        // hold several rows each.
+        let rows: Vec<Record> = (0..90i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 7),
+                    Value::Str(format!("row-{i}")),
+                    Value::Float(i as f64 * 0.25),
+                ]
+            })
+            .collect();
+        let shapes = [
+            "T",
+            "columns(T)",
+            "vertical[a|name,v](T)",
+            "fold[a|name,v](T)",
+            "grid[v;4](T)",
+            "chunk[5](delta[v](grid[a;3](T)))",
+            "zorder(grid[a,v;2,5](T))",
+            "partition[a](T)",
+            "index[v](T)",
+        ];
+        let mut layouts: Vec<(&str, PhysicalLayout)> = shapes
+            .iter()
+            .map(|&text| {
+                let provider = MemTableProvider::single(schema(), rows.clone());
+                let pager = Arc::new(Pager::in_memory_with_page_size(512));
+                let expr = rodentstore_algebra::parse(text).unwrap();
+                let layout = render(&expr, &provider, pager, RenderOptions::default()).unwrap();
+                (text, layout)
+            })
+            .collect();
+        layouts.push(("lsm[a](T), several runs and a memtable", lsm_layout()));
+        let shape = |text: &str| &layouts.iter().find(|(t, _)| *t == text).unwrap().1;
+        // The shapes are what they claim to be.
+        let folded = shape("fold[a|name,v](T)");
+        assert!(matches!(folded.objects[0].encoding, ObjectEncoding::Folded { .. }));
+        let cells = shape("chunk[5](delta[v](grid[a;3](T)))");
+        assert!(cells.objects.len() > 1);
+        for obj in &cells.objects {
+            assert!(matches!(obj.encoding, ObjectEncoding::ColumnBlocks { .. }));
+            assert!(obj.cell.is_some() && obj.chunks.is_none(), "{obj:?}");
+        }
+        let parts = shape("partition[a](T)");
+        assert!(parts.objects.len() > 1 && !parts.is_gridded());
+        assert!(!parts.is_vertically_partitioned());
+        assert!(shape("index[v](T)").index.is_some());
+
+        let narrow = vec!["v".to_string(), "name".to_string()];
+        let none: Vec<String> = Vec::new();
+        for (text, layout) in &layouts {
+            let all = layout.scan(None, None).unwrap();
+            assert_eq!(all.len(), layout.row_count, "{text}");
+            let empty_rows = layout.scan(Some(&none), None).unwrap();
+            assert_eq!(empty_rows.len(), all.len(), "{text}: one empty row per row");
+            for (i, row) in all.iter().enumerate() {
+                let case = format!("{text}, row {i}");
+                assert_eq!(&layout.get_element(i, None).unwrap(), row, "{case}");
+                let projected = layout.get_element(i, Some(&narrow)).unwrap();
+                assert_eq!(projected, vec![row[2].clone(), row[1].clone()], "{case}");
+                let empty = layout.get_element(i, Some(&none)).unwrap();
+                assert!(empty.is_empty(), "{case}");
             }
-            let narrow = vec!["name".to_string()];
-            assert_eq!(
-                layout.get_element(44, Some(&narrow)).unwrap(),
-                vec![rows[44][1].clone()]
+            assert!(
+                matches!(layout.get_element(all.len(), None), Err(LayoutError::Unsupported(_))),
+                "{text}"
             );
+        }
+    }
+
+    /// A get in a row-encoded object reads the pages up to its row's own and
+    /// none after, and decodes only the fields it projects; a row count
+    /// beyond the records the heap holds is corruption.
+    #[test]
+    fn row_page_get_reads_the_pages_up_to_its_own() {
+        let provider = MemTableProvider::single(schema(), records(120));
+        let pager = Arc::new(Pager::in_memory_with_page_size(256));
+        let expr = LayoutExpr::table("T");
+        let mut layout = render(
+            &expr,
+            &provider,
+            Arc::clone(&pager),
+            RenderOptions::default(),
+        )
+        .unwrap();
+        let obj = &layout.objects[0];
+        assert!(obj.page_count() > 4, "rows must spill over several pages");
+        let mut page_of = Vec::new();
+        obj.heap
+            .scan(|rid, _| {
+                page_of.push(rid.page_index);
+                Ok::<_, LayoutError>(())
+            })
+            .unwrap();
+        let name = vec!["name".to_string()];
+        for i in [0usize, 1, 57, 119] {
+            assert_eq!(layout.get_element(i, None).unwrap(), records(120)[i]);
+            let before = pager.stats().snapshot();
+            let got = layout.get_element(i, Some(&name)).unwrap();
+            let io = pager.stats().snapshot().since(&before);
+            assert_eq!(got, vec![Value::Str(format!("row-{i}"))]);
+            assert_eq!(
+                io.pages_read as usize,
+                page_of[i] + 1,
+                "row {i} reads the pages up to its own, none after"
+            );
+        }
+        let past = layout.row_count;
+        Arc::get_mut(&mut layout.objects[0]).unwrap().row_count += 1;
+        layout.row_count += 1;
+        match layout.get_element(past, None) {
+            Err(LayoutError::Corrupted(msg)) => {
+                assert!(msg.contains(&layout.name), "{msg}");
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    /// A get in a sealed lsm run reads that run's pages only — its first row
+    /// one page, its last row every page of the run — and none of the base.
+    #[test]
+    fn run_get_reads_the_pages_of_its_run_only() {
+        let options = RenderOptions {
+            lsm_memtable_cap: 64,
+            lsm_fanout: 8,
+            ..RenderOptions::default()
+        };
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let provider = MemTableProvider::single(schema(), records(40));
+        let expr = LayoutExpr::table("T").lsm(["a"]);
+        let mut layout = render(&expr, &provider, Arc::clone(&pager), options).unwrap();
+        for batch in 0..4i64 {
+            let rows: Vec<Record> = (0..64)
+                .map(|i| {
+                    let a = 1000 + batch * 64 + i;
+                    vec![
+                        Value::Int(a),
+                        Value::Str(format!("late-{a}")),
+                        Value::Float(a as f64 * 0.5),
+                    ]
+                })
+                .collect();
+            crate::append::append_records(&mut layout, &MemTableProvider::single(schema(), rows))
+                .unwrap();
+        }
+        let lsm = layout.lsm.as_ref().unwrap();
+        assert_eq!(lsm.runs.len(), 4, "fanout 8 leaves four level-0 runs");
+        let all = layout.scan(None, None).unwrap();
+        let a_only = vec!["a".to_string()];
+        let mut start = layout.base_row_count();
+        for run in &lsm.runs {
+            assert!(run.heap.page_count() > 1);
+            let last = start + run.row_count - 1;
+            for (p, pages) in [(start, 1), (last, run.heap.page_count())] {
+                let before = pager.stats().snapshot();
+                let got = layout.get_element(p, Some(&a_only)).unwrap();
+                let io = pager.stats().snapshot().since(&before);
+                assert_eq!(got, vec![all[p][0].clone()], "row {p}");
+                assert_eq!(io.pages_read as usize, pages, "row {p}");
+            }
+            start += run.row_count;
         }
     }
 

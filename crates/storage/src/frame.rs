@@ -7,12 +7,14 @@
 //! reference-count bump; the page bytes are copied at most once (the file
 //! store's read) and for the memory store not at all.
 //!
-//! Frames are immutable. Writers keep using [`crate::page::Page`] (and the
-//! stores keep their copy-on-write discipline: the memory store replaces the
-//! shared buffer on write rather than mutating it), so a frame observed by a
-//! reader never changes underneath it.
+//! Frames are immutable, and they are the only way a page is read. Writers
+//! keep using [`crate::page::Page`] — a new one, or one copied from a frame
+//! ([`PageFrame::to_page`]) — and the stores keep their copy-on-write
+//! discipline (the memory store replaces the shared buffer on write rather
+//! than mutating it), so a frame observed by a reader never changes
+//! underneath it.
 
-use crate::page::PageId;
+use crate::page::{Page, PageId};
 use std::sync::Arc;
 
 /// A cheaply-clonable, immutable view of one page's bytes.
@@ -68,6 +70,14 @@ impl PageFrame {
     /// file-store read) or shared them zero-copy (`false`).
     pub fn is_copied(&self) -> bool {
         self.copied
+    }
+
+    /// A writable [`Page`] holding a copy of the frame's bytes.
+    pub fn to_page(&self) -> Page {
+        Page {
+            id: self.id,
+            data: self.bytes.to_vec(),
+        }
     }
 }
 

@@ -167,7 +167,7 @@ impl HeapFile {
         };
         if let Some(valid) = tail_valid_slots {
             if let Some(&last) = pages.last() {
-                let page = pager.read(last)?;
+                let page = pager.read_frame(last)?.to_page();
                 let orphans = SlottedReader::new(&page).slot_count() > valid as usize;
                 pages.pop();
                 state.tail = Some(page);
@@ -334,27 +334,6 @@ impl HeapFile {
         Ok(self.extent())
     }
 
-    /// Reads a record by id.
-    pub fn get(&self, id: RecordId) -> Result<Vec<u8>> {
-        self.flush()?;
-        let state = self.state.lock();
-        let page_id = if id.page_index < state.pages.len() {
-            state.pages[id.page_index]
-        } else if id.page_index == state.pages.len() {
-            state
-                .tail
-                .as_ref()
-                .map(|t| t.id)
-                .ok_or(StorageError::PageNotFound(id.page_index as PageId))?
-        } else {
-            return Err(StorageError::PageNotFound(id.page_index as PageId));
-        };
-        drop(state);
-        let frame = self.pager.read_frame(page_id)?;
-        let reader = SlottedReader::over(frame.data(), frame.id());
-        Ok(reader.get(id.slot)?.to_vec())
-    }
-
     /// Scans every record in file order, invoking `visit` with the record id
     /// and the payload, borrowed from the page frame. Pages are read strictly
     /// sequentially, which the I/O statistics reward with at most one seek.
@@ -435,14 +414,20 @@ mod tests {
     }
 
     #[test]
-    fn get_by_record_id() {
+    fn append_returns_the_record_id_a_scan_reports() {
         let heap = HeapFile::create("t", small_pager());
         let ids: Vec<RecordId> = (0..20u8)
             .map(|i| heap.append(&[i; 16]).unwrap())
             .collect();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(heap.get(*id).unwrap(), vec![i as u8; 16]);
-        }
+        let mut scanned = Vec::new();
+        heap.scan(|rid, payload| {
+            scanned.push((rid, payload.to_vec()));
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
+        let want: Vec<(RecordId, Vec<u8>)> =
+            ids.into_iter().zip((0..20u8).map(|i| vec![i; 16])).collect();
+        assert_eq!(scanned, want);
     }
 
     #[test]
@@ -594,11 +579,11 @@ mod tests {
         // Simulate discarded post-checkpoint appends: orphan slots beyond
         // `tail_slots` written straight into the tail page.
         let tail_id = *pages.last().unwrap();
-        let mut page = pager.read(tail_id).unwrap();
+        let mut page = pager.read_frame(tail_id).unwrap().to_page();
         SlottedPage::open(&mut page).insert(b"orphan").unwrap();
         pager.write(&page).unwrap();
 
-        let before_reattach = pager.read(tail_id).unwrap().data.clone();
+        let before_reattach = pager.read_frame(tail_id).unwrap().data().to_vec();
         let heap = HeapFile::from_pages_with_tail(
             "t",
             Arc::clone(&pager),
@@ -612,7 +597,7 @@ mod tests {
         // can no longer corrupt checkpoint-covered records.
         assert_eq!(heap.read_all().unwrap().len(), 7);
         assert_eq!(
-            pager.read(tail_id).unwrap().data,
+            pager.read_frame(tail_id).unwrap().data(),
             before_reattach,
             "protected page must stay byte-for-byte intact"
         );

@@ -33,15 +33,11 @@ pub trait PageStore: Send + Sync {
     fn page_count(&self) -> u64;
     /// Allocates a new zeroed page and returns its id.
     fn allocate(&self) -> Result<PageId>;
-    /// Reads the raw contents of a page.
-    fn read(&self, id: PageId) -> Result<Vec<u8>>;
-    /// Reads a page as a shared immutable [`PageFrame`]. A store with a
-    /// shareable representation (the memory store's `Arc` buffers) serves
-    /// the bytes zero-copy; the default implementation falls back to
-    /// [`PageStore::read`] and marks the frame as copied.
-    fn read_frame(&self, id: PageId) -> Result<PageFrame> {
-        Ok(PageFrame::copied(id, self.read(id)?.into()))
-    }
+    /// Reads a page as a shared immutable [`PageFrame`] — the one way a
+    /// page is read. A store with a shareable representation (the memory
+    /// store's `Arc` buffers) serves the bytes zero-copy; any other copies
+    /// them once, into the frame's buffer, and marks the frame as copied.
+    fn read_frame(&self, id: PageId) -> Result<PageFrame>;
     /// Writes the raw contents of a page.
     fn write(&self, id: PageId, data: &[u8]) -> Result<()>;
     /// Forces written pages to durable storage. No-op for stores without a
@@ -89,14 +85,6 @@ impl PageStore for MemStore {
         let mut pages = self.pages.lock();
         pages.push(vec![0u8; self.page_size].into());
         Ok((pages.len() - 1) as PageId)
-    }
-
-    fn read(&self, id: PageId) -> Result<Vec<u8>> {
-        let pages = self.pages.lock();
-        pages
-            .get(id as usize)
-            .map(|p| p.to_vec())
-            .ok_or(StorageError::PageNotFound(id))
     }
 
     fn read_frame(&self, id: PageId) -> Result<PageFrame> {
@@ -311,12 +299,6 @@ impl PageStore for FileStore {
         Ok(id)
     }
 
-    fn read(&self, id: PageId) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; self.page_size];
-        self.read_into(id, &mut buf)?;
-        Ok(buf)
-    }
-
     /// Reads the page straight into the frame's buffer: one allocation and
     /// one copy per page.
     fn read_frame(&self, id: PageId) -> Result<PageFrame> {
@@ -486,27 +468,14 @@ impl Pager {
         free.extend(ids.into_iter().filter(|&id| id < count));
     }
 
-    /// Reads a page, recording the access in the I/O statistics. The bytes
-    /// are always copied out of the store; prefer [`Pager::read_frame`] on
-    /// read-only paths.
-    pub fn read(&self, id: PageId) -> Result<Page> {
-        let data = self.store.read(id)?;
-        self.record_read_at(id, data.len(), true);
-        Ok(Page { id, data })
-    }
-
     /// Reads a page as a shared immutable [`PageFrame`], recording the
-    /// access in the I/O statistics exactly like [`Pager::read`] (same page,
-    /// byte, and seek accounting — the two paths are indistinguishable to
-    /// pages-per-query measurements). Zero-copy on a [`MemStore`]; a
-    /// [`FileStore`] copies the page once, into the frame's buffer.
+    /// access in the I/O statistics — the one way a page is read. Zero-copy
+    /// on a [`MemStore`]; a [`FileStore`] copies the page once, into the
+    /// frame's buffer. A writer that needs the page's bytes takes a
+    /// [`Page`] copied from the frame ([`PageFrame::to_page`]).
     pub fn read_frame(&self, id: PageId) -> Result<PageFrame> {
         let frame = self.store.read_frame(id)?;
-        self.record_read_at(id, frame.len(), frame.is_copied());
-        Ok(frame)
-    }
-
-    fn record_read_at(&self, id: PageId, bytes: usize, copied: bool) {
+        let (bytes, copied) = (frame.len(), frame.is_copied());
         let prev = self.last_read.swap(id, Ordering::Relaxed);
         let sequential = prev != u64::MAX && id == prev.wrapping_add(1);
         self.stats.record_read(bytes, sequential);
@@ -515,6 +484,7 @@ impl Pager {
             op.record_read(bytes, sequential);
             op.record_frame(copied);
         });
+        Ok(frame)
     }
 
     /// Records that a reader finished with one column chunk stored on this
@@ -563,8 +533,8 @@ mod tests {
         let mut p = pager.allocate().unwrap();
         p.write_bytes(0, b"rodent").unwrap();
         pager.write(&p).unwrap();
-        let back = pager.read(p.id).unwrap();
-        assert_eq!(back.read_bytes(0, 6).unwrap(), b"rodent");
+        let back = pager.read_frame(p.id).unwrap();
+        assert_eq!(&back.data()[..6], b"rodent");
         assert_eq!(pager.page_count(), 1);
     }
 
@@ -578,7 +548,7 @@ mod tests {
         pager.stats().reset();
         // Read 0,1,2,3 sequentially: first read seeks, rest do not.
         for id in 0..4 {
-            pager.read(id).unwrap();
+            pager.read_frame(id).unwrap();
         }
         let snap = pager.stats().snapshot();
         assert_eq!(snap.pages_read, 4);
@@ -587,7 +557,7 @@ mod tests {
         // Random order causes seeks.
         pager.stats().reset();
         for id in [3u64, 0, 2] {
-            pager.read(id).unwrap();
+            pager.read_frame(id).unwrap();
         }
         assert_eq!(pager.stats().snapshot().seeks, 3);
     }
@@ -596,7 +566,7 @@ mod tests {
     fn missing_page_is_an_error() {
         let pager = Pager::in_memory_with_page_size(64);
         assert!(matches!(
-            pager.read(42),
+            pager.read_frame(42),
             Err(StorageError::PageNotFound(42))
         ));
     }
@@ -636,8 +606,8 @@ mod tests {
             assert_eq!(store.page_size(), 256);
             assert_eq!(store.page_count(), 2);
             let pager = Pager::with_store(Arc::new(store));
-            let p = pager.read(0).unwrap();
-            assert_eq!(p.read_bytes(0, 9).unwrap(), b"persisted");
+            let p = pager.read_frame(0).unwrap();
+            assert_eq!(&p.data()[..9], b"persisted");
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -726,8 +696,8 @@ mod tests {
         }
         pager.truncate_pages(2).unwrap();
         assert_eq!(pager.page_count(), 2);
-        assert!(pager.read(2).is_err());
-        assert_eq!(pager.read(1).unwrap().read_bytes(0, 4).unwrap(), &[1u8; 4]);
+        assert!(pager.read_frame(2).is_err());
+        assert_eq!(&pager.read_frame(1).unwrap().data()[..4], &[1u8; 4]);
         // New allocations reuse the truncated range.
         let p = pager.allocate().unwrap();
         assert_eq!(p.id, 2);
@@ -786,31 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_matches_read_and_counts_identically() {
-        let pager = Pager::in_memory_with_page_size(64);
-        for i in 0..4u8 {
-            let mut p = pager.allocate().unwrap();
-            p.write_bytes(0, &[i; 8]).unwrap();
-            pager.write(&p).unwrap();
-        }
-        pager.stats().reset();
-        for id in 0..4 {
-            let frame = pager.read_frame(id).unwrap();
-            assert_eq!(frame.id(), id);
-            assert!(!frame.is_copied(), "memory store shares its buffers");
-            assert_eq!(frame.data(), pager.read(id).unwrap().data.as_slice());
-        }
-        let snap = pager.stats().snapshot();
-        // 4 frame reads + 4 legacy reads, interleaved pairwise on the same
-        // page: every re-read of the same id is a seek, ids advance by one
-        // after a repeat (also a seek) — identical to 8 legacy reads in the
-        // same order.
-        assert_eq!(snap.pages_read, 8);
-        assert_eq!(snap.frame_hits, 4);
-        assert_eq!(snap.frame_copies, 4);
-    }
-
-    #[test]
     fn file_store_serves_copied_frames() {
         let path = temp_store_path("copied-frames");
         let pager = Pager::with_store(Arc::new(FileStore::create(&path, 128).unwrap()));
@@ -826,9 +771,8 @@ mod tests {
             assert!(frame.is_copied(), "the store chooses the byte source");
             assert_eq!(frame.len(), 128);
             assert_eq!(&frame.data()[..16], &[i as u8; 16]);
-            assert_eq!(frame.data(), pager.read(id).unwrap().data.as_slice());
         }
-        assert_eq!(pager.stats().snapshot().frame_copies, 6);
+        assert_eq!(pager.stats().snapshot().frame_copies, 3);
         // A page allocated after earlier reads reads back.
         let mut extra = pager.allocate().unwrap();
         extra.write_bytes(0, b"grown").unwrap();
@@ -909,7 +853,7 @@ mod tests {
         drop(file);
         assert_eq!(store.page_count(), 3, "the store does not notice the cut");
         assert!(matches!(pager.read_frame(2), Err(StorageError::Io(_))));
-        assert!(matches!(pager.read(2), Err(StorageError::Io(_))));
+        assert!(matches!(pager.read_frame(2), Err(StorageError::Io(_))));
         assert_eq!(&pager.read_frame(1).unwrap().data()[..4], &[1u8; 4]);
         let _ = std::fs::remove_file(&path);
     }
@@ -967,14 +911,14 @@ mod tests {
         }
         let before = pager.stats().snapshot();
         let scope = crate::stats::OpStatsScope::enter();
-        pager.read(0).unwrap();
+        pager.read_frame(0).unwrap();
         pager.read_frame(1).unwrap();
         let op = scope.stats().snapshot();
         drop(scope);
-        pager.read(2).unwrap();
+        pager.read_frame(2).unwrap();
         assert_eq!(op.pages_read, 2);
-        assert_eq!(op.frame_hits, 1);
-        assert_eq!(op.frame_copies, 1);
+        assert_eq!(op.frame_hits, 2, "the memory store shares its buffers");
+        assert_eq!(op.frame_copies, 0);
         let delta = pager.stats().snapshot().since(&before);
         assert_eq!(delta.pages_read, 3, "global counters keep everything");
     }
@@ -985,6 +929,6 @@ mod tests {
         let id = pager
             .allocate_with(|p| p.write_bytes(0, b"init"))
             .unwrap();
-        assert_eq!(pager.read(id).unwrap().read_bytes(0, 4).unwrap(), b"init");
+        assert_eq!(&pager.read_frame(id).unwrap().data()[..4], b"init");
     }
 }

@@ -25,12 +25,12 @@
 //! ## Durability
 //!
 //! The [`SyncPolicy`] decides when [`Wal::commit`] calls `fsync`:
-//! per-commit (`EveryCommit`), batched (`GroupCommit(n)` — one sync
-//! absorbs up to `n` consecutive commits, the classic group-commit
-//! optimization; commits between syncs are acknowledged *before* they are
-//! durable), durable multi-producer group commit (`GroupDurable` — every
-//! commit is durable before `commit` returns, but concurrent committers
-//! share one `fsync` through a leader/follower protocol), or never
+//! durable multi-producer group commit (`GroupDurable` — every commit is
+//! durable before `commit` returns; a lone committer pays one `fsync` per
+//! commit, and concurrent committers share one through a leader/follower
+//! protocol), batched (`GroupCommit(n)` — one sync absorbs up to `n`
+//! consecutive commits, the classic group-commit optimization; commits
+//! between syncs are acknowledged *before* they are durable), or never
 //! (`Never` — the OS decides; fastest, weakest).
 //! [`Wal::truncate`] drops a prefix of the log after a checkpoint has made
 //! its effects durable elsewhere, bounding log growth. An in-memory backend
@@ -89,9 +89,6 @@ pub enum SyncPolicy {
     /// Commits survive a process crash (the bytes are in the page cache) but
     /// not a power failure.
     Never,
-    /// `fsync` on every commit — the textbook durability guarantee, one disk
-    /// sync per transaction.
-    EveryCommit,
     /// Group commit: `fsync` once every `n` commits (and whenever
     /// [`Wal::sync`] is called explicitly, e.g. at a checkpoint). Consecutive
     /// commits share a sync, amortizing the dominant cost of small
@@ -101,8 +98,9 @@ pub enum SyncPolicy {
     /// Durable multi-producer group commit: every commit is durable before
     /// [`Wal::commit`] returns, but concurrent committers *share* one
     /// `fsync` via a leader/follower protocol (see the module docs). With
-    /// one thread this degenerates to `EveryCommit`; with N committing
-    /// threads one disk flush acknowledges up to N commits.
+    /// one thread that is the textbook guarantee, one disk sync per
+    /// transaction; with N committing threads one disk flush acknowledges
+    /// up to N commits.
     GroupDurable,
 }
 
@@ -619,7 +617,6 @@ impl Wal {
             state.unsynced_commits += 1;
             let should_sync_inline = match state.policy {
                 SyncPolicy::Never | SyncPolicy::GroupDurable => false,
-                SyncPolicy::EveryCommit => true,
                 SyncPolicy::GroupCommit(n) => state.unsynced_commits >= n.max(1),
             };
             if should_sync_inline {
@@ -888,13 +885,13 @@ mod tests {
     fn file_backed_log_round_trips_and_continues() {
         let path = temp_wal_path("roundtrip");
         {
-            let wal = Wal::create(&path, SyncPolicy::EveryCommit).unwrap();
+            let wal = Wal::create(&path, SyncPolicy::GroupDurable).unwrap();
             let tx = wal.begin().unwrap();
             wal.log_op(tx, b"hello durable world").unwrap();
             wal.commit(tx).unwrap();
         }
         {
-            let wal = Wal::open(&path, SyncPolicy::EveryCommit).unwrap();
+            let wal = Wal::open(&path, SyncPolicy::GroupDurable).unwrap();
             assert_eq!(wal.len(), 3);
             let ops = wal.committed_ops().unwrap();
             assert_eq!(ops.len(), 1);
@@ -910,7 +907,7 @@ mod tests {
     fn torn_tail_is_detected_and_discarded() {
         let path = temp_wal_path("torn");
         {
-            let wal = Wal::create(&path, SyncPolicy::EveryCommit).unwrap();
+            let wal = Wal::create(&path, SyncPolicy::GroupDurable).unwrap();
             let t1 = wal.begin().unwrap();
             wal.log_op(t1, b"first").unwrap();
             wal.commit(t1).unwrap();
@@ -924,7 +921,7 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
         {
-            let wal = Wal::open(&path, SyncPolicy::EveryCommit).unwrap();
+            let wal = Wal::open(&path, SyncPolicy::GroupDurable).unwrap();
             // t2's commit record was torn: only t1 survives as committed.
             let ops = wal.committed_ops().unwrap();
             assert_eq!(ops.len(), 1);
@@ -934,7 +931,7 @@ mod tests {
             wal.log_op(t, b"after-recovery").unwrap();
             wal.commit(t).unwrap();
         }
-        let wal = Wal::open(&path, SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::open(&path, SyncPolicy::GroupDurable).unwrap();
         assert_eq!(wal.committed_ops().unwrap().len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -943,7 +940,7 @@ mod tests {
     fn corrupt_record_ends_the_decodable_log() {
         let path = temp_wal_path("corrupt");
         {
-            let wal = Wal::create(&path, SyncPolicy::EveryCommit).unwrap();
+            let wal = Wal::create(&path, SyncPolicy::GroupDurable).unwrap();
             for i in 0..3 {
                 let tx = wal.begin().unwrap();
                 wal.log_op(tx, format!("op-{i}").as_bytes()).unwrap();
@@ -981,7 +978,7 @@ mod tests {
         assert_eq!(wal.sync_count(), 4);
         drop(wal);
 
-        let per_commit = Wal::create(&path, SyncPolicy::EveryCommit).unwrap();
+        let per_commit = Wal::create(&path, SyncPolicy::GroupDurable).unwrap();
         for _ in 0..5 {
             let tx = per_commit.begin().unwrap();
             per_commit.commit(tx).unwrap();

@@ -7,7 +7,8 @@
 //! returns per row and nothing else; and over the sealed runs of an lsm tier
 //! a fold allocates per *run* (one cursor each), never per row. This binary
 //! installs its own counting allocator and holds the four to a per-row
-//! budget. A file-backed store adds one allocation per page read — the
+//! budget, and a positional get of one field — a one-row scan — to a
+//! constant one. A file-backed store adds one allocation per page read — the
 //! buffer the page is copied into — and nothing else. Over a grid of many
 //! cells, a scan compiles its read plan once and a cell it opens costs its
 //! page list: a fold and a box query are held to a per-cell budget.
@@ -110,6 +111,18 @@ fn column_chunk_reads_stay_within_their_allocation_budget() {
     assert_eq!(all.len(), ROWS);
     let per_row = allocs as f64 / ROWS as f64;
     assert!(per_row <= 1.1, "projected scan: {allocs} allocations, {per_row:.4} per returned row");
+
+    // A positional get is a scan of one row: its plan, one cursor and the
+    // blocks of one chunk. The budget is the 25 allocations a dedicated
+    // positional reader made, plus 16 for sharing the scan's set-up.
+    let catalog = db.catalog();
+    let layout = catalog.get("Telemetry").unwrap().access.as_ref().unwrap().layout();
+    let value = vec!["value".to_string()];
+    layout.get_element(ROWS / 2, Some(&value)).unwrap();
+    let (got, allocs) = counted(|| layout.get_element(ROWS / 3, Some(&value)).unwrap());
+    assert_eq!(got, vec![all[ROWS / 3][1].clone()]);
+    assert!(allocs <= 25 + 16, "get of one field: {allocs} allocations");
+    drop(catalog);
 
     // The same fold over a file-backed database: each page read is copied
     // once, into the one buffer its frame shares.

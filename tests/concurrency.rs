@@ -598,7 +598,7 @@ fn checkpointed_extents_survive_unlogged_rebuilds_until_next_checkpoint() {
             &dir,
             rodentstore::DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();

@@ -122,7 +122,7 @@ fn wal_replay_recovers_unchekpointed_mutations() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -173,7 +173,7 @@ fn kill_at_every_wal_byte_truncation_point_recovers_committed_prefix() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -253,9 +253,10 @@ fn kill_at_every_wal_byte_truncation_point_recovers_committed_prefix() {
     let _ = std::fs::remove_dir_all(&crash);
 }
 
-/// One-row commits: `EveryCommit` pays at least one fsync per commit, while
-/// `GroupCommit(64)` shares each fsync among at least five commits. The sync
-/// is the dominant cost of a small transaction, so the count is the claim.
+/// One-row commits: a lone `GroupDurable` committer pays at least one fsync
+/// per commit, while `GroupCommit(64)` shares each fsync among at least five
+/// commits. The sync is the dominant cost of a small transaction, so the
+/// count is the claim.
 #[test]
 fn group_commit_shares_fsyncs_among_one_row_commits() {
     const COMMITS: u64 = 200;
@@ -280,10 +281,11 @@ fn group_commit_shares_fsyncs_among_one_row_commits() {
         let _ = std::fs::remove_dir_all(&dir);
         fsyncs
     };
-    let every = fsyncs(SyncPolicy::EveryCommit, "fsync-every-commit");
+    let every = fsyncs(SyncPolicy::GroupDurable, "fsync-every-commit");
     assert!(
         every >= COMMITS,
-        "EveryCommit must fsync each commit: {every} fsyncs for {COMMITS} commits"
+        "a lone GroupDurable committer must fsync each commit: {every} fsyncs for {COMMITS} \
+         commits"
     );
     let grouped = fsyncs(SyncPolicy::GroupCommit(64), "fsync-group-commit");
     assert!(
@@ -435,7 +437,7 @@ fn pending_buffer_and_strategy_survive_restart() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -489,7 +491,7 @@ fn drop_table_and_multiple_tables_replay_correctly() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -528,7 +530,7 @@ fn failed_mutations_do_not_poison_recovery() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -571,7 +573,7 @@ fn failed_apply_layout_keeps_the_previous_layout_live_and_recovered() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -681,7 +683,7 @@ fn kill_at_every_wal_byte_recovers_indexed_scans() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -887,7 +889,7 @@ fn kill_at_every_wal_byte_recovers_lsm_tier() {
             &dir,
             DurabilityOptions {
                 page_size: 1024,
-                sync: SyncPolicy::EveryCommit,
+                sync: SyncPolicy::GroupDurable,
             },
         )
         .unwrap();
@@ -1092,7 +1094,7 @@ fn ledger_rows(ids: std::ops::Range<i64>) -> Vec<Vec<Value>> {
 fn small_pages() -> DurabilityOptions {
     DurabilityOptions {
         page_size: 1024,
-        sync: SyncPolicy::EveryCommit,
+        sync: SyncPolicy::GroupDurable,
     }
 }
 

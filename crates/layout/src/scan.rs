@@ -2280,14 +2280,13 @@ mod tests {
     }
 
     /// A get in a row-encoded object reads the pages up to its row's own and
-    /// none after, and decodes only the fields it projects; a row count
-    /// beyond the records the heap holds is corruption.
+    /// none after, and decodes only the fields it projects.
     #[test]
     fn row_page_get_reads_the_pages_up_to_its_own() {
         let provider = MemTableProvider::single(schema(), records(120));
         let pager = Arc::new(Pager::in_memory_with_page_size(256));
         let expr = LayoutExpr::table("T");
-        let mut layout = render(
+        let layout = render(
             &expr,
             &provider,
             Arc::clone(&pager),
@@ -2316,6 +2315,13 @@ mod tests {
                 "row {i} reads the pages up to its own, none after"
             );
         }
+    }
+
+    /// A row count beyond the records a row-encoded heap holds is
+    /// corruption, not an out-of-range position.
+    #[test]
+    fn row_page_get_past_the_last_record_is_corruption() {
+        let mut layout = rendered(LayoutExpr::table("T"), 30);
         let past = layout.row_count;
         Arc::get_mut(&mut layout.objects[0]).unwrap().row_count += 1;
         layout.row_count += 1;
@@ -2324,6 +2330,109 @@ mod tests {
                 assert!(msg.contains(&layout.name), "{msg}");
             }
             other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    /// A layout of 90 rows whose `a` repeats every fifteen rows, rendered
+    /// from `text` on 256-byte pages.
+    fn repeating(text: &str) -> (Arc<Pager>, PhysicalLayout) {
+        let rows: Vec<Record> = (0..90i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 15),
+                    Value::Str(format!("row-{i}")),
+                    Value::Float(i as f64 * 0.25),
+                ]
+            })
+            .collect();
+        let provider = MemTableProvider::single(schema(), rows);
+        let pager = Arc::new(Pager::in_memory_with_page_size(256));
+        let expr = rodentstore_algebra::parse(text).unwrap();
+        let layout = render(&expr, &provider, Arc::clone(&pager), RenderOptions::default());
+        (pager, layout.unwrap())
+    }
+
+    /// The page ordinal holding each row of a row-encoded or folded object,
+    /// in scan order.
+    fn page_of_rows(obj: &StoredObject) -> Vec<usize> {
+        let mut page_of = Vec::with_capacity(obj.row_count);
+        obj.heap
+            .scan(|rid, bytes| {
+                let rows = match obj.encoding {
+                    ObjectEncoding::Folded { key_fields } => {
+                        let folded = decode_record(bytes)?;
+                        split_folded(&folded, key_fields, &obj.name)?.1.len()
+                    }
+                    _ => 1,
+                };
+                page_of.extend(std::iter::repeat(rid.page_index).take(rows));
+                Ok::<_, LayoutError>(())
+            })
+            .unwrap();
+        assert_eq!(page_of.len(), obj.row_count, "{}", obj.name);
+        page_of
+    }
+
+    /// A row-page or folded-group cursor restricted to several row ranges
+    /// yields exactly the rows inside them, in order, and reads no page
+    /// after the one holding the last row of the last range.
+    #[test]
+    fn restricted_row_and_folded_cursors_yield_only_their_ranges() {
+        for text in ["T", "fold[a|name,v](T)"] {
+            let (pager, layout) = repeating(text);
+            let obj = &layout.objects[0];
+            assert!(obj.page_count() > 3, "{text}: rows must spill over pages");
+            let page_of = page_of_rows(obj);
+            let all = layout.scan(None, None).unwrap();
+            let fields = layout.schema.field_names();
+            let n = all.len();
+            for ranges in [
+                vec![(0, 1)],
+                vec![(2, 5), (40, 43)],
+                vec![(10, 11), (11, 12), (60, 61)],
+                vec![(n - 3, n)],
+            ] {
+                let case = format!("{text}, ranges {ranges:?}");
+                let mut state =
+                    ObjectState::compile(&layout, Source::Group(&[0]), &fields, None).unwrap();
+                state.cursor.restrict(&ranges);
+                let before = pager.stats().snapshot();
+                let mut got = Vec::new();
+                state.cursor.drain_into(&mut got).unwrap();
+                let io = pager.stats().snapshot().since(&before);
+                let want: Vec<Record> = ranges
+                    .iter()
+                    .flat_map(|&(lo, hi)| all[lo..hi].iter().cloned())
+                    .collect();
+                assert_eq!(got, want, "{case}");
+                let last = ranges.last().unwrap().1 - 1;
+                assert_eq!(io.pages_read as usize, page_of[last] + 1, "{case}");
+            }
+        }
+    }
+
+    /// A get in a folded object reads the pages up to its group's own and
+    /// none after, with or without a projection.
+    #[test]
+    fn folded_get_reads_the_pages_up_to_its_group() {
+        let (pager, layout) = repeating("fold[a|name,v](T)");
+        let obj = &layout.objects[0];
+        assert!(matches!(obj.encoding, ObjectEncoding::Folded { .. }));
+        assert!(obj.page_count() > 3, "groups must spill over pages");
+        let page_of = page_of_rows(obj);
+        let all = layout.scan(None, None).unwrap();
+        let name = vec!["name".to_string()];
+        for i in [0usize, 1, 44, all.len() - 1] {
+            for (fields, want) in [
+                (None, all[i].clone()),
+                (Some(name.as_slice()), vec![all[i][1].clone()]),
+            ] {
+                let before = pager.stats().snapshot();
+                let got = layout.get_element(i, fields).unwrap();
+                let io = pager.stats().snapshot().since(&before);
+                assert_eq!(got, want, "row {i}");
+                assert_eq!(io.pages_read as usize, page_of[i] + 1, "row {i}");
+            }
         }
     }
 

@@ -335,10 +335,11 @@ pub enum LayoutExpr {
     },
     /// `lsm[A1,…,An](N)` — a write-optimized levelled tier over the inner
     /// layout. Appended tuples land in an in-memory memtable, spill into
-    /// sorted immutable runs (keyed on the named attributes), and are merged
-    /// into deeper levels by incremental compaction; the inner expression
-    /// still governs how the bulk-rendered base is stored. Scans read the
-    /// base, then the runs (deepest level first), then the memtable.
+    /// immutable runs (keyed on the named attributes), and are merged into
+    /// deeper levels by incremental compaction; the inner expression governs
+    /// how the bulk-rendered base is stored, and each run is the inner
+    /// layout over its rows. Scans read the base, then the runs (deepest
+    /// level first), then the memtable.
     Lsm {
         /// Input expression (governs the bulk-rendered base).
         input: Box<LayoutExpr>,
@@ -641,7 +642,7 @@ impl LayoutExpr {
     }
 
     /// `lsm[key](self)` — wrap in a write-optimized levelled tier whose runs
-    /// are sorted on `key`.
+    /// are spilled and merged in `key` order.
     pub fn lsm<I, S>(self, key: I) -> LayoutExpr
     where
         I: IntoIterator<Item = S>,

@@ -39,6 +39,13 @@ pub(crate) fn unpack_bits(
     count: usize,
     pos: &mut usize,
 ) -> Result<Vec<u64>> {
+    let bits = count.checked_mul(width as usize);
+    let room = bytes.len().saturating_sub(*pos).saturating_mul(8);
+    if bits.map_or(true, |bits| bits > room) {
+        return Err(CompressError::Corrupted(format!(
+            "bitpack block holds {room} bits, not {count} values of {width}"
+        )));
+    }
     let mut values = Vec::with_capacity(count);
     let mut acc: u128 = 0;
     let mut acc_bits: u32 = 0;

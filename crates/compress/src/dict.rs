@@ -83,11 +83,12 @@ impl ColumnCodec for DictionaryCodec {
         match tag {
             TAG_STRINGS => {
                 let dict_len = read_varint(block, &mut pos)? as usize;
-                let mut dictionary = Vec::with_capacity(dict_len);
+                let mut dictionary = Vec::with_capacity(dict_len.min(block.len()));
                 for _ in 0..dict_len {
                     let len = read_varint(block, &mut pos)? as usize;
-                    let bytes = block
-                        .get(pos..pos + len)
+                    let bytes = pos
+                        .checked_add(len)
+                        .and_then(|end| block.get(pos..end))
                         .ok_or_else(|| CompressError::Corrupted("truncated dict entry".into()))?;
                     dictionary.push(
                         String::from_utf8(bytes.to_vec())
@@ -96,7 +97,7 @@ impl ColumnCodec for DictionaryCodec {
                     pos += len;
                 }
                 let count = read_varint(block, &mut pos)? as usize;
-                let mut values = Vec::with_capacity(count);
+                let mut values = Vec::with_capacity(count.min(block.len()));
                 for _ in 0..count {
                     let code = read_varint(block, &mut pos)? as usize;
                     let value = dictionary
@@ -108,12 +109,12 @@ impl ColumnCodec for DictionaryCodec {
             }
             TAG_INTS => {
                 let dict_len = read_varint(block, &mut pos)? as usize;
-                let mut dictionary = Vec::with_capacity(dict_len);
+                let mut dictionary = Vec::with_capacity(dict_len.min(block.len()));
                 for _ in 0..dict_len {
                     dictionary.push(read_signed_varint(block, &mut pos)?);
                 }
                 let count = read_varint(block, &mut pos)? as usize;
-                let mut values = Vec::with_capacity(count);
+                let mut values = Vec::with_capacity(count.min(block.len()));
                 for _ in 0..count {
                     let code = read_varint(block, &mut pos)? as usize;
                     let value = dictionary

@@ -354,11 +354,11 @@ mod tests {
 
     /// Decoders read bytes from disk, so a damaged block must be an error
     /// or a column of exactly the count its header declares — never a
-    /// panic. Seeded mutations of delta and plain blocks: every truncation,
-    /// every continuation bit flipped, rewritten counts and random bit
-    /// flips.
+    /// panic. Seeded mutations of blocks of every codec, over each column
+    /// type the codec takes: every truncation, every continuation bit
+    /// flipped, rewritten counts and random bit flips.
     #[test]
-    fn mutated_delta_and_plain_blocks_error_or_decode_their_header_count() {
+    fn mutated_blocks_of_every_codec_error_or_decode_their_header_count() {
         use crate::varint::write_varint;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -369,6 +369,8 @@ mod tests {
                 _ => 1_700_000_000 + i * 3 - (i % 5) * 70,
             })
             .collect();
+        let runs: Vec<i64> = (0..200i64).map(|i| (i / 9) % 5 - 2).collect();
+        let small: Vec<i64> = (0..300i64).map(|i| 1_000 + (i * 7) % 50).collect();
         let cases = [
             (
                 "delta ints",
@@ -385,7 +387,7 @@ mod tests {
                 CodecKind::Delta,
                 ColumnData::Floats(vec![1.5, f64::NAN, f64::INFINITY, -0.25, 1e300]),
             ),
-            ("plain ints", CodecKind::Plain, ColumnData::Ints(jumpy)),
+            ("plain ints", CodecKind::Plain, ColumnData::Ints(jumpy.clone())),
             (
                 "plain floats",
                 CodecKind::Plain,
@@ -396,6 +398,27 @@ mod tests {
                 CodecKind::Plain,
                 ColumnData::Strings((0..40).map(|i| "é".repeat(i % 4) + "-row").collect()),
             ),
+            ("rle ints", CodecKind::Rle, ColumnData::Ints(runs.clone())),
+            (
+                "rle floats",
+                CodecKind::Rle,
+                ColumnData::Floats(runs.iter().map(|&v| v as f64 / 4.0).collect()),
+            ),
+            (
+                "rle strings",
+                CodecKind::Rle,
+                ColumnData::Strings(runs.iter().map(|v| format!("s{v}")).collect()),
+            ),
+            ("dictionary ints", CodecKind::Dictionary, ColumnData::Ints(runs.clone())),
+            (
+                "dictionary strings",
+                CodecKind::Dictionary,
+                ColumnData::Strings((0..120).map(|i| "ü".repeat(i % 3) + &(i % 7).to_string()).collect()),
+            ),
+            ("bitpack ints", CodecKind::BitPack, ColumnData::Ints(small.clone())),
+            ("bitpack wide ints", CodecKind::BitPack, ColumnData::Ints(jumpy.clone())),
+            ("for ints", CodecKind::FrameOfReference, ColumnData::Ints(small)),
+            ("for wide ints", CodecKind::FrameOfReference, ColumnData::Ints(jumpy)),
         ];
         // splitmix64, seeded: no dependency, same stream on every run.
         let mut state = 0xb10c_u64;
@@ -416,8 +439,8 @@ mod tests {
                 match result {
                     Ok(Ok(())) => {
                         decoded += 1;
-                        let count = header_count(bytes).unwrap();
-                        assert_eq!(out.len(), count, "{what}, {mutation}");
+                        let count = codec.count(bytes).ok();
+                        assert_eq!(Some(out.len()), count, "{what}, {mutation}");
                     }
                     Ok(Err(_)) => {}
                     Err(_) => panic!("{what}: decode panicked on {mutation}"),

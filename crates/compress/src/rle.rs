@@ -14,6 +14,18 @@ use crate::{ColumnCodec, ColumnData, CompressError, Result};
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RleCodec;
 
+/// Appends a run of `count` copies of `value`. A run length read from a
+/// damaged block may claim more values than memory holds: that is an
+/// error, not a panic.
+fn push_run<T: Clone>(values: &mut Vec<T>, value: T, count: u64) -> Result<()> {
+    usize::try_from(count)
+        .ok()
+        .and_then(|count| values.try_reserve(count).ok())
+        .ok_or_else(|| CompressError::Corrupted(format!("run of {count} values")))?;
+    values.extend(std::iter::repeat(value).take(count as usize));
+    Ok(())
+}
+
 fn encode_runs<T: PartialEq + Clone>(values: &[T]) -> Vec<(T, u64)> {
     let mut runs: Vec<(T, u64)> = Vec::new();
     for v in values {
@@ -77,7 +89,7 @@ impl ColumnCodec for RleCodec {
                 for _ in 0..run_count {
                     let value = read_signed_varint(block, &mut pos)?;
                     let count = read_varint(block, &mut pos)?;
-                    values.extend(std::iter::repeat(value).take(count as usize));
+                    push_run(&mut values, value, count)?;
                 }
                 Ok(ColumnData::Ints(values))
             }
@@ -92,7 +104,7 @@ impl ColumnCodec for RleCodec {
                     pos += 8;
                     let value = f64::from_le_bytes(buf);
                     let count = read_varint(block, &mut pos)?;
-                    values.extend(std::iter::repeat(value).take(count as usize));
+                    push_run(&mut values, value, count)?;
                 }
                 Ok(ColumnData::Floats(values))
             }
@@ -100,14 +112,15 @@ impl ColumnCodec for RleCodec {
                 let mut values = Vec::new();
                 for _ in 0..run_count {
                     let len = read_varint(block, &mut pos)? as usize;
-                    let bytes = block
-                        .get(pos..pos + len)
+                    let bytes = pos
+                        .checked_add(len)
+                        .and_then(|end| block.get(pos..end))
                         .ok_or_else(|| CompressError::Corrupted("truncated string".into()))?;
                     let value = String::from_utf8(bytes.to_vec())
                         .map_err(|_| CompressError::Corrupted("invalid utf8".into()))?;
                     pos += len;
                     let count = read_varint(block, &mut pos)?;
-                    values.extend(std::iter::repeat(value).take(count as usize));
+                    push_run(&mut values, value, count)?;
                 }
                 Ok(ColumnData::Strings(values))
             }
@@ -158,6 +171,15 @@ pub fn run_count(column: &ColumnData) -> usize {
 mod tests {
     use super::*;
     use crate::compression_ratio;
+
+    #[test]
+    fn a_run_longer_than_memory_is_an_error() {
+        let block = RleCodec.encode(&ColumnData::Ints(vec![5, 5, 5])).unwrap();
+        // The last byte is the run length, 3; claim 2^62 values instead.
+        let mut bad = block[..block.len() - 1].to_vec();
+        write_varint(&mut bad, 1 << 62);
+        assert!(matches!(RleCodec.decode(&bad), Err(CompressError::Corrupted(_))));
+    }
 
     #[test]
     fn long_runs_compress_dramatically() {

@@ -470,117 +470,8 @@ impl Database {
                         "manifest has a rendered layout for `{name}` but no expression"
                     ))
                 })?;
-                let mut derived = validate::check_with(&expr, &schemas)?;
-                // Incremental appends clear native-order claims; restore
-                // what was actually true at checkpoint time, not what the
-                // expression would promise after a fresh render.
-                derived.orderings = r.orderings;
-                let schema = derived.schema.clone();
-                let objects: Vec<StoredObject> = r
-                    .objects
-                    .into_iter()
-                    .map(|o| {
-                        // Reopen each object's last page as a refillable
-                        // tail; orphan slots from discarded post-checkpoint
-                        // appends are cut before replay re-applies them.
-                        let heap = HeapFile::from_pages_with_tail(
-                            o.name.clone(),
-                            Arc::clone(&pager),
-                            o.pages,
-                            o.heap_records,
-                            o.tail_valid_slots,
-                        )
-                        .map_err(RodentError::Storage)?;
-                        Ok(StoredObject {
-                            heap,
-                            name: o.name,
-                            fields: o.fields,
-                            encoding: o.encoding,
-                            codecs: o.codecs.into_iter().collect(),
-                            cell: o.cell,
-                            row_count: o.row_count as usize,
-                            chunks: o.chunks,
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let mut layout = PhysicalLayout::new(
-                    r.name,
-                    expr,
-                    schema,
-                    derived,
-                    objects,
-                    r.row_count as usize,
-                    Arc::clone(&pager),
-                );
-                // Reattach the declared index. The checkpointed tree content
-                // is trustworthy because post-checkpoint maintenance never
-                // mutates manifest-referenced tree pages in place — it
-                // rebuilds into fresh ones (see `StoredIndex::protect`), and
-                // those fresh pages were truncated away above. `from_parts`
-                // reattaches protected, so replayed appends below relocate
-                // the tree before touching it. If the manifest disagrees
-                // with the declared layout, its pages are quarantined and
-                // the fallback after replay rebuilds from the recovered
-                // heaps.
-                if let Some(im) = r.index {
-                    let manifest_pages = im.pages.clone();
-                    if layout.derived.index.as_deref() == Some(&im.fields[..]) {
-                        layout.index = Some(StoredIndex::from_parts(
-                            Arc::clone(&pager),
-                            &im.kind,
-                            im.fields,
-                            im.key_kinds,
-                            im.root,
-                            im.len,
-                            im.height as usize,
-                            im.outliers,
-                        )?);
-                    } else {
-                        orphaned_index_pages.extend(manifest_pages);
-                    }
-                }
-                // Reattach the levelled tier. Runs are immutable once sealed
-                // — a spill writes, flushes, and re-opens them with every
-                // page sealed — so recovery re-opens each run over its
-                // recorded extent: zero page allocation, zero re-rendering,
-                // whether the crash hit mid-spill or mid-compaction (the
-                // manifest describes whichever generation last
-                // checkpointed; later spills replay from the WAL). If the
-                // declared layout no longer carries a tier, the run pages
-                // quarantine like orphaned index pages.
-                if let Some(lm) = r.lsm {
-                    if let Some(key) = layout.derived.lsm.clone() {
-                        let runs = lm
-                            .runs
-                            .into_iter()
-                            .map(|run| LsmRun {
-                                heap: HeapFile::from_pages(
-                                    format!("{}.run{}", layout.name, run.seq),
-                                    Arc::clone(&pager),
-                                    run.pages,
-                                    run.heap_records,
-                                ),
-                                level: run.level,
-                                seq: run.seq,
-                                row_count: run.row_count as usize,
-                                key_bounds: run.key_bounds,
-                            })
-                            .collect();
-                        layout.lsm = Some(LsmState::restore(
-                            key,
-                            lm.memtable_cap as usize,
-                            lm.fanout as usize,
-                            lm.next_seq,
-                            &layout.schema,
-                            lm.memtable,
-                            runs,
-                        )?);
-                    } else {
-                        for run in lm.runs {
-                            orphaned_index_pages.extend(run.pages);
-                        }
-                    }
-                }
+                let derived = validate::check_with(&expr, &schemas)?;
+                let layout = reattach(r, expr, derived, &pager, &mut orphaned_index_pages)?;
                 let slot = db.slot(&name)?;
                 let cur = db.pin_state(&slot);
                 let mut next = (*cur).clone();
@@ -2962,6 +2853,124 @@ fn layout_serves(access: &AccessMethods, request: &ScanRequest) -> bool {
         }
     }
     true
+}
+
+/// Reattaches a rendered layout — a table's base or one of its lsm runs —
+/// from its manifest record, over `expr` with the properties `derived`
+/// re-derived from it: each object over its recorded pages, the declared
+/// index, and the tier with every run reattached the same way. Nothing is
+/// re-rendered, and a sealed object or run allocates and writes no page.
+/// Pages of an index or tier the declared layout no longer has are added
+/// to `orphaned`.
+fn reattach(
+    r: durability::RenderedManifest,
+    expr: LayoutExpr,
+    mut derived: validate::DerivedLayout,
+    pager: &Arc<Pager>,
+    orphaned: &mut Vec<PageId>,
+) -> Result<PhysicalLayout> {
+    // Incremental appends clear native-order claims; restore what was
+    // actually true at checkpoint time, not what the expression would
+    // promise after a fresh render.
+    derived.orderings = r.orderings;
+    let schema = derived.schema.clone();
+    let objects: Vec<StoredObject> = r
+        .objects
+        .into_iter()
+        .map(|o| {
+            // Reopen each object's last page as a refillable tail; orphan
+            // slots from discarded post-checkpoint appends are cut before
+            // replay re-applies them. A sealed object has no tail.
+            let heap = HeapFile::from_pages_with_tail(
+                o.name.clone(),
+                Arc::clone(pager),
+                o.pages,
+                o.heap_records,
+                o.tail_valid_slots,
+            )
+            .map_err(RodentError::Storage)?;
+            Ok(StoredObject {
+                heap,
+                name: o.name,
+                fields: o.fields,
+                encoding: o.encoding,
+                codecs: o.codecs.into_iter().collect(),
+                cell: o.cell,
+                row_count: o.row_count as usize,
+                chunks: o.chunks,
+            })
+        })
+        .collect::<Result<_>>()?;
+    let mut layout = PhysicalLayout::new(
+        r.name,
+        expr,
+        schema,
+        derived,
+        objects,
+        r.row_count as usize,
+        Arc::clone(pager),
+    );
+    // Reattach the declared index. The checkpointed tree content is
+    // trustworthy because post-checkpoint maintenance never mutates
+    // manifest-referenced tree pages in place — it rebuilds into fresh ones
+    // (see `StoredIndex::protect`), and those fresh pages were truncated
+    // away. `from_parts` reattaches protected, so replayed appends relocate
+    // the tree before touching it. If the manifest disagrees with the
+    // declared layout, its pages are quarantined and the fallback after
+    // replay rebuilds a base's index from the recovered heaps.
+    if let Some(im) = r.index {
+        if layout.derived.index.as_deref() == Some(&im.fields[..]) {
+            layout.index = Some(StoredIndex::from_parts(
+                Arc::clone(pager),
+                &im.kind,
+                im.fields,
+                im.key_kinds,
+                im.root,
+                im.len,
+                im.height as usize,
+                im.outliers,
+            )?);
+        } else {
+            orphaned.extend(im.pages);
+        }
+    }
+    // Reattach the levelled tier. Runs are immutable once sealed, so each
+    // reattaches as a base does, over the inner layout's properties —
+    // whether the crash hit mid-spill or mid-compaction (the manifest
+    // describes whichever generation last checkpointed; later spills
+    // replay from the WAL). If the declared layout no longer carries a
+    // tier, the run pages quarantine like orphaned index pages.
+    if let Some(lm) = r.lsm {
+        let Some(key) = layout.derived.lsm.clone() else {
+            // A run record holds no tier, so its objects and index are all.
+            for run in lm.runs.into_iter().map(|run| run.layout) {
+                orphaned.extend(run.objects.into_iter().flat_map(|o| o.pages));
+                orphaned.extend(run.index.into_iter().flat_map(|im| im.pages));
+            }
+            return Ok(layout);
+        };
+        let mut inner = layout.derived.clone();
+        inner.lsm = None;
+        let runs = lm
+            .runs
+            .into_iter()
+            .map(|run| {
+                let expr = layout.expr.clone();
+                let inner = reattach(run.layout, expr, inner.clone(), pager, orphaned)?;
+                Ok(LsmRun::new(inner, run.level, run.seq, run.key_bounds)?)
+            })
+            .collect::<Result<_>>()?;
+        layout.lsm = Some(LsmState::restore(
+            key,
+            lm.memtable_cap as usize,
+            lm.fanout as usize,
+            lm.next_seq,
+            &layout.schema,
+            lm.memtable,
+            runs,
+        )?);
+    }
+    Ok(layout)
 }
 
 #[cfg(test)]

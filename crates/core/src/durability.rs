@@ -52,7 +52,7 @@ use rodentstore_exec::{CostParams, ScanRequest};
 use rodentstore_layout::rowcodec::{decode_record, encode_record};
 use rodentstore_layout::{
     has_chunk_directory, CellBounds, ChunkDirectory, ChunkEntry, CodecKind, KeyKind, LsmState,
-    ObjectEncoding,
+    ObjectEncoding, PhysicalLayout,
 };
 use rodentstore_optimizer::{AdvisorOptions, CostModel};
 use rodentstore_storage::heap::RecordId;
@@ -85,8 +85,11 @@ const MANIFEST_MAGIC: &[u8; 8] = b"RDNTMAN1";
 /// chunk: row count, first block's page ordinal and slot, a fence per
 /// field), checked against the object when it is decoded. Version 7 dropped
 /// the per-object sort order, which nothing read: the layout-level
-/// orderings above the objects are what `open` restores.
-const MANIFEST_VERSION: u32 = 7;
+/// orderings above the objects are what `open` restores. Version 8 stores
+/// each lsm run as its level, sequence number and key bounds plus the same
+/// rendered-layout record the base uses, since a run is the inner layout
+/// over its rows.
+const MANIFEST_VERSION: u32 = 8;
 
 /// Sentinel in the object encoding for "no open tail page".
 const NO_TAIL: u32 = u32::MAX;
@@ -798,12 +801,12 @@ impl ProfileManifest {
     }
 }
 
-/// A rendered layout's persisted description: enough to reattach the stored
-/// objects without re-rendering. The expression itself lives in
-/// [`TableManifest::layout_expr`]; physical properties are re-derived from
-/// it at open time, with the persisted orderings overriding the derived
-/// ones (incremental appends clear order claims, and that must survive a
-/// restart).
+/// A rendered layout's persisted description — a table's base or one lsm
+/// run: enough to reattach the stored objects without re-rendering. The
+/// expression itself lives in [`TableManifest::layout_expr`]; physical
+/// properties are re-derived from it at open time, with the persisted
+/// orderings overriding the derived ones (incremental appends clear order
+/// claims, and that must survive a restart).
 pub(crate) struct RenderedManifest {
     pub name: String,
     pub row_count: u64,
@@ -814,10 +817,11 @@ pub(crate) struct RenderedManifest {
 }
 
 /// A levelled tier's persisted description: the tuning knobs, the sealed
-/// runs (reattached from their page extents without re-rendering — runs are
-/// immutable once sealed, so the extent alone reproduces them byte for
-/// byte), and the memtable rows. The merge key is re-derived from the
-/// layout expression at open time, like every other physical property.
+/// runs (reattached from their rendered-layout records without
+/// re-rendering — runs are immutable once sealed, so the record alone
+/// reproduces them byte for byte), and the memtable rows. The merge key is
+/// re-derived from the layout expression at open time, like every other
+/// physical property.
 pub(crate) struct LsmManifest {
     pub memtable_cap: u64,
     pub fanout: u64,
@@ -826,14 +830,13 @@ pub(crate) struct LsmManifest {
     pub memtable: Vec<Record>,
 }
 
-/// One sealed run's persisted metadata and page extent.
+/// One sealed run: its place in the tier and its layout, which holds no
+/// tier of its own.
 pub(crate) struct LsmRunManifest {
     pub level: u32,
     pub seq: u64,
-    pub row_count: u64,
-    pub pages: Vec<PageId>,
-    pub heap_records: u64,
     pub key_bounds: Option<Vec<(f64, f64)>>,
+    pub layout: RenderedManifest,
 }
 
 /// A declared index's persisted description: everything
@@ -1211,6 +1214,96 @@ fn dec_index(d: &mut Dec) -> Result<IndexManifest> {
     })
 }
 
+/// Writes a rendered layout — a table's base or an lsm run — in the
+/// [`RenderedManifest`] format [`dec_rendered`] reads.
+fn enc_rendered(e: &mut Enc, layout: &PhysicalLayout) -> Result<()> {
+    e.str(&layout.name);
+    e.u64(layout.row_count as u64);
+    let orderings = layout.order_list();
+    e.u32(orderings.len() as u32);
+    for keys in &orderings {
+        enc_sort_keys(e, keys);
+    }
+    e.u32(layout.objects.len() as u32);
+    for obj in &layout.objects {
+        let pages = obj.heap.page_ids().map_err(RodentError::Storage)?;
+        let mut codecs: Vec<(String, CodecKind)> = obj
+            .codecs
+            .iter()
+            .map(|(field, codec)| (field.clone(), *codec))
+            .collect();
+        codecs.sort_by(|a, b| a.0.cmp(&b.0));
+        enc_object(
+            e,
+            &ObjectManifest {
+                name: obj.name.clone(),
+                fields: obj.fields.clone(),
+                encoding: obj.encoding.clone(),
+                codecs,
+                cell: obj.cell.clone(),
+                row_count: obj.row_count as u64,
+                pages,
+                heap_records: obj.heap.record_count(),
+                tail_valid_slots: obj.heap.tail_valid_slots(),
+                chunks: obj.chunks.clone(),
+            },
+        );
+    }
+    match &layout.index {
+        None => e.bool(false),
+        Some(idx) => {
+            e.bool(true);
+            let pages = idx.page_ids().map_err(|err| corrupt(err.to_string()))?;
+            enc_index(
+                e,
+                &IndexManifest {
+                    kind: idx.kind_name().to_string(),
+                    fields: idx.fields.clone(),
+                    key_kinds: idx.key_kinds.clone(),
+                    root: idx.root(),
+                    len: idx.len(),
+                    height: idx.height() as u64,
+                    pages,
+                    outliers: idx.outliers.clone(),
+                },
+            );
+        }
+    }
+    match &layout.lsm {
+        None => e.bool(false),
+        Some(lsm) => {
+            e.bool(true);
+            enc_lsm(e, lsm)?;
+        }
+    }
+    Ok(())
+}
+
+fn dec_rendered(d: &mut Dec) -> Result<RenderedManifest> {
+    let name = d.str()?;
+    let row_count = d.u64()?;
+    let norderings = d.u32()? as usize;
+    let mut orderings = Vec::with_capacity(norderings.min(1 << 8));
+    for _ in 0..norderings {
+        orderings.push(dec_sort_keys(d)?);
+    }
+    let nobjects = d.u32()? as usize;
+    let mut objects = Vec::with_capacity(nobjects.min(1 << 16));
+    for _ in 0..nobjects {
+        objects.push(dec_object(d)?);
+    }
+    let index = if d.bool()? { Some(dec_index(d)?) } else { None };
+    let lsm = if d.bool()? { Some(dec_lsm(d)?) } else { None };
+    Ok(RenderedManifest {
+        name,
+        row_count,
+        orderings,
+        objects,
+        index,
+        lsm,
+    })
+}
+
 /// Writes a live tier in the [`LsmManifest`] format [`dec_lsm`] reads.
 fn enc_lsm(e: &mut Enc, lsm: &LsmState) -> Result<()> {
     e.u64(lsm.memtable_cap as u64);
@@ -1220,13 +1313,6 @@ fn enc_lsm(e: &mut Enc, lsm: &LsmState) -> Result<()> {
     for run in &lsm.runs {
         e.u32(run.level);
         e.u64(run.seq);
-        e.u64(run.row_count as u64);
-        let pages = run.heap.page_ids().map_err(RodentError::Storage)?;
-        e.u32(pages.len() as u32);
-        for p in &pages {
-            e.u64(*p);
-        }
-        e.u64(run.heap.record_count());
         match &run.key_bounds {
             None => e.bool(false),
             Some(bounds) => {
@@ -1238,6 +1324,7 @@ fn enc_lsm(e: &mut Enc, lsm: &LsmState) -> Result<()> {
                 }
             }
         }
+        enc_rendered(e, &run.layout)?;
     }
     enc_records(e, lsm.memtable.rows());
     Ok(())
@@ -1252,13 +1339,6 @@ fn dec_lsm(d: &mut Dec) -> Result<LsmManifest> {
     for _ in 0..nruns {
         let level = d.u32()?;
         let seq = d.u64()?;
-        let row_count = d.u64()?;
-        let npages = d.u32()? as usize;
-        let mut pages = Vec::with_capacity(npages.min(1 << 20));
-        for _ in 0..npages {
-            pages.push(d.u64()?);
-        }
-        let heap_records = d.u64()?;
         let key_bounds = if d.bool()? {
             let nbounds = d.u32()? as usize;
             let mut bounds = Vec::with_capacity(nbounds.min(1 << 8));
@@ -1271,13 +1351,15 @@ fn dec_lsm(d: &mut Dec) -> Result<LsmManifest> {
         } else {
             None
         };
+        let layout = dec_rendered(d)?;
+        if layout.lsm.is_some() {
+            return Err(corrupt(format!("lsm run `{}` holds a tier of its own", layout.name)));
+        }
         runs.push(LsmRunManifest {
             level,
             seq,
-            row_count,
-            pages,
-            heap_records,
             key_bounds,
+            layout,
         });
     }
     let memtable = dec_records(d)?;
@@ -1359,69 +1441,8 @@ pub(crate) fn encode_manifest(catalog: &CatalogView, ctx: &ManifestContext) -> R
         match &entry.access {
             None => e.bool(false),
             Some(access) => {
-                let layout = access.layout();
                 e.bool(true);
-                e.str(&layout.name);
-                e.u64(layout.row_count as u64);
-                let orderings = layout.order_list();
-                e.u32(orderings.len() as u32);
-                for keys in &orderings {
-                    enc_sort_keys(&mut e, keys);
-                }
-                e.u32(layout.objects.len() as u32);
-                for obj in &layout.objects {
-                    let pages = obj.heap.page_ids().map_err(RodentError::Storage)?;
-                    let mut codecs: Vec<(String, CodecKind)> = obj
-                        .codecs
-                        .iter()
-                        .map(|(field, codec)| (field.clone(), *codec))
-                        .collect();
-                    codecs.sort_by(|a, b| a.0.cmp(&b.0));
-                    enc_object(
-                        &mut e,
-                        &ObjectManifest {
-                            name: obj.name.clone(),
-                            fields: obj.fields.clone(),
-                            encoding: obj.encoding.clone(),
-                            codecs,
-                            cell: obj.cell.clone(),
-                            row_count: obj.row_count as u64,
-                            pages,
-                            heap_records: obj.heap.record_count(),
-                            tail_valid_slots: obj.heap.tail_valid_slots(),
-                            chunks: obj.chunks.clone(),
-                        },
-                    );
-                }
-                match &layout.index {
-                    None => e.bool(false),
-                    Some(idx) => {
-                        e.bool(true);
-                        let pages = idx
-                            .page_ids()
-                            .map_err(|err| corrupt(err.to_string()))?;
-                        enc_index(
-                            &mut e,
-                            &IndexManifest {
-                                kind: idx.kind_name().to_string(),
-                                fields: idx.fields.clone(),
-                                key_kinds: idx.key_kinds.clone(),
-                                root: idx.root(),
-                                len: idx.len(),
-                                height: idx.height() as u64,
-                                pages,
-                                outliers: idx.outliers.clone(),
-                            },
-                        );
-                    }
-                }
-                match &layout.lsm {
-                    None => e.bool(false),
-                    Some(lsm) => {
-                        e.bool(true);
-                        enc_lsm(&mut e, lsm)?;
-                    }
-                }
+                enc_rendered(&mut e, access.layout())?;
             }
         }
     }
@@ -1500,36 +1521,7 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<ManifestData> {
             adaptations: d.u64()?,
         };
         let rendered = if d.bool()? {
-            let name = d.str()?;
-            let row_count = d.u64()?;
-            let norderings = d.u32()? as usize;
-            let mut orderings = Vec::with_capacity(norderings.min(1 << 8));
-            for _ in 0..norderings {
-                orderings.push(dec_sort_keys(&mut d)?);
-            }
-            let nobjects = d.u32()? as usize;
-            let mut objects = Vec::with_capacity(nobjects.min(1 << 16));
-            for _ in 0..nobjects {
-                objects.push(dec_object(&mut d)?);
-            }
-            let index = if d.bool()? {
-                Some(dec_index(&mut d)?)
-            } else {
-                None
-            };
-            let lsm = if d.bool()? {
-                Some(dec_lsm(&mut d)?)
-            } else {
-                None
-            };
-            Some(RenderedManifest {
-                name,
-                row_count,
-                orderings,
-                objects,
-                index,
-                lsm,
-            })
+            Some(dec_rendered(&mut d)?)
         } else {
             None
         };
@@ -1604,6 +1596,46 @@ fn io_err(e: std::io::Error) -> RodentError {
 mod tests {
     use super::*;
     use rodentstore_algebra::comprehension::Condition;
+
+    /// A tier record as [`enc_lsm`] writes it, with one run whose layout
+    /// record holds `nested` — a tier of its own when set.
+    fn tier_record(nested: bool) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.u64(4); // memtable cap
+        e.u64(2); // fanout
+        e.u64(1); // next seq
+        e.u32(1); // one run: level 0, seq 0, no key bounds
+        e.u32(0);
+        e.u64(0);
+        e.bool(false);
+        e.str("t.run0"); // its layout: no rows, orderings, objects or index
+        e.u64(0);
+        e.u32(0);
+        e.u32(0);
+        e.bool(false);
+        e.bool(nested);
+        if nested {
+            e.u64(4);
+            e.u64(2);
+            e.u64(0);
+            e.u32(0);
+            enc_records(&mut e, &[]);
+        }
+        enc_records(&mut e, &[]); // the memtable
+        e.buf
+    }
+
+    #[test]
+    fn a_run_record_holding_a_tier_is_corruption() {
+        let plain = dec_lsm(&mut Dec::new(&tier_record(false))).unwrap();
+        assert_eq!(plain.runs.len(), 1);
+        assert!(plain.runs[0].layout.lsm.is_none());
+        let nested = dec_lsm(&mut Dec::new(&tier_record(true)));
+        assert!(matches!(
+            nested,
+            Err(RodentError::Storage(StorageError::Corrupted(msg))) if msg.contains("t.run0")
+        ));
+    }
 
     #[test]
     fn durable_ops_round_trip() {

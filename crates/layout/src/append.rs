@@ -31,7 +31,6 @@ use crate::plan::PhysicalLayout;
 use crate::render::place;
 use crate::Result;
 use rodentstore_algebra::expr::TransformKind;
-use std::sync::Arc;
 
 /// What [`append_records`] did with the new rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,13 +122,17 @@ pub fn append_records<P: TableProvider + ?Sized>(
     let objects_touched = if rows_appended == 0 {
         0
     } else if layout.lsm.is_some() {
-        // The tier spills into sorted runs and compacts as thresholds are
-        // crossed; the objects it reports are the runs it added.
-        let pager = Arc::clone(layout.pager());
-        let lsm = layout.lsm.as_mut().expect("checked above");
+        // The tier spills into runs and compacts as thresholds are
+        // crossed; the objects it reports are the runs it added. It is
+        // taken out of the layout while it absorbs, since each run it seals
+        // is built from the layout's own description.
+        let mut lsm = layout.lsm.take().expect("checked above");
         let runs_before = lsm.runs.len();
-        lsm.absorb(&pager, &layout.name, &layout.schema, new_rows)?;
-        lsm.runs.len().saturating_sub(runs_before)
+        let absorbed = lsm.absorb(layout, new_rows);
+        let added = lsm.runs.len().saturating_sub(runs_before);
+        layout.lsm = Some(lsm);
+        absorbed?;
+        added
     } else {
         let Some((touched, placed)) = place(layout, new_rows)? else {
             return needs("unrecognized multi-object shape");
@@ -159,6 +162,7 @@ mod tests {
     use rodentstore_algebra::value::{Record, Value};
     use rodentstore_algebra::LayoutExpr;
     use rodentstore_storage::pager::Pager;
+    use std::sync::Arc;
 
     fn points_schema() -> Schema {
         Schema::new(

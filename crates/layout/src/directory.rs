@@ -10,7 +10,8 @@
 //!
 //! Grid cells carry no directory: a cell's bounds already fence it, and
 //! leaving cells alone keeps the paper's N1–N4 page counts exactly where
-//! they were. Neither do row pages, folded groups or lsm runs.
+//! they were. Neither do row pages or folded groups. An lsm run is the
+//! inner layout over its rows, so its column-block objects keep one too.
 
 use crate::{LayoutError, Result};
 use rodentstore_compress::ColumnData;

@@ -1,18 +1,22 @@
 //! The levelled write-optimized tier behind the `lsm[...]` operator.
 //!
-//! An [`LsmState`] rides on a [`crate::plan::PhysicalLayout`]: appended
-//! tuples land in an in-memory *memtable* — one vector of rows kept in the
-//! tier's key order, so a spill drains its front and a key range is a
-//! sub-slice — spill into immutable key-sorted *runs* once the memtable
-//! fills, and are merged into deeper levels by incremental compaction. The
-//! inner expression still governs how the bulk-rendered base is stored; the
-//! tier only owns rows appended after the render, and its runs are
-//! full-width row-encoded heaps whatever the inner shape.
+//! An [`LsmState`] rides on a [`PhysicalLayout`]: appended tuples land in
+//! an in-memory *memtable* — one vector of rows kept in the tier's key
+//! order, so a spill drains its front and a key range is a sub-slice —
+//! spill into immutable *runs* once the memtable fills, and are merged into
+//! deeper levels by incremental compaction. The tier only owns rows
+//! appended after the render; the inner expression governs how the base is
+//! stored, and a run is the inner layout over its rows: the same objects,
+//! encodings, codecs, chunk directories, cells and index a render of those
+//! rows would build, with no tier of its own. Within a run, rows come out
+//! in the inner layout's storage order, as the base's rows do: key order
+//! for row, PAX, column and vertical inners, and cell, partition or fold
+//! group order for the others.
 //!
-//! Runs are never rewritten once sealed — a spill writes a fresh heap file,
-//! flushes it, and re-opens it with every page sealed — so crash recovery
-//! can reattach them from manifest metadata without re-rendering a byte,
-//! and every generation of the tier shares a run by [`Arc`]. Compaction is
+//! Runs are never rewritten once sealed — a spill renders the run, flushes
+//! it and seals every page — so crash recovery can reattach them from
+//! manifest metadata without re-rendering a byte, and every generation of
+//! the tier shares a run by [`Arc`]. Compaction is
 //! amortized: each absorb performs **at most one** level merge (the
 //! shallowest overflowing level), so the worst-case work per appended
 //! batch is bounded by a single merge instead of a full cascade. A merge
@@ -23,16 +27,15 @@
 //! records, drained by the engine into its observability registry and
 //! event ring.
 
-use crate::rowcodec::{decode_record, encode_record_into};
-use crate::{LayoutError, Result};
+use crate::plan::PhysicalLayout;
+use crate::Result;
 use rodentstore_algebra::expr::{sort_by_positions, SortOrder};
 use rodentstore_algebra::schema::Schema;
 use rodentstore_algebra::value::Record;
-use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::page::PageId;
-use rodentstore_storage::pager::Pager;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -173,21 +176,42 @@ impl std::fmt::Debug for Memtable {
     }
 }
 
-/// One immutable sorted run of the levelled tier, shared by [`Arc`] by
-/// every generation of the tier that holds it.
+/// One immutable run of the levelled tier: the tier's inner layout over
+/// the run's rows, shared by [`Arc`] by every generation of the tier that
+/// holds it. It reads as that layout (`Deref`), so a scan plans a run as
+/// it plans the base.
 pub struct LsmRun {
-    /// Sealed heap file holding the run's rows (row-encoded, full width):
-    /// scans read it with the same cursor as any row-encoded object.
-    pub heap: HeapFile,
+    /// The inner layout over the run's rows, with no tier of its own.
+    pub layout: PhysicalLayout,
     /// Level the run lives on (0 = freshest spills).
     pub level: u32,
     /// Monotonic sequence number (creation order across all runs).
     pub seq: u64,
-    /// Number of rows in the run.
-    pub row_count: usize,
     /// Inclusive `(min, max)` of each key field over the run's rows, when
     /// every key value maps to `f64`; `None` disables pruning for the run.
     pub key_bounds: Option<Vec<(f64, f64)>>,
+    /// Every page the run holds, listed once: a run never changes. The
+    /// name is the one rodentbench's trace reads (`run.heap.extent()`).
+    pub heap: RunPages,
+}
+
+/// The pages of a sealed run — its objects' and its index's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunPages(Vec<PageId>);
+
+impl RunPages {
+    /// The run's pages.
+    pub fn extent(&self) -> Vec<PageId> {
+        self.0.clone()
+    }
+}
+
+impl Deref for LsmRun {
+    type Target = PhysicalLayout;
+
+    fn deref(&self) -> &PhysicalLayout {
+        &self.layout
+    }
 }
 
 impl std::fmt::Debug for LsmRun {
@@ -195,27 +219,39 @@ impl std::fmt::Debug for LsmRun {
         f.debug_struct("LsmRun")
             .field("level", &self.level)
             .field("seq", &self.seq)
-            .field("rows", &self.row_count)
-            .field("pages", &self.heap.page_count())
+            .field("rows", &self.layout.row_count)
+            .field("pages", &self.heap.0.len())
             .finish()
     }
 }
 
 impl LsmRun {
+    /// A run over `layout`, a sealed inner layout without a tier.
+    pub fn new(
+        layout: PhysicalLayout,
+        level: u32,
+        seq: u64,
+        key_bounds: Option<Vec<(f64, f64)>>,
+    ) -> Result<LsmRun> {
+        let heap = RunPages(layout.extent_pages()?);
+        Ok(LsmRun {
+            layout,
+            level,
+            seq,
+            key_bounds,
+            heap,
+        })
+    }
+
     /// Whether the run may hold rows satisfying the per-field ranges
     /// (conservative: unknown bounds or unconstrained fields never prune).
     pub fn may_match(&self, key: &[String], ranges: &HashMap<String, (f64, f64)>) -> bool {
         let Some(bounds) = &self.key_bounds else {
             return true;
         };
-        for (field, (lo, hi)) in key.iter().zip(bounds) {
-            if let Some((qlo, qhi)) = ranges.get(field) {
-                if *hi < *qlo || *lo > *qhi {
-                    return false;
-                }
-            }
-        }
-        true
+        key.iter().zip(bounds).all(|(field, (lo, hi))| {
+            ranges.get(field).map_or(true, |(qlo, qhi)| !(hi < qlo || lo > qhi))
+        })
     }
 }
 
@@ -271,10 +307,10 @@ impl LsmState {
         }
     }
 
-    /// Reattaches a tier from persisted metadata: the caller re-opens each
-    /// run's sealed heap over its recorded extent (no page allocation, no
-    /// re-rendering) and this puts them back in scan order. Memtable rows
-    /// were persisted in key order, which the stable sort keeps.
+    /// Reattaches a tier from persisted metadata: the caller reattaches
+    /// each run's layout over its recorded pages (no page allocation, no
+    /// re-rendering) and this puts the runs back in scan order. Memtable
+    /// rows were persisted in key order, which the stable sort keeps.
     pub fn restore(
         key: Vec<String>,
         memtable_cap: usize,
@@ -301,7 +337,7 @@ impl LsmState {
 
     /// Total pages the runs occupy (the memtable holds none).
     pub fn total_pages(&self) -> usize {
-        self.runs.iter().map(|r| r.heap.page_count()).sum()
+        self.runs.iter().map(|r| r.heap.0.len()).sum()
     }
 
     /// Every page currently referenced by a run.
@@ -342,7 +378,7 @@ impl LsmState {
     }
 
     /// Schema positions of the tier's key fields, each ascending: the sort
-    /// key of the memtable and of every run.
+    /// key of the memtable and of a merge.
     fn key_positions(&self, schema: &Schema) -> Result<Vec<(usize, SortOrder)>> {
         self.key
             .iter()
@@ -356,34 +392,29 @@ impl LsmState {
             .sort_by(|a, b| b.level.cmp(&a.level).then(a.seq.cmp(&b.seq)));
     }
 
-    /// Absorbs appended rows: into the sorted memtable, spilling level-0
-    /// runs at capacity. Each spill triggers **at most one** level merge
-    /// (the shallowest overflowing level), so the structural work riding on
-    /// any single absorb is bounded — deeper levels drain over subsequent
-    /// absorbs instead of cascading into one stall.
-    pub fn absorb(
-        &mut self,
-        pager: &Arc<Pager>,
-        layout_name: &str,
-        schema: &Schema,
-        rows: Vec<Record>,
-    ) -> Result<()> {
+    /// Absorbs rows appended to `base`, the layout whose tier this is: into
+    /// the sorted memtable, spilling level-0 runs at capacity. Each spill
+    /// triggers **at most one** level merge (the shallowest overflowing
+    /// level), so the structural work riding on any single absorb is
+    /// bounded — deeper levels drain over subsequent absorbs instead of
+    /// cascading into one stall.
+    pub fn absorb(&mut self, base: &PhysicalLayout, rows: Vec<Record>) -> Result<()> {
         let started = Instant::now();
         let absorbed = rows.len() as u64;
-        let key = self.key_positions(schema)?;
+        let key = self.key_positions(&base.schema)?;
         self.memtable.absorb(rows, &key);
         let mut spills = 0u64;
         let mut merges = 0u64;
         while self.memtable.len() >= self.memtable_cap {
             let spill = self.memtable.drain_first(self.memtable_cap);
-            let (rows_sealed, pages) = self.seal_run(pager, layout_name, &key, spill, 0)?;
+            let (rows_sealed, pages) = self.seal_run(base, &key, spill, 0)?;
             spills += 1;
             self.record(LsmActivity::Spill {
                 level: 0,
                 rows: rows_sealed,
                 pages,
             });
-            if self.compact_one(pager, layout_name, schema)? {
+            if self.compact_one(base)? {
                 merges += 1;
             }
         }
@@ -397,108 +428,70 @@ impl LsmState {
     }
 
     /// Seals `rows`, already in key order, as a fresh immutable run on
-    /// `level`. The heap is flushed and re-opened with every page sealed, so
-    /// the run can never be appended to again. Returns `(rows, pages)`
+    /// `level`: `base`'s layout without its tier, built over the rows as a
+    /// render builds it, with every page sealed. Returns `(rows, pages)`
     /// sealed.
     fn seal_run(
         &mut self,
-        pager: &Arc<Pager>,
-        layout_name: &str,
+        base: &PhysicalLayout,
         key: &[(usize, SortOrder)],
         rows: Vec<Record>,
         level: u32,
     ) -> Result<(u64, u64)> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let name = format!("{layout_name}.run{seq}");
-        let heap = HeapFile::create(name.clone(), Arc::clone(pager));
-        let mut encoded = Vec::new();
-        for row in &rows {
-            encoded.clear();
-            encode_record_into(row, &mut encoded);
-            heap.append(&encoded)?;
+        let key_bounds = bounds_of(key, &rows);
+        let mut derived = base.derived.clone();
+        derived.lsm = None;
+        let layout = crate::render::build(
+            format!("{}.run{seq}", base.name),
+            base.expr.clone(),
+            derived,
+            rows,
+            Arc::clone(base.pager()),
+        )?;
+        for obj in &layout.objects {
+            obj.heap.seal()?;
         }
-        heap.flush()?;
-        let sealed = HeapFile::from_pages(name, Arc::clone(pager), heap.extent(), rows.len() as u64);
-        let pages = sealed.page_count() as u64;
-        let row_count = rows.len();
-        self.runs.push(Arc::new(LsmRun {
-            heap: sealed,
-            level,
-            seq,
-            row_count,
-            key_bounds: bounds_of(key, &rows),
-        }));
+        let run = LsmRun::new(layout, level, seq, key_bounds)?;
+        let sealed = (run.row_count as u64, run.heap.0.len() as u64);
+        self.runs.push(Arc::new(run));
         self.order_runs();
-        Ok((row_count as u64, pages))
+        Ok(sealed)
     }
 
     /// Merges the *shallowest* level holding at least `fanout` runs into a
     /// single run on the next level — one merge, no cascade. Returns whether
     /// a merge happened. Merged-away runs are parked for
     /// [`LsmState::take_relocated`].
-    pub fn compact_one(
-        &mut self,
-        pager: &Arc<Pager>,
-        layout_name: &str,
-        schema: &Schema,
-    ) -> Result<bool> {
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        for r in &self.runs {
-            *counts.entry(r.level).or_insert(0) += 1;
-        }
-        let Some(&level) = counts
-            .iter()
-            .filter(|(_, &n)| n >= self.fanout)
-            .map(|(l, _)| l)
-            .min()
-        else {
+    pub fn compact_one(&mut self, base: &PhysicalLayout) -> Result<bool> {
+        let runs_on = |level: u32| self.runs.iter().filter(|r| r.level == level).count();
+        let full = self.runs.iter().map(|r| r.level).filter(|&l| runs_on(l) >= self.fanout);
+        let Some(level) = full.min() else {
             return Ok(false);
         };
-        self.merge_level(pager, layout_name, schema, level)?;
+        self.merge_level(base, level)?;
         Ok(true)
     }
 
-    /// Fully compacts the tier: merges overflowing levels until none
-    /// remains. The incremental write path never calls this (it amortizes
-    /// via [`LsmState::compact_one`]); it exists for quiescing — tests,
-    /// shutdown, and explicit maintenance.
-    pub fn compact(
-        &mut self,
-        pager: &Arc<Pager>,
-        layout_name: &str,
-        schema: &Schema,
-    ) -> Result<()> {
-        while self.compact_one(pager, layout_name, schema)? {}
-        Ok(())
-    }
-
-    /// Merges all runs of `level` into one run on `level + 1`.
-    fn merge_level(
-        &mut self,
-        pager: &Arc<Pager>,
-        layout_name: &str,
-        schema: &Schema,
-        level: u32,
-    ) -> Result<()> {
-        let (mut merged, keep): (Vec<_>, Vec<_>) =
-            self.runs.drain(..).partition(|run| run.level == level);
-        self.runs = keep;
+    /// Merges all runs of `level` into one run on `level + 1`: reads each
+    /// through its scan, oldest first, and seals the rows as a spill does.
+    fn merge_level(&mut self, base: &PhysicalLayout, level: u32) -> Result<()> {
+        let mut merged: Vec<Arc<LsmRun>> =
+            self.runs.iter().filter(|r| r.level == level).cloned().collect();
         // Oldest first, so the stable sort preserves arrival order among
         // equal keys: concatenated sorted runs, sorted, are their merge.
         merged.sort_by_key(|r| r.seq);
         let mut rows = Vec::with_capacity(merged.iter().map(|r| r.row_count).sum());
         for run in &merged {
-            run.heap.scan(|_, payload| {
-                rows.push(decode_record(payload)?);
-                Ok::<_, LayoutError>(())
-            })?;
+            rows.extend(run.scan(None, None)?);
         }
-        let key = self.key_positions(schema)?;
+        let key = self.key_positions(&base.schema)?;
         sort_by_positions(&mut rows, &key);
-        let pages_freed: u64 = merged.iter().map(|r| r.heap.page_count() as u64).sum();
+        let pages_freed: u64 = merged.iter().map(|r| r.heap.0.len() as u64).sum();
         let runs_merged = merged.len() as u64;
-        let (rows_sealed, pages_written) = self.seal_run(pager, layout_name, &key, rows, level + 1)?;
+        let (rows_sealed, pages_written) = self.seal_run(base, &key, rows, level + 1)?;
+        self.runs.retain(|r| r.level != level);
         self.relocated.lock().unwrap().extend(merged);
         self.record(LsmActivity::Merge {
             level,
@@ -543,9 +536,11 @@ fn bounds_of(key: &[(usize, SortOrder)], rows: &[Record]) -> Option<Vec<(f64, f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::{render, MemTableProvider, RenderOptions};
     use rodentstore_algebra::schema::{Field, Schema};
     use rodentstore_algebra::types::DataType;
     use rodentstore_algebra::value::Value;
+    use rodentstore_algebra::LayoutExpr;
 
     fn schema() -> Schema {
         Schema::new(
@@ -561,24 +556,34 @@ mod tests {
         vec![Value::Int(id), Value::Float(id as f64 / 2.0)]
     }
 
+    /// An empty `lsm[key](T)` layout, and its tier taken out of it: the
+    /// tier absorbs rows appended to the layout.
+    fn tier(key: &str, cap: usize, fanout: usize) -> (PhysicalLayout, LsmState) {
+        let options = RenderOptions {
+            lsm_memtable_cap: cap,
+            lsm_fanout: fanout,
+            ..RenderOptions::default()
+        };
+        let pager = Arc::new(rodentstore_storage::pager::Pager::in_memory_with_page_size(512));
+        let provider = MemTableProvider::single(schema(), Vec::new());
+        let expr = LayoutExpr::table("T").lsm([key]);
+        let mut base = render(&expr, &provider, pager, options).unwrap();
+        let lsm = base.lsm.take().unwrap();
+        (base, lsm)
+    }
+
     #[test]
     fn spill_and_cascading_compaction() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 2);
-        let schema = schema();
+        let (base, mut lsm) = tier("id", 4, 2);
         for i in 0..32 {
-            lsm.absorb(&pager, "t", &schema, vec![row(31 - i)]).unwrap();
+            lsm.absorb(&base, vec![row(31 - i)]).unwrap();
         }
         assert_eq!(lsm.rows(), 32);
         // With cap 4 and fanout 2 the tier must have merged past level 0.
         assert!(lsm.runs.iter().any(|r| r.level >= 1), "{:?}", lsm.runs);
         // Every run is internally key-sorted.
         for run in &lsm.runs {
-            let rows = run.heap.read_all().unwrap();
-            let ids: Vec<i64> = rows
-                .iter()
-                .map(|bytes| decode_record(bytes).unwrap()[0].as_i64().unwrap())
-                .collect();
+            let ids: Vec<i64> = decoded(run).iter().map(|r| r[0].as_i64().unwrap()).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             assert_eq!(ids, sorted);
@@ -595,13 +600,9 @@ mod tests {
 
     #[test]
     fn key_bounds_prune_disjoint_ranges() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 4);
-        let schema = schema();
-        lsm.absorb(&pager, "t", &schema, (0..4).map(row).collect())
-            .unwrap();
-        lsm.absorb(&pager, "t", &schema, (100..104).map(row).collect())
-            .unwrap();
+        let (base, mut lsm) = tier("id", 4, 4);
+        lsm.absorb(&base, (0..4).map(row).collect()).unwrap();
+        lsm.absorb(&base, (100..104).map(row).collect()).unwrap();
         assert_eq!(lsm.runs.len(), 2);
         let key = vec!["id".to_string()];
         let mut ranges = HashMap::new();
@@ -618,34 +619,27 @@ mod tests {
 
     #[test]
     fn fork_shares_sealed_pages_and_clones_memtable() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 4);
-        let schema = schema();
-        lsm.absorb(&pager, "t", &schema, (0..6).map(row).collect())
-            .unwrap();
-        let before = pager.page_count();
+        let (base, mut lsm) = tier("id", 4, 4);
+        lsm.absorb(&base, (0..6).map(row).collect()).unwrap();
+        let before = base.pager().page_count();
         let mut fork = lsm.fork();
-        assert_eq!(pager.page_count(), before, "fork allocates no pages");
+        assert_eq!(base.pager().page_count(), before, "fork allocates no pages");
         assert_eq!(fork.rows(), lsm.rows());
         assert!(fork.runs.iter().zip(&lsm.runs).all(|(a, b)| Arc::ptr_eq(a, b)));
-        fork.absorb(&pager, "t", &schema, vec![row(99)]).unwrap();
+        fork.absorb(&base, vec![row(99)]).unwrap();
         assert_eq!(fork.rows(), lsm.rows() + 1);
         assert_eq!(lsm.memtable.len(), 2, "original untouched");
     }
 
     #[test]
     fn merged_run_extent_frees_after_the_last_generation_holding_it() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 2);
-        let schema = schema();
-        lsm.absorb(&pager, "t", &schema, (0..4).map(row).collect())
-            .unwrap();
+        let (base, mut lsm) = tier("id", 4, 2);
+        lsm.absorb(&base, (0..4).map(row).collect()).unwrap();
         let old = lsm.fork();
         let older = lsm.fork();
         let first = Arc::clone(&lsm.runs[0]);
         // The second spill merges level 0, parking the first run.
-        lsm.absorb(&pager, "t", &schema, (4..8).map(row).collect())
-            .unwrap();
+        lsm.absorb(&base, (4..8).map(row).collect()).unwrap();
         assert!(lsm.runs.iter().all(|r| r.level == 1 && !Arc::ptr_eq(r, &first)));
         let extent = first.heap.extent();
         drop(first);
@@ -714,13 +708,10 @@ mod tests {
 
     #[test]
     fn nan_keys_seal_sorted_runs() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["x".into()], 7, 2);
-        let schema = schema();
+        let (base, mut lsm) = tier("x", 7, 2);
         for i in 0..60i64 {
             let x = if i % 7 == 3 { f64::NAN } else { ((i * 37) % 23) as f64 };
-            lsm.absorb(&pager, "t", &schema, vec![vec![Value::Int(i), Value::Float(x)]])
-                .unwrap();
+            lsm.absorb(&base, vec![vec![Value::Int(i), Value::Float(x)]]).unwrap();
         }
         assert!(lsm.runs.iter().any(|r| r.level >= 1), "{:?}", lsm.runs);
         // Each run holds its numbers ascending, then its NaNs.
@@ -734,11 +725,9 @@ mod tests {
 
     #[test]
     fn absorb_runs_at_most_one_merge_and_journals_activity() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 2);
-        let schema = schema();
+        let (base, mut lsm) = tier("id", 4, 2);
         for i in 0..32 {
-            lsm.absorb(&pager, "t", &schema, vec![row(i)]).unwrap();
+            lsm.absorb(&base, vec![row(i)]).unwrap();
         }
         let activity = lsm.take_activity();
         assert!(lsm.take_activity().is_empty(), "drain is a take");
@@ -781,28 +770,20 @@ mod tests {
     }
 
     fn decoded(run: &LsmRun) -> Vec<Record> {
-        let rows: Vec<Record> = run
-            .heap
-            .read_all()
-            .unwrap()
-            .iter()
-            .map(|bytes| decode_record(bytes).unwrap())
-            .collect();
+        let rows = run.scan(None, None).unwrap();
         assert_eq!(rows.len(), run.row_count);
         rows
     }
 
     #[test]
     fn merges_keep_arrival_order_among_equal_keys() {
-        let pager = Arc::new(Pager::in_memory_with_page_size(512));
-        let mut lsm = LsmState::with_params(vec!["id".into()], 4, 2);
-        let schema = schema();
+        let (base, mut lsm) = tier("id", 4, 2);
         // Three keys arriving over and over; `x` records the arrival order.
         for i in 0..48i64 {
             let row = vec![Value::Int(i % 3), Value::Float(i as f64)];
-            lsm.absorb(&pager, "t", &schema, vec![row]).unwrap();
+            lsm.absorb(&base, vec![row]).unwrap();
         }
-        lsm.compact(&pager, "t", &schema).unwrap();
+        while lsm.compact_one(&base).unwrap() {}
         assert!(lsm.runs.iter().any(|r| r.level >= 2), "{:?}", lsm.runs);
         let mut total = 0;
         for run in &lsm.runs {

@@ -11,7 +11,7 @@
 use crate::directory::{fence_of, intersect, ChunkDirectory, ChunkEntry, Fence};
 use crate::index::StoredIndex;
 use crate::lsm::LsmState;
-use crate::rowcodec::{encode_record, values_to_column};
+use crate::rowcodec::{encode_record_into, values_to_column};
 use crate::scan::{ScanIter, ScanPlan};
 use crate::{LayoutError, Result};
 use rodentstore_algebra::comprehension::{CmpOp, Condition, ElemExpr};
@@ -165,8 +165,9 @@ pub struct StoredObject {
 }
 
 /// Whether objects of this encoding and cell keep a [`ChunkDirectory`]:
-/// column blocks outside a grid. A grid cell's bounds already fence it, and
-/// row pages, folded groups and lsm runs have no chunks.
+/// column blocks outside a grid, in the base or in an lsm run. A grid
+/// cell's bounds already fence it, and row pages and folded groups have no
+/// chunks.
 pub fn has_chunk_directory(encoding: &ObjectEncoding, cell: Option<&CellBounds>) -> bool {
     matches!(encoding, ObjectEncoding::ColumnBlocks { .. }) && cell.is_none()
 }
@@ -283,8 +284,11 @@ impl StoredObject {
             }
             ObjectEncoding::Rows => {
                 placed.reserve(rows.len());
+                let mut encoded = Vec::new();
                 for row in rows {
-                    placed.push(self.heap.append(&encode_record(row))?);
+                    encoded.clear();
+                    encode_record_into(row, &mut encoded);
+                    placed.push(self.heap.append(&encoded)?);
                 }
             }
             ObjectEncoding::ColumnBlocks { block_rows } => {
@@ -969,26 +973,11 @@ impl PhysicalLayout {
         }
     }
 
-    /// The base objects a streaming scan reads, grouped by the cursor that
-    /// reads them: the selected column groups of a vertical partition
-    /// together — any one of them when the scan needs no field, since it
-    /// still yields one (empty) row per tuple — and every other selected
-    /// object on its own.
-    pub fn cursor_groups(
-        &self,
-        fields: Option<&[String]>,
-        predicate: Option<&Condition>,
-    ) -> Vec<Vec<usize>> {
-        let ranges = predicate.map(extract_ranges).unwrap_or_default();
-        match self.cursor_objects(fields, predicate, &ranges) {
-            (objects, true) => vec![objects],
-            (objects, false) => objects.into_iter().map(|i| vec![i]).collect(),
-        }
-    }
-
-    /// [`PhysicalLayout::cursor_groups`] without a vector per group: the
-    /// objects in read order, and whether one cursor reads them together
-    /// (a vertical partition) rather than one cursor each.
+    /// The objects a streaming scan reads, in read order, and whether one
+    /// cursor reads them together rather than one cursor each: the selected
+    /// column groups of a vertical partition go together — any one of them
+    /// when the scan needs no field, since it still yields one (empty) row
+    /// per tuple — and every other selected object goes on its own.
     pub(crate) fn cursor_objects(
         &self,
         fields: Option<&[String]>,
@@ -996,13 +985,10 @@ impl PhysicalLayout {
         ranges: &HashMap<String, (f64, f64)>,
     ) -> (Vec<usize>, bool) {
         let selected = self.objects_meeting(fields, predicate, ranges);
-        if !self.is_vertically_partitioned() {
-            return (selected, false);
+        match self.is_vertically_partitioned() {
+            true if selected.is_empty() => (vec![0], true),
+            vertical => (selected, vertical),
         }
-        if selected.is_empty() {
-            return (vec![0], true);
-        }
-        (selected, true)
     }
 
     /// Estimated number of pages a scan would read, without performing it:

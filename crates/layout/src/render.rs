@@ -207,6 +207,31 @@ pub fn render<P: TableProvider + ?Sized>(
     let name = options.name.clone().unwrap_or_else(|| {
         format!("{}__{:?}", expr.base_tables().join("_"), expr.kind()).to_lowercase()
     });
+    let mut layout = build(name, expr.clone(), derived, records, pager)?;
+    if let Some(key) = layout.derived.lsm.clone() {
+        // A render absorbs every known tuple into the base, so the tier
+        // starts empty; appends fill it from here on.
+        layout.lsm = Some(crate::lsm::LsmState::with_params(
+            key,
+            options.lsm_memtable_cap,
+            options.lsm_fanout,
+        ));
+    }
+    Ok(layout)
+}
+
+/// Builds the layout `derived` describes over `records`, which have
+/// already been through the record pipeline: the empty objects of its
+/// shape, the rows placed into them (or folded), and the declared index.
+/// It carries no lsm tier; [`render`] attaches one, and an lsm run is
+/// exactly such a layout over its rows.
+pub(crate) fn build(
+    name: String,
+    expr: LayoutExpr,
+    derived: DerivedLayout,
+    records: Vec<Record>,
+    pager: Arc<Pager>,
+) -> Result<PhysicalLayout> {
     let shape = Shape::of(&derived);
     let mut objects = empty_objects(&name, &derived, &pager);
     if let (Shape::Folded, Some((key, values))) = (shape, &derived.folded) {
@@ -221,15 +246,7 @@ pub fn render<P: TableProvider + ?Sized>(
     }
     let schema = derived.schema.clone();
     let row_count = records.len();
-    let mut layout = PhysicalLayout::new(
-        name,
-        expr.clone(),
-        schema,
-        derived,
-        objects,
-        row_count,
-        pager,
-    );
+    let mut layout = PhysicalLayout::new(name, expr, schema, derived, objects, row_count, pager);
     if shape != Shape::Folded {
         place(&mut layout, records)?.ok_or_else(|| {
             LayoutError::Corrupted(format!("`{}` objects do not fit its shape", layout.name))
@@ -237,15 +254,6 @@ pub fn render<P: TableProvider + ?Sized>(
     }
     if let Some(fields) = layout.derived.index.clone() {
         layout.index = Some(crate::index::build_index(&layout, &fields)?);
-    }
-    if let Some(key) = layout.derived.lsm.clone() {
-        // A render absorbs every known tuple into the base, so the tier
-        // starts empty; appends fill it from here on.
-        layout.lsm = Some(crate::lsm::LsmState::with_params(
-            key,
-            options.lsm_memtable_cap,
-            options.lsm_fanout,
-        ));
     }
     Ok(layout)
 }
@@ -256,14 +264,13 @@ pub fn render<P: TableProvider + ?Sized>(
 /// re-reading the heap.
 pub(crate) type Placed = Vec<(usize, RecordId, Record)>;
 
-fn landed(
-    obj: usize,
-    ids: Vec<RecordId>,
-    rows: Vec<Record>,
-) -> impl Iterator<Item = (usize, RecordId, Record)> {
-    ids.into_iter()
-        .zip(rows)
-        .map(move |(rid, row)| (obj, rid, row))
+/// Where `rows` landed in object `obj`: nothing unless the layout holds an
+/// index to maintain, the one reader of [`Placed`].
+fn landed(layout: &PhysicalLayout, obj: usize, ids: Vec<RecordId>, rows: Vec<Record>) -> Placed {
+    if layout.index.is_none() {
+        return Placed::new();
+    }
+    ids.into_iter().zip(rows).map(|(rid, row)| (obj, rid, row)).collect()
 }
 
 /// Writes materialized rows into `layout`'s objects: the one writer of
@@ -298,7 +305,7 @@ pub(crate) fn place(
                 && layout.objects[0].fields == layout.schema.field_names() =>
         {
             let ids = layout.object_mut(0)?.write_rows(&rows)?;
-            (1, landed(0, ids, rows).collect())
+            (1, landed(layout, 0, ids, rows))
         }
         Shape::Single | Shape::Folded => return Ok(None),
     }))
@@ -348,7 +355,7 @@ fn place_buckets<K>(
             }
         };
         let ids = layout.object_mut(i)?.write_rows(&rows)?;
-        placed.extend(landed(i, ids, rows));
+        placed.extend(landed(layout, i, ids, rows));
     }
     Ok((touched, placed))
 }

@@ -611,6 +611,78 @@ mod tests {
         assert_eq!(decode_record(&bytes).unwrap(), record);
     }
 
+    /// Records are read from disk, so a damaged one must be an error or a
+    /// record of exactly the arity its header declares — never a panic.
+    /// Seeded mutations of records holding every value type: every
+    /// truncation, every single-bit flip, and random multi-bit flips.
+    #[test]
+    fn mutated_records_error_or_decode_their_declared_arity() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let records: Vec<Record> = vec![
+            vec![
+                Value::Int(-42),
+                Value::Float(3.25),
+                Value::Bool(true),
+                Value::Str("boston".into()),
+                Value::Timestamp(1_700_000_000),
+                Value::Null,
+                Value::List(vec![Value::Int(1), Value::Str("x".into())]),
+            ],
+            vec![
+                Value::Str("é".repeat(40)),
+                Value::List(vec![Value::List(vec![Value::Float(f64::NAN), Value::Null])]),
+                Value::Int(i64::MIN),
+            ],
+            (0..150).map(Value::Int).collect(),
+        ];
+        // splitmix64, seeded: no dependency, same stream on every run.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut decoded = 0usize;
+        let mut checked = 0usize;
+        for record in &records {
+            let encoded = encode_record(record);
+            let mut check = |bytes: &[u8], mutation: &str| {
+                checked += 1;
+                match catch_unwind(AssertUnwindSafe(|| decode_record(bytes))) {
+                    Ok(Ok(row)) => {
+                        decoded += 1;
+                        let arity = read_varint(bytes, &mut 0).unwrap() as usize;
+                        assert_eq!(row.len(), arity, "{mutation} of {record:?}");
+                    }
+                    Ok(Err(_)) => {}
+                    Err(_) => panic!("decode panicked on {mutation} of {record:?}"),
+                }
+            };
+            for cut in 0..encoded.len() {
+                check(&encoded[..cut], &format!("truncation to {cut} bytes"));
+            }
+            for at in 0..encoded.len() {
+                for bit in 0..8 {
+                    let mut bytes = encoded.clone();
+                    bytes[at] ^= 1 << bit;
+                    check(&bytes, &format!("bit {bit} of byte {at} flipped"));
+                }
+            }
+            for _ in 0..2_000 {
+                let mut bytes = encoded.clone();
+                for _ in 0..=next() % 3 {
+                    let at = (next() % bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << (next() % 8);
+                }
+                check(&bytes, "random bit flips");
+            }
+        }
+        assert!(checked > 10_000 && decoded > records.len(), "{decoded} of {checked}");
+    }
+
     #[test]
     fn empty_record_and_empty_string() {
         assert_eq!(decode_record(&encode_record(&vec![])).unwrap(), vec![]);

@@ -16,9 +16,10 @@
 //!   are skipped over byte-wise (the self-describing row encoding carries
 //!   lengths) and unneeded column blocks are never run through their codec;
 //! * one borrowed loop serves every stored source alike — row pages (all
-//!   their slots, or only the slots an index probe names), column chunks
+//!   their slots, or only the slots an index probe names) and column chunks
 //!   (all of them, or only those whose fences meet the predicate's ranges),
-//!   and the sealed runs of an `lsm[...]` tier: a row is a slice of
+//!   whether they belong to the base or to a sealed run of an `lsm[...]`
+//!   tier, which is the inner layout over its rows: a row is a slice of
 //!   [`FieldRef`]s — decoded out of a page frame, or read off the typed
 //!   vectors of a decoded chunk — the predicate runs on the refs, and only
 //!   survivors are folded or materialized (for column chunks the predicate's
@@ -41,7 +42,6 @@
 
 use crate::aggregate::{WindowAccumulator, WindowedAggregate};
 use crate::index::unpack_pos;
-use crate::lsm::LsmRun;
 use crate::plan::{
     extract_ranges, split_folded, stitch_folded_row, ChunkReader, ObjectEncoding, PhysicalLayout,
     StoredObject,
@@ -54,7 +54,6 @@ use rodentstore_algebra::comprehension::{interleave_bits, CmpOp, Condition, Elem
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_algebra::AlgebraError;
 use rodentstore_compress::ColumnData;
-use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::page::PageId;
 use rodentstore_storage::slotted::SlottedReader;
 use std::borrow::Cow;
@@ -369,26 +368,37 @@ fn recycle<T, U>(mut scratch: Vec<T>) -> Vec<U> {
     scratch.into_iter().map(|_| unreachable!()).collect()
 }
 
-/// What one cursor reads: a group of base objects (one object, or the
-/// column groups of a vertical partition read together), named by their
-/// indices in the layout, or a sealed lsm run.
-#[derive(Clone, Copy)]
-enum Source<'a, 'g> {
-    Group(&'g [usize]),
-    Run(&'a LsmRun),
+/// How a row-page cursor with no predicate in its loop decodes a record
+/// straight to its output row.
+enum Straight {
+    /// The fixed-offset plan's offsets of the output fields, in output
+    /// order.
+    Offsets(Vec<u32>),
+    /// Every field in record order, as the owned record decoder yields it:
+    /// a full scan of records whose variable-width fields rule out a plan.
+    Whole,
 }
 
-impl<'a> Source<'a, '_> {
-    /// The heap the cursor reads pages from (a group's first object's), the
-    /// name errors report, and the source's row count.
-    fn heap(self, layout: &'a PhysicalLayout) -> (&'a HeapFile, &'a str, usize) {
-        match self {
-            Source::Group(group) => {
-                let head = &*layout.objects[group[0]];
-                (&head.heap, head.name.as_str(), head.row_count)
-            }
-            Source::Run(run) => (&run.heap, run.heap.name(), run.row_count),
-        }
+/// What one cursor reads: objects of one layout — the base, or an lsm run,
+/// which is the inner layout over its rows — named by their indices in it:
+/// one object, or the column groups of a vertical partition read together.
+#[derive(Clone, Copy)]
+struct Source<'a, 'g> {
+    layout: &'a PhysicalLayout,
+    group: &'g [usize],
+}
+
+impl<'a: 'g, 'g> Source<'a, 'g> {
+    /// The objects the cursor reads, in order.
+    fn objects(self) -> impl Iterator<Item = &'a StoredObject> + Clone + 'g {
+        let layout = self.layout;
+        self.group.iter().map(move |&i| &*layout.objects[i])
+    }
+
+    /// The group's first object: the cursor reads its heap's pages, errors
+    /// name it, and its row count is the source's.
+    fn head(self) -> &'a StoredObject {
+        &self.layout.objects[self.group[0]]
     }
 }
 
@@ -416,8 +426,8 @@ fn windows<'r>(
 }
 
 /// Streams the decoded rows of one stored object — or, for a vertical
-/// partition, of the objects a scan needs, advancing together; or of one
-/// sealed lsm run, which is row pages like any row-encoded object.
+/// partition, of the objects a scan needs, advancing together — of the
+/// base or of an lsm run alike.
 ///
 /// The hot loop is the same whatever the source: a row is presented as
 /// borrowed [`FieldRef`]s, the predicate runs on the refs, and a survivor is
@@ -440,10 +450,9 @@ fn windows<'r>(
 /// object of that shape is an [`ObjectCursor::reset`], which keeps the
 /// decode buffers, the frame list and the scratch vectors.
 struct ObjectCursor<'a> {
-    /// The heap holding the pages the cursor reads (a column group's first
-    /// object's), and the name errors report.
-    heap: &'a HeapFile,
-    name: &'a str,
+    /// The source's first object: the cursor reads its heap's pages, errors
+    /// name it, and its row count is the source's.
+    head: &'a StoredObject,
     pages: Vec<PageId>,
     /// The ascending slots to visit on each page of `pages` when an index
     /// probe restricts the cursor; empty when every slot is read.
@@ -459,10 +468,9 @@ struct ObjectCursor<'a> {
     sel: Vec<u32>,
     /// The ascending `[start, end)` row ranges the cursor delivers — the
     /// whole source, unless chunk fences or a positional get narrowed them
-    /// — the one being delivered, and the source's row count.
+    /// — and the one being delivered.
     ranges: Vec<(usize, usize)>,
     range: usize,
-    total: usize,
     /// When set, matching rows are folded here instead of entering `buf`.
     fold: Option<CursorFold>,
 
@@ -485,10 +493,9 @@ struct ObjectCursor<'a> {
     /// Fixed-offset decode plan compiled from the object's schema templates;
     /// records matching the expected shape skip the generic varint walk.
     fast: Option<FixedRowPlan>,
-    /// With no predicate in the loop: the plan's offsets of the output
-    /// fields, in output order, so a record not folded decodes straight to
-    /// its output row.
-    straight: Option<Vec<u32>>,
+    /// With no predicate in the loop: how a record not folded decodes
+    /// straight to its output row.
+    straight: Option<Straight>,
 
     /// Reusable staging vector for the row-at-a-time refill (the bulk drain
     /// writes past it, straight into the caller's output).
@@ -501,20 +508,14 @@ struct ObjectCursor<'a> {
 }
 
 impl<'a> ObjectCursor<'a> {
-    /// Compiles a cursor for objects shaped like `group` — one object, or
-    /// the column-block objects of a vertical partition; none for an lsm
-    /// run, which is row pages — reading the positions marked in `needed`
-    /// (which, like `templates`, runs over the objects' fields
-    /// concatenated), and points it at `source`. It yields every compact
-    /// position of every row until a predicate and projection are set.
-    fn new(
-        layout: &'a PhysicalLayout,
-        source: Source<'a, '_>,
-        group: &[&'a StoredObject],
-        needed: &[bool],
-        templates: Vec<Value>,
-    ) -> Result<Self> {
-        let encoding = group.first().map_or(&ObjectEncoding::Rows, |o| &o.encoding);
+    /// Compiles a cursor for objects shaped like `source`'s — one object,
+    /// or the column-block objects of a vertical partition — reading the
+    /// positions marked in `needed` (which, like `templates`, runs over the
+    /// objects' fields concatenated), and points it at `source`. It yields
+    /// every compact position of every row until a predicate and
+    /// projection are set.
+    fn new(source: Source<'a, '_>, needed: &[bool], templates: Vec<Value>) -> Result<Self> {
+        let encoding = &source.head().encoding;
         let columnar = matches!(encoding, ObjectEncoding::ColumnBlocks { .. });
         let folded = match encoding {
             ObjectEncoding::Folded { key_fields } => Some(*key_fields),
@@ -534,7 +535,7 @@ impl<'a> ObjectCursor<'a> {
         let mut slots = Vec::new();
         if columnar {
             let mut base = 0usize;
-            for (r, o) in group.iter().enumerate() {
+            for (r, o) in source.objects().enumerate() {
                 if !matches!(o.encoding, ObjectEncoding::ColumnBlocks { .. }) {
                     return Err(LayoutError::Corrupted(format!(
                         "object `{}` of a vertical partition is not column-encoded",
@@ -553,11 +554,9 @@ impl<'a> ObjectCursor<'a> {
         } else {
             FixedRowPlan::compile(&templates, &compact)
         };
-        let (heap, name, _) = source.heap(layout);
         let out = (0..compact.len()).collect();
         let mut cursor = ObjectCursor {
-            heap,
-            name,
+            head: source.head(),
             pages: Vec::new(),
             picked: Vec::new(),
             next_page: 0,
@@ -567,7 +566,6 @@ impl<'a> ObjectCursor<'a> {
             sel: Vec::new(),
             ranges: Vec::new(),
             range: 0,
-            total: 0,
             fold: None,
             folded,
             templates: compact.iter().map(|&p| templates[p].clone()).collect(),
@@ -583,33 +581,31 @@ impl<'a> ObjectCursor<'a> {
             views: Vec::new(),
             residual: Vec::new(),
         };
-        cursor.reset(layout, source)?;
+        cursor.reset(source)?;
         Ok(cursor)
     }
 
     /// Points the cursor at the first row of `source`, an object group of
-    /// the shape it was compiled for or an lsm run: fetches its page lists
-    /// and clears the position, keeping every buffer.
-    fn reset(&mut self, layout: &'a PhysicalLayout, source: Source<'a, '_>) -> Result<()> {
-        let (heap, name, total) = source.heap(layout);
-        if let Source::Group(group) = source {
-            let members = group.iter().map(|&i| &*layout.objects[i]);
-            if let Some(o) = members.clone().find(|o| o.row_count != total) {
-                return Err(LayoutError::Corrupted(format!(
-                    "object `{}` of the partition around `{name}` holds {} rows, its siblings \
-                     {total}",
-                    o.name, o.row_count
-                )));
-            }
-            for (reader, obj) in self.readers.iter_mut().zip(members) {
-                reader.reset(obj)?;
-            }
+    /// the shape it was compiled for: fetches its page lists and clears the
+    /// position, keeping every buffer.
+    fn reset(&mut self, source: Source<'a, '_>) -> Result<()> {
+        let head = source.head();
+        let (name, total) = (head.name.as_str(), head.row_count);
+        let members = source.objects();
+        if let Some(o) = members.clone().find(|o| o.row_count != total) {
+            return Err(LayoutError::Corrupted(format!(
+                "object `{}` of the partition around `{name}` holds {} rows, its siblings \
+                 {total}",
+                o.name, o.row_count
+            )));
         }
-        self.heap = heap;
-        self.name = name;
+        for (reader, obj) in self.readers.iter_mut().zip(members) {
+            reader.reset(obj)?;
+        }
+        self.head = head;
         self.pages.clear();
         if self.readers.is_empty() {
-            self.pages = heap.page_ids()?;
+            self.pages = head.heap.page_ids()?;
         }
         self.picked.clear();
         self.next_page = 0;
@@ -618,7 +614,6 @@ impl<'a> ObjectCursor<'a> {
         self.ranges.clear();
         self.ranges.push((0, total));
         self.range = 0;
-        self.total = total;
         Ok(())
     }
 
@@ -633,7 +628,7 @@ impl<'a> ObjectCursor<'a> {
             let &page = pages.get(*ordinal).ok_or_else(|| {
                 LayoutError::Corrupted(format!(
                     "index references page ordinal {ordinal} beyond object `{}`",
-                    self.name
+                    self.head.name
                 ))
             })?;
             self.pages.push(page);
@@ -715,14 +710,14 @@ impl<'a> ObjectCursor<'a> {
     /// ranges is stitched into an owned row that the predicate tests in
     /// place, and a survivor is folded or projected.
     fn step_folded(&mut self, ix: usize, key_fields: usize, sink: &mut Vec<Record>) -> Result<()> {
-        let frame = self.heap.pager().read_frame(self.pages[ix])?;
+        let frame = self.head.heap.pager().read_frame(self.pages[ix])?;
         let reader = SlottedReader::over(frame.data(), frame.id());
         for slot in 0..reader.slot_count() {
             if self.range == self.ranges.len() {
                 break;
             }
             let folded = decode_record(reader.get(slot)?)?;
-            let (key, nested) = split_folded(&folded, key_fields, self.name)?;
+            let (key, nested) = split_folded(&folded, key_fields, &self.head.name)?;
             let base = self.row;
             self.row += nested.len();
             for window in windows(&self.ranges, &mut self.range, base, self.row) {
@@ -749,7 +744,7 @@ impl<'a> ObjectCursor<'a> {
     /// fixed-offset plan when the record matches the compiled shape, the
     /// generic varint walk otherwise.
     fn step_rows(&mut self, ix: usize, sink: &mut Vec<Record>) -> Result<()> {
-        let frame = self.heap.pager().read_frame(self.pages[ix])?;
+        let frame = self.head.heap.pager().read_frame(self.pages[ix])?;
         let reader = SlottedReader::over(frame.data(), frame.id());
         let picked = self.picked.get(ix).map(Vec::as_slice);
         let count = picked.map_or(reader.slot_count(), <[usize]>::len);
@@ -761,9 +756,9 @@ impl<'a> ObjectCursor<'a> {
         // values at their fixed offsets in output order, with no borrowed
         // intermediate at all.
         let straight = match (&self.straight, &self.fold) {
-            (Some(offsets), None) => {
+            (Some(straight), None) => {
                 sink.reserve(count);
-                Some(offsets.as_slice())
+                Some(straight)
             }
             _ => None,
         };
@@ -772,11 +767,18 @@ impl<'a> ObjectCursor<'a> {
         for window in windows(&self.ranges, &mut self.range, base, self.row) {
             for k in window {
                 let bytes = reader.get(picked.map_or(k, |slots| slots[k]))?;
-                if let (Some(plan), Some(offsets)) = (plan, straight) {
-                    if let Some(row) = plan.decode_owned(bytes, offsets)? {
-                        sink.push(row);
-                        continue;
+                let row = match (straight, plan) {
+                    (Some(Straight::Offsets(offsets)), Some(plan)) => {
+                        plan.decode_owned(bytes, offsets)?
                     }
+                    // A record of another arity takes the generic walk.
+                    (Some(Straight::Whole), _) => Some(decode_record(bytes)?)
+                        .filter(|row| row.len() == self.compact.len()),
+                    _ => None,
+                };
+                if let Some(row) = row {
+                    sink.push(row);
+                    continue;
                 }
                 let fast = match plan {
                     Some(p) => p.decode_borrowed(bytes, &mut refs)?,
@@ -834,7 +836,7 @@ impl<'a> ObjectCursor<'a> {
             return Err(LayoutError::Corrupted(format!(
                 "objects of the partition around `{}` disagree on the row count: {live} of {} \
                  hold row {}",
-                self.name,
+                self.head.name,
                 self.readers.len(),
                 self.row
             )));
@@ -978,10 +980,10 @@ impl<'a> ObjectCursor<'a> {
     /// last row makes sure no object holds a chunk past it.
     fn close_columns(&mut self) -> Result<bool> {
         for reader in &mut self.readers {
-            if self.row == self.total && reader.seek(self.row)? {
+            if self.row == self.head.row_count && reader.seek(self.row)? {
                 return Err(LayoutError::Corrupted(format!(
                     "object `{}` holds rows past its row count {}",
-                    self.name, self.total
+                    self.head.name, self.head.row_count
                 )));
             }
             reader.close();
@@ -997,7 +999,7 @@ impl<'a> ObjectCursor<'a> {
     fn record_jumps(&mut self) {
         let pruned: usize = self.readers.iter_mut().map(ChunkReader::take_jumped).sum();
         if pruned > 0 {
-            self.heap.pager().record_pruned(pruned as u64);
+            self.head.heap.pager().record_pruned(pruned as u64);
         }
     }
 }
@@ -1005,10 +1007,9 @@ impl<'a> ObjectCursor<'a> {
 /// One read plan, compiled once per scan for each distinct object shape:
 /// the cursor, with the positions it decodes and the predicate and
 /// projection compiled against its compact field order. Every cell of a
-/// grid — every run of an lsm tier — shares one.
+/// grid shares one, and so does every source of that shape in an lsm run.
 struct ObjectState<'a> {
-    /// The objects the plan was compiled for; empty for an lsm run, whose
-    /// rows are full-width in the layout schema's order.
+    /// The objects the plan was compiled for.
     shape: Vec<&'a StoredObject>,
     cursor: ObjectCursor<'a>,
 }
@@ -1021,52 +1022,29 @@ fn same_shape(a: &StoredObject, b: &StoredObject) -> bool {
 
 impl<'a> ObjectState<'a> {
     /// Whether the plan reads `source`.
-    fn fits(&self, layout: &PhysicalLayout, source: Source<'_, '_>) -> bool {
-        match source {
-            Source::Group(group) => {
-                group.len() == self.shape.len()
-                    && group
-                        .iter()
-                        .zip(&self.shape)
-                        .all(|(&i, obj)| same_shape(&layout.objects[i], obj))
-            }
-            Source::Run(_) => self.shape.is_empty(),
-        }
+    fn fits(&self, source: Source<'_, '_>) -> bool {
+        source.group.len() == self.shape.len()
+            && source
+                .objects()
+                .zip(&self.shape)
+                .all(|(obj, shape)| same_shape(obj, shape))
     }
 
     /// Compiles the read plan of `source`'s shape for a scan yielding
     /// `out_fields` of the rows matching `predicate`, with its cursor
     /// pointed at `source`.
     fn compile(
-        layout: &'a PhysicalLayout,
         source: Source<'a, '_>,
         out_fields: &[String],
         predicate: Option<&Condition>,
     ) -> Result<ObjectState<'a>> {
-        let (shape, fields): (Vec<&'a StoredObject>, Vec<&str>) = match source {
-            Source::Group(group) => {
-                let objs: Vec<&'a StoredObject> =
-                    group.iter().map(|&i| &*layout.objects[i]).collect();
-                // A group reads as one object holding its members' fields in
-                // order.
-                let fields = objs
-                    .iter()
-                    .flat_map(|o| o.fields.iter().map(String::as_str))
-                    .collect();
-                (objs, fields)
-            }
-            // A run holds full-width rows in the layout schema's order.
-            Source::Run(_) => (
-                Vec::new(),
-                layout
-                    .schema
-                    .fields()
-                    .iter()
-                    .map(|f| f.name.as_str())
-                    .collect(),
-            ),
-        };
-        let (_, name, _) = source.heap(layout);
+        let shape: Vec<&'a StoredObject> = source.objects().collect();
+        // A group reads as one object holding its members' fields in order.
+        let fields: Vec<&str> = shape
+            .iter()
+            .flat_map(|o| o.fields.iter().map(String::as_str))
+            .collect();
+        let name = source.head().name.as_str();
         // Everything the scan touches — output fields plus predicate fields —
         // must be decoded; nothing else is.
         let pred_fields = predicate.map(Condition::referenced_fields);
@@ -1074,8 +1052,8 @@ impl<'a> ObjectState<'a> {
         for f in out_fields.iter().chain(pred_fields.iter().flatten()) {
             needed[resolve(f, &fields, name)?] = true;
         }
-        let templates = layout.templates_for(&fields);
-        let mut cursor = ObjectCursor::new(layout, source, &shape, &needed, templates)?;
+        let templates = source.layout.templates_for(&fields);
+        let mut cursor = ObjectCursor::new(source, &needed, templates)?;
         // The cursor decodes compact rows; rebind names to compact positions.
         let compact_names: Vec<&str> = cursor.compact.iter().map(|&p| fields[p]).collect();
         let compact = |f: &String| resolve(f, &compact_names, name);
@@ -1089,11 +1067,18 @@ impl<'a> ObjectState<'a> {
                 .collect::<Result<_>>()?;
         } else {
             // No predicate: the fixed-offset plan decodes each record
-            // straight to its output row.
-            cursor.straight = cursor
-                .fast
-                .as_ref()
-                .map(|plan| cursor.out.iter().map(|&i| plan.offsets()[i]).collect());
+            // straight to its output row, and so does the owned record
+            // decoder when the row is the whole record in order.
+            let whole = cursor.out.iter().copied().eq(0..fields.len());
+            cursor.straight = match &cursor.fast {
+                Some(plan) => Some(Straight::Offsets(
+                    cursor.out.iter().map(|&i| plan.offsets()[i]).collect(),
+                )),
+                None if whole && cursor.readers.is_empty() && cursor.folded.is_none() => {
+                    Some(Straight::Whole)
+                }
+                None => None,
+            };
         }
         Ok(ObjectState { shape, cursor })
     }
@@ -1208,52 +1193,58 @@ impl<'a, I: Iterator<Item = &'a Record>> Iterator for RowTail<I> {
     }
 }
 
-/// What a scan reads, decided once before its first page: the base objects
-/// and the cursors that read them (see [`PhysicalLayout::cursor_groups`]) —
-/// under an index probe, each object holding a candidate row on its own,
-/// restricted to the pages and slots holding candidates — the rows each
-/// cursor's chunk fences let through, and the lsm runs the predicate does
-/// not prune. The predicate's ranges are extracted once, here, for all of
-/// them; [`ScanPlan::predicted_pages`] counts what the plan reads.
+/// What a scan reads, decided once before its first page: the base, then
+/// each lsm run the key bounds do not prune, in the tier's scan order
+/// (deepest level first, oldest first within a level) — every one planned
+/// the same way, as one part. The predicate's ranges are extracted once,
+/// here, for all of them; [`ScanPlan::predicted_pages`] counts what the
+/// plan reads.
 pub struct ScanPlan<'a> {
     layout: &'a PhysicalLayout,
     predicate: Option<Condition>,
     ranges: HashMap<String, (f64, f64)>,
-    /// Base objects in read order, and whether one cursor reads them all (a
+    /// The base's part first, then one per unpruned run.
+    parts: Vec<Part<'a>>,
+}
+
+/// What a scan reads of one layout — the base or an lsm run: its objects
+/// and the cursors that read them (see [`PhysicalLayout::cursor_objects`]) —
+/// under an index probe, each object holding a candidate row on its own,
+/// restricted to the pages and slots holding candidates — and the rows each
+/// cursor's chunk fences let through.
+struct Part<'a> {
+    layout: &'a PhysicalLayout,
+    /// Objects in read order, and whether one cursor reads them all (a
     /// vertical partition) instead of one cursor each.
     objects: Vec<usize>,
     together: bool,
-    /// Per base cursor, the row ranges its chunk fences let through (`None`
-    /// or missing: every row).
+    /// Per cursor, the row ranges its chunk fences let through (`None` or
+    /// missing: every row).
     fences: Vec<Option<Vec<(usize, usize)>>>,
-    /// Set when the declared index covers the predicate: per base cursor,
-    /// the batches it is restricted to.
+    /// Set when the declared index covers the predicate: per cursor, the
+    /// batches it is restricted to.
     probe: Option<Vec<Batches>>,
-    /// Levelled-tier runs the predicate does not prune, in the tier's scan
-    /// order (deepest level first, oldest first within a level); each is
-    /// read by a cursor once the base is exhausted.
-    lsm_runs: Vec<usize>,
 }
 
-impl<'a> ScanPlan<'a> {
-    /// Plans a scan of `fields` (all when `None`) under `predicate`, probing
-    /// the declared index when `use_index` is set and the index covers the
-    /// predicate.
-    pub(crate) fn new(
+impl<'a> Part<'a> {
+    /// Plans the read of `layout`'s objects for a scan of `fields` under
+    /// `predicate`, whose ranges are `ranges`, probing the declared index
+    /// when `use_index` is set and the index covers the predicate.
+    fn new(
         layout: &'a PhysicalLayout,
         fields: Option<&[String]>,
         predicate: Option<&Condition>,
+        ranges: &HashMap<String, (f64, f64)>,
         use_index: bool,
-    ) -> Result<ScanPlan<'a>> {
-        let ranges = predicate.map(extract_ranges).unwrap_or_default();
+    ) -> Result<Part<'a>> {
         let mut probe = None;
         let (objects, together) = match (&layout.index, predicate) {
-            (Some(idx), Some(_)) if use_index && idx.covers(&ranges) => {
-                let (objects, batches) = group_positions(&idx.probe(&ranges)?).into_iter().unzip();
+            (Some(idx), Some(_)) if use_index && idx.covers(ranges) => {
+                let (objects, batches) = group_positions(&idx.probe(ranges)?).into_iter().unzip();
                 probe = Some(batches);
                 (objects, false)
             }
-            _ => layout.cursor_objects(fields, predicate, &ranges),
+            _ => layout.cursor_objects(fields, predicate, ranges),
         };
         if let Some(&obj) = objects.iter().find(|&&o| o >= layout.objects.len()) {
             return Err(LayoutError::Corrupted(format!(
@@ -1262,41 +1253,28 @@ impl<'a> ScanPlan<'a> {
                 layout.name
             )));
         }
-        let lsm_runs = match &layout.lsm {
-            Some(lsm) => lsm
-                .runs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.may_match(&lsm.key, &ranges))
-                .map(|(i, _)| i)
-                .collect(),
-            None => Vec::new(),
-        };
-        let mut plan = ScanPlan {
+        let mut part = Part {
             layout,
-            predicate: predicate.cloned(),
-            ranges,
             objects,
             together,
             fences: Vec::new(),
             probe,
-            lsm_runs,
         };
         // Only objects with a chunk directory are fenced, and only by ranges.
-        let fenced = plan
+        let fenced = part
             .objects
             .iter()
             .any(|&i| layout.objects[i].chunks.is_some());
-        if fenced && !plan.ranges.is_empty() {
-            plan.fences = (0..plan.base_cursors())
-                .map(|n| layout.fenced_rows(plan.group(n), &plan.ranges))
+        if fenced && !ranges.is_empty() {
+            part.fences = (0..part.cursors())
+                .map(|n| layout.fenced_rows(part.group(n), ranges))
                 .collect();
         }
-        Ok(plan)
+        Ok(part)
     }
 
-    /// How many cursors read the base objects.
-    fn base_cursors(&self) -> usize {
+    /// How many cursors read the part.
+    fn cursors(&self) -> usize {
         if self.together {
             1
         } else {
@@ -1304,7 +1282,7 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// The objects the `n`-th base cursor reads.
+    /// The objects the `n`-th cursor reads.
     fn group(&self, n: usize) -> &[usize] {
         if self.together {
             &self.objects
@@ -1313,40 +1291,18 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// What the `n`-th cursor of the scan reads: the base groups first, then
-    /// one lsm run each. `None` past the last.
-    fn source(&self, n: usize) -> Option<Source<'a, '_>> {
-        if n < self.base_cursors() {
-            return Some(Source::Group(self.group(n)));
-        }
-        let lsm = self.layout.lsm.as_ref()?;
-        let &run = self.lsm_runs.get(n - self.base_cursors())?;
-        Some(Source::Run(&lsm.runs[run]))
-    }
-
-    /// The pages the plan reads — what
-    /// [`PhysicalLayout::estimate_scan_pages`] reports: under an index
-    /// probe, the tree pages the probe visits (counted again here, which
-    /// reads them) plus one per candidate heap page; otherwise each base
-    /// cursor's pages, only those of the chunks its fences let through for
-    /// an object with a chunk directory; plus the pages of every lsm run the
-    /// predicate does not prune (the memtable is in memory).
-    pub fn predicted_pages(&self) -> Result<u64> {
+    /// The pages the part reads: under an index probe, the tree pages the
+    /// probe visits (counted again here, which reads them) plus one per
+    /// candidate heap page; otherwise each cursor's pages, only those of the
+    /// chunks its fences let through for an object with a chunk directory.
+    fn predicted_pages(&self, ranges: &HashMap<String, (f64, f64)>) -> Result<u64> {
         let layout = self.layout;
-        let runs: u64 = match &layout.lsm {
-            Some(lsm) => self
-                .lsm_runs
-                .iter()
-                .map(|&r| lsm.runs[r].heap.page_count() as u64)
-                .sum(),
-            None => 0,
-        };
-        let base = match (&self.probe, &layout.index) {
+        Ok(match (&self.probe, &layout.index) {
             (Some(batches), Some(idx)) => {
                 let heap_pages: usize = batches.iter().map(Vec::len).sum();
-                (idx.probe_node_pages(&self.ranges)? + heap_pages) as u64
+                (idx.probe_node_pages(ranges)? + heap_pages) as u64
             }
-            _ => (0..self.base_cursors())
+            _ => (0..self.cursors())
                 .map(|n| {
                     let fence = self.fences.get(n).and_then(Option::as_deref);
                     self.group(n)
@@ -1362,8 +1318,56 @@ impl<'a> ScanPlan<'a> {
                         .sum::<u64>()
                 })
                 .sum(),
-        };
-        Ok(base + runs)
+        })
+    }
+}
+
+impl<'a> ScanPlan<'a> {
+    /// Plans a scan of `fields` (all when `None`) under `predicate`, probing
+    /// each declared index when `use_index` is set and the index covers the
+    /// predicate.
+    pub(crate) fn new(
+        layout: &'a PhysicalLayout,
+        fields: Option<&[String]>,
+        predicate: Option<&Condition>,
+        use_index: bool,
+    ) -> Result<ScanPlan<'a>> {
+        let ranges = predicate.map(extract_ranges).unwrap_or_default();
+        let mut parts = vec![Part::new(layout, fields, predicate, &ranges, use_index)?];
+        if let Some(lsm) = &layout.lsm {
+            for run in lsm.runs.iter().filter(|r| r.may_match(&lsm.key, &ranges)) {
+                parts.push(Part::new(&run.layout, fields, predicate, &ranges, use_index)?);
+            }
+        }
+        Ok(ScanPlan {
+            layout,
+            predicate: predicate.cloned(),
+            ranges,
+            parts,
+        })
+    }
+
+    /// The part holding the scan's `n`-th cursor, the cursor's ordinal
+    /// within it, and what it reads. `None` past the last.
+    fn cursor_at(&self, mut n: usize) -> Option<(&Part<'a>, usize, Source<'a, '_>)> {
+        for part in &self.parts {
+            if n < part.cursors() {
+                let group = part.group(n);
+                return Some((part, n, Source { layout: part.layout, group }));
+            }
+            n -= part.cursors();
+        }
+        None
+    }
+
+    /// The pages the plan reads — what
+    /// [`PhysicalLayout::estimate_scan_pages`] reports: the pages of every
+    /// part (the base and each unpruned run); the memtable is in memory.
+    pub fn predicted_pages(&self) -> Result<u64> {
+        self.parts
+            .iter()
+            .map(|part| part.predicted_pages(&self.ranges))
+            .sum()
     }
 
     /// The row at `position` of an unpredicated plan's scan, projected to
@@ -1373,20 +1377,22 @@ impl<'a> ScanPlan<'a> {
     /// drains that one row. A position in the memtable is a one-row
     /// [`RowTail`].
     pub(crate) fn element(&self, position: usize, out_fields: &[String]) -> Result<Record> {
-        debug_assert!(self.predicate.is_none() && self.probe.is_none());
+        debug_assert!(self.predicate.is_none());
         let layout = self.layout;
         let mut local = position;
         let mut n = 0;
-        while let Some(source) = self.source(n) {
-            let (_, name, rows) = source.heap(layout);
+        while let Some((_, _, source)) = self.cursor_at(n) {
+            let head = source.head();
+            let rows = head.row_count;
             if local < rows {
-                let mut state = ObjectState::compile(layout, source, out_fields, None)?;
+                let mut state = ObjectState::compile(source, out_fields, None)?;
                 state.cursor.restrict(&[(local, local + 1)]);
                 let mut row = Vec::with_capacity(1);
                 state.cursor.drain_into(&mut row)?;
                 return row.pop().ok_or_else(|| {
                     LayoutError::Corrupted(format!(
-                        "`{name}` holds fewer than the {rows} rows it counts: no row {local}"
+                        "`{}` holds fewer than the {rows} rows it counts: no row {local}",
+                        head.name
                     ))
                 });
             }
@@ -1413,14 +1419,15 @@ impl<'a> ScanPlan<'a> {
 /// already-projected records in storage order, decoding pages on demand.
 ///
 /// Every source streams through one cursor loop, one source at a time, in
-/// the order its [`ScanPlan`] lists them: the selected objects of the base
-/// (a vertically partitioned layout is one cursor over the objects the scan
-/// needs, their column chunks advancing in lock-step by row position; an
-/// index probe restricts each object's cursor to the pages and slots
-/// holding candidates), then the non-pruned runs of an `lsm[...]` tier. The
-/// tier's memtable is read last, as a [`RowTail`]. A read plan is compiled
-/// once per distinct object shape, and every later source of that shape
-/// resets its cursor instead of compiling another.
+/// the order its [`ScanPlan`] lists them: the selected objects of the base,
+/// then those of each non-pruned run of an `lsm[...]` tier (a vertically
+/// partitioned layout is one cursor over the objects the scan needs, their
+/// column chunks advancing in lock-step by row position; an index probe
+/// restricts each object's cursor to the pages and slots holding
+/// candidates). The tier's memtable is read last, as a [`RowTail`]. A read
+/// plan is compiled once per distinct object shape, and every later source
+/// of that shape — in the base or in a run — resets its cursor instead of
+/// compiling another.
 pub struct ScanIter<'a> {
     plan: ScanPlan<'a>,
     out_fields: Vec<String>,
@@ -1510,13 +1517,13 @@ impl<'a> ScanIter<'a> {
             .layout
             .lsm
             .as_ref()
-            .map_or(0, |lsm| lsm.runs.len() - self.plan.lsm_runs.len())
+            .map_or(0, |lsm| lsm.runs.len() + 1 - self.plan.parts.len())
     }
 
     /// Whether this scan resolves the predicate through the declared index
     /// instead of streaming every selected object.
     pub fn uses_index(&self) -> bool {
-        self.plan.probe.is_some()
+        self.plan.parts.iter().any(|part| part.probe.is_some())
     }
 
     /// Restarts the scan from the first record.
@@ -1540,27 +1547,25 @@ impl<'a> ScanIter<'a> {
             fold,
             ..
         } = self;
-        let layout = plan.layout;
-        let Some(source) = plan.source(n) else {
+        let Some((part, k, source)) = plan.cursor_at(n) else {
             return Ok(None);
         };
-        let i = match states.iter().position(|s| s.fits(layout, source)) {
+        let i = match states.iter().position(|s| s.fits(source)) {
             Some(i) => {
-                states[i].cursor.reset(layout, source)?;
+                states[i].cursor.reset(source)?;
                 i
             }
             None => {
-                let state =
-                    ObjectState::compile(layout, source, out_fields, plan.predicate.as_ref())?;
+                let state = ObjectState::compile(source, out_fields, plan.predicate.as_ref())?;
                 states.push(state);
                 states.len() - 1
             }
         };
         let state = &mut states[i];
-        if let Some(batches) = plan.probe.as_ref().and_then(|probe| probe.get(n)) {
+        if let Some(batches) = part.probe.as_ref().and_then(|probe| probe.get(k)) {
             state.cursor.pick(batches)?;
         }
-        if let Some(rows) = plan.fences.get(n).and_then(Option::as_deref) {
+        if let Some(rows) = part.fences.get(k).and_then(Option::as_deref) {
             state.cursor.restrict(rows);
         }
         // Aggregate pushdown: fold inside the loop instead of materializing
@@ -1646,8 +1651,9 @@ impl<'a> ScanIter<'a> {
     /// Folds every matching row of the scan into fixed-width buckets, from
     /// its first row (the scan is rewound). The bucket and value fields must
     /// be part of the scan's projection. The fold runs inside each cursor's
-    /// loop — row pages, index-picked slots, column chunks, folded groups
-    /// and lsm runs alike, vertical partitions included — and no output row
+    /// loop — row pages, index-picked slots, column chunks and folded
+    /// groups, of the base and of lsm runs alike, vertical partitions
+    /// included — and no output row
     /// is ever allocated; the memtable folds its matching rows in place,
     /// last. Terminal: the iterator is left exhausted.
     pub fn fold_windowed(&mut self, spec: &WindowedAggregate) -> Result<WindowAccumulator> {
@@ -2394,7 +2400,8 @@ mod tests {
             ] {
                 let case = format!("{text}, ranges {ranges:?}");
                 let mut state =
-                    ObjectState::compile(&layout, Source::Group(&[0]), &fields, None).unwrap();
+                    ObjectState::compile(Source { layout: &layout, group: &[0] }, &fields, None)
+                        .unwrap();
                 state.cursor.restrict(&ranges);
                 let before = pager.stats().snapshot();
                 let mut got = Vec::new();
@@ -2469,9 +2476,9 @@ mod tests {
         let a_only = vec!["a".to_string()];
         let mut start = layout.base_row_count();
         for run in &lsm.runs {
-            assert!(run.heap.page_count() > 1);
+            assert!(run.total_pages() > 1);
             let last = start + run.row_count - 1;
-            for (p, pages) in [(start, 1), (last, run.heap.page_count())] {
+            for (p, pages) in [(start, 1), (last, run.total_pages())] {
                 let before = pager.stats().snapshot();
                 let got = layout.get_element(p, Some(&a_only)).unwrap();
                 let io = pager.stats().snapshot().since(&before);
@@ -2507,8 +2514,8 @@ mod tests {
         let templates = layout.templates_for(&obj.fields);
         let open = || {
             let needed = [true; 3];
-            let group = [&**obj];
-            ObjectCursor::new(&layout, Source::Group(&[0]), &group, &needed, templates.clone())
+            let source = Source { layout: &layout, group: &[0] };
+            ObjectCursor::new(source, &needed, templates.clone())
                 .unwrap()
         };
         let picks = [(1usize, vec![0usize, 2]), (3, vec![1])];
@@ -2629,7 +2636,7 @@ mod tests {
         let lsm = layout.lsm.as_ref().unwrap();
         let mut want = records(40);
         for run in &lsm.runs {
-            for bytes in run.heap.read_all().unwrap() {
+            for bytes in run.objects[0].heap.read_all().unwrap() {
                 want.push(decode_record(&bytes).unwrap());
             }
         }
@@ -2650,7 +2657,7 @@ mod tests {
             .runs
             .iter()
             .filter(|r| r.may_match(&lsm.key, &ranges))
-            .map(|r| r.heap.page_count())
+            .map(|r| r.total_pages())
             .sum();
         let before = layout.pager().stats().snapshot();
         assert_eq!(layout.scan(Some(&fields), Some(&pred)).unwrap(), filtered);

@@ -293,6 +293,18 @@ impl HeapFile {
         Ok(())
     }
 
+    /// Flushes the tail and closes it: every page is sealed, as
+    /// [`HeapFile::from_pages`] leaves them, and the file holds no page in
+    /// memory. Only a later append would open a fresh tail.
+    pub fn seal(&self) -> Result<()> {
+        self.flush()?;
+        let mut state = self.state.lock();
+        if let Some(tail) = state.tail.take() {
+            state.pages.push(tail.id);
+        }
+        Ok(())
+    }
+
     /// Page ids of the file in file order, *without* flushing — the raw
     /// extent, for reclaiming a dead heap's pages.
     pub fn extent(&self) -> Vec<PageId> {

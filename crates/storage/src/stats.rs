@@ -79,15 +79,6 @@ impl IoSnapshot {
             chunks_pruned: self.chunks_pruned.saturating_sub(earlier.chunks_pruned),
         }
     }
-
-    /// Estimated elapsed time in milliseconds under a simple disk model:
-    /// each seek costs `seek_ms` and each byte transfers at
-    /// `transfer_mb_per_s`.
-    pub fn estimated_millis(&self, seek_ms: f64, transfer_mb_per_s: f64) -> f64 {
-        let transfer_bytes = (self.bytes_read + self.bytes_written) as f64;
-        let transfer_ms = transfer_bytes / (transfer_mb_per_s * 1024.0 * 1024.0) * 1000.0;
-        self.seeks as f64 * seek_ms + transfer_ms
-    }
 }
 
 impl IoStats {
@@ -286,19 +277,6 @@ mod tests {
         stats.record_frame(true);
         stats.reset();
         assert_eq!(stats.snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn estimated_millis_uses_seeks_and_bytes() {
-        let snap = IoSnapshot {
-            pages_read: 10,
-            seeks: 5,
-            bytes_read: 10 * 1024 * 1024,
-            ..Default::default()
-        };
-        // 5 seeks * 10ms + 10MB at 100MB/s = 50ms + 100ms
-        let ms = snap.estimated_millis(10.0, 100.0);
-        assert!((ms - 150.0).abs() < 1e-6);
     }
 
     #[test]

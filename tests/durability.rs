@@ -817,21 +817,23 @@ fn foreign_or_corrupt_files_are_typed_errors() {
     corrupt[last] ^= 0x55;
     std::fs::write(&manifest_path, &corrupt).unwrap();
     assert!(Database::open(&dir).is_err(), "corrupt manifest must not open");
-    // A manifest of the previous format version (per-object sort orders) is
-    // rejected by version, not misread.
-    let v6_body = 6u32.to_le_bytes();
-    let mut v6 = b"RDNTMAN1".to_vec();
-    v6.extend_from_slice(&(v6_body.len() as u32).to_le_bytes());
-    v6.extend_from_slice(&rodentstore_storage::crc32(&v6_body).to_le_bytes());
-    v6.extend_from_slice(&v6_body);
-    std::fs::write(&manifest_path, &v6).unwrap();
-    assert!(matches!(
-        Database::open(&dir),
-        Err(RodentError::Storage(StorageError::UnsupportedVersion {
-            found: 6,
-            supported: 7
-        }))
-    ));
+    // Manifests of earlier format versions (v6: per-object sort orders; v7:
+    // lsm runs as row heaps) are rejected by version, not misread.
+    for version in [6u32, 7] {
+        let body = version.to_le_bytes();
+        let mut old = b"RDNTMAN1".to_vec();
+        old.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        old.extend_from_slice(&rodentstore_storage::crc32(&body).to_le_bytes());
+        old.extend_from_slice(&body);
+        std::fs::write(&manifest_path, &old).unwrap();
+        assert!(matches!(
+            Database::open(&dir),
+            Err(RodentError::Storage(StorageError::UnsupportedVersion {
+                found,
+                supported: 8
+            })) if found == version
+        ));
+    }
     std::fs::write(&manifest_path, &pristine).unwrap();
     // A byte flipped inside a canonical page is caught by the extent's
     // checksum. The table has no layout, so every data page is canonical;

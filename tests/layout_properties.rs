@@ -97,8 +97,9 @@ fn computed_comparison_strategy() -> impl Strategy<Value = Condition> {
 
 /// Layout shapes that retain every field of `Points`, as algebra text —
 /// covering the plain heap, PAX, sort orders, column groups, compression,
-/// the `index[...]` probe path, the levelled `lsm[...]` tier, and folded
-/// groups.
+/// the `index[...]` probe path, folded groups, and the levelled `lsm[...]`
+/// tier over row, vertical, delta-compressed vertical, `zorder` grid, fold
+/// and `index[...]` inner layouts, whose runs are each that inner layout.
 fn full_field_layout_text() -> impl Strategy<Value = &'static str> {
     prop_oneof![
         Just("Points"),
@@ -108,6 +109,10 @@ fn full_field_layout_text() -> impl Strategy<Value = &'static str> {
         Just("index[x](Points)"),
         Just("lsm[tag](Points)"),
         Just("lsm[tag](vertical[x|y,tag](Points))"),
+        Just("lsm[tag](delta[tag](vertical[x,y|tag](Points)))"),
+        Just("lsm[tag](zorder(grid[x,y;20,20](Points)))"),
+        Just("lsm[tag](fold[tag|x,y](Points))"),
+        Just("lsm[x](index[x](Points))"),
         Just("rle[tag](orderby[tag](Points))"),
         Just("fold[tag|x,y](Points)"),
     ]

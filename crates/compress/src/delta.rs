@@ -16,7 +16,7 @@ use crate::plain::{TAG_FLOATS, TAG_INTS};
 use crate::varint::{
     read_signed_varint, read_varint, write_signed_varint, write_varint, zigzag_decode,
 };
-use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
+use crate::{check_count, header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 /// The tag of an unquantized float block, which only this codec writes.
 const TAG_RAW_FLOATS: u8 = 3;
@@ -137,16 +137,17 @@ impl ColumnCodec for DeltaCodec {
 
     fn decode(&self, block: &[u8]) -> Result<ColumnData> {
         let mut out = ColumnData::Ints(Vec::new());
-        self.decode_into(block, &mut out)?;
+        self.decode_into(block, usize::MAX, &mut out)?;
         Ok(out)
     }
 
-    fn decode_into(&self, block: &[u8], out: &mut ColumnData) -> Result<()> {
+    fn decode_into(&self, block: &[u8], max_values: usize, out: &mut ColumnData) -> Result<()> {
         let tag = *block
             .first()
             .ok_or_else(|| CompressError::Corrupted("empty block".into()))?;
         let mut pos = 1usize;
         let count = read_varint(block, &mut pos)? as usize;
+        check_count(count, max_values)?;
         match tag {
             TAG_INTS => {
                 Self::decode_ints(block, &mut pos, count, out.ints_mut(), |v| v)

@@ -171,8 +171,11 @@ pub trait ColumnCodec: Send + Sync {
     /// Decodes a block into `out`, reusing its allocation where the codec
     /// can (a scan decodes thousands of same-typed blocks into one buffer).
     /// `out` holds exactly the block's values afterwards, whatever it held
-    /// before.
-    fn decode_into(&self, block: &[u8], out: &mut ColumnData) -> Result<()> {
+    /// before. A block holding more than `max_values` values (the rows its
+    /// chunk declares) is `Corrupted`, found before memory is reserved for
+    /// them.
+    fn decode_into(&self, block: &[u8], max_values: usize, out: &mut ColumnData) -> Result<()> {
+        check_count(self.count(block)?, max_values)?;
         *out = self.decode(block)?;
         Ok(())
     }
@@ -182,6 +185,17 @@ pub trait ColumnCodec: Send + Sync {
     fn count(&self, block: &[u8]) -> Result<usize> {
         Ok(self.decode(block)?.len())
     }
+}
+
+/// Rejects a block that claims `count` values where at most `max_values`
+/// belong (see [`ColumnCodec::decode_into`]).
+pub(crate) fn check_count(count: usize, max_values: usize) -> Result<()> {
+    if count > max_values {
+        return Err(CompressError::Corrupted(format!(
+            "block holds {count} values, at most {max_values} expected"
+        )));
+    }
+    Ok(())
 }
 
 /// Reads the element count of a block whose header is `tag, varint count`
@@ -339,8 +353,12 @@ mod tests {
                 };
                 let decoded = codec.decode(&block).unwrap();
                 assert_eq!(codec.count(&block).unwrap(), decoded.len(), "{kind}");
-                codec.decode_into(&block, &mut reused).unwrap();
+                codec.decode_into(&block, decoded.len(), &mut reused).unwrap();
                 assert_eq!(reused, decoded, "{kind}");
+                if let Some(fewer) = decoded.len().checked_sub(1) {
+                    let over = codec.decode_into(&block, fewer, &mut reused);
+                    assert!(matches!(over, Err(CompressError::Corrupted(_))), "{kind}");
+                }
                 // A header cut short is corruption, never a count.
                 for cut in 0..block.len().min(2) {
                     assert!(
@@ -435,7 +453,8 @@ mod tests {
             let codec = kind.build();
             let block = &codec.encode(column).unwrap();
             let mut check = |bytes: &[u8], mutation: &str| {
-                let result = catch_unwind(AssertUnwindSafe(|| codec.decode_into(bytes, &mut out)));
+                let decode = || codec.decode_into(bytes, usize::MAX, &mut out);
+                let result = catch_unwind(AssertUnwindSafe(decode));
                 match result {
                     Ok(Ok(())) => {
                         decoded += 1;

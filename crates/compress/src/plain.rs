@@ -5,7 +5,7 @@
 //! other codecs: a type tag, a varint element count, and the raw payload.
 
 use crate::varint::{read_varint, write_varint};
-use crate::{header_count, ColumnCodec, ColumnData, CompressError, Result};
+use crate::{check_count, header_count, ColumnCodec, ColumnData, CompressError, Result};
 
 pub(crate) const TAG_INTS: u8 = 0;
 pub(crate) const TAG_FLOATS: u8 = 1;
@@ -52,16 +52,17 @@ impl ColumnCodec for PlainCodec {
 
     fn decode(&self, block: &[u8]) -> Result<ColumnData> {
         let mut out = ColumnData::Ints(Vec::new());
-        self.decode_into(block, &mut out)?;
+        self.decode_into(block, usize::MAX, &mut out)?;
         Ok(out)
     }
 
-    fn decode_into(&self, block: &[u8], out: &mut ColumnData) -> Result<()> {
+    fn decode_into(&self, block: &[u8], max_values: usize, out: &mut ColumnData) -> Result<()> {
         let tag = *block
             .first()
             .ok_or_else(|| CompressError::Corrupted("empty block".into()))?;
         let mut pos = 1usize;
         let count = read_varint(block, &mut pos)? as usize;
+        check_count(count, max_values)?;
         // Fixed-width payloads are bounds-checked once, so the value loop is
         // a straight copy (and a corrupt count never sizes an allocation).
         let fixed = |what: &str| {

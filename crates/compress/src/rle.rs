@@ -182,6 +182,20 @@ mod tests {
     }
 
     #[test]
+    fn a_run_past_the_chunk_rows_is_corrupt_before_it_is_reserved() {
+        let block = RleCodec.encode(&ColumnData::Ints(vec![5, 5, 5])).unwrap();
+        // A 5-byte run length of 2^30: decoding it would fill 8 GiB for a
+        // chunk of 3 rows.
+        let mut bad = block[..block.len() - 1].to_vec();
+        write_varint(&mut bad, 1 << 30);
+        let mut out = ColumnData::Ints(Vec::new());
+        let result = RleCodec.decode_into(&bad, 3, &mut out);
+        assert!(matches!(result, Err(CompressError::Corrupted(_))), "{result:?}");
+        RleCodec.decode_into(&block, 3, &mut out).unwrap();
+        assert_eq!(out, ColumnData::Ints(vec![5, 5, 5]));
+    }
+
+    #[test]
     fn long_runs_compress_dramatically() {
         let column = ColumnData::Ints(
             std::iter::repeat(617)

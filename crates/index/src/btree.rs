@@ -10,13 +10,11 @@
 //!
 //! Duplicate keys are allowed; range scans return every matching entry.
 
-use crate::{IndexError, Result};
+use crate::{le_u64, node_entries, IndexError, Result, TYPE_INTERNAL, TYPE_LEAF};
 use rodentstore_storage::page::{Page, PageId};
 use rodentstore_storage::pager::Pager;
 use std::sync::Arc;
 
-const TYPE_LEAF: u8 = 0;
-const TYPE_INTERNAL: u8 = 1;
 const HEADER: usize = 1 + 4 + 8; // type, count, next-leaf
 const ENTRY: usize = 16; // key + value/child
 const NO_NEXT: u64 = u64::MAX;
@@ -49,22 +47,16 @@ impl Node {
         }
     }
 
-    fn decode(page: &Page) -> Result<Node> {
-        let ty = page.data[0];
-        let count = page.read_u32(1)? as usize;
-        let next = page.read_u64(5)?;
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HEADER + i * ENTRY;
-            let key = page.read_u64(off)? as i64;
-            let val = page.read_u64(off + 8)?;
-            entries.push((key, val));
-        }
+    /// Decodes the node stored in page `page_id`, whose bytes are `data`.
+    fn decode(page_id: PageId, data: &[u8]) -> Result<Node> {
+        let (is_leaf, entries) = node_entries(data, HEADER, ENTRY)?;
         Ok(Node {
-            page_id: page.id,
-            is_leaf: ty == TYPE_LEAF,
-            next,
-            entries,
+            page_id,
+            is_leaf,
+            next: le_u64(data, 5),
+            entries: entries
+                .map(|e| (le_u64(e, 0) as i64, le_u64(e, 8)))
+                .collect(),
         })
     }
 
@@ -235,7 +227,7 @@ impl BTree {
     }
 
     fn read_node(&self, id: PageId) -> Result<Node> {
-        Node::decode(&self.pager.read_frame(id)?.to_page())
+        Node::decode(id, self.pager.read_frame(id)?.data())
     }
 
     fn write_node(&self, node: &Node) -> Result<()> {
@@ -416,6 +408,37 @@ mod tests {
 
     fn pager(page_size: usize) -> Arc<Pager> {
         Arc::new(Pager::in_memory_with_page_size(page_size))
+    }
+
+    #[test]
+    fn damaged_node_pages_decode_to_an_error_or_a_node() {
+        let pager = pager(512);
+        let mut tree = BTree::new(Arc::clone(&pager)).unwrap();
+        for key in 0..200i64 {
+            tree.insert(key * 3, key as u64).unwrap();
+        }
+        let root = pager.read_frame(tree.root()).unwrap();
+        let node = Node::decode(root.id(), root.data()).unwrap();
+        assert!(!node.is_leaf && tree.height() > 1);
+        let leaf = pager.read_frame(node.entries[0].1).unwrap();
+        for frame in [&root, &leaf] {
+            let mut decoded = 0;
+            crate::for_each_damaged(frame.data(), 4_000, |bytes| {
+                decoded += usize::from(Node::decode(frame.id(), bytes).is_ok());
+            });
+            assert!(decoded > 0, "some damaged pages still decode");
+        }
+        // A count past what the page holds is corruption, not an allocation,
+        // and an internal node without children is corruption, not a node
+        // a descent would index past the end of.
+        for count in [u32::MAX, 0] {
+            let mut damaged = root.data().to_vec();
+            damaged[1..5].copy_from_slice(&count.to_le_bytes());
+            assert!(matches!(
+                Node::decode(root.id(), &damaged),
+                Err(IndexError::Storage(rodentstore_storage::StorageError::Corrupted(_)))
+            ));
+        }
     }
 
     #[test]

@@ -72,3 +72,66 @@ impl From<StorageError> for IndexError {
 
 /// Result alias for index operations.
 pub type Result<T> = std::result::Result<T, IndexError>;
+
+/// The type byte (byte 0) of a leaf node page; writers mark internal nodes
+/// with [`TYPE_INTERNAL`], and a reader takes any other value as internal.
+const TYPE_LEAF: u8 = 0;
+const TYPE_INTERNAL: u8 = 1;
+
+/// Whether the index node whose page bytes are `data` is a leaf, and its
+/// entries: the entry count is the little-endian `u32` at bytes 1..5, and
+/// `count` entries of `entry` bytes each follow from `header` on. A count
+/// larger than the page holds is `Corrupted`, caught before anything is
+/// allocated for it, and so is an internal node without entries: no writer
+/// makes one, and a descent would index past its end.
+fn node_entries(
+    data: &[u8],
+    header: usize,
+    entry: usize,
+) -> Result<(bool, std::slice::ChunksExact<'_, u8>)> {
+    let is_leaf = data.first() == Some(&TYPE_LEAF);
+    let count = data
+        .get(1..5)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize);
+    count
+        .filter(|&count| is_leaf || count > 0)
+        .and_then(|count| data.get(header..)?.get(..count.checked_mul(entry)?))
+        .map(|entries| (is_leaf, entries.chunks_exact(entry)))
+        .ok_or_else(|| {
+            let msg = format!(
+                "index node of {} bytes (leaf: {is_leaf}) claims {count:?} entries",
+                data.len()
+            );
+            StorageError::Corrupted(msg).into()
+        })
+}
+
+/// The little-endian `u64` at byte `at` of `bytes`, which the caller has
+/// bounds-checked (a [`node_entries`] entry or a node header).
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut buf = [0u8; 8];
+    buf.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(buf)
+}
+
+/// Feeds `check` every truncation of the node page `page`, then `flips`
+/// copies of it with one seeded bit flipped each (a rewritten entry count
+/// among them): what a damaged file can hand a node decoder.
+#[cfg(test)]
+fn for_each_damaged(page: &[u8], flips: usize, mut check: impl FnMut(&[u8])) {
+    for len in 0..page.len() {
+        check(&page[..len]);
+    }
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..flips {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        // Half the flips land in the header, where the count lives.
+        let span = if state & 1 == 0 { 16.min(page.len()) } else { page.len() };
+        let bit = (state >> 1) as usize % (span * 8);
+        let mut damaged = page.to_vec();
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        check(&damaged);
+    }
+}

@@ -12,14 +12,12 @@
 //! largest-axis splits.
 
 use crate::bounds::Rect;
-use crate::{IndexError, Result};
+use crate::{le_u64, node_entries, IndexError, Result, TYPE_INTERNAL, TYPE_LEAF};
 use rodentstore_sfc::hilbert2;
 use rodentstore_storage::page::{Page, PageId};
 use rodentstore_storage::pager::Pager;
 use std::sync::Arc;
 
-const TYPE_LEAF: u8 = 0;
-const TYPE_INTERNAL: u8 = 1;
 const HEADER: usize = 1 + 4; // type + count
 const ENTRY: usize = 40; // 4 × f64 bounds + u64 payload/child
 
@@ -38,31 +36,24 @@ struct Node {
 }
 
 impl Node {
-    fn decode(page: &Page) -> Result<Node> {
-        let ty = page.data[0];
-        let count = page.read_u32(1)? as usize;
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HEADER + i * ENTRY;
-            let min_x = f64::from_bits(page.read_u64(off)?);
-            let min_y = f64::from_bits(page.read_u64(off + 8)?);
-            let max_x = f64::from_bits(page.read_u64(off + 16)?);
-            let max_y = f64::from_bits(page.read_u64(off + 24)?);
-            let value = page.read_u64(off + 32)?;
-            entries.push(Entry {
-                rect: Rect {
-                    min_x,
-                    min_y,
-                    max_x,
-                    max_y,
-                },
-                value,
-            });
-        }
+    /// Decodes the node stored in page `page_id`, whose bytes are `data`.
+    fn decode(page_id: PageId, data: &[u8]) -> Result<Node> {
+        let (is_leaf, entries) = node_entries(data, HEADER, ENTRY)?;
+        let bound = |e: &[u8], at: usize| f64::from_bits(le_u64(e, at));
         Ok(Node {
-            page_id: page.id,
-            is_leaf: ty == TYPE_LEAF,
-            entries,
+            page_id,
+            is_leaf,
+            entries: entries
+                .map(|e| Entry {
+                    rect: Rect {
+                        min_x: bound(e, 0),
+                        min_y: bound(e, 8),
+                        max_x: bound(e, 16),
+                        max_y: bound(e, 24),
+                    },
+                    value: le_u64(e, 32),
+                })
+                .collect(),
         })
     }
 
@@ -297,7 +288,7 @@ impl RTree {
     }
 
     fn read_node(&self, id: PageId) -> Result<Node> {
-        Node::decode(&self.pager.read_frame(id)?.to_page())
+        Node::decode(id, self.pager.read_frame(id)?.data())
     }
 
     fn write_node(&self, node: &Node) -> Result<()> {
@@ -542,6 +533,34 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn damaged_node_pages_decode_to_an_error_or_a_node() {
+        let pager = pager(512);
+        let tree = RTree::bulk_load(Arc::clone(&pager), &points(500)).unwrap();
+        let root = pager.read_frame(tree.root()).unwrap();
+        let node = Node::decode(root.id(), root.data()).unwrap();
+        assert!(!node.is_leaf && tree.height() > 1);
+        let leaf = pager.read_frame(node.entries[0].value).unwrap();
+        for frame in [&root, &leaf] {
+            let mut decoded = 0;
+            crate::for_each_damaged(frame.data(), 4_000, |bytes| {
+                decoded += usize::from(Node::decode(frame.id(), bytes).is_ok());
+            });
+            assert!(decoded > 0, "some damaged pages still decode");
+        }
+        // A count past what the page holds is corruption, not an allocation,
+        // and an internal node without children is corruption, not a node
+        // a descent would index past the end of.
+        for count in [u32::MAX, 0] {
+            let mut damaged = root.data().to_vec();
+            damaged[1..5].copy_from_slice(&count.to_le_bytes());
+            assert!(matches!(
+                Node::decode(root.id(), &damaged),
+                Err(IndexError::Storage(rodentstore_storage::StorageError::Corrupted(_)))
+            ));
+        }
     }
 
     #[test]

@@ -578,6 +578,16 @@ impl<'a> ChunkReader<'a> {
         self.decoded.fill(false);
         let probe = self.needed.iter().position(|&n| n).unwrap_or(0);
         self.len = self.codecs[probe].count(block_at(&self.frames, self.blocks[probe])?)?;
+        // A grid cell keeps no directory, so this header alone sizes the
+        // chunk, and every block is decoded against it: bound it by the
+        // rows the object has left.
+        let left = self.obj.row_count.saturating_sub(self.start);
+        if self.len > left {
+            return Err(LayoutError::Corrupted(format!(
+                "chunk {} of object `{}` claims {} rows where {left} are left",
+                self.chunk, self.obj.name, self.len
+            )));
+        }
         if let Some(dir) = &self.obj.chunks {
             let (frame, slot) = self.blocks[0];
             let page_index = self.next_page - self.frames.len() + frame;
@@ -602,7 +612,7 @@ impl<'a> ChunkReader<'a> {
     pub(crate) fn decode(&mut self, f: usize) -> Result<()> {
         if !self.decoded[f] {
             let block = block_at(&self.frames, self.blocks[f])?;
-            self.codecs[f].decode_into(block, &mut self.cols[f])?;
+            self.codecs[f].decode_into(block, self.len, &mut self.cols[f])?;
             if self.cols[f].len() != self.len {
                 return Err(LayoutError::Corrupted(format!(
                     "chunk {} of object `{}` is ragged: field `{}` holds {} rows, the chunk {}",

@@ -2051,6 +2051,26 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_block_claiming_more_rows_than_the_cell_holds_is_corruption() {
+        let provider = MemTableProvider::single(schema(), records(100));
+        let pager = Arc::new(Pager::in_memory_with_page_size(512));
+        let expr = rodentstore_algebra::parse("rle[a](grid[a;50](T))").unwrap();
+        let layout = render(&expr, &provider, Arc::clone(&pager), RenderOptions::default()).unwrap();
+        let obj = &layout.objects[0];
+        assert!(obj.cell.is_some() && obj.chunks.is_none() && obj.row_count == 50);
+        // An rle block of one run of 7s, 2^22 long (32 MiB decoded), in
+        // place of the cell's first `a` block, whose header is the only
+        // count the cell's first chunk has.
+        let huge_run = [0, 1, 14, 0x80, 0x80, 0x80, 0x02];
+        overwrite_block(&pager, obj, 0, &huge_run);
+        let none = Condition::range("v", 1_000.0, 2_000.0);
+        match layout.scan(Some(&["a".to_string()]), Some(&none)) {
+            Err(LayoutError::Corrupted(msg)) => assert!(msg.contains("are left"), "{msg}"),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn vertical_objects_with_different_chunk_splits_advance_in_lock_step() {
         // 300-byte names overflow a 512-byte page at any chunk size above
         // one, so the `name` group splits down to single-row chunks while

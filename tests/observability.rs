@@ -408,9 +408,9 @@ fn windowed_aggregates_read_the_projected_pages_and_materialise_nothing() {
 
 /// Recording metrics is relaxed atomics only, so it may cost at most 5 % of
 /// a scan. No count measures an instrument's own cost, so this stays timed:
-/// 41 interleaved trials, alternating which side runs first, cancel clock
-/// drift and cache bias, and the medians are compared with a 20 µs floor
-/// against jitter on fast scans.
+/// 41 adjacent enabled/disabled pairs, alternating which side runs first,
+/// cancel clock drift and cache bias, and the median of the per-pair ratios
+/// is judged, with a 20 µs floor against jitter on fast scans.
 #[test]
 fn metrics_recording_costs_at_most_five_percent_of_a_scan() {
     const TRIALS: usize = 41;
@@ -439,23 +439,29 @@ fn metrics_recording_costs_at_most_five_percent_of_a_scan() {
         timed(true);
         timed(false);
     }
-    let (mut enabled, mut disabled) = (Vec::new(), Vec::new());
-    for trial in 0..TRIALS {
-        if trial % 2 == 0 {
-            enabled.push(timed(true));
-            disabled.push(timed(false));
-        } else {
-            disabled.push(timed(false));
-            enabled.push(timed(true));
-        }
-    }
+    // Each trial is one adjacent enabled/disabled pair, so a slow phase of
+    // the machine inflates both halves of a pair alike; the median pair
+    // decides. A pair's ratio charges the 20 µs allowance to the enabled
+    // run first.
+    let slack = Duration::from_micros(20);
+    let mut ratios: Vec<f64> = (0..TRIALS)
+        .map(|trial| {
+            let (enabled, disabled) = if trial % 2 == 0 {
+                let enabled = timed(true);
+                (enabled, timed(false))
+            } else {
+                let disabled = timed(false);
+                (timed(true), disabled)
+            };
+            enabled.saturating_sub(slack).as_secs_f64() / disabled.as_secs_f64()
+        })
+        .collect();
     db.set_metrics_enabled(true);
-    enabled.sort_unstable();
-    disabled.sort_unstable();
-    let (enabled, disabled) = (enabled[TRIALS / 2], disabled[TRIALS / 2]);
+    ratios.sort_unstable_by(f64::total_cmp);
+    let ratio = ratios[TRIALS / 2];
     assert!(
-        enabled <= disabled.mul_f64(1.05) + Duration::from_micros(20),
-        "metrics recording must cost ≤ 5 % of a scan: enabled {enabled:?}, disabled {disabled:?}"
+        ratio <= 1.05,
+        "metrics recording must cost ≤ 5 % + 20 µs of a scan: median pair ratio {ratio:.3}"
     );
     let scans = db
         .metrics()

@@ -286,7 +286,7 @@ impl RTreeDesign {
         stats.reset();
         for q in queries {
             let rect = Rect::new(q.min_lon, q.min_lat, q.max_lon, q.max_lat);
-            let segments = self.rtree.query(&rect).expect("rtree query");
+            let (segments, _) = self.rtree.query(&rect).expect("rtree query");
             let mut pages: Vec<usize> = segments
                 .iter()
                 .flat_map(|&s| self.segment_pages[s as usize].iter().copied())

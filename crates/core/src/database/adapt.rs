@@ -270,9 +270,8 @@ impl Database {
             // (never mutating their pages — a forked object's tail is
             // adopted protected, so its first append relocates it) and
             // appends into fresh pages.
-            let cost_params = self.config_snapshot().cost_params;
             let forked_layout = access.layout().fork_for_append()?;
-            let mut forked = AccessMethods::with_cost_params(forked_layout, cost_params);
+            let mut forked = AccessMethods::new(forked_layout);
             let provider = PinnedRows {
                 tables: vec![(&*next, next.pending.clone())],
             };
@@ -391,10 +390,7 @@ impl Database {
             self.quarantine(layout.extent_pages().unwrap_or_default());
         };
         retire.extend(RetiredAccess::whole_chain(next));
-        next.access = Some(Arc::new(AccessMethods::with_cost_params(
-            layout,
-            config.cost_params,
-        )));
+        next.access = Some(Arc::new(AccessMethods::new(layout)));
         next.stats.full_renders += 1;
         if absorbs {
             next.clear_pending();

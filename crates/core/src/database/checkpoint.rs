@@ -80,13 +80,11 @@ impl Database {
                         obj.heap.protect_tail();
                         pending.extend(obj.heap.take_relocated());
                     }
-                    // Index trees get the same treatment at whole-tree
-                    // granularity: the manifest below references the current
-                    // pages, so the next maintenance rebuilds into fresh ones
-                    // and the vacated pages quarantine here next time.
+                    // An index tree is never written once built: every
+                    // append rebuilds it into fresh pages, and the pages of
+                    // the trees it replaced quarantine here.
                     if let Some(idx) = &access.layout().index {
                         pending.extend(idx.take_relocated());
-                        idx.protect();
                     }
                     // Sealed lsm runs carry no refillable tails and were
                     // flushed when sealed; runs merged away by tier

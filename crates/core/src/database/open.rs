@@ -146,7 +146,6 @@ impl Database {
             adaptive: manifest.policy.clone(),
             render_options: RenderOptions::default(),
         })));
-        let cost_params = manifest.cost_params;
 
         let mut orphaned_index_pages: Vec<PageId> = Vec::new();
         {
@@ -205,10 +204,7 @@ impl Database {
                 let slot = db.slot(&name)?;
                 let cur = db.pin_state(&slot);
                 let mut next = (*cur).clone();
-                next.access = Some(Arc::new(AccessMethods::with_cost_params(
-                    layout,
-                    cost_params,
-                )));
+                next.access = Some(Arc::new(AccessMethods::new(layout)));
                 next.chain = Arc::new(());
                 drop(slot.state.swap(Arc::new(next)));
             }
@@ -254,7 +250,7 @@ impl Database {
             let mut forked_layout = access.layout().fork_for_append()?;
             forked_layout.rebuild_index()?;
             let vacated = forked_layout.take_relocated();
-            let forked = AccessMethods::with_cost_params(forked_layout, cost_params);
+            let forked = AccessMethods::new(forked_layout);
             let _w = slot.writer.lock();
             let cur = db.pin_state(slot);
             let mut next = (*cur).clone();
@@ -353,13 +349,13 @@ fn reattach(
         Arc::clone(pager),
     );
     // Reattach the declared index. The checkpointed tree content is
-    // trustworthy because post-checkpoint maintenance never mutates
-    // manifest-referenced tree pages in place — it rebuilds into fresh ones
-    // (see `StoredIndex::protect`), and those fresh pages were truncated
-    // away. `from_parts` reattaches protected, so replayed appends relocate
-    // the tree before touching it. If the manifest disagrees with the
-    // declared layout, its pages are quarantined and the fallback after
-    // replay rebuilds a base's index from the recovered heaps.
+    // trustworthy because no tree is ever written after it is built: each
+    // append rebuilds the index into fresh pages (see
+    // `PhysicalLayout::rebuild_index`), and those fresh pages were
+    // truncated away. Replayed appends rebuild the same way. If the
+    // manifest disagrees with the declared layout, its pages are
+    // quarantined and the fallback after replay rebuilds a base's index
+    // from the recovered heaps.
     if let Some(im) = r.index {
         if layout.derived.index.as_deref() == Some(&im.fields[..]) {
             layout.index = Some(StoredIndex::from_parts(

@@ -85,20 +85,12 @@ impl Database {
         if let Some(op) = op {
             self.obs.ins.scan_rows.add(rows.len() as u64);
             // The prediction of the plan the scan ran — 0 when memory served
-            // it — counted after the scan's I/O scope closed, so the tree
-            // pages an index probe's count re-reads are not charged to it.
-            let predicted = match &plan {
-                Some(plan) => plan
-                    .predicted_pages()
-                    .ok()
-                    .or_else(|| snapshot.scan_pages(request).ok()),
-                None => Some(0),
-            };
-            if let Some(predicted) = predicted {
-                slot.predicted_pages_total.fetch_add(predicted, Ordering::Relaxed);
-                slot.actual_pages_total.fetch_add(op.pages_read, Ordering::Relaxed);
-                slot.calibration_samples.fetch_add(1, Ordering::Relaxed);
-            }
+            // it. The plan kept the tree pages its index probe read, so
+            // predicting reads no page.
+            let predicted = plan.as_ref().map_or(0, ScanPlan::predicted_pages);
+            slot.predicted_pages_total.fetch_add(predicted, Ordering::Relaxed);
+            slot.actual_pages_total.fetch_add(op.pages_read, Ordering::Relaxed);
+            slot.calibration_samples.fetch_add(1, Ordering::Relaxed);
         }
         drop(plan);
         drop(snapshot); // release the pin before adaptation may re-render
@@ -427,7 +419,7 @@ impl TableSnapshot {
     /// Estimated cost of a scan over this snapshot, in milliseconds.
     pub fn scan_cost(&self, request: &ScanRequest) -> Result<f64> {
         if let Some(access) = self.serving(request) {
-            return Ok(access.scan_cost(request)?);
+            return Ok(access.scan_cost(request, &self.cost_params)?);
         }
         let bytes =
             self.state.records.len() as f64 * self.state.schema.estimated_record_width() as f64;
@@ -547,6 +539,22 @@ mod tests {
     use rodentstore_algebra::expr::LayoutExpr;
     use rodentstore_algebra::value::Value;
     use rodentstore_workload::{generate_traces, traces_schema, CartelConfig};
+
+    #[test]
+    fn set_cost_params_reaches_rendered_tables() {
+        let db = small_db();
+        db.apply_layout_text("Traces", "columns(Traces)").unwrap();
+        let request = ScanRequest::all();
+        db.scan("Traces", &request).unwrap();
+        let before = db.scan_cost("Traces", &request).unwrap();
+        let slow = CostParams {
+            seek_ms: 800.0,
+            transfer_mb_per_s: 1.2,
+        };
+        db.set_cost_params(slow);
+        let after = db.scan_cost("Traces", &request).unwrap();
+        assert!(after > before * 50.0, "{before} ms before, {after} ms after");
+    }
 
     #[test]
     fn scan_without_layout_uses_canonical_rows() {

@@ -72,9 +72,10 @@ impl ScanRequest {
 }
 
 /// The access methods exposed over one stored table (one physical layout).
+/// The cost methods take the disk model from their caller, so a change of
+/// the model reaches every table at once.
 pub struct AccessMethods {
     layout: PhysicalLayout,
-    cost: CostParams,
 }
 
 impl std::fmt::Debug for AccessMethods {
@@ -86,17 +87,9 @@ impl std::fmt::Debug for AccessMethods {
 }
 
 impl AccessMethods {
-    /// Wraps a rendered layout with the default cost parameters.
+    /// Wraps a rendered layout.
     pub fn new(layout: PhysicalLayout) -> AccessMethods {
-        AccessMethods {
-            layout,
-            cost: CostParams::default(),
-        }
-    }
-
-    /// Wraps a rendered layout with explicit cost parameters.
-    pub fn with_cost_params(layout: PhysicalLayout, cost: CostParams) -> AccessMethods {
-        AccessMethods { layout, cost }
+        AccessMethods { layout }
     }
 
     /// The underlying physical layout.
@@ -213,8 +206,9 @@ impl AccessMethods {
         Ok(rodentstore_layout::append_records(&mut self.layout, provider)?)
     }
 
-    /// Estimated cost of a scan, in milliseconds.
-    pub fn scan_cost(&self, request: &ScanRequest) -> Result<f64> {
+    /// Estimated cost of a scan under the disk model `cost`, in
+    /// milliseconds.
+    pub fn scan_cost(&self, request: &ScanRequest, cost: &CostParams) -> Result<f64> {
         self.validate_fields(&request.fields)?;
         let pages = self
             .layout
@@ -235,17 +229,17 @@ impl AccessMethods {
             }
         }
         let bytes = pages as f64 * page_size as f64;
-        let transfer_ms = bytes / (self.cost.transfer_mb_per_s * 1024.0 * 1024.0) * 1000.0;
-        let mut cost = runs as f64 * self.cost.seek_ms + transfer_ms;
+        let transfer_ms = bytes / (cost.transfer_mb_per_s * 1024.0 * 1024.0) * 1000.0;
+        let mut ms = runs as f64 * cost.seek_ms + transfer_ms;
         // A requested order the layout cannot deliver natively implies an
         // extra in-memory sort; charge a CPU-ish surcharge proportional to
         // the data volume so the optimizer prefers native orders.
         if let Some(order) = &request.order {
             if !self.order_is_native(order) {
-                cost += transfer_ms * 0.2;
+                ms += transfer_ms * 0.2;
             }
         }
-        Ok(cost)
+        Ok(ms)
     }
 
     /// Estimated number of pages a scan would read.
@@ -254,12 +248,13 @@ impl AccessMethods {
             .estimate_scan_pages(request.fields.as_deref(), request.predicate.as_ref())
     }
 
-    /// Estimated cost of a `getElement` call, in milliseconds.
-    pub fn get_element_cost(&self, _index: usize) -> f64 {
+    /// Estimated cost of a `getElement` call under the disk model `cost`,
+    /// in milliseconds.
+    pub fn get_element_cost(&self, _index: usize, cost: &CostParams) -> f64 {
         // Positional access touches one object; approximate with one seek
         // plus one page transfer.
         let page_size = self.layout.pager().page_size() as f64;
-        self.cost.seek_ms + page_size / (self.cost.transfer_mb_per_s * 1024.0 * 1024.0) * 1000.0
+        cost.seek_ms + page_size / (cost.transfer_mb_per_s * 1024.0 * 1024.0) * 1000.0
     }
 
     /// `order_list(table)`: sort orders the current storage organization is
@@ -426,8 +421,9 @@ mod tests {
     #[test]
     fn scan_cost_reflects_projection_savings_on_column_layouts() {
         let am = methods(LayoutExpr::table("Readings").columns(["t", "sensor", "value"]));
-        let full = am.scan_cost(&ScanRequest::all()).unwrap();
-        let narrow = am.scan_cost(&ScanRequest::all().fields(["t"])).unwrap();
+        let cost = CostParams::default();
+        let full = am.scan_cost(&ScanRequest::all(), &cost).unwrap();
+        let narrow = am.scan_cost(&ScanRequest::all().fields(["t"]), &cost).unwrap();
         assert!(narrow < full, "narrow {narrow} vs full {full}");
         assert!(am.scan_pages(&ScanRequest::all().fields(["t"])) < am.scan_pages(&ScanRequest::all()));
     }
@@ -436,13 +432,14 @@ mod tests {
     fn unknown_fields_are_rejected() {
         let am = methods(LayoutExpr::table("Readings"));
         assert!(am.scan(&ScanRequest::all().fields(["nope"])).is_err());
-        assert!(am.scan_cost(&ScanRequest::all().fields(["nope"])).is_err());
+        let cost = CostParams::default();
+        assert!(am.scan_cost(&ScanRequest::all().fields(["nope"]), &cost).is_err());
     }
 
     #[test]
     fn get_element_cost_is_positive_and_small() {
         let am = methods(LayoutExpr::table("Readings"));
-        let c = am.get_element_cost(5);
+        let c = am.get_element_cost(5, &CostParams::default());
         assert!(c > 0.0 && c < 100.0);
     }
 

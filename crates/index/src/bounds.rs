@@ -60,22 +60,6 @@ impl Rect {
             && self.max_y >= other.max_y
     }
 
-    /// Whether the rectangle contains a point.
-    pub fn contains_point(&self, x: f64, y: f64) -> bool {
-        x >= self.min_x && x <= self.max_x && y >= self.min_y && y <= self.max_y
-    }
-
-    /// Area of the rectangle (zero for empty/degenerate rectangles).
-    pub fn area(&self) -> f64 {
-        let w = (self.max_x - self.min_x).max(0.0);
-        let h = (self.max_y - self.min_y).max(0.0);
-        if w.is_finite() && h.is_finite() {
-            w * h
-        } else {
-            0.0
-        }
-    }
-
     /// Smallest rectangle containing both inputs.
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
@@ -84,11 +68,6 @@ impl Rect {
             max_x: self.max_x.max(other.max_x),
             max_y: self.max_y.max(other.max_y),
         }
-    }
-
-    /// How much the area grows if `other` is merged into this rectangle.
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
     }
 
     /// Center of the rectangle.
@@ -121,8 +100,8 @@ mod tests {
         assert!(!a.intersects(&c));
         assert!(a.contains(&Rect::new(1.0, 1.0, 2.0, 2.0)));
         assert!(!a.contains(&b));
-        assert!(a.contains_point(10.0, 10.0));
-        assert!(!a.contains_point(10.1, 5.0));
+        assert!(a.contains(&Rect::point(10.0, 10.0)));
+        assert!(!a.contains(&Rect::point(10.1, 5.0)));
     }
 
     #[test]
@@ -133,13 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn union_and_enlargement() {
+    fn union_spans_both_rects() {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
         let b = Rect::new(2.0, 2.0, 3.0, 3.0);
         let u = a.union(&b);
         assert_eq!(u, Rect::new(0.0, 0.0, 3.0, 3.0));
-        assert!((a.enlargement(&b) - 8.0).abs() < 1e-9);
-        assert_eq!(a.enlargement(&Rect::new(0.2, 0.2, 0.8, 0.8)), 0.0);
+        assert_eq!(a.union(&Rect::new(0.2, 0.2, 0.8, 0.8)), a);
     }
 
     #[test]
@@ -147,14 +125,12 @@ mod tests {
         let e = Rect::empty();
         let a = Rect::new(1.0, 2.0, 3.0, 4.0);
         assert_eq!(e.union(&a), a);
-        assert_eq!(e.area(), 0.0);
     }
 
     #[test]
     fn point_rect_and_center() {
         let p = Rect::point(3.0, 4.0);
-        assert_eq!(p.area(), 0.0);
-        assert!(p.contains_point(3.0, 4.0));
+        assert!(p.contains(&Rect::point(3.0, 4.0)));
         assert_eq!(Rect::new(0.0, 0.0, 2.0, 4.0).center(), (1.0, 2.0));
     }
 
@@ -167,7 +143,6 @@ mod tests {
         ] {
             assert!(r.intersects(&r));
             assert!(r.contains(&r), "containment bounds are inclusive");
-            assert_eq!(r.enlargement(&r), 0.0);
             assert_eq!(r.union(&r), r);
         }
     }
@@ -179,9 +154,7 @@ mod tests {
         assert!(!e.intersects(&a));
         assert!(!a.intersects(&e));
         assert!(!e.contains(&a));
-        assert!(!e.contains_point(0.0, 0.0));
-        // Inverted (inf) bounds must not produce a negative or inf area.
-        assert_eq!(e.area(), 0.0);
+        assert!(!e.contains(&Rect::point(0.0, 0.0)));
     }
 
     #[test]
@@ -189,15 +162,14 @@ mod tests {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
         let b = Rect::new(1.0, 1.0, 2.0, 2.0);
         assert!(a.intersects(&b), "shared corner is inclusive overlap");
-        assert!(a.contains_point(1.0, 1.0));
-        assert!(b.contains_point(1.0, 1.0));
+        assert!(a.contains(&Rect::point(1.0, 1.0)));
+        assert!(b.contains(&Rect::point(1.0, 1.0)));
     }
 
     #[test]
     fn degenerate_rects_intersect_along_shared_segments() {
         // Zero-width rectangles (vertical segments) and points.
         let seg = Rect::new(1.0, 0.0, 1.0, 5.0);
-        assert_eq!(seg.area(), 0.0);
         assert!(seg.intersects(&Rect::point(1.0, 2.5)));
         assert!(!seg.intersects(&Rect::point(1.0001, 2.5)));
         assert!(!Rect::new(0.0, 0.0, 2.0, 2.0).contains(&seg), "segment extends past y=2");
@@ -209,6 +181,5 @@ mod tests {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
         let u = a.union(&Rect::point(5.0, -2.0));
         assert_eq!(u, Rect::new(0.0, -2.0, 5.0, 1.0));
-        assert!((a.enlargement(&Rect::point(5.0, -2.0)) - (5.0 * 3.0 - 1.0)).abs() < 1e-9);
     }
 }

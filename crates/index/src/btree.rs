@@ -6,11 +6,12 @@
 //! B+Tree maps `i64` keys to `u64` payloads (typically record identifiers or
 //! page indices), stores one node per page of the shared [`Pager`], and
 //! therefore has its probe cost visible in the same I/O statistics the rest
-//! of the system uses.
+//! of the system uses. A tree is bulk-loaded from sorted pairs and read
+//! from then on; it is never modified in place.
 //!
 //! Duplicate keys are allowed; range scans return every matching entry.
 
-use crate::{le_u64, node_entries, IndexError, Result, TYPE_INTERNAL, TYPE_LEAF};
+use crate::{le_u64, node_entries, IndexError, Result, Walk, TYPE_INTERNAL, TYPE_LEAF};
 use rodentstore_storage::page::{Page, PageId};
 use rodentstore_storage::pager::Pager;
 use std::sync::Arc;
@@ -82,7 +83,6 @@ impl Node {
 pub struct BTree {
     pager: Arc<Pager>,
     root: PageId,
-    capacity: usize,
     len: u64,
     height: usize,
 }
@@ -92,7 +92,6 @@ impl std::fmt::Debug for BTree {
         f.debug_struct("BTree")
             .field("len", &self.len)
             .field("height", &self.height)
-            .field("capacity", &self.capacity)
             .finish()
     }
 }
@@ -100,7 +99,7 @@ impl std::fmt::Debug for BTree {
 impl BTree {
     /// Creates an empty B+Tree whose nodes live in `pager`.
     pub fn new(pager: Arc<Pager>) -> Result<BTree> {
-        let capacity = node_capacity(pager.page_size())?;
+        node_capacity(pager.page_size())?;
         let mut page = pager.allocate()?;
         let root = Node::leaf(page.id);
         root.encode(&mut page)?;
@@ -108,7 +107,6 @@ impl BTree {
         Ok(BTree {
             root: page.id,
             pager,
-            capacity,
             len: 0,
             height: 1,
         })
@@ -118,18 +116,17 @@ impl BTree {
     /// root page, entry count, and height (as recorded in a manifest). No
     /// pages are read or written; the tree is usable immediately.
     pub fn from_parts(pager: Arc<Pager>, root: PageId, len: u64, height: usize) -> Result<BTree> {
-        let capacity = node_capacity(pager.page_size())?;
+        node_capacity(pager.page_size())?;
         Ok(BTree {
             pager,
             root,
-            capacity,
             len,
             height,
         })
     }
 
-    /// Bulk-loads a B+Tree from key-sorted `(key, value)` pairs. Leaves are
-    /// packed to ~90% so subsequent inserts do not immediately split.
+    /// Bulk-loads a B+Tree from key-sorted `(key, value)` pairs, filling
+    /// each node to ~90% of its capacity.
     pub fn bulk_load(pager: Arc<Pager>, sorted: &[(i64, u64)]) -> Result<BTree> {
         if sorted.is_empty() {
             return BTree::new(pager);
@@ -177,7 +174,6 @@ impl BTree {
         Ok(BTree {
             root: level[0].1,
             pager,
-            capacity,
             len: sorted.len() as u64,
             height,
         })
@@ -212,15 +208,15 @@ impl BTree {
     /// root. Used to record the index extent in manifests and to return the
     /// pages to the free list when the index is retired.
     pub fn page_ids(&self) -> Result<Vec<PageId>> {
+        let mut walk = Walk::new(&self.pager, self.height);
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
+        let mut stack = vec![(self.root, 1)];
+        while let Some((id, depth)) = stack.pop() {
+            walk.visit(depth)?;
             let node = self.read_node(id)?;
             out.push(id);
             if !node.is_leaf {
-                for (_, child) in &node.entries {
-                    stack.push(*child);
-                }
+                stack.extend(node.entries.iter().map(|&(_, child)| (child, depth + 1)));
             }
         }
         Ok(out)
@@ -230,164 +226,47 @@ impl BTree {
         Node::decode(id, self.pager.read_frame(id)?.data())
     }
 
-    fn write_node(&self, node: &Node) -> Result<()> {
-        let mut page = Page::zeroed(node.page_id, self.pager.page_size());
-        node.encode(&mut page)?;
-        self.pager.write(&page)?;
-        Ok(())
-    }
-
-    /// Index of the child to descend into for `key`.
-    fn child_index(node: &Node, key: i64) -> usize {
-        let mut idx = 0usize;
-        for (i, (k, _)) in node.entries.iter().enumerate() {
-            if *k <= key {
-                idx = i;
-            } else {
-                break;
-            }
-        }
-        idx
-    }
-
-    /// Looks up the first value associated with `key`.
-    pub fn get(&self, key: i64) -> Result<Option<u64>> {
-        let mut node = self.read_node(self.root)?;
-        while !node.is_leaf {
-            let idx = Self::child_index(&node, key);
-            node = self.read_node(node.entries[idx].1)?;
-        }
-        Ok(node
-            .entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v))
-    }
-
-    /// Returns every `(key, value)` with `lo <= key <= hi`, in key order.
-    pub fn range(&self, lo: i64, hi: i64) -> Result<Vec<(i64, u64)>> {
+    /// Every `(key, value)` with `lo <= key <= hi`, in key order, and the
+    /// number of node pages the walk read to find them: the root-to-leaf
+    /// path plus the leaf chain it follows. An empty tree or an inverted
+    /// range reads the root alone.
+    pub fn range(&self, lo: i64, hi: i64) -> Result<(Vec<(i64, u64)>, usize)> {
+        let mut walk = Walk::new(&self.pager, self.height);
         let mut out = Vec::new();
+        let mut depth = 1;
+        walk.visit(depth)?;
+        let mut node = self.read_node(self.root)?;
         if lo > hi || self.len == 0 {
-            return Ok(out);
+            return Ok((out, walk.visited));
         }
         // Descend to the leftmost leaf that may contain `lo`. Because leaves
         // holding duplicate keys can share a separator equal to `lo`, descend
         // into the last child whose separator is *strictly* below `lo` (or
         // the first child if none is).
-        let mut node = self.read_node(self.root)?;
         while !node.is_leaf {
             let idx = node
                 .entries
                 .partition_point(|(k, _)| *k < lo)
                 .saturating_sub(1);
+            depth += 1;
+            walk.visit(depth)?;
             node = self.read_node(node.entries[idx].1)?;
         }
         loop {
-            for (k, v) in &node.entries {
-                if *k > hi {
-                    return Ok(out);
+            for &(k, v) in &node.entries {
+                if k > hi {
+                    return Ok((out, walk.visited));
                 }
-                if *k >= lo {
-                    out.push((*k, *v));
+                if k >= lo {
+                    out.push((k, v));
                 }
             }
             if node.next == NO_NEXT {
-                return Ok(out);
+                return Ok((out, walk.visited));
             }
+            walk.visit(depth)?;
             node = self.read_node(node.next)?;
         }
-    }
-
-    /// Number of tree node pages a [`BTree::range`] probe of `[lo, hi]`
-    /// reads: the root-to-leaf path plus the leaf chain the scan walks.
-    pub fn range_node_count(&self, lo: i64, hi: i64) -> Result<usize> {
-        let mut visited = 1usize;
-        if lo > hi || self.len == 0 {
-            return Ok(visited);
-        }
-        let mut node = self.read_node(self.root)?;
-        while !node.is_leaf {
-            let idx = node
-                .entries
-                .partition_point(|(k, _)| *k < lo)
-                .saturating_sub(1);
-            node = self.read_node(node.entries[idx].1)?;
-            visited += 1;
-        }
-        loop {
-            if node.entries.iter().any(|(k, _)| *k > hi) || node.next == NO_NEXT {
-                return Ok(visited);
-            }
-            node = self.read_node(node.next)?;
-            visited += 1;
-        }
-    }
-
-    /// Inserts a `(key, value)` pair.
-    pub fn insert(&mut self, key: i64, value: u64) -> Result<()> {
-        let split = self.insert_into(self.root, key, value)?;
-        if let Some((sep_key, new_page)) = split {
-            // Grow the tree with a new root.
-            let old_root = self.read_node(self.root)?;
-            let mut page = self.pager.allocate()?;
-            let mut new_root = Node::internal(page.id);
-            new_root.entries = vec![(old_root.first_key(), self.root), (sep_key, new_page)];
-            new_root.encode(&mut page)?;
-            self.pager.write(&page)?;
-            self.root = page.id;
-            self.height += 1;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Recursive insert; returns `Some((separator_key, new_page_id))` when
-    /// the target node split.
-    fn insert_into(&mut self, page_id: PageId, key: i64, value: u64) -> Result<Option<(i64, PageId)>> {
-        let mut node = self.read_node(page_id)?;
-        if node.is_leaf {
-            let pos = node.entries.partition_point(|(k, _)| *k <= key);
-            node.entries.insert(pos, (key, value));
-            if node.entries.len() <= self.capacity {
-                self.write_node(&node)?;
-                return Ok(None);
-            }
-            // Split the leaf.
-            let mid = node.entries.len() / 2;
-            let right_entries = node.entries.split_off(mid);
-            let mut right_page = self.pager.allocate()?;
-            let mut right = Node::leaf(right_page.id);
-            right.entries = right_entries;
-            right.next = node.next;
-            node.next = right.page_id;
-            right.encode(&mut right_page)?;
-            self.pager.write(&right_page)?;
-            self.write_node(&node)?;
-            return Ok(Some((right.first_key(), right.page_id)));
-        }
-
-        let idx = Self::child_index(&node, key);
-        let child_id = node.entries[idx].1;
-        let split = self.insert_into(child_id, key, value)?;
-        if let Some((sep_key, new_page)) = split {
-            let pos = node.entries.partition_point(|(k, _)| *k <= sep_key);
-            node.entries.insert(pos, (sep_key, new_page));
-            if node.entries.len() <= self.capacity {
-                self.write_node(&node)?;
-                return Ok(None);
-            }
-            // Split the internal node.
-            let mid = node.entries.len() / 2;
-            let right_entries = node.entries.split_off(mid);
-            let mut right_page = self.pager.allocate()?;
-            let mut right = Node::internal(right_page.id);
-            right.entries = right_entries;
-            right.encode(&mut right_page)?;
-            self.pager.write(&right_page)?;
-            self.write_node(&node)?;
-            return Ok(Some((right.first_key(), right.page_id)));
-        }
-        Ok(None)
     }
 }
 
@@ -410,13 +289,15 @@ mod tests {
         Arc::new(Pager::in_memory_with_page_size(page_size))
     }
 
+    fn keys(tree: &BTree, lo: i64, hi: i64) -> Vec<(i64, u64)> {
+        tree.range(lo, hi).unwrap().0
+    }
+
     #[test]
     fn damaged_node_pages_decode_to_an_error_or_a_node() {
         let pager = pager(512);
-        let mut tree = BTree::new(Arc::clone(&pager)).unwrap();
-        for key in 0..200i64 {
-            tree.insert(key * 3, key as u64).unwrap();
-        }
+        let pairs: Vec<(i64, u64)> = (0..200).map(|key| (key * 3, key as u64)).collect();
+        let tree = BTree::bulk_load(Arc::clone(&pager), &pairs).unwrap();
         let root = pager.read_frame(tree.root()).unwrap();
         let node = Node::decode(root.id(), root.data()).unwrap();
         assert!(!node.is_leaf && tree.height() > 1);
@@ -441,71 +322,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn insert_and_get() {
-        let mut tree = BTree::new(pager(256)).unwrap();
-        for key in [5i64, 1, 9, 3, 7, -2, 100] {
-            tree.insert(key, (key * 10) as u64).unwrap();
+    /// A one-node tree whose node links back to itself: an internal node
+    /// whose only child is itself, or a leaf whose `next` is itself.
+    fn self_linked(is_leaf: bool) -> BTree {
+        let pager = pager(256);
+        let mut page = pager.allocate().unwrap();
+        let mut node = if is_leaf { Node::leaf(page.id) } else { Node::internal(page.id) };
+        node.entries = vec![(0, if is_leaf { 7 } else { page.id })];
+        if is_leaf {
+            node.next = page.id;
         }
-        assert_eq!(tree.len(), 7);
-        assert_eq!(tree.get(9).unwrap(), Some(90));
-        assert_eq!(tree.get(-2).unwrap(), Some(u64::MAX - 19), "negative keys");
+        node.encode(&mut page).unwrap();
+        pager.write(&page).unwrap();
+        BTree::from_parts(pager, page.id, 1, 1).unwrap()
     }
 
     #[test]
-    fn many_inserts_force_splits_and_stay_sorted() {
-        let mut tree = BTree::new(pager(256)).unwrap();
-        let n = 2000i64;
-        // Insert in a scrambled but deterministic order.
-        for i in 0..n {
-            let key = (i * 7919) % n;
-            tree.insert(key, key as u64).unwrap();
+    fn walks_over_self_linked_nodes_are_corrupted() {
+        // The range [1, 10] holds no entry, so a walk that followed the
+        // links would loop without allocating.
+        for is_leaf in [false, true] {
+            let range = crate::finishes(move || self_linked(is_leaf).range(1, 10).map(|_| ()));
+            assert!(
+                matches!(
+                    range,
+                    Err(IndexError::Storage(rodentstore_storage::StorageError::Corrupted(_)))
+                ),
+                "range over a self-linked {} node: {range:?}",
+                if is_leaf { "leaf" } else { "internal" }
+            );
         }
-        assert!(tree.height() > 1, "tree must have split");
-        let all = tree.range(i64::MIN, i64::MAX).unwrap();
-        assert_eq!(all.len(), n as usize);
-        assert!(all.windows(2).all(|w| w[0].0 <= w[1].0));
-        for probe in [0i64, 1, 999, 1999, n / 2] {
-            assert_eq!(tree.get(probe).unwrap(), Some(probe as u64));
-        }
-        assert_eq!(tree.get(n + 5).unwrap(), None);
+        let pages = crate::finishes(|| self_linked(false).page_ids());
+        assert!(matches!(
+            pages,
+            Err(IndexError::Storage(rodentstore_storage::StorageError::Corrupted(_)))
+        ));
     }
 
     #[test]
     fn range_queries() {
         let pairs: Vec<(i64, u64)> = (0..1000).map(|i| (i, (i * 2) as u64)).collect();
         let tree = BTree::bulk_load(pager(512), &pairs).unwrap();
-        let r = tree.range(100, 110).unwrap();
+        let r = keys(&tree, 100, 110);
         assert_eq!(r.len(), 11);
         assert_eq!(r[0], (100, 200));
         assert_eq!(r[10], (110, 220));
-        assert!(tree.range(2000, 3000).unwrap().is_empty());
-        assert!(tree.range(10, 5).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bulk_load_matches_incremental_inserts() {
-        let pairs: Vec<(i64, u64)> = (0..500).map(|i| (i * 3, i as u64)).collect();
-        let bulk = BTree::bulk_load(pager(256), &pairs).unwrap();
-        let mut incr = BTree::new(pager(256)).unwrap();
-        for (k, v) in &pairs {
-            incr.insert(*k, *v).unwrap();
-        }
-        assert_eq!(
-            bulk.range(i64::MIN, i64::MAX).unwrap(),
-            incr.range(i64::MIN, i64::MAX).unwrap()
-        );
-        assert_eq!(bulk.len(), incr.len());
+        assert!(keys(&tree, 2000, 3000).is_empty());
+        assert!(keys(&tree, 10, 5).is_empty());
     }
 
     #[test]
     fn duplicate_keys_are_kept() {
-        let mut tree = BTree::new(pager(256)).unwrap();
-        for i in 0..50u64 {
-            tree.insert(42, i).unwrap();
-        }
-        let r = tree.range(42, 42).unwrap();
-        assert_eq!(r.len(), 50);
+        let pairs: Vec<(i64, u64)> = (0..50u64).map(|i| (42, i)).collect();
+        let tree = BTree::bulk_load(pager(256), &pairs).unwrap();
+        assert_eq!(keys(&tree, 42, 42).len(), 50);
     }
 
     #[test]
@@ -514,9 +384,11 @@ mod tests {
         let p = pager(4096);
         let tree = BTree::bulk_load(Arc::clone(&p), &pairs).unwrap();
         p.stats().reset();
-        tree.get(12_345).unwrap();
+        let (found, nodes) = tree.range(12_345, 12_345).unwrap();
+        assert_eq!(found, vec![(12_345, 12_345)]);
         let reads = p.stats().snapshot().pages_read;
-        assert!(reads as usize <= tree.height(), "reads {reads} > height");
+        assert_eq!(reads as usize, nodes, "the walk counts the pages it reads");
+        assert!(nodes <= tree.height() + 1, "reads {reads} > height + 1");
         assert!(reads <= 4);
     }
 
@@ -529,57 +401,42 @@ mod tests {
     fn empty_tree_behaviour() {
         let tree = BTree::new(pager(256)).unwrap();
         assert!(tree.is_empty());
-        assert_eq!(tree.get(1).unwrap(), None);
-        assert!(tree.range(0, 100).unwrap().is_empty());
+        assert!(keys(&tree, 1, 1).is_empty());
+        assert!(keys(&tree, 0, 100).is_empty());
         let empty = BTree::bulk_load(pager(256), &[]).unwrap();
         assert!(empty.is_empty());
     }
 
     #[test]
-    fn split_happens_exactly_at_capacity_boundary() {
-        let p = pager(256);
-        let capacity = node_capacity(256).unwrap();
-        let mut tree = BTree::new(Arc::clone(&p)).unwrap();
-        for i in 0..capacity as i64 {
-            tree.insert(i, i as u64).unwrap();
-        }
-        assert_eq!(tree.height(), 1, "a full leaf must not split pre-emptively");
-        tree.insert(capacity as i64, capacity as u64).unwrap();
-        assert_eq!(tree.height(), 2, "overflowing the leaf must split");
-        let all = tree.range(i64::MIN, i64::MAX).unwrap();
-        assert_eq!(all.len(), capacity + 1);
-        assert!(all.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn duplicate_runs_survive_splits() {
-        // More duplicates of one key than fit in a single leaf: the run is
-        // forced across a split boundary and range(k, k) must still return
-        // every payload exactly once.
-        let mut tree = BTree::new(pager(256)).unwrap();
+    fn duplicate_runs_span_leaf_boundaries() {
+        // More duplicates of one key than fit in a single leaf: the run
+        // spans leaves whose separators equal the key, and range(k, k) must
+        // still return every payload exactly once.
         let capacity = node_capacity(256).unwrap();
         let n = capacity as u64 * 4;
-        for v in 0..n {
-            tree.insert(7, v).unwrap();
-        }
+        let pairs: Vec<(i64, u64)> = [(6, n)]
+            .into_iter()
+            .chain((0..n).map(|v| (7, v)))
+            .chain([(8, n + 1)])
+            .collect();
+        let tree = BTree::bulk_load(pager(256), &pairs).unwrap();
         assert!(tree.height() > 1);
-        let mut got: Vec<u64> = tree.range(7, 7).unwrap().iter().map(|(_, v)| *v).collect();
+        let mut got: Vec<u64> = keys(&tree, 7, 7).iter().map(|(_, v)| *v).collect();
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
-        assert!(tree.range(6, 6).unwrap().is_empty());
-        assert!(tree.range(8, 8).unwrap().is_empty());
+        assert_eq!(keys(&tree, 6, 6), vec![(6, n)]);
+        assert_eq!(keys(&tree, 8, 8), vec![(8, n + 1)]);
     }
 
     #[test]
     fn extreme_keys_round_trip() {
-        let mut tree = BTree::new(pager(256)).unwrap();
-        for key in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX] {
-            tree.insert(key, key as u64).unwrap();
+        let extremes = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let pairs: Vec<(i64, u64)> = extremes.iter().map(|&key| (key, key as u64)).collect();
+        let tree = BTree::bulk_load(pager(256), &pairs).unwrap();
+        for key in [i64::MIN, i64::MAX, 0, -1] {
+            assert_eq!(keys(&tree, key, key), vec![(key, key as u64)]);
         }
-        for key in [i64::MIN, i64::MAX, 0] {
-            assert_eq!(tree.get(key).unwrap(), Some(key as u64));
-        }
-        let all = tree.range(i64::MIN, i64::MAX).unwrap();
+        let all = keys(&tree, i64::MIN, i64::MAX);
         assert_eq!(all.len(), 7);
         assert_eq!(all[0].0, i64::MIN);
         assert_eq!(all[6].0, i64::MAX);
@@ -598,8 +455,8 @@ mod tests {
             reattached.range(i64::MIN, i64::MAX).unwrap(),
             built.range(i64::MIN, i64::MAX).unwrap()
         );
-        assert_eq!(reattached.get(100).unwrap(), Some(50));
-        assert_eq!(reattached.get(101).unwrap(), None);
+        assert_eq!(keys(&reattached, 100, 100), vec![(100, 50)]);
+        assert!(keys(&reattached, 101, 101).is_empty());
         let mut a = built.page_ids().unwrap();
         let mut b = reattached.page_ids().unwrap();
         a.sort_unstable();
@@ -611,16 +468,16 @@ mod tests {
     fn range_node_count_boundaries() {
         // Degenerate inputs visit exactly the root.
         let empty = BTree::new(pager(256)).unwrap();
-        assert_eq!(empty.range_node_count(0, 100).unwrap(), 1);
+        assert_eq!(empty.range(0, 100).unwrap().1, 1);
         let pairs: Vec<(i64, u64)> = (0..500).map(|i| (i, i as u64)).collect();
         let p = pager(256);
         let tree = BTree::bulk_load(Arc::clone(&p), &pairs).unwrap();
-        assert_eq!(tree.range_node_count(10, 5).unwrap(), 1, "inverted range");
+        assert_eq!(tree.range(10, 5).unwrap().1, 1, "inverted range");
 
         // A point probe walks one root-to-leaf path (plus at most one leaf
         // link when the key sits at a leaf boundary).
         for probe in [0i64, 250, 499] {
-            let visited = tree.range_node_count(probe, probe).unwrap();
+            let visited = tree.range(probe, probe).unwrap().1;
             assert!(
                 visited >= tree.height() && visited <= tree.height() + 1,
                 "point probe visited {visited}, height {}",
@@ -628,25 +485,24 @@ mod tests {
             );
         }
 
-        // The estimate is exact: a real range() probe reads precisely the
-        // pages range_node_count() predicts, for narrow, wide, and
-        // leaf-boundary-straddling windows alike.
+        // The count is exact: a range() probe reads precisely the pages it
+        // reports, for narrow, wide, leaf-boundary-straddling and
+        // degenerate windows alike.
         let leaves = tree
             .page_ids()
             .unwrap()
             .iter()
             .filter(|id| tree.read_node(**id).unwrap().is_leaf)
             .count();
-        for (lo, hi) in [(0, 0), (100, 120), (0, 499), (490, 600), (-50, 10)] {
-            let predicted = tree.range_node_count(lo, hi).unwrap();
+        for (lo, hi) in [(0, 0), (100, 120), (0, 499), (490, 600), (-50, 10), (10, 5)] {
             p.stats().reset();
-            tree.range(lo, hi).unwrap();
+            let visited = tree.range(lo, hi).unwrap().1;
             let read = p.stats().snapshot().pages_read as usize;
-            assert_eq!(predicted, read, "range [{lo}, {hi}]");
+            assert_eq!(visited, read, "range [{lo}, {hi}]");
         }
         // A full sweep walks the entire leaf chain exactly once.
         assert_eq!(
-            tree.range_node_count(i64::MIN, i64::MAX).unwrap(),
+            tree.range(i64::MIN, i64::MAX).unwrap().1,
             tree.height() + leaves - 1
         );
     }

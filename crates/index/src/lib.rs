@@ -13,7 +13,11 @@
 //! Both indexes store one node per page of a shared
 //! [`rodentstore_storage::Pager`], so index probes show up in the same I/O
 //! statistics (pages read, seeks) as table scans, and the cost model can
-//! compare access paths uniformly.
+//! compare access paths uniformly. A tree is bulk-loaded once and never
+//! modified: new rows mean a new tree. Each probe walks the tree once and
+//! reports the node pages it read next to what it found, and every walk is
+//! bounded by the tree's height and the pager's size, so a damaged page
+//! that links back into the tree is an error, not a walk without end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +30,7 @@ pub use bounds::Rect;
 pub use btree::BTree;
 pub use rtree::RTree;
 
+use rodentstore_storage::pager::Pager;
 use rodentstore_storage::StorageError;
 use std::fmt;
 
@@ -106,6 +111,43 @@ fn node_entries(
         })
 }
 
+/// The bound on one walk of a tree: no node below the tree's recorded
+/// height, and no more node visits than the pager has pages. A well-formed
+/// tree never reaches either; a damaged page whose child or next link points
+/// back into the tree reaches one of them, and the walk fails as `Corrupted`
+/// instead of looping.
+struct Walk {
+    height: usize,
+    pages: u64,
+    /// Nodes visited so far: the node pages the walk read.
+    visited: usize,
+}
+
+impl Walk {
+    fn new(pager: &Pager, height: usize) -> Walk {
+        Walk {
+            height,
+            pages: pager.page_count(),
+            visited: 0,
+        }
+    }
+
+    /// Charges the visit of a node at `depth` (the root is at depth 1),
+    /// before its page is read.
+    fn visit(&mut self, depth: usize) -> Result<()> {
+        self.visited += 1;
+        if depth > self.height || self.visited as u64 > self.pages {
+            let msg = format!(
+                "index walk reached depth {depth} of a tree of height {} after {} \
+                 node visits in a pager of {} pages: a node links back into the tree",
+                self.height, self.visited, self.pages
+            );
+            return Err(StorageError::Corrupted(msg).into());
+        }
+        Ok(())
+    }
+}
+
 /// The little-endian `u64` at byte `at` of `bytes`, which the caller has
 /// bounds-checked (a [`node_entries`] entry or a node header).
 fn le_u64(bytes: &[u8], at: usize) -> u64 {
@@ -134,4 +176,15 @@ fn for_each_damaged(page: &[u8], flips: usize, mut check: impl FnMut(&[u8])) {
         damaged[bit / 8] ^= 1 << (bit % 8);
         check(&damaged);
     }
+}
+
+/// Runs `walk` on a thread of its own and returns its result, failing the
+/// calling test if the walk has not finished within a few seconds: a walk
+/// that loops fails its test instead of hanging the suite.
+#[cfg(test)]
+fn finishes<T: Send + 'static>(walk: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(walk()));
+    rx.recv_timeout(std::time::Duration::from_secs(5))
+        .expect("the walk finishes instead of looping")
 }

@@ -7,12 +7,11 @@
 //! visited node, which is exactly why the paper finds it sub-optimal on dense
 //! data with many overlapping bounding boxes.
 //!
-//! The implementation supports Sort-Tile-Recursive (STR) bulk loading and
-//! incremental insertion with least-enlargement subtree choice and
-//! largest-axis splits.
+//! A tree is bulk-loaded, by Sort-Tile-Recursive (STR) packing or along the
+//! Hilbert curve, and read from then on; it is never modified in place.
 
 use crate::bounds::Rect;
-use crate::{le_u64, node_entries, IndexError, Result, TYPE_INTERNAL, TYPE_LEAF};
+use crate::{le_u64, node_entries, IndexError, Result, Walk, TYPE_INTERNAL, TYPE_LEAF};
 use rodentstore_sfc::hilbert2;
 use rodentstore_storage::page::{Page, PageId};
 use rodentstore_storage::pager::Pager;
@@ -83,7 +82,6 @@ impl Node {
 pub struct RTree {
     pager: Arc<Pager>,
     root: PageId,
-    capacity: usize,
     len: u64,
     height: usize,
 }
@@ -93,7 +91,6 @@ impl std::fmt::Debug for RTree {
         f.debug_struct("RTree")
             .field("len", &self.len)
             .field("height", &self.height)
-            .field("capacity", &self.capacity)
             .finish()
     }
 }
@@ -101,7 +98,7 @@ impl std::fmt::Debug for RTree {
 impl RTree {
     /// Creates an empty R-Tree whose nodes live in `pager`.
     pub fn new(pager: Arc<Pager>) -> Result<RTree> {
-        let capacity = node_capacity(pager.page_size())?;
+        node_capacity(pager.page_size())?;
         let mut page = pager.allocate()?;
         let root = Node {
             page_id: page.id,
@@ -113,7 +110,6 @@ impl RTree {
         Ok(RTree {
             root: page.id,
             pager,
-            capacity,
             len: 0,
             height: 1,
         })
@@ -123,11 +119,10 @@ impl RTree {
     /// root page, entry count, and height (as recorded in a manifest). No
     /// pages are read or written; the tree is usable immediately.
     pub fn from_parts(pager: Arc<Pager>, root: PageId, len: u64, height: usize) -> Result<RTree> {
-        let capacity = node_capacity(pager.page_size())?;
+        node_capacity(pager.page_size())?;
         Ok(RTree {
             pager,
             root,
-            capacity,
             len,
             height,
         })
@@ -160,7 +155,6 @@ impl RTree {
         Ok(RTree {
             root: level[0].value,
             pager,
-            capacity,
             len: items.len() as u64,
             height,
         })
@@ -235,7 +229,6 @@ impl RTree {
                 return Ok(RTree {
                     root: parents[0].value,
                     pager,
-                    capacity,
                     len: items.len() as u64,
                     height,
                 });
@@ -274,16 +267,7 @@ impl RTree {
     /// pages to the free list when the index is retired.
     pub fn page_ids(&self) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            out.push(id);
-            if !node.is_leaf {
-                for entry in &node.entries {
-                    stack.push(entry.value);
-                }
-            }
-        }
+        self.walk(|_| true, |node| out.push(node.page_id))?;
         Ok(out)
     }
 
@@ -291,158 +275,39 @@ impl RTree {
         Node::decode(id, self.pager.read_frame(id)?.data())
     }
 
-    fn write_node(&self, node: &Node) -> Result<()> {
-        let mut page = Page::zeroed(node.page_id, self.pager.page_size());
-        node.encode(&mut page)?;
-        self.pager.write(&page)?;
-        Ok(())
-    }
-
-    /// Returns the payloads of every entry whose rectangle intersects
-    /// `query`. Each visited node costs one page read.
-    pub fn query(&self, query: &Rect) -> Result<Vec<u64>> {
+    /// The payloads of every entry whose rectangle intersects `query`, and
+    /// the number of node pages the walk read to find them: each visited
+    /// node is one page read, the root always among them.
+    pub fn query(&self, query: &Rect) -> Result<(Vec<u64>, usize)> {
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            for entry in &node.entries {
-                if entry.rect.intersects(query) {
-                    if node.is_leaf {
-                        out.push(entry.value);
-                    } else {
-                        stack.push(entry.value);
-                    }
+        let visited = self.walk(
+            |rect| rect.intersects(query),
+            |node| {
+                if node.is_leaf {
+                    let hits = node.entries.iter().filter(|e| e.rect.intersects(query));
+                    out.extend(hits.map(|e| e.value));
                 }
-            }
-        }
-        Ok(out)
+            },
+        )?;
+        Ok((out, visited))
     }
 
-    /// Number of nodes (pages) a query would touch; useful for cost
-    /// estimation without actually materializing results.
-    pub fn query_node_count(&self, query: &Rect) -> Result<usize> {
-        let mut visited = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
+    /// Walks the tree depth-first from the root, handing `visit` every node
+    /// read and descending into the children whose rectangles pass
+    /// `descend`. Returns the number of nodes read.
+    fn walk(&self, descend: impl Fn(&Rect) -> bool, mut visit: impl FnMut(&Node)) -> Result<usize> {
+        let mut walk = Walk::new(&self.pager, self.height);
+        let mut stack = vec![(self.root, 1)];
+        while let Some((id, depth)) = stack.pop() {
+            walk.visit(depth)?;
             let node = self.read_node(id)?;
-            visited += 1;
             if !node.is_leaf {
-                for entry in &node.entries {
-                    if entry.rect.intersects(query) {
-                        stack.push(entry.value);
-                    }
-                }
+                let children = node.entries.iter().filter(|e| descend(&e.rect));
+                stack.extend(children.map(|e| (e.value, depth + 1)));
             }
+            visit(&node);
         }
-        Ok(visited)
-    }
-
-    /// Inserts a rectangle with its payload.
-    pub fn insert(&mut self, rect: Rect, value: u64) -> Result<()> {
-        let split = self.insert_into(self.root, Entry { rect, value })?;
-        if let Some((left_mbr, right_mbr, right_id)) = split {
-            let mut page = self.pager.allocate()?;
-            let new_root = Node {
-                page_id: page.id,
-                is_leaf: false,
-                entries: vec![
-                    Entry {
-                        rect: left_mbr,
-                        value: self.root,
-                    },
-                    Entry {
-                        rect: right_mbr,
-                        value: right_id,
-                    },
-                ],
-            };
-            new_root.encode(&mut page)?;
-            self.pager.write(&page)?;
-            self.root = page.id;
-            self.height += 1;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Recursive insert. Returns `Some((left_mbr, right_mbr, right_page))`
-    /// when the node split.
-    fn insert_into(&mut self, page_id: PageId, entry: Entry) -> Result<Option<(Rect, Rect, PageId)>> {
-        let mut node = self.read_node(page_id)?;
-        if node.is_leaf {
-            node.entries.push(entry);
-            if node.entries.len() <= self.capacity {
-                self.write_node(&node)?;
-                return Ok(None);
-            }
-            return self.split_node(node);
-        }
-
-        // Choose the child needing least enlargement (ties: smaller area).
-        let mut best = 0usize;
-        let mut best_enlargement = f64::INFINITY;
-        let mut best_area = f64::INFINITY;
-        for (i, child) in node.entries.iter().enumerate() {
-            let enlargement = child.rect.enlargement(&entry.rect);
-            let area = child.rect.area();
-            if enlargement < best_enlargement
-                || (enlargement == best_enlargement && area < best_area)
-            {
-                best = i;
-                best_enlargement = enlargement;
-                best_area = area;
-            }
-        }
-        let child_id = node.entries[best].value;
-        let split = self.insert_into(child_id, entry)?;
-        match split {
-            None => {
-                // Update the child's MBR.
-                let child = self.read_node(child_id)?;
-                node.entries[best].rect = child.mbr();
-                self.write_node(&node)?;
-                Ok(None)
-            }
-            Some((left_mbr, right_mbr, right_id)) => {
-                node.entries[best].rect = left_mbr;
-                node.entries.push(Entry {
-                    rect: right_mbr,
-                    value: right_id,
-                });
-                if node.entries.len() <= self.capacity {
-                    self.write_node(&node)?;
-                    return Ok(None);
-                }
-                self.split_node(node)
-            }
-        }
-    }
-
-    /// Splits an overfull node along its larger axis, writing both halves.
-    fn split_node(&mut self, mut node: Node) -> Result<Option<(Rect, Rect, PageId)>> {
-        let mbr = node.mbr();
-        let split_on_x = (mbr.max_x - mbr.min_x) >= (mbr.max_y - mbr.min_y);
-        node.entries.sort_by(|a, b| {
-            let (ka, kb) = if split_on_x {
-                (a.rect.center().0, b.rect.center().0)
-            } else {
-                (a.rect.center().1, b.rect.center().1)
-            };
-            ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mid = node.entries.len() / 2;
-        let right_entries = node.entries.split_off(mid);
-
-        let mut right_page = self.pager.allocate()?;
-        let right = Node {
-            page_id: right_page.id,
-            is_leaf: node.is_leaf,
-            entries: right_entries,
-        };
-        right.encode(&mut right_page)?;
-        self.pager.write(&right_page)?;
-        self.write_node(&node)?;
-        Ok(Some((node.mbr(), right.mbr(), right.page_id)))
+        Ok(walk.visited)
     }
 }
 
@@ -574,24 +439,10 @@ mod tests {
             Rect::new(0.95, 0.95, 0.99, 0.99),
             Rect::new(2.0, 2.0, 3.0, 3.0),
         ] {
-            let mut got = tree.query(&query).unwrap();
+            let mut got = tree.query(&query).unwrap().0;
             got.sort_unstable();
             assert_eq!(got, brute_force(&items, &query));
         }
-    }
-
-    #[test]
-    fn incremental_insert_matches_brute_force() {
-        let items = points(800);
-        let mut tree = RTree::new(pager(512)).unwrap();
-        for (rect, id) in &items {
-            tree.insert(*rect, *id).unwrap();
-        }
-        assert!(tree.height() > 1);
-        let query = Rect::new(0.25, 0.25, 0.5, 0.5);
-        let mut got = tree.query(&query).unwrap();
-        got.sort_unstable();
-        assert_eq!(got, brute_force(&items, &query));
     }
 
     #[test]
@@ -601,8 +452,9 @@ mod tests {
         let tree = RTree::bulk_load(Arc::clone(&p), &items).unwrap();
         let total_pages = p.page_count();
         p.stats().reset();
-        tree.query(&Rect::new(0.4, 0.4, 0.41, 0.41)).unwrap();
+        let (_, visited) = tree.query(&Rect::new(0.4, 0.4, 0.41, 0.41)).unwrap();
         let reads = p.stats().snapshot().pages_read;
+        assert_eq!(reads as usize, visited, "the walk counts the pages it reads");
         assert!(
             reads * 10 < total_pages,
             "query read {reads} of {total_pages} pages"
@@ -622,9 +474,7 @@ mod tests {
             .collect();
         let p = pager(512);
         let tree = RTree::bulk_load(Arc::clone(&p), &items).unwrap();
-        let visited = tree
-            .query_node_count(&Rect::new(0.4, 0.4, 0.45, 0.45))
-            .unwrap();
+        let visited = tree.query(&Rect::new(0.4, 0.4, 0.45, 0.45)).unwrap().1;
         let leaf_pages = items.len().div_ceil(10);
         assert!(
             visited * 2 > leaf_pages,
@@ -636,7 +486,7 @@ mod tests {
     fn empty_tree_and_page_size_checks() {
         let tree = RTree::new(pager(512)).unwrap();
         assert!(tree.is_empty());
-        assert!(tree.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap().is_empty());
+        assert!(tree.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap().0.is_empty());
         assert!(RTree::new(pager(64)).is_err());
         let empty = RTree::bulk_load(pager(512), &[]).unwrap();
         assert!(empty.is_empty());
@@ -653,7 +503,7 @@ mod tests {
             Rect::point(0.5, 0.5),
             Rect::new(2.0, 2.0, 3.0, 3.0),
         ] {
-            let mut got = tree.query(&query).unwrap();
+            let mut got = tree.query(&query).unwrap().0;
             got.sort_unstable();
             assert_eq!(got, brute_force(&items, &query));
         }
@@ -672,7 +522,7 @@ mod tests {
             Rect::new(0.7, 0.1, 0.72, 0.12),
             Rect::point(0.5, 0.5),
         ] {
-            let visited = tree.query_node_count(&q).unwrap();
+            let visited = tree.query(&q).unwrap().1;
             assert!(
                 visited * 20 < total,
                 "tight query visited {visited} of {total} pages"
@@ -690,8 +540,8 @@ mod tests {
         assert_eq!(reattached.len(), built.len());
         assert_eq!(reattached.height(), built.height());
         let q = Rect::new(0.2, 0.2, 0.6, 0.6);
-        let mut a = built.query(&q).unwrap();
-        let mut b = reattached.query(&q).unwrap();
+        let mut a = built.query(&q).unwrap().0;
+        let mut b = reattached.query(&q).unwrap().0;
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -706,21 +556,16 @@ mod tests {
     fn query_node_count_edges() {
         let empty = RTree::new(pager(512)).unwrap();
         assert_eq!(
-            empty.query_node_count(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap(),
+            empty.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap().1,
             1,
             "empty tree still reads its root"
         );
         let items = points(2000);
         let tree = RTree::bulk_load_hilbert(pager(1024), &items).unwrap();
         // A query disjoint from the data's bounding box prunes at the root.
-        assert_eq!(
-            tree.query_node_count(&Rect::new(5.0, 5.0, 6.0, 6.0)).unwrap(),
-            1
-        );
+        assert_eq!(tree.query(&Rect::new(5.0, 5.0, 6.0, 6.0)).unwrap().1, 1);
         // A query covering everything visits every page of the tree.
-        let all = tree
-            .query_node_count(&Rect::new(-1.0, -1.0, 2.0, 2.0))
-            .unwrap();
+        let all = tree.query(&Rect::new(-1.0, -1.0, 2.0, 2.0)).unwrap().1;
         assert_eq!(all, tree.page_ids().unwrap().len());
     }
 
@@ -733,24 +578,41 @@ mod tests {
             RTree::bulk_load(pager(512), &items).unwrap(),
             RTree::bulk_load_hilbert(pager(512), &items).unwrap(),
         ] {
-            let mut got = tree.query(&Rect::point(0.5, 0.5)).unwrap();
+            let mut got = tree.query(&Rect::point(0.5, 0.5)).unwrap().0;
             got.sort_unstable();
             assert_eq!(got, (0..300).collect::<Vec<u64>>());
-            assert!(tree.query(&Rect::point(0.4, 0.5)).unwrap().is_empty());
+            assert!(tree.query(&Rect::point(0.4, 0.5)).unwrap().0.is_empty());
         }
     }
 
     #[test]
-    fn mbrs_stay_consistent_after_inserts() {
-        let mut tree = RTree::new(pager(512)).unwrap();
-        for (rect, id) in points(200) {
-            tree.insert(rect, id).unwrap();
-        }
-        // The root MBR must contain every point.
-        let root = tree.read_node(tree.root).unwrap();
-        let root_mbr = root.mbr();
-        for (rect, _) in points(200) {
-            assert!(root_mbr.contains(&rect));
-        }
+    fn walks_over_a_self_linked_node_are_corrupted() {
+        // An internal node whose only child is itself: a walk that followed
+        // the link would loop without allocating.
+        let tree = || {
+            let pager = pager(512);
+            let mut page = pager.allocate().unwrap();
+            let node = Node {
+                page_id: page.id,
+                is_leaf: false,
+                entries: vec![Entry {
+                    rect: Rect::new(0.0, 0.0, 1.0, 1.0),
+                    value: page.id,
+                }],
+            };
+            node.encode(&mut page).unwrap();
+            pager.write(&page).unwrap();
+            RTree::from_parts(pager, page.id, 1, 1).unwrap()
+        };
+        let corrupted = |r: &Result<()>| {
+            matches!(
+                r,
+                Err(IndexError::Storage(rodentstore_storage::StorageError::Corrupted(_)))
+            )
+        };
+        let query = crate::finishes(move || tree().query(&Rect::point(0.5, 0.5)).map(|_| ()));
+        assert!(corrupted(&query), "{query:?}");
+        let pages = crate::finishes(move || tree().page_ids().map(|_| ()));
+        assert!(corrupted(&pages), "{pages:?}");
     }
 }

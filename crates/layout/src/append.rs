@@ -134,10 +134,10 @@ pub fn append_records<P: TableProvider + ?Sized>(
         absorbed?;
         added
     } else {
-        let Some((touched, placed)) = place(layout, new_rows)? else {
+        let Some(touched) = place(layout, new_rows)? else {
             return needs("unrecognized multi-object shape");
         };
-        crate::index::maintain_index(layout, &placed)?;
+        layout.rebuild_index()?;
         // Appended rows are not sorted into place; drop native-order claims
         // so ordered scans re-sort instead of returning wrongly ordered
         // results.

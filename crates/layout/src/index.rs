@@ -17,12 +17,11 @@ use crate::plan::{ObjectEncoding, PhysicalLayout};
 use crate::rowcodec::decode_fields_borrowed;
 use crate::{LayoutError, Result};
 use rodentstore_algebra::types::DataType;
-use rodentstore_algebra::value::{Record, Value};
+use rodentstore_algebra::value::Value;
 use rodentstore_index::bounds::Rect;
 use rodentstore_index::btree::BTree;
 use rodentstore_index::rtree::RTree;
 use rodentstore_index::IndexError;
-use rodentstore_storage::heap::RecordId;
 use rodentstore_storage::page::PageId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -152,15 +151,10 @@ pub struct StoredIndex {
     /// Packed positions of rows whose indexed values cannot be keyed;
     /// every probe includes them, and the residual predicate decides.
     pub outliers: Vec<u64>,
-    /// Set when an on-disk manifest references the current tree pages.
-    /// Unlike heap tails (protected and relocated page-at-a-time), tree
-    /// inserts splice nodes in place and split into fresh pages — so once a
-    /// manifest points at the tree, the next maintenance must rebuild into
-    /// fresh pages wholesale or crash recovery would reattach a mutated
-    /// tree. See [`StoredIndex::protect`].
-    protected: std::sync::atomic::AtomicBool,
-    /// Pages vacated by protected-tree relocation, awaiting quarantine at
-    /// the next checkpoint (the previous manifest still references them).
+    /// The pages of the trees this one replaced (see
+    /// [`PhysicalLayout::rebuild_index`]), until their owner drains them: a
+    /// reader of an earlier generation or the on-disk manifest may still
+    /// reference them.
     relocated: std::sync::Mutex<Vec<PageId>>,
 }
 
@@ -204,35 +198,15 @@ impl StoredIndex {
             key_kinds,
             kind,
             outliers,
-            // A reattached tree is by definition the one the manifest
-            // references: the first maintenance must relocate it.
-            protected: std::sync::atomic::AtomicBool::new(true),
             relocated: std::sync::Mutex::new(Vec::new()),
         })
     }
 
-    /// Marks the tree pages as referenced by the on-disk manifest: the next
-    /// maintenance rebuilds into fresh pages instead of mutating them in
-    /// place, and parks the vacated pages in [`StoredIndex::take_relocated`].
-    pub fn protect(&self) {
-        self.protected.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Whether the current tree pages are manifest-referenced (see
-    /// [`StoredIndex::protect`]).
-    pub fn is_protected(&self) -> bool {
-        self.protected.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Drains the pages vacated by protected-tree relocation since the last
-    /// call. The caller owns their reclamation (quarantine until the next
-    /// manifest stops referencing them).
+    /// Drains the pages of the trees this one replaced since the last call.
+    /// The caller owns their reclamation (quarantine until no reader and no
+    /// manifest references them).
     pub fn take_relocated(&self) -> Vec<PageId> {
         std::mem::take(&mut *self.relocated.lock().unwrap())
-    }
-
-    pub(crate) fn note_relocated(&self, pages: Vec<PageId>) {
-        self.relocated.lock().unwrap().extend(pages);
     }
 
     /// `"btree"` or `"rtree"` (used in manifests and diagnostics).
@@ -297,17 +271,17 @@ impl StoredIndex {
 
     /// Probes the index for the packed positions of rows that *may* satisfy
     /// the per-field ranges (a superset; the caller applies the residual
-    /// predicate). Results are sorted ascending, i.e. in storage order.
-    pub fn probe(&self, ranges: &HashMap<String, (f64, f64)>) -> Result<Vec<u64>> {
+    /// predicate), sorted ascending, i.e. in storage order, and the number
+    /// of tree node pages the probe read.
+    pub fn probe(&self, ranges: &HashMap<String, (f64, f64)>) -> Result<(Vec<u64>, usize)> {
         let unbounded = (f64::NEG_INFINITY, f64::INFINITY);
-        let mut out = match &self.kind {
+        let (mut out, nodes) = match &self.kind {
             IndexKind::BTree(tree) => {
                 let (lo, hi) = ranges.get(&self.fields[0]).copied().unwrap_or(unbounded);
-                tree.range(lo_key(lo, self.key_kinds[0]), hi_key(hi, self.key_kinds[0]))
-                    .map_err(index_err)?
-                    .into_iter()
-                    .map(|(_, pos)| pos)
-                    .collect::<Vec<u64>>()
+                let (hits, nodes) = tree
+                    .range(lo_key(lo, self.key_kinds[0]), hi_key(hi, self.key_kinds[0]))
+                    .map_err(index_err)?;
+                (hits.into_iter().map(|(_, pos)| pos).collect(), nodes)
             }
             IndexKind::RTree(tree) => {
                 let (lx, hx) = ranges.get(&self.fields[0]).copied().unwrap_or(unbounded);
@@ -325,53 +299,19 @@ impl StoredIndex {
         };
         out.extend_from_slice(&self.outliers);
         out.sort_unstable();
-        Ok(out)
-    }
-
-    /// Number of index node pages a probe of `ranges` reads.
-    pub fn probe_node_pages(&self, ranges: &HashMap<String, (f64, f64)>) -> Result<usize> {
-        let unbounded = (f64::NEG_INFINITY, f64::INFINITY);
-        match &self.kind {
-            IndexKind::BTree(tree) => {
-                let (lo, hi) = ranges.get(&self.fields[0]).copied().unwrap_or(unbounded);
-                tree.range_node_count(lo_key(lo, self.key_kinds[0]), hi_key(hi, self.key_kinds[0]))
-                    .map_err(index_err)
-            }
-            IndexKind::RTree(tree) => {
-                let (lx, hx) = ranges.get(&self.fields[0]).copied().unwrap_or(unbounded);
-                let (ly, hy) = ranges.get(&self.fields[1]).copied().unwrap_or(unbounded);
-                tree.query_node_count(&Rect {
-                    min_x: lx,
-                    min_y: ly,
-                    max_x: hx,
-                    max_y: hy,
-                })
-                .map_err(index_err)
-            }
-        }
-    }
-
-    /// Adds one appended row to the index. `values` are the row's indexed
-    /// field values (in `self.fields` order) and `pos` its packed position.
-    pub fn insert_row(&mut self, values: &[&Value], pos: u64) -> Result<()> {
-        match &mut self.kind {
-            IndexKind::BTree(tree) => match key_of(values[0], self.key_kinds[0]) {
-                Some(key) => tree.insert(key, pos).map_err(index_err)?,
-                None => self.outliers.push(pos),
-            },
-            IndexKind::RTree(tree) => match (coord_of(values[0]), coord_of(values[1])) {
-                (Some(x), Some(y)) => tree.insert(Rect::point(x, y), pos).map_err(index_err)?,
-                _ => self.outliers.push(pos),
-            },
-        }
-        Ok(())
+        Ok((out, nodes))
     }
 }
 
 /// Builds the declared index over an already-rendered layout by walking its
-/// heap files in storage order. Only row-encoded objects can be addressed by
-/// `(page, slot)`; other encodings are rejected with a clear message.
-pub(crate) fn build_index(layout: &PhysicalLayout, fields: &[String]) -> Result<StoredIndex> {
+/// heap files in storage order, carrying `relocated`, the pages of the trees
+/// it replaces. Only row-encoded objects can be addressed by `(page, slot)`;
+/// other encodings are rejected with a clear message.
+pub(crate) fn build_index(
+    layout: &PhysicalLayout,
+    fields: &[String],
+    relocated: Vec<PageId>,
+) -> Result<StoredIndex> {
     for obj in &layout.objects {
         if obj.encoding != ObjectEncoding::Rows {
             return Err(LayoutError::Unsupported(format!(
@@ -460,47 +400,8 @@ pub(crate) fn build_index(layout: &PhysicalLayout, fields: &[String]) -> Result<
         key_kinds,
         kind,
         outliers,
-        protected: std::sync::atomic::AtomicBool::new(false),
-        relocated: std::sync::Mutex::new(Vec::new()),
+        relocated: std::sync::Mutex::new(relocated),
     })
-}
-
-/// Packed record of where appended rows landed, used to maintain the index.
-pub(crate) fn maintain_index(
-    layout: &mut PhysicalLayout,
-    placed: &[(usize, RecordId, Record)],
-) -> Result<()> {
-    if layout.index.is_none() {
-        return Ok(());
-    }
-    // A protected tree is referenced by the on-disk manifest; splicing the
-    // new entries in place would corrupt what crash recovery reattaches.
-    // Rebuild into fresh pages instead — the appended rows are already in
-    // the heaps — and carry the vacated pages for quarantine at the next
-    // checkpoint (the previous manifest still references them).
-    if layout.index.as_ref().is_some_and(|i| i.is_protected()) {
-        let (vacated, fields) = {
-            let old = layout.index.as_ref().expect("checked above");
-            let mut vacated = old.take_relocated();
-            vacated.extend(old.page_ids()?);
-            (vacated, old.fields.clone())
-        };
-        let rebuilt = build_index(layout, &fields)?;
-        rebuilt.note_relocated(vacated);
-        layout.index = Some(rebuilt);
-        return Ok(());
-    }
-    let index = layout.index.as_mut().expect("checked above");
-    let field_positions: Vec<usize> = layout
-        .schema
-        .indices_of(&index.fields)
-        .map_err(LayoutError::Algebra)?;
-    for (obj_idx, rid, row) in placed {
-        let pos = pack_pos(*obj_idx, rid.page_index, rid.slot)?;
-        let values: Vec<&Value> = field_positions.iter().map(|&p| &row[p]).collect();
-        index.insert_row(&values, pos)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -511,6 +412,7 @@ mod tests {
     use crate::MemTableProvider;
     use rodentstore_algebra::comprehension::Condition;
     use rodentstore_algebra::schema::{Field, Schema};
+    use rodentstore_algebra::value::Record;
     use rodentstore_algebra::LayoutExpr;
     use rodentstore_storage::pager::Pager;
 
@@ -607,6 +509,7 @@ mod tests {
         let provider = MemTableProvider::single(schema(), rows(200));
         let pager = Arc::new(Pager::in_memory_with_page_size(1024));
         let mut layout = render(&expr, &provider, pager, RenderOptions::default()).unwrap();
+        let mut old_tree = layout.index.as_ref().unwrap().page_ids().unwrap();
 
         let extra: Vec<Record> = (200..260)
             .map(|i| vec![Value::Int(i), Value::Float(1.0), Value::Null])
@@ -616,6 +519,16 @@ mod tests {
             &MemTableProvider::single(schema(), extra),
         )
         .unwrap();
+        // The append rebuilt the tree into fresh pages and left the old
+        // tree's pages, unwritten, to whoever drains the layout.
+        let index = layout.index.as_ref().unwrap();
+        assert_eq!(index.len(), 260);
+        let new_tree = index.page_ids().unwrap();
+        assert!(new_tree.iter().all(|p| !old_tree.contains(p)));
+        let mut vacated = layout.take_relocated();
+        vacated.sort_unstable();
+        old_tree.sort_unstable();
+        assert_eq!(vacated, old_tree);
 
         let pred = Condition::range("id", 190i64, 219i64);
         let iter = layout.scan_iter(None, Some(&pred)).unwrap();

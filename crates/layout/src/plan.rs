@@ -271,11 +271,8 @@ impl StoredObject {
     }
 
     /// Writes tuples (already restricted to this object's fields, in object
-    /// field order) into the heap file. For row-encoded objects the returned
-    /// vector names where each tuple landed (empty for block encodings, whose
-    /// records are not slot-addressable).
-    pub fn write_rows(&mut self, rows: &[Record]) -> Result<Vec<RecordId>> {
-        let mut placed = Vec::new();
+    /// field order) into the heap file.
+    pub fn write_rows(&mut self, rows: &[Record]) -> Result<()> {
         match &self.encoding {
             ObjectEncoding::Folded { .. } => {
                 return Err(LayoutError::Unsupported(
@@ -283,12 +280,11 @@ impl StoredObject {
                 ));
             }
             ObjectEncoding::Rows => {
-                placed.reserve(rows.len());
                 let mut encoded = Vec::new();
                 for row in rows {
                     encoded.clear();
                     encode_record_into(row, &mut encoded);
-                    placed.push(self.heap.append(&encoded)?);
+                    self.heap.append(&encoded)?;
                 }
             }
             ObjectEncoding::ColumnBlocks { block_rows } => {
@@ -303,7 +299,7 @@ impl StoredObject {
         }
         self.row_count += rows.len();
         self.heap.flush()?;
-        Ok(placed)
+        Ok(())
     }
 
     /// Encodes one chunk of rows as per-field column blocks. Chunks whose
@@ -720,10 +716,11 @@ impl PhysicalLayout {
     ///
     /// The fork is how appends proceed while readers may still hold the
     /// original. It holds the original's objects themselves, and the first
-    /// write to one forks that object alone; the index tree is adopted
-    /// *protected*. So the fork's appends relocate
-    /// tails and tree onto fresh pages instead of rewriting a page a
-    /// concurrent reader of the original could be scanning, and an append
+    /// write to one forks that object alone; it reattaches the index tree,
+    /// which no append modifies: an append rebuilds the tree into fresh
+    /// pages ([`PhysicalLayout::rebuild_index`]). So the fork's appends
+    /// relocate tails and tree onto fresh pages instead of rewriting a page
+    /// a concurrent reader of the original could be scanning, and an append
     /// costs the objects it writes, not the objects the layout has. After
     /// the fork is published in the original's place, the pages it vacated
     /// (drained via [`PhysicalLayout::take_relocated`] on the fork) plus the
@@ -731,19 +728,16 @@ impl PhysicalLayout {
     /// still owns.
     pub fn fork_for_append(&self) -> Result<PhysicalLayout> {
         let index = match &self.index {
-            Some(idx) => {
-                idx.protect();
-                Some(StoredIndex::from_parts(
-                    Arc::clone(&self.pager),
-                    idx.kind_name(),
-                    idx.fields.clone(),
-                    idx.key_kinds.clone(),
-                    idx.root(),
-                    idx.len(),
-                    idx.height(),
-                    idx.outliers.clone(),
-                )?)
-            }
+            Some(idx) => Some(StoredIndex::from_parts(
+                Arc::clone(&self.pager),
+                idx.kind_name(),
+                idx.fields.clone(),
+                idx.key_kinds.clone(),
+                idx.root(),
+                idx.len(),
+                idx.height(),
+                idx.outliers.clone(),
+            )?),
             None => None,
         };
         Ok(PhysicalLayout {
@@ -825,13 +819,23 @@ impl PhysicalLayout {
         Ok(pages)
     }
 
-    /// (Re)builds the declared index from the stored objects; a no-op when
-    /// the expression declares none. Recovery paths that reattach objects
-    /// without a usable index manifest call this to restore pushdown.
+    /// (Re)builds the declared index from the stored objects into fresh
+    /// pages; a no-op when the expression declares none. This is how an
+    /// index is maintained: a render builds it, every append rebuilds it,
+    /// and recovery rebuilds it when the manifest holds no usable tree. The
+    /// tree it replaces is never written; its pages are left to
+    /// [`PhysicalLayout::take_relocated`], since a reader of an earlier
+    /// generation or the on-disk manifest may still reference them.
     pub fn rebuild_index(&mut self) -> Result<()> {
-        if let Some(fields) = self.derived.index.clone() {
-            self.index = Some(crate::index::build_index(self, &fields)?);
+        let Some(fields) = self.derived.index.clone() else {
+            return Ok(());
+        };
+        let mut vacated = Vec::new();
+        if let Some(old) = &self.index {
+            vacated = old.take_relocated();
+            vacated.extend(old.page_ids()?);
         }
+        self.index = Some(crate::index::build_index(self, &fields, vacated)?);
         Ok(())
     }
 
@@ -1014,9 +1018,8 @@ impl PhysicalLayout {
         predicate: Option<&Condition>,
     ) -> u64 {
         ScanPlan::new(self, fields, predicate, true)
-            .and_then(|plan| plan.predicted_pages())
-            .or_else(|_| ScanPlan::new(self, fields, predicate, false)?.predicted_pages())
-            .unwrap_or(0)
+            .or_else(|_| ScanPlan::new(self, fields, predicate, false))
+            .map_or(0, |plan| plan.predicted_pages())
     }
 
     /// The rows a cursor over `group` — one object, or the column groups of

@@ -36,7 +36,7 @@ use rodentstore_algebra::validate::{check_with, DerivedLayout};
 use rodentstore_algebra::value::{Record, Value};
 use rodentstore_compress::CodecKind;
 use rodentstore_sfc::morton_n;
-use rodentstore_storage::heap::{HeapFile, RecordId};
+use rodentstore_storage::heap::HeapFile;
 use rodentstore_storage::pager::Pager;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -252,25 +252,8 @@ pub(crate) fn build(
             LayoutError::Corrupted(format!("`{}` objects do not fit its shape", layout.name))
         })?;
     }
-    if let Some(fields) = layout.derived.index.clone() {
-        layout.index = Some(crate::index::build_index(&layout, &fields)?);
-    }
+    layout.rebuild_index()?;
     Ok(layout)
-}
-
-/// Where placed rows landed: `(object index, record id, row)`, for
-/// row-encoded objects (column blocks are not slot-addressable). The rows
-/// are moved in, so an append maintains the declared index without
-/// re-reading the heap.
-pub(crate) type Placed = Vec<(usize, RecordId, Record)>;
-
-/// Where `rows` landed in object `obj`: nothing unless the layout holds an
-/// index to maintain, the one reader of [`Placed`].
-fn landed(layout: &PhysicalLayout, obj: usize, ids: Vec<RecordId>, rows: Vec<Record>) -> Placed {
-    if layout.index.is_none() {
-        return Placed::new();
-    }
-    ids.into_iter().zip(rows).map(|(rid, row)| (obj, rid, row)).collect()
 }
 
 /// Writes materialized rows into `layout`'s objects: the one writer of
@@ -290,22 +273,19 @@ fn landed(layout: &PhysicalLayout, obj: usize, ids: Vec<RecordId>, rows: Vec<Rec
 /// * **single object** — rows become new heap records or column blocks at
 ///   the end of the object.
 ///
-/// Returns how many objects were written and where row-encoded rows
-/// landed, or `None` when the objects do not fit the shape.
-pub(crate) fn place(
-    layout: &mut PhysicalLayout,
-    rows: Vec<Record>,
-) -> Result<Option<(usize, Placed)>> {
+/// Returns how many objects were written, or `None` when the objects do not
+/// fit the shape.
+pub(crate) fn place(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<Option<usize>> {
     Ok(Some(match Shape::of(&layout.derived) {
         Shape::Cells => place_cells(layout, rows)?,
         Shape::Partitions => place_partitions(layout, rows)?,
-        Shape::Groups => (place_groups(layout, &rows)?, Placed::new()),
+        Shape::Groups => place_groups(layout, &rows)?,
         Shape::Single
             if layout.objects.len() == 1
                 && layout.objects[0].fields == layout.schema.field_names() =>
         {
-            let ids = layout.object_mut(0)?.write_rows(&rows)?;
-            (1, landed(layout, 0, ids, rows))
+            layout.object_mut(0)?.write_rows(&rows)?;
+            1
         }
         Shape::Single | Shape::Folded => return Ok(None),
     }))
@@ -339,9 +319,8 @@ fn place_buckets<K>(
     buckets: Vec<(K, Vec<Record>)>,
     target: impl Fn(&K) -> Target,
     create: impl Fn(&PhysicalLayout, &K) -> StoredObject,
-) -> Result<(usize, Placed)> {
+) -> Result<usize> {
     let touched = buckets.len();
-    let mut placed = Placed::new();
     for (key, rows) in buckets {
         let target = target(&key);
         let i = match layout.targets.get(&target) {
@@ -354,10 +333,9 @@ fn place_buckets<K>(
                 i
             }
         };
-        let ids = layout.object_mut(i)?.write_rows(&rows)?;
-        placed.extend(landed(layout, i, ids, rows));
+        layout.object_mut(i)?.write_rows(&rows)?;
     }
-    Ok((touched, placed))
+    Ok(touched)
 }
 
 /// A cell's rank in the layout's cell order: its position on the Z curve
@@ -380,7 +358,7 @@ fn cell_rank(coords: &[u32], zordered: bool) -> u64 {
 /// data minimum, so there the shift is zero. A row whose gridded value has
 /// no lattice coordinate — NaN, infinite, non-numeric, or too far out for
 /// an exact one — goes to the cell unbounded along that dimension.
-fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
+fn place_cells(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<usize> {
     let dims = layout.derived.grid.clone().unwrap_or_default();
     let at: Vec<usize> = dims
         .iter()
@@ -485,7 +463,7 @@ type LabelOf = Box<dyn Fn(&Record) -> Result<String>>;
 
 /// Partition placement (see [`place`]): labels by the partitioning rule,
 /// its field or predicate resolved once against the layout's schema.
-fn place_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<(usize, Placed)> {
+fn place_partitions(layout: &mut PhysicalLayout, rows: Vec<Record>) -> Result<usize> {
     let by = find_partition(&layout.expr).ok_or_else(|| {
         LayoutError::Unsupported("partitioned layout without a partition transform".into())
     })?;

@@ -1224,6 +1224,8 @@ struct Part<'a> {
     /// Set when the declared index covers the predicate: per cursor, the
     /// batches it is restricted to.
     probe: Option<Vec<Batches>>,
+    /// The tree node pages the probe read (0 without a probe).
+    tree_pages: usize,
 }
 
 impl<'a> Part<'a> {
@@ -1237,11 +1239,12 @@ impl<'a> Part<'a> {
         ranges: &HashMap<String, (f64, f64)>,
         use_index: bool,
     ) -> Result<Part<'a>> {
-        let mut probe = None;
+        let (mut probe, mut tree_pages) = (None, 0);
         let (objects, together) = match (&layout.index, predicate) {
             (Some(idx), Some(_)) if use_index && idx.covers(ranges) => {
-                let (objects, batches) = group_positions(&idx.probe(ranges)?).into_iter().unzip();
-                probe = Some(batches);
+                let (positions, nodes) = idx.probe(ranges)?;
+                let (objects, batches) = group_positions(&positions).into_iter().unzip();
+                (probe, tree_pages) = (Some(batches), nodes);
                 (objects, false)
             }
             _ => layout.cursor_objects(fields, predicate, ranges),
@@ -1259,6 +1262,7 @@ impl<'a> Part<'a> {
             together,
             fences: Vec::new(),
             probe,
+            tree_pages,
         };
         // Only objects with a chunk directory are fenced, and only by ranges.
         let fenced = part
@@ -1292,17 +1296,17 @@ impl<'a> Part<'a> {
     }
 
     /// The pages the part reads: under an index probe, the tree pages the
-    /// probe visits (counted again here, which reads them) plus one per
-    /// candidate heap page; otherwise each cursor's pages, only those of the
-    /// chunks its fences let through for an object with a chunk directory.
-    fn predicted_pages(&self, ranges: &HashMap<String, (f64, f64)>) -> Result<u64> {
+    /// probe read plus one per candidate heap page; otherwise each cursor's
+    /// pages, only those of the chunks its fences let through for an object
+    /// with a chunk directory. Reads nothing.
+    fn predicted_pages(&self) -> u64 {
         let layout = self.layout;
-        Ok(match (&self.probe, &layout.index) {
-            (Some(batches), Some(idx)) => {
+        match &self.probe {
+            Some(batches) => {
                 let heap_pages: usize = batches.iter().map(Vec::len).sum();
-                (idx.probe_node_pages(ranges)? + heap_pages) as u64
+                (self.tree_pages + heap_pages) as u64
             }
-            _ => (0..self.cursors())
+            None => (0..self.cursors())
                 .map(|n| {
                     let fence = self.fences.get(n).and_then(Option::as_deref);
                     self.group(n)
@@ -1318,7 +1322,7 @@ impl<'a> Part<'a> {
                         .sum::<u64>()
                 })
                 .sum(),
-        })
+        }
     }
 }
 
@@ -1363,11 +1367,8 @@ impl<'a> ScanPlan<'a> {
     /// The pages the plan reads — what
     /// [`PhysicalLayout::estimate_scan_pages`] reports: the pages of every
     /// part (the base and each unpruned run); the memtable is in memory.
-    pub fn predicted_pages(&self) -> Result<u64> {
-        self.parts
-            .iter()
-            .map(|part| part.predicted_pages(&self.ranges))
-            .sum()
+    pub fn predicted_pages(&self) -> u64 {
+        self.parts.iter().map(Part::predicted_pages).sum()
     }
 
     /// The row at `position` of an unpredicated plan's scan, projected to
@@ -2584,8 +2585,9 @@ mod tests {
             .unwrap();
         let index = layout.index.as_ref().unwrap();
         let before = pager.stats().snapshot();
-        index.probe(&extract_ranges(&pred)).unwrap();
+        let (_, nodes) = index.probe(&extract_ranges(&pred)).unwrap();
         let probe_pages = pager.stats().snapshot().since(&before).pages_read;
+        assert_eq!(probe_pages, nodes as u64, "a probe reports the tree pages it read");
 
         let before = pager.stats().snapshot();
         let iter = layout.scan_iter(Some(&["name".to_string()]), Some(&pred)).unwrap();
@@ -2596,6 +2598,11 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(io.pages_read, probe_pages + candidate_pages.len() as u64);
         assert!(candidate_pages.len() < layout.objects[0].page_count());
+        // Predicting the read probes the tree once more and reads nothing else.
+        let before = pager.stats().snapshot();
+        let fields = ["name".to_string()];
+        assert_eq!(layout.estimate_scan_pages(Some(&fields), Some(&pred)), io.pages_read);
+        assert_eq!(pager.stats().snapshot().since(&before).pages_read, probe_pages);
     }
 
     #[test]

@@ -120,12 +120,12 @@ impl CostModel {
         let layout = render(expr, provider, pager, RenderOptions::default())?;
         let layout_pages = layout.total_pages();
         let append_pages = estimate_append_pages(&layout);
-        let methods = AccessMethods::with_cost_params(layout, self.cost_params);
+        let methods = AccessMethods::new(layout);
 
         let mut total_ms = 0.0;
         let mut total_pages = 0u64;
         for q in &workload.queries {
-            total_ms += methods.scan_cost(&q.request)? * q.weight;
+            total_ms += methods.scan_cost(&q.request, &self.cost_params)? * q.weight;
             total_pages += methods.scan_pages(&q.request);
         }
         if expr.contains_kind(TransformKind::Lsm) {

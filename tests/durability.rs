@@ -658,12 +658,12 @@ fn recreating_over_an_existing_database_resets_it() {
 }
 
 /// The crash sweep for *indexed* tables. The checkpointed manifest carries
-/// the B-tree's page extents, but post-checkpoint inserts mutate tree nodes
-/// in place — so the persisted tree is trustworthy only at the checkpoint
-/// boundary itself. At every byte truncation point of the WAL tail the
-/// reopened database must either reattach the checkpointed index (no replay)
-/// or rebuild it from the recovered heaps (any replay), and an index-assisted
-/// scan must return exactly the canonical committed rows either way.
+/// the B-tree's page extents, and post-checkpoint inserts rebuild the tree
+/// into fresh pages, never touching the ones the manifest names. At every
+/// byte truncation point of the WAL tail the reopened database must either
+/// reattach the checkpointed index (no replay) or rebuild it from the
+/// recovered heaps (any replay), and an index-assisted scan must return
+/// exactly the canonical committed rows either way.
 #[test]
 fn kill_at_every_wal_byte_recovers_indexed_scans() {
     use rodentstore::Condition;

@@ -83,11 +83,13 @@ fn catalogued_delta(
 /// pages); the index layout is asserted separately below.
 #[test]
 fn scan_counters_conserve_io_across_access_paths() {
-    let layouts: [Option<&str>; 4] = [
+    let layouts: [Option<&str>; 6] = [
         None, // canonical rows
         Some("Points"),
         Some("vertical[x|y,tag](Points)"),
         Some("lsm[x](Points)"),
+        Some("index[x](Points)"),
+        Some("index[x,y](Points)"),
     ];
     for layout in layouts {
         let db = Database::in_memory();
@@ -126,10 +128,10 @@ fn scan_counters_conserve_io_across_access_paths() {
     }
 }
 
-/// Index layouts: the calibration probe after the scan reads index pages of
-/// its own, so `scan.pages` is a lower bound on the raw pager delta — but
-/// it must still be exactly the pages the *scan* read, which a second,
-/// identical scan reproduces.
+/// Index layouts: a probe walks the tree once and its plan keeps the count,
+/// so calibrating the prediction reads no page: `scan.pages` equals the raw
+/// pager delta, a second, identical scan reproduces it, and the prediction
+/// is exact.
 #[test]
 fn index_probe_scans_attribute_only_their_own_pages() {
     let db = Database::in_memory();
@@ -149,13 +151,17 @@ fn index_probe_scans_attribute_only_their_own_pages() {
     let second = delta(&mid, &after, "scan.pages");
     assert!(first > 0, "an index probe reads tree + heap pages");
     assert_eq!(first, second, "identical scans read identical pages");
-    assert!(first <= delta(&before, &mid, "io.pages_read"));
+    assert_eq!(first, delta(&before, &mid, "io.pages_read"));
     // Calibration folded one sample per scan, with the prediction matching
     // the estimate the explain reported.
     assert_eq!(delta(&before, &after, "scan.count"), 2);
     let metrics = db.metrics();
     assert_eq!(metrics.counter("calibration.Points.samples"), Some(2));
     assert!(metrics.counter("calibration.Points.predicted_pages").unwrap() > 0);
+    assert_eq!(
+        metrics.counter("calibration.Points.predicted_pages"),
+        metrics.counter("calibration.Points.actual_pages")
+    );
 }
 
 /// Per-operation attribution is *exact* under concurrency: scans run under a

@@ -408,6 +408,50 @@ mod tests {
     }
 
     #[test]
+    fn bulk_load_adds_a_level_exactly_past_one_full_leaf() {
+        // A leaf is filled to 90 % of its capacity: that many keys make a
+        // single leaf root, and one more key makes two leaves under a root.
+        let per_leaf = node_capacity(256).unwrap() * 9 / 10;
+        let pairs: Vec<(i64, u64)> = (0..=per_leaf as i64).map(|i| (i, i as u64)).collect();
+        let one = BTree::bulk_load(pager(256), &pairs[..per_leaf]).unwrap();
+        assert_eq!((one.height(), one.page_ids().unwrap().len()), (1, 1));
+        let two = BTree::bulk_load(pager(256), &pairs).unwrap();
+        assert_eq!((two.height(), two.page_ids().unwrap().len()), (2, 3));
+        assert_eq!(keys(&two, i64::MIN, i64::MAX), pairs);
+    }
+
+    #[test]
+    fn bulk_loaded_ranges_match_a_filter_of_the_input() {
+        // Keys with gaps and runs of three duplicates, from a single leaf up
+        // to a four-level tree: every window returns exactly the input
+        // pairs it covers, in input order.
+        for n in [1u64, 30, 600, 5_000] {
+            let pairs: Vec<(i64, u64)> = (0..n).map(|i| ((i / 3 * 5) as i64, i)).collect();
+            let tree = BTree::bulk_load(pager(256), &pairs).unwrap();
+            let top = pairs[pairs.len() - 1].0;
+            let mid = top / 2;
+            for (lo, hi) in [
+                (-5, -1),
+                (0, 0),
+                (1, 4),
+                (5, 5),
+                (7, 23),
+                (mid, mid + 11),
+                (top, top),
+                (top + 1, top + 9),
+                (i64::MIN, i64::MAX),
+            ] {
+                let want: Vec<(i64, u64)> = pairs
+                    .iter()
+                    .copied()
+                    .filter(|&(k, _)| lo <= k && k <= hi)
+                    .collect();
+                assert_eq!(keys(&tree, lo, hi), want, "{n} keys, [{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
     fn duplicate_runs_span_leaf_boundaries() {
         // More duplicates of one key than fit in a single leaf: the run
         // spans leaves whose separators equal the key, and range(k, k) must

@@ -570,6 +570,34 @@ mod tests {
     }
 
     #[test]
+    fn each_parent_rect_is_its_childs_mbr() {
+        // Both packings: a parent entry's rectangle is exactly the union of
+        // its child's entries, and every leaf sits at the recorded height.
+        let items = points(3000);
+        for tree in [
+            RTree::bulk_load(pager(512), &items).unwrap(),
+            RTree::bulk_load_hilbert(pager(512), &items).unwrap(),
+        ] {
+            assert!(tree.height() > 2);
+            let mut leaf_entries = 0;
+            let mut stack = vec![(tree.root(), 1)];
+            while let Some((id, depth)) = stack.pop() {
+                let node = tree.read_node(id).unwrap();
+                if node.is_leaf {
+                    assert_eq!(depth, tree.height());
+                    leaf_entries += node.entries.len();
+                    continue;
+                }
+                for entry in &node.entries {
+                    assert_eq!(entry.rect, tree.read_node(entry.value).unwrap().mbr());
+                    stack.push((entry.value, depth + 1));
+                }
+            }
+            assert_eq!(leaf_entries, items.len());
+        }
+    }
+
+    #[test]
     fn coincident_points_are_all_returned() {
         // Every entry at the same coordinate: splits cannot separate them
         // spatially, yet a point query must return each payload exactly once.
